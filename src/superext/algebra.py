@@ -143,6 +143,11 @@ class LieSuperalgebra:
                 s = _sign(basis.parity(i), basis.parity(j))
                 if (i, j) in given:
                     structure[i][j] = given[(i, j)]
+                    if i == j and given[(i, i)] != scale_vec(-s, given[(i, i)]):
+                        raise MembershipError(
+                            f"bracket [{basis.names[i]},{basis.names[i]}] breaks "
+                            "super-antisymmetry: an even element's self-bracket is zero"
+                        )
                     if (j, i) in given and given[(j, i)] != scale_vec(-s, given[(i, j)]):
                         raise MembershipError(
                             f"brackets [{basis.names[i]},{basis.names[j]}] and "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import (
@@ -43,8 +44,6 @@ from .linalg import (
     vec,
     zero_vec,
 )
-
-Cochain1 = GradedLinearMap
 
 
 def c1_positions(domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> list[tuple[int, int]]:
@@ -258,7 +257,7 @@ def cochain2_from_coords(source: SuperBasis, target: SuperBasis,
     return Cochain2.from_upper(source, target, entries, degree)
 
 
-def coboundary1(lam: Cochain1, g: LieSuperalgebra, m: ModuleAction) -> Cochain2:
+def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Cochain2:
     """(d lam)(x,y) = x·lam(y) - (-1)^{|x||y|} y·lam(x) - lam([x,y]).
 
     Entries are computed on pairs i <= j only; the rest follows by the
@@ -364,7 +363,7 @@ def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
     return all(r == 0 for r in _twisted_jacobi_residuals(g, m, beta))
 
 
-def is_cocycle1(f: Cochain1, g: LieSuperalgebra, m: ModuleAction) -> bool:
+def is_cocycle1(f: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> bool:
     """Whether f is an even derivation g -> M."""
     if f.domain != g.basis or f.codomain != m.space:
         raise ShapeError("map bases do not match the algebra and module")
@@ -373,69 +372,115 @@ def is_cocycle1(f: Cochain1, g: LieSuperalgebra, m: ModuleAction) -> bool:
     return coboundary1(f, g, m).is_zero()
 
 
-def _require_valid_module(m: ModuleAction) -> None:
-    bad = validate_module(m)
-    if bad is not None:
-        raise MembershipError(f"invalid module: {bad}")
+class CochainComplex:
+    """The even cochains of g with values in m, in degrees 1 and 2.
+
+    Owns the coordinate formats of both degrees and builds each operator of
+    the low-degree theory once, on first use: d¹ as a matrix, the cocycle
+    and coboundary spaces, and the H¹ and H² presentations.  The module is
+    validated once, on construction.
+    """
+
+    def __init__(self, g: LieSuperalgebra, m: ModuleAction):
+        bad = validate_module(m)
+        if bad is not None:
+            raise MembershipError(f"invalid module: {bad}")
+        self.g = g
+        self.m = m
+        self.pos1 = c1_positions(g.basis, m.space)
+        self.pos2 = c2_positions(g.basis, m.space)
+
+    def cochain1(self, coords: Sequence[Fraction]) -> GradedLinearMap:
+        return map_from_coords(self.g.basis, self.m.space, self.pos1, coords)
+
+    def coords1(self, f: GradedLinearMap) -> Vec:
+        return map_to_coords(f, self.pos1)
+
+    def cochain2(self, coords: Sequence[Fraction]) -> Cochain2:
+        return cochain2_from_coords(self.g.basis, self.m.space, self.pos2, coords)
+
+    def coords2(self, beta: Cochain2) -> Vec:
+        return cochain2_to_coords(beta, self.pos2)
+
+    @cached_property
+    def d1(self) -> Mat:
+        """Matrix of d¹: column p holds the coboundary of the p-th unit 1-cochain."""
+        n1 = len(self.pos1)
+        columns = [self.coords2(coboundary1(self.cochain1(unit_vec(n1, p)), self.g, self.m))
+                   for p in range(n1)]
+        return Mat.from_columns(columns, rows=len(self.pos2))
+
+    @cached_property
+    def z1(self) -> SubspacePresentation:
+        """The even derivations g -> M, in 1-cochain coordinates."""
+        return kernel_basis(self.d1)
+
+    @cached_property
+    def b1(self) -> SubspacePresentation:
+        """Span of the inner derivations x -> x·v over even module elements v."""
+        spanning = []
+        for v in range(self.m.space.dim):
+            if self.m.space.parity(v) != 0:
+                continue
+            images = [self.m.act_basis(i, v) for i in range(self.g.dim)]
+            f = GradedLinearMap.from_images(self.g.basis, self.m.space, images)
+            spanning.append(self.coords1(f))
+        return SubspacePresentation.from_spanning(len(self.pos1), spanning)
+
+    @cached_property
+    def z2(self) -> SubspacePresentation:
+        """The even 2-cocycles, in 2-cochain coordinates.
+
+        The defining conditions are the super-Jacobi equations of the twisted
+        sum; their linearity in beta is asserted by checking that the residual
+        vanishes at beta = 0.
+        """
+        g, m = self.g, self.m
+        zero_res = _twisted_jacobi_residuals(g, m, Cochain2.zero(g.basis, m.space))
+        if any(r != 0 for r in zero_res):
+            raise MembershipError("twisted-sum residual is nonzero at beta = 0")
+        n2 = len(self.pos2)
+        columns = [tuple(_twisted_jacobi_residuals(g, m, self.cochain2(unit_vec(n2, p))))
+                   for p in range(n2)]
+        return kernel_basis(Mat.from_columns(columns, rows=len(zero_res)))
+
+    @cached_property
+    def b2(self) -> SubspacePresentation:
+        """Span of the coboundaries of the even 1-cochains: the image of d¹."""
+        return SubspacePresentation.from_spanning(
+            len(self.pos2), [self.d1.column(p) for p in range(self.d1.cols)])
+
+    @cached_property
+    def h1(self) -> CohomologyPresentation:
+        """Even first cohomology: derivations modulo inner derivations."""
+        return CohomologyPresentation(self.g.basis, self.m.space, 1,
+                                      quotient_presentation(self.z1, self.b1))
+
+    @cached_property
+    def h2(self) -> CohomologyPresentation:
+        """Even second cohomology in 2-cochain coordinates."""
+        return CohomologyPresentation(self.g.basis, self.m.space, 2,
+                                      quotient_presentation(self.z2, self.b2))
 
 
 def cocycle2_space(g: LieSuperalgebra, m: ModuleAction) -> SubspacePresentation:
-    """Basis of the even 2-cocycles, in canonical 2-cochain coordinates.
-
-    The defining conditions are the super-Jacobi equations of the twisted
-    sum; their linearity in beta is asserted by checking that the residual
-    vanishes at beta = 0.
-    """
-    _require_valid_module(m)
-    positions = c2_positions(g.basis, m.space)
-    zero_res = _twisted_jacobi_residuals(g, m, Cochain2.zero(g.basis, m.space))
-    if any(r != 0 for r in zero_res):
-        raise MembershipError("twisted-sum residual is nonzero at beta = 0")
-    columns = []
-    for p in range(len(positions)):
-        unit = cochain2_from_coords(g.basis, m.space, positions, unit_vec(len(positions), p))
-        columns.append(tuple(_twisted_jacobi_residuals(g, m, unit)))
-    a = Mat.from_columns(columns, rows=len(zero_res))
-    return kernel_basis(a)
+    """Basis of the even 2-cocycles, in canonical 2-cochain coordinates."""
+    return CochainComplex(g, m).z2
 
 
 def coboundary2_space(g: LieSuperalgebra, m: ModuleAction) -> SubspacePresentation:
     """Span of the coboundaries of the even 1-cochains."""
-    _require_valid_module(m)
-    pos1 = c1_positions(g.basis, m.space)
-    pos2 = c2_positions(g.basis, m.space)
-    spanning = []
-    for p in range(len(pos1)):
-        lam = map_from_coords(g.basis, m.space, pos1, unit_vec(len(pos1), p))
-        spanning.append(cochain2_to_coords(coboundary1(lam, g, m), pos2))
-    return SubspacePresentation.from_spanning(len(pos2), spanning)
+    return CochainComplex(g, m).b2
 
 
 def derivation_space(g: LieSuperalgebra, m: ModuleAction) -> SubspacePresentation:
     """Basis of the even derivations g -> M, in 1-cochain coordinates."""
-    _require_valid_module(m)
-    pos1 = c1_positions(g.basis, m.space)
-    pos2 = c2_positions(g.basis, m.space)
-    columns = []
-    for p in range(len(pos1)):
-        lam = map_from_coords(g.basis, m.space, pos1, unit_vec(len(pos1), p))
-        columns.append(cochain2_to_coords(coboundary1(lam, g, m), pos2))
-    a = Mat.from_columns(columns, rows=len(pos2))
-    return kernel_basis(a)
+    return CochainComplex(g, m).z1
 
 
 def inner_space(g: LieSuperalgebra, m: ModuleAction) -> SubspacePresentation:
     """Span of the inner derivations x -> x·v over even module elements v."""
-    _require_valid_module(m)
-    pos1 = c1_positions(g.basis, m.space)
-    spanning = []
-    for v in range(m.space.dim):
-        if m.space.parity(v) != 0:
-            continue
-        images = [m.act_basis(i, v) for i in range(g.dim)]
-        f = GradedLinearMap.from_images(g.basis, m.space, images)
-        spanning.append(map_to_coords(f, pos1))
-    return SubspacePresentation.from_spanning(len(pos1), spanning)
+    return CochainComplex(g, m).b1
 
 
 @dataclass(frozen=True)
@@ -474,16 +519,12 @@ class CohomologyClass:
 
 def h1(g: LieSuperalgebra, m: ModuleAction) -> CohomologyPresentation:
     """Even first cohomology: derivations modulo inner derivations."""
-    z = derivation_space(g, m)
-    b = inner_space(g, m)
-    return CohomologyPresentation(g.basis, m.space, 1, quotient_presentation(z, b))
+    return CochainComplex(g, m).h1
 
 
 def h2(g: LieSuperalgebra, m: ModuleAction) -> CohomologyPresentation:
     """Even second cohomology in canonical 2-cochain coordinates."""
-    z = cocycle2_space(g, m)
-    b = coboundary2_space(g, m)
-    return CohomologyPresentation(g.basis, m.space, 2, quotient_presentation(z, b))
+    return CochainComplex(g, m).h2
 
 
 def class_of(beta: Cochain2, pres: CohomologyPresentation) -> CohomologyClass:
@@ -498,24 +539,6 @@ def class_of(beta: Cochain2, pres: CohomologyPresentation) -> CohomologyClass:
     except MembershipError:
         raise MembershipError("the 2-cochain is not a cocycle") from None
     return CohomologyClass(pres, coords)
-
-
-def class_of1(f: Cochain1, pres: CohomologyPresentation) -> CohomologyClass:
-    """Class of a derivation in a degree-1 presentation."""
-    if pres.degree != 1:
-        raise ShapeError("presentation is not in degree 1")
-    if f.domain != pres.source or f.codomain != pres.target or f.degree != 0:
-        raise ShapeError("cochain does not match the presentation")
-    positions = c1_positions(pres.source, pres.target)
-    try:
-        coords = pres.quotient.coordinates_of(map_to_coords(f, positions))
-    except MembershipError:
-        raise MembershipError("the 1-cochain is not a cocycle") from None
-    return CohomologyClass(pres, coords)
-
-
-def class_is_zero(cls: CohomologyClass) -> bool:
-    return cls.is_zero
 
 
 def cup(h: Cochain2, f: GradedLinearMap) -> Cochain2:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     GradedLinearMap,
@@ -32,21 +32,15 @@ from .algebra import (
     SuperBasis,
     is_homomorphism,
     quotient_by_ideal,
-    validate_module,
     validate_superalgebra,
 )
 from .cohomology import (
     Cochain2,
+    CochainComplex,
     CohomologyClass,
     CohomologyPresentation,
     c1_positions,
-    c2_positions,
     class_of,
-    coboundary1,
-    cochain2_to_coords,
-    derivation_space,
-    h1,
-    h2,
     is_cocycle1,
     is_cocycle2,
     map_from_coords,
@@ -113,9 +107,7 @@ class AbelianExtension:
             for ci in self.complement_indices
         ]
         self.action = ModuleAction(g, self.a_basis, action)
-        bad = validate_module(self.action)
-        if bad is not None:
-            raise MembershipError(f"induced action fails the module axioms: {bad}")
+        self.cochains_g = CochainComplex(g, self.action)
 
         # the complement part of [s x, s y] is exactly s([x, y]); the cocycle
         # is the ideal part that remains
@@ -168,41 +160,54 @@ class AbelianExtension:
         return ModuleAction(self.e, self.a_basis, act)
 
     @cached_property
-    def z1_e(self) -> SubspacePresentation:
-        return derivation_space(self.e, self.adjoint)
+    def cochains_e(self) -> CochainComplex:
+        return CochainComplex(self.e, self.adjoint)
 
-    @cached_property
+    @property
+    def z1_e(self) -> SubspacePresentation:
+        return self.cochains_e.z1
+
+    @property
     def z1_g(self) -> SubspacePresentation:
-        return derivation_space(self.g, self.action)
+        return self.cochains_g.z1
 
     @cached_property
     def module_end_space(self) -> SubspacePresentation:
         """End_g(a) as a subspace of the even map coordinates on a."""
         pos = c1_positions(self.a_basis, self.a_basis)
-        rows_count = self.dim_g * self.dim_a * self.dim_a
         columns = []
         for p in range(len(pos)):
             phi = map_from_coords(self.a_basis, self.a_basis, pos, unit_vec(len(pos), p))
-            residual: list[Fraction] = []
-            for i in range(self.dim_g):
-                for m in range(self.dim_a):
-                    lhs = phi.apply(self.action.act_basis(i, m))
-                    rhs = self.action.act(unit_vec(self.dim_g, i), phi.image_of_basis(m))
-                    residual.extend(sub_vec(lhs, rhs))
-            columns.append(tuple(residual))
-        return kernel_basis(Mat.from_columns(columns, rows=rows_count))
+            columns.append(tuple(x for r in _module_end_residuals(phi, self) for x in r))
+        return kernel_basis(Mat.from_columns(columns, rows=self.dim_g * self.dim_a * self.dim_a))
 
-    @cached_property
+    @property
     def h1_g(self) -> CohomologyPresentation:
-        return h1(self.g, self.action)
+        return self.cochains_g.h1
 
-    @cached_property
+    @property
     def h2_g(self) -> CohomologyPresentation:
-        return h2(self.g, self.action)
+        return self.cochains_g.h2
+
+    @property
+    def h2_e(self) -> CohomologyPresentation:
+        return self.cochains_e.h2
 
     @cached_property
-    def h2_e(self) -> CohomologyPresentation:
-        return h2(self.e, self.adjoint)
+    def extend_operator(self) -> Mat:
+        """d¹ of e stacked over the rows reading a 1-cochain's values on the ideal.
+
+        Row order matches the right-hand side of `extend_endomorphism`: all
+        2-cochain coordinates, then for each ideal element its image in a.
+        """
+        pos1 = self.cochains_e.pos1
+        slot = {rc: p for p, rc in enumerate(pos1)}
+        rows = list(self.cochains_e.d1.data)
+        for idx in self.ideal_indices:
+            for k in range(self.dim_a):
+                p = slot.get((k, idx))
+                rows.append(zero_vec(len(pos1)) if p is None else unit_vec(len(pos1), p))
+        return Mat(rows, cols=len(pos1))
 
     def __repr__(self) -> str:
         names = [self.e.basis.names[i] for i in self.ideal_indices]
@@ -272,13 +277,16 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
         raise ShapeError("map is not an endomorphism of the ideal")
     if phi.degree != 0:
         return False
+    return all(is_zero_vec(r) for r in _module_end_residuals(phi, ext))
+
+
+def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterator[Vec]:
+    """phi(x·m) - x·phi(m) over basis pairs (x, m), in row-major order."""
     for i in range(ext.dim_g):
         for m in range(ext.dim_a):
             lhs = phi.apply(ext.action.act_basis(i, m))
             rhs = ext.action.act(unit_vec(ext.dim_g, i), phi.image_of_basis(m))
-            if lhs != rhs:
-                return False
-    return True
+            yield sub_vec(lhs, rhs)
 
 
 def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
@@ -426,22 +434,13 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
     returns x -> x + f(x).  The solver never consults the obstruction class.
     """
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
-    pos1 = c1_positions(ext.e.basis, ext.a_basis)
-    pos2 = c2_positions(ext.e.basis, ext.a_basis)
-    columns = []
-    for p in range(len(pos1)):
-        f = map_from_coords(ext.e.basis, ext.a_basis, pos1, unit_vec(len(pos1), p))
-        col = list(cochain2_to_coords(coboundary1(f, ext.e, ext.adjoint), pos2))
-        for m, idx in enumerate(ext.ideal_indices):
-            col.extend(f.image_of_basis(idx))
-        columns.append(tuple(col))
-    rhs = list(zero_vec(len(pos2)))
+    rhs = list(zero_vec(len(ext.cochains_e.pos2)))
     for m in range(ext.dim_a):
         rhs.extend(phi.image_of_basis(m))
-    sol = solve(Mat.from_columns(columns, rows=len(rhs)), tuple(rhs))
+    sol = solve(ext.extend_operator, tuple(rhs))
     if sol is None:
         return None
-    f = map_from_coords(ext.e.basis, ext.a_basis, pos1, sol)
+    f = ext.cochains_e.cochain1(sol)
     out = from_derivation(f, ext)
     assert shifted_restriction(out, ext) == phi
     return out
@@ -489,22 +488,11 @@ def lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[G
     The solver never consults the obstruction class.
     """
     _require(fixes_action(psi, ext), "map does not preserve the action on the ideal")
-    pos1 = c1_positions(ext.g.basis, ext.a_basis)
-    pos2 = c2_positions(ext.g.basis, ext.a_basis)
-    columns = [
-        cochain2_to_coords(
-            coboundary1(map_from_coords(ext.g.basis, ext.a_basis, pos1,
-                                        unit_vec(len(pos1), p)),
-                        ext.g, ext.action),
-            pos2,
-        )
-        for p in range(len(pos1))
-    ]
-    rhs = cochain2_to_coords(ext.beta - ext.beta.precompose(psi), pos2)
-    sol = solve(Mat.from_columns(columns, rows=len(pos2)), rhs)
+    cochains = ext.cochains_g
+    sol = solve(cochains.d1, cochains.coords2(ext.beta - ext.beta.precompose(psi)))
     if sol is None:
         return None
-    lam = map_from_coords(ext.g.basis, ext.a_basis, pos1, sol)
+    lam = cochains.cochain1(sol)
     cols: list[Vec] = []
     slot_of = {idx: m for m, idx in enumerate(ext.ideal_indices)}
     for idx in range(ext.dim_e):

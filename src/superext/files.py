@@ -33,11 +33,13 @@ def parse_rat(value) -> Fraction:
         if not _RAT_RE.match(text):
             raise ParseError(f"not a rational literal: {value!r}")
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in rational literal: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:  # beyond the interpreter's integer digit limit
+            raise ParseError(f"rational literal of {len(text)} characters is too long") from None
+        if d == 0:
+            raise ParseError(f"zero denominator in rational literal: {value!r}")
+        return Fraction(n, d)
     raise ParseError(f"not a rational literal: {value!r} (floats are not accepted)")
 
 
@@ -202,6 +204,8 @@ def load_json(path: Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError:  # an integer beyond the interpreter's digit limit
+        raise ParseError(f"{path}: integer literal is too long") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return data
@@ -260,20 +264,6 @@ def dump_extension(ext: AbelianExtension, algebra_ref, name: str = "extension") 
         "algebra": algebra_ref,
         "ideal": [ext.e.basis.names[i] for i in ext.ideal_indices],
     }
-
-
-def dump_map(f: GradedLinearMap, domain_label: str, codomain_label: str) -> dict:
-    entries = []
-    for j in range(f.domain.dim):
-        for i in range(f.codomain.dim):
-            c = f.matrix.entry(i, j)
-            if c != 0:
-                entries.append({
-                    "from": f.domain.names[j],
-                    "to": f.codomain.names[i],
-                    "coeff": format_rat(c),
-                })
-    return {"domain": domain_label, "codomain": codomain_label, "entries": entries}
 
 
 def dump_matrix(m: Mat) -> list[list[str]]:

@@ -22,14 +22,15 @@ def rat(value) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
     Floats are rejected: silent binary rounding would defeat the whole
-    point of the engine.
+    point of the engine.  Every zero comes back as the one shared `_ZERO`,
+    so the zero entries of vectors and matrices cost no memory of their own.
     """
     if isinstance(value, Fraction):
-        return value
+        return value if value.numerator else _ZERO
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        return rat(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -412,9 +413,6 @@ class QuotientPresentation:
         if sol is None:
             raise MembershipError("vector lies outside the ambient subspace")
         return sol[self.sub.dim:]
-
-    def class_is_zero(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.coordinates_of(v))
 
     def __eq__(self, other) -> bool:
         return (

@@ -21,14 +21,7 @@ from .algebra import (
     is_homomorphism,
     semidirect_product,
 )
-from .cohomology import (
-    c1_positions,
-    class_of,
-    cochain2_from_coords,
-    c2_positions,
-    map_from_coords,
-    map_to_coords,
-)
+from .cohomology import c1_positions, class_of, map_from_coords, map_to_coords
 from .errors import MembershipError
 from .extension import (
     AbelianExtension,
@@ -118,20 +111,15 @@ def _rand_combination(pres: SubspacePresentation, rng: random.Random) -> Vec:
 
 def sample_cocycle(ext: AbelianExtension, seed: int) -> GradedLinearMap:
     """Deterministic pseudo-random derivation e -> a; same seed, same output."""
-    rng = random.Random(seed)
-    coords = _rand_combination(ext.z1_e, rng)
-    pos = c1_positions(ext.e.basis, ext.a_basis)
-    return map_from_coords(ext.e.basis, ext.a_basis, pos, coords)
+    return _derivation_sample(ext, random.Random(seed))
 
 
 def _derivation_sample(ext: AbelianExtension, rng: random.Random) -> GradedLinearMap:
-    pos = c1_positions(ext.e.basis, ext.a_basis)
-    return map_from_coords(ext.e.basis, ext.a_basis, pos, _rand_combination(ext.z1_e, rng))
+    return ext.cochains_e.cochain1(_rand_combination(ext.z1_e, rng))
 
 
 def _quotient_derivation_sample(ext: AbelianExtension, rng: random.Random) -> GradedLinearMap:
-    pos = c1_positions(ext.g.basis, ext.a_basis)
-    return map_from_coords(ext.g.basis, ext.a_basis, pos, _rand_combination(ext.z1_g, rng))
+    return ext.cochains_g.cochain1(_rand_combination(ext.z1_g, rng))
 
 
 def _module_endo_from_coords(ext: AbelianExtension, coords: Vec) -> GradedLinearMap:
@@ -185,54 +173,64 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
 # -- the cocycle-level five-term sequence ----------------------------------
 
 
-def verify_five_term(ext: AbelianExtension) -> Report:
-    """Exactness of 0 -> Z1(g,a) -> Z1(e,a) -> End_g(a) -> H2(g,a) -> H2(e,a)."""
-    rep = Report("five-term")
-    pos_e = c1_positions(ext.e.basis, ext.a_basis)
-    pos_g = c1_positions(ext.g.basis, ext.a_basis)
+@dataclass(frozen=True)
+class _LinearStage:
+    """Inflation, restriction and connecting map on the cocycle level."""
+
+    img_inf: SubspacePresentation
+    img_res: SubspacePresentation
+    ker_res: SubspacePresentation
+    d_cols: list[Vec]
+    ker_d: SubspacePresentation
+
+
+def _linear_stage(ext: AbelianExtension) -> _LinearStage:
+    """Z1(g,a) -> Z1(e,a) -> End_g(a) -> H2(g,a), shared by the five-term and
+    ring suites: images and kernels of each map, computed through the maps."""
+    ce, cg = ext.cochains_e, ext.cochains_g
     pos_a = c1_positions(ext.a_basis, ext.a_basis)
-    pos2_g = c2_positions(ext.g.basis, ext.a_basis)
-    z1g, z1e, enda = ext.z1_g, ext.z1_e, ext.module_end_space
-    h2g, h2e = ext.h2_g, ext.h2_e
+    z1e, enda = ext.z1_e, ext.module_end_space
 
-    inf_cols = [
-        map_to_coords(inflate1(map_from_coords(ext.g.basis, ext.a_basis, pos_g, v), ext), pos_e)
-        for v in z1g.basis
-    ]
-    img_inf = SubspacePresentation.from_spanning(len(pos_e), inf_cols)
-    rep.add("inflation1_injective", img_inf.dim == z1g.dim,
-            rank=img_inf.dim, domain_dim=z1g.dim)
-
-    res_cols = [
-        map_to_coords(restrict1(map_from_coords(ext.e.basis, ext.a_basis, pos_e, v), ext), pos_a)
-        for v in z1e.basis
-    ]
-    img_res = SubspacePresentation.from_spanning(len(pos_a), res_cols)
+    inf_cols = [ce.coords1(inflate1(cg.cochain1(v), ext)) for v in ext.z1_g.basis]
+    res_cols = [map_to_coords(restrict1(ce.cochain1(v), ext), pos_a) for v in z1e.basis]
     ker_res_coeffs = kernel_basis(Mat.from_columns(res_cols, rows=len(pos_a)))
-    ker_res = SubspacePresentation.from_spanning(
-        len(pos_e), [z1e.combine(c) for c in ker_res_coeffs.basis]
-    )
-    rep.add("kernel_of_restriction_is_image_of_inflation",
-            subspace_equal(ker_res, img_inf),
-            kernel_dim=ker_res.dim, image_dim=img_inf.dim)
-
     d_cols = [
         extend_obstruction(_module_endo_from_coords(ext, v), ext).coords
         for v in enda.basis
     ]
-    img_d = SubspacePresentation.from_spanning(h2g.dim, d_cols)
-    ker_d_coeffs = kernel_basis(Mat.from_columns(d_cols, rows=h2g.dim))
-    ker_d = SubspacePresentation.from_spanning(
-        len(pos_a), [enda.combine(c) for c in ker_d_coeffs.basis]
+    ker_d_coeffs = kernel_basis(Mat.from_columns(d_cols, rows=ext.h2_g.dim))
+    return _LinearStage(
+        img_inf=SubspacePresentation.from_spanning(len(ce.pos1), inf_cols),
+        img_res=SubspacePresentation.from_spanning(len(pos_a), res_cols),
+        ker_res=SubspacePresentation.from_spanning(
+            len(ce.pos1), [z1e.combine(c) for c in ker_res_coeffs.basis]),
+        d_cols=d_cols,
+        ker_d=SubspacePresentation.from_spanning(
+            len(pos_a), [enda.combine(c) for c in ker_d_coeffs.basis]),
     )
-    rep.add("image_of_restriction_is_kernel_of_connecting_map",
-            subspace_equal(img_res, ker_d),
-            image_dim=img_res.dim, kernel_dim=ker_d.dim)
 
-    inf2_cols = []
-    for v in h2g.quotient.complement:
-        b = cochain2_from_coords(ext.g.basis, ext.a_basis, pos2_g, v)
-        inf2_cols.append(class_of(inflate2(b, ext), h2e).coords)
+
+def verify_five_term(ext: AbelianExtension) -> Report:
+    """Exactness of 0 -> Z1(g,a) -> Z1(e,a) -> End_g(a) -> H2(g,a) -> H2(e,a)."""
+    rep = Report("five-term")
+    z1g, z1e, enda = ext.z1_g, ext.z1_e, ext.module_end_space
+    h2g, h2e = ext.h2_g, ext.h2_e
+    st = _linear_stage(ext)
+
+    rep.add("inflation1_injective", st.img_inf.dim == z1g.dim,
+            rank=st.img_inf.dim, domain_dim=z1g.dim)
+    rep.add("kernel_of_restriction_is_image_of_inflation",
+            subspace_equal(st.ker_res, st.img_inf),
+            kernel_dim=st.ker_res.dim, image_dim=st.img_inf.dim)
+    rep.add("image_of_restriction_is_kernel_of_connecting_map",
+            subspace_equal(st.img_res, st.ker_d),
+            image_dim=st.img_res.dim, kernel_dim=st.ker_d.dim)
+
+    img_d = SubspacePresentation.from_spanning(h2g.dim, st.d_cols)
+    inf2_cols = [
+        class_of(inflate2(ext.cochains_g.cochain2(v), ext), h2e).coords
+        for v in h2g.quotient.complement
+    ]
     ker_inf2 = kernel_basis(Mat.from_columns(inf2_cols, rows=h2e.dim))
     rep.add("image_of_connecting_map_is_kernel_of_inflation2",
             subspace_equal(img_d, ker_inf2),
@@ -241,7 +239,7 @@ def verify_five_term(ext: AbelianExtension) -> Report:
     rep.dims.update(
         z1_g=z1g.dim, z1_e=z1e.dim, end_g_a=enda.dim,
         h2_g=h2g.dim, h2_e=h2e.dim,
-        img_res=img_res.dim, ker_d=ker_d.dim, img_d=img_d.dim, ker_inf2=ker_inf2.dim,
+        img_res=st.img_res.dim, ker_d=st.ker_d.dim, img_d=img_d.dim, ker_inf2=ker_inf2.dim,
     )
     return rep
 
@@ -253,51 +251,24 @@ def verify_ring_sequence(ext: AbelianExtension, seed: int = 0, pairs: int = 120)
     """Exactness and ring structure of the quotient-fixing endomorphism sequence."""
     rep = Report("ring-sequence")
     rng = random.Random(seed)
-    pos_e = c1_positions(ext.e.basis, ext.a_basis)
-    pos_g = c1_positions(ext.g.basis, ext.a_basis)
-    pos_a = c1_positions(ext.a_basis, ext.a_basis)
     z1g, z1e, enda = ext.z1_g, ext.z1_e, ext.module_end_space
+    st = _linear_stage(ext)
 
-    inf_cols = [
-        map_to_coords(inflate1(map_from_coords(ext.g.basis, ext.a_basis, pos_g, v), ext), pos_e)
-        for v in z1g.basis
-    ]
-    img_inf = SubspacePresentation.from_spanning(len(pos_e), inf_cols)
-    res_cols = [
-        map_to_coords(restrict1(map_from_coords(ext.e.basis, ext.a_basis, pos_e, v), ext), pos_a)
-        for v in z1e.basis
-    ]
-    img_res = SubspacePresentation.from_spanning(len(pos_a), res_cols)
-    ker_res_coeffs = kernel_basis(Mat.from_columns(res_cols, rows=len(pos_a)))
-    ker_res = SubspacePresentation.from_spanning(
-        len(pos_e), [z1e.combine(c) for c in ker_res_coeffs.basis]
-    )
     rep.add("kernel_of_shifted_restriction_is_the_doubly_fixing_set",
-            subspace_equal(ker_res, img_inf),
-            kernel_dim=ker_res.dim, image_dim=img_inf.dim)
+            subspace_equal(st.ker_res, st.img_inf),
+            kernel_dim=st.ker_res.dim, image_dim=st.img_inf.dim)
 
     both_fix = all(
         classify_endomorphism(
-            from_derivation(
-                inflate1(map_from_coords(ext.g.basis, ext.a_basis, pos_g, v), ext), ext
-            ),
-            ext,
+            from_derivation(inflate1(ext.cochains_g.cochain1(v), ext), ext), ext,
         ).fixes_both
         for v in z1g.basis
     )
     rep.add("inflated_derivations_fix_ideal_and_quotient", both_fix, count=z1g.dim)
 
-    d_cols = [
-        extend_obstruction(_module_endo_from_coords(ext, v), ext).coords
-        for v in enda.basis
-    ]
-    ker_d_coeffs = kernel_basis(Mat.from_columns(d_cols, rows=ext.h2_g.dim))
-    ker_d = SubspacePresentation.from_spanning(
-        len(pos_a), [enda.combine(c) for c in ker_d_coeffs.basis]
-    )
     rep.add("image_of_shifted_restriction_is_kernel_of_connecting_map",
-            subspace_equal(img_res, ker_d),
-            image_dim=img_res.dim, kernel_dim=ker_d.dim)
+            subspace_equal(st.img_res, st.ker_d),
+            image_dim=st.img_res.dim, kernel_dim=st.ker_d.dim)
 
     add_ok = mul_ok = star_ok = res_add_ok = res_mul_ok = True
     for _ in range(pairs):
@@ -321,9 +292,8 @@ def verify_ring_sequence(ext: AbelianExtension, seed: int = 0, pairs: int = 120)
 
     mu = _quotient_derivation_sample(ext, rng)
     if ext.z1_g.dim == 0:
-        pos = c1_positions(ext.g.basis, ext.a_basis)
-        mu = map_from_coords(ext.g.basis, ext.a_basis, pos,
-                             tuple(_rand_frac(rng) for _ in range(len(pos))))
+        mu = ext.cochains_g.cochain1(
+            tuple(_rand_frac(rng) for _ in range(len(ext.cochains_g.pos1))))
     beta2 = beta_with_section(ext, mu)
     section_ok = True
     for v in enda.basis:
@@ -405,7 +375,6 @@ def verify_monoid_sequence(ext: AbelianExtension,
     rep = Report("monoid-sequence")
     rng = random.Random(seed)
     ident_g = GradedLinearMap.identity(ext.g.basis)
-    pos_g = c1_positions(ext.g.basis, ext.a_basis)
 
     kernel_ok = True
     for _ in range(max(3, count // 2)):
@@ -453,8 +422,8 @@ def verify_monoid_sequence(ext: AbelianExtension,
                         == induced_on_quotient(g1, ext).compose(induced_on_quotient(g2, ext)))
     rep.add("sigma_is_multiplicative", mult_ok, pool=len(pool))
 
-    mu = map_from_coords(ext.g.basis, ext.a_basis, pos_g,
-                         tuple(_rand_frac(rng) for _ in range(len(pos_g))))
+    mu = ext.cochains_g.cochain1(
+        tuple(_rand_frac(rng) for _ in range(len(ext.cochains_g.pos1))))
     beta2 = beta_with_section(ext, mu)
     section_ok = all(
         class_of(beta2.precompose(psi) - beta2, ext.h2_g).coords

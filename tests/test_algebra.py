@@ -54,6 +54,13 @@ def test_broken_antisymmetry_is_reported_at_the_reversed_pair():
     assert violation.where == ("y", "x")
 
 
+def test_even_self_bracket_is_reported_as_an_antisymmetry_violation():
+    basis = SuperBasis([("x", 0), ("z", 0)])
+    with pytest.raises(MembershipError, match="super-antisymmetry") as info:
+        LieSuperalgebra.from_brackets(basis, {("x", "x"): {"z": 1}})
+    assert "[x,x]" in str(info.value) and "both listed" not in str(info.value)
+
+
 def test_parity_violation_detected():
     basis = SuperBasis([("x", 0), ("y", 1)])
     g = LieSuperalgebra.from_brackets(basis, {("x", "y"): {"x": 1}})

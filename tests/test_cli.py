@@ -118,6 +118,17 @@ def test_validate_malformed_rational(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("literal", ['"' + "7" * 5000 + '"', "7" * 5000])
+def test_validate_oversize_literal_is_a_parse_error(capsys, tmp_path, literal):
+    # past the interpreter's integer digit limit, as a string and as a JSON integer
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(H3).replace('"coeff": "1"', f'"coeff": {literal}'),
+                    encoding="utf-8")
+    code, payload, err = _run(capsys, ["validate", str(path)])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_validate_semantic_violation(capsys, tmp_path):
     doc = {
         "name": "bad",

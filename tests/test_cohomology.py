@@ -228,3 +228,13 @@ def test_all_even_cocycles_are_alternating():
 def test_inner_space_of_trivial_action_is_zero():
     g, m = _ab2_trivial_line()
     assert inner_space(g, m).dim == 0
+
+
+def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
+    for name, ext in corpus:
+        for cx in (ext.cochains_g, ext.cochains_e):
+            n1 = len(cx.pos1)
+            assert (cx.d1.rows, cx.d1.cols) == (len(cx.pos2), n1), name
+            for p in range(n1):
+                lam = cx.cochain1(unit_vec(n1, p))
+                assert cx.d1.column(p) == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)

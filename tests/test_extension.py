@@ -345,6 +345,46 @@ def test_extend_rejects_non_equivariant_maps():
         extend_endomorphism(swap, ext)
 
 
+def test_warm_extend_and_lift_evaluate_coboundaries_only_in_membership_checks(
+        corpus, monkeypatch):
+    # the solvers read the extension's cached d¹; coboundary1 may still run
+    # inside is_cocycle1, which checks each witness against the definition
+    from superext import cohomology, extension
+
+    original = cohomology.coboundary1
+    depth = 0
+    outside = []
+
+    def counted(*args):
+        if depth == 0:
+            outside.append(args)
+        return original(*args)
+
+    def membership(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return cohomology.is_cocycle1(*args)
+        finally:
+            depth -= 1
+
+    def queries(ext):
+        for phi in (GradedLinearMap.zero(ext.a_basis, ext.a_basis),
+                    GradedLinearMap.identity(ext.a_basis)):
+            extend_endomorphism(phi, ext)
+        lift_endomorphism(GradedLinearMap.identity(ext.g.basis), ext)
+
+    for _, ext in corpus:
+        queries(ext)  # warm
+    for mod in (cohomology, extension):
+        if getattr(mod, "coboundary1", None) is original:
+            monkeypatch.setattr(mod, "coboundary1", counted)
+    monkeypatch.setattr(extension, "is_cocycle1", membership)
+    for _, ext in corpus:
+        queries(ext)
+    assert outside == []
+
+
 # -- the monoid picture -------------------------------------------------------
 
 
