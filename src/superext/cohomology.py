@@ -284,12 +284,75 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
     return Cochain2.from_upper(g.basis, m.space, entries)
 
 
-def _twisted_pair_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2,
+class _LinearForm:
+    """A sparse linear form {2-cochain coordinate: coefficient}.
+
+    Stands in for a Fraction inside `_twisted_bracket` when beta is held
+    symbolically: it supports the sums, differences, scalar multiples and
+    comparisons with zero that the bracket applies to module parts.  The
+    twisted bracket is linear in beta, so no product of two forms arises.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, Fraction]):
+        self.terms = terms
+
+    def __add__(self, other):
+        if not isinstance(other, _LinearForm):
+            if other != 0:
+                raise TypeError("a linear form has no constant part")
+            return self
+        terms = dict(self.terms)
+        for p, c in other.terms.items():
+            total = terms.get(p, 0) + c
+            if total:
+                terms[p] = total
+            else:
+                del terms[p]
+        return _LinearForm(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_LinearForm":
+        return _LinearForm({p: -c for p, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, c):
+        if isinstance(c, _LinearForm):
+            raise TypeError("the product of two linear forms is not linear")
+        if c == 0:
+            return _LinearForm({})
+        return _LinearForm({p: c * x for p, x in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _LinearForm):
+            return self.terms == other.terms
+        return other == 0 and not self.terms
+
+    def dense(self, n: int) -> Vec:
+        out = list(zero_vec(n))
+        for p, c in self.terms.items():
+            out[p] = c
+        return tuple(out)
+
+
+def _twisted_pair_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
                           s: int, t: int) -> tuple[Vec, Vec]:
-    """Bracket of combined basis elements of g ⊕ M under the beta twist."""
+    """Bracket of combined basis elements of g ⊕ M under the beta twist.
+
+    `beta` is a 2-cochain's tensor: beta[i][j] holds the value on (b_i, b_j).
+    """
     ng = g.dim
     if s < ng and t < ng:
-        return g.structure[s][t], beta.value(s, t)
+        return g.structure[s][t], beta[s][t]
     if s < ng and t >= ng:
         return zero_vec(ng), m.action[s][t - ng]
     if s >= ng and t < ng:
@@ -298,7 +361,7 @@ def _twisted_pair_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2,
     return zero_vec(ng), zero_vec(m.space.dim)
 
 
-def _twisted_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2,
+def _twisted_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
                      x: tuple[Vec, Vec], y: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
     ng, na = g.dim, m.space.dim
     gx = list(x[0]) + list(x[1])
@@ -322,38 +385,73 @@ def _twisted_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2,
     return tuple(out_g), tuple(out_a)
 
 
-def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
-    """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
+def _combined_basis(g: LieSuperalgebra, m: ModuleAction, s: int) -> tuple[Vec, Vec]:
     ng, na = g.dim, m.space.dim
-    n = ng + na
+    if s < ng:
+        return unit_vec(ng, s), zero_vec(na)
+    return zero_vec(ng), unit_vec(na, s - ng)
 
-    def basis_elem(s: int) -> tuple[Vec, Vec]:
-        if s < ng:
-            return unit_vec(ng, s), zero_vec(na)
-        return zero_vec(ng), unit_vec(na, s - ng)
 
-    def parity(s: int) -> int:
-        return g.basis.parity(s) if s < ng else m.space.parity(s - ng)
+def _jacobi_residual(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
+                     s: int, t: int, u: int) -> tuple[Vec, Vec]:
+    """[[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] on combined basis elements."""
+    ng = g.dim
+
+    def parity(i: int) -> int:
+        return g.basis.parity(i) if i < ng else m.space.parity(i - ng)
 
     def br(x, y):
         return _twisted_bracket(g, m, beta, x, y)
 
+    es, et, eu = (_combined_basis(g, m, i) for i in (s, t, u))
+    sg = _sign(parity(s), parity(t))
+    left = br(br(es, et), eu)
+    right1 = br(es, br(et, eu))
+    right2 = br(et, br(es, eu))
+    res_g = sub_vec(sub_vec(left[0], right1[0]), scale_vec(-sg, right2[0]))
+    res_a = sub_vec(sub_vec(left[1], right1[1]), scale_vec(-sg, right2[1]))
+    return res_g, res_a
+
+
+def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
+    """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
+    n = g.dim + m.space.dim
     out: list[Fraction] = []
     for s in range(n):
-        es = basis_elem(s)
         for t in range(n):
-            et = basis_elem(t)
-            sg = _sign(parity(s), parity(t))
             for u in range(n):
-                eu = basis_elem(u)
-                left = br(br(es, et), eu)
-                right1 = br(es, br(et, eu))
-                right2 = br(et, br(es, eu))
-                res_g = sub_vec(sub_vec(left[0], right1[0]), scale_vec(-sg, right2[0]))
-                res_a = sub_vec(sub_vec(left[1], right1[1]), scale_vec(-sg, right2[1]))
+                res_g, res_a = _jacobi_residual(g, m, beta.tensor, s, t, u)
                 out.extend(res_g)
                 out.extend(res_a)
     return out
+
+
+def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
+                          pos2: list[tuple[int, int, int]]) -> Mat:
+    """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
+
+    One pass of the twisted bracket over the g×g×g triples, with each entry
+    of beta held as a linear form in the coordinates `pos2`; the signs come
+    from the bracket itself.  Triples with a module slot do not involve beta
+    (it only enters the bracket of two g-parts), so they add no rows.
+    Zero rows and repeated rows are dropped: they do not change the row space.
+    """
+    ng, na = g.dim, m.space.dim
+    grid = [[list(zero_vec(na)) for _ in range(ng)] for _ in range(ng)]
+    for p, (i, j, k) in enumerate(pos2):
+        grid[i][j][k] = _LinearForm({p: Fraction(1)})
+        if i != j:
+            grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
+    n2 = len(pos2)
+    rows: dict[Vec, None] = {}
+    for s in range(ng):
+        for t in range(ng):
+            for u in range(ng):
+                _, res_a = _jacobi_residual(g, m, grid, s, t, u)
+                for r in res_a:
+                    if r != 0:
+                        rows.setdefault(r.dense(n2))
+    return Mat(list(rows), cols=n2)
 
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
@@ -428,21 +526,34 @@ class CochainComplex:
         return SubspacePresentation.from_spanning(len(self.pos1), spanning)
 
     @cached_property
+    def cocycle2_constraints(self) -> Mat:
+        """Rows of the linear 2-cocycle conditions, in 2-cochain coordinates.
+
+        The twisted-Jacobi residual is affine in beta and vanishes at beta = 0
+        for a valid module, so beta is a cocycle iff every row annihilates
+        its coordinates.
+        """
+        return _cocycle2_constraints(self.g, self.m, self.pos2)
+
+    def is_cocycle2(self, beta: Cochain2) -> bool:
+        """Whether beta is an even 2-cocycle: a product with the cached constraints."""
+        if beta.source != self.g.basis or beta.target != self.m.space or beta.degree != 0:
+            raise ShapeError("cochain bases do not match the algebra and module")
+        return is_zero_vec(self.cocycle2_constraints.apply(self.coords2(beta)))
+
+    @cached_property
     def z2(self) -> SubspacePresentation:
         """The even 2-cocycles, in 2-cochain coordinates.
 
         The defining conditions are the super-Jacobi equations of the twisted
         sum; their linearity in beta is asserted by checking that the residual
-        vanishes at beta = 0.
+        vanishes at beta = 0.  Z² is the kernel of their linear part.
         """
         g, m = self.g, self.m
         zero_res = _twisted_jacobi_residuals(g, m, Cochain2.zero(g.basis, m.space))
         if any(r != 0 for r in zero_res):
             raise MembershipError("twisted-sum residual is nonzero at beta = 0")
-        n2 = len(self.pos2)
-        columns = [tuple(_twisted_jacobi_residuals(g, m, self.cochain2(unit_vec(n2, p))))
-                   for p in range(n2)]
-        return kernel_basis(Mat.from_columns(columns, rows=len(zero_res)))
+        return kernel_basis(self.cocycle2_constraints)
 
     @cached_property
     def b2(self) -> SubspacePresentation:

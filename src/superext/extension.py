@@ -42,7 +42,6 @@ from .cohomology import (
     c1_positions,
     class_of,
     is_cocycle1,
-    is_cocycle2,
     map_from_coords,
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
@@ -64,6 +63,12 @@ from .linalg import (
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MembershipError(message)
+
+
+def _check(condition: bool, message: str) -> None:
+    """A self-check on a computed witness; raises even under `python -O`."""
+    if not condition:
+        raise AssertionError(message)
 
 
 class AbelianExtension:
@@ -117,7 +122,7 @@ class AbelianExtension:
             for cp in self.complement_indices
         ]
         self.beta = Cochain2(g.basis, self.a_basis, tensor)
-        if not is_cocycle2(self.beta, g, self.action):
+        if not self.cochains_g.is_cocycle2(self.beta):
             raise MembershipError("extracted 2-cochain is not a cocycle")
 
     @property
@@ -313,8 +318,8 @@ def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMa
         ext.e.basis, ext.e.basis,
         Mat.identity(ext.dim_e) + ext.inclusion.matrix @ h.matrix,
     )
-    flags = classify_endomorphism(f, ext)
-    assert flags.fixes_quotient
+    _check(classify_endomorphism(f, ext).fixes_quotient,
+           "x + h(x) does not fix the quotient")
     return f
 
 
@@ -328,7 +333,7 @@ def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     diff = f.matrix - Mat.identity(ext.dim_e)
     rows = [diff.row(i) for i in ext.ideal_indices]
     h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=ext.dim_e))
-    assert is_ideal_derivation(h, ext)
+    _check(is_ideal_derivation(h, ext), "f - id is not a derivation into the ideal")
     return h
 
 
@@ -354,7 +359,7 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     """
     _require_quotient_fixing((f, g), ext)
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ext.dim_e))
-    assert classify_endomorphism(out, ext).fixes_quotient
+    _check(classify_endomorphism(out, ext).fixes_quotient, "ring sum does not fix the quotient")
     return out
 
 
@@ -362,7 +367,7 @@ def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ext.dim_e))
-    assert classify_endomorphism(out, ext).fixes_quotient
+    _check(classify_endomorphism(out, ext).fixes_quotient, "ring product does not fix the quotient")
     return out
 
 
@@ -374,7 +379,7 @@ def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> 
     fg = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, n))
     added = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, n))
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(added, fg, n))
-    assert classify_endomorphism(out, ext).fixes_quotient
+    _check(classify_endomorphism(out, ext).fixes_quotient, "circle product does not fix the quotient")
     return out
 
 
@@ -383,7 +388,7 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
     _require(is_ideal_derivation(h, ext) and is_ideal_derivation(k, ext),
              "composition needs derivations into the ideal")
     out = h.compose(ext.inclusion.compose(k))
-    assert is_ideal_derivation(out, ext)
+    _check(is_ideal_derivation(out, ext), "composite is not a derivation into the ideal")
     return out
 
 
@@ -391,7 +396,7 @@ def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLine
     """x -> f(x) - x on the ideal; a module endomorphism of the ideal."""
     h = to_derivation(f, ext)
     out = h.compose(ext.inclusion)
-    assert is_module_endomorphism(out, ext)
+    _check(is_module_endomorphism(out, ext), "shifted restriction is not a module endomorphism")
     return out
 
 
@@ -403,9 +408,10 @@ def quasiregular_inverse(f: GradedLinearMap, ext: AbelianExtension) -> Optional[
     if inv is None:
         return None
     g = GradedLinearMap(ext.e.basis, ext.e.basis, inv)
-    assert classify_endomorphism(g, ext).fixes_quotient
+    _check(classify_endomorphism(g, ext).fixes_quotient, "inverse does not fix the quotient")
     ident = GradedLinearMap.identity(ext.e.basis)
-    assert quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident
+    _check(quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident,
+           "inverse is not a two-sided circle inverse")
     return g
 
 
@@ -442,7 +448,7 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
         return None
     f = ext.cochains_e.cochain1(sol)
     out = from_derivation(f, ext)
-    assert shifted_restriction(out, ext) == phi
+    _check(shifted_restriction(out, ext) == phi, "extension does not restrict to phi")
     return out
 
 
@@ -454,7 +460,7 @@ def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> Graded
     flags = classify_endomorphism(gamma, ext)
     _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
     psi = ext.projection.compose(gamma).compose(ext.section)
-    assert fixes_action(psi, ext)
+    _check(fixes_action(psi, ext), "induced quotient map does not fix the action")
     return psi
 
 
@@ -506,8 +512,8 @@ def lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[G
             ))
     gamma = GradedLinearMap(ext.e.basis, ext.e.basis,
                             Mat.from_columns(cols, rows=ext.dim_e))
-    assert classify_endomorphism(gamma, ext).fixes_ideal
-    assert induced_on_quotient(gamma, ext) == psi
+    _check(classify_endomorphism(gamma, ext).fixes_ideal, "lift does not fix the ideal")
+    _check(induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
     return gamma
 
 
@@ -520,7 +526,7 @@ def inflate1(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
         raise ShapeError("map is not of the shape g -> a")
     _require(is_cocycle1(f, ext.g, ext.action), "input is not a derivation of the quotient")
     out = f.compose(ext.projection)
-    assert is_ideal_derivation(out, ext)
+    _check(is_ideal_derivation(out, ext), "inflated map is not a derivation of e")
     return out
 
 
@@ -528,7 +534,7 @@ def inflate2(b: Cochain2, ext: AbelianExtension) -> Cochain2:
     """Precompose a 2-cocycle of the quotient with the projection twice."""
     if b.source != ext.g.basis or b.target != ext.a_basis or b.degree != 0:
         raise ShapeError("cochain is not of the shape g x g -> a")
-    _require(is_cocycle2(b, ext.g, ext.action), "input is not a 2-cocycle of the quotient")
+    _require(ext.cochains_g.is_cocycle2(b), "input is not a 2-cocycle of the quotient")
     n = ext.dim_e
     tensor = [
         [b.eval(ext.projection.image_of_basis(i), ext.projection.image_of_basis(j))
@@ -536,7 +542,7 @@ def inflate2(b: Cochain2, ext: AbelianExtension) -> Cochain2:
         for i in range(n)
     ]
     out = Cochain2(ext.e.basis, ext.a_basis, tensor)
-    assert is_cocycle2(out, ext.e, ext.adjoint)
+    _check(ext.cochains_e.is_cocycle2(out), "inflated cochain is not a 2-cocycle of e")
     return out
 
 
@@ -544,7 +550,7 @@ def restrict1(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Restrict a derivation e -> a to the ideal; a module endomorphism."""
     _require(is_ideal_derivation(f, ext), "input is not a derivation into the ideal")
     out = f.compose(ext.inclusion)
-    assert is_module_endomorphism(out, ext)
+    _check(is_module_endomorphism(out, ext), "restriction is not a module endomorphism")
     return out
 
 
@@ -569,5 +575,5 @@ def beta_with_section(ext: AbelianExtension, mu: GradedLinearMap) -> Cochain2:
             row.append(ext.a_coords(w))
         tensor.append(row)
     out = Cochain2(ext.g.basis, ext.a_basis, tensor)
-    assert is_cocycle2(out, ext.g, ext.action)
+    _check(ext.cochains_g.is_cocycle2(out), "shifted-section cochain is not a 2-cocycle")
     return out

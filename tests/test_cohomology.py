@@ -9,8 +9,10 @@ from superext.algebra import (
     ModuleAction,
     SuperBasis,
 )
+from superext import cohomology, fixtures
 from superext.cohomology import (
     Cochain2,
+    CochainComplex,
     c1_positions,
     c2_positions,
     class_of,
@@ -26,9 +28,11 @@ from superext.cohomology import (
     is_cocycle2,
     map_from_coords,
 )
-from superext.errors import MembershipError
+from superext.errors import MembershipError, ShapeError
+from superext.extension import build_extension
 from superext.fixtures import heisenberg3_extension, odd_heisenberg_extension
-from superext.linalg import Mat, unit_vec, vec, zero_vec
+from superext.linalg import Mat, kernel_basis, unit_vec, vec, zero_vec
+from superext.sequences import verify_five_term
 
 
 def _ab2():
@@ -238,3 +242,117 @@ def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
             for p in range(n1):
                 lam = cx.cochain1(unit_vec(n1, p))
                 assert cx.d1.column(p) == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)
+
+
+# -- the linearized 2-cocycle constraints --------------------------------------
+
+
+def _heisenberg_extension(k, odd=False):
+    """h_{2k+1} on x1..xk, y1..yk, z with [x_i, y_i] = z, over its centre <z>.
+
+    The odd variant keeps every x_i even and makes the y_i and z odd.
+    """
+    p = 1 if odd else 0
+    pairs = range(1, k + 1)
+    basis = SuperBasis([(f"x{i}", 0) for i in pairs] + [(f"y{i}", p) for i in pairs] + [("z", p)])
+    e = LieSuperalgebra.from_brackets(basis, {(f"x{i}", f"y{i}"): {"z": 1} for i in pairs})
+    return build_extension(e, [2 * k])
+
+
+def _sl2_v2_extension():
+    """sl2 ⋉ V2 with the standard representation, over the ideal V2."""
+    basis = SuperBasis([("e", 0), ("f", 0), ("h", 0), ("v1", 0), ("v2", 0)])
+    e = LieSuperalgebra.from_brackets(basis, {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
+        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1}})
+    return build_extension(e, [3, 4])
+
+
+_Z2_CORPUS = {
+    "heisenberg3": fixtures.heisenberg3_extension,
+    "odd_heisenberg": fixtures.odd_heisenberg_extension,
+    "identity_semidirect": fixtures.identity_semidirect_extension,
+    "affine_scaling": fixtures.affine_scaling_extension,
+    "central_direct_sum": fixtures.central_direct_sum_extension,
+    "h5": lambda: _heisenberg_extension(2),
+    "h5_odd": lambda: _heisenberg_extension(2, odd=True),
+    "h7": lambda: _heisenberg_extension(3),
+    "h7_odd": lambda: _heisenberg_extension(3, odd=True),
+    "sl2_v2": _sl2_v2_extension,
+}
+
+
+def _z2_case(name, side):
+    ext = _Z2_CORPUS[name]()
+    return ext.cochains_g if side == "g" else ext.cochains_e
+
+
+def _per_unit_z2(cx):
+    """Reference Z²: one full twisted-Jacobi residual per unit 2-cochain."""
+    g, m = cx.g, cx.m
+    n2 = len(cx.pos2)
+    columns = [tuple(cohomology._twisted_jacobi_residuals(g, m, cx.cochain2(unit_vec(n2, p))))
+               for p in range(n2)]
+    rows = len(cohomology._twisted_jacobi_residuals(g, m, Cochain2.zero(g.basis, m.space)))
+    return kernel_basis(Mat.from_columns(columns, rows=rows))
+
+
+@pytest.mark.parametrize("side", ["g", "e"])
+@pytest.mark.parametrize("name", sorted(_Z2_CORPUS))
+def test_linearized_z2_equals_the_per_unit_assembly(name, side):
+    cx = _z2_case(name, side)
+    reference = _per_unit_z2(cx)
+    assert cx.z2.ambient_dim == reference.ambient_dim
+    assert cx.z2.basis == reference.basis
+
+
+@pytest.mark.parametrize("side", ["g", "e"])
+@pytest.mark.parametrize("name", sorted(_Z2_CORPUS))
+def test_complex_is_cocycle2_agrees_with_the_definition(name, side):
+    cx = _z2_case(name, side)
+    rng = random.Random(71)
+    n2 = len(cx.pos2)
+    samples = list(cx.z2.basis)
+    for _ in range(2):
+        samples.append(cx.z2.combine(
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cx.z2.dim))))
+    outside = [unit_vec(n2, p) for p in range(n2) if not cx.z2.contains(unit_vec(n2, p))]
+    for u in outside[:3]:
+        base = samples[rng.randrange(len(samples))] if samples else zero_vec(n2)
+        samples.append(tuple(a + Fraction(rng.randint(1, 3)) * b for a, b in zip(base, u)))
+    verdicts = []
+    for coords in samples:
+        beta = cx.cochain2(coords)
+        verdicts.append(cx.is_cocycle2(beta))
+        assert verdicts[-1] == is_cocycle2(beta, cx.g, cx.m), (name, side, coords)
+    assert verdicts.count(False) == len(outside[:3])
+
+
+def test_complex_is_cocycle2_rejects_mismatched_cochains(h3_ext):
+    cx = h3_ext.cochains_g
+    with pytest.raises(ShapeError):
+        cx.is_cocycle2(Cochain2.zero(h3_ext.e.basis, h3_ext.a_basis))
+    odd_line = SuperBasis([("w", 1)])
+    with pytest.raises(ShapeError):
+        cx.is_cocycle2(Cochain2.zero(h3_ext.g.basis, odd_line))
+    odd_cx = CochainComplex(h3_ext.g, ModuleAction.trivial(h3_ext.g, odd_line))
+    odd_beta = Cochain2.from_upper(h3_ext.g.basis, odd_line, {(0, 1): vec([1])}, degree=1)
+    with pytest.raises(ShapeError):
+        odd_cx.is_cocycle2(odd_beta)
+
+
+def test_building_and_verifying_h5_runs_the_residual_only_for_the_zero_checks(monkeypatch):
+    original = cohomology._twisted_jacobi_residuals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cohomology, "_twisted_jacobi_residuals", counted)
+    ext = _heisenberg_extension(2)
+    assert verify_five_term(ext).passed
+    # one beta = 0 check for each of the two complexes
+    assert len(calls) <= 2
+    assert all(beta.is_zero() for _, _, beta in calls)

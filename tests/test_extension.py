@@ -633,3 +633,21 @@ def test_empty_ideal_extension():
     gamma = lift_endomorphism(psi, ext)
     assert gamma is not None
     assert gamma.matrix == psi.matrix
+
+
+# -- self-checks ----------------------------------------------------------------
+
+
+def test_library_self_checks_survive_optimized_mode():
+    # `python -O` strips assert statements, so the library raises explicitly
+    import ast
+    from pathlib import Path
+
+    import superext
+
+    found = []
+    for path in sorted(Path(superext.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
