@@ -18,10 +18,10 @@ from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
     Mat,
     Vec,
+    bilinear,
     is_zero_vec,
     rat,
     scale_vec,
-    sub_vec,
     unit_vec,
     vec,
     zero_vec,
@@ -169,18 +169,7 @@ class LieSuperalgebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeError("vectors do not match the algebra dimension")
-        out = list(zero_vec(n))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                c = xi * yj
-                if c == 0:
-                    continue
-                for k, s in enumerate(self.structure[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return bilinear(self.structure, x, y, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -194,6 +183,21 @@ class LieSuperalgebra:
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.basis!r})"
+
+
+def _jacobi_residual(structure: Sequence[Sequence[Vec]], parities: Sequence[int],
+                     i: int, j: int, k: int) -> Vec:
+    """[[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] at x, y, z = b_i, b_j, b_k.
+
+    The structure tensor satisfies super-Jacobi iff this vanishes on every
+    basis triple.
+    """
+    n = len(parities)
+    left = bilinear(structure, structure[i][j], unit_vec(n, k), n)
+    right1 = bilinear(structure, unit_vec(n, i), structure[j][k], n)
+    right2 = bilinear(structure, unit_vec(n, j), structure[i][k], n)
+    s = _sign(parities[i], parities[j])
+    return tuple(a - b + s * c for a, b, c in zip(left, right1, right2))
 
 
 def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
@@ -225,13 +229,7 @@ def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                ei, ej, ek = unit_vec(n, i), unit_vec(n, j), unit_vec(n, k)
-                lhs = g.bracket(g.bracket(ei, ej), ek)
-                rhs = sub_vec(
-                    g.bracket(ei, g.bracket(ej, ek)),
-                    scale_vec(_sign(b.parity(i), b.parity(j)), g.bracket(ej, g.bracket(ei, ek))),
-                )
-                if lhs != rhs:
+                if not is_zero_vec(_jacobi_residual(g.structure, b.parities, i, j, k)):
                     return Violation(
                         "jacobi",
                         (names[i], names[j], names[k]),
@@ -283,18 +281,7 @@ class ModuleAction:
     def act(self, x: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.space.dim:
             raise ShapeError("vector sizes do not match the action")
-        out = list(zero_vec(self.space.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for m, vm in enumerate(v):
-                c = xi * vm
-                if c == 0:
-                    continue
-                for k, s in enumerate(self.action[i][m]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return bilinear(self.action, x, v, self.space.dim)
 
     def is_trivial(self) -> bool:
         return all(is_zero_vec(self.action[i][m])
@@ -312,10 +299,33 @@ class ModuleAction:
         return hash((self.algebra, self.space, self.action))
 
 
+def _sum_structure(g: LieSuperalgebra, m: ModuleAction,
+                   beta: Optional[Sequence[Sequence[Sequence]]] = None) -> list[list[Vec]]:
+    """Structure tensor of g ⊕ M (g first) with the bracket
+    ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)).
+
+    `beta` is a 2-cochain tensor, beta[i][j] = beta(b_i, b_j); None gives the
+    semidirect product g ⋉ M.  Its super-Jacobi residual on the triples
+    (x, y, v) is the module axiom; over all triples, the cocycle condition.
+    """
+    ng, na = g.dim, m.space.dim
+    zg, za = zero_vec(ng), zero_vec(na)
+    structure = [[zg + za] * (ng + na) for _ in range(ng + na)]
+    for i in range(ng):
+        for j in range(ng):
+            structure[i][j] = g.structure[i][j] + (za if beta is None else tuple(beta[i][j]))
+        for v in range(na):
+            structure[i][ng + v] = zg + m.action[i][v]
+            s = _sign(m.space.parity(v), g.basis.parity(i))
+            structure[ng + v][i] = zg + scale_vec(-s, m.action[i][v])
+    return structure
+
+
 def validate_module(m: ModuleAction) -> Optional[Violation]:
     """Check parity compatibility and the module axiom on all basis triples.
 
-    A violation in the underlying algebra is reported first.
+    A violation in the underlying algebra is reported first.  The module
+    axiom is checked as super-Jacobi of g ⋉ M on the triples (x, y, v).
     """
     bad = validate_superalgebra(m.algebra)
     if bad is not None:
@@ -332,15 +342,12 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
                         (ab.names[i], sb.names[v], sb.names[k]),
                         "action component has the wrong parity",
                     )
+    structure = _sum_structure(m.algebra, m)
+    parities = ab.parities + sb.parities
     for i in range(ab.dim):
         for j in range(ab.dim):
-            s = _sign(ab.parity(i), ab.parity(j))
-            ei, ej = unit_vec(ab.dim, i), unit_vec(ab.dim, j)
             for v in range(sb.dim):
-                ev = unit_vec(sb.dim, v)
-                lhs = m.act(m.algebra.bracket(ei, ej), ev)
-                rhs = sub_vec(m.act(ei, m.act(ej, ev)), scale_vec(s, m.act(ej, m.act(ei, ev))))
-                if lhs != rhs:
+                if not is_zero_vec(_jacobi_residual(structure, parities, i, j, ab.dim + v)):
                     return Violation(
                         "module-axiom",
                         (ab.names[i], ab.names[j], sb.names[v]),
@@ -481,29 +488,10 @@ def semidirect_product(g: LieSuperalgebra, m: ModuleAction):
         raise MembershipError(f"invalid module: {bad}")
     if set(g.basis.names) & set(m.space.names):
         raise ShapeError("algebra and module basis names collide")
-    ng, na = g.dim, m.space.dim
-    n = ng + na
+    ng = g.dim
     basis = SuperBasis(g.basis.items() + m.space.items())
-
-    def pad(gpart: Vec | None, apart: Vec | None) -> Vec:
-        gp = gpart if gpart is not None else zero_vec(ng)
-        ap = apart if apart is not None else zero_vec(na)
-        return tuple(gp) + tuple(ap)
-
-    structure = [[zero_vec(n)] * n for _ in range(n)]
-    for i in range(ng):
-        for j in range(ng):
-            structure[i][j] = pad(g.structure[i][j], None)
-    for i in range(ng):
-        for v in range(na):
-            structure[i][ng + v] = pad(None, m.action[i][v])
-            s = _sign(m.space.parity(v), g.basis.parity(i))
-            structure[ng + v][i] = pad(None, scale_vec(-s, m.action[i][v]))
-    product = LieSuperalgebra(basis, structure)
-    bad = validate_superalgebra(product)
-    if bad is not None:
-        raise MembershipError(f"semidirect product fails validation: {bad}")
-    ext = build_extension(product, range(ng, n))
+    product = LieSuperalgebra(basis, _sum_structure(g, m))
+    ext = build_extension(product, range(ng, product.dim))  # validates the product
     if not all(is_zero_vec(ext.beta.value(i, j)) for i in range(ng) for j in range(ng)):
         raise MembershipError("split extension produced a nonzero cocycle")
     return product, ext

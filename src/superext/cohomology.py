@@ -9,8 +9,10 @@ Degree conventions:
 * 2-cocycles are characterized operationally: beta is a cocycle iff the
   bracket ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)) on g ⊕ M satisfies
   the super-Jacobi identity.  This sidesteps any explicit degree-2
-  differential and is immune to sign-convention drift; the conditions are
-  linear in beta once g and M are valid, which is asserted.
+  differential and is immune to sign-convention drift.  The bracket is
+  `algebra._sum_structure`, the same one that validates modules and builds
+  semidirect products, so the conditions vanish at beta = 0 and are linear
+  in beta: `CochainComplex` runs `validate_module` on construction.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    _jacobi_residual,
     _sign,
+    _sum_structure,
     validate_module,
 )
 from .errors import MembershipError, ShapeError
@@ -35,6 +39,7 @@ from .linalg import (
     SubspacePresentation,
     Vec,
     add_vec,
+    bilinear,
     is_zero_vec,
     kernel_basis,
     quotient_presentation,
@@ -143,18 +148,9 @@ class Cochain2:
         return self.tensor[i][j]
 
     def eval(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        out = list(zero_vec(self.target.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                c = xi * yj
-                if c == 0:
-                    continue
-                for k, s in enumerate(self.tensor[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        if len(x) != self.source.dim or len(y) != self.source.dim:
+            raise ShapeError("vectors do not match the source dimension")
+        return bilinear(self.tensor, x, y, self.target.dim)
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)
@@ -287,10 +283,10 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
 class _LinearForm:
     """A sparse linear form {2-cochain coordinate: coefficient}.
 
-    Stands in for a Fraction inside `_twisted_bracket` when beta is held
-    symbolically: it supports the sums, differences, scalar multiples and
-    comparisons with zero that the bracket applies to module parts.  The
-    twisted bracket is linear in beta, so no product of two forms arises.
+    Stands in for a Fraction in the beta slots of `_sum_structure` when beta
+    is held symbolically: it supports the sums, differences, scalar multiples
+    and comparisons with zero that the bracket applies to module parts.
+    Beta only fills g×g slots, so no product of two forms arises.
     """
 
     __slots__ = ("terms",)
@@ -344,85 +340,16 @@ class _LinearForm:
         return tuple(out)
 
 
-def _twisted_pair_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
-                          s: int, t: int) -> tuple[Vec, Vec]:
-    """Bracket of combined basis elements of g ⊕ M under the beta twist.
-
-    `beta` is a 2-cochain's tensor: beta[i][j] holds the value on (b_i, b_j).
-    """
-    ng = g.dim
-    if s < ng and t < ng:
-        return g.structure[s][t], beta[s][t]
-    if s < ng and t >= ng:
-        return zero_vec(ng), m.action[s][t - ng]
-    if s >= ng and t < ng:
-        sign = _sign(m.space.parity(s - ng), g.basis.parity(t))
-        return zero_vec(ng), scale_vec(-sign, m.action[t][s - ng])
-    return zero_vec(ng), zero_vec(m.space.dim)
-
-
-def _twisted_bracket(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
-                     x: tuple[Vec, Vec], y: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
-    ng, na = g.dim, m.space.dim
-    gx = list(x[0]) + list(x[1])
-    gy = list(y[0]) + list(y[1])
-    out_g = list(zero_vec(ng))
-    out_a = list(zero_vec(na))
-    for s, xs in enumerate(gx):
-        if xs == 0:
-            continue
-        for t, yt in enumerate(gy):
-            c = xs * yt
-            if c == 0:
-                continue
-            bg, ba = _twisted_pair_bracket(g, m, beta, s, t)
-            for k, v in enumerate(bg):
-                if v != 0:
-                    out_g[k] += c * v
-            for k, v in enumerate(ba):
-                if v != 0:
-                    out_a[k] += c * v
-    return tuple(out_g), tuple(out_a)
-
-
-def _combined_basis(g: LieSuperalgebra, m: ModuleAction, s: int) -> tuple[Vec, Vec]:
-    ng, na = g.dim, m.space.dim
-    if s < ng:
-        return unit_vec(ng, s), zero_vec(na)
-    return zero_vec(ng), unit_vec(na, s - ng)
-
-
-def _jacobi_residual(g: LieSuperalgebra, m: ModuleAction, beta: Sequence[Sequence[Vec]],
-                     s: int, t: int, u: int) -> tuple[Vec, Vec]:
-    """[[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] on combined basis elements."""
-    ng = g.dim
-
-    def parity(i: int) -> int:
-        return g.basis.parity(i) if i < ng else m.space.parity(i - ng)
-
-    def br(x, y):
-        return _twisted_bracket(g, m, beta, x, y)
-
-    es, et, eu = (_combined_basis(g, m, i) for i in (s, t, u))
-    sg = _sign(parity(s), parity(t))
-    left = br(br(es, et), eu)
-    right1 = br(es, br(et, eu))
-    right2 = br(et, br(es, eu))
-    res_g = sub_vec(sub_vec(left[0], right1[0]), scale_vec(-sg, right2[0]))
-    res_a = sub_vec(sub_vec(left[1], right1[1]), scale_vec(-sg, right2[1]))
-    return res_g, res_a
-
-
 def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
     """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
-    n = g.dim + m.space.dim
+    structure = _sum_structure(g, m, beta.tensor)
+    parities = g.basis.parities + m.space.parities
+    n = len(parities)
     out: list[Fraction] = []
     for s in range(n):
         for t in range(n):
             for u in range(n):
-                res_g, res_a = _jacobi_residual(g, m, beta.tensor, s, t, u)
-                out.extend(res_g)
-                out.extend(res_a)
+                out.extend(_jacobi_residual(structure, parities, s, t, u))
     return out
 
 
@@ -430,11 +357,12 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
                           pos2: list[tuple[int, int, int]]) -> Mat:
     """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
 
-    One pass of the twisted bracket over the g×g×g triples, with each entry
-    of beta held as a linear form in the coordinates `pos2`; the signs come
-    from the bracket itself.  Triples with a module slot do not involve beta
-    (it only enters the bracket of two g-parts), so they add no rows.
-    Zero rows and repeated rows are dropped: they do not change the row space.
+    One pass of the super-Jacobi residual of g ⊕ M over the g×g×g triples,
+    with each entry of beta held as a linear form in the coordinates `pos2`;
+    the signs come from the bracket itself.  Triples with a module slot do
+    not involve beta (it only enters the bracket of two g-parts), so they add
+    no rows.  Zero rows and repeated rows are dropped: they do not change
+    the row space.
     """
     ng, na = g.dim, m.space.dim
     grid = [[list(zero_vec(na)) for _ in range(ng)] for _ in range(ng)]
@@ -442,13 +370,14 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
         grid[i][j][k] = _LinearForm({p: Fraction(1)})
         if i != j:
             grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
+    structure = _sum_structure(g, m, grid)
+    parities = g.basis.parities + m.space.parities
     n2 = len(pos2)
     rows: dict[Vec, None] = {}
     for s in range(ng):
         for t in range(ng):
             for u in range(ng):
-                _, res_a = _jacobi_residual(g, m, grid, s, t, u)
-                for r in res_a:
+                for r in _jacobi_residual(structure, parities, s, t, u)[ng:]:
                     if r != 0:
                         rows.setdefault(r.dense(n2))
     return Mat(list(rows), cols=n2)
@@ -543,16 +472,11 @@ class CochainComplex:
 
     @cached_property
     def z2(self) -> SubspacePresentation:
-        """The even 2-cocycles, in 2-cochain coordinates.
-
-        The defining conditions are the super-Jacobi equations of the twisted
-        sum; their linearity in beta is asserted by checking that the residual
-        vanishes at beta = 0.  Z² is the kernel of their linear part.
+        """The even 2-cocycles, in 2-cochain coordinates: the kernel of the
+        linear part of the super-Jacobi equations of the twisted sum.  Their
+        constant part, the Jacobi identity of g and the module axiom, was
+        checked with the same residual by `validate_module` on construction.
         """
-        g, m = self.g, self.m
-        zero_res = _twisted_jacobi_residuals(g, m, Cochain2.zero(g.basis, m.space))
-        if any(r != 0 for r in zero_res):
-            raise MembershipError("twisted-sum residual is nonzero at beta = 0")
         return kernel_basis(self.cocycle2_constraints)
 
     @cached_property

@@ -206,6 +206,8 @@ def load_json(path: Path) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except ValueError:  # an integer beyond the interpreter's digit limit
         raise ParseError(f"{path}: integer literal is too long") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nesting is too deep") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return data

@@ -66,6 +66,27 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
+def bilinear(tensor: Sequence[Sequence[Sequence]], x: Sequence, y: Sequence, dim: int) -> Vec:
+    """sum_{i,j} x_i y_j tensor[i][j], a vector of length `dim`; zeros are skipped.
+
+    Entries only need +, * and comparison with 0, so `cohomology` can pass
+    symbolic values through as long as no two of them are multiplied.
+    """
+    out = [_ZERO] * dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = tensor[i]
+        for j, yj in enumerate(y):
+            c = xi * yj
+            if c == 0:
+                continue
+            for k, s in enumerate(row[j]):
+                if s != 0:
+                    out[k] += c * s
+    return tuple(out)
+
+
 class Mat:
     """Immutable dense matrix of exact rationals."""
 

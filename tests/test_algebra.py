@@ -75,6 +75,7 @@ def test_jacobi_violation_detected():
     )
     violation = validate_superalgebra(g)
     assert violation is not None and violation.rule == "jacobi"
+    assert violation.where == ("x", "y", "z")
 
 
 def test_from_brackets_rejects_inconsistent_orientations():
@@ -124,6 +125,7 @@ def test_module_axiom_violation_detected():
     m = ModuleAction(g, space, [[[0]], [[0]], [[1]]])
     violation = validate_module(m)
     assert violation is not None and violation.rule == "module-axiom"
+    assert violation.where == ("x", "y", "v")
 
 
 def test_module_parity_violation_detected():

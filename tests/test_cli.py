@@ -129,6 +129,14 @@ def test_validate_oversize_literal_is_a_parse_error(capsys, tmp_path, literal):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_validate_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    code, payload, err = _run(capsys, ["validate", str(path)])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "nesting" in err and "Traceback" not in err
+
+
 def test_validate_semantic_violation(capsys, tmp_path):
     doc = {
         "name": "bad",
