@@ -162,9 +162,6 @@ class LieSuperalgebra:
     def dim(self) -> int:
         return self.basis.dim
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        return self.structure[i][j]
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         n = self.dim
         if len(x) != n or len(y) != n:

@@ -148,11 +148,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose()
-        return Mat(
-            [[sum((a * b for a, b in zip(row, col)), _ZERO) for col in ot.data] for row in self.data],
-            cols=other.cols,
-        )
+        return Mat.from_columns([self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -168,9 +164,6 @@ class Mat:
     def scale(self, c) -> "Mat":
         c = rat(c)
         return Mat([scale_vec(c, r) for r in self.data], cols=self.cols)
-
-    def transpose(self) -> "Mat":
-        return Mat([self.column(j) for j in range(self.cols)], cols=self.rows)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
@@ -263,49 +256,12 @@ def inverse(a: Mat) -> Optional[Mat]:
     return Mat([row[n:] for row in rows], cols=n)
 
 
-class _Echelon:
-    """Incremental row reducer used for span membership and greedy bases.
+def _pivots(vectors: Sequence[Sequence[Fraction]], n: int) -> list[int]:
+    """Pivot columns of the n x k matrix whose columns are `vectors`.
 
-    Stored rows are kept fully reduced: leading 1 at the pivot column and
-    zeros at every other pivot column.
+    Column j is a pivot iff vectors[j] is not in the span of vectors[:j].
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: dict[int, list[Fraction]] = {}
-
-    def residual(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.n:
-            raise ShapeError(f"expected length {self.n}, got {len(v)}")
-        r = list(v)
-        for c in range(self.n):
-            if r[c] != 0 and c in self.rows:
-                f = r[c]
-                row = self.rows[c]
-                r = [a - f * b for a, b in zip(r, row)]
-        return r
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.residual(v))
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        r = self.residual(v)
-        p = next((c for c in range(self.n) if r[c] != 0), None)
-        if p is None:
-            return False
-        pv = r[p]
-        r = [a / pv for a in r]
-        for c, row in self.rows.items():
-            if row[p] != 0:
-                f = row[p]
-                self.rows[c] = [a - f * b for a, b in zip(row, r)]
-        self.rows[p] = r
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    return _reduce_rows([[v[i] for v in vectors] for i in range(n)])
 
 
 class SubspacePresentation:
@@ -318,19 +274,19 @@ class SubspacePresentation:
         for v in vs:
             if len(v) != ambient_dim:
                 raise ShapeError(f"basis vector of length {len(v)} in ambient dimension {ambient_dim}")
-        ech = _Echelon(ambient_dim)
-        for v in vs:
-            if not ech.add(v):
-                raise MembershipError("basis vectors are linearly dependent")
+        if len(_pivots(vs, ambient_dim)) < len(vs):
+            raise MembershipError("basis vectors are linearly dependent")
         self.ambient_dim = ambient_dim
         self.basis = vs
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "SubspacePresentation":
         """Greedy independent sublist of `vectors`, in input order."""
-        ech = _Echelon(ambient_dim)
-        kept = [vec(v) for v in vectors]
-        return cls(ambient_dim, [v for v in kept if ech.add(v)])
+        vs = [vec(v) for v in vectors]
+        for v in vs:
+            if len(v) != ambient_dim:
+                raise ShapeError(f"expected length {ambient_dim}, got {len(v)}")
+        return cls(ambient_dim, [vs[j] for j in _pivots(vs, ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -339,18 +295,12 @@ class SubspacePresentation:
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        ech = _Echelon(self.ambient_dim)
-        for b in self.basis:
-            ech.add(b)
-        return ech.contains(v)
+        return len(_pivots(self.basis + (vec(v),), self.ambient_dim)) == self.dim
 
     def contains_subspace(self, other: "SubspacePresentation") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        ech = _Echelon(self.ambient_dim)
-        for b in self.basis:
-            ech.add(b)
-        return all(ech.contains(v) for v in other.basis)
+        return len(_pivots(self.basis + other.basis, self.ambient_dim)) == self.dim
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vec:
         """Linear combination of the basis with the given coefficients."""
@@ -377,13 +327,10 @@ class SubspacePresentation:
 
 
 def subspace_equal(u: SubspacePresentation, w: SubspacePresentation) -> bool:
-    """span(U) == span(W), decided by ranks of the stacked matrices."""
+    """span(U) == span(W): equal dimensions and W ⊆ U."""
     if u.ambient_dim != w.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    if u.dim != w.dim:
-        return False
-    stacked = Mat(list(u.basis) + list(w.basis), cols=u.ambient_dim)
-    return rank(stacked) == u.dim
+    return u.dim == w.dim and u.contains_subspace(w)
 
 
 def kernel_basis(a: Mat) -> SubspacePresentation:
@@ -454,14 +401,10 @@ def quotient_presentation(z: SubspacePresentation, b: SubspacePresentation) -> Q
     """Present span(Z)/span(B); requires B ⊆ Z."""
     if z.ambient_dim != b.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    ech = _Echelon(z.ambient_dim)
-    for v in z.basis:
-        ech.add(v)
-    for v in b.basis:
-        if not ech.contains(v):
-            raise MembershipError("sub is not contained in the ambient space of the quotient")
-    sub_ech = _Echelon(z.ambient_dim)
-    for v in b.basis:
-        sub_ech.add(v)
-    complement = tuple(v for v in z.basis if sub_ech.add(v))
+    # B is independent, so its columns are all pivots; B ⊆ span Z iff Z adds
+    # only z.dim - b.dim more, and those are the greedy complement.
+    pivots = _pivots(b.basis + z.basis, z.ambient_dim)
+    if len(pivots) != z.dim:
+        raise MembershipError("sub is not contained in the ambient space of the quotient")
+    complement = tuple(z.basis[j - b.dim] for j in pivots[b.dim:])
     return QuotientPresentation(z, b, complement)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superext
 from superext.cli import main
 from superext.files import (
     format_rat,
@@ -273,6 +278,28 @@ def test_verify_with_samples_and_note(capsys, tmp_path):
     assert code == 0
     assert payload["passed"] is True
     assert any("not surjective" in note for note in payload["notes"])
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
+    _, ext = h3_files
+    env = dict(os.environ, PYTHONPATH=str(Path(superext.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superext.cli", "verify", ext, "--suite", "five-term"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_verify_seed_env_override(capsys, h3_files, monkeypatch):

@@ -276,6 +276,7 @@ _Z2_CORPUS = {
     "identity_semidirect": fixtures.identity_semidirect_extension,
     "affine_scaling": fixtures.affine_scaling_extension,
     "central_direct_sum": fixtures.central_direct_sum_extension,
+    "odd_semidirect": fixtures.odd_semidirect_extension,
     "h5": lambda: _heisenberg_extension(2),
     "h5_odd": lambda: _heisenberg_extension(2, odd=True),
     "h7": lambda: _heisenberg_extension(3),

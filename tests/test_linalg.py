@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from superext.errors import MembershipError, ShapeError
 from superext.linalg import (
@@ -205,3 +206,76 @@ def test_quotient_dimension_formula():
 def test_mat_requires_rectangular_data():
     with pytest.raises(ShapeError):
         Mat([[1, 2], [3]])
+
+
+# -- sympy as an independent oracle: it shares no code with linalg ----------
+
+def _oracle_rows(rng, count, n):
+    """Seeded rational vectors with zero, repeated and dependent ones mixed in."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((Fraction(0),) * n)
+        elif kind < 0.3 and rows:
+            rows.append(rng.choice(rows))
+        elif kind < 0.5 and len(rows) >= 2:
+            u, v = rng.sample(rows, 2)
+            c, d = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+            rows.append(tuple(c * x + d * y for x, y in zip(u, v)))
+        else:
+            rows.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                              if rng.random() < 0.7 else Fraction(0) for _ in range(n)))
+    return rows
+
+
+def _sympy_matrix(rows, n):
+    return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in rows for x in row])
+
+
+def _greedy_oracle(start, vectors, n):
+    """The vectors that raise the sympy rank of `start` plus those kept so far."""
+    kept = []
+    for v in vectors:
+        if _sympy_matrix(list(start) + kept + [v], n).rank() > len(start) + len(kept):
+            kept.append(v)
+    return kept
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rows = _oracle_rows(rng, rng.randint(0, 6), n)
+        expected = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v)
+                         for v in _sympy_matrix(rows, n).nullspace())
+        assert kernel_basis(Mat(rows, cols=n)).basis == expected, rows
+
+
+def test_from_spanning_keeps_what_greedy_sympy_rank_keeps():
+    rng = random.Random(103)
+    for _ in range(150):
+        n = rng.randint(0, 6)
+        vectors = _oracle_rows(rng, rng.randint(0, 8), n)
+        kept = SubspacePresentation.from_spanning(n, vectors).basis
+        assert kept == tuple(_greedy_oracle([], vectors, n)), vectors
+
+
+def test_quotient_complement_matches_greedy_sympy_rank():
+    rng = random.Random(107)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        z = SubspacePresentation.from_spanning(n, _oracle_rows(rng, rng.randint(0, 7), n))
+        if z.dim and rng.random() < 0.7:
+            vectors = _oracle_rows(rng, rng.randint(0, z.dim + 1), z.dim)
+            b = SubspacePresentation.from_spanning(n, [z.combine(c) for c in vectors])
+        else:
+            b = SubspacePresentation.from_spanning(n, _oracle_rows(rng, rng.randint(0, 3), n))
+        contained = _sympy_matrix(list(z.basis) + list(b.basis), n).rank() == z.dim
+        if not contained:
+            with pytest.raises(MembershipError):
+                quotient_presentation(z, b)
+            continue
+        complement = quotient_presentation(z, b).complement
+        assert complement == tuple(_greedy_oracle(b.basis, z.basis, n)), (z, b)
