@@ -437,6 +437,14 @@ class CochainComplex:
                    for p in range(n1)]
         return Mat.from_columns(columns, rows=len(self.pos2))
 
+    def is_cocycle1(self, f: GradedLinearMap) -> bool:
+        """Whether f is an even derivation: a product with the cached d¹."""
+        if f.domain != self.g.basis or f.codomain != self.m.space:
+            raise ShapeError("map bases do not match the algebra and module")
+        if f.degree != 0:
+            return False
+        return is_zero_vec(self.d1.apply(self.coords1(f)))
+
     @cached_property
     def z1(self) -> SubspacePresentation:
         """The even derivations g -> M, in 1-cochain coordinates."""

@@ -14,8 +14,11 @@ Obstruction conventions:
 * lifting psi in End^a(g): class of beta ∘ (psi x psi) - beta, and a lift
   solves d(lambda) = beta - beta ∘ (psi x psi).
 
-Membership in every endomorphism set is recomputed from the definitions on
-each call; callers cannot assert flags.
+Membership in every endomorphism set is recomputed on each call; callers
+cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
+are the definitions.  The engine asks the same questions with one product
+against a cached operator: the d¹ of e for derivations and quotient-fixing
+maps, the residual matrix of End_g(a) for module endomorphisms.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .cohomology import (
     class_of,
     is_cocycle1,
     map_from_coords,
+    map_to_coords,
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
@@ -177,14 +181,20 @@ class AbelianExtension:
         return self.cochains_g.z1
 
     @cached_property
-    def module_end_space(self) -> SubspacePresentation:
-        """End_g(a) as a subspace of the even map coordinates on a."""
+    def module_end_constraints(self) -> Mat:
+        """Residual matrix of End_g(a): column p holds the flattened
+        `_module_end_residuals` of the p-th unit even map on a."""
         pos = c1_positions(self.a_basis, self.a_basis)
         columns = []
         for p in range(len(pos)):
             phi = map_from_coords(self.a_basis, self.a_basis, pos, unit_vec(len(pos), p))
             columns.append(tuple(x for r in _module_end_residuals(phi, self) for x in r))
-        return kernel_basis(Mat.from_columns(columns, rows=self.dim_g * self.dim_a * self.dim_a))
+        return Mat.from_columns(columns, rows=self.dim_g * self.dim_a * self.dim_a)
+
+    @cached_property
+    def module_end_space(self) -> SubspacePresentation:
+        """End_g(a) as a subspace of the even map coordinates on a."""
+        return kernel_basis(self.module_end_constraints)
 
     @property
     def h1_g(self) -> CohomologyPresentation:
@@ -273,7 +283,7 @@ def is_ideal_derivation(h: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether h is an even derivation of e into the ideal."""
     if h.domain != ext.e.basis or h.codomain != ext.a_basis:
         raise ShapeError("map is not of the shape e -> a")
-    return is_cocycle1(h, ext.e, ext.adjoint)
+    return ext.cochains_e.is_cocycle1(h)
 
 
 def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
@@ -282,7 +292,8 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
         raise ShapeError("map is not an endomorphism of the ideal")
     if phi.degree != 0:
         return False
-    return all(is_zero_vec(r) for r in _module_end_residuals(phi, ext))
+    coords = map_to_coords(phi, c1_positions(ext.a_basis, ext.a_basis))
+    return is_zero_vec(ext.module_end_constraints.apply(coords))
 
 
 def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterator[Vec]:
@@ -311,6 +322,26 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
 # -- the derivation picture of quotient-fixing endomorphisms --------------
 
 
+def _derivation_part(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
+    """The derivation h with f = id + ι∘h when f fixes the quotient, else None.
+
+    Agrees with `classify_endomorphism(f, ext).fixes_quotient`: f preserves
+    the ideal and induces the identity iff the complement rows of f - id
+    vanish, so f = id + ι∘h with h even; since a is abelian, [h x, h y] = 0
+    and f is a homomorphism iff h is a derivation, one product with d¹.
+    """
+    if f.domain != ext.e.basis or f.codomain != ext.e.basis:
+        raise ShapeError("map is not an endomorphism of the ambient algebra")
+    if f.degree != 0:
+        return None
+    data, n = f.matrix.data, ext.dim_e
+    if any(data[c] != unit_vec(n, c) for c in ext.complement_indices):
+        return None
+    rows = [sub_vec(data[i], unit_vec(n, i)) for i in ext.ideal_indices]
+    h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=n))
+    return h if ext.cochains_e.is_cocycle1(h) else None
+
+
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> x + h(x), an ideal-preserving endomorphism inducing the identity."""
     _require(is_ideal_derivation(h, ext), "not an even derivation into the ideal")
@@ -318,28 +349,26 @@ def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMa
         ext.e.basis, ext.e.basis,
         Mat.identity(ext.dim_e) + ext.inclusion.matrix @ h.matrix,
     )
-    _check(classify_endomorphism(f, ext).fixes_quotient,
-           "x + h(x) does not fix the quotient")
+    _check(_derivation_part(f, ext) is not None, "x + h(x) does not fix the quotient")
     return f
 
 
 def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
-    """Inverse of `from_derivation`: recover h = f - id as a map into the ideal."""
-    flags = classify_endomorphism(f, ext)
+    """Inverse of `from_derivation`: recover h = f - id as a map into the ideal.
+
+    The one product that decides whether f fixes the quotient checks that h is a derivation.
+    """
+    h = _derivation_part(f, ext)
     _require(
-        flags.fixes_quotient,
+        h is not None,
         "map is not an ideal-preserving homomorphism inducing the identity",
     )
-    diff = f.matrix - Mat.identity(ext.dim_e)
-    rows = [diff.row(i) for i in ext.ideal_indices]
-    h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=ext.dim_e))
-    _check(is_ideal_derivation(h, ext), "f - id is not a derivation into the ideal")
     return h
 
 
 def _require_quotient_fixing(maps, ext: AbelianExtension) -> None:
     for m in maps:
-        _require(classify_endomorphism(m, ext).fixes_quotient,
+        _require(_derivation_part(m, ext) is not None,
                  "ring operations need quotient-fixing endomorphisms")
 
 
@@ -359,7 +388,7 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     """
     _require_quotient_fixing((f, g), ext)
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ext.dim_e))
-    _check(classify_endomorphism(out, ext).fixes_quotient, "ring sum does not fix the quotient")
+    _check(_derivation_part(out, ext) is not None, "ring sum does not fix the quotient")
     return out
 
 
@@ -367,7 +396,7 @@ def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ext.dim_e))
-    _check(classify_endomorphism(out, ext).fixes_quotient, "ring product does not fix the quotient")
+    _check(_derivation_part(out, ext) is not None, "ring product does not fix the quotient")
     return out
 
 
@@ -379,7 +408,7 @@ def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> 
     fg = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, n))
     added = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, n))
     out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(added, fg, n))
-    _check(classify_endomorphism(out, ext).fixes_quotient, "circle product does not fix the quotient")
+    _check(_derivation_part(out, ext) is not None, "circle product does not fix the quotient")
     return out
 
 
@@ -402,13 +431,13 @@ def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLine
 
 def quasiregular_inverse(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
     """Circle-inverse of f when it exists, i.e. when f is bijective."""
-    _require(classify_endomorphism(f, ext).fixes_quotient,
+    _require(_derivation_part(f, ext) is not None,
              "quasiregular inverse needs a quotient-fixing endomorphism")
     inv = inverse(f.matrix)
     if inv is None:
         return None
     g = GradedLinearMap(ext.e.basis, ext.e.basis, inv)
-    _check(classify_endomorphism(g, ext).fixes_quotient, "inverse does not fix the quotient")
+    _check(_derivation_part(g, ext) is not None, "inverse does not fix the quotient")
     ident = GradedLinearMap.identity(ext.e.basis)
     _check(quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident,
            "inverse is not a two-sided circle inverse")
@@ -524,7 +553,7 @@ def inflate1(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Precompose a derivation g -> a with the projection; lands in Z1(e, a)."""
     if f.domain != ext.g.basis or f.codomain != ext.a_basis:
         raise ShapeError("map is not of the shape g -> a")
-    _require(is_cocycle1(f, ext.g, ext.action), "input is not a derivation of the quotient")
+    _require(ext.cochains_g.is_cocycle1(f), "input is not a derivation of the quotient")
     out = f.compose(ext.projection)
     _check(is_ideal_derivation(out, ext), "inflated map is not a derivation of e")
     return out

@@ -8,6 +8,7 @@ from superext.algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    semidirect_product,
 )
 from superext.cohomology import (
     c1_positions,
@@ -16,7 +17,10 @@ from superext.cohomology import (
     map_from_coords,
 )
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
+from superext import fixtures
 from superext.extension import (
+    _derivation_part,
+    _module_end_residuals,
     beta_with_section,
     build_extension,
     classify_endomorphism,
@@ -43,7 +47,7 @@ from superext.extension import (
     to_derivation,
 )
 from superext.fixtures import affine_scaling_algebra, heisenberg3
-from superext.linalg import Mat, inverse, vec, zero_vec
+from superext.linalg import Mat, inverse, is_zero_vec, unit_vec, vec, zero_vec
 
 
 def _shear(ext, a, b):
@@ -226,6 +230,110 @@ def test_ring_ops_reject_outsiders(h3_ext):
         ring_add(diag, diag, h3_ext)
 
 
+def _ring_corpus():
+    """The fixture corpus plus a nilpotent action, whose End_g(a) is a proper subspace."""
+    g = LieSuperalgebra.abelian(SuperBasis([("t", 0)]))
+    nilpotent = ModuleAction(g, SuperBasis([("v1", 0), ("v2", 0)]), [[[0, 0], [1, 0]]])
+    return fixtures.standard_corpus() + [
+        ("central_direct_sum", fixtures.central_direct_sum_extension()),
+        ("odd_semidirect", fixtures.odd_semidirect_extension()),
+        ("nilpotent_semidirect", semidirect_product(g, nilpotent)[1]),
+    ]
+
+
+def _rand_coeffs(rng, n):
+    return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+
+
+def _endomorphism_samples(ext, rng):
+    """Seeded even maps e -> e, labelled by how they relate to the quotient."""
+    n, ce = ext.dim_e, ext.cochains_e
+    ident = Mat.identity(n)
+
+    def plus_derivation(coords):
+        h = ce.cochain1(coords)
+        return GradedLinearMap(ext.e.basis, ext.e.basis, ident + ext.inclusion.matrix @ h.matrix)
+
+    def plus_unit(r, c, x):
+        rows = [list(row) for row in ident.data]
+        rows[r][c] += x
+        return GradedLinearMap(ext.e.basis, ext.e.basis, Mat(rows, cols=n))
+
+    n1 = len(ce.pos1)
+    inside = [ext.z1_e.combine(_rand_coeffs(rng, ext.z1_e.dim)) for _ in range(3)]
+    units_out = [unit_vec(n1, p) for p in range(n1) if not ext.z1_e.contains(unit_vec(n1, p))]
+    outside = [tuple(a + Fraction(rng.randint(1, 3)) * b for a, b in zip(inside[0], u))
+               for u in units_out[:3]]
+    par = ext.e.basis.parity
+    comp = ext.complement_indices
+    samples = [("cocycle", plus_derivation(v)) for v in inside]
+    samples += [("non-cocycle", plus_derivation(v)) for v in outside]
+    samples += [("leaves ideal", plus_unit(c, i, Fraction(rng.randint(1, 4))))
+                for i in ext.ideal_indices for c in comp if par(c) == par(i)]
+    samples += [("moves quotient", plus_unit(c, d, Fraction(rng.randint(1, 4))))
+                for c in comp for d in comp if par(c) == par(d)]
+    pos = c1_positions(ext.e.basis, ext.e.basis)
+    samples += [("random", map_from_coords(ext.e.basis, ext.e.basis, pos,
+                                           _rand_coeffs(rng, len(pos)))) for _ in range(2)]
+    samples.append(("odd", GradedLinearMap.zero(ext.e.basis, ext.e.basis, degree=1)))
+    return samples
+
+
+def test_quotient_fixing_predicate_agrees_with_classification():
+    rng = random.Random(43)
+    seen = {}
+    for name, ext in _ring_corpus():
+        for label, f in _endomorphism_samples(ext, rng):
+            fixes = _derivation_part(f, ext) is not None
+            assert fixes == classify_endomorphism(f, ext).fixes_quotient, (name, label, f)
+            if label == "cocycle":
+                assert fixes, (name, f)
+            if label in ("non-cocycle", "leaves ideal", "moves quotient", "odd"):
+                assert not fixes, (name, label, f)
+            seen[label] = seen.get(label, 0) + 1
+    assert all(seen.get(label, 0) >= 3 for label in
+               ("cocycle", "non-cocycle", "leaves ideal", "moves quotient", "odd")), seen
+
+
+def test_module_endomorphism_product_agrees_with_the_residuals():
+    rng = random.Random(47)
+    verdicts = []
+    for name, ext in _ring_corpus():
+        pos_a = c1_positions(ext.a_basis, ext.a_basis)
+        phis = [map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
+                for v in ext.module_end_space.basis]
+        phis += [map_from_coords(ext.a_basis, ext.a_basis, pos_a, _rand_coeffs(rng, len(pos_a)))
+                 for _ in range(3)]
+        for _, f in _endomorphism_samples(ext, rng):
+            if f.degree == 0:
+                blocks = [[f.matrix.entry(i, j) - (i == j) for j in ext.ideal_indices]
+                          for i in ext.ideal_indices]
+                phis.append(GradedLinearMap(ext.a_basis, ext.a_basis,
+                                            Mat(blocks, cols=ext.dim_a)))
+        for phi in phis:
+            verdicts.append(is_module_endomorphism(phi, ext))
+            assert verdicts[-1] == all(is_zero_vec(r) for r in _module_end_residuals(phi, ext)), \
+                (name, phi)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 5, verdicts.count(True)
+
+
+def test_ring_helpers_reject_maps_that_do_not_fix_the_quotient():
+    rng = random.Random(53)
+    for name, ext in _ring_corpus():
+        ident = GradedLinearMap.identity(ext.e.basis)
+        outsiders = [f for label, f in _endomorphism_samples(ext, rng)
+                     if label in ("non-cocycle", "leaves ideal", "moves quotient", "odd")]
+        assert outsiders, name
+        for f in outsiders:
+            calls = [lambda: to_derivation(f, ext), lambda: shifted_restriction(f, ext),
+                     lambda: quasiregular_inverse(f, ext)]
+            for op in (ring_add, ring_mul, quasi_mul):
+                calls += [lambda op=op: op(f, ident, ext), lambda op=op: op(ident, f, ext)]
+            for call in calls:
+                with pytest.raises(MembershipError):
+                    call()
+
+
 # -- shifted restriction ------------------------------------------------------
 
 
@@ -347,8 +455,9 @@ def test_extend_rejects_non_equivariant_maps():
 
 def test_warm_extend_and_lift_evaluate_coboundaries_only_in_membership_checks(
         corpus, monkeypatch):
-    # the solvers read the extension's cached d¹; coboundary1 may still run
-    # inside is_cocycle1, which checks each witness against the definition
+    # the solvers and the membership checks of their witnesses are products
+    # with the extension's cached d¹; coboundary1 may run only inside the
+    # definitional module-level is_cocycle1
     from superext import cohomology, extension
 
     original = cohomology.coboundary1
