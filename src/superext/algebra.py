@@ -182,19 +182,32 @@ class LieSuperalgebra:
         return f"LieSuperalgebra({self.basis!r})"
 
 
-def _jacobi_residual(structure: Sequence[Sequence[Vec]], parities: Sequence[int],
+def _nonzero_entries(structure: Sequence[Sequence[Sequence]]) -> list[list[tuple]]:
+    """Sparse view of a structure tensor: [i][j] lists the nonzero (k, c) of [b_i, b_j]."""
+    return [[tuple((k, c) for k, c in enumerate(v) if c != 0) for v in row] for row in structure]
+
+
+def _jacobi_residual(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
                      i: int, j: int, k: int) -> Vec:
     """[[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] at x, y, z = b_i, b_j, b_k.
 
-    The structure tensor satisfies super-Jacobi iff this vanishes on every
-    basis triple.
+    `sparse` is the `_nonzero_entries` view of the structure tensor, which
+    satisfies super-Jacobi iff this vanishes on every basis triple.  Each term
+    holds one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so the residual is zero by
+    construction where all three are; the enumeration passes skip those triples.
     """
-    n = len(parities)
-    left = bilinear(structure, structure[i][j], unit_vec(n, k), n)
-    right1 = bilinear(structure, unit_vec(n, i), structure[j][k], n)
-    right2 = bilinear(structure, unit_vec(n, j), structure[i][k], n)
+    out = list(zero_vec(len(parities)))
+    for l, c in sparse[i][j]:
+        for m, d in sparse[l][k]:
+            out[m] += c * d
+    for l, c in sparse[j][k]:
+        for m, d in sparse[i][l]:
+            out[m] -= c * d
     s = _sign(parities[i], parities[j])
-    return tuple(a - b + s * c for a, b, c in zip(left, right1, right2))
+    for l, c in sparse[i][k]:
+        for m, d in sparse[j][l]:
+            out[m] += s * c * d
+    return tuple(out)
 
 
 def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
@@ -223,10 +236,12 @@ def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
                     (names[j], names[i]),
                     f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]",
                 )
+    sparse = _nonzero_entries(g.structure)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if not is_zero_vec(_jacobi_residual(g.structure, b.parities, i, j, k)):
+                if ((sparse[i][j] or sparse[j][k] or sparse[i][k])
+                        and not is_zero_vec(_jacobi_residual(sparse, b.parities, i, j, k))):
                     return Violation(
                         "jacobi",
                         (names[i], names[j], names[k]),
@@ -339,12 +354,14 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
                         (ab.names[i], sb.names[v], sb.names[k]),
                         "action component has the wrong parity",
                     )
-    structure = _sum_structure(m.algebra, m)
+    sparse = _nonzero_entries(_sum_structure(m.algebra, m))
     parities = ab.parities + sb.parities
     for i in range(ab.dim):
         for j in range(ab.dim):
             for v in range(sb.dim):
-                if not is_zero_vec(_jacobi_residual(structure, parities, i, j, ab.dim + v)):
+                k = ab.dim + v
+                if ((sparse[i][j] or sparse[j][k] or sparse[i][k])
+                        and not is_zero_vec(_jacobi_residual(sparse, parities, i, j, k))):
                     return Violation(
                         "module-axiom",
                         (ab.names[i], ab.names[j], sb.names[v]),

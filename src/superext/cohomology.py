@@ -28,6 +28,7 @@ from .algebra import (
     ModuleAction,
     SuperBasis,
     _jacobi_residual,
+    _nonzero_entries,
     _sign,
     _sum_structure,
     validate_module,
@@ -342,14 +343,14 @@ class _LinearForm:
 
 def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
     """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
-    structure = _sum_structure(g, m, beta.tensor)
+    sparse = _nonzero_entries(_sum_structure(g, m, beta.tensor))
     parities = g.basis.parities + m.space.parities
     n = len(parities)
     out: list[Fraction] = []
     for s in range(n):
         for t in range(n):
             for u in range(n):
-                out.extend(_jacobi_residual(structure, parities, s, t, u))
+                out.extend(_jacobi_residual(sparse, parities, s, t, u))
     return out
 
 
@@ -370,14 +371,16 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
         grid[i][j][k] = _LinearForm({p: Fraction(1)})
         if i != j:
             grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
-    structure = _sum_structure(g, m, grid)
+    sparse = _nonzero_entries(_sum_structure(g, m, grid))
     parities = g.basis.parities + m.space.parities
     n2 = len(pos2)
     rows: dict[Vec, None] = {}
     for s in range(ng):
         for t in range(ng):
             for u in range(ng):
-                for r in _jacobi_residual(structure, parities, s, t, u)[ng:]:
+                if not (sparse[s][t] or sparse[t][u] or sparse[s][u]):
+                    continue
+                for r in _jacobi_residual(sparse, parities, s, t, u)[ng:]:
                     if r != 0:
                         rows.setdefault(r.dense(n2))
     return Mat(list(rows), cols=n2)

@@ -21,6 +21,11 @@ from .linalg import Mat
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
+# Longest basis a file may list.  The tensors are dense (n³ entries for an
+# algebra, n·d² for a module), so a longer basis is refused before any of
+# them is allocated; the largest algebra in the tests and benchmark has 21.
+_MAX_BASIS = 128
+
 
 def parse_rat(value) -> Fraction:
     """Parse a rational literal: "p/q", "n", or a JSON integer."""
@@ -61,6 +66,8 @@ def _expect(data, key: str, kind, where: str):
 def _parse_basis(items, where: str) -> SuperBasis:
     if not isinstance(items, list):
         raise ParseError(f"{where}: basis must be a list")
+    if len(items) > _MAX_BASIS:
+        raise ParseError(f"{where}: basis has {len(items)} elements, more than {_MAX_BASIS}")
     out = []
     for entry in items:
         name = _expect(entry, "name", str, where)

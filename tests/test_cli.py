@@ -9,6 +9,7 @@ import pytest
 import superext
 from superext.cli import main
 from superext.files import (
+    _parse_basis,
     format_rat,
     load_algebra,
     load_extension,
@@ -140,6 +141,17 @@ def test_validate_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     code, payload, err = _run(capsys, ["validate", str(path)])
     assert code == 1 and payload is None
     assert err.startswith("error:") and "nesting" in err and "Traceback" not in err
+
+
+def test_validate_oversize_basis_is_a_parse_error(capsys, tmp_path):
+    # refused before the dense structure tensor is allocated
+    doc = {"name": "big", "basis": [{"name": f"b{i}", "parity": 0} for i in range(129)]}
+    path = _write(tmp_path / "big.json", doc)
+    code, payload, err = _run(capsys, ["validate", path])
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "129 elements, more than 128" in err
+    assert _parse_basis(doc["basis"][:128], "algebra").dim == 128
 
 
 def test_validate_semantic_violation(capsys, tmp_path):

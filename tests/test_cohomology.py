@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superext.algebra import (
     GradedLinearMap,
@@ -419,12 +421,37 @@ def test_warm_ring_sequence_checks_membership_with_cached_operators(name, monkey
     assert len(homs) <= ext.z1_g.dim
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_heisenberg_h2_matches_the_closed_form(k):
     # Santharoubane (Proc. AMS 87, 1983): dim H²(h_{2k+1}) = C(2k,2) - 1 for
     # k >= 2 and 2 for k = 1; the quotient Ab(2k) has dim H² = C(2k,2)
     ext = _heisenberg_extension(k)
     pairs = math.comb(2 * k, 2)
+    assert ext.h2_g.dim == pairs
+    assert ext.h2_e.dim == (2 if k == 1 else pairs - 1)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_central_extension_by_a_nondegenerate_form_matches_the_closed_form(k, data):
+    # [u_i, u_j] = w_ij z with w nondegenerate is h_{2k+1} in a basis where
+    # nearly every bracket is nonzero, so few triples are skipped as zero
+    n = 2 * k
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = data.draw(_RATIONALS)
+            w[j][i] = -w[i][j]
+    assume(inverse(Mat(w, cols=n)) is not None)
+    basis = SuperBasis([(f"u{i}", 0) for i in range(n)] + [("z", 0)])
+    e = LieSuperalgebra.from_brackets(basis, {
+        (f"u{i}", f"u{j}"): {"z": w[i][j]} for i in range(n) for j in range(i + 1, n) if w[i][j]})
+    ext = build_extension(e, [n])
+    pairs = math.comb(n, 2)
     assert ext.h2_g.dim == pairs
     assert ext.h2_e.dim == (2 if k == 1 else pairs - 1)
 
