@@ -64,7 +64,8 @@ def _cmd_validate(args) -> int:
         "ok": violation is None,
         "violation": None if violation is None else _violation_dict(violation),
     }
-    _emit(payload, f"validate {kind}: {'ok' if violation is None else violation}")
+    _emit(payload, f"validate {kind}: ok" if violation is None
+          else f"error: validate {kind}: {violation}")
     return EXIT_OK if violation is None else EXIT_SEMANTIC
 
 
@@ -105,7 +106,7 @@ def _cmd_extend(args) -> int:
     phi = files.parse_map(files.load_json(Path(args.map)), ext)
     if not is_module_endomorphism(phi, ext):
         _emit({"command": "extend", "error": "map is not a module endomorphism of the ideal"},
-              "extend: predicate failure (not a module endomorphism)")
+              "error: extend: predicate failure (not a module endomorphism)")
         return EXIT_SEMANTIC
     witness = extend_endomorphism(phi, ext)
     obstruction = extend_obstruction(phi, ext)
@@ -125,7 +126,7 @@ def _cmd_lift(args) -> int:
     psi = files.parse_map(files.load_json(Path(args.map)), ext)
     if not fixes_action(psi, ext):
         _emit({"command": "lift", "error": "map does not preserve the action on the ideal"},
-              "lift: predicate failure (does not preserve the action)")
+              "error: lift: predicate failure (does not preserve the action)")
         return EXIT_SEMANTIC
     witness = lift_endomorphism(psi, ext)
     obstruction = lift_obstruction(psi, ext)
@@ -181,7 +182,7 @@ def _cmd_semidirect(args) -> int:
     module = files.load_module(Path(args.module))
     if module.algebra != g:
         _emit({"command": "semidirect", "error": "module is not over the given algebra"},
-              "semidirect: module algebra does not match")
+              "error: semidirect: module algebra does not match")
         return EXIT_SEMANTIC
     product, ext = semidirect_product(g, module)
     out = Path(args.output)
@@ -193,7 +194,7 @@ def _cmd_semidirect(args) -> int:
         algebra_path.write_text(json.dumps(algebra_doc, indent=2) + "\n", encoding="utf-8")
         extension_path.write_text(json.dumps(extension_doc, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
-        print(f"semidirect: cannot write output: {exc}", file=sys.stderr)
+        print(f"error: semidirect: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     payload = {
         "command": "semidirect",

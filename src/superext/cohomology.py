@@ -46,7 +46,6 @@ from .linalg import (
     quotient_presentation,
     scale_vec,
     sub_vec,
-    unit_vec,
     vec,
     zero_vec,
 )
@@ -434,11 +433,28 @@ class CochainComplex:
 
     @cached_property
     def d1(self) -> Mat:
-        """Matrix of d¹: column p holds the coboundary of the p-th unit 1-cochain."""
-        n1 = len(self.pos1)
-        columns = [self.coords2(coboundary1(self.cochain1(unit_vec(n1, p)), self.g, self.m))
-                   for p in range(n1)]
-        return Mat.from_columns(columns, rows=len(self.pos2))
+        """Matrix of d¹: column p holds the coboundary of the p-th unit 1-cochain.
+
+        Read off the structure tensors: for lam = e_n at b_i,
+        (d lam)(b_a, b_b) = [b = i] b_a·e_n - (-1)^{|a||b|} [a = i] b_b·e_n
+        - [b_a, b_b]_i e_n, the formula of `coboundary1` on a unit cochain.
+        """
+        slot = {rc: p for p, rc in enumerate(self.pos1)}
+        act, structure, parity = self.m.action, self.g.structure, self.g.basis.parity
+        rows = []
+        for a, b, k in self.pos2:
+            row = [Fraction(0)] * len(self.pos1)
+            s = _sign(parity(a), parity(b))
+            for n in range(self.m.space.dim):
+                if (n, b) in slot:
+                    row[slot[n, b]] += act[a][n][k]
+                if (n, a) in slot:
+                    row[slot[n, a]] -= s * act[b][n][k]
+            for i, c in enumerate(structure[a][b]):
+                if c != 0 and (k, i) in slot:
+                    row[slot[k, i]] -= c
+            rows.append(row)
+        return Mat(rows, cols=len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
         """Whether f is an even derivation: a product with the cached d¹."""
@@ -549,6 +565,15 @@ class CohomologyPresentation:
     @property
     def coboundary_dim(self) -> int:
         return self.quotient.sub.dim
+
+    def coordinates(self, cochains: Mat) -> Mat:
+        """Class coordinates of each column of a matrix of cochain coordinates,
+        one product with the cached coordinate map; raises when a column is
+        not a cocycle."""
+        try:
+            return self.quotient.coordinates(cochains)
+        except MembershipError:
+            raise MembershipError(f"the {self.degree}-cochain is not a cocycle") from None
 
 
 @dataclass(frozen=True)

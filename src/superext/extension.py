@@ -18,7 +18,10 @@ Membership in every endomorphism set is recomputed on each call; callers
 cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
 are the definitions.  The engine asks the same questions with one product
 against a cached operator: the d¹ of e for derivations and quotient-fixing
-maps, the residual matrix of End_g(a) for module endomorphisms.
+maps, the residual matrix of End_g(a) for module endomorphisms.  In the
+same way `inflate1`, `inflate2`, `restrict1` and `extend_obstruction` are
+the definitions of the five-term maps, which the extension caches as
+coordinate matrices.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .cohomology import (
     CohomologyPresentation,
     c1_positions,
     class_of,
-    is_cocycle1,
     map_from_coords,
     map_to_coords,
 )
@@ -215,18 +217,70 @@ class AbelianExtension:
         Row order matches the right-hand side of `extend_endomorphism`: all
         2-cochain coordinates, then for each ideal element its image in a.
         """
-        pos1 = self.cochains_e.pos1
-        slot = {rc: p for p, rc in enumerate(pos1)}
-        rows = list(self.cochains_e.d1.data)
-        for idx in self.ideal_indices:
-            for k in range(self.dim_a):
-                p = slot.get((k, idx))
-                rows.append(zero_vec(len(pos1)) if p is None else unit_vec(len(pos1), p))
-        return Mat(rows, cols=len(pos1))
+        slot = _slots(self.cochains_e.pos1)
+        reads = _copy_matrix([slot.get((k, idx)) for idx in self.ideal_indices
+                              for k in range(self.dim_a)], len(slot))
+        return Mat(self.cochains_e.d1.data + reads.data, cols=len(slot))
+
+    # -- the maps of the five-term sequence, on cochain coordinates ---------
+
+    @cached_property
+    def inflation1(self) -> Mat:
+        """`inflate1` on 1-cochain coordinates, g -> e: entry (n, s(k)) of f∘p
+        copies entry (n, k) of f, and the ideal columns vanish."""
+        slot, quotient = _slots(self.cochains_g.pos1), _slots(self.complement_indices)
+        return _copy_matrix([slot.get((n, quotient.get(j))) for n, j in self.cochains_e.pos1],
+                            len(slot))
+
+    @cached_property
+    def inflation2(self) -> Mat:
+        """`inflate2` on 2-cochain coordinates, g -> e: entry (s(i), s(j), k)
+        copies entry (i, j, k), and pairs with an ideal element vanish."""
+        slot, quotient = _slots(self.cochains_g.pos2), _slots(self.complement_indices)
+        return _copy_matrix([slot.get((quotient.get(i), quotient.get(j), k))
+                             for i, j, k in self.cochains_e.pos2], len(slot))
+
+    @cached_property
+    def restriction(self) -> Mat:
+        """`restrict1` on coordinates: entry (n, m) of f∘ι copies entry
+        (n, ideal[m]) of the 1-cochain f of e."""
+        slot = _slots(self.cochains_e.pos1)
+        return _copy_matrix([slot[n, self.ideal_indices[m]]
+                             for n, m in c1_positions(self.a_basis, self.a_basis)], len(slot))
+
+    @cached_property
+    def connecting_map(self) -> Mat:
+        """D: phi -> [-phi∘beta] from even maps on a to H²(g, a) coordinates.
+
+        The product of H²(g)'s coordinate map with phi -> coords2(-phi∘beta);
+        it agrees with `extend_obstruction` on End_g(a), whose images are
+        checked once to be cocycles.
+        """
+        pos_a = c1_positions(self.a_basis, self.a_basis)
+        beta = self.beta.tensor
+        cochains = Mat([[-beta[i][j][m] if n == k else 0 for n, m in pos_a]
+                        for i, j, k in self.cochains_g.pos2], cols=len(pos_a))
+        # raises MembershipError unless every image of End_g(a) is a cocycle
+        self.h2_g.coordinates(cochains @ _column_matrix(self.module_end_space))
+        return self.h2_g.quotient.coordinate_map[0] @ cochains
 
     def __repr__(self) -> str:
         names = [self.e.basis.names[i] for i in self.ideal_indices]
         return f"AbelianExtension(ideal=<{', '.join(names)}> in {self.e!r})"
+
+
+def _slots(items: Sequence) -> dict:
+    """Position of each item in a coordinate list."""
+    return {x: p for p, x in enumerate(items)}
+
+
+def _copy_matrix(sources: Sequence[Optional[int]], cols: int) -> Mat:
+    """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
+    return Mat([zero_vec(cols) if s is None else unit_vec(cols, s) for s in sources], cols=cols)
+
+
+def _column_matrix(space: SubspacePresentation) -> Mat:
+    return Mat.from_columns(space.basis, rows=space.ambient_dim)
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:

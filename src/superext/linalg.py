@@ -358,29 +358,55 @@ class QuotientPresentation:
     reproducible.
     """
 
-    __slots__ = ("ambient", "sub", "complement")
+    __slots__ = ("ambient", "sub", "complement", "_coordinate_map")
 
     def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation,
                  complement: tuple[Vec, ...]):
         self.ambient = ambient
         self.sub = sub
         self.complement = complement
+        self._coordinate_map: Optional[tuple[Mat, Mat]] = None
 
     @property
     def dim(self) -> int:
         return len(self.complement)
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> Vec:
-        """Coordinates of [v] in the complement basis.
+    @property
+    def coordinate_map(self) -> tuple[Mat, Mat]:
+        """(P, A): P·v are the class coordinates of v in span Z, A·v = 0 iff v is in span Z.
 
-        Solves v = (sub part) + (complement part); raises when v is not in
-        the ambient span.
+        Built once, from the reduced row echelon form E·[B | C | I] = [R | E].
+        [B | C] has independent columns, so its part R is the identity on
+        top of zeros: for v = B·x + C·y the top rows of E give (x, y), and
+        the rows below annihilate exactly span [B | C] = span Z.
         """
-        columns = list(self.sub.basis) + list(self.complement)
-        sol = solve(Mat.from_columns(columns, rows=self.ambient.ambient_dim), vec(v))
-        if sol is None:
+        if self._coordinate_map is None:
+            n, b, k = self.ambient.ambient_dim, self.sub.dim, self.dim
+            columns = self.sub.basis + self.complement
+            rows = [[v[i] for v in columns] + list(unit_vec(n, i)) for i in range(n)]
+            _reduce_rows(rows)
+            self._coordinate_map = (Mat([r[b + k:] for r in rows[b:b + k]], cols=n),
+                                    Mat([r[b + k:] for r in rows[b + k:]], cols=n))
+        return self._coordinate_map
+
+    def coordinates(self, columns: Mat) -> Mat:
+        """Class coordinates of each column of an N-row matrix: P·columns,
+        after the membership test A·columns = 0.
+
+        They solve column = (sub part) + (complement part); raises when a
+        column is not in the ambient span.
+        """
+        if columns.rows != self.ambient.ambient_dim:
+            raise ShapeError(f"ambient dimension is {self.ambient.ambient_dim}, "
+                             f"vectors have length {columns.rows}")
+        coords, annihilator = self.coordinate_map
+        if not (annihilator @ columns).is_zero():
             raise MembershipError("vector lies outside the ambient subspace")
-        return sol[self.sub.dim:]
+        return coords @ columns
+
+    def coordinates_of(self, v: Sequence[Fraction]) -> Vec:
+        """Coordinates of [v] in the complement basis."""
+        return self.coordinates(Mat.from_columns([v], rows=len(v))).column(0)
 
     def __eq__(self, other) -> bool:
         return (

@@ -21,10 +21,12 @@ from .algebra import (
     is_homomorphism,
     semidirect_product,
 )
-from .cohomology import c1_positions, class_of, map_from_coords, map_to_coords
+from .cohomology import c1_positions, class_of, map_from_coords
 from .errors import MembershipError
 from .extension import (
     AbelianExtension,
+    _check,
+    _column_matrix,
     beta_with_section,
     classify_endomorphism,
     derivation_compose,
@@ -35,13 +37,11 @@ from .extension import (
     from_derivation,
     induced_on_quotient,
     inflate1,
-    inflate2,
     is_module_endomorphism,
     lift_endomorphism,
     lift_obstruction,
     quasi_mul,
     quasiregular_inverse,
-    restrict1,
     ring_add,
     ring_mul,
     shifted_restriction,
@@ -186,28 +186,33 @@ class _LinearStage:
 
 def _linear_stage(ext: AbelianExtension) -> _LinearStage:
     """Z1(g,a) -> Z1(e,a) -> End_g(a) -> H2(g,a), shared by the five-term and
-    ring suites: images and kernels of each map, computed through the maps."""
-    ce, cg = ext.cochains_e, ext.cochains_g
-    pos_a = c1_positions(ext.a_basis, ext.a_basis)
+    ring suites: images and kernels of each map, as products with the
+    extension's cached coordinate matrices.  Each image is checked to land
+    in the next space."""
+    ce = ext.cochains_e
     z1e, enda = ext.z1_e, ext.module_end_space
 
-    inf_cols = [ce.coords1(inflate1(cg.cochain1(v), ext)) for v in ext.z1_g.basis]
-    res_cols = [map_to_coords(restrict1(ce.cochain1(v), ext), pos_a) for v in z1e.basis]
-    ker_res_coeffs = kernel_basis(Mat.from_columns(res_cols, rows=len(pos_a)))
-    d_cols = [
-        extend_obstruction(_module_endo_from_coords(ext, v), ext).coords
-        for v in enda.basis
-    ]
-    ker_d_coeffs = kernel_basis(Mat.from_columns(d_cols, rows=ext.h2_g.dim))
+    inf = ext.inflation1 @ _column_matrix(ext.z1_g)
+    _check((ce.d1 @ inf).is_zero(), "inflated map is not a derivation of e")
+    res = ext.restriction @ _column_matrix(z1e)
+    _check((ext.module_end_constraints @ res).is_zero(),
+           "restriction is not a module endomorphism")
+    ker_res_coeffs = kernel_basis(res)
+    d = ext.connecting_map @ _column_matrix(enda)
+    ker_d_coeffs = kernel_basis(d)
     return _LinearStage(
-        img_inf=SubspacePresentation.from_spanning(len(ce.pos1), inf_cols),
-        img_res=SubspacePresentation.from_spanning(len(pos_a), res_cols),
+        img_inf=SubspacePresentation.from_spanning(inf.rows, _columns(inf)),
+        img_res=SubspacePresentation.from_spanning(res.rows, _columns(res)),
         ker_res=SubspacePresentation.from_spanning(
-            len(ce.pos1), [z1e.combine(c) for c in ker_res_coeffs.basis]),
-        d_cols=d_cols,
+            inf.rows, [z1e.combine(c) for c in ker_res_coeffs.basis]),
+        d_cols=_columns(d),
         ker_d=SubspacePresentation.from_spanning(
-            len(pos_a), [enda.combine(c) for c in ker_d_coeffs.basis]),
+            res.rows, [enda.combine(c) for c in ker_d_coeffs.basis]),
     )
+
+
+def _columns(m: Mat) -> list[Vec]:
+    return [m.column(j) for j in range(m.cols)]
 
 
 def verify_five_term(ext: AbelianExtension) -> Report:
@@ -227,11 +232,8 @@ def verify_five_term(ext: AbelianExtension) -> Report:
             image_dim=st.img_res.dim, kernel_dim=st.ker_d.dim)
 
     img_d = SubspacePresentation.from_spanning(h2g.dim, st.d_cols)
-    inf2_cols = [
-        class_of(inflate2(ext.cochains_g.cochain2(v), ext), h2e).coords
-        for v in h2g.quotient.complement
-    ]
-    ker_inf2 = kernel_basis(Mat.from_columns(inf2_cols, rows=h2e.dim))
+    complement = Mat.from_columns(h2g.quotient.complement, rows=len(ext.cochains_g.pos2))
+    ker_inf2 = kernel_basis(h2e.coordinates(ext.inflation2 @ complement))
     rep.add("image_of_connecting_map_is_kernel_of_inflation2",
             subspace_equal(img_d, ker_inf2),
             image_dim=img_d.dim, kernel_dim=ker_inf2.dim)

@@ -1,6 +1,30 @@
 import pytest
 
 from superext import fixtures
+from superext.algebra import LieSuperalgebra, SuperBasis
+from superext.extension import build_extension
+
+
+def heisenberg_extension(k, odd=False):
+    """h_{2k+1} on x1..xk, y1..yk, z with [x_i, y_i] = z, over its centre <z>.
+
+    The odd variant keeps every x_i even and makes the y_i and z odd.
+    """
+    p = 1 if odd else 0
+    pairs = range(1, k + 1)
+    basis = SuperBasis([(f"x{i}", 0) for i in pairs] + [(f"y{i}", p) for i in pairs] + [("z", p)])
+    e = LieSuperalgebra.from_brackets(basis, {(f"x{i}", f"y{i}"): {"z": 1} for i in pairs})
+    return build_extension(e, [2 * k])
+
+
+def sl2_v2_extension():
+    """sl2 ⋉ V2 with the standard representation, over the ideal V2."""
+    basis = SuperBasis([("e", 0), ("f", 0), ("h", 0), ("v1", 0), ("v2", 0)])
+    e = LieSuperalgebra.from_brackets(basis, {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
+        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1}})
+    return build_extension(e, [3, 4])
 
 
 @pytest.fixture(scope="session")
@@ -40,4 +64,17 @@ def all_even_corpus(h3_ext, sd_ext, aff_ext):
         ("identity_semidirect", sd_ext),
         ("affine_scaling", aff_ext),
         ("central_direct_sum", fixtures.central_direct_sum_extension()),
+    ]
+
+
+@pytest.fixture(scope="session")
+def pin_corpus(corpus):
+    """The fixture corpus with split and odd cases, and an ideal listed first."""
+    return corpus + [
+        ("central_direct_sum", fixtures.central_direct_sum_extension()),
+        ("odd_semidirect", fixtures.odd_semidirect_extension()),
+        ("h5_odd", heisenberg_extension(2, odd=True)),
+        ("sl2_v2", sl2_v2_extension()),
+        ("h3_centre_first", build_extension(LieSuperalgebra.from_brackets(
+            SuperBasis([("z", 0), ("x", 0), ("y", 0)]), {("x", "y"): {"z": 1}}), [0])),
     ]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superext
 from superext.cli import main
@@ -407,3 +411,65 @@ def test_extension_with_unknown_ideal_name(capsys, tmp_path):
     ext = _write(tmp_path / "bad.ext.json", {"algebra": "h3b.json", "ideal": ["w"]})
     code, _, err = _run(capsys, ["cohomology", ext])
     assert code == 1
+
+
+# -- malformed files never leak a traceback ------------------------------------
+
+_FUZZ_VALUES = (
+    None, True, 0, 1, 2, -1, 1.5, "", "x", "z", "w", "1/0", "1/2", "1.5", "-",
+    [], {}, [1], ["x"], ["x", "y"], ["x", "y", "z"], ["z", "z"], {"name": "x"},
+)
+
+
+def _json_paths(value, prefix=()):
+    """Every (container path, key) inside a JSON value, parents first."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value)) \
+        if isinstance(value, list) else ()
+    for key in keys:
+        yield prefix, key
+        yield from _json_paths(value[key], prefix + (key,))
+
+
+def _mutate(doc, data):
+    doc = json.loads(json.dumps(doc))
+    container_path, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+    container = doc
+    for step in container_path:
+        container = container[step]
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(st.sampled_from(_FUZZ_VALUES))
+    return doc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_files_end_in_a_documented_exit_code(tmp_path_factory, data):
+    # each run ends in 0-3 without an exception; a run that stops on an error
+    # prints exactly one `error:` line and no report
+    root = tmp_path_factory.mktemp("fuzz")
+    target = data.draw(st.sampled_from(["algebra", "extension"]))
+    algebra = _mutate(H3, data) if target == "algebra" else H3
+    extension = {"algebra": "h3.json", "ideal": ["z"]}
+    if target == "extension":
+        extension = _mutate(extension, data)
+    _write(root / "h3.json", algebra)
+    ext = _write(root / "h3.ext.json", extension)
+    phi = _write(root / "phi.json", {"domain": "a", "codomain": "a", "entries": [
+        {"from": "z", "to": "z", "coeff": "1"}]})
+    psi = _write(root / "psi.json", {"domain": "g", "codomain": "g", "entries": [
+        {"from": "x", "to": "x", "coeff": "1"}, {"from": "y", "to": "y", "coeff": "1"}]})
+    for argv in (["validate", str(root / "h3.json")], ["cohomology", ext],
+                 ["verify", ext, "--suite", "five-term"], ["extend", ext, phi],
+                 ["lift", ext, psi]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert code in (0, 1, 2, 3), (argv, algebra, extension)
+        assert "Traceback" not in err.getvalue()
+        if code in (1, 2):
+            assert len(errors) == 1, (argv, algebra, extension, err.getvalue())
+        else:
+            assert errors == [] and json.loads(out.getvalue())

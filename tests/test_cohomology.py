@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from superext.algebra import (
     SuperBasis,
     validate_module,
 )
-from superext import cohomology, fixtures
+from superext import cohomology, extension, fixtures, linalg
 from superext.cohomology import (
     Cochain2,
     CochainComplex,
@@ -36,8 +37,10 @@ from superext.cohomology import (
 from superext.errors import MembershipError, ShapeError
 from superext.extension import build_extension
 from superext.fixtures import heisenberg3_extension, odd_heisenberg_extension
-from superext.linalg import Mat, inverse, kernel_basis, unit_vec, vec, zero_vec
+from superext.linalg import Mat, inverse, kernel_basis, solve, unit_vec, vec, zero_vec
 from superext.sequences import verify_five_term, verify_ring_sequence
+
+from conftest import heisenberg_extension, sl2_v2_extension
 
 
 def _ab2():
@@ -252,28 +255,6 @@ def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
 # -- the linearized 2-cocycle constraints --------------------------------------
 
 
-def _heisenberg_extension(k, odd=False):
-    """h_{2k+1} on x1..xk, y1..yk, z with [x_i, y_i] = z, over its centre <z>.
-
-    The odd variant keeps every x_i even and makes the y_i and z odd.
-    """
-    p = 1 if odd else 0
-    pairs = range(1, k + 1)
-    basis = SuperBasis([(f"x{i}", 0) for i in pairs] + [(f"y{i}", p) for i in pairs] + [("z", p)])
-    e = LieSuperalgebra.from_brackets(basis, {(f"x{i}", f"y{i}"): {"z": 1} for i in pairs})
-    return build_extension(e, [2 * k])
-
-
-def _sl2_v2_extension():
-    """sl2 ⋉ V2 with the standard representation, over the ideal V2."""
-    basis = SuperBasis([("e", 0), ("f", 0), ("h", 0), ("v1", 0), ("v2", 0)])
-    e = LieSuperalgebra.from_brackets(basis, {
-        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
-        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
-        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1}})
-    return build_extension(e, [3, 4])
-
-
 _Z2_CORPUS = {
     "heisenberg3": fixtures.heisenberg3_extension,
     "odd_heisenberg": fixtures.odd_heisenberg_extension,
@@ -281,11 +262,11 @@ _Z2_CORPUS = {
     "affine_scaling": fixtures.affine_scaling_extension,
     "central_direct_sum": fixtures.central_direct_sum_extension,
     "odd_semidirect": fixtures.odd_semidirect_extension,
-    "h5": lambda: _heisenberg_extension(2),
-    "h5_odd": lambda: _heisenberg_extension(2, odd=True),
-    "h7": lambda: _heisenberg_extension(3),
-    "h7_odd": lambda: _heisenberg_extension(3, odd=True),
-    "sl2_v2": _sl2_v2_extension,
+    "h5": lambda: heisenberg_extension(2),
+    "h5_odd": lambda: heisenberg_extension(2, odd=True),
+    "h7": lambda: heisenberg_extension(3),
+    "h7_odd": lambda: heisenberg_extension(3, odd=True),
+    "sl2_v2": sl2_v2_extension,
 }
 
 
@@ -368,6 +349,29 @@ def test_complex_is_cocycle1_agrees_with_the_definition(name, side):
             is_cocycle1(f, cx.g, cx.m)
 
 
+@pytest.mark.parametrize("side", ["g", "e"])
+@pytest.mark.parametrize("name", sorted(_Z2_CORPUS))
+def test_cached_class_coordinates_equal_the_solve_path(name, side):
+    # one product with the cached P against one elimination of [B | C] per vector
+    cx = _z2_case(name, side)
+    quotient = cx.h2.quotient
+    system = Mat.from_columns(quotient.sub.basis + quotient.complement, rows=len(cx.pos2))
+    rng = random.Random(79)
+    for _ in range(4):
+        v = cx.z2.combine(
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cx.z2.dim)))
+        coords = quotient.coordinates_of(v)
+        assert coords == solve(system, v)[quotient.sub.dim:], (name, side, v)
+        assert class_of(cx.cochain2(v), cx.h2).coords == coords
+    n2 = len(cx.pos2)
+    for u in [unit_vec(n2, p) for p in range(n2) if not cx.z2.contains(unit_vec(n2, p))][:2]:
+        assert solve(system, u) is None
+        with pytest.raises(MembershipError, match="outside the ambient subspace"):
+            quotient.coordinates_of(u)
+        with pytest.raises(MembershipError, match="the 2-cochain is not a cocycle"):
+            class_of(cx.cochain2(u), cx.h2)
+
+
 def test_complex_is_cocycle2_rejects_mismatched_cochains(h3_ext):
     cx = h3_ext.cochains_g
     with pytest.raises(ShapeError):
@@ -390,7 +394,7 @@ def test_building_and_verifying_h5_never_runs_the_full_residual(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cohomology, "_twisted_jacobi_residuals", counted)
-    ext = _heisenberg_extension(2)
+    ext = heisenberg_extension(2)
     assert verify_five_term(ext).passed
     assert calls == []
 
@@ -425,10 +429,57 @@ def test_warm_ring_sequence_checks_membership_with_cached_operators(name, monkey
 def test_heisenberg_h2_matches_the_closed_form(k):
     # Santharoubane (Proc. AMS 87, 1983): dim H²(h_{2k+1}) = C(2k,2) - 1 for
     # k >= 2 and 2 for k = 1; the quotient Ab(2k) has dim H² = C(2k,2)
-    ext = _heisenberg_extension(k)
+    ext = heisenberg_extension(k)
     pairs = math.comb(2 * k, 2)
     assert ext.h2_g.dim == pairs
     assert ext.h2_e.dim == (2 if k == 1 else pairs - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+def test_heisenberg_five_term_dims_match_the_closed_form(k):
+    # h_{2k+1} over its centre <z>: g = Ab(2k) with the trivial action; every
+    # linear map is a derivation of g, and those of e are the maps killing z;
+    # End_g(a) = Q, restriction is zero, and D(id) = -[beta] spans H²(g)'s
+    # image, which inflation kills (Santharoubane's H² dims as above)
+    pairs = math.comb(2 * k, 2)
+    report = verify_five_term(heisenberg_extension(k))
+    assert report.passed
+    assert report.dims == {
+        "z1_g": 2 * k, "z1_e": 2 * k, "end_g_a": 1,
+        "h2_g": pairs, "h2_e": 2 if k == 1 else pairs - 1,
+        "img_res": 0, "ker_d": 0, "img_d": 1, "ker_inf2": 1,
+    }
+
+
+@pytest.mark.parametrize("k, odd", [(3, False), (2, True)])
+def test_five_term_maps_are_products_with_cached_matrices(k, odd, monkeypatch):
+    # building H² makes no coboundary1 call, and a warm five-term check no
+    # solve, no inflate2 and no Cochain2.eval: every map is a cached matrix
+    counts = {}
+
+    def counted(name, fn):
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("superext")]
+    for name, original in (("solve", linalg.solve), ("coboundary1", cohomology.coboundary1),
+                           ("inflate2", extension.inflate2)):
+        wrapper = counted(name, original)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(Cochain2, "eval", counted("eval", Cochain2.eval))
+    ext = heisenberg_extension(k, odd=odd)
+    ext.h2_g, ext.h2_e
+    assert counts["coboundary1"] == 0
+    cold = verify_five_term(ext)
+    counts.update(dict.fromkeys(counts, 0))
+    assert verify_five_term(ext).to_dict() == cold.to_dict()
+    assert counts == {"solve": 0, "coboundary1": 0, "inflate2": 0, "eval": 0}
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

@@ -11,10 +11,12 @@ from superext.algebra import (
     semidirect_product,
 )
 from superext.cohomology import (
+    Cochain2,
     c1_positions,
     class_of,
     coboundary1,
     map_from_coords,
+    map_to_coords,
 )
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
 from superext import fixtures
@@ -456,26 +458,16 @@ def test_extend_rejects_non_equivariant_maps():
 def test_warm_extend_and_lift_evaluate_coboundaries_only_in_membership_checks(
         corpus, monkeypatch):
     # the solvers and the membership checks of their witnesses are products
-    # with the extension's cached d¹; coboundary1 may run only inside the
-    # definitional module-level is_cocycle1
+    # with the extension's cached d¹, which is read off the structure
+    # tensors, so coboundary1 never runs
     from superext import cohomology, extension
 
     original = cohomology.coboundary1
-    depth = 0
-    outside = []
+    calls = []
 
     def counted(*args):
-        if depth == 0:
-            outside.append(args)
+        calls.append(args)
         return original(*args)
-
-    def membership(*args):
-        nonlocal depth
-        depth += 1
-        try:
-            return cohomology.is_cocycle1(*args)
-        finally:
-            depth -= 1
 
     def queries(ext):
         for phi in (GradedLinearMap.zero(ext.a_basis, ext.a_basis),
@@ -488,10 +480,9 @@ def test_warm_extend_and_lift_evaluate_coboundaries_only_in_membership_checks(
     for mod in (cohomology, extension):
         if getattr(mod, "coboundary1", None) is original:
             monkeypatch.setattr(mod, "coboundary1", counted)
-    monkeypatch.setattr(extension, "is_cocycle1", membership)
     for _, ext in corpus:
         queries(ext)
-    assert outside == []
+    assert calls == []
 
 
 # -- the monoid picture -------------------------------------------------------
@@ -621,7 +612,6 @@ def test_inflate1_requires_a_cocycle():
 
 def test_kernel_of_restriction_is_the_inflated_space(corpus):
     from superext.linalg import SubspacePresentation
-    from superext.cohomology import map_to_coords
 
     for _, ext in corpus:
         pos_e = c1_positions(ext.e.basis, ext.a_basis)
@@ -642,6 +632,54 @@ def test_kernel_of_restriction_is_the_inflated_space(corpus):
         for v in inflated.basis:
             assert restrict1(map_from_coords(ext.e.basis, ext.a_basis, pos_e, v), ext).is_zero()
         assert inflated.dim <= len(vanishing) or ext.z1_g.dim == 0
+
+
+def _inflate2_body(b, ext):
+    """inflate2 without its membership checks: b on projected arguments."""
+    images = [ext.projection.image_of_basis(i) for i in range(ext.dim_e)]
+    return Cochain2(ext.e.basis, ext.a_basis, [[b.eval(x, y) for y in images] for x in images])
+
+
+def test_inflation_and_restriction_matrices_match_the_definitions(pin_corpus):
+    # every unit column against the bare composite; the cocycles of each
+    # domain against inflate1, inflate2 and restrict1 themselves
+    for name, ext in pin_corpus:
+        cg, ce = ext.cochains_g, ext.cochains_e
+        for p in range(len(cg.pos1)):
+            f = cg.cochain1(unit_vec(len(cg.pos1), p))
+            assert ext.inflation1.column(p) == ce.coords1(f.compose(ext.projection)), (name, p)
+        for v in ext.z1_g.basis:
+            assert ext.inflation1.apply(v) == ce.coords1(inflate1(cg.cochain1(v), ext)), name
+        for p in range(len(cg.pos2)):
+            b = cg.cochain2(unit_vec(len(cg.pos2), p))
+            assert ext.inflation2.column(p) == ce.coords2(_inflate2_body(b, ext)), (name, p)
+        for v in ext.cochains_g.z2.basis:
+            assert ext.inflation2.apply(v) == ce.coords2(inflate2(cg.cochain2(v), ext)), name
+        pos_a = c1_positions(ext.a_basis, ext.a_basis)
+        for p in range(len(ce.pos1)):
+            f = ce.cochain1(unit_vec(len(ce.pos1), p))
+            assert ext.restriction.column(p) == map_to_coords(f.compose(ext.inclusion), pos_a)
+        for v in ext.z1_e.basis:
+            assert ext.restriction.apply(v) == map_to_coords(
+                restrict1(ce.cochain1(v), ext), pos_a), name
+
+
+def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
+    rng = random.Random(83)
+    for name, ext in pin_corpus:
+        pos_a = c1_positions(ext.a_basis, ext.a_basis)
+        coords, _ = ext.h2_g.quotient.coordinate_map
+        for p in range(len(pos_a)):
+            phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, unit_vec(len(pos_a), p))
+            minus_phi_beta = ext.cochains_g.coords2(ext.beta.postcompose(phi).scale(-1))
+            assert ext.connecting_map.column(p) == coords.apply(minus_phi_beta), (name, p)
+        space = ext.module_end_space
+        samples = list(space.basis) + [
+            space.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(space.dim))) for _ in range(2)]
+        for v in samples:
+            phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
+            assert ext.connecting_map.apply(v) == extend_obstruction(phi, ext).coords, name
 
 
 # -- quasiregular elements ----------------------------------------------------
