@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
+    _ZERO,
     Mat,
     Vec,
     bilinear,
@@ -99,7 +100,7 @@ class Violation:
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra given by structure constants."""
 
-    __slots__ = ("basis", "structure")
+    __slots__ = ("basis", "structure", "_sparse")
 
     def __init__(self, basis: SuperBasis, structure: Sequence[Sequence[Sequence]]):
         n = basis.dim
@@ -113,6 +114,7 @@ class LieSuperalgebra:
             for j in range(n):
                 if len(self.structure[i][j]) != n:
                     raise ShapeError("structure tensor entries have the wrong length")
+        self._sparse = None
 
     @classmethod
     def abelian(cls, basis: SuperBasis) -> "LieSuperalgebra":
@@ -162,11 +164,17 @@ class LieSuperalgebra:
     def dim(self) -> int:
         return self.basis.dim
 
+    def _view(self) -> list[list[tuple]]:
+        """The `_nonzero_entries` view of the structure tensor, built on first use."""
+        if self._sparse is None:
+            self._sparse = _nonzero_entries(self.structure)
+        return self._sparse
+
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeError("vectors do not match the algebra dimension")
-        return bilinear(self.structure, x, y, n)
+        return bilinear(self._view(), x, y, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,11 +223,12 @@ def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
     b = g.basis
     n = b.dim
     names = b.names
+    sparse = g._view()
     for i in range(n):
         for j in range(n):
             want = (b.parity(i) + b.parity(j)) % 2
-            for k in range(n):
-                if g.structure[i][j][k] != 0 and b.parity(k) != want:
+            for k, _ in sparse[i][j]:
+                if b.parity(k) != want:
                     return Violation(
                         "parity",
                         (names[i], names[j], names[k]),
@@ -236,7 +245,6 @@ def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
                     (names[j], names[i]),
                     f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]",
                 )
-    sparse = _nonzero_entries(g.structure)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -256,7 +264,7 @@ class ModuleAction:
     action[i][m] holds the coordinates of b_i · v_m in the space basis.
     """
 
-    __slots__ = ("algebra", "space", "action")
+    __slots__ = ("algebra", "space", "action", "_sparse")
 
     def __init__(self, algebra: LieSuperalgebra, space: SuperBasis,
                  action: Sequence[Sequence[Sequence]]):
@@ -270,6 +278,7 @@ class ModuleAction:
             for m in range(d):
                 if len(self.action[i][m]) != d:
                     raise ShapeError("action tensor entries have the wrong length")
+        self._sparse = None
 
     @classmethod
     def trivial(cls, algebra: LieSuperalgebra, space: SuperBasis) -> "ModuleAction":
@@ -290,10 +299,16 @@ class ModuleAction:
                     out[k] += vm * s
         return tuple(out)
 
+    def _view(self) -> list[list[tuple]]:
+        """The `_nonzero_entries` view of the action tensor, built on first use."""
+        if self._sparse is None:
+            self._sparse = _nonzero_entries(self.action)
+        return self._sparse
+
     def act(self, x: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.space.dim:
             raise ShapeError("vector sizes do not match the action")
-        return bilinear(self.action, x, v, self.space.dim)
+        return bilinear(self._view(), x, v, self.space.dim)
 
     def is_trivial(self) -> bool:
         return all(is_zero_vec(self.action[i][m])
@@ -344,11 +359,12 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
         return bad
     ab = m.algebra.basis
     sb = m.space
+    view = m._view()
     for i in range(ab.dim):
         for v in range(sb.dim):
             want = (ab.parity(i) + sb.parity(v)) % 2
-            for k in range(sb.dim):
-                if m.action[i][v][k] != 0 and sb.parity(k) != want:
+            for k, _ in view[i][v]:
+                if sb.parity(k) != want:
                     return Violation(
                         "module-parity",
                         (ab.names[i], sb.names[v], sb.names[k]),
@@ -387,9 +403,11 @@ class GradedLinearMap:
             raise ShapeError(
                 f"matrix is {matrix.rows}x{matrix.cols}, expected {codomain.dim}x{domain.dim}"
             )
-        for r in range(matrix.rows):
-            for c in range(matrix.cols):
-                if matrix.entry(r, c) != 0 and codomain.parity(r) != (domain.parity(c) + degree) % 2:
+        parities = domain.parities
+        for r, row in enumerate(matrix.data):
+            want = (codomain.parities[r] + degree) % 2
+            for c, x in enumerate(row):
+                if x is not _ZERO and parities[c] != want:
                     raise ShapeError(
                         f"entry ({codomain.names[r]}, {domain.names[c]}) breaks homogeneity "
                         f"of degree {degree}"
@@ -476,12 +494,13 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
     if phi.degree != 0:
         return False
     n = g.dim
+    images = [phi.image_of_basis(i) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             if i == j and g.basis.parity(i) == 0:
                 continue
             lhs = phi.apply(g.structure[i][j])
-            rhs = h.bracket(phi.image_of_basis(i), phi.image_of_basis(j))
+            rhs = h.bracket(images[i], images[j])
             if lhs != rhs:
                 return False
     return True

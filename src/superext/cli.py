@@ -8,6 +8,7 @@ violation, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,7 +206,9 @@ def _cmd_semidirect(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call shares; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="superext",
         description="Exact cohomology of abelian Lie superalgebra extensions",
@@ -248,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -87,7 +87,7 @@ class Cochain2:
     enforces beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity.
     """
 
-    __slots__ = ("source", "target", "tensor", "degree")
+    __slots__ = ("source", "target", "tensor", "degree", "_sparse")
 
     def __init__(self, source: SuperBasis, target: SuperBasis,
                  tensor: Sequence[Sequence[Sequence]], degree: int = 0):
@@ -122,6 +122,7 @@ class Cochain2:
         self.target = target
         self.tensor = grid
         self.degree = degree
+        self._sparse = None
 
     @classmethod
     def zero(cls, source: SuperBasis, target: SuperBasis, degree: int = 0) -> "Cochain2":
@@ -147,10 +148,16 @@ class Cochain2:
     def value(self, i: int, j: int) -> Vec:
         return self.tensor[i][j]
 
+    def _view(self) -> list[list[tuple]]:
+        """The `_nonzero_entries` view of the tensor, built on first use."""
+        if self._sparse is None:
+            self._sparse = _nonzero_entries(self.tensor)
+        return self._sparse
+
     def eval(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         if len(x) != self.source.dim or len(y) != self.source.dim:
             raise ShapeError("vectors do not match the source dimension")
-        return bilinear(self.tensor, x, y, self.target.dim)
+        return bilinear(self._view(), x, y, self.target.dim)
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)

@@ -162,6 +162,11 @@ class AbelianExtension:
     # -- cached derived spaces -------------------------------------------
 
     @cached_property
+    def identity(self) -> Mat:
+        """The identity matrix of e, which the quotient-fixing maps are read against."""
+        return Mat.identity(self.dim_e)
+
+    @cached_property
     def adjoint(self) -> ModuleAction:
         """The ideal as a module over the ambient algebra (adjoint action)."""
         act = [
@@ -376,34 +381,37 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
 # -- the derivation picture of quotient-fixing endomorphisms --------------
 
 
-def _derivation_part(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
-    """The derivation h with f = id + ι∘h when f fixes the quotient, else None.
+def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Vec]:
+    """The 1-cochain coordinates of h with f = id + ι∘h when f fixes the quotient, else None.
 
     Agrees with `classify_endomorphism(f, ext).fixes_quotient`: f preserves
     the ideal and induces the identity iff the complement rows of f - id
     vanish, so f = id + ι∘h with h even; since a is abelian, [h x, h y] = 0
     and f is a homomorphism iff h is a derivation, one product with d¹.
+    h's coordinates are read off f's ideal rows: f and id are even, so h
+    has no entries outside the positions of `cochains_e.pos1`.
     """
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
     if f.degree != 0:
         return None
-    data, n = f.matrix.data, ext.dim_e
-    if any(data[c] != unit_vec(n, c) for c in ext.complement_indices):
+    data, ident = f.matrix.data, ext.identity.data
+    if any(data[c] != ident[c] for c in ext.complement_indices):
         return None
-    rows = [sub_vec(data[i], unit_vec(n, i)) for i in ext.ideal_indices]
-    h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=n))
-    return h if ext.cochains_e.is_cocycle1(h) else None
+    ideal = ext.ideal_indices
+    coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
+                   for n, i in ext.cochains_e.pos1)
+    return coords if is_zero_vec(ext.cochains_e.d1.apply(coords)) else None
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> x + h(x), an ideal-preserving endomorphism inducing the identity."""
     _require(is_ideal_derivation(h, ext), "not an even derivation into the ideal")
-    f = GradedLinearMap(
-        ext.e.basis, ext.e.basis,
-        Mat.identity(ext.dim_e) + ext.inclusion.matrix @ h.matrix,
-    )
-    _check(_derivation_part(f, ext) is not None, "x + h(x) does not fix the quotient")
+    rows = list(ext.identity.data)
+    for m, idx in enumerate(ext.ideal_indices):
+        rows[idx] = add_vec(rows[idx], h.matrix.data[m])
+    f = GradedLinearMap(ext.e.basis, ext.e.basis, Mat(rows, cols=ext.dim_e))
+    _check(_derivation_coords(f, ext) is not None, "x + h(x) does not fix the quotient")
     return f
 
 
@@ -412,26 +420,25 @@ def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
 
     The one product that decides whether f fixes the quotient checks that h is a derivation.
     """
-    h = _derivation_part(f, ext)
+    coords = _derivation_coords(f, ext)
     _require(
-        h is not None,
+        coords is not None,
         "map is not an ideal-preserving homomorphism inducing the identity",
     )
-    return h
+    return ext.cochains_e.cochain1(coords)
 
 
 def _require_quotient_fixing(maps, ext: AbelianExtension) -> None:
     for m in maps:
-        _require(_derivation_part(m, ext) is not None,
+        _require(_derivation_coords(m, ext) is not None,
                  "ring operations need quotient-fixing endomorphisms")
 
 
-def _ring_add_matrix(f: GradedLinearMap, g: GradedLinearMap, n: int) -> Mat:
-    return f.matrix + g.matrix - Mat.identity(n)
+def _ring_add_matrix(f: GradedLinearMap, g: GradedLinearMap, ident: Mat) -> Mat:
+    return f.matrix + g.matrix - ident
 
 
-def _ring_mul_matrix(f: GradedLinearMap, g: GradedLinearMap, n: int) -> Mat:
-    ident = Mat.identity(n)
+def _ring_mul_matrix(f: GradedLinearMap, g: GradedLinearMap, ident: Mat) -> Mat:
     return f.matrix @ g.matrix - f.matrix - g.matrix + ident + ident
 
 
@@ -441,16 +448,16 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     The identity map is the zero element of this ring.
     """
     _require_quotient_fixing((f, g), ext)
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ext.dim_e))
-    _check(_derivation_part(out, ext) is not None, "ring sum does not fix the quotient")
+    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ext.identity))
+    _check(_derivation_coords(out, ext) is not None, "ring sum does not fix the quotient")
     return out
 
 
 def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ext.dim_e))
-    _check(_derivation_part(out, ext) is not None, "ring product does not fix the quotient")
+    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ext.identity))
+    _check(_derivation_coords(out, ext) is not None, "ring product does not fix the quotient")
     return out
 
 
@@ -458,11 +465,11 @@ def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> 
     """The ring's circle operation f*g = f + g + f·g, evaluated through the
     transported ring operations; it turns out to equal composition."""
     _require_quotient_fixing((f, g), ext)
-    n = ext.dim_e
-    fg = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, n))
-    added = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, n))
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(added, fg, n))
-    _check(_derivation_part(out, ext) is not None, "circle product does not fix the quotient")
+    ident = ext.identity
+    fg = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ident))
+    added = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ident))
+    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(added, fg, ident))
+    _check(_derivation_coords(out, ext) is not None, "circle product does not fix the quotient")
     return out
 
 
@@ -485,13 +492,13 @@ def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLine
 
 def quasiregular_inverse(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
     """Circle-inverse of f when it exists, i.e. when f is bijective."""
-    _require(_derivation_part(f, ext) is not None,
+    _require(_derivation_coords(f, ext) is not None,
              "quasiregular inverse needs a quotient-fixing endomorphism")
     inv = inverse(f.matrix)
     if inv is None:
         return None
     g = GradedLinearMap(ext.e.basis, ext.e.basis, inv)
-    _check(_derivation_part(g, ext) is not None, "inverse does not fix the quotient")
+    _check(_derivation_coords(g, ext) is not None, "inverse does not fix the quotient")
     ident = GradedLinearMap.identity(ext.e.basis)
     _check(quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident,
            "inverse is not a two-sided circle inverse")

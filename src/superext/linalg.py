@@ -3,6 +3,11 @@
 Everything here is tolerance-free: entries are `fractions.Fraction`, pivot
 choice is deterministic (first nonzero entry in row order), and outputs
 are reproducible bit for bit.  No floating point enters at any stage.
+
+Every entry of a `Mat` passes through `rat`, so every zero entry is the one
+shared `_ZERO`.  `Mat.apply`, `+` and `-` rely on this and test a matrix's
+own entries for zero by identity.  Vectors passed in by callers may hold
+other zeros, such as `Fraction(0, 7)`, and are tested by value.
 """
 
 from __future__ import annotations
@@ -66,24 +71,24 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
-def bilinear(tensor: Sequence[Sequence[Sequence]], x: Sequence, y: Sequence, dim: int) -> Vec:
-    """sum_{i,j} x_i y_j tensor[i][j], a vector of length `dim`; zeros are skipped.
+def bilinear(sparse: Sequence[Sequence[Sequence[tuple]]], x: Sequence, y: Sequence, dim: int) -> Vec:
+    """sum_{i,j} x_i y_j T[i][j], a vector of length `dim`.
 
-    Entries only need +, * and comparison with 0, so `cohomology` can pass
-    symbolic values through as long as no two of them are multiplied.
+    `sparse` is the nonzero view of the tensor T: sparse[i][j] lists the
+    (k, c) with T[i][j][k] = c != 0, in increasing k, so the terms are added
+    in the same order as over the dense tensor.
     """
     out = [_ZERO] * dim
     for i, xi in enumerate(x):
         if xi == 0:
             continue
-        row = tensor[i]
+        row = sparse[i]
         for j, yj in enumerate(y):
-            c = xi * yj
-            if c == 0:
+            if yj == 0:
                 continue
-            for k, s in enumerate(row[j]):
-                if s != 0:
-                    out[k] += c * s
+            c = xi * yj
+            for k, s in row[j]:
+                out[k] += c * s
     return tuple(out)
 
 
@@ -141,8 +146,9 @@ class Mat:
             if vj == 0:
                 continue
             for i, row in enumerate(self.data):
-                if row[j] != 0:
-                    out[i] += vj * row[j]
+                c = row[j]
+                if c is not _ZERO:
+                    out[i] += vj * c
         return tuple(out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -152,11 +158,13 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([add_vec(r, s) for r, s in zip(self.data, other.data)], cols=self.cols)
+        return Mat([[a if b is _ZERO else b if a is _ZERO else a + b for a, b in zip(r, s)]
+                    for r, s in zip(self.data, other.data)], cols=self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([sub_vec(r, s) for r, s in zip(self.data, other.data)], cols=self.cols)
+        return Mat([[a if b is _ZERO else a - b for a, b in zip(r, s)]
+                    for r, s in zip(self.data, other.data)], cols=self.cols)
 
     def __neg__(self) -> "Mat":
         return self.scale(Fraction(-1))

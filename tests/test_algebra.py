@@ -273,12 +273,30 @@ def test_quotients_revalidate():
 # -- the sparse super-Jacobi kernel against the dense definition ----------------
 
 
+def _dense_bilinear(tensor, x, y, dim):
+    """Reference product: sum_{i,j} x_i y_j tensor[i][j] over the dense tensor,
+    testing every structure constant against zero."""
+    out = [Fraction(0)] * dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = tensor[i]
+        for j, yj in enumerate(y):
+            c = xi * yj
+            if c == 0:
+                continue
+            for k, s in enumerate(row[j]):
+                if s != 0:
+                    out[k] += c * s
+    return tuple(out)
+
+
 def _dense_jacobi_residual(structure, parities, i, j, k):
     """Reference residual: three dense bilinear products against unit vectors."""
     n = len(parities)
-    left = bilinear(structure, structure[i][j], unit_vec(n, k), n)
-    right1 = bilinear(structure, unit_vec(n, i), structure[j][k], n)
-    right2 = bilinear(structure, unit_vec(n, j), structure[i][k], n)
+    left = _dense_bilinear(structure, structure[i][j], unit_vec(n, k), n)
+    right1 = _dense_bilinear(structure, unit_vec(n, i), structure[j][k], n)
+    right2 = _dense_bilinear(structure, unit_vec(n, j), structure[i][k], n)
     s = _sign(parities[i], parities[j])
     return tuple(a - b + s * c for a, b, c in zip(left, right1, right2))
 
@@ -365,11 +383,14 @@ def _random_tensor(rng):
     return structure, parities
 
 
-def _kernel_corpus():
+def _kernel_extensions():
     exts = [ext for _, ext in standard_corpus() + all_even_corpus()]
-    exts += [odd_semidirect_extension(), _odd_h5(), _sl2_v2()]
+    return exts + [odd_semidirect_extension(), _odd_h5(), _sl2_v2()]
+
+
+def _kernel_corpus():
     cases = []
-    for ext in exts:
+    for ext in _kernel_extensions():
         cases.append((ext.e.structure, ext.e.basis.parities))
         for cx in (ext.cochains_g, ext.cochains_e):
             parities = cx.g.basis.parities + cx.m.space.parities
@@ -398,6 +419,41 @@ def test_sparse_jacobi_kernel_matches_the_dense_residual_on_every_triple():
                     elif any(r != 0 for r in dense):
                         nonzero += 1
     assert skipped >= 1000 and nonzero >= 1000, (skipped, nonzero)
+
+
+def _random_vector(rng, n):
+    """Random rationals mixed with zeros that are not the shared zero of `linalg`."""
+    return tuple(rng.choice((Fraction(0, 7), Fraction(0), 0, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                 for _ in range(n))
+
+
+def test_sparse_kernels_match_the_dense_bilinear():
+    """`bilinear` over the nonzero view, and the `bracket`, `act` and `eval` built
+    on it, against the dense product on unit and random vectors."""
+    rng = random.Random(17)
+    compared = 0
+    for structure, parities in _kernel_corpus():
+        if any(isinstance(c, _LinearForm) for row in structure for v in row for c in v):
+            continue  # beta held symbolically feeds only the residual, never a product
+        sparse, n = _nonzero_entries(structure), len(parities)
+        vectors = [unit_vec(n, i) for i in range(n)] + [_random_vector(rng, n) for _ in range(4)]
+        for x in vectors:
+            for y in vectors:
+                assert bilinear(sparse, x, y, n) == _dense_bilinear(structure, x, y, n), (x, y)
+                compared += 1
+    for ext in _kernel_extensions():
+        for alg in (ext.e, ext.g):
+            for _ in range(20):
+                x, y = _random_vector(rng, alg.dim), _random_vector(rng, alg.dim)
+                assert alg.bracket(x, y) == _dense_bilinear(alg.structure, x, y, alg.dim)
+        for m in (ext.action, ext.adjoint):
+            for _ in range(20):
+                x, v = _random_vector(rng, m.algebra.dim), _random_vector(rng, m.space.dim)
+                assert m.act(x, v) == _dense_bilinear(m.action, x, v, m.space.dim)
+        for _ in range(20):
+            x, y = _random_vector(rng, ext.dim_g), _random_vector(rng, ext.dim_g)
+            assert ext.beta.eval(x, y) == _dense_bilinear(ext.beta.tensor, x, y, ext.dim_a)
+    assert compared >= 5000, compared
 
 
 def _random_algebra(rng):

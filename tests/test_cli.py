@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superext
+from superext import cli
 from superext.cli import main
 from superext.files import (
     _parse_basis,
@@ -64,6 +65,30 @@ def _run(capsys, argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_answers_like_a_fresh_one(capsys, h3_files, monkeypatch):
+    algebra, ext = h3_files
+    runs = [["validate", algebra], ["cohomology", ext, "--degree", "1"],
+            ["verify", ext, "--suite", "five-term"], ["verify", ext],
+            ["cohomology", ext, "--degree", "3"], ["frobnicate"], ["extend", ext],
+            ["validate", algebra], ["cohomology", ext]]
+    shared = [_outcome(capsys, argv) for argv in runs + runs]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in runs + runs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared[:len(runs)]] == [0, 0, 0, 2, 2, 2, 2, 0, 0]
+    assert all(err.startswith("usage: superext") for code, _, err in shared if code == 2)
 
 
 def test_parse_rat_forms():

@@ -21,7 +21,7 @@ from superext.cohomology import (
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
 from superext import fixtures
 from superext.extension import (
-    _derivation_part,
+    _derivation_coords,
     _module_end_residuals,
     beta_with_section,
     build_extension,
@@ -282,12 +282,20 @@ def _endomorphism_samples(ext, rng):
 
 
 def test_quotient_fixing_predicate_agrees_with_classification():
+    """`_derivation_coords` is None exactly off the quotient-fixing maps, and
+    elsewhere equals the coordinates of the definitional h = f - id on the ideal rows."""
     rng = random.Random(43)
     seen = {}
     for name, ext in _ring_corpus():
         for label, f in _endomorphism_samples(ext, rng):
-            fixes = _derivation_part(f, ext) is not None
+            coords = _derivation_coords(f, ext)
+            fixes = coords is not None
             assert fixes == classify_endomorphism(f, ext).fixes_quotient, (name, label, f)
+            if fixes:
+                rows = [[f.matrix.entry(i, j) - (i == j) for j in range(ext.dim_e)]
+                        for i in ext.ideal_indices]
+                h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=ext.dim_e))
+                assert coords == ext.cochains_e.coords1(h), (name, label, f)
             if label == "cocycle":
                 assert fixes, (name, f)
             if label in ("non-cocycle", "leaves ideal", "moves quotient", "odd"):
@@ -295,6 +303,18 @@ def test_quotient_fixing_predicate_agrees_with_classification():
             seen[label] = seen.get(label, 0) + 1
     assert all(seen.get(label, 0) >= 3 for label in
                ("cocycle", "non-cocycle", "leaves ideal", "moves quotient", "odd")), seen
+
+
+def test_from_derivation_is_the_identity_plus_the_included_derivation():
+    rng = random.Random(59)
+    for name, ext in _ring_corpus():
+        ident = Mat.identity(ext.dim_e)
+        for _ in range(4):
+            h = ext.cochains_e.cochain1(ext.z1_e.combine(_rand_coeffs(rng, ext.z1_e.dim)))
+            f = from_derivation(h, ext)
+            assert f == GradedLinearMap(ext.e.basis, ext.e.basis,
+                                        ident + ext.inclusion.matrix @ h.matrix), (name, h)
+            assert to_derivation(f, ext) == h, (name, h)
 
 
 def test_module_endomorphism_product_agrees_with_the_residuals():

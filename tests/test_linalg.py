@@ -6,6 +6,7 @@ import sympy
 
 from superext.errors import MembershipError, ShapeError
 from superext.linalg import (
+    _ZERO,
     Mat,
     SubspacePresentation,
     inverse,
@@ -206,6 +207,41 @@ def test_quotient_dimension_formula():
 def test_mat_requires_rectangular_data():
     with pytest.raises(ShapeError):
         Mat([[1, 2], [3]])
+
+
+def test_every_zero_entry_of_a_matrix_is_the_shared_zero():
+    """`Mat.apply` tests its entries by identity with `_ZERO`; every way of
+    building a matrix, cancellations included, must keep that invariant."""
+    rng = random.Random(19)
+    a = Mat([[0, "0", Fraction(0, 5)], [1, "-2/4", Fraction(3)], ["0/3", 2, -1]])
+    b = Mat([[Fraction(0), 0, "1"], [1, "1/2", Fraction(-3)], [0, 2, 0]])
+    cancel = Mat([[1, -1], [2, -2]]) @ Mat([[1, 3], [1, 3]])
+    built = [a, b, cancel, a + b, a - a, a - b, a @ b, b @ a, a.scale(0), a.scale("1/2"), -b,
+             Mat.identity(3), Mat.zeros(2, 3),
+             Mat.from_columns([(Fraction(0, 5), 1, "0"), (0, Fraction(0), 2)]),
+             Mat.from_columns([a.column(j) for j in range(3)], rows=3)]
+    for _ in range(20):
+        x, y = _random_matrix(rng, 3, 3), _random_matrix(rng, 3, 3)
+        built += [x @ y, x + y, x - y, x - x, x.scale(Fraction(0, 7)), x.scale(rng.randint(-2, 2))]
+    zeros = 0
+    for m in built:
+        for row in m.data:
+            for x in row:
+                if x == 0:
+                    assert x is _ZERO, m
+                    zeros += 1
+    assert zeros >= 100, zeros
+
+
+def test_apply_matches_the_dense_product_on_vectors_with_other_zeros():
+    rng = random.Random(23)
+    for _ in range(60):
+        m = Mat([[rng.choice((0, 0, Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+                  for _ in range(4)] for _ in range(rng.randint(1, 4))])
+        v = tuple(rng.choice((Fraction(0, 7), Fraction(0), 0, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                  for _ in range(4))
+        dense = tuple(sum((row[j] * v[j] for j in range(4)), Fraction(0)) for row in m.data)
+        assert m.apply(v) == dense
 
 
 # -- sympy as an independent oracle: it shares no code with linalg ----------
