@@ -288,17 +288,6 @@ class ModuleAction:
     def act_basis(self, i: int, m: int) -> Vec:
         return self.action[i][m]
 
-    def act_left_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
-        """b_i · v without expanding the left factor."""
-        out = list(zero_vec(self.space.dim))
-        for m, vm in enumerate(v):
-            if vm == 0:
-                continue
-            for k, s in enumerate(self.action[i][m]):
-                if s != 0:
-                    out[k] += vm * s
-        return tuple(out)
-
     def _view(self) -> list[list[tuple]]:
         """The `_nonzero_entries` view of the action tensor, built on first use."""
         if self._sparse is None:

@@ -44,8 +44,10 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     quotient_presentation,
+    rat,
     scale_vec,
     sub_vec,
+    unit_vec,
     vec,
     zero_vec,
 )
@@ -173,7 +175,7 @@ class Cochain2:
 
     def scale(self, c) -> "Cochain2":
         n = self.source.dim
-        cc = Fraction(c)
+        cc = rat(c)
         return Cochain2(
             self.source, self.target,
             [[scale_vec(cc, self.tensor[i][j]) for j in range(n)] for i in range(n)],
@@ -280,8 +282,8 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
                 continue
             s = _sign(g.basis.parity(i), g.basis.parity(j))
             term = sub_vec(
-                m.act_left_basis(i, lam.image_of_basis(j)),
-                scale_vec(s, m.act_left_basis(j, lam.image_of_basis(i))),
+                m.act(unit_vec(n, i), lam.image_of_basis(j)),
+                scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))),
             )
             entries[(i, j)] = sub_vec(term, lam.apply(g.structure[i][j]))
     return Cochain2.from_upper(g.basis, m.space, entries)

@@ -22,6 +22,14 @@ maps, the residual matrix of End_g(a) for module endomorphisms.  In the
 same way `inflate1`, `inflate2`, `restrict1` and `extend_obstruction` are
 the definitions of the five-term maps, which the extension caches as
 coordinate matrices.
+
+Maps on e = s(g) ⊕ a are read by their blocks with `_block` (the
+restriction to a, the section offset λ: g -> a, the induced map ψ on g)
+and built from them with `_assemble`; the End(a) coordinate slots are the
+cached `AbelianExtension.pos_a`.  The definitional forms
+`classify_endomorphism`, `inflate1`, `inflate2`, `restrict1` and
+`beta_with_section` keep their products with the projection, section and
+inclusion.
 """
 
 from __future__ import annotations
@@ -188,10 +196,15 @@ class AbelianExtension:
         return self.cochains_g.z1
 
     @cached_property
+    def pos_a(self) -> list[tuple[int, int]]:
+        """The coordinate slots of an even endomorphism of the ideal."""
+        return c1_positions(self.a_basis, self.a_basis)
+
+    @cached_property
     def module_end_constraints(self) -> Mat:
         """Residual matrix of End_g(a): column p holds the flattened
         `_module_end_residuals` of the p-th unit even map on a."""
-        pos = c1_positions(self.a_basis, self.a_basis)
+        pos = self.pos_a
         columns = []
         for p in range(len(pos)):
             phi = map_from_coords(self.a_basis, self.a_basis, pos, unit_vec(len(pos), p))
@@ -250,8 +263,7 @@ class AbelianExtension:
         """`restrict1` on coordinates: entry (n, m) of f∘ι copies entry
         (n, ideal[m]) of the 1-cochain f of e."""
         slot = _slots(self.cochains_e.pos1)
-        return _copy_matrix([slot[n, self.ideal_indices[m]]
-                             for n, m in c1_positions(self.a_basis, self.a_basis)], len(slot))
+        return _copy_matrix([slot[n, self.ideal_indices[m]] for n, m in self.pos_a], len(slot))
 
     @cached_property
     def connecting_map(self) -> Mat:
@@ -261,7 +273,7 @@ class AbelianExtension:
         it agrees with `extend_obstruction` on End_g(a), whose images are
         checked once to be cocycles.
         """
-        pos_a = c1_positions(self.a_basis, self.a_basis)
+        pos_a = self.pos_a
         beta = self.beta.tensor
         cochains = Mat([[-beta[i][j][m] if n == k else 0 for n, m in pos_a]
                         for i, j, k in self.cochains_g.pos2], cols=len(pos_a))
@@ -286,6 +298,34 @@ def _copy_matrix(sources: Sequence[Optional[int]], cols: int) -> Mat:
 
 def _column_matrix(space: SubspacePresentation) -> Mat:
     return Mat.from_columns(space.basis, rows=space.ambient_dim)
+
+
+# -- the block layout of maps on e = s(g) ⊕ a -------------------------------
+
+
+def _block(f: GradedLinearMap, rows: Sequence[int], cols: Sequence[int]) -> Mat:
+    """The entries of f's matrix in the given rows and columns, in their order.
+
+    Reading the ideal rows of a column does not test that its complement
+    rows vanish.  `section_offset` and `sequences._restrict_to_ideal` need no
+    such test: a strict `a_coords` could never fail there, since the maps
+    they are given preserve the ideal, by construction or by a checked
+    precondition (for the offset: gamma fixes the ideal and induces psi).
+    """
+    data = f.matrix.data
+    return Mat([[data[r][c] for c in cols] for r in rows], cols=len(cols))
+
+
+def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearMap:
+    """The endomorphism of e with blocks a -> a, s(g) -> a and s(g) -> s(g);
+    its block a -> s(g) is zero, so it preserves the ideal."""
+    ideal, comp = ext.ideal_indices, ext.complement_indices
+    rows = [list(zero_vec(ext.dim_e)) for _ in range(ext.dim_e)]
+    for block, row_idx, col_idx in ((aa, ideal, ideal), (ag, ideal, comp), (gg, comp, comp)):
+        for r, row in zip(row_idx, block.data):
+            for c, x in zip(col_idx, row):
+                rows[r][c] = x
+    return GradedLinearMap(ext.e.basis, ext.e.basis, Mat(rows, cols=ext.dim_e))
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:
@@ -351,7 +391,7 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
         raise ShapeError("map is not an endomorphism of the ideal")
     if phi.degree != 0:
         return False
-    coords = map_to_coords(phi, c1_positions(ext.a_basis, ext.a_basis))
+    coords = map_to_coords(phi, ext.pos_a)
     return is_zero_vec(ext.module_end_constraints.apply(coords))
 
 
@@ -477,7 +517,8 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
     """h ∘ k as maps e -> a, going through the inclusion of the ideal."""
     _require(is_ideal_derivation(h, ext) and is_ideal_derivation(k, ext),
              "composition needs derivations into the ideal")
-    out = h.compose(ext.inclusion.compose(k))
+    out = GradedLinearMap(ext.e.basis, ext.a_basis,
+                          _block(h, range(ext.dim_a), ext.ideal_indices) @ k.matrix)
     _check(is_ideal_derivation(out, ext), "composite is not a derivation into the ideal")
     return out
 
@@ -485,7 +526,8 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
 def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> f(x) - x on the ideal; a module endomorphism of the ideal."""
     h = to_derivation(f, ext)
-    out = h.compose(ext.inclusion)
+    out = GradedLinearMap(ext.a_basis, ext.a_basis,
+                          _block(h, range(ext.dim_a), ext.ideal_indices))
     _check(is_module_endomorphism(out, ext), "shifted restriction is not a module endomorphism")
     return out
 
@@ -549,7 +591,8 @@ def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> Graded
     """The endomorphism p ∘ gamma ∘ s of the quotient, for ideal-fixing gamma."""
     flags = classify_endomorphism(gamma, ext)
     _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
-    psi = ext.projection.compose(gamma).compose(ext.section)
+    psi = GradedLinearMap(ext.g.basis, ext.g.basis,
+                          _block(gamma, ext.complement_indices, ext.complement_indices))
     _check(fixes_action(psi, ext), "induced quotient map does not fix the action")
     return psi
 
@@ -559,14 +602,8 @@ def section_offset(gamma: GradedLinearMap, psi: GradedLinearMap,
     """The even map lambda with gamma(s(x)) = lambda(x) + s(psi(x))."""
     _require(induced_on_quotient(gamma, ext) == psi,
              "psi is not the quotient map induced by gamma")
-    images = []
-    for k in range(ext.dim_g):
-        w = sub_vec(
-            gamma.apply(ext.section.image_of_basis(k)),
-            ext.section.apply(psi.image_of_basis(k)),
-        )
-        images.append(ext.a_coords(w))
-    return GradedLinearMap.from_images(ext.g.basis, ext.a_basis, images)
+    return GradedLinearMap(ext.g.basis, ext.a_basis,
+                           _block(gamma, ext.ideal_indices, ext.complement_indices))
 
 
 def lift_obstruction(psi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
@@ -589,19 +626,7 @@ def lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[G
     if sol is None:
         return None
     lam = cochains.cochain1(sol)
-    cols: list[Vec] = []
-    slot_of = {idx: m for m, idx in enumerate(ext.ideal_indices)}
-    for idx in range(ext.dim_e):
-        if idx in slot_of:
-            cols.append(unit_vec(ext.dim_e, idx))
-        else:
-            k = ext.complement_indices.index(idx)
-            cols.append(add_vec(
-                ext.inclusion.apply(lam.image_of_basis(k)),
-                ext.section.apply(psi.image_of_basis(k)),
-            ))
-    gamma = GradedLinearMap(ext.e.basis, ext.e.basis,
-                            Mat.from_columns(cols, rows=ext.dim_e))
+    gamma = _assemble(ext, Mat.identity(ext.dim_a), lam.matrix, psi.matrix)
     _check(classify_endomorphism(gamma, ext).fixes_ideal, "lift does not fix the ideal")
     _check(induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
     return gamma

@@ -69,7 +69,9 @@ def all_even_corpus(h3_ext, sd_ext, aff_ext):
 
 @pytest.fixture(scope="session")
 def pin_corpus(corpus):
-    """The fixture corpus with split and odd cases, and an ideal listed first."""
+    """The fixture corpus with split and odd cases, and ideals listed first;
+    the last case has a nonabelian quotient [x, y] = y and a cocycle that is
+    a nonzero coboundary, so lifts of y -> 2y need a nonzero section offset."""
     return corpus + [
         ("central_direct_sum", fixtures.central_direct_sum_extension()),
         ("odd_semidirect", fixtures.odd_semidirect_extension()),
@@ -77,4 +79,6 @@ def pin_corpus(corpus):
         ("sl2_v2", sl2_v2_extension()),
         ("h3_centre_first", build_extension(LieSuperalgebra.from_brackets(
             SuperBasis([("z", 0), ("x", 0), ("y", 0)]), {("x", "y"): {"z": 1}}), [0])),
+        ("twisted_affine_line", build_extension(LieSuperalgebra.from_brackets(
+            SuperBasis([("z", 0), ("x", 0), ("y", 0)]), {("x", "y"): {"y": 1, "z": 1}}), [0])),
     ]

@@ -49,7 +49,9 @@ from superext.extension import (
     to_derivation,
 )
 from superext.fixtures import affine_scaling_algebra, heisenberg3
-from superext.linalg import Mat, inverse, is_zero_vec, unit_vec, vec, zero_vec
+from superext.linalg import (
+    Mat, add_vec, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
+)
 
 
 def _shear(ext, a, b):
@@ -700,6 +702,102 @@ def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
         for v in samples:
             phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
             assert ext.connecting_map.apply(v) == extend_obstruction(phi, ext).coords, name
+
+
+# -- the block layout of maps on e -------------------------------------------
+
+
+def _quotient_map_samples(ext, rng):
+    """Sampled action-preserving maps g -> g, among them those of the maps
+    b_j -> b_j + b_i (i != j of one parity) and b_i -> 2 b_i that preserve
+    the action."""
+    from superext.sequences import _action_endo_samples
+
+    supplied = []
+    par = ext.g.basis.parity
+    for i in range(ext.dim_g):
+        for j in range(ext.dim_g):
+            if par(i) == par(j):
+                rows = [[Fraction(int(r == c) + int((r, c) == (i, j))) for c in range(ext.dim_g)]
+                        for r in range(ext.dim_g)]
+                psi = GradedLinearMap(ext.g.basis, ext.g.basis, Mat(rows, cols=ext.dim_g))
+                if fixes_action(psi, ext):
+                    supplied.append(psi)
+    return _action_endo_samples(ext, rng, 4, supplied)
+
+
+def _ideal_fixing_samples(ext, rng):
+    """(gamma, psi) with gamma fixing the ideal and inducing psi: lifts of
+    sampled action-preserving quotient maps, inflated derivations
+    x -> x + f(p x), and lifts composed with an inflated derivation."""
+    lifts = [(lift_endomorphism(psi, ext), psi) for psi in _quotient_map_samples(ext, rng)]
+    lifts = [(gamma, psi) for gamma, psi in lifts if gamma is not None]
+    ident_g = GradedLinearMap.identity(ext.g.basis)
+    inflated = [(from_derivation(inflate1(ext.cochains_g.cochain1(
+                    ext.z1_g.combine(_rand_coeffs(rng, ext.z1_g.dim))), ext), ext), ident_g)
+                for _ in range(2)]
+    return lifts + inflated + [(gamma.compose(inflated[0][0]), psi) for gamma, psi in lifts]
+
+
+def test_quotient_map_and_section_offset_match_the_product_forms(pin_corpus):
+    rng = random.Random(89)
+    seen_psi = seen_lam = 0
+    for name, ext in pin_corpus:
+        ident_g = GradedLinearMap.identity(ext.g.basis)
+        for gamma, psi in _ideal_fixing_samples(ext, rng):
+            induced = induced_on_quotient(gamma, ext)
+            assert induced == ext.projection.compose(gamma).compose(ext.section), name
+            assert induced == psi, name
+            lam = section_offset(gamma, psi, ext)
+            assert lam.degree == 0 and lam.codomain == ext.a_basis, name
+            for k in range(ext.dim_g):
+                w = sub_vec(gamma.apply(ext.section.image_of_basis(k)),
+                            ext.section.apply(psi.image_of_basis(k)))
+                assert lam.image_of_basis(k) == ext.a_coords(w), (name, k)
+            seen_psi += psi != ident_g
+            seen_lam += not lam.is_zero()
+    assert seen_psi >= 5 and seen_lam >= 5, (seen_psi, seen_lam)
+
+
+def test_lift_columns_are_the_included_offset_plus_the_sectioned_map(pin_corpus):
+    rng = random.Random(97)
+    lifted = offsets = 0
+    for name, ext in pin_corpus:
+        cg = ext.cochains_g
+        for psi in _quotient_map_samples(ext, rng):
+            gamma = lift_endomorphism(psi, ext)
+            sol = solve(cg.d1, cg.coords2(ext.beta - ext.beta.precompose(psi)))
+            assert (gamma is None) == (sol is None), name
+            if gamma is None:
+                continue
+            lam = cg.cochain1(sol)
+            for idx in ext.ideal_indices:
+                assert gamma.image_of_basis(idx) == unit_vec(ext.dim_e, idx), name
+            for k, idx in enumerate(ext.complement_indices):
+                assert gamma.image_of_basis(idx) == add_vec(
+                    ext.inclusion.apply(lam.image_of_basis(k)),
+                    ext.section.apply(psi.image_of_basis(k))), (name, k)
+            lifted += psi != GradedLinearMap.identity(ext.g.basis)
+            offsets += not lam.is_zero()
+    assert lifted >= 5 and offsets >= 1, (lifted, offsets)
+
+
+def test_shifted_restriction_and_derivation_compose_match_the_product_forms(pin_corpus):
+    rng = random.Random(101)
+    asymmetric = 0
+    for name, ext in pin_corpus:
+        hs = [ext.cochains_e.cochain1(ext.z1_e.combine(_rand_coeffs(rng, ext.z1_e.dim)))
+              for _ in range(3)]
+        for h in hs:
+            f = from_derivation(h, ext)
+            restricted = shifted_restriction(f, ext)
+            assert restricted == to_derivation(f, ext).compose(ext.inclusion), name
+            for k in hs:
+                assert derivation_compose(h, k, ext) == h.compose(ext.inclusion.compose(k)), name
+            m = restricted.matrix
+            asymmetric += any(m.entry(i, j) != m.entry(j, i)
+                              for i in range(m.rows) for j in range(m.cols))
+    assert asymmetric >= 3, asymmetric
 
 
 # -- quasiregular elements ----------------------------------------------------

@@ -179,6 +179,39 @@ def test_doubling_the_ideal_gives_a_homomorphic_section(sd_ext):
     assert _restrict_to_ideal(eps, sd_ext) == phi
 
 
+def test_block_maps_match_the_column_forms(pin_corpus):
+    # the split-extension block maps and the ideal restriction, on arbitrary
+    # even maps, against their column-by-column definitions
+    import random
+
+    from superext.cohomology import c1_positions, map_from_coords
+    from superext.linalg import unit_vec
+    from superext.sequences import _ideal_block_map, _quotient_block_map, _restrict_to_ideal
+
+    rng = random.Random(103)
+    for name, ext in pin_corpus:
+        pos_g = c1_positions(ext.g.basis, ext.g.basis)
+        for _ in range(3):
+            phi = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+                                  [Fraction(rng.randint(-5, 5)) for _ in ext.pos_a])
+            psi = map_from_coords(ext.g.basis, ext.g.basis, pos_g,
+                                  [Fraction(rng.randint(-5, 5)) for _ in pos_g])
+            eps, alpha = _ideal_block_map(phi, ext), _quotient_block_map(psi, ext)
+            for m, idx in enumerate(ext.ideal_indices):
+                assert eps.image_of_basis(idx) == ext.inclusion.apply(phi.image_of_basis(m))
+                assert alpha.image_of_basis(idx) == unit_vec(ext.dim_e, idx)
+            for k, idx in enumerate(ext.complement_indices):
+                assert eps.image_of_basis(idx) == unit_vec(ext.dim_e, idx)
+                assert alpha.image_of_basis(idx) == ext.section.apply(psi.image_of_basis(k))
+            for gamma in (eps, alpha, eps.compose(alpha)):
+                restricted = _restrict_to_ideal(gamma, ext)
+                assert restricted == GradedLinearMap.from_images(
+                    ext.a_basis, ext.a_basis,
+                    [ext.a_coords(gamma.apply(ext.inclusion.image_of_basis(m)))
+                     for m in range(ext.dim_a)]), name
+            assert _restrict_to_ideal(eps, ext) == phi, name
+
+
 def test_semidirect_automorphisms_identity_module():
     m = identity_action_module()
     report = verify_semidirect_automorphisms(m.algebra, m, seed=6)
