@@ -114,7 +114,7 @@ class LieSuperalgebra:
             for j in range(n):
                 if len(self.structure[i][j]) != n:
                     raise ShapeError("structure tensor entries have the wrong length")
-        self._sparse = None
+        self._sparse = _nonzero_entries(self.structure)  # the view `bracket` multiplies with
 
     @classmethod
     def abelian(cls, basis: SuperBasis) -> "LieSuperalgebra":
@@ -164,17 +164,11 @@ class LieSuperalgebra:
     def dim(self) -> int:
         return self.basis.dim
 
-    def _view(self) -> list[list[tuple]]:
-        """The `_nonzero_entries` view of the structure tensor, built on first use."""
-        if self._sparse is None:
-            self._sparse = _nonzero_entries(self.structure)
-        return self._sparse
-
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeError("vectors do not match the algebra dimension")
-        return bilinear(self._view(), x, y, n)
+        return bilinear(self._sparse, x, y, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,7 +196,7 @@ def _jacobi_residual(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
     `sparse` is the `_nonzero_entries` view of the structure tensor, which
     satisfies super-Jacobi iff this vanishes on every basis triple.  Each term
     holds one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so the residual is zero by
-    construction where all three are; the enumeration passes skip those triples.
+    construction where all three are; `_jacobi_residuals` skips those triples.
     """
     out = list(zero_vec(len(parities)))
     for l, c in sparse[i][j]:
@@ -218,43 +212,71 @@ def _jacobi_residual(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
     return tuple(out)
 
 
+def _jacobi_residuals(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
+                      xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]):
+    """Yield (i, j, k, `_jacobi_residual`) over i in xs, j in ys, k in zs, in
+    lexicographic order, except where [b_i,b_j], [b_j,b_k] and [b_i,b_k] all
+    vanish: the residual is zero there."""
+    for i in xs:
+        si = sparse[i]
+        for j in ys:
+            sij, sj = si[j], sparse[j]
+            for k in zs:
+                if sij or sj[k] or si[k]:
+                    yield i, j, k, _jacobi_residual(sparse, parities, i, j, k)
+
+
+def _wrong_parity(tensor: Sequence[Sequence[Sequence]], left: Sequence[int],
+                  right: Sequence[int], out: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (i, j, k), in lexicographic order, with tensor[i][j][k] nonzero
+    although out[k] != left[i] + right[j] (mod 2); None if there is none."""
+    wrong = [[k for k, p in enumerate(out) if p != want] for want in (0, 1)]
+    return next(((i, j, k) for i, row in enumerate(tensor) for j, v in enumerate(row)
+                 for k in wrong[(left[i] + right[j]) % 2] if v[k] != 0), None)
+
+
+def _broken_antisymmetry(tensor: Sequence[Sequence[Sequence]],
+                         parities: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair i <= j with T[j][i] != -(-1)^{|i||j|} T[i][j]; None if there is none."""
+    n = len(parities)
+    return next(((i, j) for i in range(n) for j in range(i, n)
+                 if tensor[j][i] != scale_vec(-_sign(parities[i], parities[j]), tensor[i][j])), None)
+
+
+def _upper_pairs(parities: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i < j, or i = j odd, in lexicographic order: they
+    determine a super-antisymmetric bracket or 2-cochain (the rest follow by
+    antisymmetry, and an even element's self-bracket is zero)."""
+    n = len(parities)
+    return [(i, j) for i in range(n) for j in range(i, n) if i < j or parities[i]]
+
+
 def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
     """Return the first violated axiom (parity, antisymmetry, Jacobi) or None."""
     b = g.basis
-    n = b.dim
     names = b.names
-    sparse = g._view()
-    for i in range(n):
-        for j in range(n):
-            want = (b.parity(i) + b.parity(j)) % 2
-            for k, _ in sparse[i][j]:
-                if b.parity(k) != want:
-                    return Violation(
-                        "parity",
-                        (names[i], names[j], names[k]),
-                        f"[{names[i]},{names[j]}] has a component of the wrong parity on {names[k]}",
-                    )
-    for i in range(n):
-        for j in range(i, n):
-            s = _sign(b.parity(i), b.parity(j))
-            lhs = g.structure[j][i]
-            rhs = scale_vec(-s, g.structure[i][j])
-            if lhs != rhs:
-                return Violation(
-                    "antisymmetry",
-                    (names[j], names[i]),
-                    f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]",
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if ((sparse[i][j] or sparse[j][k] or sparse[i][k])
-                        and not is_zero_vec(_jacobi_residual(sparse, b.parities, i, j, k))):
-                    return Violation(
-                        "jacobi",
-                        (names[i], names[j], names[k]),
-                        "super-Jacobi identity fails on this basis triple",
-                    )
+    if (bad := _wrong_parity(g.structure, b.parities, b.parities, b.parities)) is not None:
+        i, j, k = bad
+        return Violation(
+            "parity",
+            (names[i], names[j], names[k]),
+            f"[{names[i]},{names[j]}] has a component of the wrong parity on {names[k]}",
+        )
+    if (bad := _broken_antisymmetry(g.structure, b.parities)) is not None:
+        i, j = bad
+        return Violation(
+            "antisymmetry",
+            (names[j], names[i]),
+            f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]",
+        )
+    every = range(b.dim)
+    for i, j, k, r in _jacobi_residuals(g._sparse, b.parities, every, every, every):
+        if not is_zero_vec(r):
+            return Violation(
+                "jacobi",
+                (names[i], names[j], names[k]),
+                "super-Jacobi identity fails on this basis triple",
+            )
     return None
 
 
@@ -278,7 +300,7 @@ class ModuleAction:
             for m in range(d):
                 if len(self.action[i][m]) != d:
                     raise ShapeError("action tensor entries have the wrong length")
-        self._sparse = None
+        self._sparse = _nonzero_entries(self.action)  # the view `act` multiplies with
 
     @classmethod
     def trivial(cls, algebra: LieSuperalgebra, space: SuperBasis) -> "ModuleAction":
@@ -288,16 +310,10 @@ class ModuleAction:
     def act_basis(self, i: int, m: int) -> Vec:
         return self.action[i][m]
 
-    def _view(self) -> list[list[tuple]]:
-        """The `_nonzero_entries` view of the action tensor, built on first use."""
-        if self._sparse is None:
-            self._sparse = _nonzero_entries(self.action)
-        return self._sparse
-
     def act(self, x: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.space.dim:
             raise ShapeError("vector sizes do not match the action")
-        return bilinear(self._view(), x, v, self.space.dim)
+        return bilinear(self._sparse, x, v, self.space.dim)
 
     def is_trivial(self) -> bool:
         return all(is_zero_vec(self.action[i][m])
@@ -348,30 +364,23 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
         return bad
     ab = m.algebra.basis
     sb = m.space
-    view = m._view()
-    for i in range(ab.dim):
-        for v in range(sb.dim):
-            want = (ab.parity(i) + sb.parity(v)) % 2
-            for k, _ in view[i][v]:
-                if sb.parity(k) != want:
-                    return Violation(
-                        "module-parity",
-                        (ab.names[i], sb.names[v], sb.names[k]),
-                        "action component has the wrong parity",
-                    )
+    if (bad := _wrong_parity(m.action, ab.parities, sb.parities, sb.parities)) is not None:
+        i, v, k = bad
+        return Violation(
+            "module-parity",
+            (ab.names[i], sb.names[v], sb.names[k]),
+            "action component has the wrong parity",
+        )
     sparse = _nonzero_entries(_sum_structure(m.algebra, m))
     parities = ab.parities + sb.parities
-    for i in range(ab.dim):
-        for j in range(ab.dim):
-            for v in range(sb.dim):
-                k = ab.dim + v
-                if ((sparse[i][j] or sparse[j][k] or sparse[i][k])
-                        and not is_zero_vec(_jacobi_residual(sparse, parities, i, j, k))):
-                    return Violation(
-                        "module-axiom",
-                        (ab.names[i], ab.names[j], sb.names[v]),
-                        "[x,y]·v != x·(y·v) - (-1)^(|x||y|) y·(x·v) on this triple",
-                    )
+    xs = range(ab.dim)
+    for i, j, k, r in _jacobi_residuals(sparse, parities, xs, xs, range(ab.dim, len(parities))):
+        if not is_zero_vec(r):
+            return Violation(
+                "module-axiom",
+                (ab.names[i], ab.names[j], sb.names[k - ab.dim]),
+                "[x,y]·v != x·(y·v) - (-1)^(|x||y|) y·(x·v) on this triple",
+            )
     return None
 
 
@@ -474,25 +483,18 @@ class GradedLinearMap:
 def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra) -> bool:
     """Even and bracket-preserving on all basis pairs.
 
-    Only pairs i < j and the odd diagonal are tested: the remaining pairs
-    follow from super-antisymmetry, which both algebras are assumed to
-    satisfy (extensions validate their ambient algebra on construction).
+    Only the pairs of `_upper_pairs` (i < j and the odd diagonal) are
+    tested, up to the first failure: the remaining pairs follow from
+    super-antisymmetry, which both algebras are assumed to satisfy
+    (extensions validate their ambient algebra on construction).
     """
     if phi.domain != g.basis or phi.codomain != h.basis:
         raise ShapeError("map bases do not match the given algebras")
     if phi.degree != 0:
         return False
-    n = g.dim
-    images = [phi.image_of_basis(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and g.basis.parity(i) == 0:
-                continue
-            lhs = phi.apply(g.structure[i][j])
-            rhs = h.bracket(images[i], images[j])
-            if lhs != rhs:
-                return False
-    return True
+    images = [phi.image_of_basis(i) for i in range(g.dim)]
+    return all(phi.apply(g.structure[i][j]) == h.bracket(images[i], images[j])
+               for i, j in _upper_pairs(g.basis.parities))
 
 
 def semidirect_product(g: LieSuperalgebra, m: ModuleAction):

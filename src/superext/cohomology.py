@@ -27,10 +27,14 @@ from .algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    _broken_antisymmetry,
     _jacobi_residual,
+    _jacobi_residuals,
     _nonzero_entries,
     _sign,
     _sum_structure,
+    _upper_pairs,
+    _wrong_parity,
     validate_module,
 )
 from .errors import MembershipError, ShapeError
@@ -99,27 +103,21 @@ class Cochain2:
         if len(tensor) != n or any(len(row) != n for row in tensor):
             raise ShapeError("tensor does not match the source basis size")
         grid = tuple(tuple(vec(tensor[i][j]) for j in range(n)) for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                if len(grid[i][j]) != d:
-                    raise ShapeError("tensor entries have the wrong length")
-        for i in range(n):
-            for j in range(i, n):
-                s = _sign(source.parity(i), source.parity(j))
-                if grid[j][i] != scale_vec(-s, grid[i][j]):
-                    raise MembershipError(
-                        f"tensor breaks super-antisymmetry at "
-                        f"({source.names[j]}, {source.names[i]})"
-                    )
-        for i in range(n):
-            for j in range(n):
-                want = (source.parity(i) + source.parity(j) + degree) % 2
-                for k in range(d):
-                    if grid[i][j][k] != 0 and target.parity(k) != want:
-                        raise MembershipError(
-                            f"tensor entry ({source.names[i]}, {source.names[j]}, "
-                            f"{target.names[k]}) breaks homogeneity of degree {degree}"
-                        )
+        if any(len(v) != d for row in grid for v in row):
+            raise ShapeError("tensor entries have the wrong length")
+        if (bad := _broken_antisymmetry(grid, source.parities)) is not None:
+            i, j = bad
+            raise MembershipError(
+                f"tensor breaks super-antisymmetry at "
+                f"({source.names[j]}, {source.names[i]})"
+            )
+        out = [(p + degree) % 2 for p in target.parities]
+        if (bad := _wrong_parity(grid, source.parities, source.parities, out)) is not None:
+            i, j, k = bad
+            raise MembershipError(
+                f"tensor entry ({source.names[i]}, {source.names[j]}, "
+                f"{target.names[k]}) breaks homogeneity of degree {degree}"
+            )
         self.source = source
         self.target = target
         self.tensor = grid
@@ -232,18 +230,14 @@ class Cochain2:
 def c2_positions(source: SuperBasis, target: SuperBasis, degree: int = 0) -> list[tuple[int, int, int]]:
     """Free coordinate slots (i, j, k) of a homogeneous 2-cochain.
 
-    Pairs with i < j, plus the diagonal for odd i (where antisymmetry
-    imposes nothing); k runs over target slots of the right parity.
+    (i, j) runs over `algebra._upper_pairs`: pairs with i < j, plus the
+    diagonal for odd i (where antisymmetry imposes nothing); k runs over
+    target slots of the right parity.
     """
     out = []
-    for i in range(source.dim):
-        for j in range(i, source.dim):
-            if i == j and source.parity(i) == 0:
-                continue
-            want = (source.parity(i) + source.parity(j) + degree) % 2
-            for k in range(target.dim):
-                if target.parity(k) == want:
-                    out.append((i, j, k))
+    for i, j in _upper_pairs(source.parities):
+        want = (source.parity(i) + source.parity(j) + degree) % 2
+        out.extend((i, j, k) for k in range(target.dim) if target.parity(k) == want)
     return out
 
 
@@ -276,16 +270,13 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
         raise MembershipError("coboundary is defined here for even 1-cochains only")
     n = g.dim
     entries: dict[tuple[int, int], Vec] = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and g.basis.parity(i) == 0:
-                continue
-            s = _sign(g.basis.parity(i), g.basis.parity(j))
-            term = sub_vec(
-                m.act(unit_vec(n, i), lam.image_of_basis(j)),
-                scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))),
-            )
-            entries[(i, j)] = sub_vec(term, lam.apply(g.structure[i][j]))
+    for i, j in _upper_pairs(g.basis.parities):
+        s = _sign(g.basis.parity(i), g.basis.parity(j))
+        term = sub_vec(
+            m.act(unit_vec(n, i), lam.image_of_basis(j)),
+            scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))),
+        )
+        entries[(i, j)] = sub_vec(term, lam.apply(g.structure[i][j]))
     return Cochain2.from_upper(g.basis, m.space, entries)
 
 
@@ -383,14 +374,10 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
     parities = g.basis.parities + m.space.parities
     n2 = len(pos2)
     rows: dict[Vec, None] = {}
-    for s in range(ng):
-        for t in range(ng):
-            for u in range(ng):
-                if not (sparse[s][t] or sparse[t][u] or sparse[s][u]):
-                    continue
-                for r in _jacobi_residual(sparse, parities, s, t, u)[ng:]:
-                    if r != 0:
-                        rows.setdefault(r.dense(n2))
+    for *_, residual in _jacobi_residuals(sparse, parities, range(ng), range(ng), range(ng)):
+        for r in residual[ng:]:
+            if r != 0:
+                rows.setdefault(r.dense(n2))
     return Mat(list(rows), cols=n2)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .algebra import GradedLinearMap, LieSuperalgebra, ModuleAction, SuperBasis
+from .algebra import GradedLinearMap, LieSuperalgebra, ModuleAction, SuperBasis, _upper_pairs
 from .errors import MembershipError, ParseError, ShapeError
 from .extension import AbelianExtension, build_extension
 from .linalg import Mat
@@ -249,20 +249,18 @@ def load_maps(path: Path, ext: AbelianExtension, expect_domain: str) -> list[Gra
 def dump_algebra(algebra: LieSuperalgebra, name: str = "algebra") -> dict:
     basis = [{"name": n, "parity": p} for n, p in algebra.basis.items()]
     brackets = []
-    for i in range(algebra.dim):
-        js = range(i, algebra.dim) if algebra.basis.parity(i) == 1 else range(i + 1, algebra.dim)
-        for j in js:
-            value = algebra.structure[i][j]
-            if all(c == 0 for c in value):
-                continue
-            brackets.append({
-                "left": algebra.basis.names[i],
-                "right": algebra.basis.names[j],
-                "value": [
-                    {"basis": algebra.basis.names[k], "coeff": format_rat(c)}
-                    for k, c in enumerate(value) if c != 0
-                ],
-            })
+    for i, j in _upper_pairs(algebra.basis.parities):
+        value = algebra.structure[i][j]
+        if all(c == 0 for c in value):
+            continue
+        brackets.append({
+            "left": algebra.basis.names[i],
+            "right": algebra.basis.names[j],
+            "value": [
+                {"basis": algebra.basis.names[k], "coeff": format_rat(c)}
+                for k, c in enumerate(value) if c != 0
+            ],
+        })
     return {"name": name, "basis": basis, "brackets": brackets}
 
 

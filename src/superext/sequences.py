@@ -291,10 +291,8 @@ def verify_ring_sequence(ext: AbelianExtension, seed: int = 0, pairs: int = 120)
     rep.add("shifted_restriction_is_additive", res_add_ok, pairs=pairs)
     rep.add("shifted_restriction_is_multiplicative", res_mul_ok, pairs=pairs)
 
-    mu = _quotient_derivation_sample(ext, rng)
-    if ext.z1_g.dim == 0:
-        mu = ext.cochains_g.cochain1(
-            tuple(_rand_frac(rng) for _ in range(len(ext.cochains_g.pos1))))
+    mu = ext.cochains_g.cochain1(
+        tuple(_rand_frac(rng) for _ in range(len(ext.cochains_g.pos1))))
     beta2 = beta_with_section(ext, mu)
     section_ok = True
     for v in enda.basis:
@@ -451,6 +449,24 @@ def _restrict_to_ideal(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedL
                            _block(gamma, ext.ideal_indices, ext.ideal_indices))
 
 
+def _factors_uniquely(ext: AbelianExtension, rng: random.Random, x: GradedLinearMap,
+                      block, recover, fixed: str) -> bool:
+    """gamma = block(x) ∘ u, for u from a random quotient derivation, is
+    invertible and `fixed`, and factors back uniquely: recover(gamma) == x,
+    and u2 = block(recover(gamma))^-1 ∘ gamma is u, fixes both and recomposes to gamma."""
+    u = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
+    gamma = block(x, ext).compose(u)
+    ok = getattr(classify_endomorphism(gamma, ext), fixed) and inverse(gamma.matrix) is not None
+    recovered = recover(gamma, ext)
+    ok &= recovered == x
+    inv = inverse(block(recovered, ext).matrix)
+    u2 = GradedLinearMap(ext.e.basis, ext.e.basis, inv).compose(gamma)
+    ok &= u2 == u
+    ok &= classify_endomorphism(u2, ext).fixes_both
+    ok &= block(recovered, ext).compose(u2) == gamma
+    return ok
+
+
 def verify_semidirect_automorphisms(g: LieSuperalgebra, module: ModuleAction,
                     aut_samples: Optional[Iterable[GradedLinearMap]] = None,
                     seed: int = 0, count: int = 6) -> Report:
@@ -483,33 +499,12 @@ def verify_semidirect_automorphisms(g: LieSuperalgebra, module: ModuleAction,
         alpha_ok &= induced_on_quotient(alpha, ext) == psi
     rep.add("quotient_block_section_is_homomorphic", alpha_ok, samples=len(psis))
 
-    fact_ok = True
-    for phi in phis:
-        u = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
-        gamma = _ideal_block_map(phi, ext).compose(u)
-        flags = classify_endomorphism(gamma, ext)
-        fact_ok &= flags.fixes_quotient and inverse(gamma.matrix) is not None
-        recovered = _restrict_to_ideal(gamma, ext)
-        fact_ok &= recovered == phi
-        eps_inv = inverse(_ideal_block_map(recovered, ext).matrix)
-        u2 = GradedLinearMap(ext.e.basis, ext.e.basis, eps_inv).compose(gamma)
-        fact_ok &= u2 == u
-        fact_ok &= classify_endomorphism(u2, ext).fixes_both
-        fact_ok &= _ideal_block_map(recovered, ext).compose(u2) == gamma
+    # lists, not generators: every sample draws its derivation, also after a failure
+    fact_ok = all([_factors_uniquely(ext, rng, phi, _ideal_block_map, _restrict_to_ideal,
+                                     "fixes_quotient") for phi in phis])
     rep.add("quotient_fixing_automorphisms_factor_uniquely", fact_ok, samples=len(phis))
-
-    fact2_ok = True
-    for psi in psis:
-        u = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
-        gamma = _quotient_block_map(psi, ext).compose(u)
-        flags = classify_endomorphism(gamma, ext)
-        fact2_ok &= flags.fixes_ideal and inverse(gamma.matrix) is not None
-        recovered = induced_on_quotient(gamma, ext)
-        fact2_ok &= recovered == psi
-        alpha_inv = inverse(_quotient_block_map(recovered, ext).matrix)
-        u2 = GradedLinearMap(ext.e.basis, ext.e.basis, alpha_inv).compose(gamma)
-        fact2_ok &= u2 == u
-        fact2_ok &= classify_endomorphism(u2, ext).fixes_both
+    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map, induced_on_quotient,
+                                      "fixes_ideal") for psi in psis])
     rep.add("ideal_fixing_automorphisms_factor_uniquely", fact2_ok, samples=len(psis))
 
     rep.dims.update(

@@ -82,3 +82,29 @@ def pin_corpus(corpus):
         ("twisted_affine_line", build_extension(LieSuperalgebra.from_brackets(
             SuperBasis([("z", 0), ("x", 0), ("y", 0)]), {("x", "y"): {"y": 1, "z": 1}}), [0])),
     ]
+
+
+def strictly_upper_extension(k):
+    """n_k, the strictly upper-triangular k x k matrices on E_ij (i < j) with
+    [E_ij, E_jl] = E_il, over its centre <E_1k>."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    basis = SuperBasis([(f"E{i}_{j}", 0) for i, j in pairs])
+    e = LieSuperalgebra.from_brackets(basis, {
+        (f"E{i}_{j}", f"E{j}_{l}"): {f"E{i}_{l}": 1}
+        for i, j in pairs for l in range(j + 1, k + 1)})
+    return build_extension(e, [pairs.index((1, k))])
+
+
+def sl2_vn_extension(n):
+    """sl2 ⋉ V_n over V_n, the irreducible module on v0..vn with h·v_k = (n-2k) v_k,
+    f·v_k = (k+1) v_{k+1} and e·v_k = (n-k+1) v_{k-1}."""
+    vs = [f"v{k}" for k in range(n + 1)]
+    basis = SuperBasis([("e", 0), ("f", 0), ("h", 0)] + [(v, 0) for v in vs])
+    brackets = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+    for k, v in enumerate(vs):
+        brackets[("h", v)] = {v: n - 2 * k}
+        if k < n:
+            brackets[("f", v)] = {vs[k + 1]: k + 1}
+        if k > 0:
+            brackets[("e", v)] = {vs[k - 1]: n - k + 1}
+    return build_extension(LieSuperalgebra.from_brackets(basis, brackets), range(3, 4 + n))

@@ -10,6 +10,7 @@ from superext.algebra import (
     SuperBasis,
     Violation,
     _jacobi_residual,
+    _jacobi_residuals,
     _nonzero_entries,
     _sign,
     _sum_structure,
@@ -419,6 +420,17 @@ def test_sparse_jacobi_kernel_matches_the_dense_residual_on_every_triple():
                     elif any(r != 0 for r in dense):
                         nonzero += 1
     assert skipped >= 1000 and nonzero >= 1000, (skipped, nonzero)
+
+
+def test_jacobi_residuals_visit_exactly_the_triples_with_a_nonzero_bracket():
+    # the rule restated: a triple is skipped iff [b_i,b_j], [b_j,b_k] and [b_i,b_k] all vanish
+    for structure, parities in _kernel_corpus():
+        sparse, n = _nonzero_entries(structure), len(parities)
+        for xs, zs in ((range(n), range(n)), (range(n // 2), range(n // 2, n))):
+            want = [(i, j, k, _jacobi_residual(sparse, parities, i, j, k))
+                    for i in xs for j in xs for k in zs
+                    if sparse[i][j] or sparse[j][k] or sparse[i][k]]
+            assert list(_jacobi_residuals(sparse, parities, xs, xs, zs)) == want
 
 
 def _random_vector(rng, n):

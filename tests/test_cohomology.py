@@ -40,7 +40,7 @@ from superext.fixtures import heisenberg3_extension, odd_heisenberg_extension
 from superext.linalg import Mat, inverse, kernel_basis, solve, unit_vec, vec, zero_vec
 from superext.sequences import verify_five_term, verify_ring_sequence
 
-from conftest import heisenberg_extension, sl2_v2_extension
+from conftest import heisenberg_extension, sl2_v2_extension, sl2_vn_extension, strictly_upper_extension
 
 
 def _ab2():
@@ -183,6 +183,66 @@ def test_class_of_non_cocycle_raises(aff_ext):
     assert not is_cocycle2(bad, aff_ext.e, aff_ext.adjoint)
     with pytest.raises(MembershipError):
         class_of(bad, pres)
+
+
+def _dense_cochain2_error(source, target, tensor, degree):
+    """`Cochain2`'s constructor checks restated as plain loops over every entry."""
+    n, d = source.dim, target.dim
+    for i in range(n):
+        for j in range(i, n):
+            s = -1 if source.parity(i) * source.parity(j) == 0 else 1
+            if any(tensor[j][i][k] != s * tensor[i][j][k] for k in range(d)):
+                return f"tensor breaks super-antisymmetry at ({source.names[j]}, {source.names[i]})"
+    for i in range(n):
+        for j in range(n):
+            want = (source.parity(i) + source.parity(j) + degree) % 2
+            for k in range(d):
+                if tensor[i][j][k] != 0 and target.parity(k) != want:
+                    return (f"tensor entry ({source.names[i]}, {source.names[j]}, "
+                            f"{target.names[k]}) breaks homogeneity of degree {degree}")
+    return None
+
+
+def test_cochain2_constructor_errors_match_the_dense_reference():
+    rng = random.Random(23)
+    seen = {}
+    for _ in range(400):
+        source = SuperBasis([(f"b{i}", rng.randint(0, 1)) for i in range(rng.randint(1, 4))])
+        target = SuperBasis([(f"t{k}", rng.randint(0, 1)) for k in range(rng.randint(1, 3))])
+        degree = rng.randint(0, 1)
+        entries = {}
+        for i, j in [(i, j) for i in range(source.dim) for j in range(i, source.dim)]:
+            if i == j and source.parity(i) == 0:
+                continue
+            want = (source.parity(i) + source.parity(j) + degree) % 2
+            entries[(i, j)] = [rng.choice((0, 1, -2, Fraction(1, 3))) if target.parity(k) == want else 0
+                               for k in range(target.dim)]
+        tensor = [[list(v) for v in row]
+                  for row in Cochain2.from_upper(source, target, entries, degree).tensor]
+        kind = rng.choice(("antisymmetry", "homogeneity", "both", None))
+        if kind in ("antisymmetry", "both"):
+            i, j, k = (rng.randrange(source.dim), rng.randrange(source.dim), rng.randrange(target.dim))
+            tensor[i][j][k] += rng.choice((1, -1, Fraction(1, 2)))
+        if kind in ("homogeneity", "both"):
+            i, j = rng.randrange(source.dim), rng.randrange(source.dim)
+            wrong = [k for k in range(target.dim)
+                     if target.parity(k) != (source.parity(i) + source.parity(j) + degree) % 2]
+            if wrong:  # a wrong-parity entry, mirrored so that antisymmetry holds off the diagonal
+                k = rng.choice(wrong)
+                tensor[i][j][k] += 1
+                if i != j:
+                    tensor[j][i][k] += -1 if source.parity(i) * source.parity(j) == 0 else 1
+        want = _dense_cochain2_error(source, target, tensor, degree)
+        if want is None:
+            assert Cochain2(source, target, tensor, degree).tensor == tuple(
+                tuple(vec(v) for v in row) for row in tensor)
+        else:
+            with pytest.raises(MembershipError) as err:
+                Cochain2(source, target, tensor, degree)
+            assert str(err.value) == want
+            seen[(kind, want.split()[1])] = seen.get((kind, want.split()[1]), 0) + 1
+    for case in (("antisymmetry", "breaks"), ("homogeneity", "entry"), ("both", "breaks")):
+        assert seen.get(case, 0) >= 30, seen
 
 
 def test_cup_with_identity_is_identity():
@@ -461,6 +521,31 @@ def test_heisenberg_five_term_dims_match_the_closed_form(k):
         "h2_g": pairs, "h2_e": 2 if k == 1 else pairs - 1,
         "img_res": 0, "ker_d": 0, "img_d": 1, "ker_inf2": 1,
     }
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_strictly_upper_triangular_cohomology_matches_kostant(k):
+    # Kostant (Ann. Math. 74, 1961): dim H^p(n_k) is the number of permutations
+    # of length p in S_k, so dim H¹(n_k) = k - 1 and dim H²(n_k) = (k-2)(k+1)/2;
+    # the centre <E_1k> is a trivial line, so these are z1_e and h2_e
+    ext = strictly_upper_extension(k)
+    assert ext.z1_e.dim == k - 1
+    assert ext.h2_e.dim == (k - 2) * (k + 1) // 2
+    assert verify_five_term(ext).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sl2_semidirect_irreducible_cohomology_matches_the_closed_form(n):
+    # Whitehead's lemmas: H¹(sl2, V_n) = H²(sl2, V_n) = 0.  Z¹(e, V_n) holds the
+    # inner derivations ad v (V_n has no invariants) and the derivation that is
+    # the identity on V_n and zero on sl2.  By Hochschild-Serre and Whitehead,
+    # H²(e, V_n) = Hom_sl2(Λ²V_n, V_n), which Clebsch-Gordan makes one-dimensional
+    # iff n ≡ 2 (mod 4)
+    ext = sl2_vn_extension(n)
+    assert ext.h1_g.dim == 0 and ext.h2_g.dim == 0
+    assert ext.z1_e.dim == n + 2
+    assert ext.h2_e.dim == (1 if n % 4 == 2 else 0)
+    assert verify_five_term(ext).passed
 
 
 @pytest.mark.parametrize("k, odd", [(3, False), (2, True)])

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from superext import sequences
 from superext.algebra import GradedLinearMap
 from superext.extension import (
+    beta_with_section,
     extend_endomorphism,
     extend_obstruction_aut,
     fixes_action,
@@ -26,6 +28,8 @@ from superext.sequences import (
     verify_monoid_sequence,
     verify_semidirect_automorphisms,
 )
+
+from conftest import sl2_v2_extension
 
 
 def _diag(basis, *cs):
@@ -64,6 +68,24 @@ def test_ring_sequence_passes_on_the_corpus(corpus):
     for name, ext in corpus:
         report = verify_ring_sequence(ext, seed=1, pairs=25)
         assert report.passed, (name, report.to_dict())
+
+
+def test_ring_sequence_shifts_the_section_by_a_map_that_changes_the_cocycle(monkeypatch):
+    # the section-independence check compares the obstruction classes of two
+    # cocycles; a derivation's coboundary is zero, so shifting the section by
+    # one would compare beta with itself
+    ext = sl2_v2_extension()
+    assert ext.z1_g.dim > 0
+    shifted = []
+
+    def spy(ext, mu):
+        shifted.append(beta_with_section(ext, mu))
+        return shifted[-1]
+
+    monkeypatch.setattr(sequences, "beta_with_section", spy)
+    report = verify_ring_sequence(ext, seed=0, pairs=2)
+    assert report.passed, report.to_dict()
+    assert len(shifted) == 1 and shifted[0] != ext.beta
 
 
 def test_automorphism_extension_passes_on_the_corpus(corpus):
