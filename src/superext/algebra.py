@@ -214,15 +214,18 @@ def _jacobi_residual(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
 
 def _jacobi_residuals(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
                       xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]):
-    """Yield (i, j, k, `_jacobi_residual`) over i in xs, j in ys, k in zs, in
-    lexicographic order, except where [b_i,b_j], [b_j,b_k] and [b_i,b_k] all
-    vanish: the residual is zero there."""
+    """Yield (i, j, k, `_jacobi_residual`) over i in xs, j in ys, k in zs with
+    i <= j <= k, in lexicographic order, except where [b_i,b_j], [b_j,b_k] and
+    [b_i,b_k] all vanish: the residual is zero there.  For a super-antisymmetric
+    tensor the residual is super-alternating (± the sorted triple's at any
+    order), so these triples decide Jacobi, hold the first violation and span
+    the residuals of all triples; odd repeats stay, as they need not vanish."""
     for i in xs:
         si = sparse[i]
         for j in ys:
             sij, sj = si[j], sparse[j]
             for k in zs:
-                if sij or sj[k] or si[k]:
+                if i <= j <= k and (sij or sj[k] or si[k]):
                     yield i, j, k, _jacobi_residual(sparse, parities, i, j, k)
 
 
@@ -237,10 +240,18 @@ def _wrong_parity(tensor: Sequence[Sequence[Sequence]], left: Sequence[int],
 
 def _broken_antisymmetry(tensor: Sequence[Sequence[Sequence]],
                          parities: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first pair i <= j with T[j][i] != -(-1)^{|i||j|} T[i][j]; None if there is none."""
+    """The first pair i <= j with T[j][i] != -(-1)^{|i||j|} T[i][j]; None if there is none.
+
+    Entries are compared before any is negated: an odd pair must be equal, an
+    equal even pair must vanish, and canonical zeros make both tests cheap."""
     n = len(parities)
-    return next(((i, j) for i in range(n) for j in range(i, n)
-                 if tensor[j][i] != scale_vec(-_sign(parities[i], parities[j]), tensor[i][j])), None)
+    zero = zero_vec(len(tensor[0][0])) if n else ()
+    for i in range(n):
+        for j in range(i, n):
+            a, b, odd = tensor[i][j], tensor[j][i], parities[i] & parities[j]
+            if (not odd and a != zero) if a == b else (odd or b != scale_vec(Fraction(-1), a)):
+                return i, j
+    return None
 
 
 def _upper_pairs(parities: Sequence[int]) -> list[tuple[int, int]]:

@@ -357,12 +357,13 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
                           pos2: list[tuple[int, int, int]]) -> Mat:
     """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
 
-    One pass of the super-Jacobi residual of g ⊕ M over the g×g×g triples,
-    with each entry of beta held as a linear form in the coordinates `pos2`;
-    the signs come from the bracket itself.  Triples with a module slot do
-    not involve beta (it only enters the bracket of two g-parts), so they add
-    no rows.  Zero rows and repeated rows are dropped: they do not change
-    the row space.
+    One pass of the super-Jacobi residual of g ⊕ M over the sorted g×g×g
+    triples i <= j <= k, with each entry of beta held as a linear form in the
+    coordinates `pos2`; the signs come from the bracket itself.  Other orders
+    would only add ± these rows, so the Z² basis is that of all triples.
+    Triples with a module slot do not involve beta (it only enters the
+    bracket of two g-parts), so they add no rows.  Zero rows and repeated
+    rows are dropped: they do not change the row space.
     """
     ng, na = g.dim, m.space.dim
     grid = [[list(zero_vec(na)) for _ in range(ng)] for _ in range(ng)]

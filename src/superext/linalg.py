@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense matrices, sparse row updates.
 
 Everything here is tolerance-free: entries are `fractions.Fraction`, pivot
 choice is deterministic (first nonzero entry in row order), and outputs
 are reproducible bit for bit.  No floating point enters at any stage.
+Elimination updates rows only at a pivot row's nonzero columns; the reduced
+row echelon form is unique, so this changes no result of the dense update.
 
 Every entry of a `Mat` passes through `rat`, so every zero entry is the one
 shared `_ZERO`.  `Mat.apply`, `+` and `-` rely on this and test a matrix's
@@ -200,7 +202,9 @@ def _reduce_rows(rows: list[list[Fraction]]) -> list[int]:
     """In-place reduced row echelon form; returns the pivot columns.
 
     Pivot = first nonzero entry in row order, so the result is unique for
-    a given input ordering.
+    a given input ordering.  Rows are updated only at the pivot row's nonzero
+    columns; the rest would change by f·0, so every value is that of the
+    dense update.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -215,13 +219,16 @@ def _reduce_rows(rows: list[list[Fraction]]) -> list[int]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+        row, pv = rows[r], rows[r][c]
+        # rows r.. vanish left of c, so the pivot row's nonzero entries lie in c..
+        terms = [(j, row[j] if pv == 1 else row[j] / pv) for j in range(c, ncols) if row[j] != 0]
+        for j, x in terms:
+            row[j] = x
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                other, f = rows[i], rows[i][c]
+                for j, x in terms:
+                    other[j] -= f * x
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from superext import fixtures
-from superext.algebra import LieSuperalgebra, SuperBasis
+from superext.algebra import LieSuperalgebra, ModuleAction, SuperBasis, _sign, semidirect_product
+from superext.cohomology import _LinearForm
 from superext.extension import build_extension
 
 
@@ -108,3 +111,29 @@ def sl2_vn_extension(n):
         if k > 0:
             brackets[("e", v)] = {vs[k - 1]: n - k + 1}
     return build_extension(LieSuperalgebra.from_brackets(basis, brackets), range(3, 4 + n))
+
+
+def osp12_adjoint_extension():
+    """osp(1|2) ⋉ ad over the adjoint copy: even h, e, f and odd P, M with
+    [h,e] = 2e, [h,f] = -2f, [e,f] = h, [h,P] = P, [h,M] = -M, [e,M] = -P,
+    [f,P] = -M, [P,P] = 2e, [M,M] = -2f and [P,M] = h; the copy's elements
+    carry a trailing "'"."""
+    basis = SuperBasis([("h", 0), ("e", 0), ("f", 0), ("P", 1), ("M", 1)])
+    g = LieSuperalgebra.from_brackets(basis, {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("h", "P"): {"P": 1}, ("h", "M"): {"M": -1}, ("e", "M"): {"P": -1},
+        ("f", "P"): {"M": -1}, ("P", "P"): {"e": 2}, ("M", "M"): {"f": -2},
+        ("P", "M"): {"h": 1}})
+    space = SuperBasis([(f"{name}'", p) for name, p in basis.items()])
+    return semidirect_product(g, ModuleAction(g, space, g.structure))[1]
+
+
+def symbolic_beta(cx):
+    """beta held as linear forms over the complex's 2-cochain coordinates."""
+    g, na = cx.g, cx.m.space.dim
+    grid = [[[Fraction(0)] * na for _ in range(g.dim)] for _ in range(g.dim)]
+    for p, (i, j, k) in enumerate(cx.pos2):
+        grid[i][j][k] = _LinearForm({p: Fraction(1)})
+        if i != j:
+            grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
+    return grid

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from superext.fixtures import (
     standard_corpus,
 )
 from superext.linalg import Mat, bilinear, is_zero_vec, scale_vec, unit_vec, vec
+
+from conftest import symbolic_beta
 
 
 def test_superbasis_rejects_duplicate_names():
@@ -364,17 +367,6 @@ def _sl2_v2():
     return build_extension(e, [3, 4])
 
 
-def _symbolic_beta(cx):
-    """beta held as linear forms over the complex's 2-cochain coordinates."""
-    g, na = cx.g, cx.m.space.dim
-    grid = [[[Fraction(0)] * na for _ in range(g.dim)] for _ in range(g.dim)]
-    for p, (i, j, k) in enumerate(cx.pos2):
-        grid[i][j][k] = _LinearForm({p: Fraction(1)})
-        if i != j:
-            grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
-    return grid
-
-
 def _random_tensor(rng):
     """A structure tensor with random parities and sparse random entries; rarely Jacobi."""
     n = rng.randint(2, 5)
@@ -396,7 +388,7 @@ def _kernel_corpus():
         for cx in (ext.cochains_g, ext.cochains_e):
             parities = cx.g.basis.parities + cx.m.space.parities
             cases.append((_sum_structure(cx.g, cx.m), parities))
-            cases.append((_sum_structure(cx.g, cx.m, _symbolic_beta(cx)), parities))
+            cases.append((_sum_structure(cx.g, cx.m, symbolic_beta(cx)), parities))
         cases.append((_sum_structure(ext.g, ext.action, ext.beta.tensor),
                       ext.g.basis.parities + ext.a_basis.parities))
     rng = random.Random(11)
@@ -423,14 +415,59 @@ def test_sparse_jacobi_kernel_matches_the_dense_residual_on_every_triple():
 
 
 def test_jacobi_residuals_visit_exactly_the_triples_with_a_nonzero_bracket():
-    # the rule restated: a triple is skipped iff [b_i,b_j], [b_j,b_k] and [b_i,b_k] all vanish
+    # the rule restated: only sorted triples i <= j <= k are visited, and one is
+    # skipped iff [b_i,b_j], [b_j,b_k] and [b_i,b_k] all vanish
     for structure, parities in _kernel_corpus():
         sparse, n = _nonzero_entries(structure), len(parities)
         for xs, zs in ((range(n), range(n)), (range(n // 2), range(n // 2, n))):
             want = [(i, j, k, _jacobi_residual(sparse, parities, i, j, k))
                     for i in xs for j in xs for k in zs
-                    if sparse[i][j] or sparse[j][k] or sparse[i][k]]
+                    if i <= j <= k and (sparse[i][j] or sparse[j][k] or sparse[i][k])]
             assert list(_jacobi_residuals(sparse, parities, xs, xs, zs)) == want
+
+
+def _is_super_antisymmetric(structure, parities):
+    n = len(parities)
+    return all(structure[j][i] == scale_vec(-_sign(parities[i], parities[j]), structure[i][j])
+               for i in range(n) for j in range(n))
+
+
+def test_jacobi_residual_is_super_alternating_on_antisymmetric_tensors():
+    # why sorted triples suffice: swapping two adjacent slots holding b_u, b_v
+    # multiplies the residual by -(-1)^{|u||v|}, so every order of a triple
+    # gives the Koszul sign times the residual at the sorted triple; checked on
+    # the antisymmetric tensors of the kernel corpus and random even ones
+    cases = [case for case in _kernel_corpus() if _is_super_antisymmetric(*case)]
+    rng = random.Random(13)
+    for _ in range(60):  # made even and antisymmetric, rarely Jacobi
+        structure, parities = _random_tensor(rng)
+        n = len(parities)
+        for i in range(n):
+            for j in range(i, n):
+                # keep the components of parity |i| + |j|; an even self-bracket vanishes
+                want = (parities[i] + parities[j]) % 2 if i < j or parities[i] else None
+                structure[i][j] = tuple(c if parities[k] == want else Fraction(0)
+                                        for k, c in enumerate(structure[i][j]))
+                structure[j][i] = scale_vec(-_sign(parities[i], parities[j]), structure[i][j])
+        cases.append((structure, parities))
+    checked = odd_repeats = 0
+    for structure, parities in cases:
+        sparse, n = _nonzero_entries(structure), len(parities)
+        residual = {t: _jacobi_residual(sparse, parities, *t)
+                    for t in itertools.product(range(n), repeat=3)}
+        for t, r in residual.items():
+            order, sign = list(t), Fraction(1)
+            for _ in range(2):  # bubble sort of three slots
+                for a in range(2):
+                    u, v = order[a], order[a + 1]
+                    if u > v:
+                        order[a], order[a + 1] = v, u
+                        sign *= -_sign(parities[u], parities[v])
+            assert r == scale_vec(sign, residual[tuple(order)]), (t, parities)
+            checked += 1
+            if any(parities[x] and t.count(x) > 1 for x in t) and not is_zero_vec(r):
+                odd_repeats += 1  # a repeated odd slot: such triples must stay visited
+    assert checked >= 8000 and odd_repeats >= 300, (checked, odd_repeats)
 
 
 def _random_vector(rng, n):

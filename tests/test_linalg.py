@@ -9,6 +9,7 @@ from superext.linalg import (
     _ZERO,
     Mat,
     SubspacePresentation,
+    _reduce_rows,
     inverse,
     kernel_basis,
     quotient_presentation,
@@ -315,3 +316,53 @@ def test_quotient_complement_matches_greedy_sympy_rank():
             continue
         complement = quotient_presentation(z, b).complement
         assert complement == tuple(_greedy_oracle(b.basis, z.basis, n)), (z, b)
+
+
+def _dense_reduce_rows(rows):
+    """Reference for `_reduce_rows` with the dense row update: the pivot row
+    is normalised in full and every other row updated in full."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def test_sparse_row_update_matches_the_dense_update():
+    # same pivots and same entries by value on sparse, dense and rank-deficient
+    # matrices whose zeros include Fraction(0, 7) and the int 0
+    rng = random.Random(109)
+    deficient = 0
+    for t in range(240):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        density = (0.15, 0.5, 1.0)[t % 3]
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+                 else rng.choice((Fraction(0, 7), 0, _ZERO)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 1 and t % 2:  # append combinations of earlier rows
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.sample(rows, 2)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                rows.insert(rng.randint(0, len(rows)), [x - c * y for x, y in zip(a, b)])
+        dense, sparse = [list(r) for r in rows], [list(r) for r in rows]
+        pivots = _dense_reduce_rows(dense)
+        assert _reduce_rows(sparse) == pivots, rows
+        assert sparse == dense, rows
+        deficient += len(pivots) < min(len(rows), ncols)
+    assert deficient >= 60, deficient
