@@ -19,6 +19,8 @@ from .linalg import (
     _ZERO,
     Mat,
     Vec,
+    _scaled,
+    _sparse_scaled,
     bilinear,
     is_zero_vec,
     rat,
@@ -100,7 +102,7 @@ class Violation:
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra given by structure constants."""
 
-    __slots__ = ("basis", "structure", "_sparse")
+    __slots__ = ("basis", "structure", "_sparse", "_int_sparse")
 
     def __init__(self, basis: SuperBasis, structure: Sequence[Sequence[Sequence]]):
         n = basis.dim
@@ -115,6 +117,7 @@ class LieSuperalgebra:
                 if len(self.structure[i][j]) != n:
                     raise ShapeError("structure tensor entries have the wrong length")
         self._sparse = _nonzero_entries(self.structure)  # the view `bracket` multiplies with
+        self._int_sparse = None  # the one `is_homomorphism` multiplies with, built by `_int_view`
 
     @classmethod
     def abelian(cls, basis: SuperBasis) -> "LieSuperalgebra":
@@ -163,6 +166,18 @@ class LieSuperalgebra:
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    def _int_view(self) -> tuple[list[list[tuple]], int]:
+        """(S, E): the `_nonzero_entries` view with each value c written as the
+        integer c·E, over the least common denominator E of all of them.
+        Built on the first call, so algebras that never meet `is_homomorphism`
+        do not pay for it."""
+        if self._int_sparse is None:
+            nums, den = _scaled(c for row in self._sparse for v in row for _, c in v)
+            it = iter(nums)
+            self._int_sparse = ([[tuple((k, next(it)) for k, _ in v) for v in row]
+                                 for row in self._sparse], den)
+        return self._int_sparse
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         n = self.dim
@@ -497,15 +512,34 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
     Only the pairs of `_upper_pairs` (i < j and the odd diagonal) are
     tested, up to the first failure: the remaining pairs follow from
     super-antisymmetry, which both algebras are assumed to satisfy
-    (extensions validate their ambient algebra on construction).
+    (extensions validate their ambient algebra on construction).  Both
+    sides are compared in integers, scaled by the common denominators of
+    phi and of the two structure tensors.
     """
     if phi.domain != g.basis or phi.codomain != h.basis:
         raise ShapeError("map bases do not match the given algebras")
     if phi.degree != 0:
         return False
-    images = [phi.image_of_basis(i) for i in range(g.dim)]
-    return all(phi.apply(g.structure[i][j]) == h.bracket(images[i], images[j])
-               for i, j in _upper_pairs(g.basis.parities))
+    # phi = F/D and structure constants C/E: phi([b_i,b_j]) = [phi b_i, phi b_j]
+    # iff D·E_h·sum_k C^g_ijk F_·k = E_g·sum_{p,q} F_pi F_qj C^h_pq·, entry by entry
+    images, den = _sparse_scaled([phi.image_of_basis(i) for i in range(g.dim)], h.dim)
+    (cg, eg), (ch, eh) = g._int_view(), h._int_view()
+    scale = den * eh
+    for i, j in _upper_pairs(g.basis.parities):
+        lhs = [0] * h.dim
+        for k, c in cg[i][j]:
+            for r, x in images[k]:
+                lhs[r] += c * x
+        rhs = [0] * h.dim
+        for p, x in images[i]:
+            row = ch[p]
+            for q, y in images[j]:
+                xy = x * y
+                for r, c in row[q]:
+                    rhs[r] += xy * c
+        if any(scale * a != eg * b for a, b in zip(lhs, rhs)):
+            return False
+    return True
 
 
 def semidirect_product(g: LieSuperalgebra, m: ModuleAction):

@@ -363,7 +363,8 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
     would only add ± these rows, so the Z² basis is that of all triples.
     Triples with a module slot do not involve beta (it only enters the
     bracket of two g-parts), so they add no rows.  Zero rows and repeated
-    rows are dropped: they do not change the row space.
+    rows are dropped: they do not change the row space.  Rows are compared by
+    their sorted nonzero terms, which tell rows apart as their dense forms do.
     """
     ng, na = g.dim, m.space.dim
     grid = [[list(zero_vec(na)) for _ in range(ng)] for _ in range(ng)]
@@ -373,13 +374,13 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
             grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
     sparse = _nonzero_entries(_sum_structure(g, m, grid))
     parities = g.basis.parities + m.space.parities
-    n2 = len(pos2)
-    rows: dict[Vec, None] = {}
+    rows: dict[tuple, _LinearForm] = {}
     for *_, residual in _jacobi_residuals(sparse, parities, range(ng), range(ng), range(ng)):
         for r in residual[ng:]:
             if r != 0:
-                rows.setdefault(r.dense(n2))
-    return Mat(list(rows), cols=n2)
+                rows.setdefault(tuple(sorted(r.terms.items())), r)
+    n2 = len(pos2)
+    return Mat._canonical(tuple(r.dense(n2) for r in rows.values()), n2)
 
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
@@ -459,7 +460,7 @@ class CochainComplex:
             raise ShapeError("map bases do not match the algebra and module")
         if f.degree != 0:
             return False
-        return is_zero_vec(self.d1.apply(self.coords1(f)))
+        return self.d1._annihilates(self.coords1(f))
 
     @cached_property
     def z1(self) -> SubspacePresentation:
@@ -492,7 +493,7 @@ class CochainComplex:
         """Whether beta is an even 2-cocycle: a product with the cached constraints."""
         if beta.source != self.g.basis or beta.target != self.m.space or beta.degree != 0:
             raise ShapeError("cochain bases do not match the algebra and module")
-        return is_zero_vec(self.cocycle2_constraints.apply(self.coords2(beta)))
+        return self.cocycle2_constraints._annihilates(self.coords2(beta))
 
     @cached_property
     def z2(self) -> SubspacePresentation:

@@ -313,7 +313,7 @@ def _block(f: GradedLinearMap, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     precondition (for the offset: gamma fixes the ideal and induces psi).
     """
     data = f.matrix.data
-    return Mat([[data[r][c] for c in cols] for r in rows], cols=len(cols))
+    return Mat._canonical(tuple(tuple(data[r][c] for c in cols) for r in rows), len(cols))
 
 
 def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearMap:
@@ -325,7 +325,8 @@ def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearM
         for r, row in zip(row_idx, block.data):
             for c, x in zip(col_idx, row):
                 rows[r][c] = x
-    return GradedLinearMap(ext.e.basis, ext.e.basis, Mat(rows, cols=ext.dim_e))
+    return GradedLinearMap(ext.e.basis, ext.e.basis,
+                           Mat._canonical(tuple(map(tuple, rows)), ext.dim_e))
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:
@@ -392,7 +393,7 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
     if phi.degree != 0:
         return False
     coords = map_to_coords(phi, ext.pos_a)
-    return is_zero_vec(ext.module_end_constraints.apply(coords))
+    return ext.module_end_constraints._annihilates(coords)
 
 
 def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterator[Vec]:
@@ -441,7 +442,7 @@ def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Ve
     ideal = ext.ideal_indices
     coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
                    for n, i in ext.cochains_e.pos1)
-    return coords if is_zero_vec(ext.cochains_e.d1.apply(coords)) else None
+    return coords if ext.cochains_e.d1._annihilates(coords) else None
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:

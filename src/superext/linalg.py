@@ -6,15 +6,31 @@ are reproducible bit for bit.  No floating point enters at any stage.
 Elimination updates rows only at a pivot row's nonzero columns; the reduced
 row echelon form is unique, so this changes no result of the dense update.
 
-Every entry of a `Mat` passes through `rat`, so every zero entry is the one
-shared `_ZERO`.  `Mat.apply`, `+` and `-` rely on this and test a matrix's
-own entries for zero by identity.  Vectors passed in by callers may hold
-other zeros, such as `Fraction(0, 7)`, and are tested by value.
+Every zero entry of a `Mat` is the one shared `_ZERO`.  The public
+constructor passes each entry through `rat`; `Mat._canonical` takes grids
+that already hold only Fractions with that zero and skips the pass: `@`,
+`+`, `-`, `scale`, `identity` and `zeros` build their results with it, and
+so do `extension._block` and `_assemble`, which copy entries of matrices,
+and `cohomology._cocycle2_constraints`.
+`Mat.apply`, `+` and `-` rely on the invariant and test a matrix's own
+entries for zero by identity.  Vectors passed in by callers may hold other
+zeros, such as `Fraction(0, 7)`, and are tested by value.
+
+The small-map kernels work on integer-scaled views: `_scaled` writes a list
+of rationals as integer numerators over their least common denominator, so
+`@`, the zero test `Mat._annihilates` and `SubspacePresentation.combine`
+add and multiply integers and build a Fraction only for each nonzero value
+they return.  The arithmetic is exact, so every result is the one the
+Fraction arithmetic gives.  A matrix caches its integer rows on the first
+zero test, which the operators kept by a cochain complex or an extension
+pay for once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import MembershipError, ShapeError
@@ -23,6 +39,7 @@ Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def rat(value) -> Fraction:
@@ -39,6 +56,38 @@ def rat(value) -> Fraction:
     if isinstance(value, (int, str)):
         return rat(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _scaled(values: Iterable) -> tuple[list[int], int]:
+    """(N, d) with values = N / d: integer numerators over the least common
+    denominator d of the entries (ints and Fractions)."""
+    values = list(values)
+    d = lcm(*set(map(_denominator, values)))
+    if d == 1:
+        return list(map(_numerator, values)), 1
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _sparse_scaled(rows: Sequence[Sequence], width: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The rows of a grid as lists of their nonzero (j, N_j), over one common
+    denominator: `_scaled` of all entries at once."""
+    flat, d = _scaled(x for row in rows for x in row)
+    return [[(j, x) for j, x in enumerate(flat[k * width:(k + 1) * width]) if x]
+            for k in range(len(rows))], d
+
+
+def _combination(coeffs: Sequence, rows: Sequence[Sequence[tuple[int, int]]], den: int,
+                 width: int) -> Vec:
+    """sum_k coeffs_k · rows_k, for rows given by `_sparse_scaled` over den:
+    integer sums over one denominator, skipping zero coefficients and entries."""
+    cs, d = _scaled(coeffs)
+    acc = [0] * width
+    for c, row in zip(cs, rows):
+        if c:
+            for j, x in row:
+                acc[j] += c * x
+    d *= den
+    return tuple(Fraction(x, d) if x else _ZERO for x in acc)
 
 
 def vec(values: Iterable) -> Vec:
@@ -97,28 +146,33 @@ def bilinear(sparse: Sequence[Sequence[Sequence[tuple]]], x: Sequence, y: Sequen
 class Mat:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_int_rows")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
         grid = tuple(tuple(rat(x) for x in row) for row in data)
-        if grid:
-            width = len(grid[0])
-            for row in grid:
-                if len(row) != width:
-                    raise ShapeError("rows have varying lengths")
-        else:
-            width = 0 if cols is None else cols
-        self.data = grid
-        self.rows = len(grid)
-        self.cols = width
+        width = len(grid[0]) if grid else 0 if cols is None else cols
+        for row in grid:
+            if len(row) != width:
+                raise ShapeError("rows have varying lengths")
+        if cols is not None and width != cols:
+            raise ShapeError(f"rows have length {width}, expected {cols}")
+        self.data, self.rows, self.cols, self._int_rows = grid, len(grid), width, None
+
+    @classmethod
+    def _canonical(cls, grid: tuple[Vec, ...], cols: int) -> "Mat":
+        """A matrix on a grid of Fractions whose zeros are all `_ZERO`,
+        without the `rat` pass of the public constructor."""
+        m = object.__new__(cls)
+        m.data, m.rows, m.cols, m._int_rows = grid, len(grid), cols, None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([unit_vec(n, i) for i in range(n)], cols=n)
+        return cls._canonical(tuple(unit_vec(n, i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls([zero_vec(cols) for _ in range(rows)], cols=cols)
+        return cls._canonical((zero_vec(cols),) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: Optional[int] = None) -> "Mat":
@@ -153,27 +207,53 @@ class Mat:
                     out[i] += vj * c
         return tuple(out)
 
+    def _annihilates(self, v: Sequence[Fraction]) -> bool:
+        """Whether A·v = 0, in integers: each nonzero row of A scaled by its
+        own denominator (cached on first use) against v scaled by one; stops
+        at the first row with a nonzero product."""
+        if len(v) != self.cols:
+            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
+        w = _scaled(v)[0]
+        if not any(w):
+            return True
+        if self._int_rows is None:
+            self._int_rows = [n for n, _ in map(_scaled, self.data) if any(n)]
+        return not any(sum(map(mul, n, w)) for n in self._int_rows)
+
     def __matmul__(self, other: "Mat") -> "Mat":
+        """A·B row by row in integers: row i of A is the combination of B's
+        rows with A's row as coefficients."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Mat.from_columns([self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
+        m = other.cols
+        b_rows, den = _sparse_scaled(other.data, m)
+        live = [k for k, r in enumerate(b_rows) if r]  # entries of A facing a zero row add nothing
+        out = []
+        for row in self.data:
+            terms = [k for k in live if row[k] is not _ZERO]
+            out.append(_combination([row[k] for k in terms], [b_rows[k] for k in terms], den, m)
+                       if terms else zero_vec(m))
+        return Mat._canonical(tuple(out), m)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a if b is _ZERO else b if a is _ZERO else a + b for a, b in zip(r, s)]
-                    for r, s in zip(self.data, other.data)], cols=self.cols)
+        return Mat._canonical(tuple(
+            tuple(a if b is _ZERO else b if a is _ZERO else (a + b) or _ZERO for a, b in zip(r, s))
+            for r, s in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a if b is _ZERO else a - b for a, b in zip(r, s)]
-                    for r, s in zip(self.data, other.data)], cols=self.cols)
+        return Mat._canonical(tuple(
+            tuple(a if b is _ZERO else (a - b) or _ZERO for a, b in zip(r, s))
+            for r, s in zip(self.data, other.data)), self.cols)
 
     def __neg__(self) -> "Mat":
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat([scale_vec(c, r) for r in self.data], cols=self.cols)
+        return Mat._canonical(tuple(tuple(x if x is _ZERO else (c * x) or _ZERO for x in r)
+                                    for r in self.data), self.cols)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.data)
@@ -282,7 +362,7 @@ def _pivots(vectors: Sequence[Sequence[Fraction]], n: int) -> list[int]:
 class SubspacePresentation:
     """A subspace of Q^n given by a linearly independent list of vectors."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_int_basis")
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[Fraction]]):
         vs = tuple(vec(v) for v in basis)
@@ -293,6 +373,7 @@ class SubspacePresentation:
             raise MembershipError("basis vectors are linearly dependent")
         self.ambient_dim = ambient_dim
         self.basis = vs
+        self._int_basis = None  # the basis as sparse integer rows over one denominator, for `combine`
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "SubspacePresentation":
@@ -321,11 +402,9 @@ class SubspacePresentation:
         """Linear combination of the basis with the given coefficients."""
         if len(coeffs) != self.dim:
             raise ShapeError("coefficient count does not match the basis size")
-        out = list(zero_vec(self.ambient_dim))
-        for c, b in zip(coeffs, self.basis):
-            if c != 0:
-                out = [a + c * x for a, x in zip(out, b)]
-        return tuple(out)
+        if self._int_basis is None:
+            self._int_basis = _sparse_scaled(self.basis, self.ambient_dim)
+        return _combination(coeffs, *self._int_basis, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
         return (

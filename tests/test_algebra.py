@@ -23,7 +23,7 @@ from superext.algebra import (
 )
 from superext.cohomology import _LinearForm
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
-from superext.extension import build_extension
+from superext.extension import build_extension, from_derivation
 from superext.fixtures import (
     all_even_corpus,
     heisenberg3,
@@ -33,7 +33,8 @@ from superext.fixtures import (
     odd_semidirect_extension,
     standard_corpus,
 )
-from superext.linalg import Mat, bilinear, is_zero_vec, scale_vec, unit_vec, vec
+from superext.linalg import Mat, bilinear, inverse, is_zero_vec, scale_vec, unit_vec, vec
+from superext.sequences import sample_cocycle
 
 from conftest import symbolic_beta
 
@@ -553,3 +554,72 @@ def test_validators_report_the_same_violation_as_the_dense_reference():
     assert rules[:300].count(None) <= 100 and rules[300:].count(None) <= 100, rules.count(None)
     for rule in ("parity", "antisymmetry", "jacobi", "module-parity", "module-axiom"):
         assert rules.count(rule) >= 10, (rule, rules.count(rule))
+
+
+def _is_homomorphism_loop(phi, g, h):
+    """`is_homomorphism` in Fractions: phi([b_i, b_j]) == [phi b_i, phi b_j]
+    on every basis pair."""
+    if phi.degree != 0:
+        return False
+    images = [phi.image_of_basis(i) for i in range(g.dim)]
+    return all(phi.apply(g.structure[i][j]) == h.bracket(images[i], images[j])
+               for i in range(g.dim) for j in range(g.dim))
+
+
+def _big_entry(rng):
+    """A small fraction, a plain int or a fraction with a denominator above 200 bits."""
+    return rng.choice((Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-3, 3),
+                       Fraction(rng.randint(1, 10 ** 60), rng.randint(2 ** 200, 2 ** 210))))
+
+
+def _transported(g, rng):
+    """(T, h): a random even invertible T with entries of all sizes and the
+    algebra h on g's basis with [x, y]_h = T[T^-1 x, T^-1 y]_g, so that T is
+    an isomorphism g -> h."""
+    parities = g.basis.parities
+    while True:
+        t = Mat([[_big_entry(rng) if parities[r] == parities[c] else 0 for c in range(g.dim)]
+                 for r in range(g.dim)], cols=g.dim)
+        t_inv = inverse(t)
+        if t_inv is not None:
+            break
+    cols = [t_inv.column(i) for i in range(g.dim)]
+    structure = [[t.apply(g.bracket(cols[i], cols[j])) for j in range(g.dim)] for i in range(g.dim)]
+    h = LieSuperalgebra(g.basis, structure)
+    return GradedLinearMap(g.basis, g.basis, t), h
+
+
+def test_is_homomorphism_agrees_with_the_fraction_loop():
+    rng = random.Random(151)
+    cases = []
+    for ext in _kernel_extensions():
+        cases += [(GradedLinearMap.identity(ext.e.basis), ext.e, ext.e),
+                  (ext.projection, ext.e, ext.g), (ext.section, ext.g, ext.e),
+                  (from_derivation(sample_cocycle(ext, 3), ext), ext.e, ext.e)]
+        for alg in (ext.e, ext.g):
+            if alg.dim:
+                phi, h = _transported(alg, rng)
+                back = GradedLinearMap(alg.basis, alg.basis, inverse(phi.matrix))
+                cases += [(phi, alg, h), (back, h, alg), (GradedLinearMap.identity(alg.basis), h, h),
+                          (phi.compose(phi), alg, alg), (phi, alg, alg), (phi, h, h)]
+    verdicts = []
+    for phi, g, h in cases:
+        n, m = phi.matrix.rows, phi.matrix.cols
+        maps = [phi]
+        for _ in range(3):  # perturb one entry, keeping the map even
+            pairs = [(r, c) for r in range(n) for c in range(m)
+                     if phi.codomain.parity(r) == phi.domain.parity(c)]
+            if pairs:
+                r, c = rng.choice(pairs)
+                rows = [list(row) for row in phi.matrix.data]
+                rows[r][c] += _big_entry(rng) or 1
+                maps.append(GradedLinearMap(phi.domain, phi.codomain, Mat(rows, cols=m)))
+        for f in maps:
+            expected = _is_homomorphism_loop(f, g, h)
+            assert is_homomorphism(f, g, h) == expected, (f, g, h)
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 150 and verdicts.count(False) >= 120, (
+        verdicts.count(True), verdicts.count(False))
+    odd = GradedLinearMap(odd_heisenberg().basis, odd_heisenberg().basis,
+                          Mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), degree=1)
+    assert not is_homomorphism(odd, odd_heisenberg(), odd_heisenberg())

@@ -13,8 +13,10 @@ from superext.algebra import (
     ModuleAction,
     SuperBasis,
     _jacobi_residual,
+    _jacobi_residuals,
     _nonzero_entries,
     _sum_structure,
+    semidirect_product,
     validate_module,
 )
 from superext import cohomology, extension, fixtures, linalg
@@ -335,6 +337,19 @@ def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
 # -- the linearized 2-cocycle constraints --------------------------------------
 
 
+def _odd_scaling_line_extension():
+    """g = <h | x> with [h, x] = x, split by a trivial even line <c>.
+
+    The 2-cochains of g with values in <c> have one free slot, beta(x, x),
+    and only the triple (h, x, x), which repeats the odd x, constrains it:
+    its residual is 2 beta(x, x), so Z²(g) = 0.  Over e = g ⊕ <c> the slots
+    are beta(x, x) and beta(h, c), and again only (h, x, x) constrains, so
+    Z²(e) = <beta(h, c)>.  Dropping the triples with a repeated index would
+    give dimensions 1 and 2."""
+    g = LieSuperalgebra.from_brackets(SuperBasis([("h", 0), ("x", 1)]), {("h", "x"): {"x": 1}})
+    return semidirect_product(g, ModuleAction.trivial(g, SuperBasis([("c", 0)])))[1]
+
+
 _Z2_CORPUS = {
     "heisenberg3": fixtures.heisenberg3_extension,
     "odd_heisenberg": fixtures.odd_heisenberg_extension,
@@ -347,6 +362,7 @@ _Z2_CORPUS = {
     "h7": lambda: heisenberg_extension(3),
     "h7_odd": lambda: heisenberg_extension(3, odd=True),
     "sl2_v2": sl2_v2_extension,
+    "odd_scaling_line": _odd_scaling_line_extension,
 }
 
 
@@ -374,20 +390,61 @@ def test_linearized_z2_equals_the_per_unit_assembly(name, side):
     assert cx.z2.basis == reference.basis
 
 
+def _dense_key_rows(cx, residuals):
+    """The module parts of twisted-Jacobi residuals with beta held
+    symbolically, as constraint rows deduplicated on their dense forms."""
+    ng, n2 = cx.g.dim, len(cx.pos2)
+    rows = {}
+    for residual in residuals:
+        for r in residual[ng:]:
+            if r != 0:
+                rows.setdefault(r.dense(n2))
+    return Mat(list(rows), cols=n2)
+
+
+def _symbolic_view(cx):
+    """The nonzero view and the parities of g ⊕ M with beta held symbolically."""
+    sparse = _nonzero_entries(_sum_structure(cx.g, cx.m, symbolic_beta(cx)))
+    return sparse, cx.g.basis.parities + cx.m.space.parities
+
+
 def _all_ordered_triples_z2(cx):
     """Reference Z² from the constraint rows of every ordered g×g×g triple,
     against the sorted triples of `_cocycle2_constraints`."""
-    g, ng, n2 = cx.g, cx.g.dim, len(cx.pos2)
-    sparse = _nonzero_entries(_sum_structure(g, cx.m, symbolic_beta(cx)))
-    parities = g.basis.parities + cx.m.space.parities
-    rows = {}
-    for i in range(ng):
-        for j in range(ng):
-            for k in range(ng):
-                for r in _jacobi_residual(sparse, parities, i, j, k)[ng:]:
-                    if r != 0:
-                        rows.setdefault(r.dense(n2))
-    return kernel_basis(Mat(list(rows), cols=n2))
+    sparse, parities = _symbolic_view(cx)
+    every = range(cx.g.dim)
+    return kernel_basis(_dense_key_rows(cx, (_jacobi_residual(sparse, parities, i, j, k)
+                                             for i in every for j in every for k in every)))
+
+
+def test_an_odd_repeated_triple_alone_constrains_z2():
+    ext = _odd_scaling_line_extension()
+    assert len(ext.cochains_g.pos2) == 1 and len(ext.cochains_e.pos2) == 2
+    assert ext.cochains_g.z2.dim == 0 and ext.h2_g.dim == 0
+    assert ext.cochains_e.z2.dim == 1
+    assert ext.cochains_e.z2.basis == (ext.cochains_e.coords2(Cochain2.from_upper(
+        ext.e.basis, ext.a_basis, {(0, 2): (Fraction(1),)})),)
+
+
+def _dense_key_constraints(cx):
+    """`_cocycle2_constraints` with the rows deduplicated on their dense forms."""
+    sparse, parities = _symbolic_view(cx)
+    every = range(cx.g.dim)
+    return _dense_key_rows(cx, (r for *_, r in _jacobi_residuals(sparse, parities, every, every, every)))
+
+
+_DEDUP_CORPUS = {**_Z2_CORPUS, "n6": lambda: strictly_upper_extension(6),
+                 "sl2_v4": lambda: sl2_vn_extension(4)}
+
+
+@pytest.mark.parametrize("side", ["g", "e"])
+@pytest.mark.parametrize("name", sorted(_DEDUP_CORPUS))
+def test_sparse_key_dedup_gives_the_rows_of_the_dense_key_dedup(name, side):
+    ext = _DEDUP_CORPUS[name]()
+    cx = ext.cochains_g if side == "g" else ext.cochains_e
+    got, reference = cx.cocycle2_constraints, _dense_key_constraints(cx)
+    assert (got.rows, got.cols) == (reference.rows, reference.cols)
+    assert got.data == reference.data
 
 
 _ORDERED_TRIPLES_CORPUS = {**_Z2_CORPUS, "osp12_adjoint": osp12_adjoint_extension,

@@ -11,6 +11,7 @@ from superext.linalg import (
     SubspacePresentation,
     _reduce_rows,
     inverse,
+    is_zero_vec,
     kernel_basis,
     quotient_presentation,
     rank,
@@ -210,6 +211,16 @@ def test_mat_requires_rectangular_data():
         Mat([[1, 2], [3]])
 
 
+def test_mat_rejects_rows_of_another_width_than_cols():
+    with pytest.raises(ShapeError):
+        Mat([[1, 2]], cols=3)
+    with pytest.raises(ShapeError):
+        Mat([[1, 2], [3, 4]], cols=1)
+    assert Mat([[1, 2]], cols=2).cols == 2
+    empty = Mat([], cols=3)
+    assert (empty.rows, empty.cols) == (0, 3)
+
+
 def test_every_zero_entry_of_a_matrix_is_the_shared_zero():
     """`Mat.apply` tests its entries by identity with `_ZERO`; every way of
     building a matrix, cancellations included, must keep that invariant."""
@@ -366,3 +377,112 @@ def test_sparse_row_update_matches_the_dense_update():
         assert sparse == dense, rows
         deficient += len(pivots) < min(len(rows), ncols)
     assert deficient >= 60, deficient
+
+
+# -- the integer-scaled kernels against their Fraction forms -----------------
+
+
+def _kernel_entry(rng):
+    """A rational of each kind the kernels are given: the shared zero, other
+    zeros, plain ints, small fractions and denominators above 200 bits."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice((_ZERO, Fraction(0, 7), 0))
+    if kind == 1:
+        return rng.randint(-4, 4)
+    if kind == 5:
+        return Fraction(rng.randint(-10 ** 70, 10 ** 70), rng.randint(2 ** 200, 2 ** 210))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _kernel_matrix(rng, rows, cols):
+    sparse = rng.random() < 0.5
+    return Mat([[_kernel_entry(rng) if not sparse or rng.random() < 0.3 else 0
+                 for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def _with_other_zeros(rng, v):
+    """v with its zeros replaced by Fraction(0, 7) or 0 and its integral
+    entries by ints, at random."""
+    return tuple(rng.choice((x, Fraction(0, 7), 0)) if x == 0
+                 else int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in v)
+
+
+def test_zero_test_agrees_with_the_product():
+    rng = random.Random(131)
+    verdicts = []
+    for _ in range(300):
+        a = _kernel_matrix(rng, rng.randint(0, 6), rng.randint(1, 6))
+        kernel = kernel_basis(a).basis
+        if kernel and rng.random() < 0.6:
+            v = [Fraction(0)] * a.cols
+            for k in kernel:
+                c = _kernel_entry(rng)
+                v = [x + c * y for x, y in zip(v, k)]
+            if rng.random() < 0.3:  # leave the kernel
+                j = rng.randrange(a.cols)
+                v[j] += Fraction(1, 2 ** 205 + 3)
+        else:
+            v = [_kernel_entry(rng) for _ in range(a.cols)]
+        v = _with_other_zeros(rng, v)
+        expected = is_zero_vec(a.apply(v))
+        assert a._annihilates(v) == expected, (a, v)
+        assert a._annihilates(v) == expected  # again, on the cached integer rows
+        verdicts.append(expected)
+    assert 60 <= verdicts.count(True) <= 240, verdicts.count(True)
+    with pytest.raises(ShapeError):
+        Mat.identity(2)._annihilates((1,))
+
+
+def test_product_agrees_with_the_column_form():
+    rng = random.Random(137)
+    for _ in range(200):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a, b = _kernel_matrix(rng, n, k), _kernel_matrix(rng, k, m)
+        columns = Mat.from_columns([a.apply(b.column(j)) for j in range(m)], rows=n)
+        product = a @ b
+        assert (product.rows, product.cols) == (n, m)
+        assert product.data == columns.data, (a, b)
+    with pytest.raises(ShapeError):
+        Mat.identity(2) @ Mat.identity(3)
+
+
+def _combine_loop(pres, coeffs):
+    """`SubspacePresentation.combine` as one Fraction vector per coefficient."""
+    out = list(zero_vec(pres.ambient_dim))
+    for c, b in zip(coeffs, pres.basis):
+        if c != 0:
+            out = [a + c * x for a, x in zip(out, b)]
+    return tuple(out)
+
+
+def test_combine_agrees_with_the_fraction_loop():
+    rng = random.Random(139)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        pres = SubspacePresentation.from_spanning(
+            n, [[_kernel_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, n + 1))])
+        for _ in range(3):
+            coeffs = tuple(_kernel_entry(rng) for _ in range(pres.dim))
+            got = pres.combine(coeffs)
+            assert got == _combine_loop(pres, coeffs), (pres.basis, coeffs)
+            assert all(x is _ZERO for x in got if x == 0)
+    with pytest.raises(ShapeError):
+        SubspacePresentation(2, [(1, 0)]).combine(())
+
+
+def test_results_of_the_integer_kernels_hold_only_the_shared_zero():
+    rng = random.Random(149)
+    zeros = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a, b = _kernel_matrix(rng, n, n), _kernel_matrix(rng, n, n)
+        c = _kernel_entry(rng)
+        for m in (a @ b, a + b, a - b, a - a, b + b.scale(-1), a.scale(c), -a):
+            for row in m.data:
+                for x in row:
+                    assert isinstance(x, Fraction)
+                    if x == 0:
+                        assert x is _ZERO, m
+                        zeros += 1
+    assert zeros >= 300, zeros
