@@ -561,7 +561,7 @@ def semidirect_product(g: LieSuperalgebra, m: ModuleAction):
     basis = SuperBasis(g.basis.items() + m.space.items())
     product = LieSuperalgebra(basis, _sum_structure(g, m))
     ext = build_extension(product, range(ng, product.dim))  # validates the product
-    if not all(is_zero_vec(ext.beta.value(i, j)) for i in range(ng) for j in range(ng)):
+    if not ext.is_split_on_section():
         raise MembershipError("split extension produced a nonzero cocycle")
     return product, ext
 

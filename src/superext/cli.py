@@ -102,50 +102,46 @@ def _cmd_cohomology(args) -> int:
     return EXIT_OK
 
 
-def _cmd_extend(args) -> int:
+# per query kind: the payload key of the verdict, the predicate, the solver,
+# the obstruction, and the payload and summary wording of a predicate failure
+_QUERIES = {
+    "extend": ("extended", is_module_endomorphism, extend_endomorphism, extend_obstruction,
+               "map is not a module endomorphism of the ideal", "not a module endomorphism"),
+    "lift": ("lifted", fixes_action, lift_endomorphism, lift_obstruction,
+             "map does not preserve the action on the ideal", "does not preserve the action"),
+}
+
+
+def _cmd_query(args) -> int:
+    """`extend` and `lift`: a witness from the solver and the obstruction class."""
+    kind = args.command
+    done_key, predicate, solve, obstruct, not_member, failure = _QUERIES[kind]
     ext = files.load_extension(Path(args.ext))
-    phi = files.parse_map(files.load_json(Path(args.map)), ext)
-    if not is_module_endomorphism(phi, ext):
-        _emit({"command": "extend", "error": "map is not a module endomorphism of the ideal"},
-              "error: extend: predicate failure (not a module endomorphism)")
+    m = files.parse_map(files.load_json(Path(args.map)), ext)
+    if not predicate(m, ext):
+        _emit({"command": kind, "error": not_member},
+              f"error: {kind}: predicate failure ({failure})")
         return EXIT_SEMANTIC
-    witness = extend_endomorphism(phi, ext)
-    obstruction = extend_obstruction(phi, ext)
+    witness = solve(m, ext)
+    obstruction = obstruct(m, ext)
     payload = {
-        "command": "extend",
-        "extended": witness is not None,
+        "command": kind,
+        done_key: witness is not None,
         "witness": None if witness is None else files.dump_matrix(witness.matrix),
         "obstruction": [files.format_rat(c) for c in obstruction.coords],
     }
-    _emit(payload, "extend: witness found" if witness is not None
-          else f"extend: obstructed, class {payload['obstruction']}")
-    return EXIT_OK
-
-
-def _cmd_lift(args) -> int:
-    ext = files.load_extension(Path(args.ext))
-    psi = files.parse_map(files.load_json(Path(args.map)), ext)
-    if not fixes_action(psi, ext):
-        _emit({"command": "lift", "error": "map does not preserve the action on the ideal"},
-              "error: lift: predicate failure (does not preserve the action)")
-        return EXIT_SEMANTIC
-    witness = lift_endomorphism(psi, ext)
-    obstruction = lift_obstruction(psi, ext)
-    payload = {
-        "command": "lift",
-        "lifted": witness is not None,
-        "witness": None if witness is None else files.dump_matrix(witness.matrix),
-        "obstruction": [files.format_rat(c) for c in obstruction.coords],
-    }
-    _emit(payload, "lift: witness found" if witness is not None
-          else f"lift: obstructed, class {payload['obstruction']}")
+    _emit(payload, f"{kind}: witness found" if witness is not None
+          else f"{kind}: obstructed, class {payload['obstruction']}")
     return EXIT_OK
 
 
 _SUITES = ("five-term", "thm1", "cor1", "thm2", "thm3")
+_SAMPLE_DOMAINS = {"cor1": "a", "thm2": "g", "thm3": "a"}  # the suites that take --samples
 
 
 def _cmd_verify(args) -> int:
+    if args.samples and args.suite not in _SAMPLE_DOMAINS:
+        raise ParseError(f"suite {args.suite} takes no --samples")
     ext = files.load_extension(Path(args.ext))
     seed = args.seed
     env_seed = os.environ.get("SUPEREXT_SEED")
@@ -156,8 +152,7 @@ def _cmd_verify(args) -> int:
             raise ParseError(f"SUPEREXT_SEED must be an integer, got {env_seed!r}") from None
     samples = None
     if args.samples:
-        domain = "g" if args.suite == "thm2" else "a"
-        samples = files.load_maps(Path(args.samples), ext, domain)
+        samples = files.load_maps(Path(args.samples), ext, _SAMPLE_DOMAINS[args.suite])
     if args.suite == "five-term":
         report = verify_five_term(ext)
     elif args.suite == "thm1":
@@ -224,15 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, choices=(1, 2), default=2)
     p.set_defaults(func=_cmd_cohomology)
 
-    p = sub.add_parser("extend", help="extend a module endomorphism of the ideal")
-    p.add_argument("ext")
-    p.add_argument("map")
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("lift", help="lift an action-preserving endomorphism of the quotient")
-    p.add_argument("ext")
-    p.add_argument("map")
-    p.set_defaults(func=_cmd_lift)
+    for kind, text in (("extend", "extend a module endomorphism of the ideal"),
+                       ("lift", "lift an action-preserving endomorphism of the quotient")):
+        p = sub.add_parser(kind, help=text)
+        p.add_argument("ext")
+        p.add_argument("map")
+        p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("verify", help="run an exactness suite on an extension")
     p.add_argument("ext")

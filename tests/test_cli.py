@@ -321,6 +321,16 @@ def test_verify_with_samples_and_note(capsys, tmp_path):
     assert any("not surjective" in note for note in payload["notes"])
 
 
+@pytest.mark.parametrize("suite", ["five-term", "thm1"])
+def test_verify_refuses_samples_for_suites_that_take_none(capsys, h3_files, tmp_path, suite):
+    # refused before the samples file is read: it does not even exist
+    _, ext = h3_files
+    code, out, err = _outcome(
+        capsys, ["verify", ext, "--suite", suite, "--samples", str(tmp_path / "none.json")])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: suite {suite} takes no --samples"]
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
     _, ext = h3_files

@@ -8,6 +8,7 @@ from superext.algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    is_homomorphism,
     semidirect_product,
 )
 from superext.cohomology import (
@@ -595,6 +596,45 @@ def test_lift_rejects_action_breakers(sd_ext):
     assert not fixes_action(psi, sd_ext)
     with pytest.raises(MembershipError):
         lift_endomorphism(psi, sd_ext)
+
+
+def _fixes_action_by_pairs(psi, ext):
+    """The definition, pair by pair: psi is a homomorphism and
+    psi(x_i)·a_m = x_i·a_m for every basis pair (i, m)."""
+    hom = is_homomorphism(psi, ext.g, ext.g)
+    act = all(ext.action.act(psi.image_of_basis(i), unit_vec(ext.dim_a, m))
+              == ext.action.act_basis(i, m)
+              for i in range(ext.dim_g) for m in range(ext.dim_a))
+    return hom, act
+
+
+def test_fixes_action_agrees_with_the_per_pair_definition(pin_corpus):
+    """The product with the cached action matrix decides as the per-pair loop
+    on the identity, sampled elements of End^a(g), random even maps and
+    perturbed samples; every combination of the two conditions occurs."""
+    rng = random.Random(61)
+    g = LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 0)]))
+    space = SuperBasis([("v1", 0), ("v2", 0)])
+    # t acts nilpotently and u trivially, so End^a(g) holds t -> t + c u, u -> b u
+    nilpotent = ModuleAction(g, space, [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+    cases = pin_corpus + [case for case in _ring_corpus() if case[0] == "nilpotent_semidirect"]
+    cases.append(("nilpotent_with_kernel", semidirect_product(g, nilpotent)[1]))
+    seen = {}
+    for name, ext in cases:
+        pos = c1_positions(ext.g.basis, ext.g.basis)
+        members = _quotient_map_samples(ext, rng)
+        psis = [GradedLinearMap.identity(ext.g.basis)] + members
+        psis += [map_from_coords(ext.g.basis, ext.g.basis, pos, _rand_coeffs(rng, len(pos)))
+                 for _ in range(5)]
+        for psi in members:
+            p = rng.randrange(len(pos))
+            psis.append(psi + map_from_coords(ext.g.basis, ext.g.basis, pos, unit_vec(len(pos), p)))
+        psis.append(GradedLinearMap.zero(ext.g.basis, ext.g.basis, degree=1))
+        for psi in psis:
+            hom, act = _fixes_action_by_pairs(psi, ext)
+            assert fixes_action(psi, ext) == (hom and act), (name, psi)
+            seen[hom, act] = seen.get((hom, act), 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 # -- inflation and restriction ------------------------------------------------

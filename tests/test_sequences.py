@@ -134,6 +134,46 @@ def test_monoid_sequence_rejects_bad_samples(sd_ext):
         verify_monoid_sequence(sd_ext, psi_samples=[bad], seed=0)
 
 
+def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
+    """One obstruction per sampled psi; sigma once per pool element and per
+    composite, plus once per kernel sample and once per lifted witness."""
+    from superext import extension
+    from superext.fixtures import odd_heisenberg_extension
+
+    from conftest import heisenberg_extension
+
+    calls = dict.fromkeys(("lift_obstruction", "induced_on_quotient"), 0)
+    originals = {fn: getattr(extension, fn) for fn in calls}
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn] += 1
+            return originals[fn](*args)
+        return wrapper
+
+    # a supplied symplectic scaling lifts, so the identity is not the only witness
+    for name, ext, scaling in (("h5", heisenberg_extension(2), (2, 2, Fraction(1, 2), Fraction(1, 2))),
+                               ("odd_heisenberg", odd_heisenberg_extension(), (2, Fraction(1, 2)))):
+        supplied = [_diag(ext.g.basis, *scaling)]
+        verify_monoid_sequence(ext, psi_samples=supplied, seed=0)  # warm
+        with monkeypatch.context() as m:
+            for fn in calls:
+                for mod in (extension, sequences):
+                    m.setattr(mod, fn, counting(fn))
+            calls.update(dict.fromkeys(calls, 0))
+            report = verify_monoid_sequence(ext, psi_samples=supplied, seed=0)
+        assert report.passed, name
+        detail = {c.name: c.detail for c in report.checks}
+        psis = report.dims["end_a_g_samples"]
+        pool = detail["sigma_is_multiplicative"]["pool"]
+        lifted = detail["lift_witnesses_verified"]["lifted"]
+        kernel_samples = 4  # max(3, count // 2) at the default count 8
+        assert lifted >= 2 and psis > lifted, (name, psis, lifted)
+        assert calls["lift_obstruction"] == psis, (name, calls)
+        assert calls["induced_on_quotient"] <= pool * pool + pool + kernel_samples + lifted, \
+            (name, calls, pool, lifted)
+
+
 def test_odd_heisenberg_lift_criterion_is_the_unit_determinant():
     from superext.fixtures import odd_heisenberg_extension
 
