@@ -73,7 +73,7 @@ class SuperBasis:
         return all(p == 0 for p in self.parities)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, SuperBasis)
             and self.names == other.names
             and self.parities == other.parities
@@ -416,9 +416,13 @@ class GradedLinearMap:
     The matrix is codomain x domain (column j = image of domain basis j).
     Degree 0 maps preserve parity, degree 1 maps flip it; entries violating
     the declared degree are rejected.
+
+    `_derivation` is a private slot of `extension._derivation_coords`: its
+    answer for this map as (extension, coordinates).  It takes no part in
+    `==` or `hash`.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "degree")
+    __slots__ = ("domain", "codomain", "matrix", "degree", "_derivation")
 
     def __init__(self, domain: SuperBasis, codomain: SuperBasis, matrix: Mat, degree: int = 0):
         if degree not in (0, 1):
@@ -440,6 +444,7 @@ class GradedLinearMap:
         self.codomain = codomain
         self.matrix = matrix
         self.degree = degree
+        self._derivation = None
 
     @classmethod
     def identity(cls, basis: SuperBasis) -> "GradedLinearMap":

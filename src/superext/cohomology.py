@@ -39,6 +39,7 @@ from .algebra import (
 )
 from .errors import MembershipError, ShapeError
 from .linalg import (
+    _ZERO,
     Mat,
     QuotientPresentation,
     SubspacePresentation,
@@ -78,12 +79,15 @@ def map_from_coords(
     coords: Sequence[Fraction],
     degree: int = 0,
 ) -> GradedLinearMap:
+    """The map whose entries at `positions` are `coords`, all others zero;
+    only the coordinates pass through `rat`."""
     if len(coords) != len(positions):
         raise ShapeError("coordinate vector does not match the position list")
-    rows = [[Fraction(0)] * domain.dim for _ in range(codomain.dim)]
+    rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(positions, coords):
-        rows[r][c] = x
-    return GradedLinearMap(domain, codomain, Mat(rows, cols=domain.dim), degree)
+        rows[r][c] = rat(x)
+    return GradedLinearMap(domain, codomain,
+                           Mat._canonical(tuple(map(tuple, rows)), domain.dim), degree)
 
 
 class Cochain2:

@@ -14,16 +14,23 @@ Obstruction conventions:
 * lifting psi in End^a(g): class of beta ∘ (psi x psi) - beta, and a lift
   solves d(lambda) = beta - beta ∘ (psi x psi).
 
-Membership in every endomorphism set is recomputed on each call; callers
-cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
-are the definitions.  The engine asks the same questions with one product
-against a cached operator: the d¹ of e for derivations and quotient-fixing
-maps, the residual matrix of End_g(a) for module endomorphisms, and the
-action matrix for the action condition of End^a(g).  `induced_on_quotient`
-is the one gate for "a homomorphism fixing the ideal pointwise".  In the
-same way `inflate1`, `inflate2`, `restrict1` and `extend_obstruction` are
-the definitions of the five-term maps, which the extension caches as
-coordinate matrices.
+Membership in every endomorphism set is computed by the library; callers
+cannot assert flags.  Only the quotient-fixing answer is kept (see below);
+every other membership is recomputed on each call.  `classify_endomorphism`
+and `_module_end_residuals` are the definitions.  The engine asks the same
+questions with one product against a cached operator: the d¹ of e for
+derivations and quotient-fixing maps, the residual matrix of End_g(a) for
+module endomorphisms, and the action matrix for the action condition of
+End^a(g).  `induced_on_quotient` is the one gate for "a homomorphism fixing
+the ideal pointwise".  In the same way `inflate1`, `inflate2`, `restrict1`
+and `extend_obstruction` are the definitions of the five-term maps, which
+the extension caches as coordinate matrices.
+
+The ring operations on quotient-fixing maps take and return maps equal to
+the identity on every complement row: they reuse the identity's rows there
+and compute only the ideal rows.  `_derivation_coords`, the one
+quotient-fixing test, keeps its answer in a private slot of the map, as
+(extension, coordinates), so each map is checked once per extension object.
 
 Maps on e = s(g) ⊕ a are read by their blocks with `_block` (the
 restriction to a, the section offset λ: g -> a, the induced map ψ on g)
@@ -62,10 +69,12 @@ from .cohomology import (
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
+    _ZERO,
     Mat,
     SubspacePresentation,
     Vec,
-    add_vec,
+    _row_add,
+    _row_sub,
     inverse,
     is_zero_vec,
     kernel_basis,
@@ -438,18 +447,30 @@ def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Ve
     and f is a homomorphism iff h is a derivation, one product with d¹.
     h's coordinates are read off f's ideal rows: f and id are even, so h
     has no entries outside the positions of `cochains_e.pos1`.
+
+    The answer is kept in f's private slot as (ext, coordinates) and reused
+    only when asked again about the same extension object, so each map is
+    checked once per extension.
     """
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
-    if f.degree != 0:
-        return None
+    memo = f._derivation
+    if memo is not None and memo[0] is ext:
+        return memo[1]
+    coords = None
     data, ident = f.matrix.data, ext.identity.data
-    if any(data[c] != ident[c] for c in ext.complement_indices):
-        return None
-    ideal = ext.ideal_indices
-    coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
-                   for n, i in ext.cochains_e.pos1)
-    return coords if ext.cochains_e.d1._annihilates(coords) else None
+    if f.degree == 0 and all(data[c] == ident[c] for c in ext.complement_indices):
+        ideal = ext.ideal_indices
+        coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
+                       for n, i in ext.cochains_e.pos1)
+        if not ext.cochains_e.d1._annihilates(coords):
+            coords = None
+    f._derivation = (ext, coords)
+    return coords
+
+
+def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...]) -> GradedLinearMap:
+    return GradedLinearMap(ext.e.basis, ext.e.basis, Mat._canonical(rows, ext.dim_e))
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -457,8 +478,8 @@ def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMa
     _require(is_ideal_derivation(h, ext), "not an even derivation into the ideal")
     rows = list(ext.identity.data)
     for m, idx in enumerate(ext.ideal_indices):
-        rows[idx] = add_vec(rows[idx], h.matrix.data[m])
-    f = GradedLinearMap(ext.e.basis, ext.e.basis, Mat(rows, cols=ext.dim_e))
+        rows[idx] = _row_add(rows[idx], h.matrix.data[m])
+    f = _quotient_fixing_map(ext, tuple(rows))
     _check(_derivation_coords(f, ext) is not None, "x + h(x) does not fix the quotient")
     return f
 
@@ -482,12 +503,31 @@ def _require_quotient_fixing(maps, ext: AbelianExtension) -> None:
                  "ring operations need quotient-fixing endomorphisms")
 
 
-def _ring_add_matrix(f: GradedLinearMap, g: GradedLinearMap, ident: Mat) -> Mat:
-    return f.matrix + g.matrix - ident
+def _ring_add_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) -> tuple[Vec, ...]:
+    """The rows of f + g - id, for f and g equal to the identity on the
+    complement rows: the result's complement rows are the identity's own."""
+    rows = list(ext.identity.data)
+    for i in ext.ideal_indices:
+        row = _row_add(f[i], g[i])
+        rows[i] = row[:i] + ((row[i] - 1) or _ZERO,) + row[i + 1:]
+    return tuple(rows)
 
 
-def _ring_mul_matrix(f: GradedLinearMap, g: GradedLinearMap, ident: Mat) -> Mat:
-    return f.matrix @ g.matrix - f.matrix - g.matrix + ident + ident
+def _ring_mul_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) -> tuple[Vec, ...]:
+    """The rows of f·g - f - g + 2·id; row i of f·g reads only the rows of g
+    facing the nonzero entries of f's row i."""
+    rows = list(ext.identity.data)
+    for i in ext.ideal_indices:
+        fi = f[i]
+        acc = [_ZERO] * len(fi)
+        for j, x in enumerate(fi):
+            if x is not _ZERO:
+                for c, y in enumerate(g[j]):
+                    if y is not _ZERO:
+                        acc[c] += x * y
+        acc[i] += 2
+        rows[i] = _row_sub(_row_sub(tuple(x or _ZERO for x in acc), fi), g[i])
+    return tuple(rows)
 
 
 def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -496,7 +536,7 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     The identity map is the zero element of this ring.
     """
     _require_quotient_fixing((f, g), ext)
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ext.identity))
+    out = _quotient_fixing_map(ext, _ring_add_rows(f.matrix.data, g.matrix.data, ext))
     _check(_derivation_coords(out, ext) is not None, "ring sum does not fix the quotient")
     return out
 
@@ -504,7 +544,7 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
 def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ext.identity))
+    out = _quotient_fixing_map(ext, _ring_mul_rows(f.matrix.data, g.matrix.data, ext))
     _check(_derivation_coords(out, ext) is not None, "ring product does not fix the quotient")
     return out
 
@@ -513,10 +553,9 @@ def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> 
     """The ring's circle operation f*g = f + g + f·g, evaluated through the
     transported ring operations; it turns out to equal composition."""
     _require_quotient_fixing((f, g), ext)
-    ident = ext.identity
-    fg = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_mul_matrix(f, g, ident))
-    added = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(f, g, ident))
-    out = GradedLinearMap(ext.e.basis, ext.e.basis, _ring_add_matrix(added, fg, ident))
+    fd, gd = f.matrix.data, g.matrix.data
+    out = _quotient_fixing_map(
+        ext, _ring_add_rows(_ring_add_rows(fd, gd, ext), _ring_mul_rows(fd, gd, ext), ext))
     _check(_derivation_coords(out, ext) is not None, "circle product does not fix the quotient")
     return out
 
@@ -597,7 +636,12 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
 
 def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """The endomorphism p ∘ gamma ∘ s of the quotient, for ideal-fixing gamma."""
-    flags = classify_endomorphism(gamma, ext)
+    return _induced_on_quotient(gamma, classify_endomorphism(gamma, ext), ext)
+
+
+def _induced_on_quotient(gamma: GradedLinearMap, flags: EndFlags,
+                         ext: AbelianExtension) -> GradedLinearMap:
+    """`induced_on_quotient` for a gamma whose flags are already computed."""
     _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
     psi = GradedLinearMap(ext.g.basis, ext.g.basis,
                           _block(gamma, ext.complement_indices, ext.complement_indices))

@@ -11,10 +11,13 @@ constructor passes each entry through `rat`; `Mat._canonical` takes grids
 that already hold only Fractions with that zero and skips the pass: `@`,
 `+`, `-`, `scale`, `identity` and `zeros` build their results with it, and
 so do `extension._block` and `_assemble`, which copy entries of matrices,
-and `cohomology._cocycle2_constraints`.
-`Mat.apply`, `+` and `-` rely on the invariant and test a matrix's own
-entries for zero by identity.  Vectors passed in by callers may hold other
-zeros, such as `Fraction(0, 7)`, and are tested by value.
+`extension.from_derivation` and the ring operations, which build only the
+ideal rows, `cohomology.map_from_coords`, which passes only the coordinates
+through `rat`, and `cohomology._cocycle2_constraints`.
+`Mat.apply`, `+` and `-` (row by row, `_row_add` and `_row_sub`) rely on
+the invariant and test a matrix's own entries for zero by identity.
+Vectors passed in by callers may hold other zeros, such as `Fraction(0, 7)`,
+and are tested by value.
 
 The small-map kernels work on integer-scaled views: `_scaled` writes a list
 of rationals as integer numerators over their least common denominator, so
@@ -88,6 +91,16 @@ def _combination(coeffs: Sequence, rows: Sequence[Sequence[tuple[int, int]]], de
                 acc[j] += c * x
     d *= den
     return tuple(Fraction(x, d) if x else _ZERO for x in acc)
+
+
+def _row_add(r: Vec, s: Vec) -> Vec:
+    """r + s for rows whose zeros are all `_ZERO`; the sum has the same form."""
+    return tuple(a if b is _ZERO else b if a is _ZERO else (a + b) or _ZERO for a, b in zip(r, s))
+
+
+def _row_sub(r: Vec, s: Vec) -> Vec:
+    """r - s for rows whose zeros are all `_ZERO`; the difference has the same form."""
+    return tuple(a if b is _ZERO else (a - b) or _ZERO for a, b in zip(r, s))
 
 
 def vec(values: Iterable) -> Vec:
@@ -237,15 +250,11 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat._canonical(tuple(
-            tuple(a if b is _ZERO else b if a is _ZERO else (a + b) or _ZERO for a, b in zip(r, s))
-            for r, s in zip(self.data, other.data)), self.cols)
+        return Mat._canonical(tuple(map(_row_add, self.data, other.data)), self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat._canonical(tuple(
-            tuple(a if b is _ZERO else (a - b) or _ZERO for a, b in zip(r, s))
-            for r, s in zip(self.data, other.data)), self.cols)
+        return Mat._canonical(tuple(map(_row_sub, self.data, other.data)), self.cols)
 
     def __neg__(self) -> "Mat":
         return self.scale(Fraction(-1))
@@ -278,19 +287,20 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.data]})"
 
 
-def _reduce_rows(rows: list[list[Fraction]]) -> list[int]:
+def _reduce_rows(rows: list[list[Fraction]], pivot_cols: Optional[int] = None) -> list[int]:
     """In-place reduced row echelon form; returns the pivot columns.
 
     Pivot = first nonzero entry in row order, so the result is unique for
     a given input ordering.  Rows are updated only at the pivot row's nonzero
     columns; the rest would change by f·0, so every value is that of the
-    dense update.
+    dense update.  With `pivot_cols`, pivots are sought only in the first
+    `pivot_cols` columns; the columns after them are carried along.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if pivot_cols is None else pivot_cols):
         pr = None
         for i in range(r, nrows):
             if rows[i][c] != 0:
@@ -469,16 +479,19 @@ class QuotientPresentation:
     def coordinate_map(self) -> tuple[Mat, Mat]:
         """(P, A): P·v are the class coordinates of v in span Z, A·v = 0 iff v is in span Z.
 
-        Built once, from the reduced row echelon form E·[B | C | I] = [R | E].
-        [B | C] has independent columns, so its part R is the identity on
-        top of zeros: for v = B·x + C·y the top rows of E give (x, y), and
-        the rows below annihilate exactly span [B | C] = span Z.
+        Built once, from E·[B | C | I] = [R | E], eliminating only until
+        [B | C] is in reduced row echelon form.  [B | C] has independent
+        columns, so after its b + k pivots R is the identity on top of zeros:
+        for v = B·x + C·y the top rows of E give (x, y), and the rows below
+        (independent, as E is invertible) annihilate exactly span [B | C] =
+        span Z.  The entries of P and A depend on where elimination stops;
+        P·v on span Z and the kernel of A do not.
         """
         if self._coordinate_map is None:
             n, b, k = self.ambient.ambient_dim, self.sub.dim, self.dim
             columns = self.sub.basis + self.complement
             rows = [[v[i] for v in columns] + list(unit_vec(n, i)) for i in range(n)]
-            _reduce_rows(rows)
+            _reduce_rows(rows, b + k)
             self._coordinate_map = (Mat([r[b + k:] for r in rows[b:b + k]], cols=n),
                                     Mat([r[b + k:] for r in rows[b + k:]], cols=n))
         return self._coordinate_map

@@ -28,6 +28,7 @@ from .extension import (
     _block,
     _check,
     _column_matrix,
+    _induced_on_quotient,
     beta_with_section,
     classify_endomorphism,
     derivation_compose,
@@ -453,12 +454,14 @@ def _restrict_to_ideal(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedL
 def _factors_uniquely(ext: AbelianExtension, rng: random.Random, x: GradedLinearMap,
                       block, recover, fixed: str) -> bool:
     """gamma = block(x) ∘ u, for u from a random quotient derivation, is
-    invertible and `fixed`, and factors back uniquely: recover(gamma) == x,
-    and u2 = block(recover(gamma))^-1 ∘ gamma is u, fixes both and recomposes to gamma."""
+    invertible and `fixed`, and factors back uniquely: recover(gamma, flags)
+    == x for gamma's flags, and u2 = block(recovered)^-1 ∘ gamma is u, fixes
+    both and recomposes to gamma."""
     u = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
     gamma = block(x, ext).compose(u)
-    ok = getattr(classify_endomorphism(gamma, ext), fixed) and inverse(gamma.matrix) is not None
-    recovered = recover(gamma, ext)
+    flags = classify_endomorphism(gamma, ext)
+    ok = getattr(flags, fixed) and inverse(gamma.matrix) is not None
+    recovered = recover(gamma, flags)
     ok &= recovered == x
     inv = inverse(block(recovered, ext).matrix)
     u2 = GradedLinearMap(ext.e.basis, ext.e.basis, inv).compose(gamma)
@@ -499,10 +502,13 @@ def verify_semidirect_automorphisms(g: LieSuperalgebra, module: ModuleAction,
     rep.add("quotient_block_section_is_homomorphic", alpha_ok, samples=len(psis))
 
     # lists, not generators: every sample draws its derivation, also after a failure
-    fact_ok = all([_factors_uniquely(ext, rng, phi, _ideal_block_map, _restrict_to_ideal,
+    fact_ok = all([_factors_uniquely(ext, rng, phi, _ideal_block_map,
+                                     lambda gamma, _: _restrict_to_ideal(gamma, ext),
                                      "fixes_quotient") for phi in phis])
     rep.add("quotient_fixing_automorphisms_factor_uniquely", fact_ok, samples=len(phis))
-    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map, induced_on_quotient,
+    # the flags just computed for gamma serve `induced_on_quotient`'s gate too
+    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map,
+                                      lambda gamma, flags: _induced_on_quotient(gamma, flags, ext),
                                       "fixes_ideal") for psi in psis])
     rep.add("ideal_fixing_automorphisms_factor_uniquely", fact2_ok, samples=len(psis))
 

@@ -619,7 +619,7 @@ def test_heisenberg_five_term_dims_match_the_closed_form(k):
     }
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 def test_strictly_upper_triangular_cohomology_matches_kostant(k):
     # Kostant (Ann. Math. 74, 1961): dim H^p(n_k) is the number of permutations
     # of length p in S_k, so dim H¹(n_k) = k - 1 and dim H²(n_k) = (k-2)(k+1)/2;

@@ -50,8 +50,10 @@ from superext.extension import (
     to_derivation,
 )
 from superext.fixtures import affine_scaling_algebra, heisenberg3
+
+from conftest import heisenberg_extension, sl2_v2_extension
 from superext.linalg import (
-    Mat, add_vec, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
+    _ZERO, Mat, add_vec, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
 )
 
 
@@ -357,6 +359,73 @@ def test_ring_helpers_reject_maps_that_do_not_fix_the_quotient():
             for call in calls:
                 with pytest.raises(MembershipError):
                     call()
+
+
+def _dense_ring_operations(f, g):
+    """f + g - id, f·g - f - g + 2·id and their ring sum minus id, computed
+    on whole matrices entry by entry: the reference for the ideal-row kernels."""
+    n = len(f)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    added = [[f[i][j] + g[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    multiplied = [[sum(f[i][k] * g[k][j] for k in range(n)) - f[i][j] - g[i][j] + 2 * ident[i][j]
+                   for j in range(n)] for i in range(n)]
+    circle = [[added[i][j] + multiplied[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
+    return added, multiplied, circle
+
+
+def test_ring_operations_on_ideal_rows_match_the_dense_formulas():
+    rng = random.Random(61)
+    corpus = _ring_corpus() + [("h5", heisenberg_extension(2)),
+                               ("h5_odd", heisenberg_extension(2, odd=True)),
+                               ("sl2_v2", sl2_v2_extension())]
+    for name, ext in corpus:
+        maps = [GradedLinearMap.identity(ext.e.basis)]
+        maps += [from_derivation(ext.cochains_e.cochain1(
+            ext.z1_e.combine(_rand_coeffs(rng, ext.z1_e.dim))), ext) for _ in range(3)]
+        # a copy on rows of its own, and a result fed back in
+        maps.append(GradedLinearMap(ext.e.basis, ext.e.basis,
+                                    Mat([list(r) for r in maps[1].matrix.data])))
+        maps.append(ring_mul(maps[2], maps[3], ext))
+        for f in maps:
+            for g in maps:
+                dense = _dense_ring_operations(f.matrix.data, g.matrix.data)
+                for op, want in zip((ring_add, ring_mul, quasi_mul), dense):
+                    got = op(f, g, ext).matrix
+                    assert got == Mat(want, cols=ext.dim_e), (name, op.__name__)
+                    assert all(x is _ZERO for row in got.data for x in row if x == 0), name
+
+
+def test_derivation_coordinates_are_kept_per_extension_object(monkeypatch):
+    # in h3, x -> x + y fixes the quotient by <y, z> but not the one by <z>
+    e = heisenberg3()
+    centre, centre_again, plane = (build_extension(e, [2]), build_extension(e, [2]),
+                                   build_extension(e, [1, 2]))
+    tilt = GradedLinearMap.from_images(e.basis, e.basis, [vec([1, 1, 0]), vec([0, 1, 0]),
+                                                          vec([0, 0, 1])])
+    assert _derivation_coords(tilt, centre) is None
+    assert _derivation_coords(tilt, plane) is not None
+    assert classify_endomorphism(tilt, plane).fixes_quotient
+    assert _derivation_coords(tilt, centre) is None
+
+    products = []
+    original = Mat._annihilates
+
+    def counted(self, v):
+        products.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Mat, "_annihilates", counted)
+    shear = _shear(centre, 2, 3)
+    twin = GradedLinearMap(e.basis, e.basis, shear.matrix)
+    before = hash(shear)
+    # one slot: an answer is reused only for the extension object it was given for
+    for ext, work in ((centre, 1), (centre, 0), (centre_again, 1), (centre_again, 0), (centre, 1)):
+        want = _derivation_coords(GradedLinearMap(e.basis, e.basis, shear.matrix), ext)
+        products.clear()
+        assert _derivation_coords(shear, ext) == want is not None
+        assert len(products) == work
+    assert shear == twin and hash(shear) == before == hash(twin)
+    assert tilt == GradedLinearMap(e.basis, e.basis, tilt.matrix) != shear
 
 
 # -- shifted restriction ------------------------------------------------------

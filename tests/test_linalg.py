@@ -134,6 +134,34 @@ def test_coordinates_of_outside_vector_raises():
         q.coordinates_of(vec([0, 1]))
 
 
+def test_coordinate_map_keeps_the_class_coordinates_and_the_annihilated_space(pin_corpus):
+    # elimination stops after the b + k pivots of [B | C]: P·v is still the C part
+    # of the solution of [B | C]·x = v on span Z, and A has the kernel of the
+    # annihilator that the full reduced echelon form of [B | C | I] gives
+    rng = random.Random(89)
+    seen = 0
+    for name, ext in pin_corpus:
+        for q in (ext.cochains_g.h1.quotient, ext.h2_g.quotient,
+                  ext.cochains_e.h1.quotient, ext.h2_e.quotient):
+            n, b, k = q.ambient.ambient_dim, q.sub.dim, q.dim
+            columns = q.sub.basis + q.complement
+            rows = [[v[i] for v in columns] + list(unit_vec(n, i)) for i in range(n)]
+            _reduce_rows(rows)
+            full_annihilator = Mat([r[b + k:] for r in rows[b + k:]], cols=n)
+            coords, annihilator = q.coordinate_map
+            assert annihilator.rows == n - b - k, name
+            assert subspace_equal(kernel_basis(annihilator), kernel_basis(full_annihilator)), name
+            assert subspace_equal(kernel_basis(annihilator), q.ambient), name
+            stacked = Mat.from_columns(columns, rows=n)
+            samples = list(q.ambient.basis) + [
+                q.ambient.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                        for _ in range(q.ambient.dim))) for _ in range(3)]
+            for v in samples:
+                assert coords.apply(v) == solve(stacked, v)[b:], name
+            seen += k > 0 and b > 0 and annihilator.rows > 0
+    assert seen >= 3, seen
+
+
 def test_inverse():
     m = Mat([[1, 2], [3, 4]])
     inv = inverse(m)
