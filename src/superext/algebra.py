@@ -41,8 +41,7 @@ class SuperBasis:
     __slots__ = ("names", "parities")
 
     def __init__(self, items: Iterable[tuple[str, int]]):
-        names = []
-        parities = []
+        names, parities = [], []
         for name, parity in items:
             if parity not in (0, 1):
                 raise ShapeError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
@@ -50,8 +49,7 @@ class SuperBasis:
             parities.append(int(parity))
         if len(set(names)) != len(names):
             raise ShapeError("basis names are not unique")
-        self.names = tuple(names)
-        self.parities = tuple(parities)
+        self.names, self.parities = tuple(names), tuple(parities)
 
     @property
     def dim(self) -> int:
@@ -73,11 +71,8 @@ class SuperBasis:
         return all(p == 0 for p in self.parities)
 
     def __eq__(self, other) -> bool:
-        return other is self or (
-            isinstance(other, SuperBasis)
-            and self.names == other.names
-            and self.parities == other.parities
-        )
+        return other is self or (isinstance(other, SuperBasis) and self.names == other.names
+                                 and self.parities == other.parities)
 
     def __hash__(self) -> int:
         return hash((self.names, self.parities))
@@ -108,16 +103,19 @@ class LieSuperalgebra:
         n = basis.dim
         if len(structure) != n or any(len(row) != n for row in structure):
             raise ShapeError("structure tensor does not match the basis size")
-        self.basis = basis
-        self.structure = tuple(
-            tuple(vec(structure[i][j]) for j in range(n)) for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                if len(self.structure[i][j]) != n:
-                    raise ShapeError("structure tensor entries have the wrong length")
+        self.basis, self.structure = basis, tuple(tuple(vec(v) for v in row) for row in structure)
+        if any(len(v) != n for row in self.structure for v in row):
+            raise ShapeError("structure tensor entries have the wrong length")
         self._sparse = _nonzero_entries(self.structure)  # the view `bracket` multiplies with
         self._int_sparse = None  # the one `is_homomorphism` multiplies with, built by `_int_view`
+
+    @classmethod
+    def _trusted(cls, basis: SuperBasis, structure: tuple, sparse: list) -> "LieSuperalgebra":
+        """An algebra on a tensor of the right shape with zeros `_ZERO` and on its
+        `_nonzero_entries` view, as `quotient_by_ideal` reads both off e's."""
+        g = object.__new__(cls)
+        g.basis, g.structure, g._sparse, g._int_sparse = basis, structure, sparse, None
+        return g
 
     @classmethod
     def abelian(cls, basis: SuperBasis) -> "LieSuperalgebra":
@@ -186,11 +184,8 @@ class LieSuperalgebra:
         return bilinear(self._sparse, x, y, n)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieSuperalgebra)
-            and self.basis == other.basis
-            and self.structure == other.structure
-        )
+        return (isinstance(other, LieSuperalgebra) and self.basis == other.basis
+                and self.structure == other.structure)
 
     def __hash__(self) -> int:
         return hash((self.basis, self.structure))
@@ -319,13 +314,10 @@ class ModuleAction:
         n, d = algebra.dim, space.dim
         if len(action) != n or any(len(row) != d for row in action):
             raise ShapeError("action tensor does not match the algebra/space sizes")
-        self.algebra = algebra
-        self.space = space
-        self.action = tuple(tuple(vec(action[i][m]) for m in range(d)) for i in range(n))
-        for i in range(n):
-            for m in range(d):
-                if len(self.action[i][m]) != d:
-                    raise ShapeError("action tensor entries have the wrong length")
+        self.algebra, self.space = algebra, space
+        self.action = tuple(tuple(vec(v) for v in row) for row in action)
+        if any(len(v) != d for row in self.action for v in row):
+            raise ShapeError("action tensor entries have the wrong length")
         self._sparse = _nonzero_entries(self.action)  # the view `act` multiplies with
 
     @classmethod
@@ -346,12 +338,8 @@ class ModuleAction:
                    for i in range(self.algebra.dim) for m in range(self.space.dim))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleAction)
-            and self.algebra == other.algebra
-            and self.space == other.space
-            and self.action == other.action
-        )
+        return (isinstance(other, ModuleAction) and self.algebra == other.algebra
+                and self.space == other.space and self.action == other.action)
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.space, self.action))
@@ -440,15 +428,23 @@ class GradedLinearMap:
                         f"entry ({codomain.names[r]}, {domain.names[c]}) breaks homogeneity "
                         f"of degree {degree}"
                     )
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.degree = degree
+        self.domain, self.codomain, self.matrix, self.degree = domain, codomain, matrix, degree
         self._derivation = None
 
     @classmethod
+    def _trusted(cls, domain: SuperBasis, codomain: SuperBasis, matrix: Mat,
+                 degree: int = 0) -> "GradedLinearMap":
+        """A map whose matrix has the right shape and degree by construction
+        (products, sums, multiples and blocks of checked maps, inverses of even
+        maps), without the entry scan of the public constructor."""
+        f = object.__new__(cls)
+        f.domain, f.codomain, f.matrix, f.degree = domain, codomain, matrix, degree
+        f._derivation = None
+        return f
+
+    @classmethod
     def identity(cls, basis: SuperBasis) -> "GradedLinearMap":
-        return cls(basis, basis, Mat.identity(basis.dim))
+        return cls._trusted(basis, basis, Mat.identity(basis.dim))
 
     @classmethod
     def zero(cls, domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> "GradedLinearMap":
@@ -471,21 +467,22 @@ class GradedLinearMap:
         """self ∘ other."""
         if other.codomain != self.domain:
             raise ShapeError("composition domains do not match")
-        return GradedLinearMap(
-            other.domain, self.codomain, self.matrix @ other.matrix,
-            (self.degree + other.degree) % 2,
-        )
+        return GradedLinearMap._trusted(other.domain, self.codomain, self.matrix @ other.matrix,
+                                        (self.degree + other.degree) % 2)
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         self._compatible(other)
-        return GradedLinearMap(self.domain, self.codomain, self.matrix + other.matrix, self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix + other.matrix,
+                                        self.degree)
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         self._compatible(other)
-        return GradedLinearMap(self.domain, self.codomain, self.matrix - other.matrix, self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix - other.matrix,
+                                        self.degree)
 
     def scale(self, c) -> "GradedLinearMap":
-        return GradedLinearMap(self.domain, self.codomain, self.matrix.scale(c), self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix.scale(c),
+                                        self.degree)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -496,13 +493,9 @@ class GradedLinearMap:
             raise ShapeError("maps are not of the same shape and degree")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedLinearMap)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.degree == other.degree
-            and self.matrix == other.matrix
-        )
+        return (isinstance(other, GradedLinearMap) and self.domain == other.domain
+                and self.codomain == other.codomain and self.degree == other.degree
+                and self.matrix == other.matrix)
 
     def __hash__(self) -> int:
         return hash((self.domain, self.codomain, self.degree, self.matrix))
@@ -553,7 +546,7 @@ def semidirect_product(g: LieSuperalgebra, m: ModuleAction):
     Returns the product algebra on the concatenated basis (g first) together
     with its extension record; the extracted 2-cocycle is identically zero.
     """
-    from .extension import build_extension
+    from .extension import AbelianExtension
 
     if m.algebra != g:
         raise ShapeError("module is not over the given algebra")
@@ -565,7 +558,8 @@ def semidirect_product(g: LieSuperalgebra, m: ModuleAction):
     ng = g.dim
     basis = SuperBasis(g.basis.items() + m.space.items())
     product = LieSuperalgebra(basis, _sum_structure(g, m))
-    ext = build_extension(product, range(ng, product.dim))  # validates the product
+    # its super-Jacobi identity is the module axiom and g's own, just checked
+    ext = AbelianExtension._trusted(product, range(ng, product.dim))
     if not ext.is_split_on_section():
         raise MembershipError("split extension produced a nonzero cocycle")
     return product, ext
@@ -585,25 +579,18 @@ def quotient_by_ideal(e: LieSuperalgebra, ideal_indices: Iterable[int]):
     ideal_set = set(ideal)
     for u in range(n):
         for j in ideal:
-            for vecs in (e.structure[u][j], e.structure[j][u]):
-                for k, c in enumerate(vecs):
-                    if c != 0 and k not in ideal_set:
-                        raise NotAnIdealError(
-                            f"bracket [{e.basis.names[u]},{e.basis.names[j]}] leaves the span"
-                        )
+            for entries in (e._sparse[u][j], e._sparse[j][u]):
+                if any(k not in ideal_set for k, _ in entries):
+                    raise NotAnIdealError(f"bracket [{e.basis.names[u]},{e.basis.names[j]}] leaves the span")
     complement = [i for i in range(n) if i not in ideal_set]
+    slot = {i: p for p, i in enumerate(complement)}
     qbasis = SuperBasis([(e.basis.names[i], e.basis.parity(i)) for i in complement])
-    nq = len(complement)
-    structure = [
-        [tuple(e.structure[complement[p]][complement[q]][k] for k in complement) for q in range(nq)]
-        for p in range(nq)
-    ]
-    quotient = LieSuperalgebra(qbasis, structure)
-    proj_cols = []
-    for i in range(n):
-        if i in ideal_set:
-            proj_cols.append(zero_vec(nq))
-        else:
-            proj_cols.append(unit_vec(nq, complement.index(i)))
-    projection = GradedLinearMap(e.basis, qbasis, Mat.from_columns(proj_cols, rows=nq))
+    # complement parts of e's brackets and of their nonzero entries, in order
+    structure = tuple(tuple(tuple(e.structure[p][q][k] for k in complement) for q in complement)
+                      for p in complement)
+    sparse = [[tuple((slot[k], c) for k, c in e._sparse[p][q] if k in slot) for q in complement]
+              for p in complement]
+    quotient = LieSuperalgebra._trusted(qbasis, structure, sparse)
+    projection = GradedLinearMap._trusted(
+        e.basis, qbasis, Mat._canonical(tuple(unit_vec(n, i) for i in complement), n))
     return quotient, projection

@@ -12,7 +12,13 @@ Degree conventions:
   differential and is immune to sign-convention drift.  The bracket is
   `algebra._sum_structure`, the same one that validates modules and builds
   semidirect products, so the conditions vanish at beta = 0 and are linear
-  in beta: `CochainComplex` runs `validate_module` on construction.
+  in beta once the module is valid.  The public `CochainComplex` runs
+  `validate_module`; `CochainComplex._trusted` does not, and serves only an
+  extension's two complexes (g acting on a, and e acting on a by ad).  Their
+  axioms are instances of the super-Jacobi identity of e, which
+  `AbelianExtension` validates (Scheunert, LNM 716): Jacobi of g is the
+  complement part of e's on s(g), the module axioms are e's on the triples
+  with one element of the abelian ideal a.
 """
 
 from __future__ import annotations
@@ -80,14 +86,18 @@ def map_from_coords(
     degree: int = 0,
 ) -> GradedLinearMap:
     """The map whose entries at `positions` are `coords`, all others zero;
-    only the coordinates pass through `rat`."""
+    only the coordinates pass through `rat`.  Slots of the degree's parity (as
+    from `c1_positions`) skip the public constructor, which reports any other."""
     if len(coords) != len(positions):
         raise ShapeError("coordinate vector does not match the position list")
     rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(positions, coords):
         rows[r][c] = rat(x)
-    return GradedLinearMap(domain, codomain,
-                           Mat._canonical(tuple(map(tuple, rows)), domain.dim), degree)
+    matrix = Mat._canonical(tuple(map(tuple, rows)), domain.dim)
+    cp, dp = codomain.parities, domain.parities
+    if degree in (0, 1) and all(cp[r] == (dp[c] + degree) % 2 for r, c in positions):
+        return GradedLinearMap._trusted(domain, codomain, matrix, degree)
+    return GradedLinearMap(domain, codomain, matrix, degree)
 
 
 class Cochain2:
@@ -216,13 +226,9 @@ class Cochain2:
             raise ShapeError("cochains are not of the same shape and degree")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain2)
-            and self.source == other.source
-            and self.target == other.target
-            and self.degree == other.degree
-            and self.tensor == other.tensor
-        )
+        return (isinstance(other, Cochain2) and self.source == other.source
+                and self.target == other.target and self.degree == other.degree
+                and self.tensor == other.tensor)
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.degree, self.tensor))
@@ -408,18 +414,26 @@ class CochainComplex:
 
     Owns the coordinate formats of both degrees and builds each operator of
     the low-degree theory once, on first use: d¹ as a matrix, the cocycle
-    and coboundary spaces, and the H¹ and H² presentations.  The module is
-    validated once, on construction.
+    and coboundary spaces, and the H¹ and H² presentations.  The public
+    constructor validates the module once; `_trusted` does not.
     """
 
     def __init__(self, g: LieSuperalgebra, m: ModuleAction):
         bad = validate_module(m)
         if bad is not None:
             raise MembershipError(f"invalid module: {bad}")
-        self.g = g
-        self.m = m
-        self.pos1 = c1_positions(g.basis, m.space)
-        self.pos2 = c2_positions(g.basis, m.space)
+        self.g, self.m = g, m
+        self.pos1, self.pos2 = c1_positions(g.basis, m.space), c2_positions(g.basis, m.space)
+
+    @classmethod
+    def _trusted(cls, g: LieSuperalgebra, m: ModuleAction) -> "CochainComplex":
+        """The complex of a module known to be valid, without `validate_module`:
+        the quotient's action and the adjoint module of an extension whose
+        ambient algebra was validated (`AbelianExtension`)."""
+        cx = object.__new__(cls)
+        cx.g, cx.m = g, m
+        cx.pos1, cx.pos2 = c1_positions(g.basis, m.space), c2_positions(g.basis, m.space)
+        return cx
 
     def cochain1(self, coords: Sequence[Fraction]) -> GradedLinearMap:
         return map_from_coords(self.g.basis, self.m.space, self.pos1, coords)
@@ -455,8 +469,8 @@ class CochainComplex:
             for i, c in enumerate(structure[a][b]):
                 if c != 0 and (k, i) in slot:
                     row[slot[k, i]] -= c
-            rows.append(row)
-        return Mat(rows, cols=len(self.pos1))
+            rows.append(tuple(x or _ZERO for x in row))
+        return Mat._canonical(tuple(rows), len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
         """Whether f is an even derivation: a product with the cached d¹."""
@@ -474,14 +488,11 @@ class CochainComplex:
     @cached_property
     def b1(self) -> SubspacePresentation:
         """Span of the inner derivations x -> x·v over even module elements v."""
-        spanning = []
-        for v in range(self.m.space.dim):
-            if self.m.space.parity(v) != 0:
-                continue
-            images = [self.m.act_basis(i, v) for i in range(self.g.dim)]
-            f = GradedLinearMap.from_images(self.g.basis, self.m.space, images)
-            spanning.append(self.coords1(f))
-        return SubspacePresentation.from_spanning(len(self.pos1), spanning)
+        # the 1-cochain x -> x·v has entry (n, i) = (b_i·v)_n
+        act = self.m.action
+        return SubspacePresentation.from_spanning(len(self.pos1), [
+            tuple(act[i][v][n] for n, i in self.pos1)
+            for v, p in enumerate(self.m.space.parities) if p == 0])
 
     @cached_property
     def cocycle2_constraints(self) -> Mat:
@@ -504,7 +515,8 @@ class CochainComplex:
         """The even 2-cocycles, in 2-cochain coordinates: the kernel of the
         linear part of the super-Jacobi equations of the twisted sum.  Their
         constant part, the Jacobi identity of g and the module axiom, was
-        checked with the same residual by `validate_module` on construction.
+        checked with the same residual by `validate_module`, or, for an
+        extension's `_trusted` complexes, by `validate_superalgebra` of e.
         """
         return kernel_basis(self.cocycle2_constraints)
 

@@ -76,7 +76,6 @@ from .linalg import (
     _row_add,
     _row_sub,
     inverse,
-    is_zero_vec,
     kernel_basis,
     solve,
     sub_vec,
@@ -103,50 +102,48 @@ class AbelianExtension:
         bad = validate_superalgebra(e)
         if bad is not None:
             raise MembershipError(f"ambient algebra fails validation: {bad}")
+        self._derive(e, ideal_indices)
+
+    @classmethod
+    def _trusted(cls, e: LieSuperalgebra, ideal_indices: Iterable[int]) -> "AbelianExtension":
+        """The extension of an ambient algebra known to be valid (the product
+        that `semidirect_product` builds from a validated module), without
+        `validate_superalgebra`; the ideal is checked as in the public path."""
+        ext = object.__new__(cls)
+        ext._derive(e, ideal_indices)
+        return ext
+
+    def _derive(self, e: LieSuperalgebra, ideal_indices: Iterable[int]) -> None:
+        """The quotient, section, action and cocycle of a valid e.  The axioms
+        of g and of both modules on a are instances of e's super-Jacobi
+        identity, so their complexes are `CochainComplex._trusted`."""
         ideal = tuple(sorted(set(int(i) for i in ideal_indices)))
         for i in ideal:
             if not 0 <= i < e.dim:
                 raise ShapeError(f"ideal index {i} out of range")
         for i in ideal:
             for j in ideal:
-                if not is_zero_vec(e.structure[i][j]):
+                if e._sparse[i][j]:
                     raise NotAnIdealError(
-                        f"ideal is not abelian: [{e.basis.names[i]},{e.basis.names[j]}] != 0"
-                    )
+                        f"ideal is not abelian: [{e.basis.names[i]},{e.basis.names[j]}] != 0")
         g, projection = quotient_by_ideal(e, ideal)
-
-        self.e = e
-        self.ideal_indices = ideal
-        self.complement_indices = tuple(i for i in range(e.dim) if i not in set(ideal))
-        self.g = g
-        self.projection = projection
+        self.e, self.g, self.projection, self.ideal_indices = e, g, projection, ideal
+        comp = self.complement_indices = tuple(i for i in range(e.dim) if i not in set(ideal))
         self.a_basis = SuperBasis([(e.basis.names[i], e.basis.parity(i)) for i in ideal])
 
         ne = e.dim
-        self.inclusion = GradedLinearMap(
-            self.a_basis, e.basis,
-            Mat.from_columns([unit_vec(ne, i) for i in ideal], rows=ne),
-        )
-        self.section = GradedLinearMap(
-            g.basis, e.basis,
-            Mat.from_columns([unit_vec(ne, i) for i in self.complement_indices], rows=ne),
-        )
-
-        action = [
-            [self.a_coords(e.structure[ci][m]) for m in ideal]
-            for ci in self.complement_indices
-        ]
-        self.action = ModuleAction(g, self.a_basis, action)
-        self.cochains_g = CochainComplex(g, self.action)
+        self.inclusion = GradedLinearMap._trusted(
+            self.a_basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in ideal], rows=ne))
+        self.section = GradedLinearMap._trusted(
+            g.basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in comp], rows=ne))
+        self.action = ModuleAction(
+            g, self.a_basis, [[self.a_coords(e.structure[c][m]) for m in ideal] for c in comp])
+        self.cochains_g = CochainComplex._trusted(g, self.action)
 
         # the complement part of [s x, s y] is exactly s([x, y]); the cocycle
         # is the ideal part that remains
-        tensor = [
-            [self.a_coords(e.structure[cp][cq], strict=False)
-             for cq in self.complement_indices]
-            for cp in self.complement_indices
-        ]
-        self.beta = Cochain2(g.basis, self.a_basis, tensor)
+        self.beta = Cochain2(g.basis, self.a_basis, [
+            [self.a_coords(e.structure[p][q], strict=False) for q in comp] for p in comp])
         if not self.cochains_g.is_cocycle2(self.beta):
             raise MembershipError("extracted 2-cochain is not a cocycle")
 
@@ -165,10 +162,8 @@ class AbelianExtension:
     def a_coords(self, v: Sequence[Fraction], strict: bool = True) -> Vec:
         """Ideal coordinates of an ambient vector; strict mode requires the
         complement part to vanish."""
-        if strict:
-            for i in self.complement_indices:
-                if v[i] != 0:
-                    raise MembershipError("vector does not lie in the ideal")
+        if strict and any(v[i] != 0 for i in self.complement_indices):
+            raise MembershipError("vector does not lie in the ideal")
         return tuple(v[i] for i in self.ideal_indices)
 
     def is_central(self) -> bool:
@@ -188,15 +183,12 @@ class AbelianExtension:
     @cached_property
     def adjoint(self) -> ModuleAction:
         """The ideal as a module over the ambient algebra (adjoint action)."""
-        act = [
-            [self.a_coords(self.e.structure[i][m]) for m in self.ideal_indices]
-            for i in range(self.dim_e)
-        ]
-        return ModuleAction(self.e, self.a_basis, act)
+        return ModuleAction(self.e, self.a_basis, [
+            [self.a_coords(row[m]) for m in self.ideal_indices] for row in self.e.structure])
 
     @cached_property
     def cochains_e(self) -> CochainComplex:
-        return CochainComplex(self.e, self.adjoint)
+        return CochainComplex._trusted(self.e, self.adjoint)
 
     @property
     def z1_e(self) -> SubspacePresentation:
@@ -257,7 +249,7 @@ class AbelianExtension:
         slot = _slots(self.cochains_e.pos1)
         reads = _copy_matrix([slot.get((k, idx)) for idx in self.ideal_indices
                               for k in range(self.dim_a)], len(slot))
-        return Mat(self.cochains_e.d1.data + reads.data, cols=len(slot))
+        return Mat._canonical(self.cochains_e.d1.data + reads.data, len(slot))
 
     # -- the maps of the five-term sequence, on cochain coordinates ---------
 
@@ -312,11 +304,14 @@ def _slots(items: Sequence) -> dict:
 
 def _copy_matrix(sources: Sequence[Optional[int]], cols: int) -> Mat:
     """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
-    return Mat([zero_vec(cols) if s is None else unit_vec(cols, s) for s in sources], cols=cols)
+    return Mat._canonical(tuple(zero_vec(cols) if s is None else unit_vec(cols, s)
+                                for s in sources), cols)
 
 
 def _column_matrix(space: SubspacePresentation) -> Mat:
-    return Mat.from_columns(space.basis, rows=space.ambient_dim)
+    """The basis as columns; a presentation's zeros are all `_ZERO`."""
+    return Mat._canonical(tuple(zip(*space.basis)) if space.basis
+                          else ((),) * space.ambient_dim, space.dim)
 
 
 # -- the block layout of maps on e = s(g) ⊕ a -------------------------------
@@ -336,16 +331,17 @@ def _block(f: GradedLinearMap, rows: Sequence[int], cols: Sequence[int]) -> Mat:
 
 
 def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearMap:
-    """The endomorphism of e with blocks a -> a, s(g) -> a and s(g) -> s(g);
-    its block a -> s(g) is zero, so it preserves the ideal."""
+    """The endomorphism of e with blocks a -> a, s(g) -> a and s(g) -> s(g),
+    each the matrix of an even map; its block a -> s(g) is zero, so it
+    preserves the ideal, and it is even."""
     ideal, comp = ext.ideal_indices, ext.complement_indices
     rows = [list(zero_vec(ext.dim_e)) for _ in range(ext.dim_e)]
     for block, row_idx, col_idx in ((aa, ideal, ideal), (ag, ideal, comp), (gg, comp, comp)):
         for r, row in zip(row_idx, block.data):
             for c, x in zip(col_idx, row):
                 rows[r][c] = x
-    return GradedLinearMap(ext.e.basis, ext.e.basis,
-                           Mat._canonical(tuple(map(tuple, rows)), ext.dim_e))
+    return GradedLinearMap._trusted(ext.e.basis, ext.e.basis,
+                                    Mat._canonical(tuple(map(tuple, rows)), ext.dim_e))
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:
@@ -469,8 +465,11 @@ def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Ve
     return coords
 
 
-def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...]) -> GradedLinearMap:
-    return GradedLinearMap(ext.e.basis, ext.e.basis, Mat._canonical(rows, ext.dim_e))
+def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...], what: str) -> GradedLinearMap:
+    """The endomorphism of e with these canonical rows, checked to fix the quotient."""
+    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(rows, ext.dim_e))
+    _check(_derivation_coords(f, ext) is not None, f"{what} does not fix the quotient")
+    return f
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -479,9 +478,7 @@ def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMa
     rows = list(ext.identity.data)
     for m, idx in enumerate(ext.ideal_indices):
         rows[idx] = _row_add(rows[idx], h.matrix.data[m])
-    f = _quotient_fixing_map(ext, tuple(rows))
-    _check(_derivation_coords(f, ext) is not None, "x + h(x) does not fix the quotient")
-    return f
+    return _quotient_fixing_map(ext, tuple(rows), "x + h(x)")
 
 
 def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -490,10 +487,7 @@ def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     The one product that decides whether f fixes the quotient checks that h is a derivation.
     """
     coords = _derivation_coords(f, ext)
-    _require(
-        coords is not None,
-        "map is not an ideal-preserving homomorphism inducing the identity",
-    )
+    _require(coords is not None, "map is not an ideal-preserving homomorphism inducing the identity")
     return ext.cochains_e.cochain1(coords)
 
 
@@ -536,17 +530,14 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     The identity map is the zero element of this ring.
     """
     _require_quotient_fixing((f, g), ext)
-    out = _quotient_fixing_map(ext, _ring_add_rows(f.matrix.data, g.matrix.data, ext))
-    _check(_derivation_coords(out, ext) is not None, "ring sum does not fix the quotient")
-    return out
+    return _quotient_fixing_map(ext, _ring_add_rows(f.matrix.data, g.matrix.data, ext), "ring sum")
 
 
 def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
-    out = _quotient_fixing_map(ext, _ring_mul_rows(f.matrix.data, g.matrix.data, ext))
-    _check(_derivation_coords(out, ext) is not None, "ring product does not fix the quotient")
-    return out
+    return _quotient_fixing_map(ext, _ring_mul_rows(f.matrix.data, g.matrix.data, ext),
+                                "ring product")
 
 
 def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -554,18 +545,17 @@ def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> 
     transported ring operations; it turns out to equal composition."""
     _require_quotient_fixing((f, g), ext)
     fd, gd = f.matrix.data, g.matrix.data
-    out = _quotient_fixing_map(
-        ext, _ring_add_rows(_ring_add_rows(fd, gd, ext), _ring_mul_rows(fd, gd, ext), ext))
-    _check(_derivation_coords(out, ext) is not None, "circle product does not fix the quotient")
-    return out
+    return _quotient_fixing_map(
+        ext, _ring_add_rows(_ring_add_rows(fd, gd, ext), _ring_mul_rows(fd, gd, ext), ext),
+        "circle product")
 
 
 def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """h ∘ k as maps e -> a, going through the inclusion of the ideal."""
     _require(is_ideal_derivation(h, ext) and is_ideal_derivation(k, ext),
              "composition needs derivations into the ideal")
-    out = GradedLinearMap(ext.e.basis, ext.a_basis,
-                          _block(h, range(ext.dim_a), ext.ideal_indices) @ k.matrix)
+    out = GradedLinearMap._trusted(ext.e.basis, ext.a_basis,
+                                   _block(h, range(ext.dim_a), ext.ideal_indices) @ k.matrix)
     _check(is_ideal_derivation(out, ext), "composite is not a derivation into the ideal")
     return out
 
@@ -573,8 +563,8 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
 def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> f(x) - x on the ideal; a module endomorphism of the ideal."""
     h = to_derivation(f, ext)
-    out = GradedLinearMap(ext.a_basis, ext.a_basis,
-                          _block(h, range(ext.dim_a), ext.ideal_indices))
+    out = GradedLinearMap._trusted(ext.a_basis, ext.a_basis,
+                                   _block(h, range(ext.dim_a), ext.ideal_indices))
     _check(is_module_endomorphism(out, ext), "shifted restriction is not a module endomorphism")
     return out
 
@@ -586,8 +576,7 @@ def quasiregular_inverse(f: GradedLinearMap, ext: AbelianExtension) -> Optional[
     inv = inverse(f.matrix)
     if inv is None:
         return None
-    g = GradedLinearMap(ext.e.basis, ext.e.basis, inv)
-    _check(_derivation_coords(g, ext) is not None, "inverse does not fix the quotient")
+    g = _quotient_fixing_map(ext, inv.data, "inverse")  # f is even, so is its inverse
     ident = GradedLinearMap.identity(ext.e.basis)
     _check(quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident,
            "inverse is not a two-sided circle inverse")
@@ -639,12 +628,15 @@ def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> Graded
     return _induced_on_quotient(gamma, classify_endomorphism(gamma, ext), ext)
 
 
-def _induced_on_quotient(gamma: GradedLinearMap, flags: EndFlags,
+def _induced_on_quotient(gamma: GradedLinearMap, flags: Optional[EndFlags],
                          ext: AbelianExtension) -> GradedLinearMap:
-    """`induced_on_quotient` for a gamma whose flags are already computed."""
-    _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
-    psi = GradedLinearMap(ext.g.basis, ext.g.basis,
-                          _block(gamma, ext.complement_indices, ext.complement_indices))
+    """`induced_on_quotient` for a gamma whose flags are already computed, or,
+    with None, for a composite of maps that passed the gate: a composite of
+    homomorphisms fixing the ideal pointwise is one."""
+    _require(flags is None or flags.fixes_ideal,
+             "map must be a homomorphism fixing the ideal pointwise")
+    psi = GradedLinearMap._trusted(ext.g.basis, ext.g.basis,
+                                   _block(gamma, ext.complement_indices, ext.complement_indices))
     _check(fixes_action(psi, ext), "induced quotient map does not fix the action")
     return psi
 
@@ -654,13 +646,18 @@ def section_offset(gamma: GradedLinearMap, psi: GradedLinearMap,
     """The even map lambda with gamma(s(x)) = lambda(x) + s(psi(x))."""
     _require(induced_on_quotient(gamma, ext) == psi,
              "psi is not the quotient map induced by gamma")
-    return GradedLinearMap(ext.g.basis, ext.a_basis,
-                           _block(gamma, ext.ideal_indices, ext.complement_indices))
+    return GradedLinearMap._trusted(ext.g.basis, ext.a_basis,
+                                    _block(gamma, ext.ideal_indices, ext.complement_indices))
 
 
 def lift_obstruction(psi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
     """Obstruction class [beta ∘ (psi x psi) - beta] to lifting psi."""
     _require(fixes_action(psi, ext), "map does not preserve the action on the ideal")
+    return _lift_obstruction(psi, ext)
+
+
+def _lift_obstruction(psi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
+    """`lift_obstruction` for a psi already known to fix the action."""
     return class_of(ext.beta.precompose(psi) - ext.beta, ext.h2_g)
 
 
@@ -673,14 +670,20 @@ def lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[G
     The solver never consults the obstruction class.
     """
     _require(fixes_action(psi, ext), "map does not preserve the action on the ideal")
+    gamma = _lift_endomorphism(psi, ext)
+    _check(gamma is None or induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
+    return gamma
+
+
+def _lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
+    """`lift_endomorphism` for a psi already known to fix the action, without
+    the self-check of the lift: its caller computes the induced map itself."""
     cochains = ext.cochains_g
     sol = solve(cochains.d1, cochains.coords2(ext.beta - ext.beta.precompose(psi)))
     if sol is None:
         return None
     lam = cochains.cochain1(sol)
-    gamma = _assemble(ext, Mat.identity(ext.dim_a), lam.matrix, psi.matrix)
-    _check(induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
-    return gamma
+    return _assemble(ext, Mat.identity(ext.dim_a), lam.matrix, psi.matrix)
 
 
 # -- inflation and restriction ---------------------------------------------
@@ -734,11 +737,8 @@ def beta_with_section(ext: AbelianExtension, mu: GradedLinearMap) -> Cochain2:
     for p in range(ext.dim_g):
         row = []
         for q in range(ext.dim_g):
-            w = sub_vec(
-                ext.e.bracket(cols[p], cols[q]),
-                s2.apply(ext.g.structure[p][q]),
-            )
-            row.append(ext.a_coords(w))
+            row.append(ext.a_coords(sub_vec(ext.e.bracket(cols[p], cols[q]),
+                                            s2.apply(ext.g.structure[p][q]))))
         tensor.append(row)
     out = Cochain2(ext.g.basis, ext.a_basis, tensor)
     _check(ext.cochains_g.is_cocycle2(out), "shifted-section cochain is not a 2-cocycle")

@@ -6,18 +6,17 @@ are reproducible bit for bit.  No floating point enters at any stage.
 Elimination updates rows only at a pivot row's nonzero columns; the reduced
 row echelon form is unique, so this changes no result of the dense update.
 
-Every zero entry of a `Mat` is the one shared `_ZERO`.  The public
-constructor passes each entry through `rat`; `Mat._canonical` takes grids
-that already hold only Fractions with that zero and skips the pass: `@`,
-`+`, `-`, `scale`, `identity` and `zeros` build their results with it, and
-so do `extension._block` and `_assemble`, which copy entries of matrices,
-`extension.from_derivation` and the ring operations, which build only the
-ideal rows, `cohomology.map_from_coords`, which passes only the coordinates
-through `rat`, and `cohomology._cocycle2_constraints`.
-`Mat.apply`, `+` and `-` (row by row, `_row_add` and `_row_sub`) rely on
-the invariant and test a matrix's own entries for zero by identity.
-Vectors passed in by callers may hold other zeros, such as `Fraction(0, 7)`,
-and are tested by value.
+Public constructors check their input; the private trusted ones take what
+this library built and checked.  Every zero entry of a `Mat` is the one
+shared `_ZERO`: the public constructor passes each entry through `rat`, and
+`Mat._canonical` takes grids of Fractions with that zero as they are (the
+results of `@`, `+`, `-` and `scale`, the blocks, copy matrices, d¹, Z²
+constraints and coordinate maps built in this library).  `Mat.apply`, `+`
+and `-` test a matrix's own entries for zero by identity; vectors passed in
+by callers may hold other zeros, such as `Fraction(0, 7)`, and are tested by
+value.  `SubspacePresentation`'s constructor eliminates to check that its
+basis is independent; `SubspacePresentation._trusted` takes the bases of
+`kernel_basis` and `from_spanning`, independent by construction.
 
 The small-map kernels work on integer-scaled views: `_scaled` writes a list
 of rationals as integer numerators over their least common denominator, so
@@ -269,16 +268,10 @@ class Mat:
 
     def _same_shape(self, other: "Mat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+            raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
 
     def __hash__(self) -> int:
         return hash((self.cols, self.data))
@@ -381,18 +374,25 @@ class SubspacePresentation:
                 raise ShapeError(f"basis vector of length {len(v)} in ambient dimension {ambient_dim}")
         if len(_pivots(vs, ambient_dim)) < len(vs):
             raise MembershipError("basis vectors are linearly dependent")
-        self.ambient_dim = ambient_dim
-        self.basis = vs
-        self._int_basis = None  # the basis as sparse integer rows over one denominator, for `combine`
+        # `_int_basis`: the basis as sparse integer rows over one denominator, for `combine`
+        self.ambient_dim, self.basis, self._int_basis = ambient_dim, vs, None
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: tuple[Vec, ...]) -> "SubspacePresentation":
+        """A presentation on vectors of length `ambient_dim`, zeros `_ZERO`,
+        independent by construction, without the public constructor's checks."""
+        s = object.__new__(cls)
+        s.ambient_dim, s.basis, s._int_basis = ambient_dim, basis, None
+        return s
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "SubspacePresentation":
-        """Greedy independent sublist of `vectors`, in input order."""
+        """Greedy independent sublist of `vectors`, in input order (the pivots)."""
         vs = [vec(v) for v in vectors]
         for v in vs:
             if len(v) != ambient_dim:
                 raise ShapeError(f"expected length {ambient_dim}, got {len(v)}")
-        return cls(ambient_dim, [vs[j] for j in _pivots(vs, ambient_dim)])
+        return cls._trusted(ambient_dim, tuple(vs[j] for j in _pivots(vs, ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -417,11 +417,8 @@ class SubspacePresentation:
         return _combination(coeffs, *self._int_basis, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubspacePresentation)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return (isinstance(other, SubspacePresentation) and self.ambient_dim == other.ambient_dim
+                and self.basis == other.basis)
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, self.basis))
@@ -438,7 +435,8 @@ def subspace_equal(u: SubspacePresentation, w: SubspacePresentation) -> bool:
 
 
 def kernel_basis(a: Mat) -> SubspacePresentation:
-    """Basis of the null space of A, ordered by ascending free column."""
+    """Basis of the null space of A, ordered by ascending free column; each
+    vector is 1 at its own free column and 0 at the others, so independent."""
     rows = [list(r) for r in a.data]
     pivots = _reduce_rows(rows)
     pivot_set = set(pivots)
@@ -449,9 +447,10 @@ def kernel_basis(a: Mat) -> SubspacePresentation:
         v = [_ZERO] * a.cols
         v[f] = _ONE
         for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+            x = rows[r][f]
+            v[c] = -x if x else _ZERO
         basis.append(tuple(v))
-    return SubspacePresentation(a.cols, basis)
+    return SubspacePresentation._trusted(a.cols, tuple(basis))
 
 
 class QuotientPresentation:
@@ -492,8 +491,9 @@ class QuotientPresentation:
             columns = self.sub.basis + self.complement
             rows = [[v[i] for v in columns] + list(unit_vec(n, i)) for i in range(n)]
             _reduce_rows(rows, b + k)
-            self._coordinate_map = (Mat([r[b + k:] for r in rows[b:b + k]], cols=n),
-                                    Mat([r[b + k:] for r in rows[b + k:]], cols=n))
+            self._coordinate_map = tuple(
+                Mat._canonical(tuple(tuple(x or _ZERO for x in r[b + k:]) for r in part), n)
+                for part in (rows[b:b + k], rows[b + k:]))
         return self._coordinate_map
 
     def coordinates(self, columns: Mat) -> Mat:
@@ -516,12 +516,8 @@ class QuotientPresentation:
         return self.coordinates(Mat.from_columns([v], rows=len(v))).column(0)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuotientPresentation)
-            and self.ambient == other.ambient
-            and self.sub == other.sub
-            and self.complement == other.complement
-        )
+        return (isinstance(other, QuotientPresentation) and self.ambient == other.ambient
+                and self.sub == other.sub and self.complement == other.complement)
 
     def __hash__(self) -> int:
         return hash((self.ambient, self.sub, self.complement))

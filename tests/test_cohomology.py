@@ -619,6 +619,38 @@ def test_heisenberg_five_term_dims_match_the_closed_form(k):
     }
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_odd_heisenberg_cohomology_matches_the_closed_form(k):
+    """oh_{2k+1}: x_i even, y_i and z odd, [x_i, y_i] = z, over the ideal <z>.
+
+    z is central, so a = <z> is a trivial module of both g and e.
+
+    g = e/<z> is abelian and a is trivial, so d¹ = 0: every cochain of g is a
+    cocycle, and only 0 is a coboundary.  An even 1-cochain sends each odd y_i to a multiple of z and each x_i to 0:
+    h1_g = k.  An even 2-cochain is nonzero only on the pairs of one even and
+    one odd element, the k² pairs (x_i, y_j): h2_g = k².
+
+    On e, an even λ is given by λ(y_i) and λ(z), and (dλ)(u, v) = -λ([u, v]).
+    So λ is a derivation iff λ(z) = λ([x_i, y_i]) = 0: z1_e = k.  B²(e) is
+    the line β(x_i, y_i) = c for every i.  The even 2-cochains are the k²
+    values β(x_i, y_j) and the k values β(x_i, z); β(y_j, z) and β(z, z) join
+    two odd elements and vanish by parity.  The twisted Jacobi identity only
+    constrains triples holding a pair (x_i, y_i), whose bracket z is the only
+    nonzero one.  For i ≠ j the triple (x_i, x_j, y_j) gives
+    β(x_i, [x_j, y_j]) = β(x_i, z) = 0.  The other triples give β(z, y_l) or
+    β(z, z), which vanish anyway, or repeat the even x_i, where the super-
+    alternating residual is zero.  So Z²(e) has dimension k² for k ≥ 2 and
+    h2_e = k² - 1.  At k = 1 nothing constrains β(x_1, z), Z²(e) has
+    dimension 2 and h2_e = 1.
+    """
+    ext = heisenberg_extension(k, odd=True)
+    assert ext.h1_g.dim == k
+    assert ext.h2_g.dim == k * k
+    assert ext.z1_e.dim == k
+    assert ext.h2_e.dim == (1 if k == 1 else k * k - 1)
+    assert verify_five_term(ext).passed
+
+
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 def test_strictly_upper_triangular_cohomology_matches_kostant(k):
     # Kostant (Ann. Math. 74, 1961): dim H^p(n_k) is the number of permutations

@@ -135,14 +135,17 @@ def test_monoid_sequence_rejects_bad_samples(sd_ext):
 
 
 def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
-    """One obstruction per sampled psi; sigma once per pool element and per
-    composite, plus once per kernel sample and once per lifted witness."""
+    """One obstruction and one lift per sampled psi; sigma once per kernel
+    sample, per pool element (a lift's witness check is its one sigma) and per
+    composite; a classification per kernel sample and pool element, none per
+    composite (its factors passed the gate)."""
     from superext import extension
     from superext.fixtures import odd_heisenberg_extension
 
     from conftest import heisenberg_extension
 
-    calls = dict.fromkeys(("lift_obstruction", "induced_on_quotient"), 0)
+    calls = dict.fromkeys(("_lift_obstruction", "_lift_endomorphism", "_induced_on_quotient",
+                           "classify_endomorphism"), 0)
     originals = {fn: getattr(extension, fn) for fn in calls}
 
     def counting(fn):
@@ -169,9 +172,10 @@ def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
         lifted = detail["lift_witnesses_verified"]["lifted"]
         kernel_samples = 4  # max(3, count // 2) at the default count 8
         assert lifted >= 2 and psis > lifted, (name, psis, lifted)
-        assert calls["lift_obstruction"] == psis, (name, calls)
-        assert calls["induced_on_quotient"] <= pool * pool + pool + kernel_samples + lifted, \
+        assert calls["_lift_obstruction"] == calls["_lift_endomorphism"] == psis, (name, calls)
+        assert calls["_induced_on_quotient"] == pool * pool + pool + kernel_samples, \
             (name, calls, pool, lifted)
+        assert calls["classify_endomorphism"] == pool + kernel_samples, (name, calls, pool)
 
 
 def test_odd_heisenberg_lift_criterion_is_the_unit_determinant():

@@ -1,0 +1,261 @@
+"""Checked boundaries and trusted derivations.
+
+The public constructors of `AbelianExtension`, `CochainComplex`,
+`SubspacePresentation` and `GradedLinearMap` check their input.  Objects that
+the library derives from input it has already checked are built through the
+private `_trusted` constructors instead: the quotient, its action, the adjoint
+module and both cochain complexes of an extension (their axioms are instances
+of e's super-Jacobi identity, validated once), the semidirect product of a
+validated module, the bases of `kernel_basis` and `from_spanning`, and the
+products, sums, blocks and inverses of maps.  These tests check that each
+trusted object would pass the public checks, that every public path still
+rejects bad input with its own message, and that the file loaders and the CLI
+never reach a trusted constructor.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superext import cli, files
+from superext.algebra import (
+    GradedLinearMap,
+    LieSuperalgebra,
+    ModuleAction,
+    SuperBasis,
+    _nonzero_entries,
+    _upper_pairs,
+    semidirect_product,
+    validate_module,
+    validate_superalgebra,
+)
+from superext.cohomology import CochainComplex, c1_positions, map_from_coords
+from superext.errors import MembershipError, ShapeError
+from superext.extension import AbelianExtension, build_extension
+from superext.linalg import _ZERO, Mat, SubspacePresentation, kernel_basis, vec
+
+_NONZERO = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+
+
+@st.composite
+def _rescaled_heisenberg(draw):
+    """h_{2k+1} (even, or with odd y_i and z) with [x_i, y_i] = c_i z, over <z>."""
+    k, p = draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    basis = SuperBasis([(f"x{i}", 0) for i in range(k)] + [(f"y{i}", p) for i in range(k)]
+                       + [("z", p)])
+    e = LieSuperalgebra.from_brackets(
+        basis, {(f"x{i}", f"y{i}"): {"z": draw(_NONZERO)} for i in range(k)})
+    return e, [2 * k]
+
+
+@st.composite
+def _rescaled_kostant(draw):
+    """n_k in the basis t_ij E_ij: [E_ij, E_jl] = (t_ij t_jl / t_il) E_il, over <E_1k>."""
+    k = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    t = {ij: draw(_NONZERO) for ij in pairs}
+    basis = SuperBasis([(f"E{i}_{j}", 0) for i, j in pairs])
+    e = LieSuperalgebra.from_brackets(basis, {
+        (f"E{i}_{j}", f"E{j}_{l}"): {f"E{i}_{l}": t[i, j] * t[j, l] / t[i, l]}
+        for i, j in pairs for l in range(j + 1, k)})
+    return e, [pairs.index((0, k - 1))]
+
+
+@st.composite
+def _nilpotent_module(draw):
+    """An abelian even g acting on a super space by polynomials without constant
+    term in one parity-preserving strictly upper triangular N: the actions
+    commute and are nilpotent, so the module axiom holds."""
+    r, d = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    space = SuperBasis([(f"v{m}", draw(st.integers(0, 1))) for m in range(d)])
+    units = st.sampled_from((1, -1, 2, -2))
+    n = [[draw(units) if r_ < c and space.parity(r_) == space.parity(c) else 0
+          for c in range(d)] for r_ in range(d)]
+    n_mat = Mat(n, cols=d)
+    n2 = n_mat @ n_mat
+    g = LieSuperalgebra.abelian(SuperBasis([(f"u{i}", 0) for i in range(r)]))
+    action = []
+    for _ in range(r):
+        a = n_mat.scale(draw(units)) + n2.scale(draw(st.integers(-2, 2)))
+        action.append([a.column(m) for m in range(d)])  # action[i][m] = b_i · v_m
+    return ModuleAction(g, space, action)
+
+
+def _independent(vectors, n):
+    """Independence by sympy's rank, which shares no code with the engine."""
+    if not vectors:
+        return True
+    rows = [[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vectors]
+    return sympy.Matrix(len(rows), n, [x for r in rows for x in r]).rank() == len(vectors)
+
+
+def _corrupt(algebra):
+    """The structure tensor with one bracket [b_i, b_j], i < j, moved by a basis
+    element of the right parity and [b_j, b_i] left alone: super-antisymmetry
+    breaks, whatever else holds.  None when there is no pair i < j."""
+    parities = algebra.basis.parities
+    for i, j in _upper_pairs(parities):
+        if i < j:
+            k = next((k for k, p in enumerate(parities) if p == (parities[i] + parities[j]) % 2),
+                     None)
+            if k is None:
+                continue
+            structure = [list(row) for row in algebra.structure]
+            v = list(structure[i][j])
+            v[k] += 1
+            structure[i][j] = tuple(v)
+            return structure
+    return None
+
+
+def _check_trusted_derivations(ext):
+    # the quotient, its action and the adjoint module pass the public validators
+    assert validate_superalgebra(ext.e) is None
+    assert validate_superalgebra(ext.g) is None
+    assert validate_module(ext.action) is None
+    assert validate_module(ext.adjoint) is None
+    # the trusted quotient is the one the public constructor would build
+    assert ext.g == LieSuperalgebra(ext.g.basis, ext.g.structure)
+    assert ext.g._sparse == _nonzero_entries(ext.g.structure)
+    # the trusted maps are homogeneous
+    for f in (ext.projection, ext.inclusion, ext.section):
+        assert GradedLinearMap(f.domain, f.codomain, f.matrix, f.degree) == f
+    # every kernel and span basis is independent, and each trusted complex
+    # equals the one the public constructor builds after validating its module
+    for cx in (ext.cochains_g, ext.cochains_e):
+        for space in (cx.z1, cx.b1, cx.z2, cx.b2):
+            assert _independent(space.basis, space.ambient_dim)
+        public = CochainComplex(cx.g, cx.m)
+        assert (public.z1, public.b1, public.z2, public.b2) == (cx.z1, cx.b1, cx.z2, cx.b2)
+        assert public.h2.quotient == cx.h2.quotient
+    space = ext.module_end_space
+    assert _independent(space.basis, space.ambient_dim)
+
+
+def _check_public_rejections(ext):
+    bad = _corrupt(ext.e)
+    if bad is not None:
+        with pytest.raises(MembershipError, match="^ambient algebra fails validation: antisymmetry"):
+            AbelianExtension(LieSuperalgebra(ext.e.basis, bad), ext.ideal_indices)
+    bad = _corrupt(ext.g)
+    if bad is not None:
+        g_bad = LieSuperalgebra(ext.g.basis, bad)
+        m_bad = ModuleAction(g_bad, ext.a_basis, ext.action.action)
+        with pytest.raises(MembershipError, match="^invalid module: antisymmetry"):
+            CochainComplex(g_bad, m_bad)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(case=st.one_of(_rescaled_heisenberg(), _rescaled_kostant()))
+def test_trusted_derivations_of_rescaled_nilpotent_extensions_pass_the_public_checks(case):
+    e, ideal = case
+    ext = build_extension(e, ideal)
+    _check_trusted_derivations(ext)
+    _check_public_rejections(ext)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(m=_nilpotent_module())
+def test_trusted_semidirect_products_pass_the_public_checks(m):
+    product, ext = semidirect_product(m.algebra, m)
+    assert ext.e is product
+    _check_trusted_derivations(ext)
+    _check_public_rejections(ext)
+    # the public path builds the same extension from the same product
+    public = AbelianExtension(product, ext.ideal_indices)
+    assert (public.g, public.action, public.beta) == (ext.g, ext.action, ext.beta)
+    # a module over a corrupted algebra is refused before any product is built
+    bad = _corrupt(m.algebra)
+    if bad is not None:
+        g_bad = LieSuperalgebra(m.algebra.basis, bad)
+        with pytest.raises(MembershipError, match="^invalid module: antisymmetry"):
+            semidirect_product(g_bad, ModuleAction(g_bad, m.space, m.action))
+
+
+# -- the public paths keep every check -----------------------------------------
+
+
+def _broken_module():
+    """Heisenberg h3 with z acting by 1 on a line and x, y by 0: [x,y]·v = v but
+    x·(y·v) - y·(x·v) = 0, so the module axiom fails."""
+    basis = SuperBasis([("x", 0), ("y", 0), ("z", 0)])
+    g = LieSuperalgebra.from_brackets(basis, {("x", "y"): {"z": 1}})
+    return ModuleAction(g, SuperBasis([("v", 0)]), [[[0]], [[0]], [[1]]])
+
+
+def test_public_cochain_complex_validates_its_module():
+    m = _broken_module()
+    with pytest.raises(MembershipError, match="^invalid module: module-axiom at"):
+        CochainComplex(m.algebra, m)
+
+
+def test_public_extension_validates_its_ambient_algebra():
+    # [x, y] = [y, x] = z: the Cochain2 of the cocycle would also refuse this,
+    # with its own message; the validation comes first
+    basis = SuperBasis([("x", 0), ("y", 0), ("z", 0)])
+    z = vec([0, 0, 1])
+    structure = [[vec([0, 0, 0])] * 3 for _ in range(3)]
+    structure[0][1] = structure[1][0] = z
+    with pytest.raises(MembershipError, match="^ambient algebra fails validation: antisymmetry"):
+        AbelianExtension(LieSuperalgebra(basis, structure), [2])
+
+
+def test_semidirect_product_validates_its_module():
+    m = _broken_module()
+    with pytest.raises(MembershipError, match="^invalid module: module-axiom at"):
+        semidirect_product(m.algebra, m)
+
+
+def test_public_subspace_presentation_checks_independence():
+    with pytest.raises(MembershipError, match="^basis vectors are linearly dependent$"):
+        SubspacePresentation(3, [vec([1, 2, 0]), vec([0, 1, 1]), vec([1, 3, 1])])
+
+
+def test_public_graded_map_checks_homogeneity():
+    dom = SuperBasis([("x", 0), ("y", 1)])
+    with pytest.raises(ShapeError, match=r"^entry \(x, y\) breaks homogeneity of degree 0$"):
+        GradedLinearMap(dom, dom, Mat([[0, 1], [0, 0]]))
+
+
+def test_map_from_coords_reports_slots_of_the_wrong_parity():
+    dom = SuperBasis([("x", 0), ("y", 1)])
+    slots = c1_positions(dom, dom)
+    f = map_from_coords(dom, dom, slots, [1, 2])
+    assert f == GradedLinearMap(dom, dom, Mat([[1, 0], [0, 2]]))
+    with pytest.raises(ShapeError, match=r"^entry \(x, y\) breaks homogeneity of degree 0$"):
+        map_from_coords(dom, dom, slots + [(0, 1)], [1, 2, 3])
+    with pytest.raises(ShapeError, match="^degree must be 0 or 1$"):
+        map_from_coords(dom, dom, slots, [1, 2], degree=2)
+
+
+def test_trusted_kernels_and_spans_match_the_public_constructor():
+    a = Mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]], cols=4)
+    kernel = kernel_basis(a)
+    assert kernel == SubspacePresentation(4, kernel.basis)
+    assert all(x is _ZERO for v in kernel.basis for x in v if x == 0)
+    span = SubspacePresentation.from_spanning(4, list(a.data) + list(kernel.basis))
+    assert span == SubspacePresentation(4, span.basis) and span.dim == 4
+
+
+# -- outside input stays on the checked path -----------------------------------
+
+
+_TRUSTED = {"_trusted", "_canonical"}
+
+
+@pytest.mark.parametrize("module", [files, cli], ids=["files", "cli"])
+def test_file_loaders_and_cli_never_reach_a_trusted_constructor(module):
+    """Everything read from a file or the command line goes through a public,
+    checking constructor: neither module names a private trusted one."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    used = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in _TRUSTED}
+                  | {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id in _TRUSTED})
+    assert used == [], f"{module.__name__} uses {used}"
