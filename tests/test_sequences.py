@@ -2,12 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
 
-from superext import sequences
-from superext.algebra import GradedLinearMap
+from superext import fixtures, sequences
+from superext.algebra import GradedLinearMap, LieSuperalgebra, SuperBasis, semidirect_product
 from superext.extension import (
     beta_with_section,
     extend_endomorphism,
+    build_extension,
     extend_obstruction_aut,
     fixes_action,
     is_ideal_derivation,
@@ -19,7 +22,7 @@ from superext.fixtures import (
     identity_action_module,
     odd_line_module,
 )
-from superext.linalg import Mat
+from superext.linalg import Mat, SubspacePresentation, kernel_basis, subspace_equal, unit_vec
 from superext.sequences import (
     sample_cocycle,
     verify_automorphism_extension,
@@ -30,6 +33,7 @@ from superext.sequences import (
 )
 
 from conftest import sl2_v2_extension
+from test_trusted import _nilpotent_module
 
 
 def _diag(basis, *cs):
@@ -68,6 +72,190 @@ def test_ring_sequence_passes_on_the_corpus(corpus):
     for name, ext in corpus:
         report = verify_ring_sequence(ext, seed=1, pairs=25)
         assert report.passed, (name, report.to_dict())
+
+
+# -- the linear stages against the subspace identities they stand for --------
+
+
+def _sympy_rank(m):
+    """Rank by sympy, which shares no code with the engine."""
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.data for x in row]).rank()
+
+
+def _subspace_path(ext):
+    """The linear checks of five-term and thm1 as exact subspace identities:
+    images spanned by columns, kernels from `kernel_basis` mapped into the
+    middle space, compared by `subspace_equal`.  Returns the expected
+    five-term checks, thm1's two linear checks, each as (name, verdict,
+    detail items), and the five-term dims, after asserting that each
+    dimension equals its value by sympy's rank."""
+    z1g, z1e, enda, h2g, h2e = ext.z1_g, ext.z1_e, ext.module_end_space, ext.h2_g, ext.h2_e
+
+    def columns(m):
+        return [m.column(j) for j in range(m.cols)]
+
+    def basis_matrix(space):
+        return Mat.from_columns(space.basis, rows=space.ambient_dim)
+
+    inf = ext.inflation1 @ basis_matrix(z1g)
+    res = ext.restriction @ basis_matrix(z1e)
+    d = ext.connecting_map @ basis_matrix(enda)
+    inf2 = h2e.coordinates(ext.inflation2 @ Mat.from_columns(
+        h2g.quotient.complement, rows=len(ext.cochains_g.pos2)))
+    img_inf = SubspacePresentation.from_spanning(inf.rows, columns(inf))
+    img_res = SubspacePresentation.from_spanning(res.rows, columns(res))
+    ker_res = SubspacePresentation.from_spanning(
+        inf.rows, [z1e.combine(c) for c in kernel_basis(res).basis])
+    ker_d = SubspacePresentation.from_spanning(
+        res.rows, [enda.combine(c) for c in kernel_basis(d).basis])
+    img_d = SubspacePresentation.from_spanning(h2g.dim, columns(d))
+    ker_inf2 = kernel_basis(inf2)
+
+    assert img_inf.dim == _sympy_rank(inf)
+    assert ker_res.dim == z1e.dim - _sympy_rank(res)
+    assert img_res.dim == _sympy_rank(res)
+    assert ker_d.dim == enda.dim - _sympy_rank(d)
+    assert img_d.dim == _sympy_rank(d)
+    assert ker_inf2.dim == h2g.dim - _sympy_rank(inf2)
+
+    at_z1e = (subspace_equal(ker_res, img_inf),
+              [("kernel_dim", ker_res.dim), ("image_dim", img_inf.dim)])
+    at_enda = (subspace_equal(img_res, ker_d),
+               [("image_dim", img_res.dim), ("kernel_dim", ker_d.dim)])
+    five = [
+        ("inflation1_injective", img_inf.dim == z1g.dim,
+         [("rank", img_inf.dim), ("domain_dim", z1g.dim)]),
+        ("kernel_of_restriction_is_image_of_inflation", *at_z1e),
+        ("image_of_restriction_is_kernel_of_connecting_map", *at_enda),
+        ("image_of_connecting_map_is_kernel_of_inflation2", subspace_equal(img_d, ker_inf2),
+         [("image_dim", img_d.dim), ("kernel_dim", ker_inf2.dim)]),
+    ]
+    ring = [("kernel_of_shifted_restriction_is_the_doubly_fixing_set", *at_z1e),
+            ("image_of_shifted_restriction_is_kernel_of_connecting_map", *at_enda)]
+    dims = dict(z1_g=z1g.dim, z1_e=z1e.dim, end_g_a=enda.dim, h2_g=h2g.dim, h2_e=h2e.dim,
+                img_res=img_res.dim, ker_d=ker_d.dim, img_d=img_d.dim, ker_inf2=ker_inf2.dim)
+    return five, ring, dims
+
+
+def _as_triples(checks):
+    return [(c.name, c.passed, list(c.detail.items())) for c in checks]
+
+
+def _assert_matches_subspace_path(ext, name=None):
+    five_expected, ring_expected, dims = _subspace_path(ext)
+    five, ring = verify_five_term(ext), verify_ring_sequence(ext, seed=4, pairs=3)
+    assert _as_triples(five.checks) == five_expected, name
+    assert five.dims == dims, name
+    ring_names = [n for n, _, _ in ring_expected]
+    assert _as_triples(c for c in ring.checks if c.name in ring_names) == ring_expected, name
+    assert ring.dims == {k: dims[k] for k in ("z1_g", "z1_e", "end_g_a", "h2_g")}, name
+    return five, ring
+
+
+def _central_pair_extension():
+    """h3 ⊕ <c> over the central <z, c>: g = <x, y> abelian and End_g(a) = gl(a),
+    Z1(e,a) = {f : f(z) = 0}, restriction reads f(c), and D(phi) = -phi(z)."""
+    e = LieSuperalgebra.from_brackets(
+        SuperBasis([("x", 0), ("y", 0), ("z", 0), ("c", 0)]), {("x", "y"): {"z": 1}})
+    return build_extension(e, [2, 3])
+
+
+def _h3_plus_line_extension():
+    """h3 ⊕ <w> over <z>: H2(g,a) = Λ²<x, y, w>*, of which inflation kills
+    only the class of x∧y, the image of the connecting map."""
+    e = LieSuperalgebra.from_brackets(
+        SuperBasis([("x", 0), ("y", 0), ("w", 0), ("z", 0)]), {("x", "y"): {"z": 1}})
+    return build_extension(e, [3])
+
+
+def _restriction_reading_x(ext):
+    """Restriction with the values on c replaced by the values on x: the same
+    rank on Z1(e,a), but inflated derivations no longer restrict to zero."""
+    slot = {p: i for i, p in enumerate(ext.cochains_e.pos1)}
+    source = {0: 2, 1: 0}  # ideal position -> basis index read: z, then x in place of c
+    return Mat([unit_vec(len(slot), slot[n, source[m]]) for n, m in ext.pos_a],
+               cols=len(slot))
+
+
+def _connecting_map_on_swapped_ideal(ext):
+    """D(phi ∘ swap of z and c) = -phi(c): the same rank on End_g(a), but
+    restrictions (phi(z) = 0) are no longer in the kernel."""
+    d, column = ext.connecting_map, {p: i for i, p in enumerate(ext.pos_a)}
+    return Mat.from_columns([d.column(column[n, 1 - m]) for n, m in ext.pos_a], rows=d.rows)
+
+
+def _connecting_map_rotated(ext):
+    """D with its H2(g, a) coordinates rotated: the same rank, but its image
+    leaves the kernel of inflation."""
+    d = ext.connecting_map
+    return Mat(d.data[1:] + d.data[:1], cols=d.cols)
+
+
+_THM1_NAMES = {  # the five-term checks that thm1 shares, by their names in thm1
+    "kernel_of_restriction_is_image_of_inflation":
+        "kernel_of_shifted_restriction_is_the_doubly_fixing_set",
+    "image_of_restriction_is_kernel_of_connecting_map":
+        "image_of_shifted_restriction_is_kernel_of_connecting_map",
+}
+
+_MUTATIONS = [
+    # (i) the composite is nonzero, the dimensions agree
+    (_central_pair_extension, "restriction", _restriction_reading_x,
+     "kernel_of_restriction_is_image_of_inflation", True),
+    (_central_pair_extension, "connecting_map", _connecting_map_on_swapped_ideal,
+     "image_of_restriction_is_kernel_of_connecting_map", True),
+    (_h3_plus_line_extension, "connecting_map", _connecting_map_rotated,
+     "image_of_connecting_map_is_kernel_of_inflation2", True),
+    # (ii) the composite is zero, the dimensions disagree
+    (_central_pair_extension, "restriction",
+     lambda ext: Mat.zeros(len(ext.pos_a), len(ext.cochains_e.pos1)),
+     "kernel_of_restriction_is_image_of_inflation", False),
+    (fixtures.heisenberg3_extension, "connecting_map",
+     lambda ext: Mat.zeros(ext.h2_g.dim, len(ext.pos_a)),
+     "image_of_restriction_is_kernel_of_connecting_map", False),
+    (fixtures.heisenberg3_extension, "connecting_map",
+     lambda ext: Mat.zeros(ext.h2_g.dim, len(ext.pos_a)),
+     "image_of_connecting_map_is_kernel_of_inflation2", False),
+]
+
+
+def test_linear_stages_match_the_subspace_identities(pin_corpus):
+    # rank–nullity stands in for the subspace comparison: same verdicts, same
+    # details in the same key order, same report dims; the last two cases have
+    # a connecting map of rank 2 and a proper nonzero kernel of inflation
+    for name, ext in pin_corpus + [("central_pair", _central_pair_extension()),
+                                   ("h3_plus_line", _h3_plus_line_extension())]:
+        _assert_matches_subspace_path(ext, name)
+
+
+@pytest.mark.parametrize("build, attr, mutate, check, dims_agree", _MUTATIONS)
+def test_each_half_of_a_rank_identity_can_fail_its_check(build, attr, mutate, check, dims_agree):
+    ext = build()
+    assert verify_five_term(ext).passed
+    ext.__dict__[attr] = mutate(ext)  # shadows the cached operator
+    five, ring = _assert_matches_subspace_path(ext)
+    found = ([c for c in five.checks if c.name == check]
+             + [c for c in ring.checks if c.name == _THM1_NAMES.get(check)])
+    assert len(found) == 1 + (check in _THM1_NAMES)
+    assert not any(c.passed for c in found)
+    assert all((c.detail["image_dim"] == c.detail["kernel_dim"]) == dims_agree for c in found)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m=_nilpotent_module())
+def test_split_extensions_have_a_trivial_connecting_map(m):
+    # Wells: on g ⋉ a the section is a homomorphism, so the connecting map
+    # vanishes, every module endomorphism restricts from a derivation
+    # (phi ∘ projection onto a), and pulling back along the section splits
+    # inflation H2(g, a) -> H2(e, a), which is therefore injective
+    _, ext = semidirect_product(m.algebra, m)
+    five = verify_five_term(ext)
+    assert five.passed, five.to_dict()
+    assert verify_ring_sequence(ext, seed=0, pairs=3).passed
+    assert five.dims["img_d"] == 0
+    assert five.dims["ker_inf2"] == 0
+    assert five.dims["img_res"] == five.dims["end_g_a"]
 
 
 def test_ring_sequence_shifts_the_section_by_a_map_that_changes_the_cocycle(monkeypatch):
