@@ -8,8 +8,10 @@ Degree conventions:
   so derivations are exactly the 1-cocycles;
 * 2-cocycles are characterized operationally: beta is a cocycle iff the
   bracket ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)) on g ⊕ M satisfies
-  the super-Jacobi identity.  This sidesteps any explicit degree-2
-  differential and is immune to sign-convention drift.  The bracket is
+  the super-Jacobi identity.  This definition, which needs no explicit
+  degree-2 differential, stays operational in `is_cocycle2`; the engine's
+  operator `CochainComplex.cocycle2_constraints` is an explicit formula
+  checked against it, as d¹ is against `coboundary1`.  The bracket is
   `algebra._sum_structure`, the same one that validates modules and builds
   semidirect products, so the conditions vanish at beta = 0 and are linear
   in beta once the module is valid.  The public `CochainComplex` runs
@@ -35,7 +37,6 @@ from .algebra import (
     SuperBasis,
     _broken_antisymmetry,
     _jacobi_residual,
-    _jacobi_residuals,
     _nonzero_entries,
     _sign,
     _sum_structure,
@@ -45,6 +46,7 @@ from .algebra import (
 )
 from .errors import MembershipError, ShapeError
 from .linalg import (
+    _ONE,
     _ZERO,
     Mat,
     QuotientPresentation,
@@ -290,66 +292,6 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
     return Cochain2.from_upper(g.basis, m.space, entries)
 
 
-class _LinearForm:
-    """A sparse linear form {2-cochain coordinate: coefficient}.
-
-    Stands in for a Fraction in the beta slots of `_sum_structure` when beta
-    is held symbolically: it supports the sums, differences, scalar multiples
-    and comparisons with zero that the bracket applies to module parts.
-    Beta only fills g×g slots, so no product of two forms arises.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction]):
-        self.terms = terms
-
-    def __add__(self, other):
-        if not isinstance(other, _LinearForm):
-            if other != 0:
-                raise TypeError("a linear form has no constant part")
-            return self
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            total = terms.get(p, 0) + c
-            if total:
-                terms[p] = total
-            else:
-                del terms[p]
-        return _LinearForm(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_LinearForm":
-        return _LinearForm({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, c):
-        if isinstance(c, _LinearForm):
-            raise TypeError("the product of two linear forms is not linear")
-        if c == 0:
-            return _LinearForm({})
-        return _LinearForm({p: c * x for p, x in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _LinearForm):
-            return self.terms == other.terms
-        return other == 0 and not self.terms
-
-    def dense(self, n: int) -> Vec:
-        out = list(zero_vec(n))
-        for p, c in self.terms.items():
-            out[p] = c
-        return tuple(out)
-
-
 def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
     """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
     sparse = _nonzero_entries(_sum_structure(g, m, beta.tensor))
@@ -367,30 +309,52 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
                           pos2: list[tuple[int, int, int]]) -> Mat:
     """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
 
-    One pass of the super-Jacobi residual of g ⊕ M over the sorted g×g×g
-    triples i <= j <= k, with each entry of beta held as a linear form in the
-    coordinates `pos2`; the signs come from the bracket itself.  Other orders
-    would only add ± these rows, so the Z² basis is that of all triples.
-    Triples with a module slot do not involve beta (it only enters the
-    bracket of two g-parts), so they add no rows.  Zero rows and repeated
+    Read off the structure tensors over the sorted g×g×g triples i <= j <= k:
+    the module part of the super-Jacobi residual of g ⊕ M at (b_i, b_j, b_k)
+    is the row
+        sum_l c_ij^l beta(l,k) - c_jk^l beta(i,l) + (-1)^{|i||j|} c_ik^l beta(j,l)
+        - (-1)^{(|i|+|j|)|k|} b_k·beta(i,j) - b_i·beta(j,k) + (-1)^{|i||j|} b_j·beta(i,k),
+    the residual of `_twisted_jacobi_residuals` at beta = 0 taken away.  Other
+    orders would only add ± these rows, so the Z² basis is that of all
+    triples.  Triples with a module slot do not involve beta (it only enters
+    the bracket of two g-parts), so they add no rows.  Zero rows and repeated
     rows are dropped: they do not change the row space.  Rows are compared by
     their sorted nonzero terms, which tell rows apart as their dense forms do.
     """
-    ng, na = g.dim, m.space.dim
-    grid = [[list(zero_vec(na)) for _ in range(ng)] for _ in range(ng)]
-    for p, (i, j, k) in enumerate(pos2):
-        grid[i][j][k] = _LinearForm({p: Fraction(1)})
+    ng, na, n2, parity = g.dim, m.space.dim, len(pos2), g.basis.parities
+    # beta[p][q] lists (n, x, s): component n of beta(b_p, b_q) is s times coordinate x
+    beta: list[list[list]] = [[[] for _ in range(ng)] for _ in range(ng)]
+    for x, (i, j, n) in enumerate(pos2):
+        beta[i][j].append((n, x, _ONE))
         if i != j:
-            grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
-    sparse = _nonzero_entries(_sum_structure(g, m, grid))
-    parities = g.basis.parities + m.space.parities
-    rows: dict[tuple, _LinearForm] = {}
-    for *_, residual in _jacobi_residuals(sparse, parities, range(ng), range(ng), range(ng)):
-        for r in residual[ng:]:
-            if r != 0:
-                rows.setdefault(tuple(sorted(r.terms.items())), r)
-    n2 = len(pos2)
-    return Mat._canonical(tuple(r.dense(n2) for r in rows.values()), n2)
+            beta[j][i].append((n, x, -_sign(parity[i], parity[j])))
+    c, act = g._sparse, m._sparse
+    rows: dict[tuple, None] = {}
+    for i in range(ng):
+        for j in range(i, ng):
+            sij = _sign(parity[i], parity[j])
+            for k in range(j, ng):
+                terms: list[dict[int, Fraction]] = [{} for _ in range(na)]
+                brackets = ([(d, beta[l][k]) for l, d in c[i][j]]
+                            + [(-d, beta[i][l]) for l, d in c[j][k]]
+                            + [(sij * d, beta[j][l]) for l, d in c[i][k]])
+                for d, form in brackets:
+                    for n, x, s in form:
+                        terms[n][x] = terms[n].get(x, _ZERO) + d * s
+                actions = ((-_sign(parity[i] + parity[j], parity[k]), k, beta[i][j]),
+                           (-_ONE, i, beta[j][k]), (sij, j, beta[i][k]))
+                for d, y, form in actions:
+                    for q, x, s in form:
+                        for n, a in act[y][q]:
+                            terms[n][x] = terms[n].get(x, _ZERO) + d * s * a
+                for row in terms:
+                    if key := tuple(sorted((x, v) for x, v in row.items() if v)):
+                        rows.setdefault(key)
+    dense = [[_ZERO] * n2 for _ in rows]
+    for row, key in zip(dense, rows):
+        for x, v in key:
+            row[x] = v
+    return Mat._canonical(tuple(map(tuple, dense)), n2)
 
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
@@ -500,7 +464,8 @@ class CochainComplex:
 
         The twisted-Jacobi residual is affine in beta and vanishes at beta = 0
         for a valid module, so beta is a cocycle iff every row annihilates
-        its coordinates.
+        its coordinates.  `_cocycle2_constraints` reads the rows off the
+        structure tensors of g and of the action.
         """
         return _cocycle2_constraints(self.g, self.m, self.pos2)
 

@@ -64,7 +64,6 @@ from .cohomology import (
     CohomologyPresentation,
     c1_positions,
     class_of,
-    map_from_coords,
     map_to_coords,
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
@@ -214,13 +213,14 @@ class AbelianExtension:
     @cached_property
     def module_end_constraints(self) -> Mat:
         """Residual matrix of End_g(a): column p holds the flattened
-        `_module_end_residuals` of the p-th unit even map on a."""
-        pos = self.pos_a
-        columns = []
-        for p in range(len(pos)):
-            phi = map_from_coords(self.a_basis, self.a_basis, pos, unit_vec(len(pos), p))
-            columns.append(tuple(x for r in _module_end_residuals(phi, self) for x in r))
-        return Mat.from_columns(columns, rows=self.dim_g * self.dim_a * self.dim_a)
+        `_module_end_residuals` of the p-th unit even map on a.  Read off the
+        action tensor A: for the unit map E_rc, row (i, m, n) of
+        phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
+        act, da = self.action.action, self.dim_a
+        return Mat._canonical(tuple(
+            tuple(((act[i][m][c] if n == r else _ZERO) - (act[i][r][n] if m == c else _ZERO))
+                  or _ZERO for r, c in self.pos_a)
+            for i in range(self.dim_g) for m in range(da) for n in range(da)), len(self.pos_a))
 
     @cached_property
     def module_end_space(self) -> SubspacePresentation:
@@ -288,9 +288,10 @@ class AbelianExtension:
         beta = self.beta.tensor
         cochains = Mat([[-beta[i][j][m] if n == k else 0 for n, m in pos_a]
                         for i, j, k in self.cochains_g.pos2], cols=len(pos_a))
-        # raises MembershipError unless every image of End_g(a) is a cocycle
-        self.h2_g.coordinates(cochains @ _column_matrix(self.module_end_space))
-        return self.h2_g.quotient.coordinate_map[0] @ cochains
+        coords, annihilator = self.h2_g.quotient.coordinate_map
+        if not (annihilator @ cochains @ _column_matrix(self.module_end_space)).is_zero():
+            raise MembershipError("the 2-cochain is not a cocycle")
+        return coords @ cochains
 
     def __repr__(self) -> str:
         names = [self.e.basis.names[i] for i in self.ideal_indices]

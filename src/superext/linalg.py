@@ -11,12 +11,12 @@ this library built and checked.  Every zero entry of a `Mat` is the one
 shared `_ZERO`: the public constructor passes each entry through `rat`, and
 `Mat._canonical` takes grids of Fractions with that zero as they are (the
 results of `@`, `+`, `-` and `scale`, the blocks, copy matrices, d¹, Z²
-constraints and coordinate maps built in this library).  `Mat.apply`, `+`
-and `-` test a matrix's own entries for zero by identity; vectors passed in
-by callers may hold other zeros, such as `Fraction(0, 7)`, and are tested by
-value.  `SubspacePresentation`'s constructor eliminates to check that its
-basis is independent; `SubspacePresentation._trusted` takes the bases of
-`kernel_basis` and `from_spanning`, independent by construction.
+constraints, End_g(a) residuals and coordinate maps of this library).
+`Mat.apply`, `+` and `-` test a matrix's own entries for zero by identity;
+vectors passed in by callers may hold other zeros, such as `Fraction(0, 7)`,
+and are tested by value.  `SubspacePresentation`'s constructor eliminates to
+check that its basis is independent; `SubspacePresentation._trusted` takes
+the bases of `kernel_basis` and `from_spanning`, independent by construction.
 
 The small-map kernels work on integer-scaled views: `_scaled` writes a list
 of rationals as integer numerators over their least common denominator, so

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from superext import fixtures
-from superext.algebra import LieSuperalgebra, ModuleAction, SuperBasis, _sign, semidirect_product
-from superext.cohomology import _LinearForm
+from superext.algebra import LieSuperalgebra, ModuleAction, SuperBasis, semidirect_product
 from superext.extension import build_extension
 
 
@@ -127,13 +124,3 @@ def osp12_adjoint_extension():
     space = SuperBasis([(f"{name}'", p) for name, p in basis.items()])
     return semidirect_product(g, ModuleAction(g, space, g.structure))[1]
 
-
-def symbolic_beta(cx):
-    """beta held as linear forms over the complex's 2-cochain coordinates."""
-    g, na = cx.g, cx.m.space.dim
-    grid = [[[Fraction(0)] * na for _ in range(g.dim)] for _ in range(g.dim)]
-    for p, (i, j, k) in enumerate(cx.pos2):
-        grid[i][j][k] = _LinearForm({p: Fraction(1)})
-        if i != j:
-            grid[j][i][k] = _LinearForm({p: -_sign(g.basis.parity(i), g.basis.parity(j))})
-    return grid

@@ -50,6 +50,7 @@ from superext.extension import (
     to_derivation,
 )
 from superext.fixtures import affine_scaling_algebra, heisenberg3
+from superext.sequences import verify_five_term
 
 from conftest import heisenberg_extension, sl2_v2_extension
 from superext.linalg import (
@@ -342,6 +343,18 @@ def test_module_endomorphism_product_agrees_with_the_residuals():
             assert verdicts[-1] == all(is_zero_vec(r) for r in _module_end_residuals(phi, ext)), \
                 (name, phi)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 5, verdicts.count(True)
+
+
+def test_module_end_columns_are_the_residuals_of_unit_maps(pin_corpus):
+    # the matrix is read off the action tensor; column p must be the flattened
+    # `_module_end_residuals` of the p-th unit even map on a
+    for name, ext in pin_corpus:
+        pos = ext.pos_a
+        assert ext.module_end_constraints.rows == ext.dim_g * ext.dim_a * ext.dim_a, name
+        for p in range(len(pos)):
+            phi = map_from_coords(ext.a_basis, ext.a_basis, pos, unit_vec(len(pos), p))
+            assert ext.module_end_constraints.column(p) == tuple(
+                x for r in _module_end_residuals(phi, ext) for x in r), (name, p)
 
 
 def test_ring_helpers_reject_maps_that_do_not_fix_the_quotient():
@@ -811,6 +824,35 @@ def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
         for v in samples:
             phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
             assert ext.connecting_map.apply(v) == extend_obstruction(phi, ext).coords, name
+
+
+def test_connecting_map_multiplies_by_the_class_coordinate_map_once(monkeypatch):
+    # the images of End_g(a) are checked to be cocycles with the annihilator
+    # alone, and the five-term sequence reuses the cached D: one product with
+    # H²(g)'s class-coordinate map per extension
+    left = []
+    product = Mat.__matmul__
+
+    def counted(self, other):
+        left.append(self)
+        return product(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    for ext in (heisenberg_extension(2), heisenberg_extension(2, odd=True), sl2_v2_extension(),
+                fixtures.affine_scaling_extension()):
+        coords, annihilator = ext.h2_g.quotient.coordinate_map
+        left.clear()
+        assert verify_five_term(ext).passed and verify_five_term(ext).passed
+        assert sum(m is coords for m in left) == 1 and sum(m is annihilator for m in left) == 1
+
+
+def test_connecting_map_requires_the_images_of_end_g_a_to_be_cocycles():
+    # beta replaced by a 2-cochain that is not a cocycle: -id∘beta is none either
+    ext = sl2_v2_extension()
+    ext.beta = Cochain2.from_upper(ext.g.basis, ext.a_basis, {(0, 1): (1, 0)})
+    assert not ext.cochains_g.is_cocycle2(ext.beta)
+    with pytest.raises(MembershipError, match="the 2-cochain is not a cocycle"):
+        ext.connecting_map
 
 
 # -- the block layout of maps on e -------------------------------------------
