@@ -520,7 +520,7 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
         return False
     # phi = F/D and structure constants C/E: phi([b_i,b_j]) = [phi b_i, phi b_j]
     # iff D·E_h·sum_k C^g_ijk F_·k = E_g·sum_{p,q} F_pi F_qj C^h_pq·, entry by entry
-    images, den = _sparse_scaled([phi.image_of_basis(i) for i in range(g.dim)], h.dim)
+    images, den = _sparse_scaled([phi.image_of_basis(i) for i in range(g.dim)])
     (cg, eg), (ch, eh) = g._int_view(), h._int_view()
     scale = den * eh
     for i, j in _upper_pairs(g.basis.parities):

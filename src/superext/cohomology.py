@@ -46,10 +46,10 @@ from .algebra import (
 )
 from .errors import MembershipError, ShapeError
 from .linalg import (
-    _ONE,
     _ZERO,
     Mat,
     QuotientPresentation,
+    SparseMat,
     SubspacePresentation,
     Vec,
     add_vec,
@@ -306,7 +306,7 @@ def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain
 
 
 def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
-                          pos2: list[tuple[int, int, int]]) -> Mat:
+                          pos2: list[tuple[int, int, int]]) -> SparseMat:
     """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
 
     Read off the structure tensors over the sorted g×g×g triples i <= j <= k:
@@ -317,44 +317,54 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
     the residual of `_twisted_jacobi_residuals` at beta = 0 taken away.  Other
     orders would only add ± these rows, so the Z² basis is that of all
     triples.  Triples with a module slot do not involve beta (it only enters
-    the bracket of two g-parts), so they add no rows.  Zero rows and repeated
-    rows are dropped: they do not change the row space.  Rows are compared by
-    their sorted nonzero terms, which tell rows apart as their dense forms do.
+    the bracket of two g-parts), so they add no rows; nor do the triples
+    whose three brackets vanish and whose three elements act by zero.  Zero
+    rows and repeated rows are dropped: they do not change the row space.
+    Each row is kept as its sorted nonzero terms, which tell rows apart as
+    their dense forms do.
     """
-    ng, na, n2, parity = g.dim, m.space.dim, len(pos2), g.basis.parities
-    # beta[p][q] lists (n, x, s): component n of beta(b_p, b_q) is s times coordinate x
+    ng, na, parity = g.dim, m.space.dim, g.basis.parities
+    # beta[p][q] lists (n, x, neg): component n of beta(b_p, b_q) is coordinate
+    # x, negated when neg; the signs below are flags too, so that each term
+    # costs one negation at most
     beta: list[list[list]] = [[[] for _ in range(ng)] for _ in range(ng)]
     for x, (i, j, n) in enumerate(pos2):
-        beta[i][j].append((n, x, _ONE))
+        beta[i][j].append((n, x, False))
         if i != j:
-            beta[j][i].append((n, x, -_sign(parity[i], parity[j])))
+            beta[j][i].append((n, x, not parity[i] * parity[j]))
     c, act = g._sparse, m._sparse
+    negated = [[tuple((n, -a) for n, a in v) for v in row] for row in act]
+    acts = [any(v) for v in act]
     rows: dict[tuple, None] = {}
+
+    def add(row: dict[int, Fraction], x: int, v: Fraction) -> None:
+        row[x] = row[x] + v if x in row else v
+
     for i in range(ng):
         for j in range(i, ng):
-            sij = _sign(parity[i], parity[j])
+            odd_ij = parity[i] * parity[j] == 1
             for k in range(j, ng):
+                if not (c[i][j] or c[j][k] or c[i][k] or acts[i] or acts[j] or acts[k]):
+                    continue
                 terms: list[dict[int, Fraction]] = [{} for _ in range(na)]
-                brackets = ([(d, beta[l][k]) for l, d in c[i][j]]
-                            + [(-d, beta[i][l]) for l, d in c[j][k]]
-                            + [(sij * d, beta[j][l]) for l, d in c[i][k]])
-                for d, form in brackets:
-                    for n, x, s in form:
-                        terms[n][x] = terms[n].get(x, _ZERO) + d * s
-                actions = ((-_sign(parity[i] + parity[j], parity[k]), k, beta[i][j]),
-                           (-_ONE, i, beta[j][k]), (sij, j, beta[i][k]))
-                for d, y, form in actions:
-                    for q, x, s in form:
-                        for n, a in act[y][q]:
-                            terms[n][x] = terms[n].get(x, _ZERO) + d * s * a
+                brackets = ([(d, -d, beta[l][k]) for l, d in c[i][j]]
+                            + [(-d, d, beta[i][l]) for l, d in c[j][k]]
+                            + [(-d, d, beta[j][l]) if odd_ij else (d, -d, beta[j][l])
+                               for l, d in c[i][k]])
+                for d, minus_d, form in brackets:
+                    for n, x, neg in form:
+                        add(terms[n], x, minus_d if neg else d)
+                # the signs -(-1)^{(|i|+|j|)|k|}, -1 and (-1)^{|i||j|}, as "negative"
+                actions = (((parity[i] + parity[j]) * parity[k] % 2 == 0, k, beta[i][j]),
+                           (True, i, beta[j][k]), (odd_ij, j, beta[i][k]))
+                for neg_d, y, form in actions:
+                    for q, x, neg in form:
+                        for n, a in (negated if neg_d != neg else act)[y][q]:
+                            add(terms[n], x, a)
                 for row in terms:
                     if key := tuple(sorted((x, v) for x, v in row.items() if v)):
                         rows.setdefault(key)
-    dense = [[_ZERO] * n2 for _ in rows]
-    for row, key in zip(dense, rows):
-        for x, v in key:
-            row[x] = v
-    return Mat._canonical(tuple(map(tuple, dense)), n2)
+    return SparseMat(tuple(rows), len(pos2))
 
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
@@ -412,29 +422,31 @@ class CochainComplex:
         return cochain2_to_coords(beta, self.pos2)
 
     @cached_property
-    def d1(self) -> Mat:
+    def d1(self) -> SparseMat:
         """Matrix of d¹: column p holds the coboundary of the p-th unit 1-cochain.
 
         Read off the structure tensors: for lam = e_n at b_i,
         (d lam)(b_a, b_b) = [b = i] b_a·e_n - (-1)^{|a||b|} [a = i] b_b·e_n
         - [b_a, b_b]_i e_n, the formula of `coboundary1` on a unit cochain.
         """
-        slot = {rc: p for p, rc in enumerate(self.pos1)}
-        act, structure, parity = self.m.action, self.g.structure, self.g.basis.parity
-        rows = []
-        for a, b, k in self.pos2:
-            row = [Fraction(0)] * len(self.pos1)
-            s = _sign(parity(a), parity(b))
-            for n in range(self.m.space.dim):
-                if (n, b) in slot:
-                    row[slot[n, b]] += act[a][n][k]
-                if (n, a) in slot:
-                    row[slot[n, a]] -= s * act[b][n][k]
-            for i, c in enumerate(structure[a][b]):
-                if c != 0 and (k, i) in slot:
-                    row[slot[k, i]] -= c
-            rows.append(tuple(x or _ZERO for x in row))
-        return Mat._canonical(tuple(rows), len(self.pos1))
+        slot1 = {rc: p for p, rc in enumerate(self.pos1)}
+        slot2 = {abk: r for r, abk in enumerate(self.pos2)}
+        act, bracket, parity = self.m._sparse, self.g._sparse, self.g.basis.parities
+        rows: list[dict[int, Fraction]] = [{} for _ in self.pos2]
+        dim = self.m.space.dim
+        for a, b in dict.fromkeys((a, b) for a, b, _ in self.pos2):
+            odd = parity[a] * parity[b] == 1  # the sign (-1)^{|a||b|} is -1
+            terms = [(slot1.get((n, b)), k, v) for n in range(dim) for k, v in act[a][n]]
+            terms += [(slot1.get((n, a)), k, v if odd else -v) for n in range(dim)
+                      for k, v in act[b][n]]
+            for i, c in bracket[a][b]:
+                terms += [(slot1.get((k, i)), k, -c) for k in range(dim)]
+            for p, k, v in terms:
+                if p is not None and (r := slot2.get((a, b, k))) is not None:
+                    row = rows[r]
+                    row[p] = row[p] + v if p in row else v
+        return SparseMat(tuple(tuple(sorted((p, x) for p, x in row.items() if x)) for row in rows),
+                         len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
         """Whether f is an even derivation: a product with the cached d¹."""
@@ -459,7 +471,7 @@ class CochainComplex:
             for v, p in enumerate(self.m.space.parities) if p == 0])
 
     @cached_property
-    def cocycle2_constraints(self) -> Mat:
+    def cocycle2_constraints(self) -> SparseMat:
         """Rows of the linear 2-cocycle conditions, in 2-cochain coordinates.
 
         The twisted-Jacobi residual is affine in beta and vanishes at beta = 0
@@ -487,9 +499,11 @@ class CochainComplex:
 
     @cached_property
     def b2(self) -> SubspacePresentation:
-        """Span of the coboundaries of the even 1-cochains: the image of d¹."""
-        return SubspacePresentation.from_spanning(
-            len(self.pos2), [self.d1.column(p) for p in range(self.d1.cols)])
+        """Span of the coboundaries of the even 1-cochains, the image of d¹:
+        the columns of d¹ at the pivots of its reduced form, which `z1` reads
+        too (`from_spanning` of all the columns keeps the same ones)."""
+        d1 = self.d1
+        return SubspacePresentation._trusted(len(self.pos2), tuple(d1._columns(sorted(d1._echelon()))))
 
     @cached_property
     def h1(self) -> CohomologyPresentation:

@@ -70,6 +70,7 @@ from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
     _ZERO,
     Mat,
+    SparseMat,
     SubspacePresentation,
     Vec,
     _row_add,
@@ -211,16 +212,22 @@ class AbelianExtension:
                                 rows=self.dim_a * self.dim_a)
 
     @cached_property
-    def module_end_constraints(self) -> Mat:
+    def module_end_constraints(self) -> SparseMat:
         """Residual matrix of End_g(a): column p holds the flattened
         `_module_end_residuals` of the p-th unit even map on a.  Read off the
         action tensor A: for the unit map E_rc, row (i, m, n) of
         phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
-        act, da = self.action.action, self.dim_a
-        return Mat._canonical(tuple(
-            tuple(((act[i][m][c] if n == r else _ZERO) - (act[i][r][n] if m == c else _ZERO))
-                  or _ZERO for r, c in self.pos_a)
-            for i in range(self.dim_g) for m in range(da) for n in range(da)), len(self.pos_a))
+        act, view, slot, da = self.action.action, self.action._sparse, _slots(self.pos_a), self.dim_a
+        rows = []
+        for i in range(self.dim_g):
+            for m in range(da):
+                for n in range(da):
+                    row = {p: x for c, x in view[i][m] if (p := slot.get((n, c))) is not None}
+                    for r in range(da):
+                        if act[i][r][n] and (p := slot.get((r, m))) is not None:
+                            row[p] = row.get(p, _ZERO) - act[i][r][n]
+                    rows.append(tuple(sorted((p, x) for p, x in row.items() if x)))
+        return SparseMat(tuple(rows), len(self.pos_a))
 
     @cached_property
     def module_end_space(self) -> SubspacePresentation:
@@ -240,41 +247,41 @@ class AbelianExtension:
         return self.cochains_e.h2
 
     @cached_property
-    def extend_operator(self) -> Mat:
+    def extend_operator(self) -> SparseMat:
         """d¹ of e stacked over the rows reading a 1-cochain's values on the ideal.
 
         Row order matches the right-hand side of `extend_endomorphism`: all
         2-cochain coordinates, then for each ideal element its image in a.
         """
         slot = _slots(self.cochains_e.pos1)
-        reads = _copy_matrix([slot.get((k, idx)) for idx in self.ideal_indices
-                              for k in range(self.dim_a)], len(slot))
-        return Mat._canonical(self.cochains_e.d1.data + reads.data, len(slot))
+        reads = SparseMat.copies([slot.get((k, idx)) for idx in self.ideal_indices
+                                  for k in range(self.dim_a)], len(slot))
+        return SparseMat(self.cochains_e.d1.data + reads.data, len(slot))
 
     # -- the maps of the five-term sequence, on cochain coordinates ---------
 
     @cached_property
-    def inflation1(self) -> Mat:
+    def inflation1(self) -> SparseMat:
         """`inflate1` on 1-cochain coordinates, g -> e: entry (n, s(k)) of f∘p
         copies entry (n, k) of f, and the ideal columns vanish."""
         slot, quotient = _slots(self.cochains_g.pos1), _slots(self.complement_indices)
-        return _copy_matrix([slot.get((n, quotient.get(j))) for n, j in self.cochains_e.pos1],
-                            len(slot))
+        return SparseMat.copies([slot.get((n, quotient.get(j))) for n, j in self.cochains_e.pos1],
+                                len(slot))
 
     @cached_property
-    def inflation2(self) -> Mat:
+    def inflation2(self) -> SparseMat:
         """`inflate2` on 2-cochain coordinates, g -> e: entry (s(i), s(j), k)
         copies entry (i, j, k), and pairs with an ideal element vanish."""
         slot, quotient = _slots(self.cochains_g.pos2), _slots(self.complement_indices)
-        return _copy_matrix([slot.get((quotient.get(i), quotient.get(j), k))
-                             for i, j, k in self.cochains_e.pos2], len(slot))
+        return SparseMat.copies([slot.get((quotient.get(i), quotient.get(j), k))
+                                 for i, j, k in self.cochains_e.pos2], len(slot))
 
     @cached_property
-    def restriction(self) -> Mat:
+    def restriction(self) -> SparseMat:
         """`restrict1` on coordinates: entry (n, m) of f∘ι copies entry
         (n, ideal[m]) of the 1-cochain f of e."""
         slot = _slots(self.cochains_e.pos1)
-        return _copy_matrix([slot[n, self.ideal_indices[m]] for n, m in self.pos_a], len(slot))
+        return SparseMat.copies([slot[n, self.ideal_indices[m]] for n, m in self.pos_a], len(slot))
 
     @cached_property
     def connecting_map(self) -> Mat:
@@ -284,12 +291,12 @@ class AbelianExtension:
         it agrees with `extend_obstruction` on End_g(a), whose images are
         checked once to be cocycles.
         """
-        pos_a = self.pos_a
         beta = self.beta.tensor
-        cochains = Mat([[-beta[i][j][m] if n == k else 0 for n, m in pos_a]
-                        for i, j, k in self.cochains_g.pos2], cols=len(pos_a))
+        cochains = SparseMat(tuple(
+            tuple((p, -beta[i][j][m]) for p, (n, m) in enumerate(self.pos_a) if n == k and beta[i][j][m])
+            for i, j, k in self.cochains_g.pos2), len(self.pos_a))
         coords, annihilator = self.h2_g.quotient.coordinate_map
-        if not (annihilator @ cochains @ _column_matrix(self.module_end_space)).is_zero():
+        if not (annihilator @ (cochains @ _column_matrix(self.module_end_space))).is_zero():
             raise MembershipError("the 2-cochain is not a cocycle")
         return coords @ cochains
 
@@ -301,12 +308,6 @@ class AbelianExtension:
 def _slots(items: Sequence) -> dict:
     """Position of each item in a coordinate list."""
     return {x: p for p, x in enumerate(items)}
-
-
-def _copy_matrix(sources: Sequence[Optional[int]], cols: int) -> Mat:
-    """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
-    return Mat._canonical(tuple(zero_vec(cols) if s is None else unit_vec(cols, s)
-                                for s in sources), cols)
 
 
 def _column_matrix(space: SubspacePresentation) -> Mat:

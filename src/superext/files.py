@@ -23,7 +23,8 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # Longest basis a file may list.  The tensors are dense (n³ entries for an
 # algebra, n·d² for a module), so a longer basis is refused before any of
-# them is allocated; the largest algebra in the tests and benchmark has 21.
+# them is allocated; the largest algebra in the tests, n_10 (the strictly
+# upper-triangular 10 x 10 matrices), has 45 elements.
 _MAX_BASIS = 128
 
 

@@ -1,38 +1,47 @@
-"""Exact linear algebra over the rationals: dense matrices, sparse row updates.
+"""Exact linear algebra over the rationals: dense small maps, sparse operators.
 
 Everything here is tolerance-free: entries are `fractions.Fraction`, pivot
-choice is deterministic (first nonzero entry in row order), and outputs
-are reproducible bit for bit.  No floating point enters at any stage.
-Elimination updates rows only at a pivot row's nonzero columns; the reduced
-row echelon form is unique, so this changes no result of the dense update.
+choice is deterministic (first nonzero entry in row order, columns in
+increasing order), and outputs are reproducible bit for bit.  No floating
+point enters at any stage.
+
+`Mat` is dense and holds the small maps on an algebra.  `SparseMat` holds
+the big operators (d¹, the Z² constraint rows, the five-term maps, the
+coordinate maps of a quotient) as the nonzero (column, value) pairs of each
+row.  All elimination runs on sparse rows, split into the connected
+components of the column graph (columns joined when a row holds both) and
+reduced component by component.  The reduced row echelon form is unique
+and no row touches two components, so every pivot, kernel basis,
+complement, rank and solution is that of the whole-matrix elimination.
 
 Public constructors check their input; the private trusted ones take what
-this library built and checked.  Every zero entry of a `Mat` is the one
-shared `_ZERO`: the public constructor passes each entry through `rat`, and
-`Mat._canonical` takes grids of Fractions with that zero as they are (the
-results of `@`, `+`, `-` and `scale`, the blocks, copy matrices, d¹, Z²
-constraints, End_g(a) residuals and coordinate maps of this library).
-`Mat.apply`, `+` and `-` test a matrix's own entries for zero by identity;
-vectors passed in by callers may hold other zeros, such as `Fraction(0, 7)`,
-and are tested by value.  `SubspacePresentation`'s constructor eliminates to
-check that its basis is independent; `SubspacePresentation._trusted` takes
-the bases of `kernel_basis` and `from_spanning`, independent by construction.
+this library built and checked.  Every zero entry of a `Mat` or of a
+presentation's basis vector is the one shared `_ZERO`: the public
+constructors pass each entry through `rat`, and `Mat._canonical` takes
+grids of Fractions with that zero as they are.  `Mat.apply`, `+` and `-`
+and the nonzero scans test a matrix's own entries for zero by identity;
+vectors passed in by callers may hold other zeros, such as
+`Fraction(0, 7)`, and are tested by value.  `SubspacePresentation`'s
+constructor eliminates to check that its basis is independent;
+`SubspacePresentation._trusted` takes the bases of `kernel_basis` and
+`from_spanning`, independent by construction.
 
-The small-map kernels work on integer-scaled views: `_scaled` writes a list
-of rationals as integer numerators over their least common denominator, so
-`@`, the zero test `Mat._annihilates` and `SubspacePresentation.combine`
-add and multiply integers and build a Fraction only for each nonzero value
-they return.  The arithmetic is exact, so every result is the one the
-Fraction arithmetic gives.  A matrix caches its integer rows on the first
-zero test, which the operators kept by a cochain complex or an extension
-pay for once.
+The products work on integer-scaled views: `_scaled` writes a list of
+rationals as integer numerators over their least common denominator, so
+`@`, `SparseMat.apply`, the zero test `SparseMat._annihilates` and
+`SubspacePresentation.combine` add and multiply integers and build a
+Fraction only for each nonzero value they return.  The arithmetic is exact,
+so every result is the one the Fraction arithmetic gives.  An operator
+keeps its integer rows, which the operators kept by a cochain complex or an
+extension pay for once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
-from operator import attrgetter, mul
+from operator import attrgetter, is_not, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import MembershipError, ShapeError
@@ -70,17 +79,28 @@ def _scaled(values: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _sparse_scaled(rows: Sequence[Sequence], width: int) -> tuple[list[list[tuple[int, int]]], int]:
-    """The rows of a grid as lists of their nonzero (j, N_j), over one common
-    denominator: `_scaled` of all entries at once."""
-    flat, d = _scaled(x for row in rows for x in row)
-    return [[(j, x) for j, x in enumerate(flat[k * width:(k + 1) * width]) if x]
-            for k in range(len(rows))], d
+def _nonzeros(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The (j, x) at the nonzero entries of a row whose zeros are all `_ZERO`."""
+    return list(compress(enumerate(row), map(is_not, row, repeat(_ZERO))))
+
+
+def _scaled_pairs(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Rows of (j, x) pairs as (j, N_j) over one common denominator: `_scaled`
+    of all values at once."""
+    flat, d = _scaled(x for row in rows for _, x in row)
+    nums = iter(flat)
+    return [[(j, next(nums)) for j, _ in row] for row in rows], d
+
+
+def _sparse_scaled(rows: Sequence[Vec]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The rows of a grid whose zeros are all `_ZERO` as lists of their
+    nonzero (j, N_j), over one common denominator."""
+    return _scaled_pairs([_nonzeros(r) for r in rows])
 
 
 def _combination(coeffs: Sequence, rows: Sequence[Sequence[tuple[int, int]]], den: int,
                  width: int) -> Vec:
-    """sum_k coeffs_k · rows_k, for rows given by `_sparse_scaled` over den:
+    """sum_k coeffs_k · rows_k, for rows given by `_scaled_pairs` over den:
     integer sums over one denominator, skipping zero coefficients and entries."""
     cs, d = _scaled(coeffs)
     acc = [0] * width
@@ -158,7 +178,7 @@ def bilinear(sparse: Sequence[Sequence[Sequence[tuple]]], x: Sequence, y: Sequen
 class Mat:
     """Immutable dense matrix of exact rationals."""
 
-    __slots__ = ("rows", "cols", "data", "_int_rows")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
         grid = tuple(tuple(rat(x) for x in row) for row in data)
@@ -168,14 +188,14 @@ class Mat:
                 raise ShapeError("rows have varying lengths")
         if cols is not None and width != cols:
             raise ShapeError(f"rows have length {width}, expected {cols}")
-        self.data, self.rows, self.cols, self._int_rows = grid, len(grid), width, None
+        self.data, self.rows, self.cols = grid, len(grid), width
 
     @classmethod
     def _canonical(cls, grid: tuple[Vec, ...], cols: int) -> "Mat":
         """A matrix on a grid of Fractions whose zeros are all `_ZERO`,
         without the `rat` pass of the public constructor."""
         m = object.__new__(cls)
-        m.data, m.rows, m.cols, m._int_rows = grid, len(grid), cols, None
+        m.data, m.rows, m.cols = grid, len(grid), cols
         return m
 
     @classmethod
@@ -219,26 +239,13 @@ class Mat:
                     out[i] += vj * c
         return tuple(out)
 
-    def _annihilates(self, v: Sequence[Fraction]) -> bool:
-        """Whether A·v = 0, in integers: each nonzero row of A scaled by its
-        own denominator (cached on first use) against v scaled by one; stops
-        at the first row with a nonzero product."""
-        if len(v) != self.cols:
-            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
-        w = _scaled(v)[0]
-        if not any(w):
-            return True
-        if self._int_rows is None:
-            self._int_rows = [n for n, _ in map(_scaled, self.data) if any(n)]
-        return not any(sum(map(mul, n, w)) for n in self._int_rows)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         """A·B row by row in integers: row i of A is the combination of B's
         rows with A's row as coefficients."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         m = other.cols
-        b_rows, den = _sparse_scaled(other.data, m)
+        b_rows, den = _sparse_scaled(other.data)
         live = [k for k, r in enumerate(b_rows) if r]  # entries of A facing a zero row add nothing
         out = []
         for row in self.data:
@@ -280,86 +287,241 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.data]})"
 
 
-def _reduce_rows(rows: list[list[Fraction]], pivot_cols: Optional[int] = None) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns.
+Row = tuple[tuple[int, Fraction], ...]
 
-    Pivot = first nonzero entry in row order, so the result is unique for
-    a given input ordering.  Rows are updated only at the pivot row's nonzero
-    columns; the rest would change by f·0, so every value is that of the
-    dense update.  With `pivot_cols`, pivots are sought only in the first
-    `pivot_cols` columns; the columns after them are carried along.
+
+def _spread(pairs: Iterable[tuple[int, Fraction]], n: int) -> Vec:
+    """The dense vector of length n with these (index, value) entries."""
+    v = [_ZERO] * n
+    for j, x in pairs:
+        v[j] = x
+    return tuple(v)
+
+
+class SparseMat:
+    """Immutable sparse matrix of exact rationals: each row the tuple of its
+    nonzero (column, value) pairs in increasing column, and the width `cols`.
+
+    The constructor trusts its rows; products with a `SparseMat` on the left
+    are dense `Mat`s.  Its integer rows, components, reduced rows and
+    factorization are kept on first use.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+
+    __slots__ = ("data", "rows", "cols", "_int_rows", "_parts", "_reduced", "_factored")
+
+    def __init__(self, data: tuple[Row, ...], cols: int):
+        self.data, self.rows, self.cols = data, len(data), cols
+        self._int_rows = self._parts = self._reduced = self._factored = None
+
+    @classmethod
+    def copies(cls, sources: Sequence[Optional[int]], cols: int) -> "SparseMat":
+        """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
+        return cls(tuple(() if s is None else ((s, _ONE),) for s in sources), cols)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Vec], rows: int) -> "SparseMat":
+        """The matrix with these columns, whose zeros are all `_ZERO`."""
+        out: list[list] = [[] for _ in range(rows)]
+        for j, v in enumerate(columns):
+            for i, x in _nonzeros(v):
+                out[i].append((j, x))
+        return cls(tuple(map(tuple, out)), len(columns))
+
+    def column(self, j: int) -> Vec:
+        return self._columns([j])[0]
+
+    def _columns(self, js: Sequence[int]) -> list[Vec]:
+        """The columns js, dense, in one pass over the rows."""
+        out: dict[int, list] = {j: [] for j in js}
+        for i, row in enumerate(self.data):
+            for j, x in row:
+                if j in out:
+                    out[j].append((i, x))
+        return [_spread(out[j], self.rows) for j in js]
+
+    def _int_view(self) -> list[tuple[int, itemgetter, list[int], int]]:
+        """Each nonzero row i as (i, a getter of the entries of a vector at its
+        columns, its integer numerators, their denominator)."""
+        if self._int_rows is None:
+            self._int_rows = [(i, itemgetter(*(j for j, _ in row)) if len(row) > 1
+                               else itemgetter(slice(row[0][0], row[0][0] + 1)),
+                               *_scaled(x for _, x in row))
+                              for i, row in enumerate(self.data) if row]
+        return self._int_rows
+
+    def apply(self, v: Sequence[Fraction]) -> Vec:
+        """A·v in integers: v over one denominator against the integer rows."""
+        if len(v) != self.cols:
+            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
+        w, d = _scaled(v)
+        out = [_ZERO] * self.rows
+        for i, pick, nums, e in self._int_view():
+            if t := sum(map(mul, nums, pick(w))):
+                out[i] = Fraction(t, d * e)
+        return tuple(out)
+
+    def _annihilates(self, v: Sequence[Fraction]) -> bool:
+        """Whether A·v = 0, as `apply` computes it, stopping at the first row
+        with a nonzero product."""
+        if len(v) != self.cols:
+            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
+        w = _scaled(v)[0]
+        return not any(w) or not any(sum(map(mul, nums, pick(w))) for _, pick, nums, _ in self._int_view())
+
+    def __matmul__(self, other) -> Mat:
+        """A·B for a `Mat` or `SparseMat` B, as a dense `Mat`: row i is the
+        integer combination of B's rows at the columns of A's row i."""
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        m = other.cols
+        b_rows, den = _sparse_scaled(other.data) if isinstance(other, Mat) else _scaled_pairs(other.data)
+        out = []
+        for row in self.data:
+            terms = [(x, b_rows[j]) for j, x in row if b_rows[j]]  # zero rows of B add nothing
+            out.append(_combination([x for x, _ in terms], [r for _, r in terms], den, m)
+                       if terms else zero_vec(m))
+        return Mat._canonical(tuple(out), m)
+
+    def _components(self) -> list[tuple[list[int], list[int]]]:
+        """The connected components of the column graph, columns joined when
+        a row holds both: (rows in order, columns ascending) each.  Empty rows
+        and the columns no row holds belong to none."""
+        if self._parts is None:
+            root = list(range(self.cols))
+
+            def find(x: int) -> int:
+                while root[x] != x:
+                    root[x] = x = root[root[x]]
+                return x
+
+            for row in self.data:
+                for j, _ in row:
+                    if (a := find(j)) != (b := find(row[0][0])):
+                        root[a] = b
+            parts: dict[int, tuple[list[int], set]] = {}
+            for i, row in enumerate(self.data):
+                if row:
+                    rows, cols = parts.setdefault(find(row[0][0]), ([], set()))
+                    rows.append(i)
+                    cols.update(j for j, _ in row)
+            self._parts = [(rows, sorted(cols)) for rows, cols in parts.values()]
+        return self._parts
+
+    def _echelon(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced row echelon form, as {pivot column: its row}."""
+        if self._reduced is None:
+            self._reduced = {}
+            for rows, cols in self._components():
+                part = [dict(self.data[i]) for i in rows]
+                self._reduced.update(zip(_reduce_part(part, cols), part))
+        return self._reduced
+
+    def _factor(self) -> tuple[list[int], "SparseMat", "SparseMat"]:
+        """(pivots, P, A) with E·S = R, the reduced row echelon form of S:
+        P holds E's rows at the pivots, in order, and A the others (a unit
+        row for each empty row of S).  S·x = b is solvable iff A·b = 0, and
+        then P·b at the pivots, 0 elsewhere, is its first solution.  Each
+        row of a component carries its own row of the identity block, which
+        stays implicit."""
+        if self._factored is None:
+            m = self.cols
+            found, rest = [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
+            for rows, cols in self._components():
+                part = [dict(self.data[i] + ((m + i, _ONE),)) for i in rows]
+                pivots = _reduce_part(part, cols)
+                found += [(c, _carried(row, m)) for c, row in zip(pivots, part)]
+                rest += [_carried(row, m) for row in part[len(pivots):]]
+            found.sort()
+            self._factored = ([c for c, _ in found], SparseMat(tuple(r for _, r in found), self.rows),
+                              SparseMat(tuple(rest), self.rows))
+        return self._factored
+
+
+def _reduce_part(rows: list[dict[int, Fraction]], cols: list[int]) -> list[int]:
+    """In-place reduced row echelon form of one component's rows; returns the
+    pivot columns, and rows[r] becomes the row of the r-th pivot.
+
+    Pivot = first row holding the column, columns in increasing order, so the
+    result is that of the column-order elimination of the whole matrix: the
+    reduced row echelon form is unique, and no row holds columns of two
+    components.  Keys outside `cols` are carried along (the implicit
+    identity block of `SparseMat._factor` and `inverse`); zeros are deleted.
+    """
+    n, r = len(rows), 0
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols if pivot_cols is None else pivot_cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
+    for c in cols:
+        for i in range(r, n):
+            if c in rows[i]:
                 break
-        if pr is None:
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row, pv = rows[r], rows[r][c]
-        # rows r.. vanish left of c, so the pivot row's nonzero entries lie in c..
-        terms = [(j, row[j] if pv == 1 else row[j] / pv) for j in range(c, ncols) if row[j] != 0]
-        for j, x in terms:
-            row[j] = x
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                other, f = rows[i], rows[i][c]
+        rows[r], rows[i] = rows[i], rows[r]
+        row = rows[r]
+        if (pv := row[c]) != 1:
+            for j, x in row.items():
+                row[j] = x / pv
+        terms = list(row.items())
+        for other in rows:
+            if other is not row and c in other:
+                f = other[c]
                 for j, x in terms:
-                    other[j] -= f * x
+                    if (y := other.get(j)) is None:
+                        other[j] = -f * x
+                    elif y := y - f * x:
+                        other[j] = y
+                    else:
+                        del other[j]
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == n:
             break
     return pivots
 
 
-def rank(a: Mat) -> int:
-    rows = [list(r) for r in a.data]
-    return len(_reduce_rows(rows))
+def _carried(row: dict[int, Fraction], offset: int) -> Row:
+    """The entries of a row at keys from `offset` on, shifted down by it."""
+    return tuple(sorted((j - offset, x) for j, x in row.items() if j >= offset))
 
 
-def solve(a: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
-    """First solution of A·x = b with free variables set to 0, or None."""
+def _as_sparse(a) -> SparseMat:
+    """A `SparseMat` as it is; the nonzero entries of a `Mat`, whose zeros are all `_ZERO`."""
+    return a if isinstance(a, SparseMat) else SparseMat(tuple(map(tuple, map(_nonzeros, a.data))), a.cols)
+
+
+def rank(a) -> int:
+    return len(_as_sparse(a)._echelon())
+
+
+def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
+    """First solution of A·x = b with free variables set to 0, or None: two
+    products with A's factorization, which an operator keeps."""
     if len(b) != a.rows:
         raise ShapeError(f"matrix has {a.rows} rows, right-hand side has length {len(b)}")
-    if a.cols == 0:
-        return () if is_zero_vec(b) else None
-    rows = [list(r) + [rat(x)] for r, x in zip(a.data, b)]
-    if not rows:
-        return zero_vec(a.cols)
-    pivots = _reduce_rows(rows)
-    if pivots and pivots[-1] == a.cols:
+    pivots, coords, annihilator = _as_sparse(a)._factor()
+    b = vec(b)
+    if not annihilator._annihilates(b):
         return None
-    x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return tuple(x)
+    return _spread(zip(pivots, coords.apply(b)), a.cols)
 
 
 def inverse(a: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular: its rows, each
+    carrying its row of the identity block, reduced as one part."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
     n = a.rows
-    rows = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(a.data)]
-    pivots = _reduce_rows(rows)
-    if pivots != list(range(n)):
+    rows = [dict(_nonzeros(r) + [(n + i, _ONE)]) for i, r in enumerate(a.data)]
+    if _reduce_part(rows, list(range(n))) != list(range(n)):
         return None
-    return Mat([row[n:] for row in rows], cols=n)
+    return Mat._canonical(tuple(_spread(_carried(r, n), n) for r in rows), n)
 
 
-def _pivots(vectors: Sequence[Sequence[Fraction]], n: int) -> list[int]:
-    """Pivot columns of the n x k matrix whose columns are `vectors`.
+def _pivots(vectors: Sequence[Vec], n: int) -> list[int]:
+    """Pivot columns of the n x k matrix whose columns are `vectors` (zeros `_ZERO`).
 
     Column j is a pivot iff vectors[j] is not in the span of vectors[:j].
     """
-    return _reduce_rows([[v[i] for v in vectors] for i in range(n)])
+    return sorted(SparseMat.from_columns(vectors, n)._echelon())
 
 
 class SubspacePresentation:
@@ -413,7 +575,7 @@ class SubspacePresentation:
         if len(coeffs) != self.dim:
             raise ShapeError("coefficient count does not match the basis size")
         if self._int_basis is None:
-            self._int_basis = _sparse_scaled(self.basis, self.ambient_dim)
+            self._int_basis = _sparse_scaled(self.basis)
         return _combination(coeffs, *self._int_basis, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
@@ -434,23 +596,18 @@ def subspace_equal(u: SubspacePresentation, w: SubspacePresentation) -> bool:
     return u.dim == w.dim and u.contains_subspace(w)
 
 
-def kernel_basis(a: Mat) -> SubspacePresentation:
+def kernel_basis(a) -> SubspacePresentation:
     """Basis of the null space of A, ordered by ascending free column; each
-    vector is 1 at its own free column and 0 at the others, so independent."""
-    rows = [list(r) for r in a.data]
-    pivots = _reduce_rows(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * a.cols
-        v[f] = _ONE
-        for r, c in enumerate(pivots):
-            x = rows[r][f]
-            v[c] = -x if x else _ZERO
-        basis.append(tuple(v))
-    return SubspacePresentation._trusted(a.cols, tuple(basis))
+    vector is 1 at its own free column and 0 at the others, so independent.
+    A free column's vector reads only the pivot rows of its own component."""
+    n, reduced = a.cols, _as_sparse(a)._echelon()
+    entries: list[list[tuple[int, Fraction]]] = [[(f, _ONE)] for f in range(n)]
+    for c, row in reduced.items():
+        for f, x in row.items():
+            if f != c:
+                entries[f].append((c, -x))
+    return SubspacePresentation._trusted(n, tuple(_spread(entries[f], n) for f in range(n)
+                                                  if f not in reduced))
 
 
 class QuotientPresentation:
@@ -468,32 +625,28 @@ class QuotientPresentation:
         self.ambient = ambient
         self.sub = sub
         self.complement = complement
-        self._coordinate_map: Optional[tuple[Mat, Mat]] = None
+        self._coordinate_map: Optional[tuple[SparseMat, SparseMat]] = None
 
     @property
     def dim(self) -> int:
         return len(self.complement)
 
     @property
-    def coordinate_map(self) -> tuple[Mat, Mat]:
+    def coordinate_map(self) -> tuple[SparseMat, SparseMat]:
         """(P, A): P·v are the class coordinates of v in span Z, A·v = 0 iff v is in span Z.
 
-        Built once, from E·[B | C | I] = [R | E], eliminating only until
-        [B | C] is in reduced row echelon form.  [B | C] has independent
-        columns, so after its b + k pivots R is the identity on top of zeros:
-        for v = B·x + C·y the top rows of E give (x, y), and the rows below
-        (independent, as E is invertible) annihilate exactly span [B | C] =
-        span Z.  The entries of P and A depend on where elimination stops;
-        P·v on span Z and the kernel of A do not.
+        The factorization E·[B | C] = R of `SparseMat._factor`, built once.
+        [B | C] has independent columns, so all are pivots and R is the
+        identity on top of zeros: for v = B·x + C·y the pivot rows of E give
+        (x, y), and the other rows (independent, as E is invertible)
+        annihilate exactly span [B | C] = span Z.  The entries of P and A
+        depend on the order of elimination; P·v on span Z and the kernel of
+        A do not.
         """
         if self._coordinate_map is None:
-            n, b, k = self.ambient.ambient_dim, self.sub.dim, self.dim
-            columns = self.sub.basis + self.complement
-            rows = [[v[i] for v in columns] + list(unit_vec(n, i)) for i in range(n)]
-            _reduce_rows(rows, b + k)
-            self._coordinate_map = tuple(
-                Mat._canonical(tuple(tuple(x or _ZERO for x in r[b + k:]) for r in part), n)
-                for part in (rows[b:b + k], rows[b + k:]))
+            n = self.ambient.ambient_dim
+            _, coords, annihilator = SparseMat.from_columns(self.sub.basis + self.complement, n)._factor()
+            self._coordinate_map = SparseMat(coords.data[self.sub.dim:], n), annihilator
         return self._coordinate_map
 
     def coordinates(self, columns: Mat) -> Mat:
@@ -512,8 +665,14 @@ class QuotientPresentation:
         return coords @ columns
 
     def coordinates_of(self, v: Sequence[Fraction]) -> Vec:
-        """Coordinates of [v] in the complement basis."""
-        return self.coordinates(Mat.from_columns([v], rows=len(v))).column(0)
+        """Coordinates of [v] in the complement basis: P·v, after A·v = 0."""
+        if len(v) != self.ambient.ambient_dim:
+            raise ShapeError(f"ambient dimension is {self.ambient.ambient_dim}, "
+                             f"vectors have length {len(v)}")
+        coords, annihilator = self.coordinate_map
+        if not annihilator._annihilates(v):
+            raise MembershipError("vector lies outside the ambient subspace")
+        return coords.apply(v)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuotientPresentation) and self.ambient == other.ambient

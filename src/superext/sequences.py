@@ -51,6 +51,7 @@ from .extension import (
 )
 from .linalg import (
     Mat,
+    SparseMat,
     SubspacePresentation,
     Vec,
     inverse,
@@ -223,7 +224,7 @@ def verify_five_term(ext: AbelianExtension) -> Report:
     rep.checks += [at_z1e, at_enda]
 
     img_d = enda.dim - ker_d
-    complement = Mat.from_columns(h2g.quotient.complement, rows=len(ext.cochains_g.pos2))
+    complement = SparseMat.from_columns(h2g.quotient.complement, len(ext.cochains_g.pos2))
     inf2 = h2e.coordinates(ext.inflation2 @ complement)
     ker_inf2 = h2g.dim - rank(inf2)
     rep.add("image_of_connecting_map_is_kernel_of_inflation2",

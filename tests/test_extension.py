@@ -54,7 +54,7 @@ from superext.sequences import verify_five_term
 
 from conftest import heisenberg_extension, sl2_v2_extension
 from superext.linalg import (
-    _ZERO, Mat, add_vec, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
+    _ZERO, Mat, SparseMat, add_vec, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
 )
 
 
@@ -421,13 +421,13 @@ def test_derivation_coordinates_are_kept_per_extension_object(monkeypatch):
     assert _derivation_coords(tilt, centre) is None
 
     products = []
-    original = Mat._annihilates
+    original = SparseMat._annihilates  # d¹ is sparse: this is its zero test
 
     def counted(self, v):
         products.append(v)
         return original(self, v)
 
-    monkeypatch.setattr(Mat, "_annihilates", counted)
+    monkeypatch.setattr(SparseMat, "_annihilates", counted)
     shear = _shear(centre, 2, 3)
     twin = GradedLinearMap(e.basis, e.basis, shear.matrix)
     before = hash(shear)
@@ -831,13 +831,13 @@ def test_connecting_map_multiplies_by_the_class_coordinate_map_once(monkeypatch)
     # alone, and the five-term sequence reuses the cached D: one product with
     # H²(g)'s class-coordinate map per extension
     left = []
-    product = Mat.__matmul__
+    product = SparseMat.__matmul__  # P and A are sparse: this is their product
 
     def counted(self, other):
         left.append(self)
         return product(self, other)
 
-    monkeypatch.setattr(Mat, "__matmul__", counted)
+    monkeypatch.setattr(SparseMat, "__matmul__", counted)
     for ext in (heisenberg_extension(2), heisenberg_extension(2, odd=True), sl2_v2_extension(),
                 fixtures.affine_scaling_extension()):
         coords, annihilator = ext.h2_g.quotient.coordinate_map

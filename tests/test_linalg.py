@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from dense_oracle import kernel_basis as dense_kernel_basis
+from dense_oracle import pivots as oracle_pivots
+from dense_oracle import reduce_rows as _reduce_rows
 from superext.errors import MembershipError, ShapeError
 from superext.linalg import (
     _ZERO,
     Mat,
+    _as_sparse,
     SubspacePresentation,
-    _reduce_rows,
     inverse,
     is_zero_vec,
     kernel_basis,
@@ -454,12 +457,13 @@ def test_zero_test_agrees_with_the_product():
             v = [_kernel_entry(rng) for _ in range(a.cols)]
         v = _with_other_zeros(rng, v)
         expected = is_zero_vec(a.apply(v))
-        assert a._annihilates(v) == expected, (a, v)
-        assert a._annihilates(v) == expected  # again, on the cached integer rows
+        sparse = _as_sparse(a)
+        assert sparse._annihilates(v) == expected, (a, v)
+        assert sparse._annihilates(v) == expected  # again, on the cached integer rows
         verdicts.append(expected)
     assert 60 <= verdicts.count(True) <= 240, verdicts.count(True)
     with pytest.raises(ShapeError):
-        Mat.identity(2)._annihilates((1,))
+        _as_sparse(Mat.identity(2))._annihilates((1,))
 
 
 def test_product_agrees_with_the_column_form():
@@ -514,3 +518,86 @@ def test_results_of_the_integer_kernels_hold_only_the_shared_zero():
                         assert x is _ZERO, m
                         zeros += 1
     assert zeros >= 300, zeros
+
+
+# -- the component split against the dense whole-matrix oracle ----------------
+
+
+def _planted_blocks(rng):
+    """A sparse matrix of 1-4 planted blocks under random row and column
+    permutations, with empty rows and columns mixed in; the first block of
+    two or more rows has its last row a combination of the others, so it is
+    rank-deficient."""
+    blocks = []
+    for b in range(rng.randint(1, 4)):
+        h, w = rng.randint(1, 5), rng.randint(1, 5)
+        block = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else _ZERO
+                  for _ in range(w)] for _ in range(h)]
+        if b == 0 and h > 1:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(h - 1)]
+            block[-1] = [sum((c * r[j] for c, r in zip(coeffs, block)), Fraction(0)) for j in range(w)]
+        blocks.append(block)
+    ncols = sum(len(b[0]) for b in blocks) + rng.randint(0, 2)
+    rows, offset = [], 0
+    for block in blocks:
+        for r in block:
+            rows.append([_ZERO] * offset + r + [_ZERO] * (ncols - offset - len(r)))
+        offset += len(block[0])
+    rows += [[_ZERO] * ncols for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    order = list(range(ncols))
+    rng.shuffle(order)
+    return Mat([[r[j] for j in order] for r in rows], cols=ncols)
+
+
+def _oracle_coordinates(sub, complement, v):
+    """The complement part of the solution x of [B | C]·x = v, by one
+    elimination of the whole augmented matrix."""
+    columns = list(sub) + list(complement)
+    rows = [[c[i] for c in columns] + [v[i]] for i in range(len(v))]
+    pivots = _reduce_rows(rows)
+    assert pivots == list(range(len(columns)))  # independent columns, v in their span
+    return tuple(rows[r][-1] for r in range(len(sub), len(columns)))
+
+
+def test_component_split_matches_the_dense_oracle():
+    rng = random.Random(151)
+    shapes = {"interleaved": 0, "deficient": 0, "classes": 0}
+    for _ in range(150):
+        a = _planted_blocks(rng)
+        n = a.cols
+        dense = [list(r) for r in a.data]
+        pivots = _reduce_rows(dense)
+        reduced = _as_sparse(a)._echelon()
+        assert sorted(reduced) == pivots and rank(a) == len(pivots), a
+        kernel = kernel_basis(a)
+        assert kernel.basis == dense_kernel_basis(a), a
+        shapes["deficient"] += len(pivots) < min(a.rows, n)
+        parts = _as_sparse(a)._components()
+        free = [[f for f in cols if f not in reduced] for _, cols in parts]
+        by_component = [f for fs in free for f in fs]
+        shapes["interleaved"] += by_component != sorted(by_component)
+
+        columns = [a.column(j) for j in range(n)]
+        span = SubspacePresentation.from_spanning(a.rows, columns)
+        assert span.basis == tuple(columns[j] for j in oracle_pivots(columns, a.rows)), a
+
+        if not kernel.dim:
+            continue
+        take = rng.sample(kernel.basis, rng.randint(0, kernel.dim))
+        b = SubspacePresentation.from_spanning(n, [
+            kernel.combine(tuple(Fraction(rng.randint(-2, 2)) for _ in range(kernel.dim)))
+            for _ in take] + take[:1])
+        q = quotient_presentation(kernel, b)
+        kept = oracle_pivots(b.basis + kernel.basis, n)[b.dim:]
+        assert q.complement == tuple(kernel.basis[j - b.dim] for j in kept), a
+        coords, annihilator = q.coordinate_map
+        for _ in range(3):
+            v = kernel.combine(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                     for _ in range(kernel.dim)))
+            assert q.coordinates_of(v) == _oracle_coordinates(b.basis, q.complement, v), a
+            shapes["classes"] += q.dim > 0
+        ker_a = dense_kernel_basis(annihilator)
+        assert len(ker_a) == kernel.dim, a
+        assert len(oracle_pivots(ker_a + kernel.basis, n)) == kernel.dim, a
+    assert shapes["interleaved"] >= 15 and shapes["deficient"] >= 100 and shapes["classes"] >= 200, shapes
