@@ -143,26 +143,19 @@ def _cmd_verify(args) -> int:
     if args.samples and args.suite not in _SAMPLE_DOMAINS:
         raise ParseError(f"suite {args.suite} takes no --samples")
     ext = files.load_extension(Path(args.ext))
-    seed = args.seed
-    env_seed = os.environ.get("SUPEREXT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ParseError(f"SUPEREXT_SEED must be an integer, got {env_seed!r}") from None
     samples = None
     if args.samples:
         samples = files.load_maps(Path(args.samples), ext, _SAMPLE_DOMAINS[args.suite])
     if args.suite == "five-term":
         report = verify_five_term(ext)
     elif args.suite == "thm1":
-        report = verify_ring_sequence(ext, seed=seed)
+        report = verify_ring_sequence(ext, seed=args.seed)
     elif args.suite == "cor1":
-        report = verify_automorphism_extension(ext, aut_samples=samples, seed=seed)
+        report = verify_automorphism_extension(ext, aut_samples=samples, seed=args.seed)
     elif args.suite == "thm2":
-        report = verify_monoid_sequence(ext, psi_samples=samples, seed=seed)
+        report = verify_monoid_sequence(ext, psi_samples=samples, seed=args.seed)
     else:
-        report = verify_semidirect_automorphisms(ext.g, ext.action, aut_samples=samples, seed=seed)
+        report = verify_semidirect_automorphisms(ext.g, ext.action, aut_samples=samples, seed=args.seed)
     payload = report.to_dict()
     lines = [f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}"]
     for check in report.checks:

@@ -502,8 +502,8 @@ class CochainComplex:
         """Span of the coboundaries of the even 1-cochains, the image of d¹:
         the columns of d¹ at the pivots of its reduced form, which `z1` reads
         too (`from_spanning` of all the columns keeps the same ones)."""
-        d1 = self.d1
-        return SubspacePresentation._trusted(len(self.pos2), tuple(d1._columns(sorted(d1._echelon()))))
+        columns, pivots = self.d1.T.data, sorted(self.d1._echelon())
+        return SubspacePresentation._trusted(len(self.pos2), tuple(columns[c] for c in pivots))
 
     @cached_property
     def h1(self) -> CohomologyPresentation:
@@ -559,7 +559,7 @@ class CohomologyPresentation:
     def coboundary_dim(self) -> int:
         return self.quotient.sub.dim
 
-    def coordinates(self, cochains: Mat) -> Mat:
+    def coordinates(self, cochains: SparseMat) -> SparseMat:
         """Class coordinates of each column of a matrix of cochain coordinates,
         one product with the cached coordinate map; raises when a column is
         not a cocycle."""

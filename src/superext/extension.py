@@ -284,7 +284,7 @@ class AbelianExtension:
         return SparseMat.copies([slot[n, self.ideal_indices[m]] for n, m in self.pos_a], len(slot))
 
     @cached_property
-    def connecting_map(self) -> Mat:
+    def connecting_map(self) -> SparseMat:
         """D: phi -> [-phi∘beta] from even maps on a to H²(g, a) coordinates.
 
         The product of H²(g)'s coordinate map with phi -> coords2(-phi∘beta);
@@ -296,7 +296,7 @@ class AbelianExtension:
             tuple((p, -beta[i][j][m]) for p, (n, m) in enumerate(self.pos_a) if n == k and beta[i][j][m])
             for i, j, k in self.cochains_g.pos2), len(self.pos_a))
         coords, annihilator = self.h2_g.quotient.coordinate_map
-        if not (annihilator @ (cochains @ _column_matrix(self.module_end_space))).is_zero():
+        if not (annihilator @ (cochains @ self.module_end_space.vectors.T)).is_zero():
             raise MembershipError("the 2-cochain is not a cocycle")
         return coords @ cochains
 
@@ -308,12 +308,6 @@ class AbelianExtension:
 def _slots(items: Sequence) -> dict:
     """Position of each item in a coordinate list."""
     return {x: p for p, x in enumerate(items)}
-
-
-def _column_matrix(space: SubspacePresentation) -> Mat:
-    """The basis as columns; a presentation's zeros are all `_ZERO`."""
-    return Mat._canonical(tuple(zip(*space.basis)) if space.basis
-                          else ((),) * space.ambient_dim, space.dim)
 
 
 # -- the block layout of maps on e = s(g) ⊕ a -------------------------------

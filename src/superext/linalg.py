@@ -5,35 +5,37 @@ choice is deterministic (first nonzero entry in row order, columns in
 increasing order), and outputs are reproducible bit for bit.  No floating
 point enters at any stage.
 
-`Mat` is dense and holds the small maps on an algebra.  `SparseMat` holds
-the big operators (d¹, the Z² constraint rows, the five-term maps, the
-coordinate maps of a quotient) as the nonzero (column, value) pairs of each
-row.  All elimination runs on sparse rows, split into the connected
-components of the column graph (columns joined when a row holds both) and
-reduced component by component.  The reduced row echelon form is unique
-and no row touches two components, so every pivot, kernel basis,
-complement, rank and solution is that of the whole-matrix elimination.
+`Mat` is dense and holds the small maps on an algebra.  `SparseMat`, the
+nonzero (column, value) pairs of each row, is the one form of the big
+operators (d¹, the Z² constraint rows, the five-term maps, a quotient's
+coordinate map) and of what elimination produces: the product of two is a
+`SparseMat`, and a subspace or a quotient's complement keeps its vectors as
+the rows of one, `vectors` (`.T` makes them columns), of which `basis` and
+`complement` are dense views.  All elimination runs on sparse rows, split
+into the connected components of the column graph (columns joined when a
+row holds both) and reduced component by component.  The reduced row
+echelon form is unique and no row touches two components, so every pivot,
+kernel basis, complement, rank and solution is the whole-matrix one.
 
 Public constructors check their input; the private trusted ones take what
-this library built and checked.  Every zero entry of a `Mat` or of a
-presentation's basis vector is the one shared `_ZERO`: the public
-constructors pass each entry through `rat`, and `Mat._canonical` takes
-grids of Fractions with that zero as they are.  `Mat.apply`, `+` and `-`
-and the nonzero scans test a matrix's own entries for zero by identity;
-vectors passed in by callers may hold other zeros, such as
-`Fraction(0, 7)`, and are tested by value.  `SubspacePresentation`'s
-constructor eliminates to check that its basis is independent;
-`SubspacePresentation._trusted` takes the bases of `kernel_basis` and
-`from_spanning`, independent by construction.
+this library built and checked.  Every zero entry of a `Mat` or of a dense
+view is the one shared `_ZERO`: the public constructors pass each entry
+through `rat`, and `Mat._canonical` takes grids of Fractions with that zero
+as they are.  `Mat.apply`, `+` and `-` and the nonzero scans test a
+matrix's own entries for zero by identity; vectors passed in by callers
+may hold other zeros, such as `Fraction(0, 7)`, and are tested by value.
+`SubspacePresentation`'s constructor eliminates to check that its basis is
+independent; `SubspacePresentation._trusted` takes the sparse vectors of
+`kernel_basis`, `from_spanning` and B², independent by construction.
 
 The products work on integer-scaled views: `_scaled` writes a list of
 rationals as integer numerators over their least common denominator, so
-`@`, `SparseMat.apply`, the zero test `SparseMat._annihilates` and
-`SubspacePresentation.combine` add and multiply integers and build a
-Fraction only for each nonzero value they return.  The arithmetic is exact,
-so every result is the one the Fraction arithmetic gives.  An operator
-keeps its integer rows, which the operators kept by a cochain complex or an
-extension pay for once.
+both `@`s, `SparseMat.apply` (and with it `SubspacePresentation.combine`)
+and the zero test `SparseMat._annihilates` add and multiply integers and
+build a Fraction only for each nonzero value they return.  The arithmetic
+is exact, so every result is the one the Fraction arithmetic gives.  An
+operator keeps its integer rows, which the operators kept by a cochain
+complex or an extension pay for once.
 """
 
 from __future__ import annotations
@@ -302,42 +304,39 @@ class SparseMat:
     """Immutable sparse matrix of exact rationals: each row the tuple of its
     nonzero (column, value) pairs in increasing column, and the width `cols`.
 
-    The constructor trusts its rows; products with a `SparseMat` on the left
-    are dense `Mat`s.  Its integer rows, components, reduced rows and
+    The constructor trusts its rows; the product of two `SparseMat`s is a
+    `SparseMat`.  Its transpose, integer rows, components, reduced rows and
     factorization are kept on first use.
     """
 
-    __slots__ = ("data", "rows", "cols", "_int_rows", "_parts", "_reduced", "_factored")
+    __slots__ = ("data", "rows", "cols", "_t", "_int_rows", "_parts", "_reduced", "_factored")
 
     def __init__(self, data: tuple[Row, ...], cols: int):
         self.data, self.rows, self.cols = data, len(data), cols
-        self._int_rows = self._parts = self._reduced = self._factored = None
+        self._t = self._int_rows = self._parts = self._reduced = self._factored = None
 
     @classmethod
     def copies(cls, sources: Sequence[Optional[int]], cols: int) -> "SparseMat":
         """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
         return cls(tuple(() if s is None else ((s, _ONE),) for s in sources), cols)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Vec], rows: int) -> "SparseMat":
-        """The matrix with these columns, whose zeros are all `_ZERO`."""
-        out: list[list] = [[] for _ in range(rows)]
-        for j, v in enumerate(columns):
-            for i, x in _nonzeros(v):
-                out[i].append((j, x))
-        return cls(tuple(map(tuple, out)), len(columns))
-
-    def column(self, j: int) -> Vec:
-        return self._columns([j])[0]
-
-    def _columns(self, js: Sequence[int]) -> list[Vec]:
-        """The columns js, dense, in one pass over the rows."""
-        out: dict[int, list] = {j: [] for j in js}
-        for i, row in enumerate(self.data):
-            for j, x in row:
-                if j in out:
+    @property
+    def T(self) -> "SparseMat":
+        """The transpose: row j holds the (i, x) of column j, in increasing i."""
+        if self._t is None:
+            out: list[list] = [[] for _ in range(self.cols)]
+            for i, row in enumerate(self.data):
+                for j, x in row:
                     out[j].append((i, x))
-        return [_spread(out[j], self.rows) for j in js]
+            self._t = SparseMat(tuple(map(tuple, out)), self.rows)
+        return self._t
+
+    def dense(self) -> tuple[Vec, ...]:
+        """The rows, dense, with every zero the shared `_ZERO`."""
+        return tuple(_spread(row, self.cols) for row in self.data)
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
 
     def _int_view(self) -> list[tuple[int, itemgetter, list[int], int]]:
         """Each nonzero row i as (i, a getter of the entries of a vector at its
@@ -368,19 +367,28 @@ class SparseMat:
         w = _scaled(v)[0]
         return not any(w) or not any(sum(map(mul, nums, pick(w))) for _, pick, nums, _ in self._int_view())
 
-    def __matmul__(self, other) -> Mat:
-        """A·B for a `Mat` or `SparseMat` B, as a dense `Mat`: row i is the
-        integer combination of B's rows at the columns of A's row i."""
+    def __matmul__(self, other: "SparseMat") -> "SparseMat":
+        """A·B: row i is the integer combination of B's rows at the columns of
+        A's row i, kept at its nonzero entries."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m = other.cols
-        b_rows, den = _sparse_scaled(other.data) if isinstance(other, Mat) else _scaled_pairs(other.data)
+        b_rows, den = _scaled_pairs(other.data)
         out = []
         for row in self.data:
-            terms = [(x, b_rows[j]) for j, x in row if b_rows[j]]  # zero rows of B add nothing
-            out.append(_combination([x for x, _ in terms], [r for _, r in terms], den, m)
-                       if terms else zero_vec(m))
-        return Mat._canonical(tuple(out), m)
+            cs, d = _scaled(x for _, x in row)
+            acc: dict[int, int] = {}
+            for c, (j, _) in zip(cs, row):
+                for k, y in b_rows[j]:
+                    acc[k] = acc.get(k, 0) + c * y
+            d *= den
+            out.append(tuple(sorted((k, Fraction(t, d)) for k, t in acc.items() if t)))
+        return SparseMat(tuple(out), other.cols)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseMat) and self.cols == other.cols and self.data == other.data
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.data))
 
     def _components(self) -> list[tuple[list[int], list[int]]]:
         """The connected components of the column graph, columns joined when
@@ -484,8 +492,8 @@ def _carried(row: dict[int, Fraction], offset: int) -> Row:
 
 
 def _as_sparse(a) -> SparseMat:
-    """A `SparseMat` as it is; the nonzero entries of a `Mat`, whose zeros are all `_ZERO`."""
-    return a if isinstance(a, SparseMat) else SparseMat(tuple(map(tuple, map(_nonzeros, a.data))), a.cols)
+    """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
+    return a if isinstance(a, SparseMat) else SparseMat(_sparse_vecs(a.data, a.cols), a.cols)
 
 
 def rank(a) -> int:
@@ -516,74 +524,78 @@ def inverse(a: Mat) -> Optional[Mat]:
     return Mat._canonical(tuple(_spread(_carried(r, n), n) for r in rows), n)
 
 
-def _pivots(vectors: Sequence[Vec], n: int) -> list[int]:
-    """Pivot columns of the n x k matrix whose columns are `vectors` (zeros `_ZERO`).
+def _pivots(vectors: tuple[Row, ...], n: int) -> list[int]:
+    """Pivot columns of the n x k matrix whose columns are these sparse vectors.
 
     Column j is a pivot iff vectors[j] is not in the span of vectors[:j].
     """
-    return sorted(SparseMat.from_columns(vectors, n)._echelon())
+    return sorted(SparseMat(vectors, n).T._echelon())
+
+
+def _sparse_vecs(vectors: Iterable[Sequence[Fraction]], n: int) -> tuple[Row, ...]:
+    """Vectors of length n given by a caller, coerced by `vec`, at their nonzero entries."""
+    out = []
+    for v in map(vec, vectors):
+        if len(v) != n:
+            raise ShapeError(f"vector of length {len(v)} in ambient dimension {n}")
+        out.append(tuple(_nonzeros(v)))
+    return tuple(out)
 
 
 class SubspacePresentation:
-    """A subspace of Q^n given by a linearly independent list of vectors."""
+    """A subspace of Q^n given by a linearly independent list of vectors,
+    kept as the rows of the `SparseMat` `vectors`; `basis` is their dense view."""
 
-    __slots__ = ("ambient_dim", "basis", "_int_basis")
+    __slots__ = ("ambient_dim", "vectors")
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[Fraction]]):
-        vs = tuple(vec(v) for v in basis)
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ShapeError(f"basis vector of length {len(v)} in ambient dimension {ambient_dim}")
+        vs = _sparse_vecs(basis, ambient_dim)
         if len(_pivots(vs, ambient_dim)) < len(vs):
             raise MembershipError("basis vectors are linearly dependent")
-        # `_int_basis`: the basis as sparse integer rows over one denominator, for `combine`
-        self.ambient_dim, self.basis, self._int_basis = ambient_dim, vs, None
+        self.ambient_dim, self.vectors = ambient_dim, SparseMat(vs, ambient_dim)
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, basis: tuple[Vec, ...]) -> "SubspacePresentation":
-        """A presentation on vectors of length `ambient_dim`, zeros `_ZERO`,
-        independent by construction, without the public constructor's checks."""
+    def _trusted(cls, ambient_dim: int, vectors: tuple[Row, ...]) -> "SubspacePresentation":
+        """A presentation on sparse vectors of length `ambient_dim`, independent
+        by construction, without the public constructor's checks."""
         s = object.__new__(cls)
-        s.ambient_dim, s.basis, s._int_basis = ambient_dim, basis, None
+        s.ambient_dim, s.vectors = ambient_dim, SparseMat(vectors, ambient_dim)
         return s
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "SubspacePresentation":
         """Greedy independent sublist of `vectors`, in input order (the pivots)."""
-        vs = [vec(v) for v in vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ShapeError(f"expected length {ambient_dim}, got {len(v)}")
+        vs = _sparse_vecs(vectors, ambient_dim)
         return cls._trusted(ambient_dim, tuple(vs[j] for j in _pivots(vs, ambient_dim)))
 
     @property
+    def basis(self) -> tuple[Vec, ...]:
+        return self.vectors.dense()
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.vectors.rows
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ShapeError("ambient dimension mismatch")
-        return len(_pivots(self.basis + (vec(v),), self.ambient_dim)) == self.dim
+        vs = self.vectors.data + _sparse_vecs([v], self.ambient_dim)
+        return len(_pivots(vs, self.ambient_dim)) == self.dim
 
     def contains_subspace(self, other: "SubspacePresentation") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return len(_pivots(self.basis + other.basis, self.ambient_dim)) == self.dim
+        return len(_pivots(self.vectors.data + other.vectors.data, self.ambient_dim)) == self.dim
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vec:
         """Linear combination of the basis with the given coefficients."""
         if len(coeffs) != self.dim:
             raise ShapeError("coefficient count does not match the basis size")
-        if self._int_basis is None:
-            self._int_basis = _sparse_scaled(self.basis)
-        return _combination(coeffs, *self._int_basis, self.ambient_dim)
+        return self.vectors.T.apply(coeffs)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SubspacePresentation) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return isinstance(other, SubspacePresentation) and self.vectors == other.vectors
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.vectors)
 
     def __repr__(self) -> str:
         return f"SubspacePresentation(dim {self.dim} in Q^{self.ambient_dim})"
@@ -601,13 +613,12 @@ def kernel_basis(a) -> SubspacePresentation:
     vector is 1 at its own free column and 0 at the others, so independent.
     A free column's vector reads only the pivot rows of its own component."""
     n, reduced = a.cols, _as_sparse(a)._echelon()
-    entries: list[list[tuple[int, Fraction]]] = [[(f, _ONE)] for f in range(n)]
+    entries = {f: [(f, _ONE)] for f in range(n) if f not in reduced}
     for c, row in reduced.items():
         for f, x in row.items():
             if f != c:
                 entries[f].append((c, -x))
-    return SubspacePresentation._trusted(n, tuple(_spread(entries[f], n) for f in range(n)
-                                                  if f not in reduced))
+    return SubspacePresentation._trusted(n, tuple(tuple(sorted(e)) for e in entries.values()))
 
 
 class QuotientPresentation:
@@ -615,21 +626,25 @@ class QuotientPresentation:
 
     Classes are coordinatized in the complement basis; the complement is
     picked greedily from Z's basis vectors in order, so coordinates are
-    reproducible.
+    reproducible.  It is kept as the rows of the `SparseMat` `vectors`;
+    `complement` is their dense view.
     """
 
-    __slots__ = ("ambient", "sub", "complement", "_coordinate_map")
+    __slots__ = ("ambient", "sub", "vectors", "_coordinate_map")
 
-    def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation,
-                 complement: tuple[Vec, ...]):
+    def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation, vectors: SparseMat):
         self.ambient = ambient
         self.sub = sub
-        self.complement = complement
+        self.vectors = vectors
         self._coordinate_map: Optional[tuple[SparseMat, SparseMat]] = None
 
     @property
+    def complement(self) -> tuple[Vec, ...]:
+        return self.vectors.dense()
+
+    @property
     def dim(self) -> int:
-        return len(self.complement)
+        return self.vectors.rows
 
     @property
     def coordinate_map(self) -> tuple[SparseMat, SparseMat]:
@@ -645,11 +660,11 @@ class QuotientPresentation:
         """
         if self._coordinate_map is None:
             n = self.ambient.ambient_dim
-            _, coords, annihilator = SparseMat.from_columns(self.sub.basis + self.complement, n)._factor()
+            _, coords, annihilator = SparseMat(self.sub.vectors.data + self.vectors.data, n).T._factor()
             self._coordinate_map = SparseMat(coords.data[self.sub.dim:], n), annihilator
         return self._coordinate_map
 
-    def coordinates(self, columns: Mat) -> Mat:
+    def coordinates(self, columns: SparseMat) -> SparseMat:
         """Class coordinates of each column of an N-row matrix: P·columns,
         after the membership test A·columns = 0.
 
@@ -676,10 +691,10 @@ class QuotientPresentation:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QuotientPresentation) and self.ambient == other.ambient
-                and self.sub == other.sub and self.complement == other.complement)
+                and self.sub == other.sub and self.vectors == other.vectors)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.sub, self.complement))
+        return hash((self.ambient, self.sub, self.vectors))
 
     def __repr__(self) -> str:
         return f"QuotientPresentation(dim {self.dim})"
@@ -691,8 +706,8 @@ def quotient_presentation(z: SubspacePresentation, b: SubspacePresentation) -> Q
         raise ShapeError("ambient dimension mismatch")
     # B is independent, so its columns are all pivots; B ⊆ span Z iff Z adds
     # only z.dim - b.dim more, and those are the greedy complement.
-    pivots = _pivots(b.basis + z.basis, z.ambient_dim)
+    pivots = _pivots(b.vectors.data + z.vectors.data, z.ambient_dim)
     if len(pivots) != z.dim:
         raise MembershipError("sub is not contained in the ambient space of the quotient")
-    complement = tuple(z.basis[j - b.dim] for j in pivots[b.dim:])
-    return QuotientPresentation(z, b, complement)
+    complement = tuple(z.vectors.data[j - b.dim] for j in pivots[b.dim:])
+    return QuotientPresentation(z, b, SparseMat(complement, z.ambient_dim))

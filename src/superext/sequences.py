@@ -28,7 +28,6 @@ from .extension import (
     _assemble,
     _block,
     _check,
-    _column_matrix,
     _induced_on_quotient,
     _lift_endomorphism,
     _lift_obstruction,
@@ -174,21 +173,21 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
 # -- the cocycle-level five-term sequence ----------------------------------
 
 
-def _linear_stage(ext: AbelianExtension) -> tuple[Mat, Mat, Mat]:
+def _linear_stage(ext: AbelianExtension) -> tuple[SparseMat, SparseMat, SparseMat]:
     """Z1(g,a) -> Z1(e,a) -> End_g(a) -> H2(g,a), shared by the five-term and
     ring suites: inflation, restriction and the connecting map on the basis
     of each domain, as products with the extension's cached coordinate
     matrices.  Each image is checked to land in the next space, which
     `_exact` needs to read exactness off a composite and two ranks."""
-    inf = ext.inflation1 @ _column_matrix(ext.z1_g)
+    inf = ext.inflation1 @ ext.z1_g.vectors.T
     _check((ext.cochains_e.d1 @ inf).is_zero(), "inflated map is not a derivation of e")
-    res = ext.restriction @ _column_matrix(ext.z1_e)
+    res = ext.restriction @ ext.z1_e.vectors.T
     _check((ext.module_end_constraints @ res).is_zero(),
            "restriction is not a module endomorphism")
-    return inf, res, ext.connecting_map @ _column_matrix(ext.module_end_space)
+    return inf, res, ext.connecting_map @ ext.module_end_space.vectors.T
 
 
-def _exact(composite: Mat, image_dim: int, kernel_dim: int) -> bool:
+def _exact(composite: SparseMat, image_dim: int, kernel_dim: int) -> bool:
     """im f = ker g at V in U -f-> V -g-> W, for f given on a basis of U and g
     on a basis of V, with im f inside V: g∘f = 0 puts im f inside ker g, and
     then equal dimensions make them equal (image_dim = rank f, kernel_dim =
@@ -196,7 +195,7 @@ def _exact(composite: Mat, image_dim: int, kernel_dim: int) -> bool:
     return composite.is_zero() and image_dim == kernel_dim
 
 
-def _restriction_checks(ext: AbelianExtension, inf: Mat, res: Mat, d: Mat,
+def _restriction_checks(ext: AbelianExtension, inf: SparseMat, res: SparseMat, d: SparseMat,
                         kernel_name: str, image_name: str) -> tuple[Check, Check]:
     """Exactness at Z1(e,a) (the kernel of restriction is the image of
     inflation) and at End_g(a) (the image of restriction is the kernel of the
@@ -224,8 +223,7 @@ def verify_five_term(ext: AbelianExtension) -> Report:
     rep.checks += [at_z1e, at_enda]
 
     img_d = enda.dim - ker_d
-    complement = SparseMat.from_columns(h2g.quotient.complement, len(ext.cochains_g.pos2))
-    inf2 = h2e.coordinates(ext.inflation2 @ complement)
+    inf2 = h2e.coordinates(ext.inflation2 @ h2g.quotient.vectors.T)
     ker_inf2 = h2g.dim - rank(inf2)
     rep.add("image_of_connecting_map_is_kernel_of_inflation2",
             _exact(inf2 @ d, img_d, ker_inf2), image_dim=img_d, kernel_dim=ker_inf2)

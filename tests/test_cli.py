@@ -353,16 +353,6 @@ def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
-def test_verify_seed_env_override(capsys, h3_files, monkeypatch):
-    _, ext = h3_files
-    monkeypatch.setenv("SUPEREXT_SEED", "12")
-    code, payload, _ = _run(capsys, ["verify", ext, "--suite", "thm1", "--seed", "99"])
-    assert code == 0 and payload["passed"] is True
-    monkeypatch.setenv("SUPEREXT_SEED", "not-a-number")
-    code, _, err = _run(capsys, ["verify", ext, "--suite", "thm1"])
-    assert code == 1
-
-
 def test_semidirect_round_trip(capsys, tmp_path):
     algebra = _write(tmp_path / "t.json", {
         "name": "t",

@@ -332,9 +332,10 @@ def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
         for cx in (ext.cochains_g, ext.cochains_e):
             n1 = len(cx.pos1)
             assert (cx.d1.rows, cx.d1.cols) == (len(cx.pos2), n1), name
+            columns = cx.d1.T.dense()
             for p in range(n1):
                 lam = cx.cochain1(unit_vec(n1, p))
-                assert cx.d1.column(p) == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)
+                assert columns[p] == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)
 
 
 # -- the linearized 2-cocycle constraints --------------------------------------
@@ -666,7 +667,7 @@ def test_heisenberg_h2_matches_the_closed_form(k):
     assert ext.h2_e.dim == (2 if k == 1 else pairs - 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 10, 15, 20])
 def test_heisenberg_five_term_dims_match_the_closed_form(k):
     # h_{2k+1} over its centre <z>: g = Ab(2k) with the trivial action; every
     # linear map is a derivation of g, and those of e are the maps killing z;
@@ -761,6 +762,29 @@ def test_z2_elimination_works_component_by_component(build, components, widest, 
     z2 = ext.cochains_e.z2
     assert len(widths) + z2.ambient_dim - sum(widths) == components
     assert max(widths) == widest
+
+
+def test_cold_five_term_builds_no_dense_matrix_wider_than_e(monkeypatch):
+    # a work guard, not a timer: on h41 (dim C²(e,a) = 820) the five-term
+    # maps stay sparse from the build to the last product; every dense `Mat`
+    # made on the way, by the public or the trusted constructor, is at most
+    # dim_e x dim_e (inflation² times H²(g)'s complement was 820 x 780)
+    shapes = []
+    init, canonical = Mat.__init__, Mat._canonical.__func__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append((self.rows, self.cols))
+
+    def counted_canonical(cls, grid, cols):
+        shapes.append((len(grid), cols))
+        return canonical(cls, grid, cols)
+
+    monkeypatch.setattr(Mat, "__init__", counted_init)
+    monkeypatch.setattr(Mat, "_canonical", classmethod(counted_canonical))
+    ext = heisenberg_extension(20)
+    assert verify_five_term(ext).passed
+    assert shapes and max(max(s) for s in shapes) <= ext.dim_e == 41, max(shapes)
 
 
 def test_osp12_adjoint_semidirect_dims_are_pinned():

@@ -1,11 +1,12 @@
 """Dead code in the library: imports a module never reads, and private
-top-level names that nothing references.
+top-level names and private methods that nothing references.
 
 Read with the standard `ast` module.  `__init__.py` is skipped, since its
 imports are the package's re-exports.  A private name counts as referenced
 when its own module reads it outside its definition, or when any other
 library, test or benchmark module names it, so a reference implementation
-that only the tests call stays.
+that only the tests call stays.  A private method (`_name` in a class body)
+counts as referenced when any module, its own outside the method, names it.
 """
 
 import ast
@@ -56,6 +57,14 @@ def _dead_code(path, tree, others):
                     and not any(name in read for j, read in enumerate(loads) if j != k)
                     and not any(name in mentioned for mentioned in others)):
                 yield f"{path.name}: {name} is never referenced"
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else []:
+            name = getattr(item, "name", "")
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            rest = [n for n in tree.body if n is not node] + [i for i in node.body if i is not item]
+            if not any(name in _mentions(n) for n in rest) and not any(name in m for m in others):
+                yield f"{path.name}: {node.name}.{name} is never referenced"
 
 
 def test_library_has_no_unused_imports_or_unreferenced_private_names():

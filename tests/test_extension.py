@@ -351,9 +351,10 @@ def test_module_end_columns_are_the_residuals_of_unit_maps(pin_corpus):
     for name, ext in pin_corpus:
         pos = ext.pos_a
         assert ext.module_end_constraints.rows == ext.dim_g * ext.dim_a * ext.dim_a, name
+        columns = ext.module_end_constraints.T.dense()
         for p in range(len(pos)):
             phi = map_from_coords(ext.a_basis, ext.a_basis, pos, unit_vec(len(pos), p))
-            assert ext.module_end_constraints.column(p) == tuple(
+            assert columns[p] == tuple(
                 x for r in _module_end_residuals(phi, ext) for x in r), (name, p)
 
 
@@ -789,20 +790,20 @@ def test_inflation_and_restriction_matrices_match_the_definitions(pin_corpus):
     # domain against inflate1, inflate2 and restrict1 themselves
     for name, ext in pin_corpus:
         cg, ce = ext.cochains_g, ext.cochains_e
-        for p in range(len(cg.pos1)):
+        for p, column in enumerate(ext.inflation1.T.dense()):
             f = cg.cochain1(unit_vec(len(cg.pos1), p))
-            assert ext.inflation1.column(p) == ce.coords1(f.compose(ext.projection)), (name, p)
+            assert column == ce.coords1(f.compose(ext.projection)), (name, p)
         for v in ext.z1_g.basis:
             assert ext.inflation1.apply(v) == ce.coords1(inflate1(cg.cochain1(v), ext)), name
-        for p in range(len(cg.pos2)):
+        for p, column in enumerate(ext.inflation2.T.dense()):
             b = cg.cochain2(unit_vec(len(cg.pos2), p))
-            assert ext.inflation2.column(p) == ce.coords2(_inflate2_body(b, ext)), (name, p)
+            assert column == ce.coords2(_inflate2_body(b, ext)), (name, p)
         for v in ext.cochains_g.z2.basis:
             assert ext.inflation2.apply(v) == ce.coords2(inflate2(cg.cochain2(v), ext)), name
         pos_a = c1_positions(ext.a_basis, ext.a_basis)
-        for p in range(len(ce.pos1)):
+        for p, column in enumerate(ext.restriction.T.dense()):
             f = ce.cochain1(unit_vec(len(ce.pos1), p))
-            assert ext.restriction.column(p) == map_to_coords(f.compose(ext.inclusion), pos_a)
+            assert column == map_to_coords(f.compose(ext.inclusion), pos_a)
         for v in ext.z1_e.basis:
             assert ext.restriction.apply(v) == map_to_coords(
                 restrict1(ce.cochain1(v), ext), pos_a), name
@@ -813,10 +814,10 @@ def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
     for name, ext in pin_corpus:
         pos_a = c1_positions(ext.a_basis, ext.a_basis)
         coords, _ = ext.h2_g.quotient.coordinate_map
-        for p in range(len(pos_a)):
+        for p, column in enumerate(ext.connecting_map.T.dense()):
             phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, unit_vec(len(pos_a), p))
             minus_phi_beta = ext.cochains_g.coords2(ext.beta.postcompose(phi).scale(-1))
-            assert ext.connecting_map.column(p) == coords.apply(minus_phi_beta), (name, p)
+            assert column == coords.apply(minus_phi_beta), (name, p)
         space = ext.module_end_space
         samples = list(space.basis) + [
             space.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -579,6 +579,10 @@ def test_component_split_matches_the_dense_oracle():
         shapes["interleaved"] += by_component != sorted(by_component)
 
         columns = [a.column(j) for j in range(n)]
+        sparse, at = _as_sparse(a), Mat.from_columns(list(a.data), rows=n)
+        assert sparse.T.T == sparse and sparse.T.dense() == tuple(columns), a
+        assert (sparse @ sparse.T).dense() == (a @ at).data, a
+        assert (sparse.T @ sparse).dense() == (at @ a).data, a
         span = SubspacePresentation.from_spanning(a.rows, columns)
         assert span.basis == tuple(columns[j] for j in oracle_pivots(columns, a.rows)), a
 

@@ -58,7 +58,7 @@ def operator_digests(ext):
     enda = ext.module_end_space
     out["end_g_a"] = _basis_digest(enda)
     out["connecting_on_end_g_a"] = _matrix_digest(
-        ext.connecting_map @ Mat.from_columns(enda.basis, rows=enda.ambient_dim))
+        ext.connecting_map @ enda.vectors.T)
     return out
 
 

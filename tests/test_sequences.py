@@ -22,7 +22,9 @@ from superext.fixtures import (
     identity_action_module,
     odd_line_module,
 )
-from superext.linalg import Mat, SubspacePresentation, kernel_basis, subspace_equal, unit_vec
+from superext.linalg import (
+    Mat, SparseMat, SubspacePresentation, _as_sparse, kernel_basis, subspace_equal, unit_vec,
+)
 from superext.sequences import (
     sample_cocycle,
     verify_automorphism_extension,
@@ -80,7 +82,7 @@ def test_ring_sequence_passes_on_the_corpus(corpus):
 def _sympy_rank(m):
     """Rank by sympy, which shares no code with the engine."""
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for row in m.data for x in row]).rank()
+                                         for row in m.dense() for x in row]).rank()
 
 
 def _subspace_path(ext):
@@ -93,16 +95,12 @@ def _subspace_path(ext):
     z1g, z1e, enda, h2g, h2e = ext.z1_g, ext.z1_e, ext.module_end_space, ext.h2_g, ext.h2_e
 
     def columns(m):
-        return [m.column(j) for j in range(m.cols)]
+        return list(m.T.dense())
 
-    def basis_matrix(space):
-        return Mat.from_columns(space.basis, rows=space.ambient_dim)
-
-    inf = ext.inflation1 @ basis_matrix(z1g)
-    res = ext.restriction @ basis_matrix(z1e)
-    d = ext.connecting_map @ basis_matrix(enda)
-    inf2 = h2e.coordinates(ext.inflation2 @ Mat.from_columns(
-        h2g.quotient.complement, rows=len(ext.cochains_g.pos2)))
+    inf = ext.inflation1 @ z1g.vectors.T
+    res = ext.restriction @ z1e.vectors.T
+    d = ext.connecting_map @ enda.vectors.T
+    inf2 = h2e.coordinates(ext.inflation2 @ h2g.quotient.vectors.T)
     img_inf = SubspacePresentation.from_spanning(inf.rows, columns(inf))
     img_res = SubspacePresentation.from_spanning(res.rows, columns(res))
     ker_res = SubspacePresentation.from_spanning(
@@ -174,22 +172,22 @@ def _restriction_reading_x(ext):
     rank on Z1(e,a), but inflated derivations no longer restrict to zero."""
     slot = {p: i for i, p in enumerate(ext.cochains_e.pos1)}
     source = {0: 2, 1: 0}  # ideal position -> basis index read: z, then x in place of c
-    return Mat([unit_vec(len(slot), slot[n, source[m]]) for n, m in ext.pos_a],
-               cols=len(slot))
+    return _as_sparse(Mat([unit_vec(len(slot), slot[n, source[m]]) for n, m in ext.pos_a],
+                          cols=len(slot)))
 
 
 def _connecting_map_on_swapped_ideal(ext):
     """D(phi ∘ swap of z and c) = -phi(c): the same rank on End_g(a), but
     restrictions (phi(z) = 0) are no longer in the kernel."""
     d, column = ext.connecting_map, {p: i for i, p in enumerate(ext.pos_a)}
-    return Mat.from_columns([d.column(column[n, 1 - m]) for n, m in ext.pos_a], rows=d.rows)
+    return SparseMat(tuple(d.T.data[column[n, 1 - m]] for n, m in ext.pos_a), d.rows).T
 
 
 def _connecting_map_rotated(ext):
     """D with its H2(g, a) coordinates rotated: the same rank, but its image
     leaves the kernel of inflation."""
     d = ext.connecting_map
-    return Mat(d.data[1:] + d.data[:1], cols=d.cols)
+    return SparseMat(d.data[1:] + d.data[:1], d.cols)
 
 
 _THM1_NAMES = {  # the five-term checks that thm1 shares, by their names in thm1
@@ -209,13 +207,13 @@ _MUTATIONS = [
      "image_of_connecting_map_is_kernel_of_inflation2", True),
     # (ii) the composite is zero, the dimensions disagree
     (_central_pair_extension, "restriction",
-     lambda ext: Mat.zeros(len(ext.pos_a), len(ext.cochains_e.pos1)),
+     lambda ext: _as_sparse(Mat.zeros(len(ext.pos_a), len(ext.cochains_e.pos1))),
      "kernel_of_restriction_is_image_of_inflation", False),
     (fixtures.heisenberg3_extension, "connecting_map",
-     lambda ext: Mat.zeros(ext.h2_g.dim, len(ext.pos_a)),
+     lambda ext: _as_sparse(Mat.zeros(ext.h2_g.dim, len(ext.pos_a))),
      "image_of_restriction_is_kernel_of_connecting_map", False),
     (fixtures.heisenberg3_extension, "connecting_map",
-     lambda ext: Mat.zeros(ext.h2_g.dim, len(ext.pos_a)),
+     lambda ext: _as_sparse(Mat.zeros(ext.h2_g.dim, len(ext.pos_a))),
      "image_of_connecting_map_is_kernel_of_inflation2", False),
 ]
 
