@@ -405,12 +405,12 @@ class GradedLinearMap:
     Degree 0 maps preserve parity, degree 1 maps flip it; entries violating
     the declared degree are rejected.
 
-    `_derivation` is a private slot of `extension._derivation_coords`: its
-    answer for this map as (extension, coordinates).  It takes no part in
-    `==` or `hash`.
+    `_facts` is a private slot of the membership predicates of `extension`:
+    their answers for this map as (extension, predicate, answer, ...).  It takes
+    no part in `==` or `hash`.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "degree", "_derivation")
+    __slots__ = ("domain", "codomain", "matrix", "degree", "_facts")
 
     def __init__(self, domain: SuperBasis, codomain: SuperBasis, matrix: Mat, degree: int = 0):
         if degree not in (0, 1):
@@ -429,7 +429,7 @@ class GradedLinearMap:
                         f"of degree {degree}"
                     )
         self.domain, self.codomain, self.matrix, self.degree = domain, codomain, matrix, degree
-        self._derivation = None
+        self._facts = None
 
     @classmethod
     def _trusted(cls, domain: SuperBasis, codomain: SuperBasis, matrix: Mat,
@@ -439,7 +439,7 @@ class GradedLinearMap:
         maps), without the entry scan of the public constructor."""
         f = object.__new__(cls)
         f.domain, f.codomain, f.matrix, f.degree = domain, codomain, matrix, degree
-        f._derivation = None
+        f._facts = None
         return f
 
     @classmethod

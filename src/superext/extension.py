@@ -15,22 +15,22 @@ Obstruction conventions:
   solves d(lambda) = beta - beta ∘ (psi x psi).
 
 Membership in every endomorphism set is computed by the library; callers
-cannot assert flags.  Only the quotient-fixing answer is kept (see below);
-every other membership is recomputed on each call.  `classify_endomorphism`
-and `_module_end_residuals` are the definitions.  The engine asks the same
-questions with one product against a cached operator: the d¹ of e for
-derivations and quotient-fixing maps, the residual matrix of End_g(a) for
-module endomorphisms, and the action matrix for the action condition of
-End^a(g).  `induced_on_quotient` is the one gate for "a homomorphism fixing
-the ideal pointwise".  In the same way `inflate1`, `inflate2`, `restrict1`
-and `extend_obstruction` are the definitions of the five-term maps, which
-the extension caches as coordinate matrices.
+cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
+are the definitions.  The engine asks the same questions with one zero test
+against a cached operator: the d¹ of e for derivations and quotient-fixing
+maps, the residual matrix of End_g(a) for module endomorphisms, and
+`action_constraints` for the action condition of End^a(g).  Their answers
+are kept in the map's private `_facts` slot (see `_kept`), so each runs once
+per map per extension.  `induced_on_quotient` is the one gate for "a
+homomorphism fixing the ideal pointwise".  In the same way `inflate1`,
+`inflate2`, `restrict1` and `extend_obstruction` are the definitions of the
+five-term maps, which the extension caches as coordinate matrices.
 
 The ring operations on quotient-fixing maps take and return maps equal to
 the identity on every complement row: they reuse the identity's rows there
-and compute only the ideal rows.  `_derivation_coords`, the one
-quotient-fixing test, keeps its answer in a private slot of the map, as
-(extension, coordinates), so each map is checked once per extension object.
+and compute only the ideal rows.  `_derivation_coords` is the one
+quotient-fixing test; `from_derivation` records on x + h(x) the coordinates
+of the derivation h it has just checked.
 
 Maps on e = s(g) ⊕ a are read by their blocks with `_block` (the
 restriction to a, the section offset λ: g -> a, the induced map ψ on g)
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -68,13 +68,16 @@ from .cohomology import (
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
+    _ONE,
     _ZERO,
     Mat,
     SparseMat,
     SubspacePresentation,
     Vec,
+    _combination,
     _row_add,
     _row_sub,
+    _sparse_scaled,
     inverse,
     kernel_basis,
     solve,
@@ -204,12 +207,21 @@ class AbelianExtension:
         return c1_positions(self.a_basis, self.a_basis)
 
     @cached_property
-    def action_matrix(self) -> Mat:
-        """The action as one operator on g: column i holds ρ(x_i) flattened,
-        row (m, k) being the k-th coordinate of x_i·a_m.  The action is
-        linear in x, so column i of `action_matrix @ psi` is ρ(psi(x_i))."""
-        return Mat.from_columns([tuple(x for v in row for x in v) for row in self.action.action],
-                                rows=self.dim_a * self.dim_a)
+    def pos_g(self) -> list[tuple[int, int]]:
+        """The coordinate slots of an even endomorphism of the quotient."""
+        return c1_positions(self.g.basis, self.g.basis)
+
+    @cached_property
+    def action_constraints(self) -> SparseMat:
+        """psi -> ρ∘psi - ρ on the `pos_g` coordinates of an even psi followed
+        by a 1: row (i, m, k) is the k-th coordinate of psi(x_i)·a_m - x_i·a_m,
+        which reads A[j][m][k] at slot (j, i) and -A[i][m][k] at the last
+        column, for the action tensor A."""
+        act, slot, n, g = self.action.action, _slots(self.pos_g), len(self.pos_g), range(self.dim_g)
+        return SparseMat(tuple(
+            tuple([(slot[j, i], act[j][m][k]) for j in g if act[j][m][k] and (j, i) in slot]
+                  + ([(n, -act[i][m][k])] if act[i][m][k] else []))
+            for i in g for m in range(self.dim_a) for k in range(self.dim_a)), n + 1)
 
     @cached_property
     def module_end_constraints(self) -> SparseMat:
@@ -390,6 +402,27 @@ def classify_endomorphism(f: GradedLinearMap, ext: AbelianExtension) -> EndFlags
     return EndFlags(hom, preserves, fixes and preserves, induces)
 
 
+def _kept(decide):
+    """`decide(f, ext)` with its answers kept in f's `_facts` slot as a flat tuple (ext, predicate,
+    answer, ...) for one extension at a time; `record(f, ext, answer)` keeps one found otherwise."""
+    def record(f: GradedLinearMap, ext: AbelianExtension, answer):
+        facts = f._facts if f._facts is not None and f._facts[0] is ext else (ext,)
+        f._facts = facts + (known, answer)
+        return answer
+
+    @wraps(decide)
+    def known(f: GradedLinearMap, ext: AbelianExtension):
+        facts = f._facts if f._facts is not None and f._facts[0] is ext else ()
+        for k in range(1, len(facts), 2):
+            if facts[k] is known:
+                return facts[k + 1]
+        return record(f, ext, decide(f, ext))
+
+    known.record = record
+    return known
+
+
+@_kept
 def is_ideal_derivation(h: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether h is an even derivation of e into the ideal."""
     if h.domain != ext.e.basis or h.codomain != ext.a_basis:
@@ -397,6 +430,7 @@ def is_ideal_derivation(h: GradedLinearMap, ext: AbelianExtension) -> bool:
     return ext.cochains_e.is_cocycle1(h)
 
 
+@_kept
 def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether phi is an even endomorphism of the ideal commuting with the action."""
     if phi.domain != ext.a_basis or phi.codomain != ext.a_basis:
@@ -416,20 +450,27 @@ def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterat
             yield sub_vec(lhs, rhs)
 
 
+@_kept
 def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether psi is an endomorphism of the quotient with psi(x)·a = x·a.
 
-    The action condition, one product with `action_matrix`, comes first:
-    the maps it rejects skip the bracket check."""
+    The action condition, one zero test with `action_constraints`, comes
+    first: the maps it rejects skip the bracket check."""
     if psi.domain != ext.g.basis or psi.codomain != ext.g.basis:
         raise ShapeError("map is not an endomorphism of the quotient")
-    rho = ext.action_matrix
-    return rho @ psi.matrix == rho and is_homomorphism(psi, ext.g, ext.g)
+    return (psi.degree == 0 and _fixes_action_coords(map_to_coords(psi, ext.pos_g), ext)
+            and is_homomorphism(psi, ext.g, ext.g))
+
+
+def _fixes_action_coords(coords: Vec, ext: AbelianExtension) -> bool:
+    """Whether the even map on g with these `pos_g` coordinates satisfies ρ∘psi = ρ."""
+    return ext.action_constraints._annihilates(coords + (_ONE,))
 
 
 # -- the derivation picture of quotient-fixing endomorphisms --------------
 
 
+@_kept
 def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Vec]:
     """The 1-cochain coordinates of h with f = id + ι∘h when f fixes the quotient, else None.
 
@@ -439,26 +480,16 @@ def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Ve
     and f is a homomorphism iff h is a derivation, one product with d¹.
     h's coordinates are read off f's ideal rows: f and id are even, so h
     has no entries outside the positions of `cochains_e.pos1`.
-
-    The answer is kept in f's private slot as (ext, coordinates) and reused
-    only when asked again about the same extension object, so each map is
-    checked once per extension.
     """
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
-    memo = f._derivation
-    if memo is not None and memo[0] is ext:
-        return memo[1]
-    coords = None
     data, ident = f.matrix.data, ext.identity.data
-    if f.degree == 0 and all(data[c] == ident[c] for c in ext.complement_indices):
-        ideal = ext.ideal_indices
-        coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
-                       for n, i in ext.cochains_e.pos1)
-        if not ext.cochains_e.d1._annihilates(coords):
-            coords = None
-    f._derivation = (ext, coords)
-    return coords
+    if f.degree != 0 or any(data[c] != ident[c] for c in ext.complement_indices):
+        return None
+    ideal = ext.ideal_indices
+    coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
+                   for n, i in ext.cochains_e.pos1)
+    return coords if ext.cochains_e.d1._annihilates(coords) else None
 
 
 def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...], what: str) -> GradedLinearMap:
@@ -469,12 +500,15 @@ def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...], what: str
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
-    """x -> x + h(x), an ideal-preserving endomorphism inducing the identity."""
+    """x -> x + h(x), an ideal-preserving endomorphism inducing the identity,
+    with h's coordinates, just checked, recorded as its `_derivation_coords`."""
     _require(is_ideal_derivation(h, ext), "not an even derivation into the ideal")
     rows = list(ext.identity.data)
     for m, idx in enumerate(ext.ideal_indices):
         rows[idx] = _row_add(rows[idx], h.matrix.data[m])
-    return _quotient_fixing_map(ext, tuple(rows), "x + h(x)")
+    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(tuple(rows), ext.dim_e))
+    _derivation_coords.record(f, ext, ext.cochains_e.coords1(h))
+    return f
 
 
 def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -504,19 +538,14 @@ def _ring_add_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) ->
 
 
 def _ring_mul_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) -> tuple[Vec, ...]:
-    """The rows of f·g - f - g + 2·id; row i of f·g reads only the rows of g
-    facing the nonzero entries of f's row i."""
+    """The rows of f·g - f - g + 2·id; row i of f·g is the combination of g's
+    rows with f's row i as coefficients, in integers over one denominator."""
+    g_rows, den = _sparse_scaled(g)
     rows = list(ext.identity.data)
     for i in ext.ideal_indices:
-        fi = f[i]
-        acc = [_ZERO] * len(fi)
-        for j, x in enumerate(fi):
-            if x is not _ZERO:
-                for c, y in enumerate(g[j]):
-                    if y is not _ZERO:
-                        acc[c] += x * y
-        acc[i] += 2
-        rows[i] = _row_sub(_row_sub(tuple(x or _ZERO for x in acc), fi), g[i])
+        prod = _combination(f[i], g_rows, den, len(f[i]))
+        prod = prod[:i] + ((prod[i] + 2) or _ZERO,) + prod[i + 1:]
+        rows[i] = _row_sub(_row_sub(prod, f[i]), g[i])
     return tuple(rows)
 
 
@@ -557,10 +586,12 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
 
 
 def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
-    """x -> f(x) - x on the ideal; a module endomorphism of the ideal."""
-    h = to_derivation(f, ext)
+    """x -> f(x) - x on the ideal, read off f's ideal rows; a module endomorphism of the ideal."""
+    _require(_derivation_coords(f, ext) is not None,
+             "map is not an ideal-preserving homomorphism inducing the identity")
+    ideal = ext.ideal_indices
     out = GradedLinearMap._trusted(ext.a_basis, ext.a_basis,
-                                   _block(h, range(ext.dim_a), ext.ideal_indices))
+                                   _block(f, ideal, ideal) - Mat.identity(ext.dim_a))
     _check(is_module_endomorphism(out, ext), "shifted restriction is not a module endomorphism")
     return out
 

@@ -153,7 +153,7 @@ def scale_vec(c: Fraction, v: Sequence[Fraction]) -> Vec:
 
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def bilinear(sparse: Sequence[Sequence[Sequence[tuple]]], x: Sequence, y: Sequence, dim: int) -> Vec:

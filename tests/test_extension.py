@@ -409,37 +409,63 @@ def test_ring_operations_on_ideal_rows_match_the_dense_formulas():
                     assert all(x is _ZERO for row in got.data for x in row if x == 0), name
 
 
-def test_derivation_coordinates_are_kept_per_extension_object(monkeypatch):
-    # in h3, x -> x + y fixes the quotient by <y, z> but not the one by <z>
+def test_derivation_coordinates_are_kept_per_extension_object():
+    # in h3, x -> x + y fixes the quotient by <y, z> but not the one by <z>; the
+    # answer kept for one extension is not read for the other (the counts of
+    # recomputation are in test_membership_answers_are_kept_per_extension_object)
     e = heisenberg3()
-    centre, centre_again, plane = (build_extension(e, [2]), build_extension(e, [2]),
-                                   build_extension(e, [1, 2]))
+    centre, plane = build_extension(e, [2]), build_extension(e, [1, 2])
     tilt = GradedLinearMap.from_images(e.basis, e.basis, [vec([1, 1, 0]), vec([0, 1, 0]),
                                                           vec([0, 0, 1])])
     assert _derivation_coords(tilt, centre) is None
     assert _derivation_coords(tilt, plane) is not None
     assert classify_endomorphism(tilt, plane).fixes_quotient
     assert _derivation_coords(tilt, centre) is None
+    assert tilt == GradedLinearMap(e.basis, e.basis, tilt.matrix)
 
-    products = []
-    original = SparseMat._annihilates  # d¹ is sparse: this is its zero test
+
+def _swap_extension(scale):
+    """<x, y> abelian acting on <v1, v2> by x·v1 = v2, x·v2 = v1 and y as x,
+    after rescaling y and v2 by `scale`: [x, v1] = v2/s, [x, v2] = s v1,
+    [y, v1] = v2 and [y, v2] = s² v1."""
+    s = Fraction(scale)
+    basis = SuperBasis([("x", 0), ("y", 0), ("v1", 0), ("v2", 0)])
+    return build_extension(LieSuperalgebra.from_brackets(basis, {
+        ("x", "v1"): {"v2": 1 / s}, ("x", "v2"): {"v1": s},
+        ("y", "v1"): {"v2": 1}, ("y", "v2"): {"v1": s * s}}), [2, 3])
+
+
+def test_membership_answers_are_kept_per_extension_object(monkeypatch):
+    """Each memoized predicate answers from the map's memo only for the
+    extension object it last decided on: a map is decided once on the swap
+    extension, again on a rescaled copy (same bases, where it fails, and
+    fails again from the memo), and again on the first, which the memo no
+    longer holds; the memo changes neither == nor hash."""
+    plain, rescaled = _swap_extension(1), _swap_extension(2)
+    swap_a = Mat([[0, 1], [1, 0]])
+    h = GradedLinearMap(plain.e.basis, plain.a_basis, Mat([[0, 0, 0, 1], [0, 0, 1, 0]]))
+    f = GradedLinearMap(plain.e.basis, plain.e.basis, Mat(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
+    cases = [(is_ideal_derivation, h), (_derivation_coords, f),
+             (is_module_endomorphism, GradedLinearMap(plain.a_basis, plain.a_basis, swap_a)),
+             (fixes_action, GradedLinearMap(plain.g.basis, plain.g.basis, swap_a))]
+    tests = []
+    original = SparseMat._annihilates  # each predicate's one zero test
 
     def counted(self, v):
-        products.append(v)
+        tests.append(v)
         return original(self, v)
 
     monkeypatch.setattr(SparseMat, "_annihilates", counted)
-    shear = _shear(centre, 2, 3)
-    twin = GradedLinearMap(e.basis, e.basis, shear.matrix)
-    before = hash(shear)
-    # one slot: an answer is reused only for the extension object it was given for
-    for ext, work in ((centre, 1), (centre, 0), (centre_again, 1), (centre_again, 0), (centre, 1)):
-        want = _derivation_coords(GradedLinearMap(e.basis, e.basis, shear.matrix), ext)
-        products.clear()
-        assert _derivation_coords(shear, ext) == want is not None
-        assert len(products) == work
-    assert shear == twin and hash(shear) == before == hash(twin)
-    assert tilt == GradedLinearMap(e.basis, e.basis, tilt.matrix) != shear
+    for predicate, m in cases:
+        twin, before = GradedLinearMap(m.domain, m.codomain, m.matrix), hash(m)
+        for ext, holds, work in ((plain, True, 1), (plain, True, 0), (rescaled, False, 1),
+                                 (rescaled, False, 0), (plain, True, 1)):
+            tests.clear()
+            assert (predicate(m, ext) not in (None, False)) == holds, (predicate.__name__, ext)
+            assert len(tests) == work, (predicate.__name__, ext, holds)
+        assert m == twin and hash(m) == before == hash(twin), predicate.__name__
+        assert m._facts is not None and twin._facts is None, predicate.__name__
 
 
 # -- shifted restriction ------------------------------------------------------
@@ -692,8 +718,8 @@ def _fixes_action_by_pairs(psi, ext):
 
 
 def test_fixes_action_agrees_with_the_per_pair_definition(pin_corpus):
-    """The product with the cached action matrix decides as the per-pair loop
-    on the identity, sampled elements of End^a(g), random even maps and
+    """The zero test with the cached action constraints decides as the
+    per-pair loop on the identity, sampled elements of End^a(g), random even maps and
     perturbed samples; every combination of the two conditions occurs."""
     rng = random.Random(61)
     g = LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 0)]))

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ import sympy
 from hypothesis import given, settings
 
 from superext import fixtures, sequences
-from superext.algebra import GradedLinearMap, LieSuperalgebra, SuperBasis, semidirect_product
+from superext.algebra import (
+    GradedLinearMap, LieSuperalgebra, SuperBasis, is_homomorphism, semidirect_product,
+)
+from superext.cohomology import c1_positions, map_from_coords
 from superext.extension import (
     beta_with_section,
     extend_endomorphism,
@@ -295,6 +299,19 @@ def test_identity_of_the_ideal_extends(h3_ext):
     assert witness == GradedLinearMap.identity(h3_ext.e.basis)
 
 
+def test_quasiregular_check_fails_on_a_missing_inverse(h3_ext, monkeypatch):
+    """cor1 inverts each sampled f once: a None for an f whose block a -> a is
+    invertible fails the check.  A wrong inverse is refused inside
+    `quasiregular_inverse` itself."""
+    def check(report):
+        return next(c for c in report.checks if c.name == "quasiregular_elements_are_the_invertibles")
+
+    assert check(verify_automorphism_extension(h3_ext, seed=2)).passed
+    monkeypatch.setattr(sequences, "quasiregular_inverse", lambda f, ext: None)
+    failed = check(verify_automorphism_extension(h3_ext, seed=2))
+    assert not failed.passed and failed.detail["noninvertible_seen"] == failed.detail["samples"]
+
+
 def test_monoid_sequence_passes_on_the_corpus(corpus):
     for name, ext in corpus:
         report = verify_monoid_sequence(ext, seed=3)
@@ -495,3 +512,72 @@ def test_reports_serialize_to_json(h3_ext):
     report = verify_five_term(h3_ext)
     payload = json.dumps(report.to_dict())
     assert "five-term" in payload
+
+
+def _map_level_action_endo_samples(ext, rng, count):
+    """The sampler as it was before the coordinate prefilter: every draw is
+    built as a map and tested with the product against the action matrix
+    (column i holds ρ(x_i) flattened) and `is_homomorphism`."""
+    rho = Mat.from_columns([tuple(x for v in row for x in v) for row in ext.action.action],
+                           rows=ext.dim_a * ext.dim_a)
+    out = [GradedLinearMap.identity(ext.g.basis)]
+    pos = c1_positions(ext.g.basis, ext.g.basis)
+    attempts = 0
+    while len(out) < count and attempts < 40 * count:
+        attempts += 1
+        coords = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(len(pos)))
+        psi = map_from_coords(ext.g.basis, ext.g.basis, pos, coords)
+        if rho @ psi.matrix == rho and is_homomorphism(psi, ext.g, ext.g) and psi not in out:
+            out.append(psi)
+    for i in range(len(out)):
+        for j in range(len(out)):
+            if len(out) >= 2 * count:
+                break
+            comp = out[i].compose(out[j])
+            if comp not in out:
+                out.append(comp)
+    return out
+
+
+def test_action_sampler_prefilter_keeps_the_map_level_samples(pin_corpus):
+    """The coordinate prefilter admits exactly the draws the map-level filter
+    admits, from the same random stream, at the counts of the monoid and
+    semidirect suites."""
+    drawn = 0
+    for name, ext in pin_corpus:
+        for seed in range(4):
+            for count in (6, 8):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = sequences._action_endo_samples(ext, rng, count)
+                want = _map_level_action_endo_samples(ext, ref_rng, count)
+                assert got == want, (name, seed, count)
+                assert rng.getstate() == ref_rng.getstate(), (name, seed, count)
+                drawn += len(got) > 1
+    assert drawn >= 20, drawn
+
+
+def test_rand_frac_reads_the_two_draws_of_the_fraction_it_replaces():
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(500):
+        assert sequences._rand_frac(rng) == Fraction(ref.randint(-6, 6), ref.randint(1, 3))
+    assert rng.getstate() == ref.getstate()
+
+
+def test_ring_sequence_makes_few_d1_zero_tests_per_pair(corpus, monkeypatch):
+    """Work guard: each sampled pair of thm1 asks d¹ at most 12 zero tests,
+    counted as the difference between runs of 2 and 6 pairs."""
+    original = SparseMat._annihilates
+    for name, ext in corpus:
+        counts = []
+        for pairs in (2, 6):
+            seen = []
+
+            def counted(self, v, seen=seen, d1=ext.cochains_e.d1):
+                seen.append(self is d1)
+                return original(self, v)
+
+            with monkeypatch.context() as m:
+                m.setattr(SparseMat, "_annihilates", counted)
+                assert verify_ring_sequence(ext, seed=7, pairs=pairs).passed, name
+            counts.append(sum(seen))
+        assert (counts[1] - counts[0]) / 4 <= 12, (name, counts)
