@@ -52,7 +52,8 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
-    add_vec,
+    _row_add,
+    _row_sub,
     bilinear,
     is_zero_vec,
     kernel_basis,
@@ -105,8 +106,11 @@ def map_from_coords(
 class Cochain2:
     """Super-antisymmetric bilinear map g x g -> a of homogeneous degree.
 
-    tensor[i][j] holds the coordinates of beta(b_i, b_j); the constructor
-    enforces beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity.
+    tensor[i][j] holds the coordinates of beta(b_i, b_j).  The public
+    constructor (and `zero`, `from_upper`, `cochain2_from_coords`) enforces
+    beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity; `+`, `-`, `scale`,
+    `precompose`, `postcompose` and `cup` build their results through
+    `_trusted`, since both properties survive those operations.
     """
 
     __slots__ = ("source", "target", "tensor", "degree", "_sparse")
@@ -139,6 +143,16 @@ class Cochain2:
         self.tensor = grid
         self.degree = degree
         self._sparse = None
+
+    @classmethod
+    def _trusted(cls, source: SuperBasis, target: SuperBasis, grid: tuple[tuple[Vec, ...], ...],
+                 degree: int) -> "Cochain2":
+        """A cochain on a grid of the right shape whose zeros are all `_ZERO`,
+        super-antisymmetric and homogeneous by construction (sums, multiples
+        and compositions of checked cochains), without the public scans."""
+        c = object.__new__(cls)
+        c.source, c.target, c.tensor, c.degree, c._sparse = source, target, grid, degree, None
+        return c
 
     @classmethod
     def zero(cls, source: SuperBasis, target: SuperBasis, degree: int = 0) -> "Cochain2":
@@ -177,47 +191,36 @@ class Cochain2:
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)
-        n = self.source.dim
-        return Cochain2(
-            self.source, self.target,
-            [[add_vec(self.tensor[i][j], other.tensor[i][j]) for j in range(n)] for i in range(n)],
-            self.degree,
-        )
+        return Cochain2._trusted(self.source, self.target, tuple(
+            tuple(map(_row_add, r, s)) for r, s in zip(self.tensor, other.tensor)), self.degree)
 
     def __sub__(self, other: "Cochain2") -> "Cochain2":
-        return self + other.scale(-1)
+        self._compatible(other)
+        return Cochain2._trusted(self.source, self.target, tuple(
+            tuple(map(_row_sub, r, s)) for r, s in zip(self.tensor, other.tensor)), self.degree)
 
     def scale(self, c) -> "Cochain2":
-        n = self.source.dim
         cc = rat(c)
-        return Cochain2(
-            self.source, self.target,
-            [[scale_vec(cc, self.tensor[i][j]) for j in range(n)] for i in range(n)],
-            self.degree,
-        )
+        return Cochain2._trusted(self.source, self.target, tuple(
+            tuple(tuple(x if x is _ZERO else (cc * x) or _ZERO for x in v) for v in row)
+            for row in self.tensor), self.degree)
 
     def precompose(self, psi: GradedLinearMap) -> "Cochain2":
         """beta ∘ (psi x psi) for an even endomorphism psi of the source."""
         if psi.domain != self.source or psi.codomain != self.source or psi.degree != 0:
             raise ShapeError("precompose needs an even endomorphism of the source")
-        n = self.source.dim
-        return Cochain2(
-            self.source, self.target,
-            [[self.eval(psi.image_of_basis(i), psi.image_of_basis(j)) for j in range(n)]
-             for i in range(n)],
-            self.degree,
-        )
+        n, image = self.source.dim, psi.image_of_basis
+        return Cochain2._trusted(self.source, self.target, tuple(
+            tuple(tuple(c or _ZERO for c in self.eval(image(i), image(j))) for j in range(n))
+            for i in range(n)), self.degree)
 
     def postcompose(self, f: GradedLinearMap) -> "Cochain2":
         """f ∘ beta pointwise, for a homogeneous map f on the target."""
         if f.domain != self.target:
             raise ShapeError("postcompose needs a map defined on the target")
-        n = self.source.dim
-        return Cochain2(
-            self.source, f.codomain,
-            [[f.apply(self.tensor[i][j]) for j in range(n)] for i in range(n)],
-            (self.degree + f.degree) % 2,
-        )
+        return Cochain2._trusted(self.source, f.codomain, tuple(
+            tuple(tuple(x or _ZERO for x in f.apply(v)) for v in row) for row in self.tensor),
+            (self.degree + f.degree) % 2)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(v) for row in self.tensor for v in row)
@@ -569,7 +572,7 @@ class CohomologyPresentation:
             raise MembershipError(f"the {self.degree}-cochain is not a cocycle") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohomologyClass:
     """A class given by coordinates in the complement basis of a presentation."""
 
@@ -614,14 +617,5 @@ def cup(h: Cochain2, f: GradedLinearMap) -> Cochain2:
     """
     if f.domain != h.target or f.codomain != h.target:
         raise ShapeError("cup needs an endomorphism of the cochain's target")
-    n = h.source.dim
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            pxy = (h.source.parity(i) + h.source.parity(j)) % 2
-            ph = (pxy + h.degree) % 2
-            sign = Fraction(-1 if (f.degree * pxy + f.degree * ph) % 2 else 1)
-            row.append(scale_vec(sign, f.apply(h.tensor[i][j])))
-        tensor.append(row)
-    return Cochain2(h.source, h.target, tensor, (h.degree + f.degree) % 2)
+    # |h(x,y)| = |x| + |y| + |h|, so the product of the two signs is (-1)^{|f||h|}
+    return h.postcompose(f.scale(-1) if f.degree and h.degree else f)

@@ -623,6 +623,12 @@ def extend_obstruction_aut(phi: GradedLinearMap, ext: AbelianExtension) -> Cohom
     """Obstruction class [beta - phi ∘ beta] to extending an automorphism phi."""
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
     _require(inverse(phi.matrix) is not None, "map is not invertible")
+    return _extend_obstruction_aut(phi, ext)
+
+
+def _extend_obstruction_aut(phi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
+    """`extend_obstruction_aut` for a phi already known to be an invertible
+    module endomorphism."""
     return class_of(ext.beta - ext.beta.postcompose(phi), ext.h2_g)
 
 

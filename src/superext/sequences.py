@@ -29,6 +29,7 @@ from .extension import (
     _assemble,
     _block,
     _check,
+    _extend_obstruction_aut,
     _fixes_action_coords,
     _induced_on_quotient,
     _lift_endomorphism,
@@ -38,7 +39,6 @@ from .extension import (
     derivation_compose,
     extend_endomorphism,
     extend_obstruction,
-    extend_obstruction_aut,
     fixes_action,
     from_derivation,
     induced_on_quotient,
@@ -323,10 +323,12 @@ def verify_automorphism_extension(ext: AbelianExtension,
         if is_module_endomorphism(two, ext):
             candidates.append(two)
 
+    # every candidate is an invertible module endomorphism: a sample of End_g(a)
+    # that `_module_endo_samples` inverted, a supplied one checked above, or 2·id
     decided_ok = witnesses_ok = True
     outcomes = []
     for phi in candidates:
-        obstruction = extend_obstruction_aut(phi, ext)
+        obstruction = _extend_obstruction_aut(phi, ext)
         witness = extend_endomorphism(phi - ident_a, ext)
         decided_ok &= (witness is not None) == obstruction.is_zero
         if witness is not None:

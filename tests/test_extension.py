@@ -542,6 +542,37 @@ def test_aut_obstruction_requires_invertibility(h3_ext):
         extend_obstruction_aut(zero, h3_ext)
 
 
+def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(monkeypatch):
+    # a work guard: β ∘ (ψ x ψ) - β, β - ψ∘β and -h∘β are derived from the
+    # checked cocycle β, so no obstruction or lift repeats the public scans;
+    # on Heisenberg g, x1 -> 2 x1 scales the form β and does not lift
+    cases = [heisenberg_extension(3), heisenberg_extension(2, odd=True), sl2_v2_extension(),
+             fixtures.affine_scaling_extension()]
+    constructed = []
+    init = Cochain2.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cochain2, "__init__", counted)
+    lifted = []
+    for ext in cases:
+        n = ext.dim_g
+        scale_x1 = GradedLinearMap(ext.g.basis, ext.g.basis, Mat(
+            [[Fraction(2 if r == c == 0 else int(r == c)) for c in range(n)] for r in range(n)]))
+        for psi in (GradedLinearMap.identity(ext.g.basis), scale_x1):
+            if fixes_action(psi, ext):
+                lift = lift_endomorphism(psi, ext)
+                lifted.append(lift is not None)
+                assert (lift is not None) == lift_obstruction(psi, ext).is_zero
+        two = GradedLinearMap.identity(ext.a_basis).scale(2)
+        extend_obstruction(two, ext)
+        extend_obstruction_aut(two, ext)
+    assert True in lifted and False in lifted
+    assert constructed == []
+
+
 # -- the extend solver --------------------------------------------------------
 
 

@@ -1,25 +1,27 @@
 """Checked boundaries and trusted derivations.
 
 The public constructors of `AbelianExtension`, `CochainComplex`,
-`SubspacePresentation` and `GradedLinearMap` check their input.  Objects that
-the library derives from input it has already checked are built through the
-private `_trusted` constructors instead: the quotient, its action, the adjoint
-module and both cochain complexes of an extension (their axioms are instances
-of e's super-Jacobi identity, validated once), the semidirect product of a
-validated module, the bases of `kernel_basis` and `from_spanning`, and the
-products, sums, blocks and inverses of maps.  These tests check that each
+`SubspacePresentation`, `GradedLinearMap` and `Cochain2` check their input.
+Objects that the library derives from input it has already checked are built
+through the private `_trusted` constructors instead: the quotient, its action,
+the adjoint module and both cochain complexes of an extension (their axioms
+are instances of e's super-Jacobi identity, validated once), the semidirect
+product of a validated module, the bases of `kernel_basis` and
+`from_spanning`, the products, sums, blocks and inverses of maps, and the
+sums, multiples and compositions of 2-cochains.  These tests check that each
 trusted object would pass the public checks, that every public path still
 rejects bad input with its own message, and that the file loaders and the CLI
 never reach a trusted constructor.
 """
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superext import cli, files
@@ -34,10 +36,19 @@ from superext.algebra import (
     validate_module,
     validate_superalgebra,
 )
-from superext.cohomology import CochainComplex, c1_positions, map_from_coords
+from superext.cohomology import (
+    Cochain2,
+    CochainComplex,
+    c1_positions,
+    c2_positions,
+    cochain2_from_coords,
+    cup,
+    map_from_coords,
+)
 from superext.errors import MembershipError, ShapeError
 from superext.extension import AbelianExtension, build_extension
 from superext.linalg import _ZERO, Mat, SubspacePresentation, kernel_basis, vec
+from superext.sequences import _action_endo_samples, _rand_combination
 
 _NONZERO = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
     lambda x: st.sampled_from((x, -x)))
@@ -241,6 +252,80 @@ def test_trusted_kernels_and_spans_match_the_public_constructor():
     assert all(x is _ZERO for v in kernel.basis for x in v if x == 0)
     span = SubspacePresentation.from_spanning(4, list(a.data) + list(kernel.basis))
     assert span == SubspacePresentation(4, span.basis) and span.dim == 4
+
+
+# -- library-built 2-cochains -------------------------------------------------
+
+
+def _check_derived_cochains(beta, psi, f, q):
+    """Each cochain derived from beta (β∘(ψ×ψ), f∘β, their sums and differences
+    with β, a multiple and a cup) is what the public constructor builds from its
+    tensor, and keeps its zeros as `_ZERO`."""
+    pre, post = beta.precompose(psi), beta.postcompose(f)
+    derived = [pre, post, pre.scale(q), post.scale(q), cup(beta, f)]
+    for c in (pre, post):
+        if c.degree == beta.degree:
+            derived += [beta + c, beta - c, c - beta]
+    for c in derived:
+        assert Cochain2(c.source, c.target, c.tensor, c.degree) == c
+        assert all(x is _ZERO for row in c.tensor for v in row for x in v if x == 0)
+
+
+def test_derived_cochains_of_the_fixture_extensions_pass_the_public_checks(pin_corpus):
+    rng = random.Random(29)
+    for _, ext in pin_corpus:
+        for psi in _action_endo_samples(ext, rng, 3)[:3]:
+            h = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+                                _rand_combination(ext.module_end_space, rng))
+            for q in (0, -1, Fraction(2, 3)):
+                _check_derived_cochains(ext.beta, psi, h, q)
+
+
+_ENTRY = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 3)))
+
+
+@st.composite
+def _cochain_with_maps(draw):
+    """A 2-cochain of either degree on small super bases, an even endomorphism
+    of its source, a homogeneous endomorphism of its target and a scalar."""
+    ps = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    pt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    source = SuperBasis([(f"b{i}", p) for i, p in enumerate(ps)])
+    target = SuperBasis([(f"t{k}", p) for k, p in enumerate(pt)])
+    degree, f_degree = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    positions = c2_positions(source, target, degree)
+    beta = cochain2_from_coords(source, target, positions,
+                                [draw(_ENTRY) for _ in positions], degree)
+    psi = GradedLinearMap(source, source, Mat(
+        [[draw(_ENTRY) if p == r else 0 for r in ps] for p in ps]))
+    f = GradedLinearMap(target, target, Mat(
+        [[draw(_ENTRY) if p == (r + f_degree) % 2 else 0 for r in pt] for p in pt]), f_degree)
+    return beta, psi, f, draw(st.sampled_from((0, -1, 2, Fraction(1, 3))))
+
+
+def _cancelling_case():
+    """Entries that cancel to zero: f(1, -1) = (0, -1) and β(x, x) = 0 at
+    x = ψ(b0) = ψ(b1) = b0 + b1."""
+    plane = SuperBasis([("b0", 0), ("b1", 0)])
+    beta = Cochain2.from_upper(plane, plane, {(0, 1): [1, -1]})
+    ones = GradedLinearMap(plane, plane, Mat([[1, 1], [1, 1]]))
+    return beta, ones, GradedLinearMap(plane, plane, Mat([[1, 1], [0, 1]])), 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=_cochain_with_maps())
+@example(case=_cancelling_case())
+def test_derived_cochains_of_either_degree_pass_the_public_checks(case):
+    beta, psi, f, q = case
+    _check_derived_cochains(beta, psi, f, q)
+    # the cup product against its defining formula, entry by entry
+    ps, d = beta.source.parities, beta.target.dim
+    for i, row in enumerate(cup(beta, f).tensor):
+        for j, v in enumerate(row):
+            pxy = ps[i] + ps[j]
+            sign = (-1) ** (f.degree * pxy + f.degree * (pxy + beta.degree))
+            assert v == tuple(sign * sum(f.matrix.entry(r, c) * beta.value(i, j)[c]
+                                         for c in range(d)) for r in range(d))
 
 
 # -- outside input stays on the checked path -----------------------------------
