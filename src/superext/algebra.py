@@ -18,21 +18,41 @@ from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
     _ZERO,
     Mat,
+    Row,
     Vec,
-    _scaled,
+    _scaled_pairs,
     _sparse_scaled,
+    _spread,
     bilinear,
-    is_zero_vec,
     rat,
-    scale_vec,
     unit_vec,
     vec,
-    zero_vec,
 )
+
+# the terms of a tensor T: [i][j] lists the (k, c) with T[i][j][k] = c != 0,
+# in increasing k, so two tensors are equal iff their terms are
+Terms = tuple[tuple[Row, ...], ...]
 
 
 def _sign(p: int, q: int) -> Fraction:
     return Fraction(-1 if (p * q) % 2 else 1)
+
+
+def _swapped(terms: tuple, p: int, q: int) -> tuple:
+    """The terms of [y, x] = -(-1)^{pq} [x, y] from those of [x, y], for x, y
+    of parities p and q."""
+    return terms if p & q else tuple((k, -c) for k, c in terms)
+
+
+def _nonzero_entries(tensor: Sequence[Sequence[Sequence]]) -> Terms:
+    """The terms of a dense tensor: [i][j] lists the nonzero (k, c) of tensor[i][j]."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c != 0) for v in row)
+                 for row in tensor)
+
+
+def _dense_view(terms: Terms, width: int) -> tuple[tuple[Vec, ...], ...]:
+    """The dense tensor with these terms, its vectors of length `width`."""
+    return tuple(tuple(_spread(v, width) for v in row) for row in terms)
 
 
 class SuperBasis:
@@ -95,32 +115,32 @@ class Violation:
 
 
 class LieSuperalgebra:
-    """Finite-dimensional Lie superalgebra given by structure constants."""
+    """Finite-dimensional Lie superalgebra given by structure constants, kept
+    as the `Terms` of their tensor; `structure` is a dense view of them."""
 
-    __slots__ = ("basis", "structure", "_sparse", "_int_sparse")
+    __slots__ = ("basis", "_sparse", "_structure", "_int_sparse")
 
     def __init__(self, basis: SuperBasis, structure: Sequence[Sequence[Sequence]]):
         n = basis.dim
         if len(structure) != n or any(len(row) != n for row in structure):
             raise ShapeError("structure tensor does not match the basis size")
-        self.basis, self.structure = basis, tuple(tuple(vec(v) for v in row) for row in structure)
-        if any(len(v) != n for row in self.structure for v in row):
+        grid = [[vec(v) for v in row] for row in structure]
+        if any(len(v) != n for row in grid for v in row):
             raise ShapeError("structure tensor entries have the wrong length")
-        self._sparse = _nonzero_entries(self.structure)  # the view `bracket` multiplies with
-        self._int_sparse = None  # the one `is_homomorphism` multiplies with, built by `_int_view`
+        self.basis, self._sparse = basis, _nonzero_entries(grid)
+        self._structure = self._int_sparse = None
 
     @classmethod
-    def _trusted(cls, basis: SuperBasis, structure: tuple, sparse: list) -> "LieSuperalgebra":
-        """An algebra on a tensor of the right shape with zeros `_ZERO` and on its
-        `_nonzero_entries` view, as `quotient_by_ideal` reads both off e's."""
+    def _trusted(cls, basis: SuperBasis, sparse: Terms) -> "LieSuperalgebra":
+        """An algebra on the terms of a tensor of the right shape, as
+        `from_brackets`, `quotient_by_ideal` and `semidirect_product` build them."""
         g = object.__new__(cls)
-        g.basis, g.structure, g._sparse, g._int_sparse = basis, structure, sparse, None
+        g.basis, g._sparse, g._structure, g._int_sparse = basis, sparse, None, None
         return g
 
     @classmethod
     def abelian(cls, basis: SuperBasis) -> "LieSuperalgebra":
-        n = basis.dim
-        return cls(basis, [[zero_vec(n)] * n for _ in range(n)])
+        return cls._trusted(basis, (((),) * basis.dim,) * basis.dim)
 
     @classmethod
     def from_brackets(
@@ -133,48 +153,44 @@ class LieSuperalgebra:
         an error unless they agree with it.
         """
         n = basis.dim
-        given: dict[tuple[int, int], Vec] = {}
+        given: dict[tuple[int, int], tuple] = {}
         for (left, right), value in brackets.items():
             i, j = basis.index(left), basis.index(right)
-            out = list(zero_vec(n))
-            for name, coeff in value.items():
-                out[basis.index(name)] = rat(coeff)
-            given[(i, j)] = tuple(out)
-        structure = [[zero_vec(n)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s = _sign(basis.parity(i), basis.parity(j))
-                if (i, j) in given:
-                    structure[i][j] = given[(i, j)]
-                    if i == j and given[(i, i)] != scale_vec(-s, given[(i, i)]):
-                        raise MembershipError(
-                            f"bracket [{basis.names[i]},{basis.names[i]}] breaks "
-                            "super-antisymmetry: an even element's self-bracket is zero"
-                        )
-                    if (j, i) in given and given[(j, i)] != scale_vec(-s, given[(i, j)]):
-                        raise MembershipError(
-                            f"brackets [{basis.names[i]},{basis.names[j]}] and "
-                            f"[{basis.names[j]},{basis.names[i]}] are both listed "
-                            "and disagree with super-antisymmetry"
-                        )
-                elif (j, i) in given:
-                    structure[i][j] = scale_vec(-s, given[(j, i)])
-        return cls(basis, structure)
+            given[(i, j)] = tuple(sorted((k, c) for k, c in (
+                (basis.index(name), rat(coeff)) for name, coeff in value.items()) if c))
+        structure = dict(given)
+        for (i, j), terms in sorted(given.items()):
+            p, q = basis.parity(i), basis.parity(j)
+            x, y = basis.names[i], basis.names[j]
+            if i == j and terms and not p:
+                raise MembershipError(f"bracket [{x},{x}] breaks super-antisymmetry: "
+                                      "an even element's self-bracket is zero")
+            if (j, i) in given and given[(j, i)] != _swapped(terms, p, q):
+                raise MembershipError(f"brackets [{x},{y}] and [{y},{x}] are both listed "
+                                      "and disagree with super-antisymmetry")
+            structure.setdefault((j, i), _swapped(terms, p, q))
+        return cls._trusted(basis, tuple(tuple(structure.get((i, j), ()) for j in range(n))
+                                         for i in range(n)))
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
+    @property
+    def structure(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense tensor: structure[i][j] holds the coordinates of [b_i, b_j]."""
+        if self._structure is None:
+            self._structure = _dense_view(self._sparse, self.dim)
+        return self._structure
+
     def _int_view(self) -> tuple[list[list[tuple]], int]:
-        """(S, E): the `_nonzero_entries` view with each value c written as the
-        integer c·E, over the least common denominator E of all of them.
-        Built on the first call, so algebras that never meet `is_homomorphism`
-        do not pay for it."""
+        """(S, E): the terms with each value c written as the integer c·E, over
+        the least common denominator E of all of them.  Built on the first
+        call, so algebras that never meet `is_homomorphism` do not pay for it."""
         if self._int_sparse is None:
-            nums, den = _scaled(c for row in self._sparse for v in row for _, c in v)
-            it = iter(nums)
-            self._int_sparse = ([[tuple((k, next(it)) for k, _ in v) for v in row]
-                                 for row in self._sparse], den)
+            flat, den = _scaled_pairs([v for row in self._sparse for v in row])
+            n = self.dim
+            self._int_sparse = ([flat[i * n:(i + 1) * n] for i in range(n)], den)
         return self._int_sparse
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
@@ -185,44 +201,39 @@ class LieSuperalgebra:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieSuperalgebra) and self.basis == other.basis
-                and self.structure == other.structure)
+                and self._sparse == other._sparse)
 
     def __hash__(self) -> int:
-        return hash((self.basis, self.structure))
+        return hash((self.basis, self._sparse))
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.basis!r})"
 
 
-def _nonzero_entries(structure: Sequence[Sequence[Sequence]]) -> list[list[tuple]]:
-    """Sparse view of a structure tensor: [i][j] lists the nonzero (k, c) of [b_i, b_j]."""
-    return [[tuple((k, c) for k, c in enumerate(v) if c != 0) for v in row] for row in structure]
+def _jacobi_residual(sparse: Terms, parities: Sequence[int], i: int, j: int, k: int) -> tuple:
+    """The terms of [[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] at x, y, z = b_i, b_j, b_k.
 
-
-def _jacobi_residual(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
-                     i: int, j: int, k: int) -> Vec:
-    """[[x,y],z] - [x,[y,z]] + (-1)^{|x||y|}[y,[x,z]] at x, y, z = b_i, b_j, b_k.
-
-    `sparse` is the `_nonzero_entries` view of the structure tensor, which
-    satisfies super-Jacobi iff this vanishes on every basis triple.  Each term
-    holds one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so the residual is zero by
-    construction where all three are; `_jacobi_residuals` skips those triples.
+    `sparse` holds the terms of a structure tensor, which satisfies
+    super-Jacobi iff no residual has a term left on any basis triple.  Each
+    summand holds one of [b_i,b_j], [b_j,b_k], [b_i,b_k], so the residual is
+    zero by construction where all three are; `_jacobi_residuals` skips those
+    triples.
     """
-    out = list(zero_vec(len(parities)))
+    out: dict[int, Fraction] = {}
     for l, c in sparse[i][j]:
         for m, d in sparse[l][k]:
-            out[m] += c * d
+            out[m] = out.get(m, 0) + c * d
     for l, c in sparse[j][k]:
         for m, d in sparse[i][l]:
-            out[m] -= c * d
-    s = _sign(parities[i], parities[j])
+            out[m] = out.get(m, 0) - c * d
+    odd = parities[i] & parities[j]
     for l, c in sparse[i][k]:
         for m, d in sparse[j][l]:
-            out[m] += s * c * d
-    return tuple(out)
+            out[m] = out.get(m, 0) + (-c * d if odd else c * d)
+    return tuple(sorted((m, v) for m, v in out.items() if v))
 
 
-def _jacobi_residuals(sparse: Sequence[Sequence[tuple]], parities: Sequence[int],
+def _jacobi_residuals(sparse: Terms, parities: Sequence[int],
                       xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]):
     """Yield (i, j, k, `_jacobi_residual`) over i in xs, j in ys, k in zs with
     i <= j <= k, in lexicographic order, except where [b_i,b_j], [b_j,b_k] and
@@ -239,27 +250,23 @@ def _jacobi_residuals(sparse: Sequence[Sequence[tuple]], parities: Sequence[int]
                     yield i, j, k, _jacobi_residual(sparse, parities, i, j, k)
 
 
-def _wrong_parity(tensor: Sequence[Sequence[Sequence]], left: Sequence[int],
-                  right: Sequence[int], out: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """The first (i, j, k), in lexicographic order, with tensor[i][j][k] nonzero
-    although out[k] != left[i] + right[j] (mod 2); None if there is none."""
-    wrong = [[k for k, p in enumerate(out) if p != want] for want in (0, 1)]
-    return next(((i, j, k) for i, row in enumerate(tensor) for j, v in enumerate(row)
-                 for k in wrong[(left[i] + right[j]) % 2] if v[k] != 0), None)
+def _wrong_parity(sparse: Terms, left: Sequence[int], right: Sequence[int],
+                  out: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (i, j, k), in lexicographic order, with a term (k, c) in
+    sparse[i][j] although out[k] != left[i] + right[j] (mod 2); None if there is none."""
+    return next(((i, j, k) for i, row in enumerate(sparse) for j, terms in enumerate(row)
+                 for k, _ in terms if out[k] != (left[i] + right[j]) % 2), None)
 
 
-def _broken_antisymmetry(tensor: Sequence[Sequence[Sequence]],
-                         parities: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first pair i <= j with T[j][i] != -(-1)^{|i||j|} T[i][j]; None if there is none.
-
-    Entries are compared before any is negated: an odd pair must be equal, an
-    equal even pair must vanish, and canonical zeros make both tests cheap."""
+def _broken_antisymmetry(sparse: Terms, parities: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair i <= j with T[j][i] != -(-1)^{|i||j|} T[i][j], for the
+    tensor T with these terms; None if there is none.  On the diagonal this
+    says that an even element's self-bracket vanishes."""
     n = len(parities)
-    zero = zero_vec(len(tensor[0][0])) if n else ()
     for i in range(n):
         for j in range(i, n):
-            a, b, odd = tensor[i][j], tensor[j][i], parities[i] & parities[j]
-            if (not odd and a != zero) if a == b else (odd or b != scale_vec(Fraction(-1), a)):
+            a, b = sparse[i][j], sparse[j][i]
+            if (a or b) and b != _swapped(a, parities[i], parities[j]):
                 return i, j
     return None
 
@@ -274,59 +281,58 @@ def _upper_pairs(parities: Sequence[int]) -> list[tuple[int, int]]:
 
 def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
     """Return the first violated axiom (parity, antisymmetry, Jacobi) or None."""
-    b = g.basis
-    names = b.names
-    if (bad := _wrong_parity(g.structure, b.parities, b.parities, b.parities)) is not None:
-        i, j, k = bad
-        return Violation(
-            "parity",
-            (names[i], names[j], names[k]),
-            f"[{names[i]},{names[j]}] has a component of the wrong parity on {names[k]}",
-        )
-    if (bad := _broken_antisymmetry(g.structure, b.parities)) is not None:
-        i, j = bad
-        return Violation(
-            "antisymmetry",
-            (names[j], names[i]),
-            f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]",
-        )
+    b, names = g.basis, g.basis.names
+    if (bad := _wrong_parity(g._sparse, b.parities, b.parities, b.parities)) is not None:
+        x, y, z = (names[t] for t in bad)
+        return Violation("parity", (x, y, z), f"[{x},{y}] has a component of the wrong parity on {z}")
+    if (bad := _broken_antisymmetry(g._sparse, b.parities)) is not None:
+        x, y = (names[t] for t in bad)
+        return Violation("antisymmetry", (y, x), f"[{y},{x}] != -(-1)^(|{x}||{y}|) [{x},{y}]")
     every = range(b.dim)
     for i, j, k, r in _jacobi_residuals(g._sparse, b.parities, every, every, every):
-        if not is_zero_vec(r):
-            return Violation(
-                "jacobi",
-                (names[i], names[j], names[k]),
-                "super-Jacobi identity fails on this basis triple",
-            )
+        if r:
+            return Violation("jacobi", (names[i], names[j], names[k]),
+                             "super-Jacobi identity fails on this basis triple")
     return None
 
 
 class ModuleAction:
-    """Action of a Lie superalgebra on a super vector space.
+    """Action of a Lie superalgebra on a super vector space, kept as the
+    `Terms` of its tensor; `action` is a dense view of them."""
 
-    action[i][m] holds the coordinates of b_i · v_m in the space basis.
-    """
-
-    __slots__ = ("algebra", "space", "action", "_sparse")
+    __slots__ = ("algebra", "space", "_sparse", "_action")
 
     def __init__(self, algebra: LieSuperalgebra, space: SuperBasis,
                  action: Sequence[Sequence[Sequence]]):
         n, d = algebra.dim, space.dim
         if len(action) != n or any(len(row) != d for row in action):
             raise ShapeError("action tensor does not match the algebra/space sizes")
-        self.algebra, self.space = algebra, space
-        self.action = tuple(tuple(vec(v) for v in row) for row in action)
-        if any(len(v) != d for row in self.action for v in row):
+        grid = [[vec(v) for v in row] for row in action]
+        if any(len(v) != d for row in grid for v in row):
             raise ShapeError("action tensor entries have the wrong length")
-        self._sparse = _nonzero_entries(self.action)  # the view `act` multiplies with
+        self.algebra, self.space, self._sparse, self._action = algebra, space, _nonzero_entries(grid), None
+
+    @classmethod
+    def _trusted(cls, algebra: LieSuperalgebra, space: SuperBasis, sparse: Terms) -> "ModuleAction":
+        """A module on the terms of an action tensor of the right shape, as an
+        extension reads them off its ambient algebra."""
+        m = object.__new__(cls)
+        m.algebra, m.space, m._sparse, m._action = algebra, space, sparse, None
+        return m
 
     @classmethod
     def trivial(cls, algebra: LieSuperalgebra, space: SuperBasis) -> "ModuleAction":
-        z = zero_vec(space.dim)
-        return cls(algebra, space, [[z] * space.dim for _ in range(algebra.dim)])
+        return cls._trusted(algebra, space, (((),) * space.dim,) * algebra.dim)
+
+    @property
+    def action(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense tensor: action[i][m] holds the coordinates of b_i · v_m."""
+        if self._action is None:
+            self._action = _dense_view(self._sparse, self.space.dim)
+        return self._action
 
     def act_basis(self, i: int, m: int) -> Vec:
-        return self.action[i][m]
+        return _spread(self._sparse[i][m], self.space.dim)
 
     def act(self, x: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.space.dim:
@@ -334,37 +340,42 @@ class ModuleAction:
         return bilinear(self._sparse, x, v, self.space.dim)
 
     def is_trivial(self) -> bool:
-        return all(is_zero_vec(self.action[i][m])
-                   for i in range(self.algebra.dim) for m in range(self.space.dim))
+        return not any(map(any, self._sparse))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleAction) and self.algebra == other.algebra
-                and self.space == other.space and self.action == other.action)
+                and self.space == other.space and self._sparse == other._sparse)
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.space, self.action))
+        return hash((self.algebra, self.space, self._sparse))
 
 
-def _sum_structure(g: LieSuperalgebra, m: ModuleAction,
-                   beta: Optional[Sequence[Sequence[Sequence]]] = None) -> list[list[Vec]]:
-    """Structure tensor of g ⊕ M (g first) with the bracket
+def _action_entries(m: ModuleAction) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero entries of the action tensor: (i, v, k) -> (b_i · v_v)_k."""
+    return {(i, v, k): c for i, row in enumerate(m._sparse) for v, terms in enumerate(row)
+            for k, c in terms}
+
+
+def _sum_structure(g: LieSuperalgebra, m: ModuleAction, beta: Optional[Terms] = None) -> Terms:
+    """The terms of the structure tensor of g ⊕ M (g first) with the bracket
     ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)).
 
-    `beta` is a 2-cochain tensor, beta[i][j] = beta(b_i, b_j); None gives the
-    semidirect product g ⋉ M.  Its super-Jacobi residual on the triples
-    (x, y, v) is the module axiom; over all triples, the cocycle condition.
+    `beta` holds the terms of a 2-cochain, beta[i][j] those of beta(b_i, b_j);
+    None gives the semidirect product g ⋉ M.  Its super-Jacobi residual on
+    the triples (x, y, v) is the module axiom; over all triples, the cocycle
+    condition.
     """
     ng, na = g.dim, m.space.dim
-    zg, za = zero_vec(ng), zero_vec(na)
-    structure = [[zg + za] * (ng + na) for _ in range(ng + na)]
-    for i in range(ng):
-        for j in range(ng):
-            structure[i][j] = g.structure[i][j] + (za if beta is None else tuple(beta[i][j]))
-        for v in range(na):
-            structure[i][ng + v] = zg + m.action[i][v]
-            s = _sign(m.space.parity(v), g.basis.parity(i))
-            structure[ng + v][i] = zg + scale_vec(-s, m.action[i][v])
-    return structure
+
+    def shifted(terms):
+        return tuple((ng + k, c) for k, c in terms)
+
+    acts = [tuple(map(shifted, row)) for row in m._sparse]
+    rows = [(g._sparse[i] if beta is None else tuple(
+        t + shifted(b) for t, b in zip(g._sparse[i], beta[i]))) + acts[i] for i in range(ng)]
+    rows += [tuple(_swapped(acts[i][v], g.basis.parity(i), m.space.parity(v)) for i in range(ng))
+             + ((),) * na for v in range(na)]
+    return tuple(rows)
 
 
 def validate_module(m: ModuleAction) -> Optional[Violation]:
@@ -376,25 +387,16 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
     bad = validate_superalgebra(m.algebra)
     if bad is not None:
         return bad
-    ab = m.algebra.basis
-    sb = m.space
-    if (bad := _wrong_parity(m.action, ab.parities, sb.parities, sb.parities)) is not None:
+    ab, sb = m.algebra.basis, m.space
+    if (bad := _wrong_parity(m._sparse, ab.parities, sb.parities, sb.parities)) is not None:
         i, v, k = bad
-        return Violation(
-            "module-parity",
-            (ab.names[i], sb.names[v], sb.names[k]),
-            "action component has the wrong parity",
-        )
-    sparse = _nonzero_entries(_sum_structure(m.algebra, m))
-    parities = ab.parities + sb.parities
-    xs = range(ab.dim)
+        return Violation("module-parity", (ab.names[i], sb.names[v], sb.names[k]),
+                         "action component has the wrong parity")
+    sparse, parities, xs = _sum_structure(m.algebra, m), ab.parities + sb.parities, range(ab.dim)
     for i, j, k, r in _jacobi_residuals(sparse, parities, xs, xs, range(ab.dim, len(parities))):
-        if not is_zero_vec(r):
-            return Violation(
-                "module-axiom",
-                (ab.names[i], ab.names[j], sb.names[k - ab.dim]),
-                "[x,y]·v != x·(y·v) - (-1)^(|x||y|) y·(x·v) on this triple",
-            )
+        if r:
+            return Violation("module-axiom", (ab.names[i], ab.names[j], sb.names[k - ab.dim]),
+                             "[x,y]·v != x·(y·v) - (-1)^(|x||y|) y·(x·v) on this triple")
     return None
 
 
@@ -557,7 +559,7 @@ def semidirect_product(g: LieSuperalgebra, m: ModuleAction):
         raise ShapeError("algebra and module basis names collide")
     ng = g.dim
     basis = SuperBasis(g.basis.items() + m.space.items())
-    product = LieSuperalgebra(basis, _sum_structure(g, m))
+    product = LieSuperalgebra._trusted(basis, _sum_structure(g, m))
     # its super-Jacobi identity is the module axiom and g's own, just checked
     ext = AbelianExtension._trusted(product, range(ng, product.dim))
     if not ext.is_split_on_section():
@@ -585,12 +587,10 @@ def quotient_by_ideal(e: LieSuperalgebra, ideal_indices: Iterable[int]):
     complement = [i for i in range(n) if i not in ideal_set]
     slot = {i: p for p, i in enumerate(complement)}
     qbasis = SuperBasis([(e.basis.names[i], e.basis.parity(i)) for i in complement])
-    # complement parts of e's brackets and of their nonzero entries, in order
-    structure = tuple(tuple(tuple(e.structure[p][q][k] for k in complement) for q in complement)
-                      for p in complement)
-    sparse = [[tuple((slot[k], c) for k, c in e._sparse[p][q] if k in slot) for q in complement]
-              for p in complement]
-    quotient = LieSuperalgebra._trusted(qbasis, structure, sparse)
+    # the complement terms of e's brackets, in order
+    quotient = LieSuperalgebra._trusted(qbasis, tuple(
+        tuple(tuple((slot[k], c) for k, c in e._sparse[p][q] if k in slot) for q in complement)
+        for p in complement))
     projection = GradedLinearMap._trusted(
         e.basis, qbasis, Mat._canonical(tuple(unit_vec(n, i) for i in complement), n))
     return quotient, projection

@@ -35,6 +35,7 @@ from .algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    _action_entries,
     _broken_antisymmetry,
     _jacobi_residual,
     _nonzero_entries,
@@ -54,6 +55,7 @@ from .linalg import (
     Vec,
     _row_add,
     _row_sub,
+    _spread,
     bilinear,
     is_zero_vec,
     kernel_basis,
@@ -125,14 +127,15 @@ class Cochain2:
         grid = tuple(tuple(vec(tensor[i][j]) for j in range(n)) for i in range(n))
         if any(len(v) != d for row in grid for v in row):
             raise ShapeError("tensor entries have the wrong length")
-        if (bad := _broken_antisymmetry(grid, source.parities)) is not None:
+        sparse = _nonzero_entries(grid)
+        if (bad := _broken_antisymmetry(sparse, source.parities)) is not None:
             i, j = bad
             raise MembershipError(
                 f"tensor breaks super-antisymmetry at "
                 f"({source.names[j]}, {source.names[i]})"
             )
         out = [(p + degree) % 2 for p in target.parities]
-        if (bad := _wrong_parity(grid, source.parities, source.parities, out)) is not None:
+        if (bad := _wrong_parity(sparse, source.parities, source.parities, out)) is not None:
             i, j, k = bad
             raise MembershipError(
                 f"tensor entry ({source.names[i]}, {source.names[j]}, "
@@ -142,7 +145,7 @@ class Cochain2:
         self.target = target
         self.tensor = grid
         self.degree = degree
-        self._sparse = None
+        self._sparse = sparse
 
     @classmethod
     def _trusted(cls, source: SuperBasis, target: SuperBasis, grid: tuple[tuple[Vec, ...], ...],
@@ -178,8 +181,9 @@ class Cochain2:
     def value(self, i: int, j: int) -> Vec:
         return self.tensor[i][j]
 
-    def _view(self) -> list[list[tuple]]:
-        """The `_nonzero_entries` view of the tensor, built on first use."""
+    def _view(self) -> tuple:
+        """The terms of the tensor (`algebra.Terms`): kept by the public
+        constructor, built on first use for a `_trusted` cochain."""
         if self._sparse is None:
             self._sparse = _nonzero_entries(self.tensor)
         return self._sparse
@@ -291,20 +295,20 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
             m.act(unit_vec(n, i), lam.image_of_basis(j)),
             scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))),
         )
-        entries[(i, j)] = sub_vec(term, lam.apply(g.structure[i][j]))
+        entries[(i, j)] = sub_vec(term, lam.apply(_spread(g._sparse[i][j], n)))
     return Cochain2.from_upper(g.basis, m.space, entries)
 
 
 def _twisted_jacobi_residuals(g: LieSuperalgebra, m: ModuleAction, beta: Cochain2) -> list[Fraction]:
     """Flattened super-Jacobi residuals of the beta-twisted sum over all triples."""
-    sparse = _nonzero_entries(_sum_structure(g, m, beta.tensor))
+    sparse = _sum_structure(g, m, beta._view())
     parities = g.basis.parities + m.space.parities
     n = len(parities)
     out: list[Fraction] = []
     for s in range(n):
         for t in range(n):
             for u in range(n):
-                out.extend(_jacobi_residual(sparse, parities, s, t, u))
+                out.extend(_spread(_jacobi_residual(sparse, parities, s, t, u), n))
     return out
 
 
@@ -468,9 +472,9 @@ class CochainComplex:
     def b1(self) -> SubspacePresentation:
         """Span of the inner derivations x -> x·v over even module elements v."""
         # the 1-cochain x -> x·v has entry (n, i) = (b_i·v)_n
-        act = self.m.action
+        act = _action_entries(self.m)
         return SubspacePresentation.from_spanning(len(self.pos1), [
-            tuple(act[i][v][n] for n, i in self.pos1)
+            tuple(act.get((i, v, n), _ZERO) for n, i in self.pos1)
             for v, p in enumerate(self.m.space.parities) if p == 0])
 
     @cached_property

@@ -53,6 +53,7 @@ from .algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    _action_entries,
     is_homomorphism,
     quotient_by_ideal,
     validate_superalgebra,
@@ -78,6 +79,7 @@ from .linalg import (
     _row_add,
     _row_sub,
     _sparse_scaled,
+    _spread,
     inverse,
     kernel_basis,
     solve,
@@ -139,14 +141,18 @@ class AbelianExtension:
             self.a_basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in ideal], rows=ne))
         self.section = GradedLinearMap._trusted(
             g.basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in comp], rows=ne))
-        self.action = ModuleAction(
-            g, self.a_basis, [[self.a_coords(e.structure[c][m]) for m in ideal] for c in comp])
+        # the terms of [b, a] in ideal coordinates: it lies in the ideal, as
+        # `quotient_by_ideal` has checked; g acts through the complement rows
+        slot = _slots(ideal)
+        self._ad = tuple(tuple(tuple((slot[k], c) for k, c in row[m]) for m in ideal) for row in e._sparse)
+        self.action = ModuleAction._trusted(g, self.a_basis, tuple(self._ad[c] for c in comp))
         self.cochains_g = CochainComplex._trusted(g, self.action)
 
         # the complement part of [s x, s y] is exactly s([x, y]); the cocycle
         # is the ideal part that remains
         self.beta = Cochain2(g.basis, self.a_basis, [
-            [self.a_coords(e.structure[p][q], strict=False) for q in comp] for p in comp])
+            [_spread(((slot[k], c) for k, c in e._sparse[p][q] if k in slot), len(ideal)) for q in comp]
+            for p in comp])
         if not self.cochains_g.is_cocycle2(self.beta):
             raise MembershipError("extracted 2-cochain is not a cocycle")
 
@@ -162,10 +168,9 @@ class AbelianExtension:
     def dim_g(self) -> int:
         return self.g.dim
 
-    def a_coords(self, v: Sequence[Fraction], strict: bool = True) -> Vec:
-        """Ideal coordinates of an ambient vector; strict mode requires the
-        complement part to vanish."""
-        if strict and any(v[i] != 0 for i in self.complement_indices):
+    def a_coords(self, v: Sequence[Fraction]) -> Vec:
+        """Ideal coordinates of an ambient vector whose complement part vanishes."""
+        if any(v[i] != 0 for i in self.complement_indices):
             raise MembershipError("vector does not lie in the ideal")
         return tuple(v[i] for i in self.ideal_indices)
 
@@ -186,8 +191,7 @@ class AbelianExtension:
     @cached_property
     def adjoint(self) -> ModuleAction:
         """The ideal as a module over the ambient algebra (adjoint action)."""
-        return ModuleAction(self.e, self.a_basis, [
-            [self.a_coords(row[m]) for m in self.ideal_indices] for row in self.e.structure])
+        return ModuleAction._trusted(self.e, self.a_basis, self._ad)
 
     @cached_property
     def cochains_e(self) -> CochainComplex:
@@ -217,10 +221,10 @@ class AbelianExtension:
         by a 1: row (i, m, k) is the k-th coordinate of psi(x_i)·a_m - x_i·a_m,
         which reads A[j][m][k] at slot (j, i) and -A[i][m][k] at the last
         column, for the action tensor A."""
-        act, slot, n, g = self.action.action, _slots(self.pos_g), len(self.pos_g), range(self.dim_g)
+        act, slot, n, g = _action_entries(self.action), _slots(self.pos_g), len(self.pos_g), range(self.dim_g)
         return SparseMat(tuple(
-            tuple([(slot[j, i], act[j][m][k]) for j in g if act[j][m][k] and (j, i) in slot]
-                  + ([(n, -act[i][m][k])] if act[i][m][k] else []))
+            tuple([(slot[j, i], act[j, m, k]) for j in g if (j, m, k) in act and (j, i) in slot]
+                  + ([(n, -act[i, m, k])] if (i, m, k) in act else []))
             for i in g for m in range(self.dim_a) for k in range(self.dim_a)), n + 1)
 
     @cached_property
@@ -229,15 +233,15 @@ class AbelianExtension:
         `_module_end_residuals` of the p-th unit even map on a.  Read off the
         action tensor A: for the unit map E_rc, row (i, m, n) of
         phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
-        act, view, slot, da = self.action.action, self.action._sparse, _slots(self.pos_a), self.dim_a
+        act, view, slot, da = _action_entries(self.action), self.action._sparse, _slots(self.pos_a), self.dim_a
         rows = []
         for i in range(self.dim_g):
             for m in range(da):
                 for n in range(da):
                     row = {p: x for c, x in view[i][m] if (p := slot.get((n, c))) is not None}
                     for r in range(da):
-                        if act[i][r][n] and (p := slot.get((r, m))) is not None:
-                            row[p] = row.get(p, _ZERO) - act[i][r][n]
+                        if (i, r, n) in act and (p := slot.get((r, m))) is not None:
+                            row[p] = row.get(p, _ZERO) - act[i, r, n]
                     rows.append(tuple(sorted((p, x) for p, x in row.items() if x)))
         return SparseMat(tuple(rows), len(self.pos_a))
 
@@ -330,7 +334,7 @@ def _block(f: GradedLinearMap, rows: Sequence[int], cols: Sequence[int]) -> Mat:
 
     Reading the ideal rows of a column does not test that its complement
     rows vanish.  `section_offset` and `sequences._restrict_to_ideal` need no
-    such test: a strict `a_coords` could never fail there, since the maps
+    such test: `a_coords` could never fail there, since the maps
     they are given preserve the ideal, by construction or by a checked
     precondition (for the offset: gamma fixes the ideal and induces psi).
     """
@@ -771,7 +775,7 @@ def beta_with_section(ext: AbelianExtension, mu: GradedLinearMap) -> Cochain2:
         row = []
         for q in range(ext.dim_g):
             row.append(ext.a_coords(sub_vec(ext.e.bracket(cols[p], cols[q]),
-                                            s2.apply(ext.g.structure[p][q]))))
+                                            s2.apply(_spread(ext.g._sparse[p][q], ext.dim_g)))))
         tensor.append(row)
     out = Cochain2(ext.g.basis, ext.a_basis, tensor)
     _check(ext.cochains_g.is_cocycle2(out), "shifted-section cochain is not a 2-cocycle")

@@ -21,10 +21,11 @@ from .linalg import Mat
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-# Longest basis a file may list.  The tensors are dense (n³ entries for an
-# algebra, n·d² for a module), so a longer basis is refused before any of
-# them is allocated; the largest algebra in the tests, n_10 (the strictly
-# upper-triangular 10 x 10 matrices), has 45 elements.
+# Longest basis a file may list.  It bounds the work a file can ask for: a
+# full bracket table on n elements lists about n³/2 entries, and the Jacobi
+# check visits about n³/6 triples at a cost that grows with the square of the
+# terms per bracket (a full table at n = 128 does not finish it in minutes).
+# The largest algebra in the tests, n_12, has 66 elements.
 _MAX_BASIS = 128
 
 
@@ -251,17 +252,12 @@ def dump_algebra(algebra: LieSuperalgebra, name: str = "algebra") -> dict:
     basis = [{"name": n, "parity": p} for n, p in algebra.basis.items()]
     brackets = []
     for i, j in _upper_pairs(algebra.basis.parities):
-        value = algebra.structure[i][j]
-        if all(c == 0 for c in value):
-            continue
-        brackets.append({
-            "left": algebra.basis.names[i],
-            "right": algebra.basis.names[j],
-            "value": [
-                {"basis": algebra.basis.names[k], "coeff": format_rat(c)}
-                for k, c in enumerate(value) if c != 0
-            ],
-        })
+        if terms := algebra._sparse[i][j]:
+            brackets.append({
+                "left": algebra.basis.names[i],
+                "right": algebra.basis.names[j],
+                "value": [{"basis": algebra.basis.names[k], "coeff": format_rat(c)} for k, c in terms],
+            })
     return {"name": name, "basis": basis, "brackets": brackets}
 
 

@@ -136,12 +136,6 @@ def unit_vec(n: int, k: int) -> Vec:
     return tuple(_ONE if i == k else _ZERO for i in range(n))
 
 
-def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    if len(u) != len(v):
-        raise ShapeError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     if len(u) != len(v):
         raise ShapeError(f"vector lengths differ: {len(u)} vs {len(v)}")

@@ -1,13 +1,69 @@
-"""Dense reference elimination, for the tests only.
+"""Dense references, for the tests only.
 
-The library eliminates sparse rows component by component; these are the
-whole-matrix forms it replaced, over dense lists of Fractions.  They share
-no code with `superext.linalg`.
+The library eliminates sparse rows component by component, and stores each
+structure tensor as its nonzero terms; these are the whole-matrix and
+whole-tensor forms it replaced, over dense lists of Fractions.  They share
+no code with `superext.linalg` or with the algebra builders.
 """
 
 from fractions import Fraction
 
+from superext.errors import MembershipError
 from superext.linalg import Mat
+
+
+def _swap_sign(p, q):
+    """-(-1)^{pq}: [y, x] is this multiple of [x, y] for x, y of parities p and q."""
+    return 1 if p * q % 2 else -1
+
+
+def from_brackets(basis, brackets):
+    """The dense structure tensor of `LieSuperalgebra.from_brackets`, filled
+    grid cell by grid cell: the missing orientation by super-antisymmetry,
+    and the same `MembershipError` for the first offending pair in
+    lexicographic order."""
+    n = basis.dim
+    given = {}
+    for (left, right), value in brackets.items():
+        out = [Fraction(0)] * n
+        for name, coeff in value.items():
+            out[basis.index(name)] = Fraction(coeff)
+        given[(basis.index(left), basis.index(right))] = tuple(out)
+    structure = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = _swap_sign(basis.parity(i), basis.parity(j))
+            if (i, j) in given:
+                structure[i][j] = given[(i, j)]
+                if i == j and given[(i, i)] != tuple(s * c for c in given[(i, i)]):
+                    raise MembershipError(
+                        f"bracket [{basis.names[i]},{basis.names[i]}] breaks "
+                        "super-antisymmetry: an even element's self-bracket is zero")
+                if (j, i) in given and given[(j, i)] != tuple(s * c for c in given[(i, j)]):
+                    raise MembershipError(
+                        f"brackets [{basis.names[i]},{basis.names[j]}] and "
+                        f"[{basis.names[j]},{basis.names[i]}] are both listed "
+                        "and disagree with super-antisymmetry")
+            elif (j, i) in given:
+                structure[i][j] = tuple(s * c for c in given[(j, i)])
+    return tuple(map(tuple, structure))
+
+
+def sum_structure(g, m, beta=None):
+    """The dense structure tensor of g ⊕ M (g first) with the bracket
+    ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)), for a dense 2-cochain
+    tensor beta; None gives the semidirect product g ⋉ M."""
+    ng, na = g.dim, m.space.dim
+    zg, za = (Fraction(0),) * ng, (Fraction(0),) * na
+    structure = [[zg + za] * (ng + na) for _ in range(ng + na)]
+    for i in range(ng):
+        for j in range(ng):
+            structure[i][j] = g.structure[i][j] + (za if beta is None else tuple(beta[i][j]))
+        for v in range(na):
+            structure[i][ng + v] = zg + m.action[i][v]
+            s = _swap_sign(m.space.parity(v), g.basis.parity(i))
+            structure[ng + v][i] = zg + tuple(s * c for c in m.action[i][v])
+    return tuple(map(tuple, structure))
 
 
 def reduce_rows(rows, pivot_cols=None):

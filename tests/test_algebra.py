@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_oracle
 from superext.algebra import (
     GradedLinearMap,
     LieSuperalgebra,
@@ -14,7 +15,6 @@ from superext.algebra import (
     _jacobi_residuals,
     _nonzero_entries,
     _sign,
-    _sum_structure,
     is_homomorphism,
     quotient_by_ideal,
     semidirect_product,
@@ -32,7 +32,7 @@ from superext.fixtures import (
     odd_semidirect_extension,
     standard_corpus,
 )
-from superext.linalg import Mat, bilinear, inverse, is_zero_vec, scale_vec, unit_vec, vec
+from superext.linalg import Mat, _spread, bilinear, inverse, is_zero_vec, scale_vec, unit_vec, vec
 from superext.sequences import sample_cocycle
 
 
@@ -339,7 +339,7 @@ def _dense_validate_module(m):
                 if m.action[i][v][k] != 0 and sb.parity(k) != want:
                     return Violation("module-parity", (ab.names[i], sb.names[v], sb.names[k]),
                                      "action component has the wrong parity")
-    structure = _sum_structure(m.algebra, m)
+    structure = dense_oracle.sum_structure(m.algebra, m)
     parities = ab.parities + sb.parities
     for i in range(ab.dim):
         for j in range(ab.dim):
@@ -389,9 +389,9 @@ def _kernel_corpus():
         for cx in (ext.cochains_g, ext.cochains_e):
             parities = cx.g.basis.parities + cx.m.space.parities
             beta = cx.cochain2(tuple(Fraction(rng.choice((-2, -1, 0, 1, 3))) for _ in cx.pos2))
-            cases.append((_sum_structure(cx.g, cx.m), parities))
-            cases.append((_sum_structure(cx.g, cx.m, beta.tensor), parities))
-        cases.append((_sum_structure(ext.g, ext.action, ext.beta.tensor),
+            cases.append((dense_oracle.sum_structure(cx.g, cx.m), parities))
+            cases.append((dense_oracle.sum_structure(cx.g, cx.m, beta.tensor), parities))
+        cases.append((dense_oracle.sum_structure(ext.g, ext.action, ext.beta.tensor),
                       ext.g.basis.parities + ext.a_basis.parities))
     cases += [_random_tensor(rng) for _ in range(60)]
     return cases
@@ -406,7 +406,7 @@ def test_sparse_jacobi_kernel_matches_the_dense_residual_on_every_triple():
             for j in range(n):
                 for k in range(n):
                     dense = _dense_jacobi_residual(structure, parities, i, j, k)
-                    assert _jacobi_residual(sparse, parities, i, j, k) == dense, (i, j, k)
+                    assert _spread(_jacobi_residual(sparse, parities, i, j, k), n) == dense, (i, j, k)
                     if not (sparse[i][j] or sparse[j][k] or sparse[i][k]):
                         skipped += 1
                         assert all(r == 0 for r in dense), (i, j, k)
@@ -464,9 +464,9 @@ def test_jacobi_residual_is_super_alternating_on_antisymmetric_tensors():
                     if u > v:
                         order[a], order[a + 1] = v, u
                         sign *= -_sign(parities[u], parities[v])
-            assert r == scale_vec(sign, residual[tuple(order)]), (t, parities)
+            assert _spread(r, n) == scale_vec(sign, _spread(residual[tuple(order)], n)), (t, parities)
             checked += 1
-            if any(parities[x] and t.count(x) > 1 for x in t) and not is_zero_vec(r):
+            if any(parities[x] and t.count(x) > 1 for x in t) and r:
                 odd_repeats += 1  # a repeated odd slot: such triples must stay visited
     assert checked >= 8000 and odd_repeats >= 300, (checked, odd_repeats)
 
@@ -552,6 +552,81 @@ def test_validators_report_the_same_violation_as_the_dense_reference():
     assert rules[:300].count(None) <= 100 and rules[300:].count(None) <= 100, rules.count(None)
     for rule in ("parity", "antisymmetry", "jacobi", "module-parity", "module-axiom"):
         assert rules.count(rule) >= 10, (rule, rules.count(rule))
+
+
+def _random_bracket_table(rng):
+    """Random bracket data on a random super basis: each pair listed in one
+    orientation or the other, now and then in both (agreeing, or not), now and
+    then an even element's self-bracket, and now and then a zero coefficient."""
+    n = rng.randint(1, 5)
+    basis = SuperBasis([(f"b{i}", rng.randint(0, 1)) for i in range(n)])
+    brackets = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                continue
+            if i == j and basis.parity(i) == 0 and rng.random() < 0.9:
+                continue
+            value = {f"b{k}": rng.choice((-2, -1, 0, 1, Fraction(1, 2), 3))
+                     for k in range(n) if rng.random() < 0.5}
+            left, right = (i, j) if rng.random() < 0.5 else (j, i)
+            brackets[(f"b{left}", f"b{right}")] = value
+            if i != j and rng.random() < 0.1:  # the other orientation too
+                s = 1 if basis.parity(i) * basis.parity(j) else -1
+                other = {name: s * Fraction(c) for name, c in value.items()}
+                if rng.random() < 0.5:
+                    other[f"b{rng.randrange(n)}"] = rng.choice((1, 2))
+                brackets[(f"b{right}", f"b{left}")] = other
+    return basis, brackets
+
+
+def _random_modules(rng, algebras):
+    """Valid modules: random actions on one to three elements over the given
+    algebras, kept when `validate_module` accepts them, and trivial ones."""
+    modules = []
+    while len(modules) < 60:
+        g = rng.choice(algebras)
+        space = SuperBasis([(f"w{k}", rng.randint(0, 1)) for k in range(rng.randint(1, 3))])
+        if rng.random() < 0.2:
+            modules.append(ModuleAction.trivial(g, space))
+            continue
+        action = [[[rng.choice((-1, 0, 0, 1, 2))
+                    if space.parity(k) == (g.basis.parity(i) + space.parity(v)) % 2 else 0
+                    for k in range(space.dim)] for v in range(space.dim)] for i in range(g.dim)]
+        m = ModuleAction(g, space, action)
+        if validate_module(m) is None:
+            modules.append(m)
+    return modules
+
+
+def test_from_brackets_and_semidirect_product_match_the_dense_reference():
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(400):
+        basis, brackets = _random_bracket_table(rng)
+        try:
+            want = dense_oracle.from_brackets(basis, brackets)
+        except MembershipError as exc:
+            with pytest.raises(MembershipError) as info:
+                LieSuperalgebra.from_brackets(basis, brackets)
+            assert str(info.value) == str(exc), brackets
+            outcomes.append("self-bracket" if "self-bracket" in str(exc) else "orientations")
+            continue
+        g = LieSuperalgebra.from_brackets(basis, brackets)
+        assert g.structure == want, brackets
+        assert g == LieSuperalgebra(basis, want)
+        outcomes.append(None)
+    for outcome in ("self-bracket", "orientations", None):
+        assert outcomes.count(outcome) >= 20, (outcome, outcomes.count(outcome))
+    algebras = [heisenberg3(), odd_heisenberg(), _odd_h5().e, _sl2_v2().e, _sl2_v2().g,
+                LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 1)]))]
+    modules = _random_modules(rng, algebras) + [
+        ext.action for ext in _kernel_extensions() if ext.g.dim]
+    for m in modules:
+        product, ext = semidirect_product(m.algebra, m)
+        assert product.structure == dense_oracle.sum_structure(m.algebra, m), m.action
+        assert product == LieSuperalgebra(product.basis, product.structure)
+        assert ext.action == m and ext.beta.is_zero()
 
 
 def _is_homomorphism_loop(phi, g, h):

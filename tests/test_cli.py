@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superext
+from conftest import strictly_upper_extension
+from superext import algebra as algebra_module
 from superext import cli
+from superext.algebra import LieSuperalgebra, ModuleAction
 from superext.cli import main
 from superext.files import (
     _parse_basis,
+    dump_algebra,
     format_rat,
     load_algebra,
     load_extension,
@@ -351,6 +355,30 @@ def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
     assert any(line.startswith("error:") for line in proc.stderr.splitlines()), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_cold_cli_runs_build_no_dense_tensor(capsys, tmp_path, monkeypatch):
+    """Algebras and modules keep their tensors as terms only: with the builder
+    of the dense views made to fail, a cold `cohomology --degree 2` and a
+    five-term `verify` on a Kostant file (n_6 over its centre) still succeed,
+    and the public constructors store no dense tensor."""
+    e = strictly_upper_extension(6).e
+    _write(tmp_path / "n6.json", dump_algebra(e, name="n6"))
+    ext = _write(tmp_path / "n6.ext.json", {"algebra": "n6.json", "ideal": ["E1_6"]})
+    structure, action = e.structure, [[[0, 1], [0, 0]]] * e.dim
+
+    def refuse(*args):
+        raise AssertionError("a dense structure or action tensor was built")
+
+    monkeypatch.setattr(algebra_module, "_dense_view", refuse)
+    code, payload, err = _run(capsys, ["cohomology", ext, "--degree", "2"])
+    assert code == 0, err
+    assert payload["h2_dim"] > 0
+    code, payload, err = _run(capsys, ["verify", ext, "--suite", "five-term"])
+    assert code == 0 and payload["passed"] is True, err
+    g = LieSuperalgebra(e.basis, structure)
+    m = ModuleAction(g, superext.SuperBasis([("v", 0), ("w", 0)]), action)
+    assert g == e and g._structure is None and m._action is None
 
 
 def test_semidirect_round_trip(capsys, tmp_path):

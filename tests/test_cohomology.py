@@ -15,7 +15,6 @@ from superext.algebra import (
     SuperBasis,
     _jacobi_residual,
     _jacobi_residuals,
-    _nonzero_entries,
     _sign,
     _sum_structure,
     semidirect_product,
@@ -404,8 +403,10 @@ def _definition_rows(cx, triples):
     parities = g.basis.parities + m.space.parities
     columns = []
     for p in range(n2):
-        sparse = _nonzero_entries(_sum_structure(g, m, cx.cochain2(unit_vec(n2, p)).tensor))
-        columns.append([x for t in triples for x in _jacobi_residual(sparse, parities, *t)[g.dim:]])
+        sparse = _sum_structure(g, m, cx.cochain2(unit_vec(n2, p))._view())
+        columns.append([x for t in triples
+                        for x in linalg._spread(_jacobi_residual(sparse, parities, *t),
+                                                len(parities))[g.dim:]])
     rows = dict.fromkeys(r for r in zip(*columns) if any(r))
     return Mat(list(rows), cols=n2)
 
@@ -715,7 +716,7 @@ def test_odd_heisenberg_cohomology_matches_the_closed_form(k):
     assert verify_five_term(ext).passed
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_strictly_upper_triangular_cohomology_matches_kostant(k):
     # Kostant (Ann. Math. 74, 1961): dim H^p(n_k) is the number of permutations
     # of length p in S_k, so dim H¹(n_k) = k - 1 and dim H²(n_k) = (k-2)(k+1)/2;
