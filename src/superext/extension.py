@@ -21,10 +21,14 @@ against a cached operator: the d¹ of e for derivations and quotient-fixing
 maps, the residual matrix of End_g(a) for module endomorphisms, and
 `action_constraints` for the action condition of End^a(g).  Their answers
 are kept in the map's private `_facts` slot (see `_kept`), so each runs once
-per map per extension.  `induced_on_quotient` is the one gate for "a
-homomorphism fixing the ideal pointwise".  In the same way `inflate1`,
-`inflate2`, `restrict1` and `extend_obstruction` are the definitions of the
-five-term maps, which the extension caches as coordinate matrices.
+per map per extension, and the sequence suites ask through the public
+gated functions, whose gates then read the kept answers.
+`induced_on_quotient` is the one gate for "a homomorphism fixing the ideal
+pointwise"; its ungated `_induced_on_quotient` serves composites of maps
+that passed it and callers that hold a map's `EndFlags`.  In the same way
+`inflate1`, `inflate2`, `restrict1` and `extend_obstruction` are the
+definitions of the five-term maps, which the extension caches as
+coordinate matrices.
 
 The ring operations on quotient-fixing maps take and return maps equal to
 the identity on every complement row: they reuse the identity's rows there
@@ -627,12 +631,6 @@ def extend_obstruction_aut(phi: GradedLinearMap, ext: AbelianExtension) -> Cohom
     """Obstruction class [beta - phi ∘ beta] to extending an automorphism phi."""
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
     _require(inverse(phi.matrix) is not None, "map is not invertible")
-    return _extend_obstruction_aut(phi, ext)
-
-
-def _extend_obstruction_aut(phi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
-    """`extend_obstruction_aut` for a phi already known to be an invertible
-    module endomorphism."""
     return class_of(ext.beta - ext.beta.postcompose(phi), ext.h2_g)
 
 
@@ -662,16 +660,19 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
 
 def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """The endomorphism p ∘ gamma ∘ s of the quotient, for ideal-fixing gamma."""
-    return _induced_on_quotient(gamma, classify_endomorphism(gamma, ext), ext)
+    _require_fixes_ideal(classify_endomorphism(gamma, ext))
+    return _induced_on_quotient(gamma, ext)
 
 
-def _induced_on_quotient(gamma: GradedLinearMap, flags: Optional[EndFlags],
-                         ext: AbelianExtension) -> GradedLinearMap:
-    """`induced_on_quotient` for a gamma whose flags are already computed, or,
-    with None, for a composite of maps that passed the gate: a composite of
-    homomorphisms fixing the ideal pointwise is one."""
-    _require(flags is None or flags.fixes_ideal,
-             "map must be a homomorphism fixing the ideal pointwise")
+def _require_fixes_ideal(flags: EndFlags) -> None:
+    """The gate of `induced_on_quotient`, on flags already computed."""
+    _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
+
+
+def _induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
+    """`induced_on_quotient` without its gate, for a composite of maps that
+    passed it (a composite of homomorphisms fixing the ideal pointwise is
+    one) or for a gamma whose flags passed `_require_fixes_ideal`."""
     psi = GradedLinearMap._trusted(ext.g.basis, ext.g.basis,
                                    _block(gamma, ext.complement_indices, ext.complement_indices))
     _check(fixes_action(psi, ext), "induced quotient map does not fix the action")
@@ -690,11 +691,6 @@ def section_offset(gamma: GradedLinearMap, psi: GradedLinearMap,
 def lift_obstruction(psi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
     """Obstruction class [beta ∘ (psi x psi) - beta] to lifting psi."""
     _require(fixes_action(psi, ext), "map does not preserve the action on the ideal")
-    return _lift_obstruction(psi, ext)
-
-
-def _lift_obstruction(psi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
-    """`lift_obstruction` for a psi already known to fix the action."""
     return class_of(ext.beta.precompose(psi) - ext.beta, ext.h2_g)
 
 
@@ -707,20 +703,13 @@ def lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[G
     The solver never consults the obstruction class.
     """
     _require(fixes_action(psi, ext), "map does not preserve the action on the ideal")
-    gamma = _lift_endomorphism(psi, ext)
-    _check(gamma is None or induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
-    return gamma
-
-
-def _lift_endomorphism(psi: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
-    """`lift_endomorphism` for a psi already known to fix the action, without
-    the self-check of the lift: its caller computes the induced map itself."""
     cochains = ext.cochains_g
     sol = solve(cochains.d1, cochains.coords2(ext.beta - ext.beta.precompose(psi)))
     if sol is None:
         return None
-    lam = cochains.cochain1(sol)
-    return _assemble(ext, Mat.identity(ext.dim_a), lam.matrix, psi.matrix)
+    gamma = _assemble(ext, Mat.identity(ext.dim_a), cochains.cochain1(sol).matrix, psi.matrix)
+    _check(induced_on_quotient(gamma, ext) == psi, "lift does not induce psi")
+    return gamma
 
 
 # -- inflation and restriction ---------------------------------------------

@@ -91,7 +91,8 @@ def _parse_value_list(value, basis: SuperBasis, where: str) -> dict[str, Fractio
         name = _expect(item, "basis", str, where)
         if name not in basis.names:
             raise ParseError(f"{where}: unknown basis element {name!r}")
-        out[name] = out.get(name, Fraction(0)) + parse_rat(_expect(item, "coeff", (str, int), where))
+        coeff = parse_rat(_expect(item, "coeff", (str, int), where))
+        out[name] = out[name] + coeff if name in out else coeff  # a repeated name sums
     return out
 
 

@@ -16,6 +16,8 @@ into the connected components of the column graph (columns joined when a
 row holds both) and reduced component by component.  The reduced row
 echelon form is unique and no row touches two components, so every pivot,
 kernel basis, complement, rank and solution is the whole-matrix one.
+`quotient_presentation` factors [B | Z] once: the pivots give the
+complement, and the factorization the quotient's coordinate map.
 
 Public constructors check their input; the private trusted ones take what
 this library built and checked.  Every zero entry of a `Mat` or of a dense
@@ -621,16 +623,19 @@ class QuotientPresentation:
     Classes are coordinatized in the complement basis; the complement is
     picked greedily from Z's basis vectors in order, so coordinates are
     reproducible.  It is kept as the rows of the `SparseMat` `vectors`;
-    `complement` is their dense view.
+    `complement` is their dense view.  `coordinate_map` is (P, A):
+    P·v are the class coordinates of v in span Z, and A·v = 0 iff v is in
+    span Z.  `quotient_presentation` builds both with the complement.
     """
 
-    __slots__ = ("ambient", "sub", "vectors", "_coordinate_map")
+    __slots__ = ("ambient", "sub", "vectors", "coordinate_map")
 
-    def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation, vectors: SparseMat):
+    def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation, vectors: SparseMat,
+                 coordinate_map: tuple[SparseMat, SparseMat]):
         self.ambient = ambient
         self.sub = sub
         self.vectors = vectors
-        self._coordinate_map: Optional[tuple[SparseMat, SparseMat]] = None
+        self.coordinate_map = coordinate_map
 
     @property
     def complement(self) -> tuple[Vec, ...]:
@@ -639,24 +644,6 @@ class QuotientPresentation:
     @property
     def dim(self) -> int:
         return self.vectors.rows
-
-    @property
-    def coordinate_map(self) -> tuple[SparseMat, SparseMat]:
-        """(P, A): P·v are the class coordinates of v in span Z, A·v = 0 iff v is in span Z.
-
-        The factorization E·[B | C] = R of `SparseMat._factor`, built once.
-        [B | C] has independent columns, so all are pivots and R is the
-        identity on top of zeros: for v = B·x + C·y the pivot rows of E give
-        (x, y), and the other rows (independent, as E is invertible)
-        annihilate exactly span [B | C] = span Z.  The entries of P and A
-        depend on the order of elimination; P·v on span Z and the kernel of
-        A do not.
-        """
-        if self._coordinate_map is None:
-            n = self.ambient.ambient_dim
-            _, coords, annihilator = SparseMat(self.sub.vectors.data + self.vectors.data, n).T._factor()
-            self._coordinate_map = SparseMat(coords.data[self.sub.dim:], n), annihilator
-        return self._coordinate_map
 
     def coordinates(self, columns: SparseMat) -> SparseMat:
         """Class coordinates of each column of an N-row matrix: P·columns,
@@ -695,13 +682,23 @@ class QuotientPresentation:
 
 
 def quotient_presentation(z: SubspacePresentation, b: SubspacePresentation) -> QuotientPresentation:
-    """Present span(Z)/span(B); requires B ⊆ Z."""
+    """Present span(Z)/span(B); requires B ⊆ Z.
+
+    One factorization E·[B | Z] = R (`SparseMat._factor`) gives the
+    complement and the coordinate map.  B is independent, so its columns are
+    all pivots; B ⊆ span Z iff Z adds only z.dim - b.dim more, and those are
+    the greedy complement C.  For v = B·x + C·y in span Z the first solution
+    of [B | Z]·u = v is (x, y) at the pivots and 0 elsewhere, so E's rows at
+    C's pivots give y, and its other rows (independent, as E is invertible)
+    annihilate exactly span Z.  The entries of P and A depend on the order of
+    elimination; P·v on span Z and the kernel of A do not.
+    """
     if z.ambient_dim != b.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    # B is independent, so its columns are all pivots; B ⊆ span Z iff Z adds
-    # only z.dim - b.dim more, and those are the greedy complement.
-    pivots = _pivots(b.vectors.data + z.vectors.data, z.ambient_dim)
+    n = z.ambient_dim
+    pivots, coords, annihilator = SparseMat(b.vectors.data + z.vectors.data, n).T._factor()
     if len(pivots) != z.dim:
         raise MembershipError("sub is not contained in the ambient space of the quotient")
     complement = tuple(z.vectors.data[j - b.dim] for j in pivots[b.dim:])
-    return QuotientPresentation(z, b, SparseMat(complement, z.ambient_dim))
+    return QuotientPresentation(z, b, SparseMat(complement, n),
+                                (SparseMat(coords.data[b.dim:], n), annihilator))

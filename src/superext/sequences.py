@@ -19,7 +19,6 @@ from .algebra import (
     GradedLinearMap,
     LieSuperalgebra,
     ModuleAction,
-    is_homomorphism,
     semidirect_product,
 )
 from .cohomology import class_of, map_from_coords
@@ -29,21 +28,22 @@ from .extension import (
     _assemble,
     _block,
     _check,
-    _extend_obstruction_aut,
     _fixes_action_coords,
     _induced_on_quotient,
-    _lift_endomorphism,
-    _lift_obstruction,
+    _require_fixes_ideal,
     beta_with_section,
     classify_endomorphism,
     derivation_compose,
     extend_endomorphism,
     extend_obstruction,
+    extend_obstruction_aut,
     fixes_action,
     from_derivation,
     induced_on_quotient,
     inflate1,
     is_module_endomorphism,
+    lift_endomorphism,
+    lift_obstruction,
     quasiregular_inverse,
     ring_add,
     ring_mul,
@@ -151,8 +151,9 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
                          supplied: Optional[Iterable[GradedLinearMap]] = None) -> list[GradedLinearMap]:
     """Candidate elements of End^a(g): identity, user-supplied maps, random
     even maps filtered by the membership predicate (useful when g is
-    abelian), and pairwise composites.  A draw becomes a map, left to check
-    for brackets, only once its coordinates pass the action condition."""
+    abelian), and pairwise composites.  A draw becomes a map only once its
+    coordinates pass the action condition; `fixes_action` then checks its
+    brackets and keeps the answer, which the lift gates read back."""
     out = [GradedLinearMap.identity(ext.g.basis)]
     for psi in supplied or []:
         if not fixes_action(psi, ext):
@@ -166,7 +167,7 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
         if not _fixes_action_coords(coords, ext):
             continue
         psi = map_from_coords(ext.g.basis, ext.g.basis, pos, coords)
-        if is_homomorphism(psi, ext.g, ext.g) and psi not in out:
+        if fixes_action(psi, ext) and psi not in out:
             out.append(psi)
     for i in range(len(out)):
         for j in range(len(out)):
@@ -328,7 +329,7 @@ def verify_automorphism_extension(ext: AbelianExtension,
     decided_ok = witnesses_ok = True
     outcomes = []
     for phi in candidates:
-        obstruction = _extend_obstruction_aut(phi, ext)
+        obstruction = extend_obstruction_aut(phi, ext)
         witness = extend_endomorphism(phi - ident_a, ext)
         decided_ok &= (witness is not None) == obstruction.is_zero
         if witness is not None:
@@ -374,22 +375,23 @@ def verify_monoid_sequence(ext: AbelianExtension,
         f = _quotient_derivation_sample(ext, rng)
         gamma = from_derivation(inflate1(f, ext), ext)
         flags = classify_endomorphism(gamma, ext)
-        kernel_ok &= _induced_on_quotient(gamma, flags, ext) == ident_g
+        _require_fixes_ideal(flags)
+        kernel_ok &= _induced_on_quotient(gamma, ext) == ident_g
         kernel_ok &= flags.fixes_both
     rep.add("sigma_kernel_is_the_doubly_fixing_set", kernel_ok)
 
-    # every sample fixes the action (`_action_endo_samples` admits them), so
-    # the solver cores skip the public gates, and `witness_ok` is each lift's
-    # one computation of its induced map
+    # `fixes_action` keeps its answer on each sample: `_action_endo_samples`
+    # found it for the drawn and supplied ones, the first gate below finds it
+    # for the identity and the composites, and every other gate reads it back
     psis = _action_endo_samples(ext, rng, count, psi_samples)
     decided_ok = witness_ok = True
-    obstructions = [_lift_obstruction(psi, ext) for psi in psis]
+    obstructions = [lift_obstruction(psi, ext) for psi in psis]
     lifted: list[GradedLinearMap] = []
     sigmas: list[GradedLinearMap] = []  # the induced quotient map of each lift, then of the pool
     outcomes = []
     for psi, obstruction in zip(psis, obstructions):
         invertible = inverse(psi.matrix) is not None
-        gamma = _lift_endomorphism(psi, ext)
+        gamma = lift_endomorphism(psi, ext)
         decided_ok &= (gamma is not None) == obstruction.is_zero
         if gamma is not None:
             sigma = induced_on_quotient(gamma, ext)
@@ -417,7 +419,7 @@ def verify_monoid_sequence(ext: AbelianExtension,
     mult_ok = True
     for g1, s1 in zip(pool, sigmas):
         for g2, s2 in zip(pool, sigmas):
-            mult_ok &= _induced_on_quotient(g1.compose(g2), None, ext) == s1.compose(s2)
+            mult_ok &= _induced_on_quotient(g1.compose(g2), ext) == s1.compose(s2)
     rep.add("sigma_is_multiplicative", mult_ok, pool=len(pool))
 
     mu = ext.cochains_g.cochain1(
@@ -507,10 +509,13 @@ def verify_semidirect_automorphisms(g: LieSuperalgebra, module: ModuleAction,
                                      lambda gamma, _: _restrict_to_ideal(gamma, ext),
                                      "fixes_quotient") for phi in phis])
     rep.add("quotient_fixing_automorphisms_factor_uniquely", fact_ok, samples=len(phis))
-    # the flags just computed for gamma serve `induced_on_quotient`'s gate too
-    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map,
-                                      lambda gamma, flags: _induced_on_quotient(gamma, flags, ext),
-                                      "fixes_ideal") for psi in psis])
+
+    def induced(gamma: GradedLinearMap, flags) -> GradedLinearMap:
+        _require_fixes_ideal(flags)  # the flags just computed for gamma serve the gate
+        return _induced_on_quotient(gamma, ext)
+
+    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map, induced, "fixes_ideal")
+                    for psi in psis])
     rep.add("ideal_fixing_automorphisms_factor_uniquely", fact2_ok, samples=len(psis))
 
     rep.dims.update(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from superext.files import (
     format_rat,
     load_algebra,
     load_extension,
+    parse_algebra,
     parse_rat,
 )
 from superext.errors import ParseError
@@ -105,6 +107,33 @@ def test_parse_rat_forms():
         parse_rat("1/0")
     with pytest.raises(ParseError):
         parse_rat(0.5)
+
+
+def test_repeated_bracket_terms_sum_and_cancel():
+    def h3_with(value):
+        return parse_algebra(dict(H3, brackets=[{"left": "x", "right": "y", "value": value}]))
+
+    def terms(*pairs):
+        return [{"basis": b, "coeff": c} for b, c in pairs]
+
+    summed = h3_with(terms(("z", "1"), ("z", "1/2")))
+    assert summed._sparse[0][1] == ((2, Fraction(3, 2)),) and summed == h3_with(terms(("z", "3/2")))
+    cancelled = h3_with(terms(("z", "2/3"), ("x", 1), ("z", "-2/3")))
+    assert cancelled._sparse[0][1] == ((0, Fraction(1)),) and cancelled._sparse[1][0] == ((0, Fraction(-1)),)
+    assert h3_with(terms(("z", 5), ("z", -5))) == h3_with([])
+    for value, message in [
+        ({"z": "1"}, "algebra: value must be a list of basis/coeff entries"),
+        ([{"coeff": "1"}], "algebra: missing field 'basis'"),
+        ([{"basis": 3, "coeff": "1"}], "algebra: field 'basis' has the wrong type"),
+        (terms(("w", "1")), "algebra: unknown basis element 'w'"),
+        ([{"basis": "z"}], "algebra: missing field 'coeff'"),
+        (terms(("z", 1.5)), "algebra: field 'coeff' has the wrong type"),
+        (terms(("z", "1.5")), "not a rational literal: '1.5'"),
+        (terms(("z", "1"), ("z", "1/0")), "zero denominator in rational literal: '1/0'"),
+    ]:
+        with pytest.raises(ParseError) as raised:
+            h3_with(value)
+        assert str(raised.value) == message, value
 
 
 def test_validate_ok(capsys, h3_files):

@@ -765,6 +765,35 @@ def test_z2_elimination_works_component_by_component(build, components, widest, 
     assert max(widths) == widest
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sl2_vn_extension(4),
+    lambda: heisenberg_extension(3),
+    fixtures.affine_scaling_extension,
+])
+def test_quotient_presentation_eliminates_b_and_z_once(build, monkeypatch):
+    # a work guard, not a timer: presenting H²(e) = Z²/B² and reading a class
+    # eliminates [B | Z] once, component by component, and nothing else; the
+    # complement and the coordinate map come out of the same factorization
+    ext = build()
+    z2, b2 = ext.cochains_e.z2, ext.cochains_e.b2
+    rng = random.Random(97)
+    v = z2.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(z2.dim)))
+    expected = ext.h2_e.quotient.coordinates_of(v)
+    stacked = linalg.SparseMat(b2.vectors.data + z2.vectors.data, z2.ambient_dim).T
+    eliminated = []
+    reduce_part = linalg._reduce_part
+
+    def recorded(rows, cols):
+        eliminated.append(cols)
+        return reduce_part(rows, cols)
+
+    monkeypatch.setattr(linalg, "_reduce_part", recorded)
+    q = linalg.quotient_presentation(z2, b2)
+    assert q.coordinates_of(v) == expected
+    assert eliminated == [cols for _, cols in stacked._components()]
+    assert q.dim == ext.h2_e.dim and eliminated
+
+
 def test_cold_five_term_builds_no_dense_matrix_wider_than_e(monkeypatch):
     # a work guard, not a timer: on h41 (dim C²(e,a) = 820) the five-term
     # maps stay sparse from the build to the last product; every dense `Mat`

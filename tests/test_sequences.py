@@ -338,36 +338,56 @@ def test_monoid_sequence_rejects_bad_samples(sd_ext):
 
 
 def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
-    """One obstruction and one lift per sampled psi; sigma once per kernel
-    sample, per pool element (a lift's witness check is its one sigma) and per
-    composite; a classification per kernel sample and pool element, none per
-    composite (its factors passed the gate)."""
+    """One obstruction and one lift per sampled psi, and one computation of
+    `fixes_action` per psi: the gates of both read its kept answer.  sigma
+    once per kernel sample, per pool element and per composite, and once
+    more per lift in its self-check; a classification per gated sigma, none
+    per composite (its factors passed the gate)."""
     from superext import extension
     from superext.fixtures import odd_heisenberg_extension
 
     from conftest import heisenberg_extension
 
-    calls = dict.fromkeys(("_lift_obstruction", "_lift_endomorphism", "_induced_on_quotient",
+    calls = dict.fromkeys(("lift_obstruction", "lift_endomorphism", "_induced_on_quotient",
                            "classify_endomorphism"), 0)
     originals = {fn: getattr(extension, fn) for fn in calls}
+    asked: list[GradedLinearMap] = []
 
     def counting(fn):
         def wrapper(*args):
             calls[fn] += 1
+            if fn == "lift_obstruction":
+                asked.append(args[0])
             return originals[fn](*args)
         return wrapper
 
-    # a supplied symplectic scaling lifts, so the identity is not the only witness
+    # the memo's own computation, the undecorated predicate, behind its closure
+    decide = extension.fixes_action.__wrapped__
+    cell = next(c for c in extension.fixes_action.__closure__ if c.cell_contents is decide)
+    computed: list[GradedLinearMap] = []
+
+    def computing(psi, ext):
+        computed.append(psi)
+        return decide(psi, ext)
+
+    # a supplied symplectic scaling lifts, so the identity is not the only witness;
+    # the counted run gets a new one, whose answers are not kept yet
     for name, ext, scaling in (("h5", heisenberg_extension(2), (2, 2, Fraction(1, 2), Fraction(1, 2))),
                                ("odd_heisenberg", odd_heisenberg_extension(), (2, Fraction(1, 2)))):
-        supplied = [_diag(ext.g.basis, *scaling)]
-        verify_monoid_sequence(ext, psi_samples=supplied, seed=0)  # warm
+        verify_monoid_sequence(ext, psi_samples=[_diag(ext.g.basis, *scaling)], seed=0)  # warm
+        calls.update(dict.fromkeys(calls, 0))
+        asked.clear()
+        computed.clear()
         with monkeypatch.context() as m:
             for fn in calls:
                 for mod in (extension, sequences):
                     m.setattr(mod, fn, counting(fn))
-            calls.update(dict.fromkeys(calls, 0))
-            report = verify_monoid_sequence(ext, psi_samples=supplied, seed=0)
+            cell.cell_contents = computing
+            try:
+                report = verify_monoid_sequence(ext, psi_samples=[_diag(ext.g.basis, *scaling)],
+                                                seed=0)
+            finally:
+                cell.cell_contents = decide
         assert report.passed, name
         detail = {c.name: c.detail for c in report.checks}
         psis = report.dims["end_a_g_samples"]
@@ -375,10 +395,44 @@ def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
         lifted = detail["lift_witnesses_verified"]["lifted"]
         kernel_samples = 4  # max(3, count // 2) at the default count 8
         assert lifted >= 2 and psis > lifted, (name, psis, lifted)
-        assert calls["_lift_obstruction"] == calls["_lift_endomorphism"] == psis, (name, calls)
-        assert calls["_induced_on_quotient"] == pool * pool + pool + kernel_samples, \
+        assert calls["lift_obstruction"] == calls["lift_endomorphism"] == psis == len(asked), \
+            (name, calls)
+        assert all(sum(m is psi for m in computed) == 1 for psi in asked), name
+        assert calls["_induced_on_quotient"] == pool * pool + pool + kernel_samples + lifted, \
             (name, calls, pool, lifted)
-        assert calls["classify_endomorphism"] == pool + kernel_samples, (name, calls, pool)
+        assert calls["classify_endomorphism"] == pool + kernel_samples + lifted, \
+            (name, calls, pool, lifted)
+
+
+def test_cor1_and_thm2_decide_through_the_public_obstructions(monkeypatch):
+    """The suites ask the gated library functions, as a caller would: cor1
+    one `extend_obstruction_aut` per candidate, thm2 one `lift_obstruction`
+    per sampled psi."""
+    from conftest import heisenberg_extension
+
+    calls = dict.fromkeys(("extend_obstruction_aut", "lift_obstruction"), 0)
+
+    def counting(fn, original):
+        def wrapper(*args):
+            calls[fn] += 1
+            return original(*args)
+        return wrapper
+
+    for fn in calls:
+        monkeypatch.setattr(sequences, fn, counting(fn, getattr(sequences, fn)))
+    most = 0
+    for ext in (fixtures.identity_semidirect_extension(), fixtures.affine_scaling_extension(),
+                heisenberg_extension(2)):
+        calls.update(dict.fromkeys(calls, 0))
+        cor1 = verify_automorphism_extension(ext, seed=3)
+        thm2 = verify_monoid_sequence(ext, seed=3)
+        assert cor1.passed and thm2.passed, ext
+        candidates = cor1.checks[0].detail["samples"]
+        assert candidates >= 2 and calls["extend_obstruction_aut"] == candidates, (ext, calls)
+        psis = thm2.dims["end_a_g_samples"]
+        assert calls["lift_obstruction"] == psis, (ext, calls)
+        most = max(most, psis)
+    assert most >= 2, most
 
 
 def test_odd_heisenberg_lift_criterion_is_the_unit_determinant():
