@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 from .algebra import (
     GradedLinearMap,
@@ -41,6 +41,7 @@ from .algebra import (
     _nonzero_entries,
     _sign,
     _sum_structure,
+    _swapped,
     _upper_pairs,
     _wrong_parity,
     validate_module,
@@ -53,6 +54,7 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
+    _nonzeros,
     _row_add,
     _row_sub,
     _spread,
@@ -105,17 +107,46 @@ def map_from_coords(
     return GradedLinearMap(domain, codomain, matrix, degree)
 
 
+class _Layout:
+    """The free coordinate slots of a homogeneous 2-cochain on bases of given
+    parities, in one order: `positions` is `c2_positions`' list of (i, j, k);
+    `pairs` lists each upper pair (i, j) with the index of its first
+    coordinate and the parity w of its values, whose target slots `slots[w]`
+    hold its coordinates in increasing k."""
+
+    __slots__ = ("positions", "pairs", "slots")
+
+    def __init__(self, source: tuple[int, ...], target: tuple[int, ...], degree: int):
+        self.slots = tuple(tuple(k for k, p in enumerate(target) if p == w) for w in (0, 1))
+        self.positions, pairs = [], []
+        for i, j in _upper_pairs(source):
+            w = (source[i] + source[j] + degree) % 2
+            pairs.append((i, j, len(self.positions), w))
+            self.positions.extend((i, j, k) for k in self.slots[w])
+        self.pairs = tuple(pairs)
+
+
+# the slots of a cochain, kept per (source parities, target parities, degree):
+# they depend on nothing else
+_layout = lru_cache(maxsize=64)(_Layout)
+
+
 class Cochain2:
     """Super-antisymmetric bilinear map g x g -> a of homogeneous degree.
 
-    tensor[i][j] holds the coordinates of beta(b_i, b_j).  The public
-    constructor (and `zero`, `from_upper`, `cochain2_from_coords`) enforces
-    beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity; `+`, `-`, `scale`,
-    `precompose`, `postcompose` and `cup` build their results through
-    `_trusted`, since both properties survive those operations.
+    Stored as `coords`, one Fraction per slot of `c2_positions(source,
+    target, degree)` (the upper pairs, at the target slots of the right
+    parity), every zero the shared `_ZERO`: super-antisymmetry and
+    homogeneity fix every other entry.  `tensor` (tensor[i][j] holds the
+    coordinates of beta(b_i, b_j)), `value` and the terms `_view()` are
+    views built on first read.  The public constructor (and `zero`,
+    `from_upper`, `cochain2_from_coords`) takes a dense tensor and enforces
+    beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity; `+`, `-`,
+    `scale`, `precompose`, `postcompose` and `cup` build their coordinates
+    through `_trusted`, since both properties survive those operations.
     """
 
-    __slots__ = ("source", "target", "tensor", "degree", "_sparse")
+    __slots__ = ("source", "target", "degree", "coords", "_layout", "_tensor", "_sparse")
 
     def __init__(self, source: SuperBasis, target: SuperBasis,
                  tensor: Sequence[Sequence[Sequence]], degree: int = 0):
@@ -141,20 +172,20 @@ class Cochain2:
                 f"tensor entry ({source.names[i]}, {source.names[j]}, "
                 f"{target.names[k]}) breaks homogeneity of degree {degree}"
             )
-        self.source = source
-        self.target = target
-        self.tensor = grid
-        self.degree = degree
-        self._sparse = sparse
+        self.source, self.target, self.degree = source, target, degree
+        self._layout = _layout(source.parities, target.parities, degree)
+        self.coords = tuple(grid[i][j][k] for i, j, k in self._layout.positions)
+        self._tensor, self._sparse = grid, sparse
 
     @classmethod
-    def _trusted(cls, source: SuperBasis, target: SuperBasis, grid: tuple[tuple[Vec, ...], ...],
-                 degree: int) -> "Cochain2":
-        """A cochain on a grid of the right shape whose zeros are all `_ZERO`,
-        super-antisymmetric and homogeneous by construction (sums, multiples
+    def _trusted(cls, source: SuperBasis, target: SuperBasis, degree: int, layout: _Layout,
+                 coords: Vec) -> "Cochain2":
+        """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of a
+        super-antisymmetric homogeneous map by construction (sums, multiples
         and compositions of checked cochains), without the public scans."""
         c = object.__new__(cls)
-        c.source, c.target, c.tensor, c.degree, c._sparse = source, target, grid, degree, None
+        c.source, c.target, c.degree, c._layout, c.coords = source, target, degree, layout, coords
+        c._tensor = c._sparse = None
         return c
 
     @classmethod
@@ -178,14 +209,47 @@ class Cochain2:
                 grid[j][i] = scale_vec(-s, v)
         return cls(source, target, grid, degree)
 
+    def _pair_values(self) -> Iterator[tuple[int, int, Vec, tuple[int, ...]]]:
+        """(i, j, coordinates, target slots) for each upper pair (i, j)."""
+        coords, slots = self.coords, self._layout.slots
+        for i, j, start, w in self._layout.pairs:
+            yield i, j, coords[start:start + len(slots[w])], slots[w]
+
+    @property
+    def tensor(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense tensor: tensor[i][j] holds the coordinates of beta(b_i, b_j)."""
+        if self._tensor is None:
+            self._tensor = self._grid()
+        return self._tensor
+
+    def _grid(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense tensor of the coordinates, lower pairs by super-antisymmetry."""
+        n, d, parity = self.source.dim, self.target.dim, self.source.parities
+        grid = [[zero_vec(d)] * n for _ in range(n)]
+        for i, j, values, ks in self._pair_values():
+            v = [_ZERO] * d
+            for k, x in zip(ks, values):
+                v[k] = x
+            grid[i][j] = tuple(v)
+            if i != j:
+                grid[j][i] = grid[i][j] if parity[i] & parity[j] else tuple(
+                    x if x is _ZERO else -x for x in v)
+        return tuple(map(tuple, grid))
+
     def value(self, i: int, j: int) -> Vec:
         return self.tensor[i][j]
 
     def _view(self) -> tuple:
         """The terms of the tensor (`algebra.Terms`): kept by the public
-        constructor, built on first use for a `_trusted` cochain."""
+        constructor, read off the coordinates on first use otherwise."""
         if self._sparse is None:
-            self._sparse = _nonzero_entries(self.tensor)
+            n, parity = self.source.dim, self.source.parities
+            terms = [[()] * n for _ in range(n)]
+            for i, j, values, ks in self._pair_values():
+                terms[i][j] = tuple((k, x) for k, x in zip(ks, values) if x is not _ZERO)
+                if i != j:
+                    terms[j][i] = _swapped(terms[i][j], parity[i], parity[j])
+            self._sparse = tuple(map(tuple, terms))
         return self._sparse
 
     def eval(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
@@ -193,41 +257,70 @@ class Cochain2:
             raise ShapeError("vectors do not match the source dimension")
         return bilinear(self._view(), x, y, self.target.dim)
 
+    def _like(self, coords: Vec) -> "Cochain2":
+        return Cochain2._trusted(self.source, self.target, self.degree, self._layout, coords)
+
     def __add__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)
-        return Cochain2._trusted(self.source, self.target, tuple(
-            tuple(map(_row_add, r, s)) for r, s in zip(self.tensor, other.tensor)), self.degree)
+        return self._like(_row_add(self.coords, other.coords))
 
     def __sub__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)
-        return Cochain2._trusted(self.source, self.target, tuple(
-            tuple(map(_row_sub, r, s)) for r, s in zip(self.tensor, other.tensor)), self.degree)
+        return self._like(_row_sub(self.coords, other.coords))
 
     def scale(self, c) -> "Cochain2":
         cc = rat(c)
-        return Cochain2._trusted(self.source, self.target, tuple(
-            tuple(tuple(x if x is _ZERO else (cc * x) or _ZERO for x in v) for v in row)
-            for row in self.tensor), self.degree)
+        return self._like(tuple(x if x is _ZERO else (cc * x) or _ZERO for x in self.coords))
 
     def precompose(self, psi: GradedLinearMap) -> "Cochain2":
-        """beta ∘ (psi x psi) for an even endomorphism psi of the source."""
+        """beta ∘ (psi x psi) for an even endomorphism psi of the source.
+
+        Evaluated at the upper pairs only, from the nonzero terms of beta:
+        psi is even, so the result is super-antisymmetric and homogeneous of
+        beta's degree, and the upper pairs fix it."""
         if psi.domain != self.source or psi.codomain != self.source or psi.degree != 0:
             raise ShapeError("precompose needs an even endomorphism of the source")
-        n, image = self.source.dim, psi.image_of_basis
-        return Cochain2._trusted(self.source, self.target, tuple(
-            tuple(tuple(c or _ZERO for c in self.eval(image(i), image(j))) for j in range(n))
-            for i in range(n)), self.degree)
+        parity, d = self.source.parities, self.target.dim
+        # row a of psi: the (i, psi_ai), the b_i whose images have a b_a part
+        rows = [_nonzeros(r) for r in psi.matrix.data]
+        acc: dict[tuple[int, int], list] = {}
+        for a, row in enumerate(self._view()):
+            for b, terms in enumerate(row):
+                if not terms:
+                    continue
+                for i, x in rows[a]:
+                    for j, y in rows[b]:
+                        if i < j or i == j and parity[i]:
+                            v = acc.get((i, j)) or acc.setdefault((i, j), [_ZERO] * d)
+                            xy = x * y
+                            for k, c in terms:
+                                v[k] += xy * c
+        coords: list[Fraction] = []
+        for i, j, _, w in self._layout.pairs:
+            ks, v = self._layout.slots[w], acc.get((i, j))
+            coords.extend((_ZERO,) * len(ks) if v is None else (v[k] or _ZERO for k in ks))
+        return self._like(tuple(coords))
 
     def postcompose(self, f: GradedLinearMap) -> "Cochain2":
-        """f ∘ beta pointwise, for a homogeneous map f on the target."""
+        """f ∘ beta pointwise, for a homogeneous map f on the target: f once
+        per upper pair, on that pair's coordinates."""
         if f.domain != self.target:
             raise ShapeError("postcompose needs a map defined on the target")
-        return Cochain2._trusted(self.source, f.codomain, tuple(
-            tuple(tuple(x or _ZERO for x in f.apply(v)) for v in row) for row in self.tensor),
-            (self.degree + f.degree) % 2)
+        degree = (self.degree + f.degree) % 2
+        layout = _layout(self.source.parities, f.codomain.parities, degree)
+        data, slots, out = f.matrix.data, self._layout.slots, layout.slots
+        # for values of parity w: each output slot's (index into slots[w], f entry)
+        reads = [[tuple((p, data[r][k]) for p, k in enumerate(slots[w]) if data[r][k] is not _ZERO)
+                  for r in out[(w + f.degree) % 2]] for w in (0, 1)]
+        coords: list[Fraction] = []
+        for _, _, start, w in self._layout.pairs:
+            values = self.coords[start:start + len(slots[w])]
+            coords.extend((sum(c * values[p] for p, c in read) or _ZERO for read in reads[w])
+                          if any(values) else (_ZERO,) * len(reads[w]))
+        return Cochain2._trusted(self.source, f.codomain, degree, layout, tuple(coords))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(v) for row in self.tensor for v in row)
+        return not any(self.coords)
 
     def _compatible(self, other: "Cochain2") -> None:
         if (self.source != other.source or self.target != other.target
@@ -237,10 +330,10 @@ class Cochain2:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain2) and self.source == other.source
                 and self.target == other.target and self.degree == other.degree
-                and self.tensor == other.tensor)
+                and self.coords == other.coords)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.degree, self.tensor))
+        return hash((self.source, self.target, self.degree, self.coords))
 
     def __repr__(self) -> str:
         return f"Cochain2({self.source!r} -> {self.target!r}, degree={self.degree})"
@@ -251,16 +344,16 @@ def c2_positions(source: SuperBasis, target: SuperBasis, degree: int = 0) -> lis
 
     (i, j) runs over `algebra._upper_pairs`: pairs with i < j, plus the
     diagonal for odd i (where antisymmetry imposes nothing); k runs over
-    target slots of the right parity.
+    target slots of the right parity.  The list is kept per parities and
+    degree and shared: do not change it.
     """
-    out = []
-    for i, j in _upper_pairs(source.parities):
-        want = (source.parity(i) + source.parity(j) + degree) % 2
-        out.extend((i, j, k) for k in range(target.dim) if target.parity(k) == want)
-    return out
+    return _layout(source.parities, target.parities, degree).positions
 
 
 def cochain2_to_coords(c: Cochain2, positions: list[tuple[int, int, int]]) -> Vec:
+    own = c._layout.positions
+    if positions is own or positions == own:
+        return c.coords
     return tuple(c.tensor[i][j][k] for i, j, k in positions)
 
 
@@ -604,9 +697,8 @@ def class_of(beta: Cochain2, pres: CohomologyPresentation) -> CohomologyClass:
         raise ShapeError("presentation is not in degree 2")
     if beta.source != pres.source or beta.target != pres.target or beta.degree != 0:
         raise ShapeError("cochain does not match the presentation")
-    positions = c2_positions(pres.source, pres.target)
-    try:
-        coords = pres.quotient.coordinates_of(cochain2_to_coords(beta, positions))
+    try:  # beta's own coordinates are at the positions of the presentation
+        coords = pres.quotient.coordinates_of(beta.coords)
     except MembershipError:
         raise MembershipError("the 2-cochain is not a cocycle") from None
     return CohomologyClass(pres, coords)

@@ -311,10 +311,11 @@ class AbelianExtension:
         it agrees with `extend_obstruction` on End_g(a), whose images are
         checked once to be cocycles.
         """
-        beta = self.beta.tensor
+        pos2 = self.cochains_g.pos2
+        beta = dict(zip(pos2, self.beta.coords))
         cochains = SparseMat(tuple(
-            tuple((p, -beta[i][j][m]) for p, (n, m) in enumerate(self.pos_a) if n == k and beta[i][j][m])
-            for i, j, k in self.cochains_g.pos2), len(self.pos_a))
+            tuple((p, -x) for p, (n, m) in enumerate(self.pos_a) if n == k and (x := beta.get((i, j, m))))
+            for i, j, k in pos2), len(self.pos_a))
         coords, annihilator = self.h2_g.quotient.coordinate_map
         if not (annihilator @ (cochains @ self.module_end_space.vectors.T)).is_zero():
             raise MembershipError("the 2-cochain is not a cocycle")
@@ -356,8 +357,9 @@ def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearM
         for r, row in zip(row_idx, block.data):
             for c, x in zip(col_idx, row):
                 rows[r][c] = x
-    return GradedLinearMap._trusted(ext.e.basis, ext.e.basis,
-                                    Mat._canonical(tuple(map(tuple, rows)), ext.dim_e))
+    ident = ext.identity.data  # a row equal to the identity's is the identity's, stored once
+    return GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(
+        tuple(i if r == i else r for r, i in zip(map(tuple, rows), ident)), ext.dim_e))
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:
@@ -447,6 +449,13 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
         return False
     coords = map_to_coords(phi, ext.pos_a)
     return ext.module_end_constraints._annihilates(coords)
+
+
+@_kept
+def _invertible(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
+    """Whether phi's matrix is invertible; kept, so that a sampled phi is
+    inverted once by the sampler and the gate of `extend_obstruction_aut`."""
+    return inverse(phi.matrix) is not None
 
 
 def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterator[Vec]:
@@ -630,7 +639,7 @@ def extend_obstruction(h: GradedLinearMap, ext: AbelianExtension) -> CohomologyC
 def extend_obstruction_aut(phi: GradedLinearMap, ext: AbelianExtension) -> CohomologyClass:
     """Obstruction class [beta - phi ∘ beta] to extending an automorphism phi."""
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
-    _require(inverse(phi.matrix) is not None, "map is not invertible")
+    _require(_invertible(phi, ext), "map is not invertible")
     return class_of(ext.beta - ext.beta.postcompose(phi), ext.h2_g)
 
 

@@ -61,11 +61,14 @@ def rat(value) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
     Floats are rejected: silent binary rounding would defeat the whole
-    point of the engine.  Every zero comes back as the one shared `_ZERO`,
-    so the zero entries of vectors and matrices cost no memory of their own.
+    point of the engine.  Every zero comes back as the one shared `_ZERO`
+    and every one as `_ONE`, so the zero and unit entries of vectors and
+    matrices cost no memory of their own.
     """
     if isinstance(value, Fraction):
-        return value if value.numerator else _ZERO
+        if not value.numerator:
+            return _ZERO
+        return _ONE if value.numerator == 1 and value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, (int, str)):

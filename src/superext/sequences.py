@@ -30,6 +30,7 @@ from .extension import (
     _check,
     _fixes_action_coords,
     _induced_on_quotient,
+    _invertible,
     _require_fixes_ideal,
     beta_with_section,
     classify_endomorphism,
@@ -141,7 +142,7 @@ def _module_endo_samples(ext: AbelianExtension, rng: random.Random,
     while len(out) < count + 1 and attempts < 20 * (count + 1):
         attempts += 1
         phi = _module_endo_from_coords(ext, _rand_combination(space, rng))
-        if inverse(phi.matrix) is None:
+        if not _invertible(phi, ext):
             continue
         out.append(phi)
     return out
@@ -316,7 +317,7 @@ def verify_automorphism_extension(ext: AbelianExtension,
     for phi in aut_samples or []:
         if not is_module_endomorphism(phi, ext):
             raise MembershipError("supplied sample is not a module endomorphism")
-        if inverse(phi.matrix) is None:
+        if not _invertible(phi, ext):
             raise MembershipError("supplied sample is not invertible")
         candidates.append(phi)
     if ext.dim_a > 0:

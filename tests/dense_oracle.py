@@ -1,9 +1,10 @@
 """Dense references, for the tests only.
 
-The library eliminates sparse rows component by component, and stores each
-structure tensor as its nonzero terms; these are the whole-matrix and
-whole-tensor forms it replaced, over dense lists of Fractions.  They share
-no code with `superext.linalg` or with the algebra builders.
+The library eliminates sparse rows component by component, stores each
+structure tensor as its nonzero terms and each 2-cochain as its coordinates;
+these are the whole-matrix and whole-tensor forms it replaced, over dense
+lists of Fractions.  They share no code with `superext.linalg`, with the
+algebra builders or with the cochain operations.
 """
 
 from fractions import Fraction
@@ -64,6 +65,21 @@ def sum_structure(g, m, beta=None):
             s = _swap_sign(m.space.parity(v), g.basis.parity(i))
             structure[ng + v][i] = zg + tuple(s * c for c in m.action[i][v])
     return tuple(map(tuple, structure))
+
+
+def precompose(beta, psi):
+    """The dense tensor of beta ∘ (psi x psi): every pair (i, j), the sum of
+    psi_ai psi_bj beta(b_a, b_b) over all (a, b), read off `beta.tensor`."""
+    n, d, t, m = beta.source.dim, beta.target.dim, beta.tensor, psi.matrix.data
+    return [[[sum(m[a][i] * m[b][j] * t[a][b][k] for a in range(n) for b in range(n))
+              for k in range(d)] for j in range(n)] for i in range(n)]
+
+
+def postcompose(beta, f):
+    """The dense tensor of f ∘ beta pointwise: f's matrix times every vector of
+    `beta.tensor`."""
+    m, t = f.matrix.data, beta.tensor
+    return [[[sum(x * y for x, y in zip(row, v)) for row in m] for v in line] for line in t]
 
 
 def reduce_rows(rows, pivot_cols=None):

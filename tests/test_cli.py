@@ -17,6 +17,7 @@ from superext import algebra as algebra_module
 from superext import cli
 from superext.algebra import LieSuperalgebra, ModuleAction
 from superext.cli import main
+from superext.cohomology import Cochain2
 from superext.files import (
     _parse_basis,
     dump_algebra,
@@ -387,19 +388,21 @@ def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
 
 
 def test_cold_cli_runs_build_no_dense_tensor(capsys, tmp_path, monkeypatch):
-    """Algebras and modules keep their tensors as terms only: with the builder
-    of the dense views made to fail, a cold `cohomology --degree 2` and a
-    five-term `verify` on a Kostant file (n_6 over its centre) still succeed,
-    and the public constructors store no dense tensor."""
+    """Algebras and modules keep their tensors as terms only, and 2-cochains
+    their coordinates: with the builders of the dense views made to fail, a
+    cold `cohomology --degree 2` and a five-term `verify` on a Kostant file
+    (n_6 over its centre) still succeed, and the public constructors store no
+    dense tensor."""
     e = strictly_upper_extension(6).e
     _write(tmp_path / "n6.json", dump_algebra(e, name="n6"))
     ext = _write(tmp_path / "n6.ext.json", {"algebra": "n6.json", "ideal": ["E1_6"]})
     structure, action = e.structure, [[[0, 1], [0, 0]]] * e.dim
 
     def refuse(*args):
-        raise AssertionError("a dense structure or action tensor was built")
+        raise AssertionError("a dense tensor or 2-cochain grid was built")
 
     monkeypatch.setattr(algebra_module, "_dense_view", refuse)
+    monkeypatch.setattr(Cochain2, "_grid", refuse)
     code, payload, err = _run(capsys, ["cohomology", ext, "--degree", "2"])
     assert code == 0, err
     assert payload["h2_dim"] > 0

@@ -73,3 +73,14 @@ def test_library_has_no_unused_imports_or_unreferenced_private_names():
     dead = [line for path in LIBRARY for line in _dead_code(
         path, trees[path], [m for other, m in mentions.items() if other != path])]
     assert dead == []
+
+
+def test_library_fills_kept_answers_only_through_private_names():
+    """`_kept`'s `record` is called on private names only: the benchmark's
+    tracer swaps each public function for a wrapper that has no `record`."""
+    public = [f"{path.name}:{node.lineno}" for path in LIBRARY
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "record"
+              and not (isinstance(node.func.value, ast.Name) and node.func.value.id.startswith("_"))]
+    assert public == []

@@ -544,7 +544,8 @@ def test_aut_obstruction_requires_invertibility(h3_ext):
 
 def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(monkeypatch):
     # a work guard: β ∘ (ψ x ψ) - β, β - ψ∘β and -h∘β are derived from the
-    # checked cocycle β, so no obstruction or lift repeats the public scans;
+    # checked cocycle β, so no obstruction or lift repeats the public scans,
+    # and they are computed on coordinates, so none builds a dense grid;
     # on Heisenberg g, x1 -> 2 x1 scales the form β and does not lift
     cases = [heisenberg_extension(3), heisenberg_extension(2, odd=True), sl2_v2_extension(),
              fixtures.affine_scaling_extension()]
@@ -555,7 +556,11 @@ def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(
         constructed.append(args)
         init(self, *args, **kwargs)
 
+    def refuse(self):
+        raise AssertionError("a dense 2-cochain grid was built")
+
     monkeypatch.setattr(Cochain2, "__init__", counted)
+    monkeypatch.setattr(Cochain2, "_grid", refuse)
     lifted = []
     for ext in cases:
         n = ext.dim_g
@@ -567,7 +572,7 @@ def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(
                 lifted.append(lift is not None)
                 assert (lift is not None) == lift_obstruction(psi, ext).is_zero
         two = GradedLinearMap.identity(ext.a_basis).scale(2)
-        extend_obstruction(two, ext)
+        assert (extend_endomorphism(two, ext) is None) != extend_obstruction(two, ext).is_zero
         extend_obstruction_aut(two, ext)
     assert True in lifted and False in lifted
     assert constructed == []
@@ -719,6 +724,8 @@ def test_lift_witness_for_compatible_diagonal(h3_ext):
         [vec([2, 0, 0]), vec([0, Fraction(1, 2), 0]), vec([0, 0, 1])],
     )
     assert gamma == expected
+    # the rows equal to the identity's are the identity's own
+    assert [r is i for r, i in zip(gamma.matrix.data, h3_ext.identity.data)] == [False, False, True]
 
 
 def test_lift_fails_for_incompatible_diagonal(h3_ext):

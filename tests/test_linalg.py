@@ -9,6 +9,7 @@ from dense_oracle import pivots as oracle_pivots
 from dense_oracle import reduce_rows as _reduce_rows
 from superext.errors import MembershipError, ShapeError
 from superext.linalg import (
+    _ONE,
     _ZERO,
     Mat,
     _as_sparse,
@@ -31,6 +32,13 @@ def test_rat_accepts_int_str_fraction():
     assert rat(3) == Fraction(3)
     assert rat("-3/7") == Fraction(-3, 7)
     assert rat(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_rat_shares_one_zero_and_one_one():
+    """The zero and unit entries of every vector and matrix are two shared objects."""
+    assert all(rat(x) is _ZERO for x in (0, "0/3", Fraction(0, 5)))
+    assert all(rat(x) is _ONE for x in (1, "2/2", Fraction(3, 3)))
+    assert all(rat(x) == x and rat(x) is not _ONE for x in (-1, Fraction(1, 2), Fraction(2)))
 
 
 def test_rat_rejects_floats_and_bools():

@@ -6,15 +6,21 @@ rows of both complexes, the Z¹, Z² and B² bases, the H² complements,
 End_g(a) and the connecting map on End_g(a).  The coordinate map (P, A) and
 the connecting map on all even maps of a are not pinned: their entries
 depend on where elimination stops, and only P·v on Z and the kernel of A
-are fixed.
+are fixed.  One more digest covers the obstruction classes of seeded lift
+and extend questions on the pin corpus, which any change to how 2-cochains
+are stored or composed must leave as they are.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from superext import fixtures
+from superext.cohomology import map_from_coords
+from superext.extension import extend_obstruction, extend_obstruction_aut, lift_obstruction
 from superext.linalg import Mat
+from superext.sequences import _action_endo_samples, _module_endo_samples, _rand_combination
 
 from conftest import heisenberg_extension, osp12_adjoint_extension, sl2_vn_extension, strictly_upper_extension
 
@@ -420,3 +426,30 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_operator_values_match_their_digests(name):
     assert operator_digests(CASES[name]()) == DIGESTS[name]
+
+
+# recorded when each 2-cochain was a dense grid, before it was stored as its coordinates
+OBSTRUCTIONS = "c74ee3089d5ccc3b"
+
+
+def obstruction_text(pin_corpus):
+    """The obstruction coordinates of seeded quotient maps psi fixing the
+    action (`lift_obstruction`), module endomorphisms phi
+    (`extend_obstruction`) and invertible ones (`extend_obstruction_aut`)."""
+    rng = random.Random(2025)
+    lines = []
+    for name, ext in pin_corpus:
+        for psi in _action_endo_samples(ext, rng, 4):
+            lines.append(f"{name} lift {lift_obstruction(psi, ext).coords}")
+        for _ in range(4):
+            phi = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+                                  _rand_combination(ext.module_end_space, rng))
+            lines.append(f"{name} extend {extend_obstruction(phi, ext).coords}")
+        for phi in _module_endo_samples(ext, rng, 3):
+            lines.append(f"{name} extend_aut {extend_obstruction_aut(phi, ext).coords}")
+    return "\n".join(lines)
+
+
+def test_obstruction_coordinates_match_their_digest(pin_corpus):
+    text = obstruction_text(pin_corpus)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == OBSTRUCTIONS

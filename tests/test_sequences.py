@@ -435,6 +435,35 @@ def test_cor1_and_thm2_decide_through_the_public_obstructions(monkeypatch):
     assert most >= 2, most
 
 
+def test_cor1_inverts_each_candidate_once(monkeypatch):
+    """The sampler's invertibility test and the gate of `extend_obstruction_aut`
+    share one kept answer: one `inverse` of each candidate's matrix per run."""
+    from superext import extension
+
+    candidates, inverted = [], []
+    gate = sequences.extend_obstruction_aut
+
+    def asked(phi, ext):
+        candidates.append(phi)
+        return gate(phi, ext)
+
+    def counting(original):
+        def wrapper(m):
+            inverted.append(m)
+            return original(m)
+        return wrapper
+
+    monkeypatch.setattr(sequences, "extend_obstruction_aut", asked)
+    for module in (sequences, extension):
+        monkeypatch.setattr(module, "inverse", counting(module.inverse))
+    for ext in (fixtures.identity_semidirect_extension(), fixtures.affine_scaling_extension()):
+        candidates.clear()
+        inverted.clear()
+        report = verify_automorphism_extension(ext, seed=3)
+        assert report.passed and len(candidates) == 12, ext
+        assert [sum(m is phi.matrix for m in inverted) for phi in candidates] == [1] * 12, ext
+
+
 def test_odd_heisenberg_lift_criterion_is_the_unit_determinant():
     from superext.fixtures import odd_heisenberg_extension
 

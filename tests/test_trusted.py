@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import dense_oracle
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -258,10 +259,15 @@ def test_trusted_kernels_and_spans_match_the_public_constructor():
 
 
 def _check_derived_cochains(beta, psi, f, q):
-    """Each cochain derived from beta (β∘(ψ×ψ), f∘β, their sums and differences
-    with β, a multiple and a cup) is what the public constructor builds from its
+    """β∘(ψ×ψ) and f∘β, evaluated at the upper pairs, have the coordinates and
+    the tensor of the dense references evaluated at every pair.  Each cochain
+    derived from beta (those two, their sums and differences with β, a
+    multiple and a cup) is what the public constructor builds from its lazy
     tensor, and keeps its zeros as `_ZERO`."""
     pre, post = beta.precompose(psi), beta.postcompose(f)
+    for c, grid in ((pre, dense_oracle.precompose(beta, psi)), (post, dense_oracle.postcompose(beta, f))):
+        assert c.coords == tuple(grid[i][j][k] for i, j, k in c2_positions(c.source, c.target, c.degree))
+        assert c.tensor == tuple(tuple(map(tuple, row)) for row in grid)
     derived = [pre, post, pre.scale(q), post.scale(q), cup(beta, f)]
     for c in (pre, post):
         if c.degree == beta.degree:
