@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import (
     GradedLinearMap,
@@ -37,13 +37,13 @@ from .algebra import (
     SuperBasis,
     _action_entries,
     _broken_antisymmetry,
+    _dense_view,
     _jacobi_residual,
     _nonzero_entries,
     _sign,
     _sum_structure,
     _swapped,
     _upper_pairs,
-    _wrong_parity,
     validate_module,
 )
 from .errors import MembershipError, ShapeError
@@ -67,7 +67,6 @@ from .linalg import (
     sub_vec,
     unit_vec,
     vec,
-    zero_vec,
 )
 
 
@@ -82,7 +81,7 @@ def c1_positions(domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> l
 
 
 def map_to_coords(f: GradedLinearMap, positions: list[tuple[int, int]]) -> Vec:
-    return tuple(f.matrix.entry(r, c) for r, c in positions)
+    return tuple(f.matrix.data[r][c] for r, c in positions)
 
 
 def map_from_coords(
@@ -99,6 +98,8 @@ def map_from_coords(
         raise ShapeError("coordinate vector does not match the position list")
     rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(positions, coords):
+        if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
+            raise ShapeError(f"position ({r}, {c}) is out of range")
         rows[r][c] = rat(x)
     matrix = Mat._canonical(tuple(map(tuple, rows)), domain.dim)
     cp, dp = codomain.parities, domain.parities
@@ -134,16 +135,17 @@ _layout = lru_cache(maxsize=64)(_Layout)
 class Cochain2:
     """Super-antisymmetric bilinear map g x g -> a of homogeneous degree.
 
-    Stored as `coords`, one Fraction per slot of `c2_positions(source,
+    Stored only as `coords`, one Fraction per slot of `c2_positions(source,
     target, degree)` (the upper pairs, at the target slots of the right
     parity), every zero the shared `_ZERO`: super-antisymmetry and
     homogeneity fix every other entry.  `tensor` (tensor[i][j] holds the
     coordinates of beta(b_i, b_j)), `value` and the terms `_view()` are
-    views built on first read.  The public constructor (and `zero`,
-    `from_upper`, `cochain2_from_coords`) takes a dense tensor and enforces
-    beta(y,x) = -(-1)^{|x||y|} beta(x,y) and homogeneity; `+`, `-`,
-    `scale`, `precompose`, `postcompose` and `cup` build their coordinates
-    through `_trusted`, since both properties survive those operations.
+    views built on first read.  `_fill` keeps the values at the upper pairs
+    and checks their homogeneity, for `from_upper` (the builder of every
+    other checked cochain) and for the public constructor, which takes a
+    dense tensor and first checks beta(y,x) = -(-1)^{|x||y|} beta(x,y).
+    `+`, `-`, `scale`, `precompose`, `postcompose` and `cup` build their
+    coordinates through `_trusted`: both properties survive them.
     """
 
     __slots__ = ("source", "target", "degree", "coords", "_layout", "_tensor", "_sparse")
@@ -158,31 +160,35 @@ class Cochain2:
         grid = tuple(tuple(vec(tensor[i][j]) for j in range(n)) for i in range(n))
         if any(len(v) != d for row in grid for v in row):
             raise ShapeError("tensor entries have the wrong length")
-        sparse = _nonzero_entries(grid)
-        if (bad := _broken_antisymmetry(sparse, source.parities)) is not None:
+        if (bad := _broken_antisymmetry(_nonzero_entries(grid), source.parities)) is not None:
             i, j = bad
             raise MembershipError(
-                f"tensor breaks super-antisymmetry at "
-                f"({source.names[j]}, {source.names[i]})"
-            )
-        out = [(p + degree) % 2 for p in target.parities]
-        if (bad := _wrong_parity(sparse, source.parities, source.parities, out)) is not None:
-            i, j, k = bad
-            raise MembershipError(
-                f"tensor entry ({source.names[i]}, {source.names[j]}, "
-                f"{target.names[k]}) breaks homogeneity of degree {degree}"
-            )
-        self.source, self.target, self.degree = source, target, degree
-        self._layout = _layout(source.parities, target.parities, degree)
-        self.coords = tuple(grid[i][j][k] for i, j, k in self._layout.positions)
-        self._tensor, self._sparse = grid, sparse
+                f"tensor breaks super-antisymmetry at ({source.names[j]}, {source.names[i]})")
+        self._fill(source, target, degree, {(i, j): grid[i][j] for i, j in _upper_pairs(source.parities)})
+
+    def _fill(self, source: SuperBasis, target: SuperBasis, degree: int,
+              values: dict[tuple[int, int], Vec]) -> None:
+        """Keep the coordinates of these `vec`s at the upper pairs (zero where
+        none is given); report the first entry of the wrong parity.  Once
+        super-antisymmetry holds, that is the tensor's first in lexicographic order."""
+        layout, zero = _layout(source.parities, target.parities, degree), (_ZERO,) * target.dim
+        coords: list[Fraction] = []
+        for i, j, _, w in layout.pairs:
+            v = values.get((i, j), zero)
+            for k, x in enumerate(v):
+                if x and target.parities[k] != w:
+                    raise MembershipError(f"tensor entry ({source.names[i]}, {source.names[j]}, "
+                                          f"{target.names[k]}) breaks homogeneity of degree {degree}")
+            coords.extend(v[k] for k in layout.slots[w])
+        self.source, self.target, self.degree, self._layout = source, target, degree, layout
+        self.coords, self._tensor, self._sparse = tuple(coords), None, None
 
     @classmethod
     def _trusted(cls, source: SuperBasis, target: SuperBasis, degree: int, layout: _Layout,
                  coords: Vec) -> "Cochain2":
         """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of a
         super-antisymmetric homogeneous map by construction (sums, multiples
-        and compositions of checked cochains), without the public scans."""
+        and compositions of checked cochains), without the public checks."""
         c = object.__new__(cls)
         c.source, c.target, c.degree, c._layout, c.coords = source, target, degree, layout, coords
         c._tensor = c._sparse = None
@@ -190,30 +196,31 @@ class Cochain2:
 
     @classmethod
     def zero(cls, source: SuperBasis, target: SuperBasis, degree: int = 0) -> "Cochain2":
-        z = zero_vec(target.dim)
-        return cls(source, target, [[z] * source.dim for _ in range(source.dim)], degree)
+        return cls.from_upper(source, target, {}, degree)
 
     @classmethod
     def from_upper(cls, source: SuperBasis, target: SuperBasis,
                    entries: dict[tuple[int, int], Sequence[Fraction]], degree: int = 0) -> "Cochain2":
-        """Build from entries on pairs i <= j; the rest follows by antisymmetry."""
-        n = source.dim
-        grid = [[zero_vec(target.dim) for _ in range(n)] for _ in range(n)]
+        """Build from entries on pairs i <= j; the rest follows by antisymmetry.
+        The checks and messages are the public constructor's on that tensor."""
+        values = {}
         for (i, j), value in entries.items():
             if i > j:
                 raise ShapeError("from_upper expects pairs with i <= j")
-            v = vec(value)
-            grid[i][j] = v
-            s = _sign(source.parity(i), source.parity(j))
-            if i != j:
-                grid[j][i] = scale_vec(-s, v)
-        return cls(source, target, grid, degree)
-
-    def _pair_values(self) -> Iterator[tuple[int, int, Vec, tuple[int, ...]]]:
-        """(i, j, coordinates, target slots) for each upper pair (i, j)."""
-        coords, slots = self.coords, self._layout.slots
-        for i, j, start, w in self._layout.pairs:
-            yield i, j, coords[start:start + len(slots[w])], slots[w]
+            if i < 0 or j >= source.dim:
+                raise ShapeError(f"pair ({i}, {j}) is out of range")
+            values[(i, j)] = vec(value)
+        if degree not in (0, 1):
+            raise ShapeError("degree must be 0 or 1")
+        if any(len(v) != target.dim for v in values.values()):
+            raise ShapeError("tensor entries have the wrong length")
+        # the lower pairs follow by antisymmetry: only an even diagonal can break it
+        if bad := [i for (i, j), v in values.items() if i == j and not source.parity(i) and any(v)]:
+            name = source.names[min(bad)]
+            raise MembershipError(f"tensor breaks super-antisymmetry at ({name}, {name})")
+        c = object.__new__(cls)
+        c._fill(source, target, degree, values)
+        return c
 
     @property
     def tensor(self) -> tuple[tuple[Vec, ...], ...]:
@@ -223,30 +230,21 @@ class Cochain2:
         return self._tensor
 
     def _grid(self) -> tuple[tuple[Vec, ...], ...]:
-        """The dense tensor of the coordinates, lower pairs by super-antisymmetry."""
-        n, d, parity = self.source.dim, self.target.dim, self.source.parities
-        grid = [[zero_vec(d)] * n for _ in range(n)]
-        for i, j, values, ks in self._pair_values():
-            v = [_ZERO] * d
-            for k, x in zip(ks, values):
-                v[k] = x
-            grid[i][j] = tuple(v)
-            if i != j:
-                grid[j][i] = grid[i][j] if parity[i] & parity[j] else tuple(
-                    x if x is _ZERO else -x for x in v)
-        return tuple(map(tuple, grid))
+        """The dense tensor of the terms."""
+        return _dense_view(self._view(), self.target.dim)
 
     def value(self, i: int, j: int) -> Vec:
         return self.tensor[i][j]
 
     def _view(self) -> tuple:
-        """The terms of the tensor (`algebra.Terms`): kept by the public
-        constructor, read off the coordinates on first use otherwise."""
+        """The terms of the tensor (`algebra.Terms`), read off the coordinates
+        on first use, the lower pairs by super-antisymmetry."""
         if self._sparse is None:
-            n, parity = self.source.dim, self.source.parities
+            n, parity, coords, slots = self.source.dim, self.source.parities, self.coords, self._layout.slots
             terms = [[()] * n for _ in range(n)]
-            for i, j, values, ks in self._pair_values():
-                terms[i][j] = tuple((k, x) for k, x in zip(ks, values) if x is not _ZERO)
+            for i, j, start, w in self._layout.pairs:
+                terms[i][j] = tuple((k, x) for k, x in zip(slots[w], coords[start:start + len(slots[w])])
+                                    if x is not _ZERO)
                 if i != j:
                     terms[j][i] = _swapped(terms[i][j], parity[i], parity[j])
             self._sparse = tuple(map(tuple, terms))
@@ -364,7 +362,9 @@ def cochain2_from_coords(source: SuperBasis, target: SuperBasis,
         raise ShapeError("coordinate vector does not match the position list")
     entries: dict[tuple[int, int], list[Fraction]] = {}
     for (i, j, k), x in zip(positions, coords):
-        entries.setdefault((i, j), [Fraction(0)] * target.dim)[k] = x
+        if not 0 <= k < target.dim:
+            raise ShapeError(f"position ({i}, {j}, {k}) is out of range")
+        entries.setdefault((i, j), [_ZERO] * target.dim)[k] = x
     return Cochain2.from_upper(source, target, entries, degree)
 
 
@@ -384,10 +384,8 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
     entries: dict[tuple[int, int], Vec] = {}
     for i, j in _upper_pairs(g.basis.parities):
         s = _sign(g.basis.parity(i), g.basis.parity(j))
-        term = sub_vec(
-            m.act(unit_vec(n, i), lam.image_of_basis(j)),
-            scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))),
-        )
+        term = sub_vec(m.act(unit_vec(n, i), lam.image_of_basis(j)),
+                       scale_vec(s, m.act(unit_vec(n, j), lam.image_of_basis(i))))
         entries[(i, j)] = sub_vec(term, lam.apply(_spread(g._sparse[i][j], n)))
     return Cochain2.from_upper(g.basis, m.space, entries)
 

@@ -58,6 +58,7 @@ from .algebra import (
     ModuleAction,
     SuperBasis,
     _action_entries,
+    _upper_pairs,
     is_homomorphism,
     quotient_by_ideal,
     validate_superalgebra,
@@ -154,9 +155,9 @@ class AbelianExtension:
 
         # the complement part of [s x, s y] is exactly s([x, y]); the cocycle
         # is the ideal part that remains
-        self.beta = Cochain2(g.basis, self.a_basis, [
-            [_spread(((slot[k], c) for k, c in e._sparse[p][q] if k in slot), len(ideal)) for q in comp]
-            for p in comp])
+        self.beta = Cochain2.from_upper(g.basis, self.a_basis, {
+            (p, q): _spread(((slot[k], c) for k, c in e._sparse[comp[p]][comp[q]] if k in slot), len(ideal))
+            for p, q in _upper_pairs(g.basis.parities)})
         if not self.cochains_g.is_cocycle2(self.beta):
             raise MembershipError("extracted 2-cochain is not a cocycle")
 
@@ -739,13 +740,9 @@ def inflate2(b: Cochain2, ext: AbelianExtension) -> Cochain2:
     if b.source != ext.g.basis or b.target != ext.a_basis or b.degree != 0:
         raise ShapeError("cochain is not of the shape g x g -> a")
     _require(ext.cochains_g.is_cocycle2(b), "input is not a 2-cocycle of the quotient")
-    n = ext.dim_e
-    tensor = [
-        [b.eval(ext.projection.image_of_basis(i), ext.projection.image_of_basis(j))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    out = Cochain2(ext.e.basis, ext.a_basis, tensor)
+    out = Cochain2.from_upper(ext.e.basis, ext.a_basis, {
+        (i, j): b.eval(ext.projection.image_of_basis(i), ext.projection.image_of_basis(j))
+        for i, j in _upper_pairs(ext.e.basis.parities)})
     _check(ext.cochains_e.is_cocycle2(out), "inflated cochain is not a 2-cocycle of e")
     return out
 
@@ -768,13 +765,9 @@ def beta_with_section(ext: AbelianExtension, mu: GradedLinearMap) -> Cochain2:
         raise ShapeError("section shift must be an even map g -> a")
     s2 = ext.section.matrix + ext.inclusion.matrix @ mu.matrix
     cols = [s2.column(k) for k in range(ext.dim_g)]
-    tensor = []
-    for p in range(ext.dim_g):
-        row = []
-        for q in range(ext.dim_g):
-            row.append(ext.a_coords(sub_vec(ext.e.bracket(cols[p], cols[q]),
-                                            s2.apply(_spread(ext.g._sparse[p][q], ext.dim_g)))))
-        tensor.append(row)
-    out = Cochain2(ext.g.basis, ext.a_basis, tensor)
+    out = Cochain2.from_upper(ext.g.basis, ext.a_basis, {
+        (p, q): ext.a_coords(sub_vec(ext.e.bracket(cols[p], cols[q]),
+                                     s2.apply(_spread(ext.g._sparse[p][q], ext.dim_g))))
+        for p, q in _upper_pairs(ext.g.basis.parities)})
     _check(ext.cochains_g.is_cocycle2(out), "shifted-section cochain is not a 2-cocycle")
     return out

@@ -3,7 +3,8 @@
 All rational literals are strings "p/q" or "n" (or plain JSON integers);
 floats are rejected so that every value survives a round trip bit for bit.
 Unlisted brackets and action entries are zero.  Listing both orientations
-of a bracket is an error unless they agree with super-antisymmetry.
+of a bracket is an error unless they agree with super-antisymmetry; listing
+one bracket or one action entry twice is a parse error.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ def parse_module(data: dict, base_dir: Optional[Path] = None) -> ModuleAction:
     entries = data.get("action", [])
     if not isinstance(entries, list):
         raise ParseError(f"{where}: action must be a list")
-    n, d = algebra.dim, space.dim
-    tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(n)]
+    action: dict[tuple[str, str], dict[str, Fraction]] = {}
     for entry in entries:
         gname = _expect(entry, "g", str, where)
         mname = _expect(entry, "m", str, where)
@@ -147,11 +147,11 @@ def parse_module(data: dict, base_dir: Optional[Path] = None) -> ModuleAction:
             raise ParseError(f"{where}: unknown algebra element {gname!r}")
         if mname not in space.names:
             raise ParseError(f"{where}: unknown space element {mname!r}")
-        value = _parse_value_list(entry.get("value", []), space, where)
-        i, m = algebra.basis.index(gname), space.index(mname)
-        for name, coeff in value.items():
-            tensor[i][m][space.index(name)] = coeff
-    return ModuleAction(algebra, space, tensor)
+        if (gname, mname) in action:
+            raise ParseError(f"{where}: action of {gname} on {mname} listed twice")
+        action[(gname, mname)] = _parse_value_list(entry.get("value", []), space, where)
+    return ModuleAction(algebra, space, [[[action.get((g, m), {}).get(k, 0) for k in space.names]
+                                          for m in space.names] for g in algebra.basis.names])
 
 
 def parse_extension(data: dict, base_dir: Optional[Path] = None) -> AbelianExtension:

@@ -218,12 +218,6 @@ class Mat:
             rows = 0
         return cls([[col[i] for col in columns] for i in range(rows)], cols=len(columns))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> Vec:
-        return self.data[i]
-
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.data)
 
@@ -262,9 +256,6 @@ class Mat:
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
         return Mat._canonical(tuple(map(_row_sub, self.data, other.data)), self.cols)
-
-    def __neg__(self) -> "Mat":
-        return self.scale(Fraction(-1))
 
     def scale(self, c) -> "Mat":
         c = rat(c)

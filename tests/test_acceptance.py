@@ -96,7 +96,7 @@ def test_criterion_1_heisenberg_endomorphism_picture(h3_ext):
         endo = from_derivation(f, h3_ext)
         ok &= classify_endomorphism(endo, h3_ext).fixes_both
         m = endo.matrix
-        ok &= all(m.entry(i, j) == (1 if i == j else 0)
+        ok &= all(m.data[i][j] == (1 if i == j else 0)
                   for i in range(2) for j in range(3))
     # the family adds like F ⊕ F under the transported ring addition
     shear = lambda a, b: GradedLinearMap.from_images(

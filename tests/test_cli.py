@@ -176,6 +176,26 @@ def test_validate_module_file(capsys, tmp_path):
     assert code == 0 and payload["kind"] == "module"
 
 
+def test_validate_rejects_a_repeated_action_entry(capsys, tmp_path):
+    # t·v listed as v and again as 5v + 2w would otherwise load as 5v + 2w;
+    # like a repeated bracket, it is a parse error
+    module = {
+        "algebra": {"name": "t", "basis": [{"name": "t", "parity": 0}], "brackets": []},
+        "space": [{"name": "v", "parity": 0}, {"name": "w", "parity": 0}],
+        "action": [
+            {"g": "t", "m": "v", "value": [{"basis": "v", "coeff": "1"}]},
+            {"g": "t", "m": "v", "value": [{"basis": "v", "coeff": "5"}, {"basis": "w", "coeff": "2"}]},
+        ],
+    }
+    path = _write(tmp_path / "repeated.json", module)
+    code, payload, err = _run(capsys, ["validate", path])
+    assert code == 1 and payload is None
+    assert err == "error: module: action of t on v listed twice\n"
+    module["action"][1]["m"] = "w"
+    code, payload, _ = _run(capsys, ["validate", _write(tmp_path / "distinct.json", module)])
+    assert code == 0 and payload["kind"] == "module"
+
+
 def test_validate_malformed_rational(capsys, tmp_path):
     doc = dict(H3)
     doc["brackets"] = [

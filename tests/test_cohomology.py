@@ -217,6 +217,19 @@ def _dense_cochain2_error(source, target, tensor, degree):
     return None
 
 
+def _upper_grid(source, target, upper):
+    """The dense tensor that entries at pairs i <= j determine: each value,
+    its mirror by super-antisymmetry off the diagonal, zero elsewhere."""
+    n = source.dim
+    grid = [[[0] * target.dim for _ in range(n)] for _ in range(n)]
+    for (i, j), v in upper.items():
+        grid[i][j] = list(v)
+        if i != j:
+            s = -1 if source.parity(i) * source.parity(j) == 0 else 1
+            grid[j][i] = [s * x for x in v]
+    return grid
+
+
 def test_cochain2_constructor_errors_match_the_dense_reference():
     rng = random.Random(23)
     seen = {}
@@ -257,6 +270,46 @@ def test_cochain2_constructor_errors_match_the_dense_reference():
             seen[(kind, want.split()[1])] = seen.get((kind, want.split()[1]), 0) + 1
     for case in (("antisymmetry", "breaks"), ("homogeneity", "entry"), ("both", "breaks")):
         assert seen.get(case, 0) >= 30, seen
+    # even-diagonal values, wrong-parity values, or both, on pairs listed in a
+    # shuffled order: `from_upper` reads the upper pairs only, and reports what
+    # the dense checks report on the tensor its entries determine
+    rng = random.Random(31)
+    seen.clear()
+    for _ in range(400):
+        source = SuperBasis([(f"b{i}", rng.randint(0, 1)) for i in range(rng.randint(1, 4))])
+        target = SuperBasis([(f"t{k}", rng.randint(0, 1)) for k in range(rng.randint(1, 3))])
+        degree, n, d = rng.randint(0, 1), source.dim, target.dim
+        upper = {}
+        for i, j in [(i, j) for i in range(n) for j in range(i, n) if i < j or source.parity(i)]:
+            want = (source.parity(i) + source.parity(j) + degree) % 2
+            upper[(i, j)] = [rng.choice((0, 1, -2, Fraction(1, 3))) if target.parity(k) == want else 0
+                             for k in range(d)]
+        kind = rng.choice(("even-diagonal", "parity", "both", None))
+        evens = [i for i in range(n) if source.parity(i) == 0]
+        if kind in ("even-diagonal", "both") and evens:
+            i = rng.choice(evens)
+            upper[(i, i)] = [rng.choice((0, 1, Fraction(-1, 2))) for _ in range(d)]
+        if kind in ("parity", "both"):
+            i, j = sorted((rng.randrange(n), rng.randrange(n)))
+            want = (source.parity(i) + source.parity(j) + degree) % 2
+            wrong = [k for k in range(d) if target.parity(k) != want]
+            if wrong:
+                upper.setdefault((i, j), [0] * d)[rng.choice(wrong)] += 1
+        pairs = list(upper.items())
+        rng.shuffle(pairs)
+        upper = dict(pairs)
+        grid = _upper_grid(source, target, upper)
+        want = _dense_cochain2_error(source, target, grid, degree)
+        if want is None:
+            assert Cochain2.from_upper(source, target, upper, degree).tensor == tuple(
+                tuple(vec(v) for v in row) for row in grid)
+        else:
+            with pytest.raises(MembershipError) as err:
+                Cochain2.from_upper(source, target, upper, degree)
+            assert str(err.value) == want
+            seen[(kind, want.split()[1])] = seen.get((kind, want.split()[1]), 0) + 1
+    for case in (("even-diagonal", "breaks"), ("parity", "entry"), ("both", "breaks"), ("both", "entry")):
+        assert seen.get(case, 0) >= 10, seen
 
 
 def test_cup_with_identity_is_identity():
@@ -483,7 +536,7 @@ def _change_basis(tensor, left, right, out):
     j) and `out` (for the values)."""
     back = inverse(out)
     n, d = left.rows, right.rows
-    return [[back.apply(tuple(sum(left.entry(a, i) * right.entry(b, j) * tensor[a][b][k]
+    return [[back.apply(tuple(sum(left.data[a][i] * right.data[b][j] * tensor[a][b][k]
                                   for a in range(n) for b in range(d))
                               for k in range(out.rows)))
              for j in range(d)] for i in range(n)]

@@ -1,5 +1,6 @@
-"""Dead code in the library: imports a module never reads, and private
-top-level names and private methods that nothing references.
+"""Dead code in the library: imports a module never reads, private
+top-level names that nothing references, and methods and properties, public
+or private, that nothing names.
 
 Read with the standard `ast` module.  `__init__.py` is skipped, since its
 imports are the package's re-exports.  A private name counts as referenced
@@ -7,6 +8,9 @@ when its own module reads it outside its definition, or when any other
 library, test or benchmark module names it, so a reference implementation
 that only the tests call stays.  A private method (`_name` in a class body)
 counts as referenced when any module, its own outside the method, names it.
+A public method or property (dunders aside) counts as referenced when any
+module, its own outside the method, reads it as an attribute: a local
+variable or a string of the same name does not count.
 """
 
 import ast
@@ -36,7 +40,12 @@ def _mentions(tree):
     return out
 
 
-def _dead_code(path, tree, others):
+def _attributes(tree):
+    """The attribute names a module reads."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _dead_code(path, tree, others, other_attributes=()):
     loads = [_loads(node) for node in tree.body]
     reads = set().union(*loads)
     for node in tree.body:
@@ -60,18 +69,21 @@ def _dead_code(path, tree, others):
     for node in tree.body:
         for item in node.body if isinstance(node, ast.ClassDef) else []:
             name = getattr(item, "name", "")
-            if not name.startswith("_") or name.startswith("__"):
+            if not name or name.startswith("__"):
                 continue
             rest = [n for n in tree.body if n is not node] + [i for i in node.body if i is not item]
-            if not any(name in _mentions(n) for n in rest) and not any(name in m for m in others):
+            names, readers = (_mentions, others) if name.startswith("_") else (_attributes, other_attributes)
+            if not any(name in names(n) for n in rest) and not any(name in m for m in readers):
                 yield f"{path.name}: {node.name}.{name} is never referenced"
 
 
 def test_library_has_no_unused_imports_or_unreferenced_private_names():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
     mentions = {path: _mentions(tree) for path, tree in trees.items()}
+    attributes = {path: _attributes(tree) for path, tree in trees.items()}
     dead = [line for path in LIBRARY for line in _dead_code(
-        path, trees[path], [m for other, m in mentions.items() if other != path])]
+        path, trees[path], [m for other, m in mentions.items() if other != path],
+        [a for other, a in attributes.items() if other != path])]
     assert dead == []
 
 
@@ -84,3 +96,16 @@ def test_library_fills_kept_answers_only_through_private_names():
               and node.func.attr == "record"
               and not (isinstance(node.func.value, ast.Name) and node.func.value.id.startswith("_"))]
     assert public == []
+
+
+def test_unnamed_methods_are_reported_public_or_private():
+    # `row` is named only as a local variable and `entry` only in a string, so
+    # both are reported; `used` and `_kept` are called; dunders are exempt
+    tree = ast.parse("class C:\n    def used(self): return self._kept()\n"
+                     "    def _kept(self): pass\n    def row(self): pass\n"
+                     "    def _orphan(self): pass\n    def __neg__(self): pass\n"
+                     "    def entry(self): pass\n")
+    caller = ast.parse("def f(c, row):\n    return c.used(row), 'entry'")
+    dead = list(_dead_code(Path("m.py"), tree, [_mentions(caller)], [_attributes(caller)]))
+    assert dead == ["m.py: C.row is never referenced", "m.py: C._orphan is never referenced",
+                    "m.py: C.entry is never referenced"]

@@ -298,7 +298,7 @@ def test_quotient_fixing_predicate_agrees_with_classification():
             fixes = coords is not None
             assert fixes == classify_endomorphism(f, ext).fixes_quotient, (name, label, f)
             if fixes:
-                rows = [[f.matrix.entry(i, j) - (i == j) for j in range(ext.dim_e)]
+                rows = [[f.matrix.data[i][j] - (i == j) for j in range(ext.dim_e)]
                         for i in ext.ideal_indices]
                 h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=ext.dim_e))
                 assert coords == ext.cochains_e.coords1(h), (name, label, f)
@@ -334,7 +334,7 @@ def test_module_endomorphism_product_agrees_with_the_residuals():
                  for _ in range(3)]
         for _, f in _endomorphism_samples(ext, rng):
             if f.degree == 0:
-                blocks = [[f.matrix.entry(i, j) - (i == j) for j in ext.ideal_indices]
+                blocks = [[f.matrix.data[i][j] - (i == j) for j in ext.ideal_indices]
                           for i in ext.ideal_indices]
                 phis.append(GradedLinearMap(ext.a_basis, ext.a_basis,
                                             Mat(blocks, cols=ext.dim_a)))
@@ -1011,7 +1011,7 @@ def test_shifted_restriction_and_derivation_compose_match_the_product_forms(pin_
             for k in hs:
                 assert derivation_compose(h, k, ext) == h.compose(ext.inclusion.compose(k)), name
             m = restricted.matrix
-            asymmetric += any(m.entry(i, j) != m.entry(j, i)
+            asymmetric += any(m.data[i][j] != m.data[j][i]
                               for i in range(m.rows) for j in range(m.cols))
     assert asymmetric >= 3, asymmetric
 
