@@ -438,7 +438,8 @@ class GradedLinearMap:
                  degree: int = 0) -> "GradedLinearMap":
         """A map whose matrix has the right shape and degree by construction
         (products, sums, multiples and blocks of checked maps, inverses of even
-        maps), without the entry scan of the public constructor."""
+        maps, maps from coordinate slots of the right parity), without the
+        entry scan of the public constructor."""
         f = object.__new__(cls)
         f.domain, f.codomain, f.matrix, f.degree = domain, codomain, matrix, degree
         f._facts = None

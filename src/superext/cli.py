@@ -56,7 +56,7 @@ def _cmd_validate(args) -> int:
         violation = validate_module(target)
         kind = "module"
     else:
-        target = files.parse_algebra(data, Path(args.path).parent)
+        target = files.parse_algebra(data)
         violation = validate_superalgebra(target)
         kind = "algebra"
     payload = {

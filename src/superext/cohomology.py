@@ -71,41 +71,36 @@ from .linalg import (
 
 
 def c1_positions(domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> list[tuple[int, int]]:
-    """Free coordinate slots (row, col) of a homogeneous map matrix."""
-    return [
-        (n, i)
-        for i in range(domain.dim)
-        for n in range(codomain.dim)
-        if codomain.parity(n) == (domain.parity(i) + degree) % 2
-    ]
+    """Free coordinate slots (row, col) of a homogeneous map matrix, column by
+    column; kept per parities and degree and shared: do not change it."""
+    return _slots1(domain.parities, codomain.parities, degree)
 
 
-def map_to_coords(f: GradedLinearMap, positions: list[tuple[int, int]]) -> Vec:
-    return tuple(f.matrix.data[r][c] for r, c in positions)
+@lru_cache(maxsize=64)
+def _slots1(domain: tuple[int, ...], codomain: tuple[int, ...], degree: int) -> list[tuple[int, int]]:
+    if degree not in (0, 1):
+        raise ShapeError("degree must be 0 or 1")
+    return [(n, i) for i, p in enumerate(domain) for n, q in enumerate(codomain) if q == (p + degree) % 2]
 
 
-def map_from_coords(
-    domain: SuperBasis,
-    codomain: SuperBasis,
-    positions: list[tuple[int, int]],
-    coords: Sequence[Fraction],
-    degree: int = 0,
-) -> GradedLinearMap:
-    """The map whose entries at `positions` are `coords`, all others zero;
-    only the coordinates pass through `rat`.  Slots of the degree's parity (as
-    from `c1_positions`) skip the public constructor, which reports any other."""
+def map_to_coords(f: GradedLinearMap) -> Vec:
+    """f's entries at the slots of `c1_positions` for its bases and degree."""
+    data = f.matrix.data
+    return tuple(data[r][c] for r, c in c1_positions(f.domain, f.codomain, f.degree))
+
+
+def map_from_coords(domain: SuperBasis, codomain: SuperBasis, coords: Sequence[Fraction],
+                    degree: int = 0) -> GradedLinearMap:
+    """The map with `coords` at the slots of `c1_positions`, which have the
+    degree's parity, and zeros elsewhere; only the coordinates pass `rat`."""
+    positions = c1_positions(domain, codomain, degree)
     if len(coords) != len(positions):
         raise ShapeError("coordinate vector does not match the position list")
     rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(positions, coords):
-        if not (0 <= r < codomain.dim and 0 <= c < domain.dim):
-            raise ShapeError(f"position ({r}, {c}) is out of range")
         rows[r][c] = rat(x)
     matrix = Mat._canonical(tuple(map(tuple, rows)), domain.dim)
-    cp, dp = codomain.parities, domain.parities
-    if degree in (0, 1) and all(cp[r] == (dp[c] + degree) % 2 for r, c in positions):
-        return GradedLinearMap._trusted(domain, codomain, matrix, degree)
-    return GradedLinearMap(domain, codomain, matrix, degree)
+    return GradedLinearMap._trusted(domain, codomain, matrix, degree)
 
 
 class _Layout:
@@ -118,6 +113,8 @@ class _Layout:
     __slots__ = ("positions", "pairs", "slots")
 
     def __init__(self, source: tuple[int, ...], target: tuple[int, ...], degree: int):
+        if degree not in (0, 1):
+            raise ShapeError("degree must be 0 or 1")
         self.slots = tuple(tuple(k for k, p in enumerate(target) if p == w) for w in (0, 1))
         self.positions, pairs = [], []
         for i, j in _upper_pairs(source):
@@ -144,8 +141,9 @@ class Cochain2:
     and checks their homogeneity, for `from_upper` (the builder of every
     other checked cochain) and for the public constructor, which takes a
     dense tensor and first checks beta(y,x) = -(-1)^{|x||y|} beta(x,y).
-    `+`, `-`, `scale`, `precompose`, `postcompose` and `cup` build their
-    coordinates through `_trusted`: both properties survive them.
+    `cochain2_from_coords`, `+`, `-`, `scale`, `precompose`, `postcompose`
+    and `cup` build their coordinates through `_trusted`: both properties
+    hold at the layout's slots and survive those operations.
     """
 
     __slots__ = ("source", "target", "degree", "coords", "_layout", "_tensor", "_sparse")
@@ -188,7 +186,9 @@ class Cochain2:
                  coords: Vec) -> "Cochain2":
         """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of a
         super-antisymmetric homogeneous map by construction (sums, multiples
-        and compositions of checked cochains), without the public checks."""
+        and compositions of checked cochains, and any coordinates at the
+        layout's own slots, which hold no even diagonal and only target slots
+        of the right parity), without the public checks."""
         c = object.__new__(cls)
         c.source, c.target, c.degree, c._layout, c.coords = source, target, degree, layout, coords
         c._tensor = c._sparse = None
@@ -348,24 +348,13 @@ def c2_positions(source: SuperBasis, target: SuperBasis, degree: int = 0) -> lis
     return _layout(source.parities, target.parities, degree).positions
 
 
-def cochain2_to_coords(c: Cochain2, positions: list[tuple[int, int, int]]) -> Vec:
-    own = c._layout.positions
-    if positions is own or positions == own:
-        return c.coords
-    return tuple(c.tensor[i][j][k] for i, j, k in positions)
-
-
-def cochain2_from_coords(source: SuperBasis, target: SuperBasis,
-                         positions: list[tuple[int, int, int]],
-                         coords: Sequence[Fraction], degree: int = 0) -> Cochain2:
-    if len(coords) != len(positions):
+def cochain2_from_coords(source: SuperBasis, target: SuperBasis, coords: Sequence[Fraction],
+                         degree: int = 0) -> Cochain2:
+    """The cochain with `coords`, each passed through `rat`, at the slots of `c2_positions`."""
+    layout = _layout(source.parities, target.parities, degree)
+    if len(coords) != len(layout.positions):
         raise ShapeError("coordinate vector does not match the position list")
-    entries: dict[tuple[int, int], list[Fraction]] = {}
-    for (i, j, k), x in zip(positions, coords):
-        if not 0 <= k < target.dim:
-            raise ShapeError(f"position ({i}, {j}, {k}) is out of range")
-        entries.setdefault((i, j), [_ZERO] * target.dim)[k] = x
-    return Cochain2.from_upper(source, target, entries, degree)
+    return Cochain2._trusted(source, target, degree, layout, vec(coords))
 
 
 def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Cochain2:
@@ -508,16 +497,20 @@ class CochainComplex:
         return cx
 
     def cochain1(self, coords: Sequence[Fraction]) -> GradedLinearMap:
-        return map_from_coords(self.g.basis, self.m.space, self.pos1, coords)
+        return map_from_coords(self.g.basis, self.m.space, coords)
 
     def coords1(self, f: GradedLinearMap) -> Vec:
-        return map_to_coords(f, self.pos1)
+        if f.domain != self.g.basis or f.codomain != self.m.space or f.degree != 0:
+            raise ShapeError("map bases do not match the algebra and module")
+        return map_to_coords(f)
 
     def cochain2(self, coords: Sequence[Fraction]) -> Cochain2:
-        return cochain2_from_coords(self.g.basis, self.m.space, self.pos2, coords)
+        return cochain2_from_coords(self.g.basis, self.m.space, coords)
 
     def coords2(self, beta: Cochain2) -> Vec:
-        return cochain2_to_coords(beta, self.pos2)
+        if beta.source != self.g.basis or beta.target != self.m.space or beta.degree != 0:
+            raise ShapeError("cochain bases do not match the algebra and module")
+        return beta.coords
 
     @cached_property
     def d1(self) -> SparseMat:
@@ -547,10 +540,9 @@ class CochainComplex:
                          len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
-        """Whether f is an even derivation: a product with the cached d¹."""
-        if f.domain != self.g.basis or f.codomain != self.m.space:
-            raise ShapeError("map bases do not match the algebra and module")
-        if f.degree != 0:
+        """Whether f is an even derivation: a product with the cached d¹.  An
+        odd map is none; `coords1` rejects a map on other bases."""
+        if f.degree != 0 and f.domain == self.g.basis and f.codomain == self.m.space:
             return False
         return self.d1._annihilates(self.coords1(f))
 
@@ -581,8 +573,6 @@ class CochainComplex:
 
     def is_cocycle2(self, beta: Cochain2) -> bool:
         """Whether beta is an even 2-cocycle: a product with the cached constraints."""
-        if beta.source != self.g.basis or beta.target != self.m.space or beta.degree != 0:
-            raise ShapeError("cochain bases do not match the algebra and module")
         return self.cocycle2_constraints._annihilates(self.coords2(beta))
 
     @cached_property

@@ -448,7 +448,7 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
         raise ShapeError("map is not an endomorphism of the ideal")
     if phi.degree != 0:
         return False
-    coords = map_to_coords(phi, ext.pos_a)
+    coords = map_to_coords(phi)
     return ext.module_end_constraints._annihilates(coords)
 
 
@@ -476,7 +476,7 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
     first: the maps it rejects skip the bracket check."""
     if psi.domain != ext.g.basis or psi.codomain != ext.g.basis:
         raise ShapeError("map is not an endomorphism of the quotient")
-    return (psi.degree == 0 and _fixes_action_coords(map_to_coords(psi, ext.pos_g), ext)
+    return (psi.degree == 0 and _fixes_action_coords(map_to_coords(psi), ext)
             and is_homomorphism(psi, ext.g, ext.g))
 
 

@@ -4,7 +4,7 @@ All rational literals are strings "p/q" or "n" (or plain JSON integers);
 floats are rejected so that every value survives a round trip bit for bit.
 Unlisted brackets and action entries are zero.  Listing both orientations
 of a bracket is an error unless they agree with super-antisymmetry; listing
-one bracket or one action entry twice is a parse error.
+one bracket, one action entry or one map entry twice is a parse error.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _parse_value_list(value, basis: SuperBasis, where: str) -> dict[str, Fractio
     return out
 
 
-def parse_algebra(data: dict, base_dir: Optional[Path] = None) -> LieSuperalgebra:
+def parse_algebra(data: dict) -> LieSuperalgebra:
     where = "algebra"
     basis = _parse_basis(_expect(data, "basis", list, where), where)
     brackets_raw = data.get("brackets", [])
@@ -118,23 +118,20 @@ def parse_algebra(data: dict, base_dir: Optional[Path] = None) -> LieSuperalgebr
     return LieSuperalgebra.from_brackets(basis, brackets)
 
 
-def _resolve_inline_or_path(value, base_dir: Optional[Path], where: str) -> dict:
-    if isinstance(value, dict):
-        return value
+def _parse_algebra_field(data: dict, base_dir: Optional[Path], where: str) -> LieSuperalgebra:
+    """The algebra of a module or extension file: inline, or a path relative to `base_dir`."""
+    value = _expect(data, "algebra", (dict, str), where)
     if isinstance(value, str):
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return load_json(path)
-    raise ParseError(f"{where}: expected an inline object or a path string")
+        value = load_json(path)
+    return parse_algebra(value)
 
 
 def parse_module(data: dict, base_dir: Optional[Path] = None) -> ModuleAction:
     where = "module"
-    algebra = parse_algebra(
-        _resolve_inline_or_path(_expect(data, "algebra", (dict, str), where), base_dir, where),
-        base_dir,
-    )
+    algebra = _parse_algebra_field(data, base_dir, where)
     space = _parse_basis(_expect(data, "space", list, where), where)
     entries = data.get("action", [])
     if not isinstance(entries, list):
@@ -156,10 +153,7 @@ def parse_module(data: dict, base_dir: Optional[Path] = None) -> ModuleAction:
 
 def parse_extension(data: dict, base_dir: Optional[Path] = None) -> AbelianExtension:
     where = "extension"
-    algebra = parse_algebra(
-        _resolve_inline_or_path(_expect(data, "algebra", (dict, str), where), base_dir, where),
-        base_dir,
-    )
+    algebra = _parse_algebra_field(data, base_dir, where)
     ideal_names = _expect(data, "ideal", list, where)
     indices = []
     for name in ideal_names:
@@ -190,6 +184,7 @@ def parse_map(data: dict, ext: AbelianExtension) -> GradedLinearMap:
     if not isinstance(entries, list):
         raise ParseError(f"{where}: entries must be a list")
     rows = [[Fraction(0)] * domain.dim for _ in range(codomain.dim)]
+    seen = set()
     for entry in entries:
         src = _expect(entry, "from", str, where)
         dst = _expect(entry, "to", str, where)
@@ -197,8 +192,11 @@ def parse_map(data: dict, ext: AbelianExtension) -> GradedLinearMap:
             raise ParseError(f"{where}: unknown domain element {src!r}")
         if dst not in codomain.names:
             raise ParseError(f"{where}: unknown codomain element {dst!r}")
+        if (src, dst) in seen:
+            raise ParseError(f"{where}: entry {src} -> {dst} listed twice")
+        seen.add((src, dst))
         coeff = parse_rat(_expect(entry, "coeff", (str, int), where))
-        rows[codomain.index(dst)][domain.index(src)] += coeff
+        rows[codomain.index(dst)][domain.index(src)] = coeff
     try:
         return GradedLinearMap(domain, codomain, Mat(rows, cols=domain.dim))
     except ShapeError as exc:
@@ -224,7 +222,7 @@ def load_json(path: Path) -> dict:
 
 
 def load_algebra(path: Path) -> LieSuperalgebra:
-    return parse_algebra(load_json(path), Path(path).parent)
+    return parse_algebra(load_json(path))
 
 
 def load_module(path: Path) -> ModuleAction:

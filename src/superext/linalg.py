@@ -443,7 +443,7 @@ def _reduce_part(rows: list[dict[int, Fraction]], cols: list[int]) -> list[int]:
     result is that of the column-order elimination of the whole matrix: the
     reduced row echelon form is unique, and no row holds columns of two
     components.  Keys outside `cols` are carried along (the implicit
-    identity block of `SparseMat._factor` and `inverse`); zeros are deleted.
+    identity block of `SparseMat._factor`); zeros are deleted.
     """
     n, r = len(rows), 0
     pivots: list[int] = []
@@ -482,8 +482,8 @@ def _carried(row: dict[int, Fraction], offset: int) -> Row:
 
 
 def _as_sparse(a) -> SparseMat:
-    """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
-    return a if isinstance(a, SparseMat) else SparseMat(_sparse_vecs(a.data, a.cols), a.cols)
+    """A `SparseMat` as it is; a `Mat` (its entries are rationals) at its nonzero entries."""
+    return a if isinstance(a, SparseMat) else SparseMat(tuple(tuple(_nonzeros(r)) for r in a.data), a.cols)
 
 
 def rank(a) -> int:
@@ -503,15 +503,14 @@ def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
 
 
 def inverse(a: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix, or None when singular: its rows, each
-    carrying its row of the identity block, reduced as one part."""
+    """Inverse of a square matrix, or None when singular: when every column
+    of A's factorization E·A = R is a pivot, R = I and P = E is A⁻¹."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
-    n = a.rows
-    rows = [dict(_nonzeros(r) + [(n + i, _ONE)]) for i, r in enumerate(a.data)]
-    if _reduce_part(rows, list(range(n))) != list(range(n)):
+    pivots, p, _ = _as_sparse(a)._factor()
+    if len(pivots) != a.cols:
         return None
-    return Mat._canonical(tuple(_spread(_carried(r, n), n) for r in rows), n)
+    return Mat._canonical(p.dense(), a.cols)
 
 
 def _pivots(vectors: tuple[Row, ...], n: int) -> list[int]:

@@ -129,10 +129,6 @@ def _quotient_derivation_sample(ext: AbelianExtension, rng: random.Random) -> Gr
     return ext.cochains_g.cochain1(_rand_combination(ext.z1_g, rng))
 
 
-def _module_endo_from_coords(ext: AbelianExtension, coords: Vec) -> GradedLinearMap:
-    return map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a, coords)
-
-
 def _module_endo_samples(ext: AbelianExtension, rng: random.Random,
                          count: int) -> list[GradedLinearMap]:
     """Identity plus random invertible elements of End_g(a)."""
@@ -141,7 +137,7 @@ def _module_endo_samples(ext: AbelianExtension, rng: random.Random,
     attempts = 0
     while len(out) < count + 1 and attempts < 20 * (count + 1):
         attempts += 1
-        phi = _module_endo_from_coords(ext, _rand_combination(space, rng))
+        phi = map_from_coords(ext.a_basis, ext.a_basis, _rand_combination(space, rng))
         if not _invertible(phi, ext):
             continue
         out.append(phi)
@@ -167,7 +163,7 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
         coords = tuple(_rand_frac(rng) for _ in range(len(pos)))
         if not _fixes_action_coords(coords, ext):
             continue
-        psi = map_from_coords(ext.g.basis, ext.g.basis, pos, coords)
+        psi = map_from_coords(ext.g.basis, ext.g.basis, coords)
         if fixes_action(psi, ext) and psi not in out:
             out.append(psi)
     for i in range(len(out)):
@@ -294,7 +290,7 @@ def verify_ring_sequence(ext: AbelianExtension, seed: int = 0, pairs: int = 120)
     beta2 = beta_with_section(ext, mu)
     section_ok = True
     for v in enda.basis:
-        h = _module_endo_from_coords(ext, v)
+        h = map_from_coords(ext.a_basis, ext.a_basis, v)
         alt = class_of(beta2.postcompose(h).scale(-1), ext.h2_g)
         section_ok &= alt.coords == extend_obstruction(h, ext).coords
     rep.add("obstruction_class_independent_of_section", section_ok,

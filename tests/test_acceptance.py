@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from superext.algebra import GradedLinearMap, is_homomorphism
 from superext.cohomology import (
-    c1_positions,
     class_of,
     coboundary1,
     derivation_space,
@@ -58,18 +57,16 @@ def _diag(basis, *cs):
 
 
 def _random_module_endo(ext, rng):
-    pos = c1_positions(ext.a_basis, ext.a_basis)
     coords = ext.module_end_space.combine(
         tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
               for _ in range(ext.module_end_space.dim)))
-    return map_from_coords(ext.a_basis, ext.a_basis, pos, coords)
+    return map_from_coords(ext.a_basis, ext.a_basis, coords)
 
 
 def _oracle_equivalence(ext, rng, randoms=50):
     """Solver decision vs obstruction-class test, both directions."""
-    pos = c1_positions(ext.a_basis, ext.a_basis)
     candidates = [
-        map_from_coords(ext.a_basis, ext.a_basis, pos, v)
+        map_from_coords(ext.a_basis, ext.a_basis, v)
         for v in ext.module_end_space.basis
     ]
     candidates += [_random_module_endo(ext, rng) for _ in range(randoms)]
@@ -89,9 +86,8 @@ def test_criterion_1_heisenberg_endomorphism_picture(h3_ext):
 
     # the kernel of the shifted restriction is the two-parameter shear family
     ok &= h3_ext.z1_e.dim == 2
-    pos_e = c1_positions(h3_ext.e.basis, h3_ext.a_basis)
     for v in h3_ext.z1_e.basis:
-        f = map_from_coords(h3_ext.e.basis, h3_ext.a_basis, pos_e, v)
+        f = map_from_coords(h3_ext.e.basis, h3_ext.a_basis, v)
         ok &= restrict1(f, h3_ext).is_zero()
         endo = from_derivation(f, h3_ext)
         ok &= classify_endomorphism(endo, h3_ext).fixes_both

@@ -327,6 +327,18 @@ def test_lift_incompatible_diagonal(capsys, h3_files, tmp_path):
     assert payload["obstruction"] == ["1"]
 
 
+
+def test_lift_rejects_a_repeated_map_entry(capsys, h3_files, tmp_path):
+    # x -> x listed twice with coeff 1 would otherwise load as x -> 2x and
+    # lift; like a repeated bracket or action entry, it is a parse error
+    _, ext = h3_files
+    entries = [{"from": "x", "to": "x", "coeff": "1"}, {"from": "x", "to": "x", "coeff": "1"},
+               {"from": "y", "to": "y", "coeff": "1/2"}]
+    psi = _write(tmp_path / "repeated.json", {"domain": "g", "codomain": "g", "entries": entries})
+    code, payload, err = _run(capsys, ["lift", ext, psi])
+    assert code == 1 and payload is None
+    assert err == "error: map: entry x -> x listed twice\n"
+
 def test_lift_identity(capsys, h3_files, tmp_path):
     _, ext = h3_files
     psi = _write(tmp_path / "psiid.json", {

@@ -10,7 +10,10 @@ that only the tests call stays.  A private method (`_name` in a class body)
 counts as referenced when any module, its own outside the method, names it.
 A public method or property (dunders aside) counts as referenced when any
 module, its own outside the method, reads it as an attribute: a local
-variable or a string of the same name does not count.
+variable or a string of the same name does not count.  A parameter of a
+library function (`self` and `cls` aside) that its body never reads is
+reported too, except in functions decorated with `_kept`, whose memo passes
+every answer the same `(f, ext)` arguments.
 """
 
 import ast
@@ -75,6 +78,34 @@ def _dead_code(path, tree, others, other_attributes=()):
             names, readers = (_mentions, others) if name.startswith("_") else (_attributes, other_attributes)
             if not any(name in names(n) for n in rest) and not any(name in m for m in readers):
                 yield f"{path.name}: {node.name}.{name} is never referenced"
+
+
+def _unread_parameters(path, tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or any(
+                isinstance(d, ast.Name) and d.id == "_kept" for d in node.decorator_list):
+            continue
+        args = node.args
+        reads = set().union(*map(_loads, node.body))
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+            if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in reads:
+                yield f"{path.name}: {node.name} never reads its parameter {arg.arg}"
+
+
+def test_library_functions_read_every_parameter():
+    unread = [line for path in LIBRARY
+              for line in _unread_parameters(path, ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def test_unread_parameters_are_reported():
+    # `flag` is only assigned and `unused` never named; `_kept` functions,
+    # `self` and parameters read by a nested function are exempt
+    tree = ast.parse("def f(x, flag, *, unused=None):\n    flag = x\n"
+                     "@_kept\ndef g(f, ext): return f\n"
+                     "class C:\n    def m(self, y):\n        return lambda: y\n")
+    assert list(_unread_parameters(Path("m.py"), tree)) == [
+        "m.py: f never reads its parameter flag", "m.py: f never reads its parameter unused"]
 
 
 def test_library_has_no_unused_imports_or_unreferenced_private_names():

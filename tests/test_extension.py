@@ -168,11 +168,10 @@ def test_shear_comes_from_a_derivation(h3_ext):
 def test_derivation_round_trip_on_random_samples(corpus):
     rng = random.Random(31)
     for _, ext in corpus:
-        pos = c1_positions(ext.e.basis, ext.a_basis)
         for _ in range(8):
             coords = ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-5, 5)) for _ in range(ext.z1_e.dim)))
-            h = map_from_coords(ext.e.basis, ext.a_basis, pos, coords)
+            h = map_from_coords(ext.e.basis, ext.a_basis, coords)
             assert to_derivation(from_derivation(h, ext), ext) == h
 
 
@@ -187,11 +186,10 @@ def test_from_derivation_rejects_non_derivations(h3_ext):
 def test_derivation_composition_stays_a_derivation(corpus):
     rng = random.Random(37)
     for _, ext in corpus:
-        pos = c1_positions(ext.e.basis, ext.a_basis)
         for _ in range(5):
-            h = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            h = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-4, 4)) for _ in range(ext.z1_e.dim))))
-            k = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            k = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-4, 4)) for _ in range(ext.z1_e.dim))))
             assert is_ideal_derivation(derivation_compose(h, k, ext), ext)
 
@@ -217,11 +215,10 @@ def test_shear_family_ring_laws(h3_ext):
 def test_quasi_mul_is_composition(corpus):
     rng = random.Random(41)
     for _, ext in corpus:
-        pos = c1_positions(ext.e.basis, ext.a_basis)
         for _ in range(5):
-            h = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            h = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-4, 4)) for _ in range(ext.z1_e.dim))))
-            k = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            k = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-4, 4)) for _ in range(ext.z1_e.dim))))
             f, g = from_derivation(h, ext), from_derivation(k, ext)
             composite = quasi_mul(f, g, ext)
@@ -281,7 +278,7 @@ def _endomorphism_samples(ext, rng):
     samples += [("moves quotient", plus_unit(c, d, Fraction(rng.randint(1, 4))))
                 for c in comp for d in comp if par(c) == par(d)]
     pos = c1_positions(ext.e.basis, ext.e.basis)
-    samples += [("random", map_from_coords(ext.e.basis, ext.e.basis, pos,
+    samples += [("random", map_from_coords(ext.e.basis, ext.e.basis,
                                            _rand_coeffs(rng, len(pos)))) for _ in range(2)]
     samples.append(("odd", GradedLinearMap.zero(ext.e.basis, ext.e.basis, degree=1)))
     return samples
@@ -328,9 +325,9 @@ def test_module_endomorphism_product_agrees_with_the_residuals():
     verdicts = []
     for name, ext in _ring_corpus():
         pos_a = c1_positions(ext.a_basis, ext.a_basis)
-        phis = [map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
+        phis = [map_from_coords(ext.a_basis, ext.a_basis, v)
                 for v in ext.module_end_space.basis]
-        phis += [map_from_coords(ext.a_basis, ext.a_basis, pos_a, _rand_coeffs(rng, len(pos_a)))
+        phis += [map_from_coords(ext.a_basis, ext.a_basis, _rand_coeffs(rng, len(pos_a)))
                  for _ in range(3)]
         for _, f in _endomorphism_samples(ext, rng):
             if f.degree == 0:
@@ -353,7 +350,7 @@ def test_module_end_columns_are_the_residuals_of_unit_maps(pin_corpus):
         assert ext.module_end_constraints.rows == ext.dim_g * ext.dim_a * ext.dim_a, name
         columns = ext.module_end_constraints.T.dense()
         for p in range(len(pos)):
-            phi = map_from_coords(ext.a_basis, ext.a_basis, pos, unit_vec(len(pos), p))
+            phi = map_from_coords(ext.a_basis, ext.a_basis, unit_vec(len(pos), p))
             assert columns[p] == tuple(
                 x for r in _module_end_residuals(phi, ext) for x in r), (name, p)
 
@@ -492,11 +489,10 @@ def test_shifted_restriction_recovers_the_prescribed_map(sd_ext):
 def test_shifted_restriction_is_a_ring_map(corpus):
     rng = random.Random(43)
     for _, ext in corpus:
-        pos = c1_positions(ext.e.basis, ext.a_basis)
         for _ in range(5):
-            h = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            h = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(ext.z1_e.dim))))
-            k = map_from_coords(ext.e.basis, ext.a_basis, pos, ext.z1_e.combine(
+            k = map_from_coords(ext.e.basis, ext.a_basis, ext.z1_e.combine(
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(ext.z1_e.dim))))
             f, g = from_derivation(h, ext), from_derivation(k, ext)
             rf, rg = shifted_restriction(f, ext), shifted_restriction(g, ext)
@@ -523,8 +519,7 @@ def test_identity_obstruction_is_minus_the_extension_class(h3_ext):
 def test_split_extension_obstructions_vanish(sd_ext, aff_ext):
     for ext in (sd_ext, aff_ext):
         for v in ext.module_end_space.basis:
-            pos = c1_positions(ext.a_basis, ext.a_basis)
-            phi = map_from_coords(ext.a_basis, ext.a_basis, pos, v)
+            phi = map_from_coords(ext.a_basis, ext.a_basis, v)
             assert extend_obstruction(phi, ext).is_zero
 
 
@@ -593,11 +588,10 @@ def test_identity_of_the_ideal_does_not_extend_over_heisenberg(h3_ext):
 
 def test_everything_extends_over_split_extensions(sd_ext):
     rng = random.Random(47)
-    pos = c1_positions(sd_ext.a_basis, sd_ext.a_basis)
     for _ in range(10):
         coords = sd_ext.module_end_space.combine(
             tuple(Fraction(rng.randint(-5, 5)) for _ in range(sd_ext.module_end_space.dim)))
-        phi = map_from_coords(sd_ext.a_basis, sd_ext.a_basis, pos, coords)
+        phi = map_from_coords(sd_ext.a_basis, sd_ext.a_basis, coords)
         witness = extend_endomorphism(phi, sd_ext)
         assert witness is not None
         assert shifted_restriction(witness, sd_ext) == phi
@@ -771,11 +765,11 @@ def test_fixes_action_agrees_with_the_per_pair_definition(pin_corpus):
         pos = c1_positions(ext.g.basis, ext.g.basis)
         members = _quotient_map_samples(ext, rng)
         psis = [GradedLinearMap.identity(ext.g.basis)] + members
-        psis += [map_from_coords(ext.g.basis, ext.g.basis, pos, _rand_coeffs(rng, len(pos)))
+        psis += [map_from_coords(ext.g.basis, ext.g.basis, _rand_coeffs(rng, len(pos)))
                  for _ in range(5)]
         for psi in members:
             p = rng.randrange(len(pos))
-            psis.append(psi + map_from_coords(ext.g.basis, ext.g.basis, pos, unit_vec(len(pos), p)))
+            psis.append(psi + map_from_coords(ext.g.basis, ext.g.basis, unit_vec(len(pos), p)))
         psis.append(GradedLinearMap.zero(ext.g.basis, ext.g.basis, degree=1))
         for psi in psis:
             hom, act = _fixes_action_by_pairs(psi, ext)
@@ -793,9 +787,8 @@ def test_inflate_zero(h3_ext):
 
 
 def test_restriction_of_heisenberg_derivations_vanishes(h3_ext):
-    pos = c1_positions(h3_ext.e.basis, h3_ext.a_basis)
     for v in h3_ext.z1_e.basis:
-        f = map_from_coords(h3_ext.e.basis, h3_ext.a_basis, pos, v)
+        f = map_from_coords(h3_ext.e.basis, h3_ext.a_basis, v)
         assert restrict1(f, h3_ext).is_zero()
 
 
@@ -824,22 +817,20 @@ def test_kernel_of_restriction_is_the_inflated_space(corpus):
 
     for _, ext in corpus:
         pos_e = c1_positions(ext.e.basis, ext.a_basis)
-        pos_g = c1_positions(ext.g.basis, ext.a_basis)
         inflated = SubspacePresentation.from_spanning(
             len(pos_e),
             [map_to_coords(
-                inflate1(map_from_coords(ext.g.basis, ext.a_basis, pos_g, v), ext),
-                pos_e)
+                inflate1(map_from_coords(ext.g.basis, ext.a_basis, v), ext))
              for v in ext.z1_g.basis],
         )
         vanishing = [
             v for v in ext.z1_e.basis
-            if restrict1(map_from_coords(ext.e.basis, ext.a_basis, pos_e, v), ext).is_zero()
+            if restrict1(map_from_coords(ext.e.basis, ext.a_basis, v), ext).is_zero()
         ]
         # every inflated derivation restricts to zero, and inside Z1(e) the
         # restriction-kernel dimension matches
         for v in inflated.basis:
-            assert restrict1(map_from_coords(ext.e.basis, ext.a_basis, pos_e, v), ext).is_zero()
+            assert restrict1(map_from_coords(ext.e.basis, ext.a_basis, v), ext).is_zero()
         assert inflated.dim <= len(vanishing) or ext.z1_g.dim == 0
 
 
@@ -864,13 +855,12 @@ def test_inflation_and_restriction_matrices_match_the_definitions(pin_corpus):
             assert column == ce.coords2(_inflate2_body(b, ext)), (name, p)
         for v in ext.cochains_g.z2.basis:
             assert ext.inflation2.apply(v) == ce.coords2(inflate2(cg.cochain2(v), ext)), name
-        pos_a = c1_positions(ext.a_basis, ext.a_basis)
         for p, column in enumerate(ext.restriction.T.dense()):
             f = ce.cochain1(unit_vec(len(ce.pos1), p))
-            assert column == map_to_coords(f.compose(ext.inclusion), pos_a)
+            assert column == map_to_coords(f.compose(ext.inclusion))
         for v in ext.z1_e.basis:
             assert ext.restriction.apply(v) == map_to_coords(
-                restrict1(ce.cochain1(v), ext), pos_a), name
+                restrict1(ce.cochain1(v), ext)), name
 
 
 def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
@@ -879,7 +869,7 @@ def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
         pos_a = c1_positions(ext.a_basis, ext.a_basis)
         coords, _ = ext.h2_g.quotient.coordinate_map
         for p, column in enumerate(ext.connecting_map.T.dense()):
-            phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, unit_vec(len(pos_a), p))
+            phi = map_from_coords(ext.a_basis, ext.a_basis, unit_vec(len(pos_a), p))
             minus_phi_beta = ext.cochains_g.coords2(ext.beta.postcompose(phi).scale(-1))
             assert column == coords.apply(minus_phi_beta), (name, p)
         space = ext.module_end_space
@@ -887,7 +877,7 @@ def test_connecting_map_matches_the_extension_obstruction(pin_corpus):
             space.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                 for _ in range(space.dim))) for _ in range(2)]
         for v in samples:
-            phi = map_from_coords(ext.a_basis, ext.a_basis, pos_a, v)
+            phi = map_from_coords(ext.a_basis, ext.a_basis, v)
             assert ext.connecting_map.apply(v) == extend_obstruction(phi, ext).coords, name
 
 
@@ -1054,7 +1044,7 @@ def test_section_shift_changes_beta_by_a_coboundary(corpus):
     for _, ext in corpus:
         pos = c1_positions(ext.g.basis, ext.a_basis)
         mu = map_from_coords(
-            ext.g.basis, ext.a_basis, pos,
+            ext.g.basis, ext.a_basis,
             tuple(Fraction(rng.randint(-4, 4)) for _ in range(len(pos))))
         shifted = beta_with_section(ext, mu)
         assert shifted - ext.beta == coboundary1(mu, ext.g, ext.action)
@@ -1065,12 +1055,11 @@ def test_obstruction_agrees_with_the_cup_product_route(corpus):
 
     rng = random.Random(67)
     for _, ext in corpus:
-        pos = c1_positions(ext.a_basis, ext.a_basis)
         for _ in range(4):
             coords = ext.module_end_space.combine(
                 tuple(Fraction(rng.randint(-4, 4))
                       for _ in range(ext.module_end_space.dim)))
-            h = map_from_coords(ext.a_basis, ext.a_basis, pos, coords)
+            h = map_from_coords(ext.a_basis, ext.a_basis, coords)
             direct = extend_obstruction(h, ext)
             via_cup = class_of(cup(ext.beta, h), ext.h2_g)
             assert direct.coords == tuple(-c for c in via_cup.coords)
@@ -1080,7 +1069,7 @@ def test_obstruction_classes_are_section_independent(h3_ext):
     rng = random.Random(61)
     pos = c1_positions(h3_ext.g.basis, h3_ext.a_basis)
     mu = map_from_coords(
-        h3_ext.g.basis, h3_ext.a_basis, pos,
+        h3_ext.g.basis, h3_ext.a_basis,
         tuple(Fraction(rng.randint(-4, 4)) for _ in range(len(pos))))
     shifted = beta_with_section(h3_ext, mu)
     h = _module_scaling(h3_ext, 3) - GradedLinearMap.identity(h3_ext.a_basis)

@@ -442,7 +442,7 @@ def obstruction_text(pin_corpus):
         for psi in _action_endo_samples(ext, rng, 4):
             lines.append(f"{name} lift {lift_obstruction(psi, ext).coords}")
         for _ in range(4):
-            phi = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+            phi = map_from_coords(ext.a_basis, ext.a_basis,
                                   _rand_combination(ext.module_end_space, rng))
             lines.append(f"{name} extend {extend_obstruction(phi, ext).coords}")
         for phi in _module_endo_samples(ext, rng, 3):

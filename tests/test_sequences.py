@@ -498,14 +498,13 @@ def test_central_split_extension_lifts_everything():
 
 
 def test_vanishing_h2_extends_a_whole_basis_of_module_endomorphisms(sd_ext, aff_ext):
-    from superext.cohomology import c1_positions, map_from_coords
+    from superext.cohomology import map_from_coords
     from superext.extension import extend_endomorphism
 
     for ext in (sd_ext, aff_ext):
         assert ext.h2_g.dim == 0
-        pos = c1_positions(ext.a_basis, ext.a_basis)
         for v in ext.module_end_space.basis:
-            phi = map_from_coords(ext.a_basis, ext.a_basis, pos, v)
+            phi = map_from_coords(ext.a_basis, ext.a_basis, v)
             assert extend_endomorphism(phi, ext) is not None
 
 
@@ -544,9 +543,9 @@ def test_block_maps_match_the_column_forms(pin_corpus):
     for name, ext in pin_corpus:
         pos_g = c1_positions(ext.g.basis, ext.g.basis)
         for _ in range(3):
-            phi = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+            phi = map_from_coords(ext.a_basis, ext.a_basis,
                                   [Fraction(rng.randint(-5, 5)) for _ in ext.pos_a])
-            psi = map_from_coords(ext.g.basis, ext.g.basis, pos_g,
+            psi = map_from_coords(ext.g.basis, ext.g.basis,
                                   [Fraction(rng.randint(-5, 5)) for _ in pos_g])
             eps, alpha = _ideal_block_map(phi, ext), _quotient_block_map(psi, ext)
             for m, idx in enumerate(ext.ideal_indices):
@@ -609,7 +608,7 @@ def _map_level_action_endo_samples(ext, rng, count):
     while len(out) < count and attempts < 40 * count:
         attempts += 1
         coords = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(len(pos)))
-        psi = map_from_coords(ext.g.basis, ext.g.basis, pos, coords)
+        psi = map_from_coords(ext.g.basis, ext.g.basis, coords)
         if rho @ psi.matrix == rho and is_homomorphism(psi, ext.g, ext.g) and psi not in out:
             out.append(psi)
     for i in range(len(out)):

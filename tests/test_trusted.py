@@ -47,6 +47,7 @@ from superext.cohomology import (
     cochain2_from_coords,
     cup,
     map_from_coords,
+    map_to_coords,
 )
 from superext.errors import MembershipError, ShapeError
 from superext.extension import AbelianExtension, beta_with_section, build_extension, inflate2
@@ -245,17 +246,6 @@ def test_public_graded_map_checks_homogeneity():
         GradedLinearMap(dom, dom, Mat([[0, 1], [0, 0]]))
 
 
-def test_map_from_coords_reports_slots_of_the_wrong_parity():
-    dom = SuperBasis([("x", 0), ("y", 1)])
-    slots = c1_positions(dom, dom)
-    f = map_from_coords(dom, dom, slots, [1, 2])
-    assert f == GradedLinearMap(dom, dom, Mat([[1, 0], [0, 2]]))
-    with pytest.raises(ShapeError, match=r"^entry \(x, y\) breaks homogeneity of degree 0$"):
-        map_from_coords(dom, dom, slots + [(0, 1)], [1, 2, 3])
-    with pytest.raises(ShapeError, match="^degree must be 0 or 1$"):
-        map_from_coords(dom, dom, slots, [1, 2], degree=2)
-
-
 def test_coordinate_builders_reject_indices_outside_the_bases():
     # a negative index would wrap around to the last basis element, and one
     # past the end would raise a bare IndexError: both are shape errors
@@ -263,22 +253,68 @@ def test_coordinate_builders_reject_indices_outside_the_bases():
     for entries in ({(-1, 1): [1]}, {(-2, -1): [0]}, {(0, 2): [1]}, {(1, 1): [1], (1, 5): [0]}):
         with pytest.raises(ShapeError, match="out of range"):
             Cochain2.from_upper(plane, line, entries)
-    for position in ((-1, 1, 0), (0, 1, -1), (1, 1, -1), (1, 2, 0), (1, 1, 1)):
-        with pytest.raises(ShapeError, match="out of range"):
-            cochain2_from_coords(plane, line, [position], [1])
-    for position in ((-1, -1), (0, -1), (-2, 0), (2, 0), (0, 2)):
-        with pytest.raises(ShapeError, match="out of range"):
-            map_from_coords(plane, plane, [position], [3])
-    assert Cochain2.from_upper(plane, line, {(1, 1): [1]}) == cochain2_from_coords(
-        plane, line, [(1, 1, 0)], [1])
+    assert Cochain2.from_upper(plane, line, {(1, 1): [1]}) == cochain2_from_coords(plane, line, [1])
+
+
+def test_coordinate_layouts_take_degrees_0_and_1_only():
+    # the layouts do not reduce the degree mod 2: degree 2 is refused, not read as 0
+    dom, line = SuperBasis([("x", 0), ("y", 1)]), SuperBasis([("t", 0)])
+    for degree in (2, -1):
+        for build in (lambda: c1_positions(dom, dom, degree), lambda: c2_positions(dom, line, degree),
+                      lambda: map_from_coords(dom, dom, [1, 2], degree),
+                      lambda: cochain2_from_coords(dom, line, [1], degree),
+                      lambda: Cochain2.from_upper(dom, line, {}, degree)):
+            with pytest.raises(ShapeError, match="^degree must be 0 or 1$"):
+                build()
+    assert map_from_coords(dom, dom, [1, 2]) == GradedLinearMap(dom, dom, Mat([[1, 0], [0, 2]]))
+    with pytest.raises(ShapeError, match="^coordinate vector does not match the position list$"):
+        map_from_coords(dom, dom, [1, 2, 3])
+    with pytest.raises(TypeError):
+        map_from_coords(dom, dom, [True, 1])
+    with pytest.raises(TypeError):
+        cochain2_from_coords(dom, line, [0.5])
+
+
+@st.composite
+def _layout_coords(draw):
+    """Super bases of dimension at most 4, a degree, and one coordinate per
+    slot of the 1-cochain and of the 2-cochain layout."""
+    ps = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    pt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    source = SuperBasis([(f"b{i}", p) for i, p in enumerate(ps)])
+    target = SuperBasis([(f"t{k}", p) for k, p in enumerate(pt)])
+    degree = draw(st.integers(0, 1))
+    return (source, target, degree, [draw(_ENTRY) for _ in c1_positions(source, target, degree)],
+            [draw(_ENTRY) for _ in c2_positions(source, target, degree)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=_layout_coords())
+def test_coordinate_maps_agree_with_the_public_constructors(case):
+    """`map_from_coords` and `cochain2_from_coords` give what the checked
+    constructors give on the entries that the layouts assign to the
+    coordinates, and give the coordinates back."""
+    source, target, degree, v1, v2 = case
+    entries: dict = {}
+    for (i, j, k), x in zip(c2_positions(source, target, degree), v2):
+        entries.setdefault((i, j), [0] * target.dim)[k] = x
+    beta = cochain2_from_coords(source, target, v2, degree)
+    assert beta == Cochain2.from_upper(source, target, entries, degree)
+    grid = [[0] * source.dim for _ in range(target.dim)]
+    for (r, c), x in zip(c1_positions(source, target, degree), v1):
+        grid[r][c] = x
+    f = map_from_coords(source, target, v1, degree)
+    assert f == GradedLinearMap(source, target, Mat(grid, cols=source.dim), degree)
+    assert beta.coords == tuple(v2) and map_to_coords(f) == tuple(v1)
+    assert all(x is _ZERO for x in beta.coords + sum(f.matrix.data, ()) if x == 0)
 
 
 def test_library_cochains_come_from_their_upper_pairs(monkeypatch):
-    """A work guard: every 2-cochain the library builds passes `from_upper`,
-    which reads its upper-pair values only.  With the public dense
-    constructor and the dense grid made to fail, extensions and semidirect
-    products, coboundaries, inflation, shifted sections, the zero cochain and
-    all five suites still succeed."""
+    """A work guard: every 2-cochain the library builds comes from its
+    upper-pair values (`from_upper`) or its coordinates (`_trusted`).  With
+    the public dense constructor and the dense grid made to fail, extensions
+    and semidirect products, coboundaries, inflation, shifted sections, the
+    zero cochain and all five suites still succeed."""
     def refuse(*args, **kwargs):
         raise AssertionError("a 2-cochain went through a dense tensor")
 
@@ -291,7 +327,7 @@ def test_library_cochains_come_from_their_upper_pairs(monkeypatch):
         rebuilt = build_extension(ext.e, ext.ideal_indices)
         assert rebuilt.beta == ext.beta
         pos = c1_positions(ext.g.basis, ext.a_basis)
-        mu = map_from_coords(ext.g.basis, ext.a_basis, pos, [Fraction(k + 1, 2) for k in range(len(pos))])
+        mu = map_from_coords(ext.g.basis, ext.a_basis, [Fraction(k + 1, 2) for k in range(len(pos))])
         assert beta_with_section(ext, mu) == ext.beta + coboundary1(mu, ext.g, ext.action)
         assert inflate2(ext.beta, ext).source == ext.e.basis
         assert Cochain2.zero(ext.g.basis, ext.a_basis).is_zero()
@@ -338,7 +374,7 @@ def test_derived_cochains_of_the_fixture_extensions_pass_the_public_checks(pin_c
     rng = random.Random(29)
     for _, ext in pin_corpus:
         for psi in _action_endo_samples(ext, rng, 3)[:3]:
-            h = map_from_coords(ext.a_basis, ext.a_basis, ext.pos_a,
+            h = map_from_coords(ext.a_basis, ext.a_basis,
                                 _rand_combination(ext.module_end_space, rng))
             for q in (0, -1, Fraction(2, 3)):
                 _check_derived_cochains(ext.beta, psi, h, q)
@@ -356,9 +392,8 @@ def _cochain_with_maps(draw):
     source = SuperBasis([(f"b{i}", p) for i, p in enumerate(ps)])
     target = SuperBasis([(f"t{k}", p) for k, p in enumerate(pt)])
     degree, f_degree = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    positions = c2_positions(source, target, degree)
-    beta = cochain2_from_coords(source, target, positions,
-                                [draw(_ENTRY) for _ in positions], degree)
+    beta = cochain2_from_coords(source, target,
+                                [draw(_ENTRY) for _ in c2_positions(source, target, degree)], degree)
     psi = GradedLinearMap(source, source, Mat(
         [[draw(_ENTRY) if p == r else 0 for r in ps] for p in ps]))
     f = GradedLinearMap(target, target, Mat(
