@@ -50,11 +50,6 @@ def _nonzero_entries(tensor: Sequence[Sequence[Sequence]]) -> Terms:
                  for row in tensor)
 
 
-def _dense_view(terms: Terms, width: int) -> tuple[tuple[Vec, ...], ...]:
-    """The dense tensor with these terms, its vectors of length `width`."""
-    return tuple(tuple(_spread(v, width) for v in row) for row in terms)
-
-
 class SuperBasis:
     """Ordered homogeneous basis: unique names with parities in {0, 1}."""
 
@@ -115,10 +110,11 @@ class Violation:
 
 
 class LieSuperalgebra:
-    """Finite-dimensional Lie superalgebra given by structure constants, kept
-    as the `Terms` of their tensor; `structure` is a dense view of them."""
+    """Finite-dimensional Lie superalgebra given by structure constants: the
+    constructor takes their dense tensor (structure[i][j] holds [b_i, b_j])
+    and keeps only its `Terms`, read through `bracket`."""
 
-    __slots__ = ("basis", "_sparse", "_structure", "_int_sparse")
+    __slots__ = ("basis", "_sparse", "_int_sparse")
 
     def __init__(self, basis: SuperBasis, structure: Sequence[Sequence[Sequence]]):
         n = basis.dim
@@ -127,15 +123,14 @@ class LieSuperalgebra:
         grid = [[vec(v) for v in row] for row in structure]
         if any(len(v) != n for row in grid for v in row):
             raise ShapeError("structure tensor entries have the wrong length")
-        self.basis, self._sparse = basis, _nonzero_entries(grid)
-        self._structure = self._int_sparse = None
+        self.basis, self._sparse, self._int_sparse = basis, _nonzero_entries(grid), None
 
     @classmethod
     def _trusted(cls, basis: SuperBasis, sparse: Terms) -> "LieSuperalgebra":
         """An algebra on the terms of a tensor of the right shape, as
         `from_brackets`, `quotient_by_ideal` and `semidirect_product` build them."""
         g = object.__new__(cls)
-        g.basis, g._sparse, g._structure, g._int_sparse = basis, sparse, None, None
+        g.basis, g._sparse, g._int_sparse = basis, sparse, None
         return g
 
     @classmethod
@@ -175,13 +170,6 @@ class LieSuperalgebra:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @property
-    def structure(self) -> tuple[tuple[Vec, ...], ...]:
-        """The dense tensor: structure[i][j] holds the coordinates of [b_i, b_j]."""
-        if self._structure is None:
-            self._structure = _dense_view(self._sparse, self.dim)
-        return self._structure
 
     def _int_view(self) -> tuple[list[list[tuple]], int]:
         """(S, E): the terms with each value c written as the integer c·E, over
@@ -297,10 +285,11 @@ def validate_superalgebra(g: LieSuperalgebra) -> Optional[Violation]:
 
 
 class ModuleAction:
-    """Action of a Lie superalgebra on a super vector space, kept as the
-    `Terms` of its tensor; `action` is a dense view of them."""
+    """Action of a Lie superalgebra on a super vector space: the constructor
+    takes its dense tensor (action[i][m] holds b_i · v_m) and keeps only its
+    `Terms`, read through `act` and `act_basis`."""
 
-    __slots__ = ("algebra", "space", "_sparse", "_action")
+    __slots__ = ("algebra", "space", "_sparse")
 
     def __init__(self, algebra: LieSuperalgebra, space: SuperBasis,
                  action: Sequence[Sequence[Sequence]]):
@@ -310,26 +299,19 @@ class ModuleAction:
         grid = [[vec(v) for v in row] for row in action]
         if any(len(v) != d for row in grid for v in row):
             raise ShapeError("action tensor entries have the wrong length")
-        self.algebra, self.space, self._sparse, self._action = algebra, space, _nonzero_entries(grid), None
+        self.algebra, self.space, self._sparse = algebra, space, _nonzero_entries(grid)
 
     @classmethod
     def _trusted(cls, algebra: LieSuperalgebra, space: SuperBasis, sparse: Terms) -> "ModuleAction":
         """A module on the terms of an action tensor of the right shape, as an
         extension reads them off its ambient algebra."""
         m = object.__new__(cls)
-        m.algebra, m.space, m._sparse, m._action = algebra, space, sparse, None
+        m.algebra, m.space, m._sparse = algebra, space, sparse
         return m
 
     @classmethod
     def trivial(cls, algebra: LieSuperalgebra, space: SuperBasis) -> "ModuleAction":
         return cls._trusted(algebra, space, (((),) * space.dim,) * algebra.dim)
-
-    @property
-    def action(self) -> tuple[tuple[Vec, ...], ...]:
-        """The dense tensor: action[i][m] holds the coordinates of b_i · v_m."""
-        if self._action is None:
-            self._action = _dense_view(self._sparse, self.space.dim)
-        return self._action
 
     def act_basis(self, i: int, m: int) -> Vec:
         return _spread(self._sparse[i][m], self.space.dim)

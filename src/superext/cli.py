@@ -2,7 +2,7 @@
 
 Machine-readable JSON reports go to stdout, a short human summary to
 stderr.  Exit codes: 0 ok/pass, 1 parse or I/O error, 2 semantic
-violation, 3 verification failure.
+violation or argparse's usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -167,6 +167,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_semidirect(args) -> int:
+    if os.path.basename(args.output) in ("", ".", ".."):
+        raise ParseError(f"semidirect: output prefix {args.output!r} names no file")
     g = files.load_algebra(Path(args.algebra))
     module = files.load_module(Path(args.module))
     if module.algebra != g:

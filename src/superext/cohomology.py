@@ -36,10 +36,7 @@ from .algebra import (
     ModuleAction,
     SuperBasis,
     _action_entries,
-    _broken_antisymmetry,
-    _dense_view,
     _jacobi_residual,
-    _nonzero_entries,
     _sign,
     _sum_structure,
     _swapped,
@@ -135,51 +132,16 @@ class Cochain2:
     Stored only as `coords`, one Fraction per slot of `c2_positions(source,
     target, degree)` (the upper pairs, at the target slots of the right
     parity), every zero the shared `_ZERO`: super-antisymmetry and
-    homogeneity fix every other entry.  `tensor` (tensor[i][j] holds the
-    coordinates of beta(b_i, b_j)), `value` and the terms `_view()` are
-    views built on first read.  `_fill` keeps the values at the upper pairs
-    and checks their homogeneity, for `from_upper` (the builder of every
-    other checked cochain) and for the public constructor, which takes a
-    dense tensor and first checks beta(y,x) = -(-1)^{|x||y|} beta(x,y).
-    `cochain2_from_coords`, `+`, `-`, `scale`, `precompose`, `postcompose`
-    and `cup` build their coordinates through `_trusted`: both properties
-    hold at the layout's slots and survive those operations.
+    homogeneity fix every other entry.  It is read through `eval`, `coords`
+    and the terms `_view()`, built on first read.  `from_upper` is the one
+    checked constructor: it takes the values at the upper pairs and checks
+    their homogeneity.  `cochain2_from_coords`, `+`, `-`, `scale`,
+    `precompose`, `postcompose` and `cup` build their coordinates through
+    `_trusted`: both properties hold at the layout's slots and survive those
+    operations.
     """
 
-    __slots__ = ("source", "target", "degree", "coords", "_layout", "_tensor", "_sparse")
-
-    def __init__(self, source: SuperBasis, target: SuperBasis,
-                 tensor: Sequence[Sequence[Sequence]], degree: int = 0):
-        n, d = source.dim, target.dim
-        if degree not in (0, 1):
-            raise ShapeError("degree must be 0 or 1")
-        if len(tensor) != n or any(len(row) != n for row in tensor):
-            raise ShapeError("tensor does not match the source basis size")
-        grid = tuple(tuple(vec(tensor[i][j]) for j in range(n)) for i in range(n))
-        if any(len(v) != d for row in grid for v in row):
-            raise ShapeError("tensor entries have the wrong length")
-        if (bad := _broken_antisymmetry(_nonzero_entries(grid), source.parities)) is not None:
-            i, j = bad
-            raise MembershipError(
-                f"tensor breaks super-antisymmetry at ({source.names[j]}, {source.names[i]})")
-        self._fill(source, target, degree, {(i, j): grid[i][j] for i, j in _upper_pairs(source.parities)})
-
-    def _fill(self, source: SuperBasis, target: SuperBasis, degree: int,
-              values: dict[tuple[int, int], Vec]) -> None:
-        """Keep the coordinates of these `vec`s at the upper pairs (zero where
-        none is given); report the first entry of the wrong parity.  Once
-        super-antisymmetry holds, that is the tensor's first in lexicographic order."""
-        layout, zero = _layout(source.parities, target.parities, degree), (_ZERO,) * target.dim
-        coords: list[Fraction] = []
-        for i, j, _, w in layout.pairs:
-            v = values.get((i, j), zero)
-            for k, x in enumerate(v):
-                if x and target.parities[k] != w:
-                    raise MembershipError(f"tensor entry ({source.names[i]}, {source.names[j]}, "
-                                          f"{target.names[k]}) breaks homogeneity of degree {degree}")
-            coords.extend(v[k] for k in layout.slots[w])
-        self.source, self.target, self.degree, self._layout = source, target, degree, layout
-        self.coords, self._tensor, self._sparse = tuple(coords), None, None
+    __slots__ = ("source", "target", "degree", "coords", "_layout", "_sparse")
 
     @classmethod
     def _trusted(cls, source: SuperBasis, target: SuperBasis, degree: int, layout: _Layout,
@@ -188,10 +150,10 @@ class Cochain2:
         super-antisymmetric homogeneous map by construction (sums, multiples
         and compositions of checked cochains, and any coordinates at the
         layout's own slots, which hold no even diagonal and only target slots
-        of the right parity), without the public checks."""
+        of the right parity), without `from_upper`'s checks."""
         c = object.__new__(cls)
         c.source, c.target, c.degree, c._layout, c.coords = source, target, degree, layout, coords
-        c._tensor = c._sparse = None
+        c._sparse = None
         return c
 
     @classmethod
@@ -201,8 +163,8 @@ class Cochain2:
     @classmethod
     def from_upper(cls, source: SuperBasis, target: SuperBasis,
                    entries: dict[tuple[int, int], Sequence[Fraction]], degree: int = 0) -> "Cochain2":
-        """Build from entries on pairs i <= j; the rest follows by antisymmetry.
-        The checks and messages are the public constructor's on that tensor."""
+        """Build from entries on pairs i <= j, zero where none is given; the rest
+        follows by antisymmetry.  Reports an even diagonal entry, then the first of the wrong parity."""
         values = {}
         for (i, j), value in entries.items():
             if i > j:
@@ -218,23 +180,16 @@ class Cochain2:
         if bad := [i for (i, j), v in values.items() if i == j and not source.parity(i) and any(v)]:
             name = source.names[min(bad)]
             raise MembershipError(f"tensor breaks super-antisymmetry at ({name}, {name})")
-        c = object.__new__(cls)
-        c._fill(source, target, degree, values)
-        return c
-
-    @property
-    def tensor(self) -> tuple[tuple[Vec, ...], ...]:
-        """The dense tensor: tensor[i][j] holds the coordinates of beta(b_i, b_j)."""
-        if self._tensor is None:
-            self._tensor = self._grid()
-        return self._tensor
-
-    def _grid(self) -> tuple[tuple[Vec, ...], ...]:
-        """The dense tensor of the terms."""
-        return _dense_view(self._view(), self.target.dim)
-
-    def value(self, i: int, j: int) -> Vec:
-        return self.tensor[i][j]
+        layout, zero = _layout(source.parities, target.parities, degree), (_ZERO,) * target.dim
+        coords: list[Fraction] = []
+        for i, j, _, w in layout.pairs:
+            v = values.get((i, j), zero)
+            for k, x in enumerate(v):
+                if x and target.parities[k] != w:
+                    raise MembershipError(f"tensor entry ({source.names[i]}, {source.names[j]}, "
+                                          f"{target.names[k]}) breaks homogeneity of degree {degree}")
+            coords.extend(v[k] for k in layout.slots[w])
+        return cls._trusted(source, target, degree, layout, tuple(coords))
 
     def _view(self) -> tuple:
         """The terms of the tensor (`algebra.Terms`), read off the coordinates

@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracle import dense
 from superext import fixtures
 from superext.algebra import LieSuperalgebra, ModuleAction, SuperBasis, semidirect_product
 from superext.extension import build_extension
@@ -122,5 +123,5 @@ def osp12_adjoint_extension():
         ("f", "P"): {"M": -1}, ("P", "P"): {"e": 2}, ("M", "M"): {"f": -2},
         ("P", "M"): {"h": 1}})
     space = SuperBasis([(f"{name}'", p) for name, p in basis.items()])
-    return semidirect_product(g, ModuleAction(g, space, g.structure))[1]
+    return semidirect_product(g, ModuleAction(g, space, dense(g._sparse, g.dim)))[1]
 

@@ -1,10 +1,12 @@
 """Dense references, for the tests only.
 
 The library eliminates sparse rows component by component, stores each
-structure tensor as its nonzero terms and each 2-cochain as its coordinates;
-these are the whole-matrix and whole-tensor forms it replaced, over dense
-lists of Fractions.  They share no code with `superext.linalg`, with the
-algebra builders or with the cochain operations.
+structure tensor as its nonzero terms and each 2-cochain as its coordinates,
+and keeps no dense view of either; these are the whole-matrix and
+whole-tensor forms it replaced, over dense lists of Fractions, and `dense`
+is the one way the tests read a stored tensor densely.  They share no code
+with `superext.linalg`, with the algebra builders or with the cochain
+operations.
 """
 
 from fractions import Fraction
@@ -16,6 +18,13 @@ from superext.linalg import Mat
 def _swap_sign(p, q):
     """-(-1)^{pq}: [y, x] is this multiple of [x, y] for x, y of parities p and q."""
     return 1 if p * q % 2 else -1
+
+
+def dense(terms, width):
+    """The dense tensor with these terms (an algebra's or a module's `_sparse`,
+    a 2-cochain's `_view()`), its vectors of length `width`."""
+    return tuple(tuple(tuple(dict(v).get(k, Fraction(0)) for k in range(width)) for v in row)
+                 for row in terms)
 
 
 def from_brackets(basis, brackets):
@@ -55,30 +64,32 @@ def sum_structure(g, m, beta=None):
     ([x,y], x·b - (-1)^{|a||y|} y·a + beta(x,y)), for a dense 2-cochain
     tensor beta; None gives the semidirect product g ⋉ M."""
     ng, na = g.dim, m.space.dim
+    bracket, action = dense(g._sparse, ng), dense(m._sparse, na)
     zg, za = (Fraction(0),) * ng, (Fraction(0),) * na
     structure = [[zg + za] * (ng + na) for _ in range(ng + na)]
     for i in range(ng):
         for j in range(ng):
-            structure[i][j] = g.structure[i][j] + (za if beta is None else tuple(beta[i][j]))
+            structure[i][j] = bracket[i][j] + (za if beta is None else tuple(beta[i][j]))
         for v in range(na):
-            structure[i][ng + v] = zg + m.action[i][v]
+            structure[i][ng + v] = zg + action[i][v]
             s = _swap_sign(m.space.parity(v), g.basis.parity(i))
-            structure[ng + v][i] = zg + tuple(s * c for c in m.action[i][v])
+            structure[ng + v][i] = zg + tuple(s * c for c in action[i][v])
     return tuple(map(tuple, structure))
 
 
 def precompose(beta, psi):
     """The dense tensor of beta ∘ (psi x psi): every pair (i, j), the sum of
-    psi_ai psi_bj beta(b_a, b_b) over all (a, b), read off `beta.tensor`."""
-    n, d, t, m = beta.source.dim, beta.target.dim, beta.tensor, psi.matrix.data
+    psi_ai psi_bj beta(b_a, b_b) over all (a, b), read off beta's dense tensor."""
+    n, d, m = beta.source.dim, beta.target.dim, psi.matrix.data
+    t = dense(beta._view(), d)
     return [[[sum(m[a][i] * m[b][j] * t[a][b][k] for a in range(n) for b in range(n))
               for k in range(d)] for j in range(n)] for i in range(n)]
 
 
 def postcompose(beta, f):
     """The dense tensor of f ∘ beta pointwise: f's matrix times every vector of
-    `beta.tensor`."""
-    m, t = f.matrix.data, beta.tensor
+    beta's dense tensor."""
+    m, t = f.matrix.data, dense(beta._view(), beta.target.dim)
     return [[[sum(x * y for x, y in zip(row, v)) for row in m] for v in line] for line in t]
 
 

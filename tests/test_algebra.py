@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dense_oracle
+from dense_oracle import dense
 from superext.algebra import (
     GradedLinearMap,
     LieSuperalgebra,
@@ -203,8 +204,9 @@ def test_semidirect_identity_action():
     product, ext = semidirect_product(m.algebra, m)
     assert product.dim == 3
     t, v1, v2 = 0, 1, 2
-    assert product.structure[t][v1] == unit_vec(3, v1)
-    assert product.structure[t][v2] == unit_vec(3, v2)
+    structure = dense(product._sparse, product.dim)
+    assert structure[t][v1] == unit_vec(3, v1)
+    assert structure[t][v2] == unit_vec(3, v2)
     assert ext.beta.is_zero()
     assert validate_superalgebra(product) is None
 
@@ -221,7 +223,7 @@ def test_semidirect_odd_module():
     m = odd_line_module()
     product, ext = semidirect_product(m.algebra, m)
     assert validate_superalgebra(product) is None
-    assert product.structure[0][1] == unit_vec(2, 1)
+    assert dense(product._sparse, product.dim)[0][1] == unit_vec(2, 1)
     assert product.basis.parities == (0, 1)
 
 
@@ -306,22 +308,23 @@ def _dense_jacobi_residual(structure, parities, i, j, k):
 def _dense_validate_superalgebra(g):
     """Reference validator: parity, antisymmetry, then the dense residual on all triples."""
     b, n, names = g.basis, g.dim, g.basis.names
+    structure = dense(g._sparse, n)
     for i in range(n):
         for j in range(n):
             want = (b.parity(i) + b.parity(j)) % 2
             for k in range(n):
-                if g.structure[i][j][k] != 0 and b.parity(k) != want:
+                if structure[i][j][k] != 0 and b.parity(k) != want:
                     return Violation("parity", (names[i], names[j], names[k]),
                                      f"[{names[i]},{names[j]}] has a component of the wrong parity on {names[k]}")
     for i in range(n):
         for j in range(i, n):
-            if g.structure[j][i] != scale_vec(-_sign(b.parity(i), b.parity(j)), g.structure[i][j]):
+            if structure[j][i] != scale_vec(-_sign(b.parity(i), b.parity(j)), structure[i][j]):
                 return Violation("antisymmetry", (names[j], names[i]),
                                  f"[{names[j]},{names[i]}] != -(-1)^(|{names[i]}||{names[j]}|) [{names[i]},{names[j]}]")
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if not is_zero_vec(_dense_jacobi_residual(g.structure, b.parities, i, j, k)):
+                if not is_zero_vec(_dense_jacobi_residual(structure, b.parities, i, j, k)):
                     return Violation("jacobi", (names[i], names[j], names[k]),
                                      "super-Jacobi identity fails on this basis triple")
     return None
@@ -332,11 +335,12 @@ def _dense_validate_module(m):
     if bad is not None:
         return bad
     ab, sb = m.algebra.basis, m.space
+    action = dense(m._sparse, sb.dim)
     for i in range(ab.dim):
         for v in range(sb.dim):
             want = (ab.parity(i) + sb.parity(v)) % 2
             for k in range(sb.dim):
-                if m.action[i][v][k] != 0 and sb.parity(k) != want:
+                if action[i][v][k] != 0 and sb.parity(k) != want:
                     return Violation("module-parity", (ab.names[i], sb.names[v], sb.names[k]),
                                      "action component has the wrong parity")
     structure = dense_oracle.sum_structure(m.algebra, m)
@@ -385,13 +389,14 @@ def _kernel_corpus():
     cases = []
     rng = random.Random(11)
     for ext in _kernel_extensions():
-        cases.append((ext.e.structure, ext.e.basis.parities))
+        cases.append((dense(ext.e._sparse, ext.e.dim), ext.e.basis.parities))
         for cx in (ext.cochains_g, ext.cochains_e):
             parities = cx.g.basis.parities + cx.m.space.parities
             beta = cx.cochain2(tuple(Fraction(rng.choice((-2, -1, 0, 1, 3))) for _ in cx.pos2))
+            beta = dense(beta._view(), cx.m.space.dim)
             cases.append((dense_oracle.sum_structure(cx.g, cx.m), parities))
-            cases.append((dense_oracle.sum_structure(cx.g, cx.m, beta.tensor), parities))
-        cases.append((dense_oracle.sum_structure(ext.g, ext.action, ext.beta.tensor),
+            cases.append((dense_oracle.sum_structure(cx.g, cx.m, beta), parities))
+        cases.append((dense_oracle.sum_structure(ext.g, ext.action, dense(ext.beta._view(), ext.dim_a)),
                       ext.g.basis.parities + ext.a_basis.parities))
     cases += [_random_tensor(rng) for _ in range(60)]
     return cases
@@ -491,16 +496,19 @@ def test_sparse_kernels_match_the_dense_bilinear():
                 compared += 1
     for ext in _kernel_extensions():
         for alg in (ext.e, ext.g):
+            structure = dense(alg._sparse, alg.dim)
             for _ in range(20):
                 x, y = _random_vector(rng, alg.dim), _random_vector(rng, alg.dim)
-                assert alg.bracket(x, y) == _dense_bilinear(alg.structure, x, y, alg.dim)
+                assert alg.bracket(x, y) == _dense_bilinear(structure, x, y, alg.dim)
         for m in (ext.action, ext.adjoint):
+            action = dense(m._sparse, m.space.dim)
             for _ in range(20):
                 x, v = _random_vector(rng, m.algebra.dim), _random_vector(rng, m.space.dim)
-                assert m.act(x, v) == _dense_bilinear(m.action, x, v, m.space.dim)
+                assert m.act(x, v) == _dense_bilinear(action, x, v, m.space.dim)
+        beta = dense(ext.beta._view(), ext.dim_a)
         for _ in range(20):
             x, y = _random_vector(rng, ext.dim_g), _random_vector(rng, ext.dim_g)
-            assert ext.beta.eval(x, y) == _dense_bilinear(ext.beta.tensor, x, y, ext.dim_a)
+            assert ext.beta.eval(x, y) == _dense_bilinear(beta, x, y, ext.dim_a)
     assert compared >= 5000, compared
 
 
@@ -522,7 +530,7 @@ def _random_algebra(rng):
                 brackets[(f"b{i}", f"b{j}")] = value
     g = LieSuperalgebra.from_brackets(basis, brackets)
     if rng.random() < 0.1:
-        structure = [list(row) for row in g.structure]
+        structure = [list(row) for row in dense(g._sparse, g.dim)]
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         structure[i][j] = tuple(c + (k == t) for t, c in enumerate(structure[i][j]))
         g = LieSuperalgebra(basis, structure)
@@ -535,7 +543,7 @@ def test_validators_report_the_same_violation_as_the_dense_reference():
     rules = []
     for g in algebras:
         got = validate_superalgebra(g)
-        assert str(got) == str(_dense_validate_superalgebra(g)), g.structure
+        assert str(got) == str(_dense_validate_superalgebra(g)), g._sparse
         rules.append(got.rule if got else None)
     valid = [g for g, rule in zip(algebras, rules) if rule is None]
     valid += [heisenberg3(), odd_heisenberg(), _odd_h5().e, _sl2_v2().e, _sl2_v2().g]
@@ -547,7 +555,7 @@ def test_validators_report_the_same_violation_as_the_dense_reference():
                     else 0 for k in range(space.dim)] for v in range(space.dim)] for i in range(g.dim)]
         m = ModuleAction(g, space, action)
         got = validate_module(m)
-        assert str(got) == str(_dense_validate_module(m)), (g.structure, m.action)
+        assert str(got) == str(_dense_validate_module(m)), (g._sparse, m._sparse)
         rules.append(got.rule if got else None)
     assert rules[:300].count(None) <= 100 and rules[300:].count(None) <= 100, rules.count(None)
     for rule in ("parity", "antisymmetry", "jacobi", "module-parity", "module-axiom"):
@@ -613,7 +621,7 @@ def test_from_brackets_and_semidirect_product_match_the_dense_reference():
             outcomes.append("self-bracket" if "self-bracket" in str(exc) else "orientations")
             continue
         g = LieSuperalgebra.from_brackets(basis, brackets)
-        assert g.structure == want, brackets
+        assert dense(g._sparse, g.dim) == want, brackets
         assert g == LieSuperalgebra(basis, want)
         outcomes.append(None)
     for outcome in ("self-bracket", "orientations", None):
@@ -624,8 +632,8 @@ def test_from_brackets_and_semidirect_product_match_the_dense_reference():
         ext.action for ext in _kernel_extensions() if ext.g.dim]
     for m in modules:
         product, ext = semidirect_product(m.algebra, m)
-        assert product.structure == dense_oracle.sum_structure(m.algebra, m), m.action
-        assert product == LieSuperalgebra(product.basis, product.structure)
+        assert dense(product._sparse, product.dim) == dense_oracle.sum_structure(m.algebra, m), m._sparse
+        assert product == LieSuperalgebra(product.basis, dense(product._sparse, product.dim))
         assert ext.action == m and ext.beta.is_zero()
 
 
@@ -634,8 +642,8 @@ def _is_homomorphism_loop(phi, g, h):
     on every basis pair."""
     if phi.degree != 0:
         return False
-    images = [phi.image_of_basis(i) for i in range(g.dim)]
-    return all(phi.apply(g.structure[i][j]) == h.bracket(images[i], images[j])
+    images, structure = [phi.image_of_basis(i) for i in range(g.dim)], dense(g._sparse, g.dim)
+    return all(phi.apply(structure[i][j]) == h.bracket(images[i], images[j])
                for i in range(g.dim) for j in range(g.dim))
 
 

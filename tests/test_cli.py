@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superext
-from conftest import strictly_upper_extension
-from superext import algebra as algebra_module
+from conftest import sl2_v2_extension, strictly_upper_extension
+from dense_oracle import dense
 from superext import cli
 from superext.algebra import LieSuperalgebra, ModuleAction
 from superext.cli import main
-from superext.cohomology import Cochain2
 from superext.files import (
     _parse_basis,
     dump_algebra,
@@ -387,6 +386,44 @@ def test_verify_with_samples_and_note(capsys, tmp_path):
     assert any("not surjective" in note for note in payload["notes"])
 
 
+# the check of cor1 and of thm3 that counts the module automorphisms sampled
+_AUT_CHECKS = {"cor1": "automorphism_extension_decided_by_obstruction",
+               "thm3": "ideal_block_section_is_homomorphic"}
+
+
+@pytest.mark.parametrize("suite, diagonal, error", [
+    ("cor1", ["3", "3"], None),
+    ("cor1", ["1", "2"], "supplied sample is not a module endomorphism"),
+    ("cor1", ["0", "0"], "supplied sample is not invertible"),
+    ("thm3", ["3", "3"], None),
+    ("thm3", ["1", "2"], "supplied sample is not a module automorphism"),
+    ("thm3", ["0", "0"], "supplied sample is not a module automorphism"),
+])
+def test_verify_checks_and_counts_supplied_module_automorphisms(capsys, tmp_path, suite, diagonal,
+                                                                 error):
+    # on sl2 ⋉ V2, End_g(a) is the scalars: 3·id is an automorphism and is
+    # sampled on top of the suite's own, diag(1, 2) is no module map and the
+    # zero map is not invertible
+    _write(tmp_path / "sl2v2.json", dump_algebra(sl2_v2_extension().e, name="sl2v2"))
+    ext = _write(tmp_path / "sl2v2.ext.json", {"algebra": "sl2v2.json", "ideal": ["v1", "v2"]})
+    samples = _write(tmp_path / "samples.json", {"maps": [{
+        "domain": "a", "codomain": "a",
+        "entries": [{"from": v, "to": v, "coeff": c} for v, c in zip(("v1", "v2"), diagonal)],
+    }]})
+    code, payload, err = _run(capsys, ["verify", ext, "--suite", suite, "--samples", samples])
+    if error is not None:
+        assert code == 2 and payload is None
+        assert err.splitlines() == [f"error: {error}"]
+        return
+    assert code == 0 and payload["passed"] is True, err
+    _, alone, _ = _run(capsys, ["verify", ext, "--suite", suite])
+
+    def sampled(report):
+        return next(c["detail"]["samples"] for c in report["checks"] if c["name"] == _AUT_CHECKS[suite])
+
+    assert sampled(payload) == {"cor1": 13, "thm3": 8}[suite] == sampled(alone) + 1
+
+
 @pytest.mark.parametrize("suite", ["five-term", "thm1"])
 def test_verify_refuses_samples_for_suites_that_take_none(capsys, h3_files, tmp_path, suite):
     # refused before the samples file is read: it does not even exist
@@ -419,30 +456,23 @@ def test_closed_stdout_pipe_is_a_clean_io_error(h3_files, unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
-def test_cold_cli_runs_build_no_dense_tensor(capsys, tmp_path, monkeypatch):
+def test_cold_cli_runs_build_no_dense_tensor(capsys, tmp_path):
     """Algebras and modules keep their tensors as terms only, and 2-cochains
-    their coordinates: with the builders of the dense views made to fail, a
-    cold `cohomology --degree 2` and a five-term `verify` on a Kostant file
-    (n_6 over its centre) still succeed, and the public constructors store no
-    dense tensor."""
+    their coordinates, with no dense view to build: a cold `cohomology
+    --degree 2` and a five-term `verify` on a Kostant file (n_6 over its
+    centre) succeed, and the public constructors keep the terms of the dense
+    tensors they are given."""
     e = strictly_upper_extension(6).e
     _write(tmp_path / "n6.json", dump_algebra(e, name="n6"))
     ext = _write(tmp_path / "n6.ext.json", {"algebra": "n6.json", "ideal": ["E1_6"]})
-    structure, action = e.structure, [[[0, 1], [0, 0]]] * e.dim
-
-    def refuse(*args):
-        raise AssertionError("a dense tensor or 2-cochain grid was built")
-
-    monkeypatch.setattr(algebra_module, "_dense_view", refuse)
-    monkeypatch.setattr(Cochain2, "_grid", refuse)
     code, payload, err = _run(capsys, ["cohomology", ext, "--degree", "2"])
     assert code == 0, err
     assert payload["h2_dim"] > 0
     code, payload, err = _run(capsys, ["verify", ext, "--suite", "five-term"])
     assert code == 0 and payload["passed"] is True, err
-    g = LieSuperalgebra(e.basis, structure)
-    m = ModuleAction(g, superext.SuperBasis([("v", 0), ("w", 0)]), action)
-    assert g == e and g._structure is None and m._action is None
+    g = LieSuperalgebra(e.basis, dense(e._sparse, e.dim))
+    m = ModuleAction(g, superext.SuperBasis([("v", 0), ("w", 0)]), [[[0, 1], [0, 0]]] * e.dim)
+    assert g == e and m._sparse == ((((1, 1),), ()),) * e.dim
 
 
 def test_semidirect_round_trip(capsys, tmp_path):
@@ -466,7 +496,7 @@ def test_semidirect_round_trip(capsys, tmp_path):
     reloaded = load_algebra(algebra_path)
     assert reloaded.dim == 3
     t, v1, v2 = 0, 1, 2
-    assert reloaded.structure[t][v2][v2] == parse_rat("1/2")
+    assert dense(reloaded._sparse, reloaded.dim)[t][v2][v2] == parse_rat("1/2")
     ext = load_extension(ext_path)
     assert ext.beta.is_zero()
     assert ext.dim_a == 2
@@ -516,6 +546,23 @@ def test_semidirect_algebra_mismatch(capsys, tmp_path):
     })
     code, payload, _ = _run(capsys, ["semidirect", algebra, module, "-o", str(tmp_path / "x")])
     assert code == 2
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "/", ".."])
+def test_semidirect_refuses_a_prefix_that_names_no_file(capsys, tmp_path, monkeypatch, prefix):
+    # the refusal comes before any file is read, so nothing is written
+    work = tmp_path / "work"
+    work.mkdir()
+    algebra = _write(work / "t.json", {"name": "t", "basis": [{"name": "t", "parity": 0}],
+                                       "brackets": []})
+    module = _write(work / "m.json", {"algebra": "t.json", "space": [{"name": "v", "parity": 0}],
+                                      "action": []})
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.rglob("*"))
+    code, payload, err = _run(capsys, ["semidirect", algebra, module, "-o", prefix])
+    assert code == 1 and payload is None
+    assert err.splitlines() == [f"error: semidirect: output prefix {prefix!r} names no file"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_missing_file_is_a_parse_error(capsys, tmp_path):

@@ -14,13 +14,26 @@ variable or a string of the same name does not count.  A parameter of a
 library function (`self` and `cls` aside) that its body never reads is
 reported too, except in functions decorated with `_kept`, whose memo passes
 every answer the same `(f, ext)` arguments.
+
+Stale names in the documentation are reported as well: a backticked dotted
+name in README.md or in the docstrings and comments of the library, whose
+head is `superext`, one of its modules or a class a module defines, must
+resolve attribute by attribute.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
+
+import superext
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "superext").glob("*.py") if p.name != "__init__.py")
+DOCUMENTS = [ROOT / "README.md", *sorted((ROOT / "src" / "superext").glob("*.py"))]
+# a backticked dotted name, written `head.attr` or `head.attr(...)`
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]")
 READERS = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
            *(ROOT / "perfbench").glob("*.py")]
 
@@ -140,3 +153,40 @@ def test_unnamed_methods_are_reported_public_or_private():
     dead = list(_dead_code(Path("m.py"), tree, [_mentions(caller)], [_attributes(caller)]))
     assert dead == ["m.py: C.row is never referenced", "m.py: C._orphan is never referenced",
                     "m.py: C.entry is never referenced"]
+
+
+def _library_names():
+    """The package, its modules and the classes they define, by name."""
+    names = {"superext": superext}
+    for path in LIBRARY:
+        module = names[path.stem] = importlib.import_module(f"superext.{path.stem}")
+        names.update((node.name, getattr(module, node.name)) for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.ClassDef))
+    return names
+
+
+def _stale_names(where, text, names):
+    """The backticked dotted names in text whose head is one of `names` and
+    which do not resolve by `getattr`; file names such as `cli.py` aside."""
+    for match in DOTTED.finditer(text):
+        head, *attrs = match[1].split(".")
+        if head in names and attrs[-1] not in ("py", "json", "md"):
+            try:
+                functools.reduce(getattr, attrs, names[head])
+            except AttributeError:
+                yield f"{where}: `{match[1]}` does not resolve"
+
+
+def test_documented_library_names_resolve():
+    names = _library_names()
+    stale = [line for path in DOCUMENTS for line in _stale_names(path.name, path.read_text(), names)]
+    assert stale == []
+
+
+def test_stale_documented_names_are_reported():
+    # a removed function and a removed property are reported, named plain or
+    # called; live names, file names and names of other heads are not
+    text = ("`algebra._swapped`, `algebra._dense_view`, `Cochain2.tensor(i)`, `Cochain2.from_upper`,"
+            " `SparseMat.T`, `cli.py`, `c.tensor`, `perfbench.tracing`")
+    assert list(_stale_names("m.md", text, _library_names())) == [
+        "m.md: `algebra._dense_view` does not resolve", "m.md: `Cochain2.tensor` does not resolve"]

@@ -8,6 +8,7 @@ from superext.algebra import (
     LieSuperalgebra,
     ModuleAction,
     SuperBasis,
+    _upper_pairs,
     is_homomorphism,
     semidirect_product,
 )
@@ -53,6 +54,7 @@ from superext.fixtures import affine_scaling_algebra, heisenberg3
 from superext.sequences import verify_five_term
 
 from conftest import heisenberg_extension, sl2_v2_extension
+from dense_oracle import dense
 from superext.linalg import (
     _ZERO, Mat, SparseMat, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
 )
@@ -88,8 +90,9 @@ def _quotient_diag(ext, *cs):
 
 def test_heisenberg_extension_data(h3_ext):
     assert h3_ext.g == LieSuperalgebra.abelian(SuperBasis([("x", 0), ("y", 0)]))
-    assert h3_ext.beta.value(0, 1) == vec([1])
-    assert h3_ext.beta.value(1, 0) == vec([-1])
+    beta = dense(h3_ext.beta._view(), h3_ext.dim_a)
+    assert beta[0][1] == vec([1])
+    assert beta[1][0] == vec([-1])
     assert h3_ext.is_central()
     assert not h3_ext.is_split_on_section()
     # p ∘ s = id
@@ -98,7 +101,7 @@ def test_heisenberg_extension_data(h3_ext):
 
 def test_odd_heisenberg_extension_data(ba1_ext):
     assert ba1_ext.g.basis.parities == (0, 1)
-    assert ba1_ext.beta.value(0, 1) == vec([1])
+    assert dense(ba1_ext.beta._view(), ba1_ext.dim_a)[0][1] == vec([1])
     assert ba1_ext.is_central()
 
 
@@ -539,23 +542,19 @@ def test_aut_obstruction_requires_invertibility(h3_ext):
 
 def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(monkeypatch):
     # a work guard: β ∘ (ψ x ψ) - β, β - ψ∘β and -h∘β are derived from the
-    # checked cocycle β, so no obstruction or lift repeats the public scans,
-    # and they are computed on coordinates, so none builds a dense grid;
-    # on Heisenberg g, x1 -> 2 x1 scales the form β and does not lift
+    # checked cocycle β on coordinates, so no obstruction or lift repeats the
+    # checks of `from_upper`, the one public constructor; on Heisenberg g,
+    # x1 -> 2 x1 scales the form β and does not lift
     cases = [heisenberg_extension(3), heisenberg_extension(2, odd=True), sl2_v2_extension(),
              fixtures.affine_scaling_extension()]
     constructed = []
-    init = Cochain2.__init__
+    from_upper = Cochain2.from_upper
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         constructed.append(args)
-        init(self, *args, **kwargs)
+        return from_upper(*args, **kwargs)
 
-    def refuse(self):
-        raise AssertionError("a dense 2-cochain grid was built")
-
-    monkeypatch.setattr(Cochain2, "__init__", counted)
-    monkeypatch.setattr(Cochain2, "_grid", refuse)
+    monkeypatch.setattr(Cochain2, "from_upper", classmethod(counted))
     lifted = []
     for ext in cases:
         n = ext.dim_g
@@ -835,9 +834,14 @@ def test_kernel_of_restriction_is_the_inflated_space(corpus):
 
 
 def _inflate2_body(b, ext):
-    """inflate2 without its membership checks: b on projected arguments."""
+    """inflate2 without its membership checks: b on projected arguments, at
+    every pair; the cochain its upper pairs determine has the whole grid."""
     images = [ext.projection.image_of_basis(i) for i in range(ext.dim_e)]
-    return Cochain2(ext.e.basis, ext.a_basis, [[b.eval(x, y) for y in images] for x in images])
+    grid = tuple(tuple(b.eval(x, y) for y in images) for x in images)
+    out = Cochain2.from_upper(ext.e.basis, ext.a_basis,
+                              {(i, j): grid[i][j] for i, j in _upper_pairs(ext.e.basis.parities)})
+    assert dense(out._view(), ext.dim_a) == grid
+    return out
 
 
 def test_inflation_and_restriction_matrices_match_the_definitions(pin_corpus):

@@ -39,6 +39,7 @@ from superext.sequences import (
 )
 
 from conftest import sl2_v2_extension
+from dense_oracle import dense
 from test_trusted import _nilpotent_module
 
 
@@ -600,8 +601,8 @@ def _map_level_action_endo_samples(ext, rng, count):
     """The sampler as it was before the coordinate prefilter: every draw is
     built as a map and tested with the product against the action matrix
     (column i holds ρ(x_i) flattened) and `is_homomorphism`."""
-    rho = Mat.from_columns([tuple(x for v in row for x in v) for row in ext.action.action],
-                           rows=ext.dim_a * ext.dim_a)
+    action = dense(ext.action._sparse, ext.dim_a)
+    rho = Mat.from_columns([tuple(x for v in row for x in v) for row in action], rows=ext.dim_a * ext.dim_a)
     out = [GradedLinearMap.identity(ext.g.basis)]
     pos = c1_positions(ext.g.basis, ext.g.basis)
     attempts = 0
