@@ -19,16 +19,16 @@ cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
 are the definitions.  The engine asks the same questions with one zero test
 against a cached operator: the d¹ of e for derivations and quotient-fixing
 maps, the residual matrix of End_g(a) for module endomorphisms, and
-`action_constraints` for the action condition of End^a(g).  Their answers
-are kept in the map's private `_facts` slot (see `_kept`), so each runs once
-per map per extension, and the sequence suites ask through the public
-gated functions, whose gates then read the kept answers.
-`induced_on_quotient` is the one gate for "a homomorphism fixing the ideal
-pointwise"; its ungated `_induced_on_quotient` serves composites of maps
-that passed it and callers that hold a map's `EndFlags`.  In the same way
-`inflate1`, `inflate2`, `restrict1` and `extend_obstruction` are the
-definitions of the five-term maps, which the extension caches as
-coordinate matrices.
+`action_constraints` for the action condition of End^a(g).  Their answers,
+and each map's classification, are kept in the map's private `_facts` slot
+(see `_kept`), so each runs once per map per extension, and the sequence
+suites ask through the public gated functions, whose gates then read the
+kept answers.  `induced_on_quotient` is the one gate for "a homomorphism
+fixing the ideal pointwise"; its ungated `_induced_on_quotient` serves only
+composites of maps that passed it.  In the same way `inflate1`, `inflate2`,
+`restrict1` and `extend_obstruction` are the definitions of the five-term
+maps, which the extension caches as coordinate matrices; the extend and
+lift solvers both solve on d¹ of g.
 
 The ring operations on quotient-fixing maps take and return maps equal to
 the identity on every complement row: they reuse the identity's rows there
@@ -267,18 +267,6 @@ class AbelianExtension:
     def h2_e(self) -> CohomologyPresentation:
         return self.cochains_e.h2
 
-    @cached_property
-    def extend_operator(self) -> SparseMat:
-        """d¹ of e stacked over the rows reading a 1-cochain's values on the ideal.
-
-        Row order matches the right-hand side of `extend_endomorphism`: all
-        2-cochain coordinates, then for each ideal element its image in a.
-        """
-        slot = _slots(self.cochains_e.pos1)
-        reads = SparseMat.copies([slot.get((k, idx)) for idx in self.ideal_indices
-                                  for k in range(self.dim_a)], len(slot))
-        return SparseMat(self.cochains_e.d1.data + reads.data, len(slot))
-
     # -- the maps of the five-term sequence, on cochain coordinates ---------
 
     @cached_property
@@ -305,22 +293,27 @@ class AbelianExtension:
         return SparseMat.copies([slot[n, self.ideal_indices[m]] for n, m in self.pos_a], len(slot))
 
     @cached_property
+    def obstruction_cochains(self) -> SparseMat:
+        """phi -> coords2(-phi∘beta) from the `pos_a` coordinates of an even
+        map on a to the 2-cochain coordinates of g."""
+        pos2 = self.cochains_g.pos2
+        beta = dict(zip(pos2, self.beta.coords))
+        return SparseMat(tuple(
+            tuple((p, -x) for p, (n, m) in enumerate(self.pos_a) if n == k and (x := beta.get((i, j, m))))
+            for i, j, k in pos2), len(self.pos_a))
+
+    @cached_property
     def connecting_map(self) -> SparseMat:
         """D: phi -> [-phi∘beta] from even maps on a to H²(g, a) coordinates.
 
-        The product of H²(g)'s coordinate map with phi -> coords2(-phi∘beta);
-        it agrees with `extend_obstruction` on End_g(a), whose images are
+        The product of H²(g)'s coordinate map with `obstruction_cochains`; it
+        agrees with `extend_obstruction` on End_g(a), whose images are
         checked once to be cocycles.
         """
-        pos2 = self.cochains_g.pos2
-        beta = dict(zip(pos2, self.beta.coords))
-        cochains = SparseMat(tuple(
-            tuple((p, -x) for p, (n, m) in enumerate(self.pos_a) if n == k and (x := beta.get((i, j, m))))
-            for i, j, k in pos2), len(self.pos_a))
         coords, annihilator = self.h2_g.quotient.coordinate_map
-        if not (annihilator @ (cochains @ self.module_end_space.vectors.T)).is_zero():
+        if not (annihilator @ (self.obstruction_cochains @ self.module_end_space.vectors.T)).is_zero():
             raise MembershipError("the 2-cochain is not a cocycle")
-        return coords @ cochains
+        return coords @ self.obstruction_cochains
 
     def __repr__(self) -> str:
         names = [self.e.basis.names[i] for i in self.ideal_indices]
@@ -368,7 +361,7 @@ def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> Abelian
     return AbelianExtension(e, ideal_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndFlags:
     """Recomputed membership flags of an endomorphism of the ambient algebra."""
 
@@ -392,27 +385,6 @@ class EndFlags:
         return self.fixes_quotient and self.fixes_ideal
 
 
-def classify_endomorphism(f: GradedLinearMap, ext: AbelianExtension) -> EndFlags:
-    """Compute all membership flags of a candidate endomorphism of e."""
-    if f.domain != ext.e.basis or f.codomain != ext.e.basis:
-        raise ShapeError("map is not an endomorphism of the ambient algebra")
-    hom = is_homomorphism(f, ext.e, ext.e)
-    preserves = True
-    fixes = True
-    for m, idx in enumerate(ext.ideal_indices):
-        img = f.image_of_basis(idx)
-        if any(img[c] != 0 for c in ext.complement_indices):
-            preserves = False
-        if img != unit_vec(ext.dim_e, idx):
-            fixes = False
-    induces = True
-    for k, idx in enumerate(ext.complement_indices):
-        if ext.projection.apply(f.image_of_basis(idx)) != unit_vec(ext.dim_g, k):
-            induces = False
-            break
-    return EndFlags(hom, preserves, fixes and preserves, induces)
-
-
 def _kept(decide):
     """`decide(f, ext)` with its answers kept in f's `_facts` slot as a flat tuple (ext, predicate,
     answer, ...) for one extension at a time; `record(f, ext, answer)` keeps one found otherwise."""
@@ -431,6 +403,28 @@ def _kept(decide):
 
     known.record = record
     return known
+
+
+@_kept
+def classify_endomorphism(f: GradedLinearMap, ext: AbelianExtension) -> EndFlags:
+    """Compute all membership flags of a candidate endomorphism of e; kept."""
+    if f.domain != ext.e.basis or f.codomain != ext.e.basis:
+        raise ShapeError("map is not an endomorphism of the ambient algebra")
+    hom = is_homomorphism(f, ext.e, ext.e)
+    preserves = True
+    fixes = True
+    for m, idx in enumerate(ext.ideal_indices):
+        img = f.image_of_basis(idx)
+        if any(img[c] != 0 for c in ext.complement_indices):
+            preserves = False
+        if img != unit_vec(ext.dim_e, idx):
+            fixes = False
+    induces = True
+    for k, idx in enumerate(ext.complement_indices):
+        if ext.projection.apply(f.image_of_basis(idx)) != unit_vec(ext.dim_g, k):
+            induces = False
+            break
+    return EndFlags(hom, preserves, fixes and preserves, induces)
 
 
 @_kept
@@ -648,19 +642,19 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
     """Extend a module endomorphism of the ideal to a quotient-fixing
     endomorphism of e, or None when impossible.
 
-    Solves the linear system for an even derivation f: e -> a with
-    f restricted to the ideal equal to phi, free variables set to 0, and
-    returns x -> x + f(x).  The solver never consults the obstruction class.
+    Solves d(mu) = -phi∘beta for an even mu: g -> a (free variables 0) and
+    returns x -> x + f(x), for the derivation f equal to phi on the ideal and
+    to -mu on the section: the first solution of d¹ of e with f fixed to phi
+    on the ideal, whose complement columns are d¹ of g, as a is abelian.
+    The solver never consults the obstruction class.
     """
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
-    rhs = list(zero_vec(len(ext.cochains_e.pos2)))
-    for m in range(ext.dim_a):
-        rhs.extend(phi.image_of_basis(m))
-    sol = solve(ext.extend_operator, tuple(rhs))
-    if sol is None:
+    c = map_to_coords(phi)
+    mu = solve(ext.cochains_g.d1, ext.obstruction_cochains.apply(c))
+    if mu is None:
         return None
-    f = ext.cochains_e.cochain1(sol)
-    out = from_derivation(f, ext)
+    f = _row_sub(ext.restriction.T.apply(c), ext.inflation1.apply(mu))
+    out = from_derivation(ext.cochains_e.cochain1(f), ext)
     _check(shifted_restriction(out, ext) == phi, "extension does not restrict to phi")
     return out
 
@@ -670,19 +664,14 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
 
 def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """The endomorphism p ∘ gamma ∘ s of the quotient, for ideal-fixing gamma."""
-    _require_fixes_ideal(classify_endomorphism(gamma, ext))
+    _require(classify_endomorphism(gamma, ext).fixes_ideal,
+             "map must be a homomorphism fixing the ideal pointwise")
     return _induced_on_quotient(gamma, ext)
-
-
-def _require_fixes_ideal(flags: EndFlags) -> None:
-    """The gate of `induced_on_quotient`, on flags already computed."""
-    _require(flags.fixes_ideal, "map must be a homomorphism fixing the ideal pointwise")
 
 
 def _induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """`induced_on_quotient` without its gate, for a composite of maps that
-    passed it (a composite of homomorphisms fixing the ideal pointwise is
-    one) or for a gamma whose flags passed `_require_fixes_ideal`."""
+    passed it: a composite of homomorphisms fixing the ideal pointwise is one."""
     psi = GradedLinearMap._trusted(ext.g.basis, ext.g.basis,
                                    _block(gamma, ext.complement_indices, ext.complement_indices))
     _check(fixes_action(psi, ext), "induced quotient map does not fix the action")

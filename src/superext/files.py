@@ -66,9 +66,7 @@ def _expect(data, key: str, kind, where: str):
     return value
 
 
-def _parse_basis(items, where: str) -> SuperBasis:
-    if not isinstance(items, list):
-        raise ParseError(f"{where}: basis must be a list")
+def _parse_basis(items: list, where: str) -> SuperBasis:
     if len(items) > _MAX_BASIS:
         raise ParseError(f"{where}: basis has {len(items)} elements, more than {_MAX_BASIS}")
     out = []

@@ -31,7 +31,6 @@ from .extension import (
     _fixes_action_coords,
     _induced_on_quotient,
     _invertible,
-    _require_fixes_ideal,
     beta_with_section,
     classify_endomorphism,
     derivation_compose,
@@ -371,10 +370,8 @@ def verify_monoid_sequence(ext: AbelianExtension,
     for _ in range(max(3, count // 2)):
         f = _quotient_derivation_sample(ext, rng)
         gamma = from_derivation(inflate1(f, ext), ext)
-        flags = classify_endomorphism(gamma, ext)
-        _require_fixes_ideal(flags)
-        kernel_ok &= _induced_on_quotient(gamma, ext) == ident_g
-        kernel_ok &= flags.fixes_both
+        kernel_ok &= induced_on_quotient(gamma, ext) == ident_g
+        kernel_ok &= classify_endomorphism(gamma, ext).fixes_both
     rep.add("sigma_kernel_is_the_doubly_fixing_set", kernel_ok)
 
     # `fixes_action` keeps its answer on each sample: `_action_endo_samples`
@@ -454,14 +451,13 @@ def _restrict_to_ideal(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedL
 def _factors_uniquely(ext: AbelianExtension, rng: random.Random, x: GradedLinearMap,
                       block, recover, fixed: str) -> bool:
     """gamma = block(x) ∘ u, for u from a random quotient derivation, is
-    invertible and `fixed`, and factors back uniquely: recover(gamma, flags)
-    == x for gamma's flags, and u2 = block(recovered)^-1 ∘ gamma is u, fixes
-    both and recomposes to gamma."""
+    invertible and `fixed`, and factors back uniquely: recover(gamma, ext)
+    == x, and u2 = block(recovered)^-1 ∘ gamma is u, fixes both and
+    recomposes to gamma."""
     u = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
     gamma = block(x, ext).compose(u)
-    flags = classify_endomorphism(gamma, ext)
-    ok = getattr(flags, fixed) and inverse(gamma.matrix) is not None
-    recovered = recover(gamma, flags)
+    ok = getattr(classify_endomorphism(gamma, ext), fixed) and inverse(gamma.matrix) is not None
+    recovered = recover(gamma, ext)
     ok &= recovered == x
     inv = inverse(block(recovered, ext).matrix)
     u2 = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, inv).compose(gamma)
@@ -502,17 +498,11 @@ def verify_semidirect_automorphisms(g: LieSuperalgebra, module: ModuleAction,
     rep.add("quotient_block_section_is_homomorphic", alpha_ok, samples=len(psis))
 
     # lists, not generators: every sample draws its derivation, also after a failure
-    fact_ok = all([_factors_uniquely(ext, rng, phi, _ideal_block_map,
-                                     lambda gamma, _: _restrict_to_ideal(gamma, ext),
+    fact_ok = all([_factors_uniquely(ext, rng, phi, _ideal_block_map, _restrict_to_ideal,
                                      "fixes_quotient") for phi in phis])
     rep.add("quotient_fixing_automorphisms_factor_uniquely", fact_ok, samples=len(phis))
-
-    def induced(gamma: GradedLinearMap, flags) -> GradedLinearMap:
-        _require_fixes_ideal(flags)  # the flags just computed for gamma serve the gate
-        return _induced_on_quotient(gamma, ext)
-
-    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map, induced, "fixes_ideal")
-                    for psi in psis])
+    fact2_ok = all([_factors_uniquely(ext, rng, psi, _quotient_block_map, induced_on_quotient,
+                                      "fixes_ideal") for psi in psis])
     rep.add("ideal_fixing_automorphisms_factor_uniquely", fact2_ok, samples=len(psis))
 
     rep.dims.update(

@@ -159,3 +159,33 @@ def kernel_basis(m):
 def pivots(vectors, n):
     """Pivot columns of the n x k matrix whose columns are `vectors`."""
     return reduce_rows([[v[i] for v in vectors] for i in range(n)])
+
+
+
+def solve(rows, b, n):
+    """First solution of A·x = b with free variables 0, or None, for the
+    dense rows of A with n columns, from one elimination of [A | b]."""
+    rows = [list(row) + [Fraction(v)] for row, v in zip(rows, b)]
+    found = reduce_rows(rows, n)
+    if any(row[-1] != 0 and not any(row[:-1]) for row in rows):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(found):
+        x[c] = rows[r][-1]
+    return tuple(x)
+
+
+def extend_derivation(phi, ext):
+    """The 1-cochain coordinates of the derivation f: e -> a that extends
+    phi, or None: the first solution of d¹ of e stacked over the rows that
+    read f on the ideal, against 0 on d¹'s rows and phi's images on the
+    others.  The reference for `extend_endomorphism`, which solves on d¹ of
+    the quotient instead."""
+    slot = {rc: p for p, rc in enumerate(ext.cochains_e.pos1)}
+    rows = dense_rows(ext.cochains_e.d1)
+    rhs = [Fraction(0)] * len(rows)
+    for m, idx in enumerate(ext.ideal_indices):
+        for k in range(ext.dim_a):
+            rows.append([Fraction(int(slot.get((k, idx)) == p)) for p in range(len(slot))])
+            rhs.append(phi.matrix.data[k][m])
+    return solve(rows, rhs, len(slot))

@@ -577,6 +577,95 @@ def test_extension_with_unknown_ideal_name(capsys, tmp_path):
     assert code == 1
 
 
+# -- each parse and shape refusal of the file grammar, by its one error line ----
+
+_T_ALGEBRA = {"name": "t", "basis": [{"name": "t", "parity": 0}], "brackets": []}
+_H3_EXT = {"algebra": "h3.json", "ideal": ["z"]}
+_BA1_EXT = {"algebra": "ba1.json", "ideal": ["z"]}
+
+
+def _module_doc(action):
+    return {"algebra": _T_ALGEBRA, "space": [{"name": "v", "parity": 0}], "action": action}
+
+
+def _map_doc(domain, codomain, entries):
+    return {"domain": domain, "codomain": codomain, "entries": entries}
+
+
+def _bracket(coeff):
+    return [{"left": "x", "right": "y", "value": [{"basis": "z", "coeff": coeff}]}]
+
+
+# (case, the files written besides h3.json and ba1.json, argv, exit code, error line);
+# "{dir}/" in argv and in the error line names the directory the files are in
+_REFUSED_FILES = [
+    ("boolean_coefficient", {"bad.json": dict(H3, brackets=_bracket(True))},
+     ["validate", "{dir}/bad.json"], 1, "error: not a rational literal: True"),
+    ("duplicate_basis_names", {"bad.json": dict(H3, basis=[{"name": "x", "parity": 0}] * 2)},
+     ["validate", "{dir}/bad.json"], 1, "error: algebra: basis names are not unique"),
+    ("bracket_listed_twice", {"bad.json": dict(H3, brackets=_bracket("1") + _bracket("2"))},
+     ["validate", "{dir}/bad.json"], 1, "error: algebra: bracket [x,y] listed twice"),
+    ("action_not_a_list", {"bad.json": _module_doc({"g": "t", "m": "v"})},
+     ["validate", "{dir}/bad.json"], 1, "error: module: action must be a list"),
+    ("unknown_algebra_element", {"bad.json": _module_doc([{"g": "s", "m": "v"}])},
+     ["validate", "{dir}/bad.json"], 1, "error: module: unknown algebra element 's'"),
+    ("unknown_space_element", {"bad.json": _module_doc([{"g": "t", "m": "w"}])},
+     ["validate", "{dir}/bad.json"], 1, "error: module: unknown space element 'w'"),
+    ("unknown_space_label", {"ext.json": _H3_EXT, "map.json": _map_doc("a", "q", [])},
+     ["extend", "{dir}/ext.json", "{dir}/map.json"], 1,
+     "error: map: domain/codomain must be one of ('a', 'g', 'e')"),
+    ("entries_not_a_list", {"ext.json": _H3_EXT, "map.json": _map_doc("a", "a", {})},
+     ["extend", "{dir}/ext.json", "{dir}/map.json"], 1, "error: map: entries must be a list"),
+    ("unknown_codomain_element",
+     {"ext.json": _H3_EXT, "map.json": _map_doc("a", "a", [{"from": "z", "to": "x", "coeff": "1"}])},
+     ["extend", "{dir}/ext.json", "{dir}/map.json"], 1, "error: map: unknown codomain element 'x'"),
+    ("odd_map",
+     {"ext.json": _BA1_EXT, "map.json": _map_doc("g", "g", [{"from": "x", "to": "y", "coeff": "1"}])},
+     ["lift", "{dir}/ext.json", "{dir}/map.json"], 2,
+     "error: map is not even: entry (y, x) breaks homogeneity of degree 0"),
+    ("invalid_json", {"bad.json": "{"}, ["validate", "{dir}/bad.json"], 1,
+     "error: {dir}/bad.json: invalid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("top_level_not_an_object", {"bad.json": [H3]}, ["validate", "{dir}/bad.json"], 1,
+     "error: {dir}/bad.json: top-level value must be an object"),
+    ("sample_not_an_object", {"ext.json": _H3_EXT, "samples.json": {"maps": [1]}},
+     ["verify", "{dir}/ext.json", "--suite", "thm2", "--samples", "{dir}/samples.json"], 1,
+     "error: samples: each map must be an object"),
+    ("sample_on_the_wrong_space", {"ext.json": _H3_EXT, "samples.json": {"maps": [_map_doc("a", "a", [])]}},
+     ["verify", "{dir}/ext.json", "--suite", "thm2", "--samples", "{dir}/samples.json"], 1,
+     "error: samples: maps must have domain and codomain 'g'"),
+]
+
+
+@pytest.mark.parametrize("written, argv, code, line",
+                         [case[1:] for case in _REFUSED_FILES], ids=[case[0] for case in _REFUSED_FILES])
+def test_refused_files_end_in_one_error_line(capsys, tmp_path, written, argv, code, line):
+    _write(tmp_path / "h3.json", H3)
+    _write(tmp_path / "ba1.json", BA1)
+    for name, doc in written.items():
+        if isinstance(doc, str):
+            (tmp_path / name).write_text(doc, encoding="utf-8")
+        else:
+            _write(tmp_path / name, doc)
+    got, payload, err = _run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+    assert (got, payload) == (code, None)
+    assert err.splitlines() == [line.format(dir=tmp_path)]
+
+
+def test_semidirect_output_that_cannot_be_written_is_an_io_error(capsys, tmp_path):
+    algebra = _write(tmp_path / "t.json", _T_ALGEBRA)
+    module = _write(tmp_path / "m.json", {"algebra": "t.json", "space": [{"name": "v", "parity": 0}],
+                                          "action": []})
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / "p"
+    code, payload, err = _run(capsys, ["semidirect", algebra, module, "-o", str(out)])
+    assert code == 1 and payload is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: semidirect: cannot write output: "), err
+    assert str(out) + ".algebra.json" in lines[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # -- malformed files never leak a traceback ------------------------------------
 
 _FUZZ_VALUES = (

@@ -54,6 +54,7 @@ from superext.fixtures import affine_scaling_algebra, heisenberg3
 from superext.sequences import verify_five_term
 
 from conftest import heisenberg_extension, sl2_v2_extension
+import dense_oracle
 from dense_oracle import dense
 from superext.linalg import (
     _ZERO, Mat, SparseMat, inverse, is_zero_vec, solve, sub_vec, unit_vec, vec, zero_vec,
@@ -596,6 +597,54 @@ def test_everything_extends_over_split_extensions(sd_ext):
         assert shifted_restriction(witness, sd_ext) == phi
 
 
+def test_extend_witnesses_are_the_stacked_e_side_solution(pin_corpus):
+    """The solve on d¹ of g gives, on every pin case, the first solution of
+    the stacked system on e: for 0, the identity and each basis element of
+    End_g(a), and for seeded combinations of that basis; both extendable
+    and obstructed elements occur."""
+    from conftest import sl2_vn_extension, strictly_upper_extension
+
+    rng = random.Random(29)
+    seen = set()
+    for name, ext in pin_corpus + [("n4", strictly_upper_extension(4)),
+                                   ("sl2_v4", sl2_vn_extension(4))]:
+        space = ext.module_end_space
+        elements = [zero_vec(len(ext.pos_a)), map_to_coords(GradedLinearMap.identity(ext.a_basis))]
+        elements += list(space.basis)
+        elements += [space.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                         for _ in range(space.dim))) for _ in range(3)]
+        for coords in elements:
+            phi = map_from_coords(ext.a_basis, ext.a_basis, coords)
+            want = dense_oracle.extend_derivation(phi, ext)
+            witness = extend_endomorphism(phi, ext)
+            assert (witness is None) == (want is None), (name, coords)
+            if witness is not None:
+                assert ext.cochains_e.coords1(to_derivation(witness, ext)) == want, (name, coords)
+            seen.add(witness is None)
+    assert seen == {True, False}
+
+
+def test_cold_extend_factors_d1_of_the_quotient_only(monkeypatch):
+    """A cold extend solves on d¹ of g: no matrix as wide as the 1-cochains
+    of e is eliminated."""
+    from conftest import strictly_upper_extension
+
+    factored = []
+    for method in ("_factor", "_echelon"):
+        original = getattr(SparseMat, method)
+
+        def recording(self, original=original):
+            factored.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SparseMat, method, recording)
+    ext = strictly_upper_extension(5)
+    assert extend_endomorphism(GradedLinearMap.identity(ext.a_basis), ext) is None  # obstructed
+    assert any(m is ext.cochains_g.d1 for m in factored)
+    assert all(m.cols != len(ext.cochains_e.pos1) for m in factored), \
+        sorted(m.cols for m in factored)
+
+
 def test_extend_rejects_maps_on_the_wrong_space(aff_ext):
     bad = GradedLinearMap.zero(aff_ext.g.basis, aff_ext.g.basis)
     with pytest.raises(ShapeError):
@@ -1083,6 +1132,83 @@ def test_obstruction_classes_are_section_independent(h3_ext):
     psi = _quotient_diag(h3_ext, 2, 1)
     assert class_of(shifted.precompose(psi) - shifted, h3_ext.h2_g).coords \
         == lift_obstruction(psi, h3_ext).coords
+
+
+# -- the shape checks of the algebra, extension and linalg surface ---------------
+
+
+def test_algebra_extension_and_linalg_shape_checks_raise_their_own_class_and_message(h3_ext):
+    # each check on the way into a tensor, a map, an extension, an
+    # extension's maps and cochains, and the matrices and presentations of
+    # linalg; h3 has quotient <x, y> and ideal <z>
+    from superext import linalg
+    from superext.algebra import quotient_by_ideal
+    from superext.linalg import SubspacePresentation, quotient_presentation
+
+    ext, e, g, a = h3_ext, h3_ext.e, h3_ext.g, h3_ext.a_basis
+    line = SuperBasis([("t", 0)])
+    m = ModuleAction.trivial(g, a)
+    id_e, id_g, id_a = (GradedLinearMap.identity(b) for b in (e.basis, g.basis, a))
+    plane, space3 = SubspacePresentation(2, [(1, 0)]), SubspacePresentation(3, [(1, 0, 0)])
+    quotient = quotient_presentation(plane, SubspacePresentation(2, []))
+    mismatch = "maps are not of the same shape and degree"
+    cases = [
+        (lambda: e.basis.index("q"), ShapeError, "unknown basis element 'q'"),
+        (lambda: LieSuperalgebra(e.basis, [[[0] * 3] * 3] * 2), ShapeError,
+         "structure tensor does not match the basis size"),
+        (lambda: LieSuperalgebra(line, [[[0, 0]]]), ShapeError,
+         "structure tensor entries have the wrong length"),
+        (lambda: e.bracket((1, 0), (1, 0, 0)), ShapeError, "vectors do not match the algebra dimension"),
+        (lambda: ModuleAction(g, a, [[[0]]]), ShapeError,
+         "action tensor does not match the algebra/space sizes"),
+        (lambda: ModuleAction(g, a, [[[0, 0]], [[0]]]), ShapeError,
+         "action tensor entries have the wrong length"),
+        (lambda: m.act((1, 0), (1, 0)), ShapeError, "vector sizes do not match the action"),
+        (lambda: GradedLinearMap(a, a, Mat([[1]]), degree=2), ShapeError, "degree must be 0 or 1"),
+        (lambda: GradedLinearMap(g.basis, a, Mat([[1]])), ShapeError, "matrix is 1x1, expected 1x2"),
+        (lambda: GradedLinearMap.from_images(g.basis, a, [(1,)]), ShapeError,
+         "need one image per domain basis element"),
+        (lambda: id_g.compose(id_a), ShapeError, "composition domains do not match"),
+        (lambda: id_g + id_a, ShapeError, mismatch),
+        (lambda: id_a - GradedLinearMap.zero(a, a, degree=1), ShapeError, mismatch),
+        (lambda: is_homomorphism(id_g, e, e), ShapeError, "map bases do not match the given algebras"),
+        (lambda: semidirect_product(e, m), ShapeError, "module is not over the given algebra"),
+        (lambda: quotient_by_ideal(e, [3]), ShapeError, "ideal index 3 out of range"),
+        (lambda: build_extension(e, [-1]), ShapeError, "ideal index -1 out of range"),
+        (lambda: ext.a_coords((1, 0, 0)), MembershipError, "vector does not lie in the ideal"),
+        (lambda: classify_endomorphism(id_g, ext), ShapeError,
+         "map is not an endomorphism of the ambient algebra"),
+        (lambda: is_ideal_derivation(id_e, ext), ShapeError, "map is not of the shape e -> a"),
+        (lambda: fixes_action(id_e, ext), ShapeError, "map is not an endomorphism of the quotient"),
+        (lambda: to_derivation(id_g, ext), ShapeError,
+         "map is not an endomorphism of the ambient algebra"),
+        (lambda: inflate1(GradedLinearMap.zero(e.basis, a), ext), ShapeError,
+         "map is not of the shape g -> a"),
+        (lambda: inflate2(Cochain2.zero(e.basis, a), ext), ShapeError,
+         "cochain is not of the shape g x g -> a"),
+        (lambda: beta_with_section(ext, GradedLinearMap.zero(e.basis, a)), ShapeError,
+         "section shift must be an even map g -> a"),
+        (lambda: sub_vec((1,), (1, 2)), ShapeError, "vector lengths differ: 1 vs 2"),
+        (lambda: Mat.from_columns([(1,), (1, 2)]), ShapeError, "columns have varying lengths"),
+        (lambda: Mat.identity(2).apply((1,)), ShapeError, "matrix is 2x2, vector has length 1"),
+        (lambda: Mat.identity(2) + Mat.identity(3), ShapeError, "shape mismatch: 2x2 vs 3x3"),
+        (lambda: ext.restriction.apply((1,)), ShapeError,
+         f"matrix is 1x{len(ext.cochains_e.pos1)}, vector has length 1"),
+        (lambda: ext.restriction @ ext.restriction, ShapeError,
+         f"cannot multiply 1x{len(ext.cochains_e.pos1)} by 1x{len(ext.cochains_e.pos1)}"),
+        (lambda: inverse(Mat.zeros(2, 3)), ShapeError, "only square matrices can be inverted"),
+        (lambda: SubspacePresentation(3, [(1, 0)]), ShapeError, "vector of length 2 in ambient dimension 3"),
+        (lambda: space3.contains_subspace(plane), ShapeError, "ambient dimension mismatch"),
+        (lambda: quotient.coordinates(linalg.SparseMat(((),) * 3, 1)), ShapeError,
+         "ambient dimension is 2, vectors have length 3"),
+        (lambda: quotient.coordinates_of((1, 0, 0)), ShapeError,
+         "ambient dimension is 2, vectors have length 3"),
+        (lambda: quotient_presentation(space3, plane), ShapeError, "ambient dimension mismatch"),
+    ]
+    for k, (call, error, message) in enumerate(cases):
+        with pytest.raises((ShapeError, MembershipError)) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (error, message), k
 
 
 # -- degenerate extensions ----------------------------------------------------
