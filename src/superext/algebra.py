@@ -58,7 +58,7 @@ class SuperBasis:
     def __init__(self, items: Iterable[tuple[str, int]]):
         names, parities = [], []
         for name, parity in items:
-            if parity not in (0, 1):
+            if isinstance(parity, (bool, float)) or parity not in (0, 1):
                 raise ShapeError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
             names.append(str(name))
             parities.append(int(parity))
@@ -383,47 +383,44 @@ def validate_module(m: ModuleAction) -> Optional[Violation]:
 
 
 class GradedLinearMap:
-    """Homogeneous linear map between super vector spaces.
+    """Even linear map between super vector spaces.
 
     The matrix is codomain x domain (column j = image of domain basis j).
-    Degree 0 maps preserve parity, degree 1 maps flip it; entries violating
-    the declared degree are rejected.
+    Every map preserves parity: an entry joining elements of different
+    parities is rejected.
 
     `_facts` is a private slot of the membership predicates of `extension`:
     their answers for this map as (extension, predicate, answer, ...).  It takes
     no part in `==` or `hash`.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "degree", "_facts")
+    __slots__ = ("domain", "codomain", "matrix", "_facts")
 
-    def __init__(self, domain: SuperBasis, codomain: SuperBasis, matrix: Mat, degree: int = 0):
-        if degree not in (0, 1):
-            raise ShapeError("degree must be 0 or 1")
+    def __init__(self, domain: SuperBasis, codomain: SuperBasis, matrix: Mat):
         if matrix.rows != codomain.dim or matrix.cols != domain.dim:
             raise ShapeError(
                 f"matrix is {matrix.rows}x{matrix.cols}, expected {codomain.dim}x{domain.dim}"
             )
         parities = domain.parities
         for r, row in enumerate(matrix.data):
-            want = (codomain.parities[r] + degree) % 2
+            want = codomain.parities[r]
             for c, x in enumerate(row):
                 if x is not _ZERO and parities[c] != want:
                     raise ShapeError(
                         f"entry ({codomain.names[r]}, {domain.names[c]}) breaks homogeneity "
-                        f"of degree {degree}"
+                        "of degree 0"
                     )
-        self.domain, self.codomain, self.matrix, self.degree = domain, codomain, matrix, degree
+        self.domain, self.codomain, self.matrix = domain, codomain, matrix
         self._facts = None
 
     @classmethod
-    def _trusted(cls, domain: SuperBasis, codomain: SuperBasis, matrix: Mat,
-                 degree: int = 0) -> "GradedLinearMap":
-        """A map whose matrix has the right shape and degree by construction
-        (products, sums, multiples and blocks of checked maps, inverses of even
-        maps, maps from coordinate slots of the right parity), without the
-        entry scan of the public constructor."""
+    def _trusted(cls, domain: SuperBasis, codomain: SuperBasis, matrix: Mat) -> "GradedLinearMap":
+        """A map whose matrix has the right shape and is even by construction
+        (products, sums, multiples and blocks of checked maps, inverses,
+        maps from coordinate slots of the right parity), without the entry
+        scan of the public constructor."""
         f = object.__new__(cls)
-        f.domain, f.codomain, f.matrix, f.degree = domain, codomain, matrix, degree
+        f.domain, f.codomain, f.matrix = domain, codomain, matrix
         f._facts = None
         return f
 
@@ -432,15 +429,15 @@ class GradedLinearMap:
         return cls._trusted(basis, basis, Mat.identity(basis.dim))
 
     @classmethod
-    def zero(cls, domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> "GradedLinearMap":
-        return cls(domain, codomain, Mat.zeros(codomain.dim, domain.dim), degree)
+    def zero(cls, domain: SuperBasis, codomain: SuperBasis) -> "GradedLinearMap":
+        return cls(domain, codomain, Mat.zeros(codomain.dim, domain.dim))
 
     @classmethod
     def from_images(cls, domain: SuperBasis, codomain: SuperBasis,
-                    images: Sequence[Sequence[Fraction]], degree: int = 0) -> "GradedLinearMap":
+                    images: Sequence[Sequence[Fraction]]) -> "GradedLinearMap":
         if len(images) != domain.dim:
             raise ShapeError("need one image per domain basis element")
-        return cls(domain, codomain, Mat.from_columns([vec(v) for v in images], rows=codomain.dim), degree)
+        return cls(domain, codomain, Mat.from_columns([vec(v) for v in images], rows=codomain.dim))
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         return self.matrix.apply(v)
@@ -452,41 +449,35 @@ class GradedLinearMap:
         """self ∘ other."""
         if other.codomain != self.domain:
             raise ShapeError("composition domains do not match")
-        return GradedLinearMap._trusted(other.domain, self.codomain, self.matrix @ other.matrix,
-                                        (self.degree + other.degree) % 2)
+        return GradedLinearMap._trusted(other.domain, self.codomain, self.matrix @ other.matrix)
 
     def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         self._compatible(other)
-        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix + other.matrix,
-                                        self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix + other.matrix)
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
         self._compatible(other)
-        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix - other.matrix,
-                                        self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix - other.matrix)
 
     def scale(self, c) -> "GradedLinearMap":
-        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix.scale(c),
-                                        self.degree)
+        return GradedLinearMap._trusted(self.domain, self.codomain, self.matrix.scale(c))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
     def _compatible(self, other: "GradedLinearMap") -> None:
-        if (self.domain != other.domain or self.codomain != other.codomain
-                or self.degree != other.degree):
+        if self.domain != other.domain or self.codomain != other.codomain:
             raise ShapeError("maps are not of the same shape and degree")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedLinearMap) and self.domain == other.domain
-                and self.codomain == other.codomain and self.degree == other.degree
-                and self.matrix == other.matrix)
+                and self.codomain == other.codomain and self.matrix == other.matrix)
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.degree, self.matrix))
+        return hash((self.domain, self.codomain, self.matrix))
 
     def __repr__(self) -> str:
-        return f"GradedLinearMap({self.matrix!r}, degree={self.degree})"
+        return f"GradedLinearMap({self.matrix!r})"
 
 
 def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra) -> bool:
@@ -501,8 +492,6 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
     """
     if phi.domain != g.basis or phi.codomain != h.basis:
         raise ShapeError("map bases do not match the given algebras")
-    if phi.degree != 0:
-        return False
     # phi = F/D and structure constants C/E: phi([b_i,b_j]) = [phi b_i, phi b_j]
     # iff D·E_h·sum_k C^g_ijk F_·k = E_g·sum_{p,q} F_pi F_qj C^h_pq·, entry by entry
     images, den = _sparse_scaled([phi.image_of_basis(i) for i in range(g.dim)])

@@ -2,7 +2,7 @@
 
 Degree conventions:
 
-* 1-cochains are homogeneous linear maps g -> M (degree 0 unless stated);
+* 1-cochains are even linear maps g -> M, and 2-cochains are even too;
 * the coboundary of a 1-cochain is
       (d f)(x, y) = x·f(y) - (-1)^{|x||y|} y·f(x) - f([x,y]),
   so derivations are exactly the 1-cocycles;
@@ -67,41 +67,39 @@ from .linalg import (
 )
 
 
-def c1_positions(domain: SuperBasis, codomain: SuperBasis, degree: int = 0) -> list[tuple[int, int]]:
-    """Free coordinate slots (row, col) of a homogeneous map matrix, column by
-    column; kept per parities and degree and shared: do not change it."""
-    return _slots1(domain.parities, codomain.parities, degree)
+def c1_positions(domain: SuperBasis, codomain: SuperBasis) -> list[tuple[int, int]]:
+    """Free coordinate slots (row, col) of an even map matrix, column by
+    column; kept per parities and shared: do not change it."""
+    return _slots1(domain.parities, codomain.parities)
 
 
 @lru_cache(maxsize=64)
-def _slots1(domain: tuple[int, ...], codomain: tuple[int, ...], degree: int) -> list[tuple[int, int]]:
-    if degree not in (0, 1):
-        raise ShapeError("degree must be 0 or 1")
-    return [(n, i) for i, p in enumerate(domain) for n, q in enumerate(codomain) if q == (p + degree) % 2]
+def _slots1(domain: tuple[int, ...], codomain: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(n, i) for i, p in enumerate(domain) for n, q in enumerate(codomain) if q == p]
 
 
 def map_to_coords(f: GradedLinearMap) -> Vec:
-    """f's entries at the slots of `c1_positions` for its bases and degree."""
+    """f's entries at the slots of `c1_positions` for its bases."""
     data = f.matrix.data
-    return tuple(data[r][c] for r, c in c1_positions(f.domain, f.codomain, f.degree))
+    return tuple(data[r][c] for r, c in c1_positions(f.domain, f.codomain))
 
 
-def map_from_coords(domain: SuperBasis, codomain: SuperBasis, coords: Sequence[Fraction],
-                    degree: int = 0) -> GradedLinearMap:
-    """The map with `coords` at the slots of `c1_positions`, which have the
-    degree's parity, and zeros elsewhere; only the coordinates pass `rat`."""
-    positions = c1_positions(domain, codomain, degree)
+def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
+                    coords: Sequence[Fraction]) -> GradedLinearMap:
+    """The map with `coords` at the slots of `c1_positions`, which join
+    elements of one parity, and zeros elsewhere; only the coordinates pass `rat`."""
+    positions = c1_positions(domain, codomain)
     if len(coords) != len(positions):
         raise ShapeError("coordinate vector does not match the position list")
     rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(positions, coords):
         rows[r][c] = rat(x)
     matrix = Mat._canonical(tuple(map(tuple, rows)), domain.dim)
-    return GradedLinearMap._trusted(domain, codomain, matrix, degree)
+    return GradedLinearMap._trusted(domain, codomain, matrix)
 
 
 class _Layout:
-    """The free coordinate slots of a homogeneous 2-cochain on bases of given
+    """The free coordinate slots of an even 2-cochain on bases of given
     parities, in one order: `positions` is `c2_positions`' list of (i, j, k);
     `pairs` lists each upper pair (i, j) with the index of its first
     coordinate and the parity w of its values, whose target slots `slots[w]`
@@ -109,31 +107,29 @@ class _Layout:
 
     __slots__ = ("positions", "pairs", "slots")
 
-    def __init__(self, source: tuple[int, ...], target: tuple[int, ...], degree: int):
-        if degree not in (0, 1):
-            raise ShapeError("degree must be 0 or 1")
+    def __init__(self, source: tuple[int, ...], target: tuple[int, ...]):
         self.slots = tuple(tuple(k for k, p in enumerate(target) if p == w) for w in (0, 1))
         self.positions, pairs = [], []
         for i, j in _upper_pairs(source):
-            w = (source[i] + source[j] + degree) % 2
+            w = (source[i] + source[j]) % 2
             pairs.append((i, j, len(self.positions), w))
             self.positions.extend((i, j, k) for k in self.slots[w])
         self.pairs = tuple(pairs)
 
 
-# the slots of a cochain, kept per (source parities, target parities, degree):
-# they depend on nothing else
+# the slots of a cochain, kept per (source parities, target parities): they
+# depend on nothing else
 _layout = lru_cache(maxsize=64)(_Layout)
 
 
 class Cochain2:
-    """Super-antisymmetric bilinear map g x g -> a of homogeneous degree.
+    """Even super-antisymmetric bilinear map g x g -> a.
 
     Stored only as `coords`, one Fraction per slot of `c2_positions(source,
-    target, degree)` (the upper pairs, at the target slots of the right
-    parity), every zero the shared `_ZERO`: super-antisymmetry and
-    homogeneity fix every other entry.  It is read through `eval`, `coords`
-    and the terms `_view()`, built on first read.  `from_upper` is the one
+    target)` (the upper pairs, at the target slots of the right parity),
+    every zero the shared `_ZERO`: super-antisymmetry and homogeneity fix
+    every other entry.  It is read through `eval`, `coords` and the terms
+    `_view()`, built on first read.  `from_upper` is the one
     checked constructor: it takes the values at the upper pairs and checks
     their homogeneity.  `cochain2_from_coords`, `+`, `-`, `scale`,
     `precompose`, `postcompose` and `cup` build their coordinates through
@@ -141,28 +137,28 @@ class Cochain2:
     operations.
     """
 
-    __slots__ = ("source", "target", "degree", "coords", "_layout", "_sparse")
+    __slots__ = ("source", "target", "coords", "_layout", "_sparse")
 
     @classmethod
-    def _trusted(cls, source: SuperBasis, target: SuperBasis, degree: int, layout: _Layout,
+    def _trusted(cls, source: SuperBasis, target: SuperBasis, layout: _Layout,
                  coords: Vec) -> "Cochain2":
-        """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of a
-        super-antisymmetric homogeneous map by construction (sums, multiples
+        """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of an
+        even super-antisymmetric map by construction (sums, multiples
         and compositions of checked cochains, and any coordinates at the
         layout's own slots, which hold no even diagonal and only target slots
         of the right parity), without `from_upper`'s checks."""
         c = object.__new__(cls)
-        c.source, c.target, c.degree, c._layout, c.coords = source, target, degree, layout, coords
+        c.source, c.target, c._layout, c.coords = source, target, layout, coords
         c._sparse = None
         return c
 
     @classmethod
-    def zero(cls, source: SuperBasis, target: SuperBasis, degree: int = 0) -> "Cochain2":
-        return cls.from_upper(source, target, {}, degree)
+    def zero(cls, source: SuperBasis, target: SuperBasis) -> "Cochain2":
+        return cls.from_upper(source, target, {})
 
     @classmethod
     def from_upper(cls, source: SuperBasis, target: SuperBasis,
-                   entries: dict[tuple[int, int], Sequence[Fraction]], degree: int = 0) -> "Cochain2":
+                   entries: dict[tuple[int, int], Sequence[Fraction]]) -> "Cochain2":
         """Build from entries on pairs i <= j, zero where none is given; the rest
         follows by antisymmetry.  Reports an even diagonal entry, then the first of the wrong parity."""
         values = {}
@@ -172,24 +168,22 @@ class Cochain2:
             if i < 0 or j >= source.dim:
                 raise ShapeError(f"pair ({i}, {j}) is out of range")
             values[(i, j)] = vec(value)
-        if degree not in (0, 1):
-            raise ShapeError("degree must be 0 or 1")
         if any(len(v) != target.dim for v in values.values()):
             raise ShapeError("tensor entries have the wrong length")
         # the lower pairs follow by antisymmetry: only an even diagonal can break it
         if bad := [i for (i, j), v in values.items() if i == j and not source.parity(i) and any(v)]:
             name = source.names[min(bad)]
             raise MembershipError(f"tensor breaks super-antisymmetry at ({name}, {name})")
-        layout, zero = _layout(source.parities, target.parities, degree), (_ZERO,) * target.dim
+        layout, zero = _layout(source.parities, target.parities), (_ZERO,) * target.dim
         coords: list[Fraction] = []
         for i, j, _, w in layout.pairs:
             v = values.get((i, j), zero)
             for k, x in enumerate(v):
                 if x and target.parities[k] != w:
                     raise MembershipError(f"tensor entry ({source.names[i]}, {source.names[j]}, "
-                                          f"{target.names[k]}) breaks homogeneity of degree {degree}")
+                                          f"{target.names[k]}) breaks homogeneity of degree 0")
             coords.extend(v[k] for k in layout.slots[w])
-        return cls._trusted(source, target, degree, layout, tuple(coords))
+        return cls._trusted(source, target, layout, tuple(coords))
 
     def _view(self) -> tuple:
         """The terms of the tensor (`algebra.Terms`), read off the coordinates
@@ -211,7 +205,7 @@ class Cochain2:
         return bilinear(self._view(), x, y, self.target.dim)
 
     def _like(self, coords: Vec) -> "Cochain2":
-        return Cochain2._trusted(self.source, self.target, self.degree, self._layout, coords)
+        return Cochain2._trusted(self.source, self.target, self._layout, coords)
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         self._compatible(other)
@@ -229,9 +223,8 @@ class Cochain2:
         """beta ∘ (psi x psi) for an even endomorphism psi of the source.
 
         Evaluated at the upper pairs only, from the nonzero terms of beta:
-        psi is even, so the result is super-antisymmetric and homogeneous of
-        beta's degree, and the upper pairs fix it."""
-        if psi.domain != self.source or psi.codomain != self.source or psi.degree != 0:
+        the result is even and super-antisymmetric, and the upper pairs fix it."""
+        if psi.domain != self.source or psi.codomain != self.source:
             raise ShapeError("precompose needs an even endomorphism of the source")
         parity, d = self.source.parities, self.target.dim
         # row a of psi: the (i, psi_ai), the b_i whose images have a b_a part
@@ -255,61 +248,58 @@ class Cochain2:
         return self._like(tuple(coords))
 
     def postcompose(self, f: GradedLinearMap) -> "Cochain2":
-        """f ∘ beta pointwise, for a homogeneous map f on the target: f once
-        per upper pair, on that pair's coordinates."""
+        """f ∘ beta pointwise, for a map f on the target: f once per upper
+        pair, on that pair's coordinates."""
         if f.domain != self.target:
             raise ShapeError("postcompose needs a map defined on the target")
-        degree = (self.degree + f.degree) % 2
-        layout = _layout(self.source.parities, f.codomain.parities, degree)
+        layout = _layout(self.source.parities, f.codomain.parities)
         data, slots, out = f.matrix.data, self._layout.slots, layout.slots
         # for values of parity w: each output slot's (index into slots[w], f entry)
         reads = [[tuple((p, data[r][k]) for p, k in enumerate(slots[w]) if data[r][k] is not _ZERO)
-                  for r in out[(w + f.degree) % 2]] for w in (0, 1)]
+                  for r in out[w]] for w in (0, 1)]
         coords: list[Fraction] = []
         for _, _, start, w in self._layout.pairs:
             values = self.coords[start:start + len(slots[w])]
             coords.extend((sum(c * values[p] for p, c in read) or _ZERO for read in reads[w])
                           if any(values) else (_ZERO,) * len(reads[w]))
-        return Cochain2._trusted(self.source, f.codomain, degree, layout, tuple(coords))
+        return Cochain2._trusted(self.source, f.codomain, layout, tuple(coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def _compatible(self, other: "Cochain2") -> None:
-        if (self.source != other.source or self.target != other.target
-                or self.degree != other.degree):
+        if self.source != other.source or self.target != other.target:
             raise ShapeError("cochains are not of the same shape and degree")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain2) and self.source == other.source
-                and self.target == other.target and self.degree == other.degree
-                and self.coords == other.coords)
+                and self.target == other.target and self.coords == other.coords)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.degree, self.coords))
+        return hash((self.source, self.target, self.coords))
 
     def __repr__(self) -> str:
-        return f"Cochain2({self.source!r} -> {self.target!r}, degree={self.degree})"
+        return f"Cochain2({self.source!r} -> {self.target!r})"
 
 
-def c2_positions(source: SuperBasis, target: SuperBasis, degree: int = 0) -> list[tuple[int, int, int]]:
-    """Free coordinate slots (i, j, k) of a homogeneous 2-cochain.
+def c2_positions(source: SuperBasis, target: SuperBasis) -> list[tuple[int, int, int]]:
+    """Free coordinate slots (i, j, k) of an even 2-cochain.
 
     (i, j) runs over `algebra._upper_pairs`: pairs with i < j, plus the
     diagonal for odd i (where antisymmetry imposes nothing); k runs over
-    target slots of the right parity.  The list is kept per parities and
-    degree and shared: do not change it.
+    target slots of the parity |i| + |j|.  The list is kept per parities and
+    shared: do not change it.
     """
-    return _layout(source.parities, target.parities, degree).positions
+    return _layout(source.parities, target.parities).positions
 
 
-def cochain2_from_coords(source: SuperBasis, target: SuperBasis, coords: Sequence[Fraction],
-                         degree: int = 0) -> Cochain2:
+def cochain2_from_coords(source: SuperBasis, target: SuperBasis,
+                         coords: Sequence[Fraction]) -> Cochain2:
     """The cochain with `coords`, each passed through `rat`, at the slots of `c2_positions`."""
-    layout = _layout(source.parities, target.parities, degree)
+    layout = _layout(source.parities, target.parities)
     if len(coords) != len(layout.positions):
         raise ShapeError("coordinate vector does not match the position list")
-    return Cochain2._trusted(source, target, degree, layout, vec(coords))
+    return Cochain2._trusted(source, target, layout, vec(coords))
 
 
 def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Cochain2:
@@ -322,8 +312,6 @@ def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Co
         raise ShapeError("module is not over the given algebra")
     if lam.domain != g.basis or lam.codomain != m.space:
         raise ShapeError("cochain bases do not match the algebra and module")
-    if lam.degree != 0:
-        raise MembershipError("coboundary is defined here for even 1-cochains only")
     n = g.dim
     entries: dict[tuple[int, int], Vec] = {}
     for i, j in _upper_pairs(g.basis.parities):
@@ -411,7 +399,7 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
     """Whether the beta-twisted bracket on g ⊕ M satisfies super-Jacobi."""
-    if beta.source != g.basis or beta.target != m.space or beta.degree != 0:
+    if beta.source != g.basis or beta.target != m.space:
         raise ShapeError("cochain bases do not match the algebra and module")
     return all(r == 0 for r in _twisted_jacobi_residuals(g, m, beta))
 
@@ -420,8 +408,6 @@ def is_cocycle1(f: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> bool
     """Whether f is an even derivation g -> M."""
     if f.domain != g.basis or f.codomain != m.space:
         raise ShapeError("map bases do not match the algebra and module")
-    if f.degree != 0:
-        return False
     return coboundary1(f, g, m).is_zero()
 
 
@@ -455,7 +441,7 @@ class CochainComplex:
         return map_from_coords(self.g.basis, self.m.space, coords)
 
     def coords1(self, f: GradedLinearMap) -> Vec:
-        if f.domain != self.g.basis or f.codomain != self.m.space or f.degree != 0:
+        if f.domain != self.g.basis or f.codomain != self.m.space:
             raise ShapeError("map bases do not match the algebra and module")
         return map_to_coords(f)
 
@@ -463,7 +449,7 @@ class CochainComplex:
         return cochain2_from_coords(self.g.basis, self.m.space, coords)
 
     def coords2(self, beta: Cochain2) -> Vec:
-        if beta.source != self.g.basis or beta.target != self.m.space or beta.degree != 0:
+        if beta.source != self.g.basis or beta.target != self.m.space:
             raise ShapeError("cochain bases do not match the algebra and module")
         return beta.coords
 
@@ -495,10 +481,8 @@ class CochainComplex:
                          len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
-        """Whether f is an even derivation: a product with the cached d¹.  An
-        odd map is none; `coords1` rejects a map on other bases."""
-        if f.degree != 0 and f.domain == self.g.basis and f.codomain == self.m.space:
-            return False
+        """Whether f is a derivation: a product with the cached d¹;
+        `coords1` rejects a map on other bases."""
         return self.d1._annihilates(self.coords1(f))
 
     @cached_property
@@ -638,7 +622,7 @@ def class_of(beta: Cochain2, pres: CohomologyPresentation) -> CohomologyClass:
     """Class of a 2-cocycle in the presentation's complement coordinates."""
     if pres.degree != 2:
         raise ShapeError("presentation is not in degree 2")
-    if beta.source != pres.source or beta.target != pres.target or beta.degree != 0:
+    if beta.source != pres.source or beta.target != pres.target:
         raise ShapeError("cochain does not match the presentation")
     try:  # beta's own coordinates are at the positions of the presentation
         coords = pres.quotient.coordinates_of(beta.coords)
@@ -652,9 +636,8 @@ def cup(h: Cochain2, f: GradedLinearMap) -> Cochain2:
 
         (h ∪ f)(x, y) = (-1)^{|f|(|x|+|y|)} (-1)^{|f||h(x,y)|} f(h(x,y)).
 
-    For even h the two signs cancel and the result is f ∘ h pointwise.
+    f is even, so both signs are 1 and the result is f ∘ h pointwise.
     """
     if f.domain != h.target or f.codomain != h.target:
         raise ShapeError("cup needs an endomorphism of the cochain's target")
-    # |h(x,y)| = |x| + |y| + |h|, so the product of the two signs is (-1)^{|f||h|}
-    return h.postcompose(f.scale(-1) if f.degree and h.degree else f)
+    return h.postcompose(f)

@@ -440,8 +440,6 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether phi is an even endomorphism of the ideal commuting with the action."""
     if phi.domain != ext.a_basis or phi.codomain != ext.a_basis:
         raise ShapeError("map is not an endomorphism of the ideal")
-    if phi.degree != 0:
-        return False
     coords = map_to_coords(phi)
     return ext.module_end_constraints._annihilates(coords)
 
@@ -470,7 +468,7 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
     first: the maps it rejects skip the bracket check."""
     if psi.domain != ext.g.basis or psi.codomain != ext.g.basis:
         raise ShapeError("map is not an endomorphism of the quotient")
-    return (psi.degree == 0 and _fixes_action_coords(map_to_coords(psi), ext)
+    return (_fixes_action_coords(map_to_coords(psi), ext)
             and is_homomorphism(psi, ext.g, ext.g))
 
 
@@ -496,7 +494,7 @@ def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Ve
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
     data, ident = f.matrix.data, ext.identity.data
-    if f.degree != 0 or any(data[c] != ident[c] for c in ext.complement_indices):
+    if any(data[c] != ident[c] for c in ext.complement_indices):
         return None
     ideal = ext.ideal_indices
     coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
@@ -726,7 +724,7 @@ def inflate1(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
 
 def inflate2(b: Cochain2, ext: AbelianExtension) -> Cochain2:
     """Precompose a 2-cocycle of the quotient with the projection twice."""
-    if b.source != ext.g.basis or b.target != ext.a_basis or b.degree != 0:
+    if b.source != ext.g.basis or b.target != ext.a_basis:
         raise ShapeError("cochain is not of the shape g x g -> a")
     _require(ext.cochains_g.is_cocycle2(b), "input is not a 2-cocycle of the quotient")
     out = Cochain2.from_upper(ext.e.basis, ext.a_basis, {
@@ -750,7 +748,7 @@ def beta_with_section(ext: AbelianExtension, mu: GradedLinearMap) -> Cochain2:
     Shifting the section by an even map mu: g -> a changes the cocycle by
     the coboundary of mu and nothing else.
     """
-    if mu.domain != ext.g.basis or mu.codomain != ext.a_basis or mu.degree != 0:
+    if mu.domain != ext.g.basis or mu.codomain != ext.a_basis:
         raise ShapeError("section shift must be an even map g -> a")
     s2 = ext.section.matrix + ext.inclusion.matrix @ mu.matrix
     cols = [s2.column(k) for k in range(ext.dim_g)]

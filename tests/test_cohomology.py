@@ -196,7 +196,7 @@ def test_class_of_non_cocycle_raises(aff_ext):
         class_of(bad, pres)
 
 
-def _dense_cochain2_error(source, target, tensor, degree):
+def _dense_cochain2_error(source, target, tensor):
     """`Cochain2.from_upper`'s checks restated as plain loops over every entry
     of the dense tensor its entries determine."""
     n, d = source.dim, target.dim
@@ -207,11 +207,11 @@ def _dense_cochain2_error(source, target, tensor, degree):
                 return f"tensor breaks super-antisymmetry at ({source.names[j]}, {source.names[i]})"
     for i in range(n):
         for j in range(n):
-            want = (source.parity(i) + source.parity(j) + degree) % 2
+            want = (source.parity(i) + source.parity(j)) % 2
             for k in range(d):
                 if tensor[i][j][k] != 0 and target.parity(k) != want:
                     return (f"tensor entry ({source.names[i]}, {source.names[j]}, "
-                            f"{target.names[k]}) breaks homogeneity of degree {degree}")
+                            f"{target.names[k]}) breaks homogeneity of degree 0")
     return None
 
 
@@ -236,10 +236,10 @@ def test_cochain2_constructor_errors_match_the_dense_reference():
     for _ in range(400):
         source = SuperBasis([(f"b{i}", rng.randint(0, 1)) for i in range(rng.randint(1, 4))])
         target = SuperBasis([(f"t{k}", rng.randint(0, 1)) for k in range(rng.randint(1, 3))])
-        degree, n, d = rng.randint(0, 1), source.dim, target.dim
+        n, d = source.dim, target.dim
         upper = {}
         for i, j in [(i, j) for i in range(n) for j in range(i, n) if i < j or source.parity(i)]:
-            want = (source.parity(i) + source.parity(j) + degree) % 2
+            want = (source.parity(i) + source.parity(j)) % 2
             upper[(i, j)] = [rng.choice((0, 1, -2, Fraction(1, 3))) if target.parity(k) == want else 0
                              for k in range(d)]
         kind = rng.choice(("even-diagonal", "parity", "both", None))
@@ -249,7 +249,7 @@ def test_cochain2_constructor_errors_match_the_dense_reference():
             upper[(i, i)] = [rng.choice((0, 1, Fraction(-1, 2))) for _ in range(d)]
         if kind in ("parity", "both"):
             i, j = sorted((rng.randrange(n), rng.randrange(n)))
-            want = (source.parity(i) + source.parity(j) + degree) % 2
+            want = (source.parity(i) + source.parity(j)) % 2
             wrong = [k for k in range(d) if target.parity(k) != want]
             if wrong:
                 upper.setdefault((i, j), [0] * d)[rng.choice(wrong)] += 1
@@ -257,13 +257,13 @@ def test_cochain2_constructor_errors_match_the_dense_reference():
         rng.shuffle(pairs)
         upper = dict(pairs)
         grid = _upper_grid(source, target, upper)
-        want = _dense_cochain2_error(source, target, grid, degree)
+        want = _dense_cochain2_error(source, target, grid)
         if want is None:
-            got = Cochain2.from_upper(source, target, upper, degree)
+            got = Cochain2.from_upper(source, target, upper)
             assert dense(got._view(), d) == tuple(tuple(vec(v) for v in row) for row in grid)
         else:
             with pytest.raises(MembershipError) as err:
-                Cochain2.from_upper(source, target, upper, degree)
+                Cochain2.from_upper(source, target, upper)
             assert str(err.value) == want
             seen[(kind, want.split()[1])] = seen.get((kind, want.split()[1]), 0) + 1
     for case in (("even-diagonal", "breaks"), ("parity", "entry"), ("both", "breaks"), ("both", "entry")):
@@ -282,20 +282,20 @@ def test_cup_is_linear_in_the_endomorphism():
     assert cup(ext.beta, f) == ext.beta.scale(2)
 
 
-def test_cup_signs_cancel_for_even_cochain_and_odd_map():
-    # brute-force comparison of the signed formula with plain composition
+def test_cup_is_the_pointwise_composite():
+    # brute-force comparison with plain composition, for an even map that
+    # mixes the two even target elements and scales the odd one
     g = LieSuperalgebra.abelian(SuperBasis([("p", 0), ("q", 1)]))
-    space = SuperBasis([("v", 0), ("w", 1)])
-    m = ModuleAction.trivial(g, space)
+    space = SuperBasis([("u", 0), ("v", 0), ("w", 1)])
     h = Cochain2.from_upper(
-        g.basis, space, {(0, 1): vec([0, 1]), (1, 1): vec([1, 0])})
-    f_odd = GradedLinearMap(space, space, Mat([[0, 1], [1, 0]]), degree=1)
-    product = cup(h, f_odd)
-    assert product.degree == 1
-    got, values = dense(product._view(), 2), dense(h._view(), 2)
+        g.basis, space, {(0, 1): vec([0, 0, 1]), (1, 1): vec([1, 2, 0])})
+    f = GradedLinearMap(space, space, Mat([[1, 3, 0], [-1, 0, 0], [0, 0, 5]]))
+    product = cup(h, f)
+    assert product == h.postcompose(f) and not product.is_zero()
+    got, values = dense(product._view(), 3), dense(h._view(), 3)
     for i in range(2):
         for j in range(2):
-            assert got[i][j] == f_odd.apply(values[i][j])
+            assert got[i][j] == f.apply(values[i][j])
 
 
 def test_coboundary_lands_in_cocycles(corpus):
@@ -574,16 +574,11 @@ def test_complex_is_cocycle1_agrees_with_the_definition(name, side):
     for u in outside[:3]:
         base = samples[rng.randrange(len(samples))] if samples else zero_vec(n1)
         samples.append(tuple(a + Fraction(rng.randint(1, 3)) * b for a, b in zip(base, u)))
-    maps = [cx.cochain1(coords) for coords in samples]
-    pos_odd = c1_positions(cx.g.basis, cx.m.space, degree=1)
-    odd = [GradedLinearMap.zero(cx.g.basis, cx.m.space, degree=1),
-           map_from_coords(cx.g.basis, cx.m.space,
-                           tuple(Fraction(rng.randint(1, 3)) for _ in pos_odd), degree=1)]
     verdicts = []
-    for f in maps + odd:
+    for f in map(cx.cochain1, samples):
         verdicts.append(cx.is_cocycle1(f))
         assert verdicts[-1] == is_cocycle1(f, cx.g, cx.m), (name, side, f)
-    assert verdicts.count(False) == len(outside[:3]) + len(odd)
+    assert verdicts.count(False) == len(outside[:3])
     stranger = SuperBasis([("stranger", 0)])
     for f in (GradedLinearMap.zero(stranger, cx.m.space),
               GradedLinearMap.zero(cx.g.basis, stranger)):
@@ -594,16 +589,15 @@ def test_complex_is_cocycle1_agrees_with_the_definition(name, side):
 
 
 def test_complex_coordinates_reject_cochains_of_another_shape(h3_ext):
-    # a map or cochain over other bases, or odd, has no coordinates in the
-    # complex's format: reading it at the complex's slots would raise an
-    # IndexError or give another cochain's entries
+    # a map or cochain over other bases has no coordinates in the complex's
+    # format: reading it at the complex's slots would raise an IndexError or
+    # give another cochain's entries
     cx, other = h3_ext.cochains_g, SuperBasis([("s", 0), ("t", 0)])
     g, a = cx.g.basis, cx.m.space
-    for f in (GradedLinearMap.zero(other, a), GradedLinearMap.zero(g, other),
-              GradedLinearMap.zero(g, a, degree=1)):
+    for f in (GradedLinearMap.zero(other, a), GradedLinearMap.zero(g, other)):
         with pytest.raises(ShapeError, match="^map bases do not match the algebra and module$"):
             cx.coords1(f)
-    for beta in (Cochain2.zero(other, a), Cochain2.zero(g, other), Cochain2.zero(g, a, degree=1)):
+    for beta in (Cochain2.zero(other, a), Cochain2.zero(g, other)):
         with pytest.raises(ShapeError, match="^cochain bases do not match the algebra and module$"):
             cx.coords2(beta)
     assert cx.coords2(h3_ext.beta) == h3_ext.beta.coords
@@ -640,9 +634,9 @@ def test_complex_is_cocycle2_rejects_mismatched_cochains(h3_ext):
     with pytest.raises(ShapeError):
         cx.is_cocycle2(Cochain2.zero(h3_ext.g.basis, odd_line))
     odd_cx = CochainComplex(h3_ext.g, ModuleAction.trivial(h3_ext.g, odd_line))
-    odd_beta = Cochain2.from_upper(h3_ext.g.basis, odd_line, {(0, 1): vec([1])}, degree=1)
+    assert odd_cx.is_cocycle2(Cochain2.zero(h3_ext.g.basis, odd_line))
     with pytest.raises(ShapeError):
-        odd_cx.is_cocycle2(odd_beta)
+        odd_cx.is_cocycle2(h3_ext.beta)
 
 
 def test_cochain_shape_checks_raise_their_own_class_and_message():
@@ -651,7 +645,7 @@ def test_cochain_shape_checks_raise_their_own_class_and_message():
     # are not cocycles
     ext = sl2_v2_extension()
     g, m, a, cx, beta = ext.g, ext.action, ext.a_basis, ext.cochains_g, ext.beta
-    odd = Cochain2.zero(g.basis, a, degree=1)
+    on_e = Cochain2.zero(ext.e.basis, a)
     n1, n2 = len(cx.pos1), len(cx.pos2)
     outside = [next(unit_vec(n, p) for p in range(n) if not space.contains(unit_vec(n, p)))
                for n, space in ((n1, cx.z1), (n2, cx.z2))]
@@ -668,21 +662,19 @@ def test_cochain_shape_checks_raise_their_own_class_and_message():
          "precompose needs an even endomorphism of the source"),
         (lambda: beta.postcompose(GradedLinearMap.identity(g.basis)), ShapeError,
          "postcompose needs a map defined on the target"),
-        (lambda: beta + odd, ShapeError, mismatch),
-        (lambda: beta - Cochain2.zero(ext.e.basis, a), ShapeError, mismatch),
+        (lambda: beta + Cochain2.zero(g.basis, g.basis), ShapeError, mismatch),
+        (lambda: beta - on_e, ShapeError, mismatch),
         (lambda: cochain2_from_coords(g.basis, a, [0] * (n2 + 1)), ShapeError,
          "coordinate vector does not match the position list"),
         (lambda: coboundary1(GradedLinearMap.zero(ext.e.basis, a), ext.e, m), ShapeError,
          "module is not over the given algebra"),
         (lambda: coboundary1(GradedLinearMap.identity(g.basis), g, m), ShapeError,
          "cochain bases do not match the algebra and module"),
-        (lambda: coboundary1(GradedLinearMap.zero(g.basis, a, degree=1), g, m), MembershipError,
-         "coboundary is defined here for even 1-cochains only"),
-        (lambda: is_cocycle2(odd, g, m), ShapeError, "cochain bases do not match the algebra and module"),
+        (lambda: is_cocycle2(on_e, g, m), ShapeError, "cochain bases do not match the algebra and module"),
         (lambda: ext.h1_g.coordinates(column[0]), MembershipError, "the 1-cochain is not a cocycle"),
         (lambda: ext.h2_g.coordinates(column[1]), MembershipError, "the 2-cochain is not a cocycle"),
         (lambda: class_of(beta, ext.h1_g), ShapeError, "presentation is not in degree 2"),
-        (lambda: class_of(odd, ext.h2_g), ShapeError, "cochain does not match the presentation"),
+        (lambda: class_of(on_e, ext.h2_g), ShapeError, "cochain does not match the presentation"),
         (lambda: cup(beta, GradedLinearMap.identity(g.basis)), ShapeError,
          "cup needs an endomorphism of the cochain's target"),
     ]
@@ -690,8 +682,6 @@ def test_cochain_shape_checks_raise_their_own_class_and_message():
         with pytest.raises(SuperextError) as caught:
             call()
         assert (type(caught.value), str(caught.value)) == (error, message), k
-    # an odd map is no module endomorphism: the predicate answers, it does not raise
-    assert extension.is_module_endomorphism(GradedLinearMap.zero(a, a, degree=1), ext) is False
 
 
 def test_building_and_verifying_h5_never_runs_the_full_residual(monkeypatch):

@@ -18,12 +18,16 @@ every answer the same `(f, ext)` arguments.
 Stale names in the documentation are reported as well: a backticked dotted
 name in README.md or in the docstrings and comments of the library, whose
 head is `superext`, one of its modules or a class a module defines, must
-resolve attribute by attribute.
+resolve attribute by attribute.  A backticked call form `name(p, q=…)` whose
+name is a public function, class or method of the library must list its
+parameter names (`self` and `cls` aside) in the order of `inspect.signature`;
+a form written `name(...)` is not checked.
 """
 
 import ast
 import functools
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -34,6 +38,8 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "superext").glob("*.py") if p.name !
 DOCUMENTS = [ROOT / "README.md", *sorted((ROOT / "src" / "superext").glob("*.py"))]
 # a backticked dotted name, written `head.attr` or `head.attr(...)`
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[`(]")
+# a backticked call form, `name(p, q=…)` or `head.attr(p)`, and its argument list
+CALL = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(([^()`]*)\)")
 READERS = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
            *(ROOT / "perfbench").glob("*.py")]
 
@@ -177,9 +183,40 @@ def _stale_names(where, text, names):
                 yield f"{where}: `{match[1]}` does not resolve"
 
 
-def test_documented_library_names_resolve():
+def _library_callables():
+    """`_library_names` and the public functions the modules define, by name."""
     names = _library_names()
-    stale = [line for path in DOCUMENTS for line in _stale_names(path.name, path.read_text(), names)]
+    for path in LIBRARY:
+        names.update((node.name, getattr(names[path.stem], node.name))
+                     for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+    return names
+
+
+def _stale_signatures(where, text, names):
+    """The backticked call forms in text whose name resolves to a public
+    callable of the library and whose parameters are not its own, in order."""
+    for match in CALL.finditer(text):
+        (head, *attrs), args = match[1].split("."), match[2].strip()
+        if head not in names or args in ("...", "…") or match[1].split(".")[-1].startswith("_"):
+            continue
+        try:
+            target = functools.reduce(getattr, attrs, names[head])
+        except AttributeError:
+            continue  # reported by `_stale_names`
+        if inspect.ismodule(target) or not callable(target):
+            continue
+        documented = [a.split("=")[0].strip().lstrip("*") for a in args.split(",")] if args else []
+        actual = [p for p in inspect.signature(target).parameters if p not in ("self", "cls")]
+        if documented != actual:
+            yield f"{where}: `{match[1]}({args})` does not list the parameters ({', '.join(actual)})"
+
+
+def test_documented_library_names_resolve():
+    names, callables = _library_names(), _library_callables()
+    stale = [line for path in DOCUMENTS for text in [path.read_text()]
+             for line in [*_stale_names(path.name, text, names),
+                          *_stale_signatures(path.name, text, callables)]]
     assert stale == []
 
 
@@ -190,3 +227,19 @@ def test_stale_documented_names_are_reported():
             " `SparseMat.T`, `cli.py`, `c.tensor`, `perfbench.tracing`")
     assert list(_stale_names("m.md", text, _library_names())) == [
         "m.md: `algebra._dense_view` does not resolve", "m.md: `Cochain2.tensor` does not resolve"]
+
+
+def test_stale_documented_signatures_are_reported():
+    # a removed parameter and a swapped pair are reported; a full list,
+    # `(...)`, a method called on the class, a class, a call followed by an
+    # attribute, private names and names outside the library are not
+    text = ("`map_from_coords(domain, codomain, coords, degree=0)`,"
+            " `map_from_coords(domain, codomain, coords)`, `GradedLinearMap(...)`,"
+            " `Cochain2.from_upper(target, source, entries)`, `Cochain2.from_upper(source, target, entries)`,"
+            " `GradedLinearMap(domain, codomain, matrix)`, `classify_endomorphism(f, ext).fixes_quotient`,"
+            " `superext.h2(g, m)`, `_view()`, `End_g(a)`, `diag(2, 1)`")
+    assert list(_stale_signatures("m.md", text, _library_callables())) == [
+        "m.md: `map_from_coords(domain, codomain, coords, degree=0)` does not list the parameters"
+        " (domain, codomain, coords)",
+        "m.md: `Cochain2.from_upper(target, source, entries)` does not list the parameters"
+        " (source, target, entries)"]

@@ -284,7 +284,7 @@ def _endomorphism_samples(ext, rng):
     pos = c1_positions(ext.e.basis, ext.e.basis)
     samples += [("random", map_from_coords(ext.e.basis, ext.e.basis,
                                            _rand_coeffs(rng, len(pos)))) for _ in range(2)]
-    samples.append(("odd", GradedLinearMap.zero(ext.e.basis, ext.e.basis, degree=1)))
+    samples.append(("zero", GradedLinearMap.zero(ext.e.basis, ext.e.basis)))
     return samples
 
 
@@ -305,11 +305,11 @@ def test_quotient_fixing_predicate_agrees_with_classification():
                 assert coords == ext.cochains_e.coords1(h), (name, label, f)
             if label == "cocycle":
                 assert fixes, (name, f)
-            if label in ("non-cocycle", "leaves ideal", "moves quotient", "odd"):
+            if label in ("non-cocycle", "leaves ideal", "moves quotient", "zero"):
                 assert not fixes, (name, label, f)
             seen[label] = seen.get(label, 0) + 1
     assert all(seen.get(label, 0) >= 3 for label in
-               ("cocycle", "non-cocycle", "leaves ideal", "moves quotient", "odd")), seen
+               ("cocycle", "non-cocycle", "leaves ideal", "moves quotient", "zero")), seen
 
 
 def test_from_derivation_is_the_identity_plus_the_included_derivation():
@@ -334,11 +334,9 @@ def test_module_endomorphism_product_agrees_with_the_residuals():
         phis += [map_from_coords(ext.a_basis, ext.a_basis, _rand_coeffs(rng, len(pos_a)))
                  for _ in range(3)]
         for _, f in _endomorphism_samples(ext, rng):
-            if f.degree == 0:
-                blocks = [[f.matrix.data[i][j] - (i == j) for j in ext.ideal_indices]
-                          for i in ext.ideal_indices]
-                phis.append(GradedLinearMap(ext.a_basis, ext.a_basis,
-                                            Mat(blocks, cols=ext.dim_a)))
+            blocks = [[f.matrix.data[i][j] - (i == j) for j in ext.ideal_indices]
+                      for i in ext.ideal_indices]
+            phis.append(GradedLinearMap(ext.a_basis, ext.a_basis, Mat(blocks, cols=ext.dim_a)))
         for phi in phis:
             verdicts.append(is_module_endomorphism(phi, ext))
             assert verdicts[-1] == all(is_zero_vec(r) for r in _module_end_residuals(phi, ext)), \
@@ -364,7 +362,7 @@ def test_ring_helpers_reject_maps_that_do_not_fix_the_quotient():
     for name, ext in _ring_corpus():
         ident = GradedLinearMap.identity(ext.e.basis)
         outsiders = [f for label, f in _endomorphism_samples(ext, rng)
-                     if label in ("non-cocycle", "leaves ideal", "moves quotient", "odd")]
+                     if label in ("non-cocycle", "leaves ideal", "moves quotient", "zero")]
         assert outsiders, name
         for f in outsiders:
             calls = [lambda: to_derivation(f, ext), lambda: shifted_restriction(f, ext),
@@ -799,8 +797,8 @@ def _fixes_action_by_pairs(psi, ext):
 
 def test_fixes_action_agrees_with_the_per_pair_definition(pin_corpus):
     """The zero test with the cached action constraints decides as the
-    per-pair loop on the identity, sampled elements of End^a(g), random even maps and
-    perturbed samples; every combination of the two conditions occurs."""
+    per-pair loop on the identity, sampled elements of End^a(g), random even maps,
+    perturbed samples and multiples; every combination of the two conditions occurs."""
     rng = random.Random(61)
     g = LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 0)]))
     space = SuperBasis([("v1", 0), ("v2", 0)])
@@ -818,7 +816,9 @@ def test_fixes_action_agrees_with_the_per_pair_definition(pin_corpus):
         for psi in members:
             p = rng.randrange(len(pos))
             psis.append(psi + map_from_coords(ext.g.basis, ext.g.basis, unit_vec(len(pos), p)))
-        psis.append(GradedLinearMap.zero(ext.g.basis, ext.g.basis, degree=1))
+        # multiples of members: on a nonabelian quotient they break the
+        # bracket, and on a faithful action the action too
+        psis += [psi.scale(c) for psi in psis[:3] for c in (2, -1)]
         for psi in psis:
             hom, act = _fixes_action_by_pairs(psi, ext)
             assert fixes_action(psi, ext) == (hom and act), (name, psi)
@@ -1008,7 +1008,7 @@ def test_quotient_map_and_section_offset_match_the_product_forms(pin_corpus):
             assert induced == ext.projection.compose(gamma).compose(ext.section), name
             assert induced == psi, name
             lam = section_offset(gamma, psi, ext)
-            assert lam.degree == 0 and lam.codomain == ext.a_basis, name
+            assert lam.domain == ext.g.basis and lam.codomain == ext.a_basis, name
             for k in range(ext.dim_g):
                 w = sub_vec(gamma.apply(ext.section.image_of_basis(k)),
                             ext.section.apply(psi.image_of_basis(k)))
@@ -1164,13 +1164,12 @@ def test_algebra_extension_and_linalg_shape_checks_raise_their_own_class_and_mes
         (lambda: ModuleAction(g, a, [[[0, 0]], [[0]]]), ShapeError,
          "action tensor entries have the wrong length"),
         (lambda: m.act((1, 0), (1, 0)), ShapeError, "vector sizes do not match the action"),
-        (lambda: GradedLinearMap(a, a, Mat([[1]]), degree=2), ShapeError, "degree must be 0 or 1"),
         (lambda: GradedLinearMap(g.basis, a, Mat([[1]])), ShapeError, "matrix is 1x1, expected 1x2"),
         (lambda: GradedLinearMap.from_images(g.basis, a, [(1,)]), ShapeError,
          "need one image per domain basis element"),
         (lambda: id_g.compose(id_a), ShapeError, "composition domains do not match"),
         (lambda: id_g + id_a, ShapeError, mismatch),
-        (lambda: id_a - GradedLinearMap.zero(a, a, degree=1), ShapeError, mismatch),
+        (lambda: id_a - GradedLinearMap.zero(g.basis, a), ShapeError, mismatch),
         (lambda: is_homomorphism(id_g, e, e), ShapeError, "map bases do not match the given algebras"),
         (lambda: semidirect_product(e, m), ShapeError, "module is not over the given algebra"),
         (lambda: quotient_by_ideal(e, [3]), ShapeError, "ideal index 3 out of range"),

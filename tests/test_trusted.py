@@ -147,9 +147,9 @@ def _check_trusted_derivations(ext):
     # the trusted quotient is the one the public constructor would build
     assert ext.g == LieSuperalgebra(ext.g.basis, dense(ext.g._sparse, ext.g.dim))
     assert ext.g._sparse == _nonzero_entries(dense(ext.g._sparse, ext.g.dim))
-    # the trusted maps are homogeneous
+    # the trusted maps are even
     for f in (ext.projection, ext.inclusion, ext.section):
-        assert GradedLinearMap(f.domain, f.codomain, f.matrix, f.degree) == f
+        assert GradedLinearMap(f.domain, f.codomain, f.matrix) == f
     # every kernel and span basis is independent, and each trusted complex
     # equals the one the public constructor builds after validating its module
     for cx in (ext.cochains_g, ext.cochains_e):
@@ -257,16 +257,9 @@ def test_coordinate_builders_reject_indices_outside_the_bases():
     assert Cochain2.from_upper(plane, line, {(1, 1): [1]}) == cochain2_from_coords(plane, line, [1])
 
 
-def test_coordinate_layouts_take_degrees_0_and_1_only():
-    # the layouts do not reduce the degree mod 2: degree 2 is refused, not read as 0
+def test_coordinate_builders_check_length_and_type():
+    # one coordinate per slot, each a rational: bools and floats are refused
     dom, line = SuperBasis([("x", 0), ("y", 1)]), SuperBasis([("t", 0)])
-    for degree in (2, -1):
-        for build in (lambda: c1_positions(dom, dom, degree), lambda: c2_positions(dom, line, degree),
-                      lambda: map_from_coords(dom, dom, [1, 2], degree),
-                      lambda: cochain2_from_coords(dom, line, [1], degree),
-                      lambda: Cochain2.from_upper(dom, line, {}, degree)):
-            with pytest.raises(ShapeError, match="^degree must be 0 or 1$"):
-                build()
     assert map_from_coords(dom, dom, [1, 2]) == GradedLinearMap(dom, dom, Mat([[1, 0], [0, 2]]))
     with pytest.raises(ShapeError, match="^coordinate vector does not match the position list$"):
         map_from_coords(dom, dom, [1, 2, 3])
@@ -278,15 +271,14 @@ def test_coordinate_layouts_take_degrees_0_and_1_only():
 
 @st.composite
 def _layout_coords(draw):
-    """Super bases of dimension at most 4, a degree, and one coordinate per
-    slot of the 1-cochain and of the 2-cochain layout."""
+    """Super bases of dimension at most 4 and one coordinate per slot of the
+    1-cochain and of the 2-cochain layout."""
     ps = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
     pt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
     source = SuperBasis([(f"b{i}", p) for i, p in enumerate(ps)])
     target = SuperBasis([(f"t{k}", p) for k, p in enumerate(pt)])
-    degree = draw(st.integers(0, 1))
-    return (source, target, degree, [draw(_ENTRY) for _ in c1_positions(source, target, degree)],
-            [draw(_ENTRY) for _ in c2_positions(source, target, degree)])
+    return (source, target, [draw(_ENTRY) for _ in c1_positions(source, target)],
+            [draw(_ENTRY) for _ in c2_positions(source, target)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -295,17 +287,17 @@ def test_coordinate_maps_agree_with_the_public_constructors(case):
     """`map_from_coords` and `cochain2_from_coords` give what the checked
     constructors give on the entries that the layouts assign to the
     coordinates, and give the coordinates back."""
-    source, target, degree, v1, v2 = case
+    source, target, v1, v2 = case
     entries: dict = {}
-    for (i, j, k), x in zip(c2_positions(source, target, degree), v2):
+    for (i, j, k), x in zip(c2_positions(source, target), v2):
         entries.setdefault((i, j), [0] * target.dim)[k] = x
-    beta = cochain2_from_coords(source, target, v2, degree)
-    assert beta == Cochain2.from_upper(source, target, entries, degree)
+    beta = cochain2_from_coords(source, target, v2)
+    assert beta == Cochain2.from_upper(source, target, entries)
     grid = [[0] * source.dim for _ in range(target.dim)]
-    for (r, c), x in zip(c1_positions(source, target, degree), v1):
+    for (r, c), x in zip(c1_positions(source, target), v1):
         grid[r][c] = x
-    f = map_from_coords(source, target, v1, degree)
-    assert f == GradedLinearMap(source, target, Mat(grid, cols=source.dim), degree)
+    f = map_from_coords(source, target, v1)
+    assert f == GradedLinearMap(source, target, Mat(grid, cols=source.dim))
     assert beta.coords == tuple(v2) and map_to_coords(f) == tuple(v1)
     assert all(x is _ZERO for x in beta.coords + sum(f.matrix.data, ()) if x == 0)
 
@@ -354,16 +346,15 @@ def _check_derived_cochains(beta, psi, f, q):
     upper pairs, and keeps its zeros as `_ZERO`."""
     pre, post = beta.precompose(psi), beta.postcompose(f)
     for c, grid in ((pre, dense_oracle.precompose(beta, psi)), (post, dense_oracle.postcompose(beta, f))):
-        assert c.coords == tuple(grid[i][j][k] for i, j, k in c2_positions(c.source, c.target, c.degree))
+        assert c.coords == tuple(grid[i][j][k] for i, j, k in c2_positions(c.source, c.target))
         assert dense(c._view(), c.target.dim) == tuple(tuple(map(tuple, row)) for row in grid)
     derived = [pre, post, pre.scale(q), post.scale(q), cup(beta, f)]
     for c in (pre, post):
-        if c.degree == beta.degree:
-            derived += [beta + c, beta - c, c - beta]
+        derived += [beta + c, beta - c, c - beta]
     for c in derived:
         grid = dense(c._view(), c.target.dim)
         upper = {(i, j): grid[i][j] for i, j in _upper_pairs(c.source.parities)}
-        assert Cochain2.from_upper(c.source, c.target, upper, c.degree) == c
+        assert Cochain2.from_upper(c.source, c.target, upper) == c
         assert all(x is _ZERO for x in c.coords if x == 0)
 
 
@@ -382,19 +373,17 @@ _ENTRY = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 3)))
 
 @st.composite
 def _cochain_with_maps(draw):
-    """A 2-cochain of either degree on small super bases, an even endomorphism
-    of its source, a homogeneous endomorphism of its target and a scalar."""
+    """A 2-cochain on small super bases, an endomorphism of its source, one
+    of its target and a scalar."""
     ps = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
     pt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
     source = SuperBasis([(f"b{i}", p) for i, p in enumerate(ps)])
     target = SuperBasis([(f"t{k}", p) for k, p in enumerate(pt)])
-    degree, f_degree = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    beta = cochain2_from_coords(source, target,
-                                [draw(_ENTRY) for _ in c2_positions(source, target, degree)], degree)
+    beta = cochain2_from_coords(source, target, [draw(_ENTRY) for _ in c2_positions(source, target)])
     psi = GradedLinearMap(source, source, Mat(
         [[draw(_ENTRY) if p == r else 0 for r in ps] for p in ps]))
     f = GradedLinearMap(target, target, Mat(
-        [[draw(_ENTRY) if p == (r + f_degree) % 2 else 0 for r in pt] for p in pt]), f_degree)
+        [[draw(_ENTRY) if p == r else 0 for r in pt] for p in pt]))
     return beta, psi, f, draw(st.sampled_from((0, -1, 2, Fraction(1, 3))))
 
 
@@ -410,18 +399,17 @@ def _cancelling_case():
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(case=_cochain_with_maps())
 @example(case=_cancelling_case())
-def test_derived_cochains_of_either_degree_pass_the_public_checks(case):
+def test_derived_cochains_pass_the_public_checks(case):
     beta, psi, f, q = case
     _check_derived_cochains(beta, psi, f, q)
-    # the cup product against its defining formula, entry by entry
-    ps, d = beta.source.parities, beta.target.dim
+    # the cup product against its defining formula, entry by entry: f is
+    # even, so both of its signs are 1
+    d = beta.target.dim
     values = dense(beta._view(), d)
     for i, row in enumerate(dense(cup(beta, f)._view(), d)):
         for j, v in enumerate(row):
-            pxy = ps[i] + ps[j]
-            sign = (-1) ** (f.degree * pxy + f.degree * (pxy + beta.degree))
-            assert v == tuple(sign * sum(f.matrix.data[r][c] * values[i][j][c]
-                                         for c in range(d)) for r in range(d))
+            assert v == tuple(sum(f.matrix.data[r][c] * values[i][j][c] for c in range(d))
+                              for r in range(d))
 
 
 # -- outside input stays on the checked path -----------------------------------
