@@ -16,16 +16,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
-    _ZERO,
     Mat,
     Row,
     Vec,
     _scaled_pairs,
-    _sparse_scaled,
     _spread,
     bilinear,
     rat,
-    unit_vec,
     vec,
 )
 
@@ -402,10 +399,10 @@ class GradedLinearMap:
                 f"matrix is {matrix.rows}x{matrix.cols}, expected {codomain.dim}x{domain.dim}"
             )
         parities = domain.parities
-        for r, row in enumerate(matrix.data):
+        for r, row in enumerate(matrix.nums):
             want = codomain.parities[r]
             for c, x in enumerate(row):
-                if x is not _ZERO and parities[c] != want:
+                if x and parities[c] != want:
                     raise ShapeError(
                         f"entry ({codomain.names[r]}, {domain.names[c]}) breaks homogeneity "
                         "of degree 0"
@@ -494,7 +491,8 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
         raise ShapeError("map bases do not match the given algebras")
     # phi = F/D and structure constants C/E: phi([b_i,b_j]) = [phi b_i, phi b_j]
     # iff D·E_h·sum_k C^g_ijk F_·k = E_g·sum_{p,q} F_pi F_qj C^h_pq·, entry by entry
-    images, den = _sparse_scaled([phi.image_of_basis(i) for i in range(g.dim)])
+    nums, den = phi.matrix.nums, phi.matrix.den
+    images = [[(r, row[i]) for r, row in enumerate(nums) if row[i]] for i in range(g.dim)]
     (cg, eg), (ch, eh) = g._int_view(), h._int_view()
     scale = den * eh
     for i, j in _upper_pairs(g.basis.parities):
@@ -563,6 +561,6 @@ def quotient_by_ideal(e: LieSuperalgebra, ideal_indices: Iterable[int]):
     quotient = LieSuperalgebra._trusted(qbasis, tuple(
         tuple(tuple((slot[k], c) for k, c in e._sparse[p][q] if k in slot) for q in complement)
         for p in complement))
-    projection = GradedLinearMap._trusted(
-        e.basis, qbasis, Mat._canonical(tuple(unit_vec(n, i) for i in complement), n))
+    projection = GradedLinearMap._trusted(e.basis, qbasis, Mat._from_ints(
+        tuple(tuple(int(i == j) for j in range(n)) for i in complement), 1, n))
     return quotient, projection

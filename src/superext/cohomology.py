@@ -51,9 +51,9 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
-    _nonzeros,
     _row_add,
     _row_sub,
+    _scaled,
     _spread,
     bilinear,
     is_zero_vec,
@@ -80,8 +80,14 @@ def _slots1(domain: tuple[int, ...], codomain: tuple[int, ...]) -> list[tuple[in
 
 def map_to_coords(f: GradedLinearMap) -> Vec:
     """f's entries at the slots of `c1_positions` for its bases."""
-    data = f.matrix.data
-    return tuple(data[r][c] for r, c in c1_positions(f.domain, f.codomain))
+    den = f.matrix.den
+    return tuple(Fraction(x, den) if x else _ZERO for x in _map_nums(f))
+
+
+def _map_nums(f: GradedLinearMap) -> list[int]:
+    """The integer numerators of `map_to_coords(f)`, over f's denominator."""
+    nums = f.matrix.nums
+    return [nums[r][c] for r, c in c1_positions(f.domain, f.codomain)]
 
 
 def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
@@ -91,10 +97,11 @@ def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
     positions = c1_positions(domain, codomain)
     if len(coords) != len(positions):
         raise ShapeError("coordinate vector does not match the position list")
-    rows = [[_ZERO] * domain.dim for _ in range(codomain.dim)]
-    for (r, c), x in zip(positions, coords):
-        rows[r][c] = rat(x)
-    matrix = Mat._canonical(tuple(map(tuple, rows)), domain.dim)
+    nums, den = _scaled(vec(coords))
+    rows = [[0] * domain.dim for _ in range(codomain.dim)]
+    for (r, c), x in zip(positions, nums):
+        rows[r][c] = x
+    matrix = Mat._from_ints(tuple(map(tuple, rows)), den, domain.dim)
     return GradedLinearMap._trusted(domain, codomain, matrix)
 
 
@@ -222,29 +229,36 @@ class Cochain2:
     def precompose(self, psi: GradedLinearMap) -> "Cochain2":
         """beta ∘ (psi x psi) for an even endomorphism psi of the source.
 
-        Evaluated at the upper pairs only, from the nonzero terms of beta:
-        the result is even and super-antisymmetric, and the upper pairs fix it."""
+        Evaluated at the upper pairs only, from beta's nonzero coordinates and
+        psi's integer numerators, over one denominator: the result is even and
+        super-antisymmetric, and the upper pairs fix it."""
         if psi.domain != self.source or psi.codomain != self.source:
             raise ShapeError("precompose needs an even endomorphism of the source")
-        parity, d = self.source.parities, self.target.dim
-        # row a of psi: the (i, psi_ai), the b_i whose images have a b_a part
-        rows = [_nonzeros(r) for r in psi.matrix.data]
-        acc: dict[tuple[int, int], list] = {}
-        for a, row in enumerate(self._view()):
-            for b, terms in enumerate(row):
-                if not terms:
-                    continue
-                for i, x in rows[a]:
-                    for j, y in rows[b]:
+        parity, d, slots = self.source.parities, self.target.dim, self._layout.slots
+        # row a of psi: the (i, numerator of psi_ai), the b_i whose images have a b_a part
+        rows = [[(i, x) for i, x in enumerate(r) if x] for r in psi.matrix.nums]
+        values, den = _scaled(self.coords)
+        acc: dict[tuple[int, int], list[int]] = {}
+        for a, b, start, w in self._layout.pairs:
+            terms = [(k, c) for k, c in zip(slots[w], values[start:start + len(slots[w])]) if c]
+            if not terms:
+                continue
+            # beta(b_b, b_a) = -(-1)^{|a||b|} beta(b_a, b_b); an odd diagonal pair counts once
+            swapped = 1 if parity[a] & parity[b] else -1
+            for p, q, sign in ((a, b, 1), (b, a, swapped))[:1 if a == b else 2]:
+                for i, x in rows[p]:
+                    for j, y in rows[q]:
                         if i < j or i == j and parity[i]:
-                            v = acc.get((i, j)) or acc.setdefault((i, j), [_ZERO] * d)
-                            xy = x * y
+                            v = acc.get((i, j)) or acc.setdefault((i, j), [0] * d)
+                            xy = sign * x * y
                             for k, c in terms:
                                 v[k] += xy * c
+        den *= psi.matrix.den ** 2
         coords: list[Fraction] = []
         for i, j, _, w in self._layout.pairs:
-            ks, v = self._layout.slots[w], acc.get((i, j))
-            coords.extend((_ZERO,) * len(ks) if v is None else (v[k] or _ZERO for k in ks))
+            ks, v = slots[w], acc.get((i, j))
+            coords.extend((_ZERO,) * len(ks) if v is None
+                          else (Fraction(v[k], den) if v[k] else _ZERO for k in ks))
         return self._like(tuple(coords))
 
     def postcompose(self, f: GradedLinearMap) -> "Cochain2":
@@ -253,15 +267,17 @@ class Cochain2:
         if f.domain != self.target:
             raise ShapeError("postcompose needs a map defined on the target")
         layout = _layout(self.source.parities, f.codomain.parities)
-        data, slots, out = f.matrix.data, self._layout.slots, layout.slots
-        # for values of parity w: each output slot's (index into slots[w], f entry)
-        reads = [[tuple((p, data[r][k]) for p, k in enumerate(slots[w]) if data[r][k] is not _ZERO)
+        nums, slots, out = f.matrix.nums, self._layout.slots, layout.slots
+        # for values of parity w: each output slot's (index into slots[w], f numerator)
+        reads = [[tuple((p, nums[r][k]) for p, k in enumerate(slots[w]) if nums[r][k])
                   for r in out[w]] for w in (0, 1)]
+        values, den = _scaled(self.coords)
+        den *= f.matrix.den
         coords: list[Fraction] = []
         for _, _, start, w in self._layout.pairs:
-            values = self.coords[start:start + len(slots[w])]
-            coords.extend((sum(c * values[p] for p, c in read) or _ZERO for read in reads[w])
-                          if any(values) else (_ZERO,) * len(reads[w]))
+            v = values[start:start + len(slots[w])]
+            coords.extend((Fraction(t, den) if (t := sum(c * v[p] for p, c in read)) else _ZERO
+                           for read in reads[w]) if any(v) else (_ZERO,) * len(reads[w]))
         return Cochain2._trusted(self.source, f.codomain, layout, tuple(coords))
 
     def is_zero(self) -> bool:
@@ -481,9 +497,11 @@ class CochainComplex:
                          len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
-        """Whether f is a derivation: a product with the cached d¹;
-        `coords1` rejects a map on other bases."""
-        return self.d1._annihilates(self.coords1(f))
+        """Whether f is a derivation: a product of the cached d¹ with f's
+        integer coordinates."""
+        if f.domain != self.g.basis or f.codomain != self.m.space:
+            raise ShapeError("map bases do not match the algebra and module")
+        return self.d1._annihilates(_map_nums(f))
 
     @cached_property
     def z1(self) -> SubspacePresentation:
@@ -512,7 +530,7 @@ class CochainComplex:
 
     def is_cocycle2(self, beta: Cochain2) -> bool:
         """Whether beta is an even 2-cocycle: a product with the cached constraints."""
-        return self.cocycle2_constraints._annihilates(self.coords2(beta))
+        return self.cocycle2_constraints._annihilates(_scaled(self.coords2(beta))[0])
 
     @cached_property
     def z2(self) -> SubspacePresentation:

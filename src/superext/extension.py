@@ -31,18 +31,18 @@ maps, which the extension caches as coordinate matrices; the extend and
 lift solvers both solve on d¹ of g.
 
 The ring operations on quotient-fixing maps take and return maps equal to
-the identity on every complement row: they reuse the identity's rows there
-and compute only the ideal rows.  `_derivation_coords` is the one
-quotient-fixing test; `from_derivation` records on x + h(x) the coordinates
-of the derivation h it has just checked.
+the identity on every complement row: they compute only the ideal rows, in
+one integer pass over the matrices' numerators.  `_derivation` is the one
+quotient-fixing test; `from_derivation` records on x + h(x) the derivation
+h it has just checked.
 
 Maps on e = s(g) ⊕ a are read by their blocks with `_block` (the
 restriction to a, the section offset λ: g -> a, the induced map ψ on g)
 and built from them with `_assemble`; the End(a) coordinate slots are the
-cached `AbelianExtension.pos_a`.  The definitional forms
-`classify_endomorphism`, `inflate1`, `inflate2`, `restrict1` and
-`beta_with_section` keep their products with the projection, section and
-inclusion.
+cached `AbelianExtension.pos_a`.  `classify_endomorphism` reads the
+columns of f's integer numerators; the definitional forms `inflate1`,
+`inflate2`, `restrict1` and `beta_with_section` keep their products with
+the projection, section and inclusion.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
@@ -68,6 +71,7 @@ from .cohomology import (
     CochainComplex,
     CohomologyClass,
     CohomologyPresentation,
+    _map_nums,
     c1_positions,
     class_of,
     map_to_coords,
@@ -80,17 +84,14 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
-    _combination,
-    _row_add,
     _row_sub,
-    _sparse_scaled,
+    _scaled,
     _spread,
     inverse,
     kernel_basis,
     solve,
     sub_vec,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -141,11 +142,11 @@ class AbelianExtension:
         comp = self.complement_indices = tuple(i for i in range(e.dim) if i not in set(ideal))
         self.a_basis = SuperBasis([(e.basis.names[i], e.basis.parity(i)) for i in ideal])
 
-        ne = e.dim
-        self.inclusion = GradedLinearMap._trusted(
-            self.a_basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in ideal], rows=ne))
-        self.section = GradedLinearMap._trusted(
-            g.basis, e.basis, Mat.from_columns([unit_vec(ne, i) for i in comp], rows=ne))
+        # the 0/1 matrices whose column m is the unit vector at ideal[m], at comp[m]
+        self.inclusion = GradedLinearMap._trusted(self.a_basis, e.basis, Mat._from_ints(
+            tuple(tuple(int(r == i) for i in ideal) for r in range(e.dim)), 1, len(ideal)))
+        self.section = GradedLinearMap._trusted(g.basis, e.basis, Mat._from_ints(
+            tuple(tuple(int(r == i) for i in comp) for r in range(e.dim)), 1, len(comp)))
         # the terms of [b, a] in ideal coordinates: it lies in the ideal, as
         # `quotient_by_ideal` has checked; g acts through the complement rows
         slot = _slots(ideal)
@@ -337,23 +338,26 @@ def _block(f: GradedLinearMap, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     they are given preserve the ideal, by construction or by a checked
     precondition (for the offset: gamma fixes the ideal and induces psi).
     """
-    data = f.matrix.data
-    return Mat._canonical(tuple(tuple(data[r][c] for c in cols) for r in rows), len(cols))
+    nums = f.matrix.nums
+    return Mat._from_ints(tuple(tuple(nums[r][c] for c in cols) for r in rows), f.matrix.den, len(cols))
 
 
 def _assemble(ext: AbelianExtension, aa: Mat, ag: Mat, gg: Mat) -> GradedLinearMap:
     """The endomorphism of e with blocks a -> a, s(g) -> a and s(g) -> s(g),
     each the matrix of an even map; its block a -> s(g) is zero, so it
-    preserves the ideal, and it is even."""
-    ideal, comp = ext.ideal_indices, ext.complement_indices
-    rows = [list(zero_vec(ext.dim_e)) for _ in range(ext.dim_e)]
+    preserves the ideal, and it is even.  Over the least common denominator
+    of lowest-terms blocks, the numerators are in lowest terms."""
+    ideal, comp, n = ext.ideal_indices, ext.complement_indices, ext.dim_e
+    den = lcm(aa.den, ag.den, gg.den)
+    rows = [[0] * n for _ in range(n)]
     for block, row_idx, col_idx in ((aa, ideal, ideal), (ag, ideal, comp), (gg, comp, comp)):
-        for r, row in zip(row_idx, block.data):
+        k = den // block.den
+        for r, row in zip(row_idx, block.nums):
             for c, x in zip(col_idx, row):
-                rows[r][c] = x
-    ident = ext.identity.data  # a row equal to the identity's is the identity's, stored once
-    return GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(
-        tuple(i if r == i else r for r, i in zip(map(tuple, rows), ident)), ext.dim_e))
+                rows[r][c] = x * k
+    ident = ext.identity.nums  # a row equal to the identity's is the identity's, stored once
+    return GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._from_ints(
+        tuple(i if r == i else r for r, i in zip(map(tuple, rows), ident)), den, n))
 
 
 def build_extension(e: LieSuperalgebra, ideal_indices: Iterable[int]) -> AbelianExtension:
@@ -411,19 +415,11 @@ def classify_endomorphism(f: GradedLinearMap, ext: AbelianExtension) -> EndFlags
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
     hom = is_homomorphism(f, ext.e, ext.e)
-    preserves = True
-    fixes = True
-    for m, idx in enumerate(ext.ideal_indices):
-        img = f.image_of_basis(idx)
-        if any(img[c] != 0 for c in ext.complement_indices):
-            preserves = False
-        if img != unit_vec(ext.dim_e, idx):
-            fixes = False
-    induces = True
-    for k, idx in enumerate(ext.complement_indices):
-        if ext.projection.apply(f.image_of_basis(idx)) != unit_vec(ext.dim_g, k):
-            induces = False
-            break
+    # column j of f is f(b_j), over the denominator den
+    nums, den, comp = f.matrix.nums, f.matrix.den, ext.complement_indices
+    preserves = not any(nums[c][j] for j in ext.ideal_indices for c in comp)
+    fixes = all(row[j] == (den if r == j else 0) for j in ext.ideal_indices for r, row in enumerate(nums))
+    induces = all(nums[c][j] == (den if c == j else 0) for j in comp for c in comp)
     return EndFlags(hom, preserves, fixes and preserves, induces)
 
 
@@ -440,8 +436,7 @@ def is_module_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether phi is an even endomorphism of the ideal commuting with the action."""
     if phi.domain != ext.a_basis or phi.codomain != ext.a_basis:
         raise ShapeError("map is not an endomorphism of the ideal")
-    coords = map_to_coords(phi)
-    return ext.module_end_constraints._annihilates(coords)
+    return ext.module_end_constraints._annihilates(_map_nums(phi))
 
 
 @_kept
@@ -468,56 +463,62 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
     first: the maps it rejects skip the bracket check."""
     if psi.domain != ext.g.basis or psi.codomain != ext.g.basis:
         raise ShapeError("map is not an endomorphism of the quotient")
-    return (_fixes_action_coords(map_to_coords(psi), ext)
+    return (ext.action_constraints._annihilates(_map_nums(psi) + [psi.matrix.den])
             and is_homomorphism(psi, ext.g, ext.g))
 
 
 def _fixes_action_coords(coords: Vec, ext: AbelianExtension) -> bool:
     """Whether the even map on g with these `pos_g` coordinates satisfies ρ∘psi = ρ."""
-    return ext.action_constraints._annihilates(coords + (_ONE,))
+    return ext.action_constraints._annihilates(_scaled(coords + (_ONE,))[0])
 
 
 # -- the derivation picture of quotient-fixing endomorphisms --------------
 
 
 @_kept
-def _derivation_coords(f: GradedLinearMap, ext: AbelianExtension) -> Optional[Vec]:
-    """The 1-cochain coordinates of h with f = id + ι∘h when f fixes the quotient, else None.
+def _derivation(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
+    """The even derivation h: e -> a with f = id + ι∘h when f fixes the quotient, else None.
 
     Agrees with `classify_endomorphism(f, ext).fixes_quotient`: f preserves
     the ideal and induces the identity iff the complement rows of f - id
     vanish, so f = id + ι∘h with h even; since a is abelian, [h x, h y] = 0
-    and f is a homomorphism iff h is a derivation, one product with d¹.
-    h's coordinates are read off f's ideal rows: f and id are even, so h
-    has no entries outside the positions of `cochains_e.pos1`.
+    and f is a homomorphism iff h is a derivation, one product of d¹ with
+    h's integer coordinates.  h is read off f's ideal rows, over f's
+    denominator d: the complement rows of f must be those of d·id.
     """
     if f.domain != ext.e.basis or f.codomain != ext.e.basis:
         raise ShapeError("map is not an endomorphism of the ambient algebra")
-    data, ident = f.matrix.data, ext.identity.data
-    if any(data[c] != ident[c] for c in ext.complement_indices):
+    nums, den, n = f.matrix.nums, f.matrix.den, ext.dim_e
+    if any(nums[c][c] != den or nums[c].count(0) != n - 1 for c in ext.complement_indices):
         return None
-    ideal = ext.ideal_indices
-    coords = tuple(data[ideal[n]][i] - 1 if ideal[n] == i else data[ideal[n]][i]
-                   for n, i in ext.cochains_e.pos1)
-    return coords if ext.cochains_e.d1._annihilates(coords) else None
+    rows = tuple(nums[i][:i] + (nums[i][i] - den,) + nums[i][i + 1:] for i in ext.ideal_indices)
+    h = GradedLinearMap._trusted(ext.e.basis, ext.a_basis, Mat._from_ints(rows, den, n))
+    return h if ext.cochains_e.d1._annihilates(_map_nums(h)) else None
 
 
-def _quotient_fixing_map(ext: AbelianExtension, rows: tuple[Vec, ...], what: str) -> GradedLinearMap:
-    """The endomorphism of e with these canonical rows, checked to fix the quotient."""
-    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(rows, ext.dim_e))
-    _check(_derivation_coords(f, ext) is not None, f"{what} does not fix the quotient")
+def _quotient_fixing_map(ext: AbelianExtension, matrix: Mat, what: str) -> GradedLinearMap:
+    """The endomorphism of e with this matrix, checked to fix the quotient."""
+    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, matrix)
+    _check(_derivation(f, ext) is not None, f"{what} does not fix the quotient")
     return f
+
+
+def _identity_rows(ext: AbelianExtension, den: int) -> list[tuple[int, ...]]:
+    """The integer rows of den·id on e; at den = 1 the identity's own, stored once."""
+    ident = ext.identity.nums
+    return list(ident) if den == 1 else [tuple(map(mul, row, repeat(den))) for row in ident]
 
 
 def from_derivation(h: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> x + h(x), an ideal-preserving endomorphism inducing the identity,
-    with h's coordinates, just checked, recorded as its `_derivation_coords`."""
+    with h, just checked, recorded as its `_derivation`."""
     _require(is_ideal_derivation(h, ext), "not an even derivation into the ideal")
-    rows = list(ext.identity.data)
-    for m, idx in enumerate(ext.ideal_indices):
-        rows[idx] = _row_add(rows[idx], h.matrix.data[m])
-    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._canonical(tuple(rows), ext.dim_e))
-    _derivation_coords.record(f, ext, ext.cochains_e.coords1(h))
+    den = h.matrix.den
+    rows = _identity_rows(ext, den)
+    for idx, row in zip(ext.ideal_indices, h.matrix.nums):
+        rows[idx] = tuple(map(add, rows[idx], row))
+    f = GradedLinearMap._trusted(ext.e.basis, ext.e.basis, Mat._from_ints(tuple(rows), den, ext.dim_e))
+    _derivation.record(f, ext, h)
     return f
 
 
@@ -526,37 +527,44 @@ def to_derivation(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
 
     The one product that decides whether f fixes the quotient checks that h is a derivation.
     """
-    coords = _derivation_coords(f, ext)
-    _require(coords is not None, "map is not an ideal-preserving homomorphism inducing the identity")
-    return ext.cochains_e.cochain1(coords)
+    h = _derivation(f, ext)
+    _require(h is not None, "map is not an ideal-preserving homomorphism inducing the identity")
+    return h
 
 
 def _require_quotient_fixing(maps, ext: AbelianExtension) -> None:
     for m in maps:
-        _require(_derivation_coords(m, ext) is not None,
+        _require(_derivation(m, ext) is not None,
                  "ring operations need quotient-fixing endomorphisms")
 
 
-def _ring_add_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) -> tuple[Vec, ...]:
-    """The rows of f + g - id, for f and g equal to the identity on the
-    complement rows: the result's complement rows are the identity's own."""
-    rows = list(ext.identity.data)
+def _ring_sum(f: Mat, g: Mat, ext: AbelianExtension) -> Mat:
+    """f + g - id, for f and g equal to the identity on the complement rows,
+    over the least common denominator d: the complement rows are d·id's."""
+    den = lcm(f.den, g.den)
+    p, q = den // f.den, den // g.den
+    rows = _identity_rows(ext, den)
     for i in ext.ideal_indices:
-        row = _row_add(f[i], g[i])
-        rows[i] = row[:i] + ((row[i] - 1) or _ZERO,) + row[i + 1:]
-    return tuple(rows)
+        row = [x * p + y * q for x, y in zip(f.nums[i], g.nums[i])]
+        row[i] -= den
+        rows[i] = tuple(row)
+    return Mat._from_ints(tuple(rows), den, ext.dim_e)
 
 
-def _ring_mul_rows(f: Sequence[Vec], g: Sequence[Vec], ext: AbelianExtension) -> tuple[Vec, ...]:
-    """The rows of f·g - f - g + 2·id; row i of f·g is the combination of g's
-    rows with f's row i as coefficients, in integers over one denominator."""
-    g_rows, den = _sparse_scaled(g)
-    rows = list(ext.identity.data)
+def _ring_product(f: Mat, g: Mat, ext: AbelianExtension) -> Mat:
+    """f·g - f - g + 2·id over the product d of the denominators: row i of
+    f·g is the combination of g's rows with f's row i as coefficients."""
+    a, b = f.den, g.den
+    den = a * b
+    rows = _identity_rows(ext, den)
     for i in ext.ideal_indices:
-        prod = _combination(f[i], g_rows, den, len(f[i]))
-        prod = prod[:i] + ((prod[i] + 2) or _ZERO,) + prod[i + 1:]
-        rows[i] = _row_sub(_row_sub(prod, f[i]), g[i])
-    return tuple(rows)
+        row = [-b * x - a * y for x, y in zip(f.nums[i], g.nums[i])]
+        for x, g_row in zip(f.nums[i], g.nums):
+            if x:
+                row = [r + x * y for r, y in zip(row, g_row)]
+        row[i] += 2 * den
+        rows[i] = tuple(row)
+    return Mat._from_ints(tuple(rows), den, ext.dim_e)
 
 
 def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -565,24 +573,22 @@ def ring_add(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> G
     The identity map is the zero element of this ring.
     """
     _require_quotient_fixing((f, g), ext)
-    return _quotient_fixing_map(ext, _ring_add_rows(f.matrix.data, g.matrix.data, ext), "ring sum")
+    return _quotient_fixing_map(ext, _ring_sum(f.matrix, g.matrix, ext), "ring sum")
 
 
 def ring_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """Transported multiplication: x -> f(g(x)) - f(x) - g(x) + 2x."""
     _require_quotient_fixing((f, g), ext)
-    return _quotient_fixing_map(ext, _ring_mul_rows(f.matrix.data, g.matrix.data, ext),
-                                "ring product")
+    return _quotient_fixing_map(ext, _ring_product(f.matrix, g.matrix, ext), "ring product")
 
 
 def quasi_mul(f: GradedLinearMap, g: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """The ring's circle operation f*g = f + g + f·g, evaluated through the
     transported ring operations; it turns out to equal composition."""
     _require_quotient_fixing((f, g), ext)
-    fd, gd = f.matrix.data, g.matrix.data
+    fm, gm = f.matrix, g.matrix
     return _quotient_fixing_map(
-        ext, _ring_add_rows(_ring_add_rows(fd, gd, ext), _ring_mul_rows(fd, gd, ext), ext),
-        "circle product")
+        ext, _ring_sum(_ring_sum(fm, gm, ext), _ring_product(fm, gm, ext), ext), "circle product")
 
 
 def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
@@ -597,7 +603,7 @@ def derivation_compose(h: GradedLinearMap, k: GradedLinearMap, ext: AbelianExten
 
 def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
     """x -> f(x) - x on the ideal, read off f's ideal rows; a module endomorphism of the ideal."""
-    _require(_derivation_coords(f, ext) is not None,
+    _require(_derivation(f, ext) is not None,
              "map is not an ideal-preserving homomorphism inducing the identity")
     ideal = ext.ideal_indices
     out = GradedLinearMap._trusted(ext.a_basis, ext.a_basis,
@@ -608,12 +614,12 @@ def shifted_restriction(f: GradedLinearMap, ext: AbelianExtension) -> GradedLine
 
 def quasiregular_inverse(f: GradedLinearMap, ext: AbelianExtension) -> Optional[GradedLinearMap]:
     """Circle-inverse of f when it exists, i.e. when f is bijective."""
-    _require(_derivation_coords(f, ext) is not None,
+    _require(_derivation(f, ext) is not None,
              "quasiregular inverse needs a quotient-fixing endomorphism")
     inv = inverse(f.matrix)
     if inv is None:
         return None
-    g = _quotient_fixing_map(ext, inv.data, "inverse")  # f is even, so is its inverse
+    g = _quotient_fixing_map(ext, inv, "inverse")  # f is even, so is its inverse
     ident = GradedLinearMap.identity(ext.e.basis)
     _check(quasi_mul(f, g, ext) == ident and quasi_mul(g, f, ext) == ident,
            "inverse is not a two-sided circle inverse")

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals: dense small maps, sparse operators.
 
-Everything here is tolerance-free: entries are `fractions.Fraction`, pivot
-choice is deterministic (first nonzero entry in row order, columns in
-increasing order), and outputs are reproducible bit for bit.  No floating
-point enters at any stage.
+Everything here is tolerance-free: values are `fractions.Fraction`s or
+integer numerators over a common denominator, pivot choice is
+deterministic (first nonzero entry in row order, columns in increasing
+order), and outputs are reproducible bit for bit.  No floating point
+enters at any stage.
 
 `Mat` is dense and holds the small maps on an algebra.  `SparseMat`, the
 nonzero (column, value) pairs of each row, is the one form of the big
@@ -20,32 +21,36 @@ kernel basis, complement, rank and solution is the whole-matrix one.
 complement, and the factorization the quotient's coordinate map.
 
 Public constructors check their input; the private trusted ones take what
-this library built and checked.  Every zero entry of a `Mat` or of a dense
-view is the one shared `_ZERO`: the public constructors pass each entry
-through `rat`, and `Mat._canonical` takes grids of Fractions with that zero
-as they are.  `Mat.apply`, `+` and `-` and the nonzero scans test a
-matrix's own entries for zero by identity; vectors passed in by callers
-may hold other zeros, such as `Fraction(0, 7)`, and are tested by value.
+this library built and checked.  A `Mat` is stored as integer numerator
+rows `nums` over one positive denominator `den`, in lowest terms, so the
+form is unique and `==` and `hash` compare it as it is.  Its arithmetic
+(`@`, `+`, `-`, `scale`, `is_zero`) and the library's readers of small maps
+work on those integers; `Mat._from_ints` brings a result to lowest terms.
+`Mat.data`, `column` and `apply` build Fractions on each read, every zero
+the one shared `_ZERO` as in the dense views of a `SparseMat`; no Fraction
+view is kept.
 `SubspacePresentation`'s constructor eliminates to check that its basis is
 independent; `SubspacePresentation._trusted` takes the sparse vectors of
 `kernel_basis`, `from_spanning` and B², independent by construction.
 
-The products work on integer-scaled views: `_scaled` writes a list of
-rationals as integer numerators over their least common denominator, so
-both `@`s, `SparseMat.apply` (and with it `SubspacePresentation.combine`)
-and the zero test `SparseMat._annihilates` add and multiply integers and
-build a Fraction only for each nonzero value they return.  The arithmetic
-is exact, so every result is the one the Fraction arithmetic gives.  An
-operator keeps its integer rows, which the operators kept by a cochain
-complex or an extension pay for once.
+The sparse products work on integer-scaled views: `_scaled` writes a list
+of rationals as integer numerators over their least common denominator
+(in lowest terms, since each entry is), so `SparseMat @`, `SparseMat.apply`
+(and with it `SubspacePresentation.combine`) add and multiply integers and
+build a Fraction only for each nonzero value they return.  The zero test
+`SparseMat._annihilates` takes integer coordinates directly: A·v = 0 does
+not depend on the common denominator of v.  The arithmetic is exact, so
+every result is the one the Fraction arithmetic gives.  An operator keeps
+its integer rows, which the operators kept by a cochain complex or an
+extension pay for once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
-from math import lcm
-from operator import attrgetter, is_not, itemgetter, mul
+from itertools import chain, compress, repeat
+from math import gcd, lcm
+from operator import add, attrgetter, is_not, itemgetter, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import MembershipError, ShapeError
@@ -62,8 +67,8 @@ def rat(value) -> Fraction:
 
     Floats are rejected: silent binary rounding would defeat the whole
     point of the engine.  Every zero comes back as the one shared `_ZERO`
-    and every one as `_ONE`, so the zero and unit entries of vectors and
-    matrices cost no memory of their own.
+    and every one as `_ONE`, so the zero and unit entries of vectors cost no
+    memory of their own.
     """
     if isinstance(value, Fraction):
         if not value.numerator:
@@ -97,26 +102,6 @@ def _scaled_pairs(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[list[
     flat, d = _scaled(x for row in rows for _, x in row)
     nums = iter(flat)
     return [[(j, next(nums)) for j, _ in row] for row in rows], d
-
-
-def _sparse_scaled(rows: Sequence[Vec]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The rows of a grid whose zeros are all `_ZERO` as lists of their
-    nonzero (j, N_j), over one common denominator."""
-    return _scaled_pairs([_nonzeros(r) for r in rows])
-
-
-def _combination(coeffs: Sequence, rows: Sequence[Sequence[tuple[int, int]]], den: int,
-                 width: int) -> Vec:
-    """sum_k coeffs_k · rows_k, for rows given by `_scaled_pairs` over den:
-    integer sums over one denominator, skipping zero coefficients and entries."""
-    cs, d = _scaled(coeffs)
-    acc = [0] * width
-    for c, row in zip(cs, rows):
-        if c:
-            for j, x in row:
-                acc[j] += c * x
-    d *= den
-    return tuple(Fraction(x, d) if x else _ZERO for x in acc)
 
 
 def _row_add(r: Vec, s: Vec) -> Vec:
@@ -177,9 +162,13 @@ def bilinear(sparse: Sequence[Sequence[Sequence[tuple]]], x: Sequence, y: Sequen
 
 
 class Mat:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals, stored as `nums / den`:
+    integer numerator rows over one positive denominator, in lowest terms
+    (gcd(den, every numerator) = 1, and the zero matrix has den 1).  The form
+    is unique, so `==` and `hash` compare it as it is.  `data`, `column` and
+    `apply` build Fractions on each read; the arithmetic stays in integers."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nums", "den")
 
     def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
         grid = tuple(tuple(rat(x) for x in row) for row in data)
@@ -189,23 +178,30 @@ class Mat:
                 raise ShapeError("rows have varying lengths")
         if cols is not None and width != cols:
             raise ShapeError(f"rows have length {width}, expected {cols}")
-        self.data, self.rows, self.cols = grid, len(grid), width
+        # over the least common denominator of lowest-terms entries, the
+        # numerators share no factor with it
+        flat, den = _scaled(x for row in grid for x in row)
+        nums = iter(flat)
+        self.nums = tuple(tuple(next(nums) for _ in row) for row in grid)
+        self.den, self.rows, self.cols = den, len(grid), width
 
     @classmethod
-    def _canonical(cls, grid: tuple[Vec, ...], cols: int) -> "Mat":
-        """A matrix on a grid of Fractions whose zeros are all `_ZERO`,
-        without the `rat` pass of the public constructor."""
+    def _from_ints(cls, nums: tuple[tuple[int, ...], ...], den: int, cols: int) -> "Mat":
+        """The matrix nums / den, for integer rows of length `cols` and den > 0,
+        brought to lowest terms without the public constructor's `rat` pass."""
+        if den != 1 and (g := gcd(den, *chain.from_iterable(nums))) != 1:
+            nums, den = tuple(tuple(x // g for x in row) for row in nums), den // g
         m = object.__new__(cls)
-        m.data, m.rows, m.cols = grid, len(grid), cols
+        m.nums, m.den, m.rows, m.cols = nums, den, len(nums), cols
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._canonical(tuple(unit_vec(n, i) for i in range(n)), n)
+        return cls._from_ints(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls._canonical((zero_vec(cols),) * rows, cols)
+        return cls._from_ints(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: Optional[int] = None) -> "Mat":
@@ -218,62 +214,76 @@ class Mat:
             rows = 0
         return cls([[col[i] for col in columns] for i in range(rows)], cols=len(columns))
 
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """The entries as Fractions, built on each read; every zero is `_ZERO`."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) if x else _ZERO for x in row) for row in self.nums)
+
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.data)
+        den = self.den
+        return tuple(Fraction(row[j], den) if row[j] else _ZERO for row in self.nums)
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
-        out = [_ZERO] * self.rows
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            for i, row in enumerate(self.data):
-                c = row[j]
-                if c is not _ZERO:
-                    out[i] += vj * c
-        return tuple(out)
+        w, d = _scaled(v)
+        d *= self.den
+        return tuple(Fraction(t, d) if (t := sum(map(mul, row, w))) else _ZERO for row in self.nums)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """A·B row by row in integers: row i of A is the combination of B's
-        rows with A's row as coefficients."""
+        """A·B in integers: row i is the combination of B's rows with A's row
+        as coefficients, over the product of the denominators."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m = other.cols
-        b_rows, den = _sparse_scaled(other.data)
-        live = [k for k, r in enumerate(b_rows) if r]  # entries of A facing a zero row add nothing
+        b, zero = other.nums, (0,) * other.cols
         out = []
-        for row in self.data:
-            terms = [k for k in live if row[k] is not _ZERO]
-            out.append(_combination([row[k] for k in terms], [b_rows[k] for k in terms], den, m)
-                       if terms else zero_vec(m))
-        return Mat._canonical(tuple(out), m)
+        for row in self.nums:
+            acc = None
+            for x, b_row in zip(row, b):
+                if x:
+                    term = b_row if x == 1 else tuple(map(mul, repeat(x), b_row))
+                    acc = term if acc is None else tuple(map(add, acc, term))
+            out.append(zero if acc is None else acc)
+        return Mat._from_ints(tuple(out), self.den * other.den, other.cols)
+
+    def _combined(self, other: "Mat", op) -> "Mat":
+        """op (add or sub) entrywise, over the least common denominator."""
+        self._same_shape(other)
+        d, e = self.den, other.den
+        if d == e:
+            return Mat._from_ints(tuple(tuple(map(op, r, s)) for r, s in zip(self.nums, other.nums)),
+                                  d, self.cols)
+        den = lcm(d, e)
+        p, q = repeat(den // d), repeat(den // e)
+        return Mat._from_ints(tuple(tuple(map(op, map(mul, r, p), map(mul, s, q)))
+                                    for r, s in zip(self.nums, other.nums)), den, self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._canonical(tuple(map(_row_add, self.data, other.data)), self.cols)
+        return self._combined(other, add)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._canonical(tuple(map(_row_sub, self.data, other.data)), self.cols)
+        return self._combined(other, sub)
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat._canonical(tuple(tuple(x if x is _ZERO else (c * x) or _ZERO for x in r)
-                                    for r in self.data), self.cols)
+        p = repeat(c.numerator)
+        return Mat._from_ints(tuple(tuple(map(mul, row, p)) for row in self.nums),
+                              self.den * c.denominator, self.cols)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(map(any, self.nums))
 
     def _same_shape(self, other: "Mat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
+        return (isinstance(other, Mat) and self.cols == other.cols and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"Mat({[list(map(str, r)) for r in self.data]})"
@@ -349,12 +359,12 @@ class SparseMat:
                 out[i] = Fraction(t, d * e)
         return tuple(out)
 
-    def _annihilates(self, v: Sequence[Fraction]) -> bool:
-        """Whether A·v = 0, as `apply` computes it, stopping at the first row
-        with a nonzero product."""
-        if len(v) != self.cols:
-            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
-        w = _scaled(v)[0]
+    def _annihilates(self, w: Sequence[int]) -> bool:
+        """Whether A·v = 0, for the integer numerators w of v over any common
+        denominator (`_scaled(v)[0]`, or a map's integer entries), stopping
+        at the first row with a nonzero product."""
+        if len(w) != self.cols:
+            raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(w)}")
         return not any(w) or not any(sum(map(mul, nums, pick(w))) for _, pick, nums, _ in self._int_view())
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
@@ -482,8 +492,12 @@ def _carried(row: dict[int, Fraction], offset: int) -> Row:
 
 
 def _as_sparse(a) -> SparseMat:
-    """A `SparseMat` as it is; a `Mat` (its entries are rationals) at its nonzero entries."""
-    return a if isinstance(a, SparseMat) else SparseMat(tuple(tuple(_nonzeros(r)) for r in a.data), a.cols)
+    """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
+    if isinstance(a, SparseMat):
+        return a
+    den = a.den
+    return SparseMat(tuple(tuple((j, Fraction(x, den)) for j, x in enumerate(row) if x) for row in a.nums),
+                     a.cols)
 
 
 def rank(a) -> int:
@@ -497,7 +511,7 @@ def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
         raise ShapeError(f"matrix has {a.rows} rows, right-hand side has length {len(b)}")
     pivots, coords, annihilator = _as_sparse(a)._factor()
     b = vec(b)
-    if not annihilator._annihilates(b):
+    if not annihilator._annihilates(_scaled(b)[0]):
         return None
     return _spread(zip(pivots, coords.apply(b)), a.cols)
 
@@ -510,7 +524,12 @@ def inverse(a: Mat) -> Optional[Mat]:
     pivots, p, _ = _as_sparse(a)._factor()
     if len(pivots) != a.cols:
         return None
-    return Mat._canonical(p.dense(), a.cols)
+    rows, den = _scaled_pairs(p.data)
+    nums = [[0] * a.cols for _ in rows]
+    for out, row in zip(nums, rows):
+        for j, x in row:
+            out[j] = x
+    return Mat._from_ints(tuple(map(tuple, nums)), den, a.cols)
 
 
 def _pivots(vectors: tuple[Row, ...], n: int) -> list[int]:
@@ -659,7 +678,7 @@ class QuotientPresentation:
             raise ShapeError(f"ambient dimension is {self.ambient.ambient_dim}, "
                              f"vectors have length {len(v)}")
         coords, annihilator = self.coordinate_map
-        if not annihilator._annihilates(v):
+        if not annihilator._annihilates(_scaled(v)[0]):
             raise MembershipError("vector lies outside the ambient subspace")
         return coords.apply(v)
 

@@ -126,6 +126,24 @@ def reduce_rows(rows, pivot_cols=None):
     return pivots
 
 
+def product(a, b, width):
+    """The product of dense rows a and b, b's rows of length `width`, entry
+    by entry as a sum of products of Fractions."""
+    return [[sum((x * row[j] for x, row in zip(r, b)), Fraction(0)) for j in range(width)]
+            for r in a]
+
+
+def inverse(a):
+    """The inverse of the square dense rows a, or None when singular, from
+    one elimination of [A | I]."""
+    n = len(a)
+    rows = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(a)]
+    if reduce_rows(rows, n) != list(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
 def dense_rows(m):
     """The rows of a `Mat`, or of a sparse operator spread over its width."""
     if isinstance(m, Mat):

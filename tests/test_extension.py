@@ -23,7 +23,7 @@ from superext.cohomology import (
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
 from superext import fixtures
 from superext.extension import (
-    _derivation_coords,
+    _derivation,
     _module_end_residuals,
     beta_with_section,
     build_extension,
@@ -289,20 +289,20 @@ def _endomorphism_samples(ext, rng):
 
 
 def test_quotient_fixing_predicate_agrees_with_classification():
-    """`_derivation_coords` is None exactly off the quotient-fixing maps, and
-    elsewhere equals the coordinates of the definitional h = f - id on the ideal rows."""
+    """`_derivation` is None exactly off the quotient-fixing maps, and
+    elsewhere equals the definitional h = f - id on the ideal rows."""
     rng = random.Random(43)
     seen = {}
     for name, ext in _ring_corpus():
         for label, f in _endomorphism_samples(ext, rng):
-            coords = _derivation_coords(f, ext)
-            fixes = coords is not None
+            got = _derivation(f, ext)
+            fixes = got is not None
             assert fixes == classify_endomorphism(f, ext).fixes_quotient, (name, label, f)
             if fixes:
                 rows = [[f.matrix.data[i][j] - (i == j) for j in range(ext.dim_e)]
                         for i in ext.ideal_indices]
                 h = GradedLinearMap(ext.e.basis, ext.a_basis, Mat(rows, cols=ext.dim_e))
-                assert coords == ext.cochains_e.coords1(h), (name, label, f)
+                assert got == h, (name, label, f)
             if label == "cocycle":
                 assert fixes, (name, f)
             if label in ("non-cocycle", "leaves ideal", "moves quotient", "zero"):
@@ -416,10 +416,10 @@ def test_derivation_coordinates_are_kept_per_extension_object():
     centre, plane = build_extension(e, [2]), build_extension(e, [1, 2])
     tilt = GradedLinearMap.from_images(e.basis, e.basis, [vec([1, 1, 0]), vec([0, 1, 0]),
                                                           vec([0, 0, 1])])
-    assert _derivation_coords(tilt, centre) is None
-    assert _derivation_coords(tilt, plane) is not None
+    assert _derivation(tilt, centre) is None
+    assert _derivation(tilt, plane) is not None
     assert classify_endomorphism(tilt, plane).fixes_quotient
-    assert _derivation_coords(tilt, centre) is None
+    assert _derivation(tilt, centre) is None
     assert tilt == GradedLinearMap(e.basis, e.basis, tilt.matrix)
 
 
@@ -445,15 +445,16 @@ def test_membership_answers_are_kept_per_extension_object(monkeypatch):
     h = GradedLinearMap(plain.e.basis, plain.a_basis, Mat([[0, 0, 0, 1], [0, 0, 1, 0]]))
     f = GradedLinearMap(plain.e.basis, plain.e.basis, Mat(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]))
-    cases = [(is_ideal_derivation, h), (_derivation_coords, f),
+    cases = [(is_ideal_derivation, h), (_derivation, f),
              (is_module_endomorphism, GradedLinearMap(plain.a_basis, plain.a_basis, swap_a)),
              (fixes_action, GradedLinearMap(plain.g.basis, plain.g.basis, swap_a))]
     tests = []
-    original = SparseMat._annihilates  # each predicate's one zero test
+    original = SparseMat._annihilates  # each predicate's one zero test, on integer coordinates
 
-    def counted(self, v):
-        tests.append(v)
-        return original(self, v)
+    def counted(self, w):
+        assert all(type(x) is int for x in w), w
+        tests.append(w)
+        return original(self, w)
 
     monkeypatch.setattr(SparseMat, "_annihilates", counted)
     for predicate, m in cases:
@@ -764,8 +765,12 @@ def test_lift_witness_for_compatible_diagonal(h3_ext):
         [vec([2, 0, 0]), vec([0, Fraction(1, 2), 0]), vec([0, 0, 1])],
     )
     assert gamma == expected
-    # the rows equal to the identity's are the identity's own
-    assert [r is i for r, i in zip(gamma.matrix.data, h3_ext.identity.data)] == [False, False, True]
+    # stored in lowest terms over den 2, where no row is an identity row
+    assert gamma.matrix.den == 2 and gamma.matrix.nums == ((4, 0, 0), (0, 1, 0), (0, 0, 2))
+    # over den 1 the rows equal to the identity's are the identity's own
+    flip = lift_endomorphism(_quotient_diag(h3_ext, -1, -1), h3_ext)
+    assert flip.matrix.den == 1 and flip.matrix.nums == ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
+    assert [r is i for r, i in zip(flip.matrix.nums, h3_ext.identity.nums)] == [False, False, True]
 
 
 def test_lift_fails_for_incompatible_diagonal(h3_ext):

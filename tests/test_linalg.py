@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from dense_oracle import kernel_basis as dense_kernel_basis
 from dense_oracle import pivots as oracle_pivots
 from dense_oracle import reduce_rows as _reduce_rows
@@ -13,6 +18,7 @@ from superext.linalg import (
     _ZERO,
     Mat,
     _as_sparse,
+    _scaled,
     SubspacePresentation,
     inverse,
     is_zero_vec,
@@ -465,9 +471,10 @@ def test_zero_test_agrees_with_the_product():
             v = [_kernel_entry(rng) for _ in range(a.cols)]
         v = _with_other_zeros(rng, v)
         expected = is_zero_vec(a.apply(v))
-        sparse = _as_sparse(a)
-        assert sparse._annihilates(v) == expected, (a, v)
-        assert sparse._annihilates(v) == expected  # again, on the cached integer rows
+        sparse, w = _as_sparse(a), _scaled(v)[0]
+        assert sparse._annihilates(w) == expected, (a, v)
+        # again, on the cached integer rows, with v over another denominator
+        assert sparse._annihilates([-3 * x for x in w]) == expected
         verdicts.append(expected)
     assert 60 <= verdicts.count(True) <= 240, verdicts.count(True)
     with pytest.raises(ShapeError):
@@ -526,6 +533,69 @@ def test_results_of_the_integer_kernels_hold_only_the_shared_zero():
                         assert x is _ZERO, m
                         zeros += 1
     assert zeros >= 300, zeros
+
+
+# -- the integer stored form of Mat against plain Fraction arithmetic ---------
+
+
+_RATIONALS = st.one_of(st.just(0), st.integers(-6, 6),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       st.fractions(max_denominator=2 ** 70))
+
+
+def _grid(data, rows, cols):
+    """Dense rows of Fractions, all zero one time in four."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return [[Fraction(0)] * cols for _ in range(rows)]
+    return [[Fraction(data.draw(_RATIONALS)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _as_tuples(grid):
+    return tuple(map(tuple, grid))
+
+
+def _check_stored_form(m, grid, cols):
+    """m holds the entries of `grid` as integer rows over one positive
+    denominator in lowest terms, the zero matrix over 1, and equals, with
+    the same hash, the matrix the public constructor builds from `grid`."""
+    assert (m.rows, m.cols) == (len(grid), cols)
+    assert all(type(x) is int for row in m.nums for x in row) and type(m.den) is int and m.den > 0
+    assert all(len(row) == cols for row in m.nums)
+    assert gcd(m.den, *chain.from_iterable(m.nums)) == 1, (m.nums, m.den)
+    assert m.data == _as_tuples(grid)
+    assert all(x is _ZERO for row in m.data for x in row if x == 0)
+    twin = Mat(grid, cols=cols)
+    assert m == twin and hash(m) == hash(twin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(data=st.data())
+def test_mat_agrees_with_plain_fraction_arithmetic(data):
+    """`@`, `+`, `-`, `scale`, `==`, `hash`, `apply`, `column` and `inverse`
+    on the integer form give what Fraction arithmetic gives, on shapes
+    with zero rows or columns too, and every result is in lowest terms."""
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, a2, b = _grid(data, n, k), _grid(data, n, k), _grid(data, k, m)
+    ma, ma2, mb = Mat(a, cols=k), Mat(a2, cols=k), Mat(b, cols=m)
+    for built, grid, cols in ((ma, a, k), (ma2, a2, k), (mb, b, m)):
+        _check_stored_form(built, grid, cols)
+    c = Fraction(data.draw(_RATIONALS))
+    _check_stored_form(ma @ mb, dense_oracle.product(a, b, m), m)
+    _check_stored_form(ma + ma2, [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)], k)
+    _check_stored_form(ma - ma2, [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)], k)
+    _check_stored_form(ma - ma, [[Fraction(0)] * k for _ in a], k)
+    _check_stored_form(ma.scale(c), [[c * x for x in r] for r in a], k)
+    assert (ma == ma2) == (a == a2) and (ma == mb) == (n == k and k == m and a == b)
+    assert (ma + ma2 == ma2 + ma) and hash(ma + ma2) == hash(ma2 + ma)
+    v = [Fraction(data.draw(_RATIONALS)) for _ in range(k)]
+    assert ma.apply(v) == tuple(r[0] for r in dense_oracle.product(a, [[x] for x in v], 1))
+    assert all(ma.column(j) == tuple(r[j] for r in a) for j in range(k))
+    square = _grid(data, n, n)
+    expected = dense_oracle.inverse(square)
+    got = inverse(Mat(square, cols=n))
+    assert (got is None) == (expected is None), square
+    if got is not None:
+        _check_stored_form(got, expected, n)
 
 
 # -- the component split against the dense whole-matrix oracle ----------------

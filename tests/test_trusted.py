@@ -415,7 +415,7 @@ def test_derived_cochains_pass_the_public_checks(case):
 # -- outside input stays on the checked path -----------------------------------
 
 
-_TRUSTED = {"_trusted", "_canonical"}
+_TRUSTED = {"_trusted", "_from_ints"}
 
 
 @pytest.mark.parametrize("module", [files, cli], ids=["files", "cli"])
