@@ -94,15 +94,18 @@ def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
                     coords: Sequence[Fraction]) -> GradedLinearMap:
     """The map with `coords` at the slots of `c1_positions`, which join
     elements of one parity, and zeros elsewhere; only the coordinates pass `rat`."""
-    positions = c1_positions(domain, codomain)
-    if len(coords) != len(positions):
+    if len(coords) != len(c1_positions(domain, codomain)):
         raise ShapeError("coordinate vector does not match the position list")
-    nums, den = _scaled(vec(coords))
+    return _map_from_nums(domain, codomain, *_scaled(vec(coords)))
+
+
+def _map_from_nums(domain: SuperBasis, codomain: SuperBasis, nums: Sequence[int],
+                   den: int) -> GradedLinearMap:
+    """`map_from_coords` of nums / den: an integer per slot, over den > 0."""
     rows = [[0] * domain.dim for _ in range(codomain.dim)]
-    for (r, c), x in zip(positions, nums):
+    for (r, c), x in zip(c1_positions(domain, codomain), nums):
         rows[r][c] = x
-    matrix = Mat._from_ints(tuple(map(tuple, rows)), den, domain.dim)
-    return GradedLinearMap._trusted(domain, codomain, matrix)
+    return GradedLinearMap._trusted(domain, codomain, Mat._from_ints(tuple(map(tuple, rows)), den, domain.dim))
 
 
 class _Layout:

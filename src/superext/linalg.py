@@ -1,48 +1,31 @@
 """Exact linear algebra over the rationals: dense small maps, sparse operators.
 
-Everything here is tolerance-free: values are `fractions.Fraction`s or
-integer numerators over a common denominator, pivot choice is
-deterministic (first nonzero entry in row order, columns in increasing
-order), and outputs are reproducible bit for bit.  No floating point
-enters at any stage.
+Everything is tolerance-free and reproducible bit for bit: values are
+`fractions.Fraction`s or integer numerators over a common denominator, and
+no floating point enters at any stage.  `Mat` holds the small maps on an
+algebra as integer rows `nums` over one positive denominator `den`, in
+lowest terms (`Mat._from_ints`), so `==` and `hash` compare the stored form;
+`data`, `column` and `apply` build Fractions on each read, every zero the
+shared `_ZERO`.  `SparseMat`, the nonzero (column, value) pairs of each row,
+is the form of the big operators (d¹, the Z² constraint rows, the five-term
+maps, a quotient's coordinate map) and of what elimination produces: a
+subspace or a quotient's complement keeps its vectors as the rows of one.
+Its products and `SparseMat._annihilates` work on the integer rows it keeps
+(`_scaled`: numerators over the least common denominator).
 
-`Mat` is dense and holds the small maps on an algebra.  `SparseMat`, the
-nonzero (column, value) pairs of each row, is the one form of the big
-operators (d¹, the Z² constraint rows, the five-term maps, a quotient's
-coordinate map) and of what elimination produces: the product of two is a
-`SparseMat`, and a subspace or a quotient's complement keeps its vectors as
-the rows of one, `vectors` (`.T` makes them columns), of which `basis` and
-`complement` are dense views.  All elimination runs on sparse rows, split
-into the connected components of the column graph (columns joined when a
-row holds both) and reduced component by component.  The reduced row
-echelon form is unique and no row touches two components, so every pivot,
-kernel basis, complement, rank and solution is the whole-matrix one.
-`quotient_presentation` factors [B | Z] once: the pivots give the
-complement, and the factorization the quotient's coordinate map.
-
-Public constructors check their input; the private trusted ones take what
-this library built and checked.  A `Mat` is stored as integer numerator
-rows `nums` over one positive denominator `den`, in lowest terms, so the
-form is unique and `==` and `hash` compare it as it is.  Its arithmetic
-(`@`, `+`, `-`, `scale`, `is_zero`) and the library's readers of small maps
-work on those integers; `Mat._from_ints` brings a result to lowest terms.
-`Mat.data`, `column` and `apply` build Fractions on each read, every zero
-the one shared `_ZERO` as in the dense views of a `SparseMat`; no Fraction
-view is kept.
-`SubspacePresentation`'s constructor eliminates to check that its basis is
-independent; `SubspacePresentation._trusted` takes the sparse vectors of
-`kernel_basis`, `from_spanning` and B², independent by construction.
-
-The sparse products work on integer-scaled views: `_scaled` writes a list
-of rationals as integer numerators over their least common denominator
-(in lowest terms, since each entry is), so `SparseMat @`, `SparseMat.apply`
-(and with it `SubspacePresentation.combine`) add and multiply integers and
-build a Fraction only for each nonzero value they return.  The zero test
-`SparseMat._annihilates` takes integer coordinates directly: A·v = 0 does
-not depend on the common denominator of v.  The arithmetic is exact, so
-every result is the one the Fraction arithmetic gives.  An operator keeps
-its integer rows, which the operators kept by a cochain complex or an
-extension pay for once.
+Every elimination is one integer kernel, `_reduce_part`: fraction-free
+Gauss–Jordan with the pivot rule of elimination over Q (first row holding
+the column, columns in increasing order), each updated row divided by its
+content, and Fractions built only for the final pivot rows.  A `SparseMat`
+is reduced component by component of its column graph (columns joined when
+a row holds both); the reduced row echelon form is unique and no row holds
+two components, so every pivot, kernel basis, complement, rank and solution
+is the whole-matrix one.  `inverse`, `rank` and `kernel_basis` eliminate a
+`Mat`'s integer rows directly.  `quotient_presentation` factors [B | Z]
+once: the pivots give the complement, and the factorization the quotient's
+coordinate map.  Public constructors check their input (the one of
+`SubspacePresentation` eliminates to prove its basis independent); the
+private trusted ones take what this library built and checked.
 """
 
 from __future__ import annotations
@@ -116,10 +99,6 @@ def _row_sub(r: Vec, s: Vec) -> Vec:
 
 def vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
-
-
-def zero_vec(n: int) -> Vec:
-    return (_ZERO,) * n
 
 
 def unit_vec(n: int, k: int) -> Vec:
@@ -415,47 +394,56 @@ class SparseMat:
             self._parts = [(rows, sorted(cols)) for rows, cols in parts.values()]
         return self._parts
 
+    def _int_parts(self, carry: bool) -> Iterable[tuple[list[dict[int, int]], list[int]]]:
+        """Each component's rows as integer dicts over its least common denominator d,
+        and its columns; with `carry`, row i is d·[S_i | e_i], e_i at keys from cols on."""
+        for rows, cols in self._components():
+            d = lcm(*{x.denominator for i in rows for _, x in self.data[i]})
+            part = [{j: x.numerator * (d // x.denominator) for j, x in self.data[i]} for i in rows]
+            for i, row in zip(rows, part) if carry else ():
+                row[self.cols + i] = d
+            yield part, cols
+
     def _echelon(self) -> dict[int, dict[int, Fraction]]:
         """The reduced row echelon form, as {pivot column: its row}."""
         if self._reduced is None:
             self._reduced = {}
-            for rows, cols in self._components():
-                part = [dict(self.data[i]) for i in rows]
-                self._reduced.update(zip(_reduce_part(part, cols), part))
+            for part, cols in self._int_parts(False):
+                self._reduced.update(_pivot_rows(part, _reduce_part(part, cols)))
         return self._reduced
 
     def _factor(self) -> tuple[list[int], "SparseMat", "SparseMat"]:
         """(pivots, P, A) with E·S = R, the reduced row echelon form of S:
-        P holds E's rows at the pivots, in order, and A the others (a unit
-        row for each empty row of S).  S·x = b is solvable iff A·b = 0, and
-        then P·b at the pivots, 0 elsewhere, is its first solution.  Each
-        row of a component carries its own row of the identity block, which
-        stays implicit."""
+        P holds E's rows at the pivots, in order, and A nonzero multiples of
+        the others (a unit row for each empty row of S).  S·x = b is solvable
+        iff A·b = 0, and then P·b at the pivots, 0 elsewhere, is its first
+        solution.  Each row carries its row of the identity block, times its denominator."""
         if self._factored is None:
-            m = self.cols
-            found, rest = [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
-            for rows, cols in self._components():
-                part = [dict(self.data[i] + ((m + i, _ONE),)) for i in rows]
+            m, found, rest = self.cols, [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
+            for part, cols in self._int_parts(True):
                 pivots = _reduce_part(part, cols)
-                found += [(c, _carried(row, m)) for c, row in zip(pivots, part)]
-                rest += [_carried(row, m) for row in part[len(pivots):]]
+                scales = [row[c] for c, row in zip(pivots, part)] + [1] * (len(part) - len(pivots))
+                tails = [tuple(sorted((j - m, Fraction(x, p)) for j, x in row.items() if j >= m))
+                         for row, p in zip(part, scales)]
+                found += zip(pivots, tails)
+                rest += tails[len(pivots):]
             found.sort()
             self._factored = ([c for c, _ in found], SparseMat(tuple(r for _, r in found), self.rows),
                               SparseMat(tuple(rest), self.rows))
         return self._factored
 
 
-def _reduce_part(rows: list[dict[int, Fraction]], cols: list[int]) -> list[int]:
-    """In-place reduced row echelon form of one component's rows; returns the
-    pivot columns, and rows[r] becomes the row of the r-th pivot.
-
-    Pivot = first row holding the column, columns in increasing order, so the
-    result is that of the column-order elimination of the whole matrix: the
-    reduced row echelon form is unique, and no row holds columns of two
-    components.  Keys outside `cols` are carried along (the implicit
-    identity block of `SparseMat._factor`); zeros are deleted.
-    """
+def _reduce_part(rows: list[dict[int, int]], cols: Sequence[int]) -> list[int]:
+    """In-place fraction-free Gauss–Jordan on integer rows over the columns
+    `cols` (ascending); returns the pivots, and rows[r] becomes a multiple of
+    the r-th pivot's reduced row, its entry there the factor.  A row holding
+    b at the pivot a becomes (a/g)·row − (b/g)·pivot row, g = gcd(a, b), over
+    its content, so each row stays a nonzero multiple of the one elimination
+    over Q holds, with the same pivot rule.  Keys outside `cols` are carried
+    along (the identity block of `SparseMat._factor` and `inverse`)."""
     n, r = len(rows), 0
+    if n == 1:  # a single row is reduced as it is
+        return [c for c in cols if c in rows[0]][:1]
     pivots: list[int] = []
     for c in cols:
         for i in range(r, n):
@@ -465,20 +453,22 @@ def _reduce_part(rows: list[dict[int, Fraction]], cols: list[int]) -> list[int]:
             continue
         rows[r], rows[i] = rows[i], rows[r]
         row = rows[r]
-        if (pv := row[c]) != 1:
-            for j, x in row.items():
-                row[j] = x / pv
-        terms = list(row.items())
+        a, terms = row[c], list(row.items())
         for other in rows:
-            if other is not row and c in other:
-                f = other[c]
+            if other is not row and (b := other.get(c)):
+                g = gcd(a, b)
+                p, q = (a // g, b // g) if a > 0 else (-a // g, -b // g)
+                if p != 1:
+                    for j in other:
+                        other[j] *= p
                 for j, x in terms:
-                    if (y := other.get(j)) is None:
-                        other[j] = -f * x
-                    elif y := y - f * x:
+                    if y := other.get(j, 0) - q * x:
                         other[j] = y
                     else:
                         del other[j]
+                if (g := gcd(*other.values())) > 1:
+                    for j in other:
+                        other[j] //= g
         pivots.append(c)
         r += 1
         if r == n:
@@ -486,9 +476,9 @@ def _reduce_part(rows: list[dict[int, Fraction]], cols: list[int]) -> list[int]:
     return pivots
 
 
-def _carried(row: dict[int, Fraction], offset: int) -> Row:
-    """The entries of a row at keys from `offset` on, shifted down by it."""
-    return tuple(sorted((j - offset, x) for j, x in row.items() if j >= offset))
+def _pivot_rows(rows: list[dict[int, int]], pivots: list[int]) -> dict[int, dict[int, Fraction]]:
+    """{c: row / row[c]}, in Fractions, for the rows `_reduce_part` leaves at its pivots."""
+    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, rows)}
 
 
 def _as_sparse(a) -> SparseMat:
@@ -500,8 +490,16 @@ def _as_sparse(a) -> SparseMat:
                      a.cols)
 
 
+def _reduced(a) -> dict[int, dict[int, Fraction]]:
+    """{pivot: its reduced row}, kept by a `SparseMat`; a `Mat`'s integer rows are eliminated once."""
+    if isinstance(a, SparseMat):
+        return a._echelon()
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.nums if any(row)]
+    return _pivot_rows(rows, _reduce_part(rows, range(a.cols)))
+
+
 def rank(a) -> int:
-    return len(_as_sparse(a)._echelon())
+    return len(_reduced(a))
 
 
 def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
@@ -517,19 +515,17 @@ def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
 
 
 def inverse(a: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix, or None when singular: when every column
-    of A's factorization E·A = R is a pivot, R = I and P = E is A⁻¹."""
+    """Inverse of a square matrix, or None when singular: one elimination of its integer
+    rows N with the identity carried, [N | I] → [λ_r·e_r | T_r], so A⁻¹ has rows den·T_r/λ_r."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
-    pivots, p, _ = _as_sparse(a)._factor()
-    if len(pivots) != a.cols:
+    n = a.cols
+    rows = [{j: x for j, x in enumerate(row) if x} | {n + i: 1} for i, row in enumerate(a.nums)]
+    if len(_reduce_part(rows, range(n))) != n:
         return None
-    rows, den = _scaled_pairs(p.data)
-    nums = [[0] * a.cols for _ in rows]
-    for out, row in zip(nums, rows):
-        for j, x in row:
-            out[j] = x
-    return Mat._from_ints(tuple(map(tuple, nums)), den, a.cols)
+    den = lcm(*(row[r] for r, row in enumerate(rows)))
+    return Mat._from_ints(tuple(tuple(a.den * (den // row[r]) * row.get(n + j, 0) for j in range(n))
+                                for r, row in enumerate(rows)), den, n)
 
 
 def _pivots(vectors: tuple[Row, ...], n: int) -> list[int]:
@@ -620,7 +616,7 @@ def kernel_basis(a) -> SubspacePresentation:
     """Basis of the null space of A, ordered by ascending free column; each
     vector is 1 at its own free column and 0 at the others, so independent.
     A free column's vector reads only the pivot rows of its own component."""
-    n, reduced = a.cols, _as_sparse(a)._echelon()
+    n, reduced = a.cols, _reduced(a)
     entries = {f: [(f, _ONE)] for f in range(n) if f not in reduced}
     for c, row in reduced.items():
         for f, x in row.items():

@@ -13,15 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .algebra import (
     GradedLinearMap,
     LieSuperalgebra,
     ModuleAction,
+    SuperBasis,
     semidirect_product,
 )
-from .cohomology import class_of, map_from_coords
+from .cohomology import _map_from_nums, class_of, map_from_coords
 from .errors import MembershipError
 from .extension import (
     AbelianExtension,
@@ -53,7 +55,6 @@ from .linalg import (
     Mat,
     SparseMat,
     SubspacePresentation,
-    Vec,
     inverse,
     rank,
     rat,
@@ -111,8 +112,17 @@ def _rand_frac(rng: random.Random) -> Fraction:
     return _RAND_FRACS[rng.randint(-6, 6), rng.randint(1, 3)]
 
 
-def _rand_combination(pres: SubspacePresentation, rng: random.Random) -> Vec:
-    return pres.combine(tuple(_rand_frac(rng) for _ in range(pres.dim)))
+def _rand_combination(pres: SubspacePresentation, rng: random.Random, domain: SuperBasis,
+                      codomain: SuperBasis) -> GradedLinearMap:
+    """The map at a random combination of the basis of `pres`, summed on its
+    integer rows: coefficient k is `_rand_frac`'s n/d, as n·(6/d) over 6."""
+    coeffs = [rng.randint(-6, 6) * (6 // rng.randint(1, 3)) for _ in range(pres.dim)]
+    view = pres.vectors._int_view()
+    den, acc = lcm(*(e for *_, e in view)), [0] * pres.ambient_dim
+    for i, _, nums, e in view:
+        for (j, _), x in zip(pres.vectors.data[i], nums):
+            acc[j] += coeffs[i] * (den // e) * x
+    return _map_from_nums(domain, codomain, acc, 6 * den)
 
 
 def sample_cocycle(ext: AbelianExtension, seed: int) -> GradedLinearMap:
@@ -121,11 +131,11 @@ def sample_cocycle(ext: AbelianExtension, seed: int) -> GradedLinearMap:
 
 
 def _derivation_sample(ext: AbelianExtension, rng: random.Random) -> GradedLinearMap:
-    return ext.cochains_e.cochain1(_rand_combination(ext.z1_e, rng))
+    return _rand_combination(ext.z1_e, rng, ext.e.basis, ext.a_basis)
 
 
 def _quotient_derivation_sample(ext: AbelianExtension, rng: random.Random) -> GradedLinearMap:
-    return ext.cochains_g.cochain1(_rand_combination(ext.z1_g, rng))
+    return _rand_combination(ext.z1_g, rng, ext.g.basis, ext.a_basis)
 
 
 def _module_endo_samples(ext: AbelianExtension, rng: random.Random,
@@ -136,7 +146,7 @@ def _module_endo_samples(ext: AbelianExtension, rng: random.Random,
     attempts = 0
     while len(out) < count + 1 and attempts < 20 * (count + 1):
         attempts += 1
-        phi = map_from_coords(ext.a_basis, ext.a_basis, _rand_combination(space, rng))
+        phi = _rand_combination(space, rng, ext.a_basis, ext.a_basis)
         if not _invertible(phi, ext):
             continue
         out.append(phi)

@@ -6,7 +6,8 @@ and keeps no dense view of either; these are the whole-matrix and
 whole-tensor forms it replaced, over dense lists of Fractions, and `dense`
 is the one way the tests read a stored tensor densely.  They share no code
 with `superext.linalg`, with the algebra builders or with the cochain
-operations.
+operations.  `reduce_part` is the elimination over Q that the library's
+integer kernel replaced, kept on the same sparse dict rows to check it.
 """
 
 from fractions import Fraction
@@ -18,6 +19,10 @@ from superext.linalg import Mat
 def _swap_sign(p, q):
     """-(-1)^{pq}: [y, x] is this multiple of [x, y] for x, y of parities p and q."""
     return 1 if p * q % 2 else -1
+
+
+def zero_vec(n):
+    return (Fraction(0),) * n
 
 
 def dense(terms, width):
@@ -122,6 +127,57 @@ def reduce_rows(rows, pivot_cols=None):
         pivots.append(c)
         r += 1
         if r == nrows:
+            break
+    return pivots
+
+
+def module_end_residuals(phi, ext):
+    """phi(x·m) - x·phi(m) over basis pairs (x, m) of g and a, in row-major
+    order, from the dense action tensor of g on a and phi's dense matrix."""
+    n, act, m = ext.dim_a, dense(ext.action._sparse, ext.dim_a), phi.matrix.data
+    out = []
+    for i in range(ext.dim_g):
+        for k in range(n):
+            lhs = [sum((m[r][c] * act[i][k][c] for c in range(n)), Fraction(0)) for r in range(n)]
+            rhs = [sum((m[c][k] * act[i][c][r] for c in range(n)), Fraction(0)) for r in range(n)]
+            out.append(tuple(a - b for a, b in zip(lhs, rhs)))
+    return out
+
+
+def reduce_part(rows, cols):
+    """In-place reduced row echelon form of sparse rows of Fractions ({column:
+    value}, no zeros) over the columns `cols` (ascending); returns the pivot
+    columns, and rows[r] becomes the row of the r-th pivot.  Pivot = first
+    row holding the column; each pivot row is divided by its pivot, and the
+    other rows lose their multiple of it.  Keys outside `cols` are carried
+    along."""
+    n, r = len(rows), 0
+    pivots = []
+    for c in cols:
+        for i in range(r, n):
+            if c in rows[i]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        row = rows[r]
+        if (pv := row[c]) != 1:
+            for j, x in row.items():
+                row[j] = x / pv
+        terms = list(row.items())
+        for other in rows:
+            if other is not row and c in other:
+                f = other[c]
+                for j, x in terms:
+                    if (y := other.get(j)) is None:
+                        other[j] = -f * x
+                    elif y := y - f * x:
+                        other[j] = y
+                    else:
+                        del other[j]
+        pivots.append(c)
+        r += 1
+        if r == n:
             break
     return pivots
 

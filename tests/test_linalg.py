@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from superext import linalg
 from dense_oracle import kernel_basis as dense_kernel_basis
 from dense_oracle import pivots as oracle_pivots
 from dense_oracle import reduce_rows as _reduce_rows
+from dense_oracle import zero_vec
 from superext.errors import MembershipError, ShapeError
 from superext.linalg import (
     _ONE,
     _ZERO,
     Mat,
+    SparseMat,
     _as_sparse,
     _scaled,
     SubspacePresentation,
@@ -30,7 +33,6 @@ from superext.linalg import (
     subspace_equal,
     unit_vec,
     vec,
-    zero_vec,
 )
 
 
@@ -683,3 +685,119 @@ def test_component_split_matches_the_dense_oracle():
         assert len(ker_a) == kernel.dim, a
         assert len(oracle_pivots(ker_a + kernel.basis, n)) == kernel.dim, a
     assert shapes["interleaved"] >= 15 and shapes["deficient"] >= 100 and shapes["classes"] >= 200, shapes
+
+
+# -- the integer elimination kernel against the elimination over Q ------------
+
+
+def _is_multiple(got, want):
+    """Whether the row `got` ({column: value}) is a nonzero multiple of `want`."""
+    if got.keys() != want.keys():
+        return False
+    if not want:
+        return True
+    ratio = Fraction(got[next(iter(want))]) / want[next(iter(want))]
+    return ratio != 0 and all(got[j] == ratio * x for j, x in want.items())
+
+
+def _check_kernel_against_the_oracle(s):
+    """On each component of s, with and without the carried identity block:
+    the kernel's pivots and reduced rows are the Fraction elimination's, and
+    each row left without a pivot is a nonzero multiple of its row there.
+    `_factor` then has the oracle's pivots and P, A's rows are nonzero
+    multiples of the oracle's (so ker A is the same), and `_echelon` is the
+    oracle's reduced form."""
+    m, reduced = s.cols, {}
+    found, rest = [], [((i, Fraction(1)),) for i, row in enumerate(s.data) if not row]
+    for carry in (False, True):
+        for (rows, cols), (part, part_cols) in zip(s._components(), s._int_parts(carry)):
+            assert part_cols == cols
+            want = [dict(s.data[i] + (((m + i, Fraction(1)),) if carry else ())) for i in rows]
+            pivots = dense_oracle.reduce_part(want, cols)
+            assert linalg._reduce_part(part, cols) == pivots, (s, cols)
+            assert linalg._pivot_rows(part, pivots) == dict(zip(pivots, want)), (s, cols)
+            assert all(_is_multiple(g, w) for g, w in zip(part[len(pivots):], want[len(pivots):])), (s, cols)
+            if carry:
+                tails = [tuple(sorted((j - m, x) for j, x in row.items() if j >= m)) for row in want]
+                found += zip(pivots, tails)
+                rest += tails[len(pivots):]
+            else:
+                reduced.update(zip(pivots, want))
+    assert s._echelon() == reduced
+    found.sort()
+    pivots, p, a = s._factor()
+    assert pivots == [c for c, _ in found] and p.data == tuple(r for _, r in found), s
+    assert len(a.data) == len(rest) and all(_is_multiple(dict(g), dict(w)) for g, w in zip(a.data, rest)), s
+    assert dense_kernel_basis(a) == dense_kernel_basis(SparseMat(tuple(rest), s.rows)), s
+
+
+# nonzero entries of either sign over small and 70-bit denominators; zero one
+# time in three for _ENTRY
+_NONZERO = st.builds(Fraction, st.one_of(st.integers(-9, -1), st.integers(1, 9)),
+                     st.sampled_from((1, 1, 2, 3, 2 ** 70 - 25)))
+_ENTRY = st.one_of(st.just(Fraction(0)), _NONZERO, _NONZERO)
+
+
+@st.composite
+def _planted_sparse(draw):
+    """A sparse matrix of planted blocks under row and column permutations,
+    with empty rows and columns mixed in: a one-row block and a one-column
+    block with every entry nonzero, then 0-3 blocks of 1-5 x 1-5, each with
+    its last row a combination of the others one time in two."""
+    blocks = [[[draw(_NONZERO) for _ in range(draw(st.integers(1, 4)))]],
+              [[draw(_NONZERO)] for _ in range(draw(st.integers(1, 4)))]]
+    for _ in range(draw(st.integers(0, 3))):
+        h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        block = [[draw(_ENTRY) for _ in range(w)] for _ in range(h)]
+        if h > 1 and draw(st.booleans()):
+            coeffs = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))) for _ in range(h - 1)]
+            block[-1] = [sum((c * r[j] for c, r in zip(coeffs, block)), Fraction(0)) for j in range(w)]
+        blocks.append(block)
+    ncols = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 2))
+    rows, offset = [], 0
+    for block in blocks:
+        rows += [[(offset + j, Fraction(x)) for j, x in enumerate(r) if x] for r in block]
+        offset += len(block[0])
+    rows += [[] for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(ncols)))
+    return SparseMat(tuple(tuple(sorted((order[j], x) for j, x in r)) for r in rows), ncols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(s=_planted_sparse())
+def test_integer_kernel_agrees_with_the_elimination_over_q(s):
+    """Planted blocks with empty rows, one-row and one-column components,
+    negative pivots and 70-bit denominators: the kernel against
+    `dense_oracle.reduce_part`, and the dense `Mat` paths of `rank`,
+    `kernel_basis` and `inverse` against the sparse ones and the oracle."""
+    _check_kernel_against_the_oracle(s)
+    dense = Mat(s.dense(), cols=s.cols)
+    assert linalg._reduced(dense) == s._echelon() and rank(dense) == len(s._echelon())
+    assert kernel_basis(dense) == kernel_basis(s)
+    k, rows = min(s.rows, s.cols), s.dense()
+    square = Mat([[x + (i == j) for j, x in enumerate(rows[i][:k])] for i in range(k)], cols=k)
+    expected = dense_oracle.inverse([list(r) for r in square.data])
+    got = inverse(square)
+    assert (got is None) == (expected is None)
+    assert got is None or got.data == tuple(map(tuple, expected))
+
+
+def test_integer_kernel_agrees_with_the_elimination_over_q_on_the_pin_corpus(pin_corpus):
+    """d¹ and the Z² constraint rows of both complexes, and the stacked
+    [B | Z] that presents H², of every pin-corpus extension; and two fixed
+    matrices with a negative pivot, 70-bit denominators and a dependent row."""
+    big = Fraction(2 ** 70 + 1, 2 ** 69 + 3)
+    operators = [
+        SparseMat((((0, Fraction(-3)), (2, big)), ((0, Fraction(5, 7)), (1, -big), (2, Fraction(1))),
+                   ((1, Fraction(2)), (2, Fraction(-1, 3))), ()), 4),
+        SparseMat((((1, -big),), ((0, Fraction(2)), (1, big)), ((0, Fraction(-4)), (1, -2 * big))), 2),
+    ]
+    for _, ext in pin_corpus:
+        for cx in (ext.cochains_g, ext.cochains_e):
+            z2, b2 = cx.z2, cx.b2
+            stacked = SparseMat(b2.vectors.data + z2.vectors.data, z2.ambient_dim).T
+            operators += [SparseMat(cx.d1.data, cx.d1.cols),
+                          SparseMat(cx.cocycle2_constraints.data, cx.cocycle2_constraints.cols), stacked]
+    for s in operators:
+        _check_kernel_against_the_oracle(s)

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from superext import fixtures
-from superext.cohomology import map_from_coords
 from superext.extension import extend_obstruction, extend_obstruction_aut, lift_obstruction
 from superext.linalg import Mat
 from superext.sequences import _action_endo_samples, _module_endo_samples, _rand_combination
@@ -442,8 +441,7 @@ def obstruction_text(pin_corpus):
         for psi in _action_endo_samples(ext, rng, 4):
             lines.append(f"{name} lift {lift_obstruction(psi, ext).coords}")
         for _ in range(4):
-            phi = map_from_coords(ext.a_basis, ext.a_basis,
-                                  _rand_combination(ext.module_end_space, rng))
+            phi = _rand_combination(ext.module_end_space, rng, ext.a_basis, ext.a_basis)
             lines.append(f"{name} extend {extend_obstruction(phi, ext).coords}")
         for phi in _module_endo_samples(ext, rng, 3):
             lines.append(f"{name} extend_aut {extend_obstruction_aut(phi, ext).coords}")

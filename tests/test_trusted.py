@@ -362,8 +362,7 @@ def test_derived_cochains_of_the_fixture_extensions_pass_the_public_checks(pin_c
     rng = random.Random(29)
     for _, ext in pin_corpus:
         for psi in _action_endo_samples(ext, rng, 3)[:3]:
-            h = map_from_coords(ext.a_basis, ext.a_basis,
-                                _rand_combination(ext.module_end_space, rng))
+            h = _rand_combination(ext.module_end_space, rng, ext.a_basis, ext.a_basis)
             for q in (0, -1, Fraction(2, 3)):
                 _check_derived_cochains(ext.beta, psi, h, q)
 
