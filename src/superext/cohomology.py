@@ -96,7 +96,8 @@ def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
     elements of one parity, and zeros elsewhere; only the coordinates pass `rat`."""
     if len(coords) != len(c1_positions(domain, codomain)):
         raise ShapeError("coordinate vector does not match the position list")
-    return _map_from_nums(domain, codomain, *_scaled(vec(coords)))
+    nums, den = _scaled(vec(coords))
+    return _map_from_nums(domain, codomain, nums, den)
 
 
 def _map_from_nums(domain: SuperBasis, codomain: SuperBasis, nums: Sequence[int],
@@ -105,7 +106,8 @@ def _map_from_nums(domain: SuperBasis, codomain: SuperBasis, nums: Sequence[int]
     rows = [[0] * domain.dim for _ in range(codomain.dim)]
     for (r, c), x in zip(c1_positions(domain, codomain), nums):
         rows[r][c] = x
-    return GradedLinearMap._trusted(domain, codomain, Mat._from_ints(tuple(map(tuple, rows)), den, domain.dim))
+    matrix = Mat._from_ints(tuple(map(tuple, rows)), den, domain.dim)
+    return GradedLinearMap._trusted(domain, codomain, matrix)
 
 
 class _Layout:

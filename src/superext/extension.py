@@ -15,8 +15,8 @@ Obstruction conventions:
   solves d(lambda) = beta - beta ∘ (psi x psi).
 
 Membership in every endomorphism set is computed by the library; callers
-cannot assert flags.  `classify_endomorphism` and the residuals
-phi(x·m) - x·phi(m) are the definitions.  The engine asks the same questions with one zero test
+cannot assert flags.  `classify_endomorphism` and `_module_end_residuals`
+are the definitions.  The engine asks the same questions with one zero test
 against a cached operator: the d¹ of e for derivations and quotient-fixing
 maps, the residual matrix of End_g(a) for module endomorphisms, and
 `action_constraints` for the action condition of End^a(g).  Their answers,
@@ -53,7 +53,7 @@ from functools import cached_property, wraps
 from itertools import repeat
 from math import lcm
 from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     GradedLinearMap,
@@ -91,6 +91,7 @@ from .linalg import (
     kernel_basis,
     solve,
     sub_vec,
+    unit_vec,
 )
 
 
@@ -234,9 +235,8 @@ class AbelianExtension:
 
     @cached_property
     def module_end_constraints(self) -> SparseMat:
-        """Residual matrix of End_g(a): column p holds the residuals
-        phi(x_i·a_m) - x_i·phi(a_m), (i, m) in row-major order, of the p-th
-        unit even map phi on a.  Read off the
+        """Residual matrix of End_g(a): column p holds the flattened
+        `_module_end_residuals` of the p-th unit even map on a.  Read off the
         action tensor A: for the unit map E_rc, row (i, m, n) of
         phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
         act, view, slot, da = _action_entries(self.action), self.action._sparse, _slots(self.pos_a), self.dim_a
@@ -444,6 +444,15 @@ def _invertible(phi: GradedLinearMap, ext: AbelianExtension) -> bool:
     """Whether phi's matrix is invertible; kept, so that a sampled phi is
     inverted once by the sampler and the gate of `extend_obstruction_aut`."""
     return inverse(phi.matrix) is not None
+
+
+def _module_end_residuals(phi: GradedLinearMap, ext: AbelianExtension) -> Iterator[Vec]:
+    """phi(x·m) - x·phi(m) over basis pairs (x, m), in row-major order."""
+    for i in range(ext.dim_g):
+        for m in range(ext.dim_a):
+            lhs = phi.apply(ext.action.act_basis(i, m))
+            rhs = ext.action.act(unit_vec(ext.dim_g, i), phi.image_of_basis(m))
+            yield sub_vec(lhs, rhs)
 
 
 @_kept

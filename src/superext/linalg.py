@@ -20,8 +20,8 @@ content, and Fractions built only for the final pivot rows.  A `SparseMat`
 is reduced component by component of its column graph (columns joined when
 a row holds both); the reduced row echelon form is unique and no row holds
 two components, so every pivot, kernel basis, complement, rank and solution
-is the whole-matrix one.  `inverse`, `rank` and `kernel_basis` eliminate a
-`Mat`'s integer rows directly.  `quotient_presentation` factors [B | Z]
+is the whole-matrix one.  `inverse` eliminates a `Mat`'s integer rows
+directly, with the identity carried.  `quotient_presentation` factors [B | Z]
 once: the pivots give the complement, and the factorization the quotient's
 coordinate map.  Public constructors check their input (the one of
 `SubspacePresentation` eliminates to prove its basis independent); the
@@ -395,8 +395,9 @@ class SparseMat:
         return self._parts
 
     def _int_parts(self, carry: bool) -> Iterable[tuple[list[dict[int, int]], list[int]]]:
-        """Each component's rows as integer dicts over its least common denominator d,
-        and its columns; with `carry`, row i is d·[S_i | e_i], e_i at keys from cols on."""
+        """Each component's rows as integer dicts over its least common
+        denominator d, and its columns; with `carry`, row i is d·[S_i | e_i],
+        e_i at keys from cols on."""
         for rows, cols in self._components():
             d = lcm(*{x.denominator for i in rows for _, x in self.data[i]})
             part = [{j: x.numerator * (d // x.denominator) for j, x in self.data[i]} for i in rows]
@@ -409,7 +410,8 @@ class SparseMat:
         if self._reduced is None:
             self._reduced = {}
             for part, cols in self._int_parts(False):
-                self._reduced.update(_pivot_rows(part, _reduce_part(part, cols)))
+                for c, row in zip(_reduce_part(part, cols), part):
+                    self._reduced[c] = {j: Fraction(x, row[c]) for j, x in row.items()}
         return self._reduced
 
     def _factor(self) -> tuple[list[int], "SparseMat", "SparseMat"]:
@@ -417,9 +419,11 @@ class SparseMat:
         P holds E's rows at the pivots, in order, and A nonzero multiples of
         the others (a unit row for each empty row of S).  S·x = b is solvable
         iff A·b = 0, and then P·b at the pivots, 0 elsewhere, is its first
-        solution.  Each row carries its row of the identity block, times its denominator."""
+        solution.  Each row carries its row of the identity block, times its
+        component's denominator."""
         if self._factored is None:
-            m, found, rest = self.cols, [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
+            m = self.cols
+            found, rest = [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
             for part, cols in self._int_parts(True):
                 pivots = _reduce_part(part, cols)
                 scales = [row[c] for c, row in zip(pivots, part)] + [1] * (len(part) - len(pivots))
@@ -476,11 +480,6 @@ def _reduce_part(rows: list[dict[int, int]], cols: Sequence[int]) -> list[int]:
     return pivots
 
 
-def _pivot_rows(rows: list[dict[int, int]], pivots: list[int]) -> dict[int, dict[int, Fraction]]:
-    """{c: row / row[c]}, in Fractions, for the rows `_reduce_part` leaves at its pivots."""
-    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, rows)}
-
-
 def _as_sparse(a) -> SparseMat:
     """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
     if isinstance(a, SparseMat):
@@ -490,16 +489,8 @@ def _as_sparse(a) -> SparseMat:
                      a.cols)
 
 
-def _reduced(a) -> dict[int, dict[int, Fraction]]:
-    """{pivot: its reduced row}, kept by a `SparseMat`; a `Mat`'s integer rows are eliminated once."""
-    if isinstance(a, SparseMat):
-        return a._echelon()
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a.nums if any(row)]
-    return _pivot_rows(rows, _reduce_part(rows, range(a.cols)))
-
-
 def rank(a) -> int:
-    return len(_reduced(a))
+    return len(_as_sparse(a)._echelon())
 
 
 def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
@@ -515,8 +506,9 @@ def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
 
 
 def inverse(a: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix, or None when singular: one elimination of its integer
-    rows N with the identity carried, [N | I] → [λ_r·e_r | T_r], so A⁻¹ has rows den·T_r/λ_r."""
+    """Inverse of a square matrix, or None when singular: one elimination of
+    its integer rows N with the identity carried, [N | I] → [λ_r·e_r | T_r],
+    so A⁻¹ has rows den·T_r/λ_r."""
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
     n = a.cols
@@ -616,7 +608,7 @@ def kernel_basis(a) -> SubspacePresentation:
     """Basis of the null space of A, ordered by ascending free column; each
     vector is 1 at its own free column and 0 at the others, so independent.
     A free column's vector reads only the pivot rows of its own component."""
-    n, reduced = a.cols, _reduced(a)
+    n, reduced = a.cols, _as_sparse(a)._echelon()
     entries = {f: [(f, _ONE)] for f in range(n) if f not in reduced}
     for c, row in reduced.items():
         for f, x in row.items():

@@ -105,18 +105,24 @@ class Report:
         }
 
 
-_RAND_FRACS = {(n, d): rat(Fraction(n, d)) for n in range(-6, 7) for d in range(1, 4)}
+def _rand_num6(rng: random.Random) -> int:
+    """6·(n/d) for n in [-6, 6] and d in [1, 3], drawn in that order: a random
+    coefficient as its numerator over 6."""
+    return rng.randint(-6, 6) * (6 // rng.randint(1, 3))
+
+
+_RAND_FRACS = {k: rat(Fraction(k, 6)) for k in range(-36, 37)}
 
 
 def _rand_frac(rng: random.Random) -> Fraction:
-    return _RAND_FRACS[rng.randint(-6, 6), rng.randint(1, 3)]
+    return _RAND_FRACS[_rand_num6(rng)]
 
 
 def _rand_combination(pres: SubspacePresentation, rng: random.Random, domain: SuperBasis,
                       codomain: SuperBasis) -> GradedLinearMap:
-    """The map at a random combination of the basis of `pres`, summed on its
-    integer rows: coefficient k is `_rand_frac`'s n/d, as n·(6/d) over 6."""
-    coeffs = [rng.randint(-6, 6) * (6 // rng.randint(1, 3)) for _ in range(pres.dim)]
+    """The map at a random combination of the basis of `pres`, the coefficients
+    `_rand_frac`'s, summed on integer rows over 6 times their denominator."""
+    coeffs = [_rand_num6(rng) for _ in range(pres.dim)]
     view = pres.vectors._int_view()
     den, acc = lcm(*(e for *_, e in view)), [0] * pres.ambient_dim
     for i, _, nums, e in view:

@@ -131,19 +131,6 @@ def reduce_rows(rows, pivot_cols=None):
     return pivots
 
 
-def module_end_residuals(phi, ext):
-    """phi(x·m) - x·phi(m) over basis pairs (x, m) of g and a, in row-major
-    order, from the dense action tensor of g on a and phi's dense matrix."""
-    n, act, m = ext.dim_a, dense(ext.action._sparse, ext.dim_a), phi.matrix.data
-    out = []
-    for i in range(ext.dim_g):
-        for k in range(n):
-            lhs = [sum((m[r][c] * act[i][k][c] for c in range(n)), Fraction(0)) for r in range(n)]
-            rhs = [sum((m[c][k] * act[i][c][r] for c in range(n)), Fraction(0)) for r in range(n)]
-            out.append(tuple(a - b for a, b in zip(lhs, rhs)))
-    return out
-
-
 def reduce_part(rows, cols):
     """In-place reduced row echelon form of sparse rows of Fractions ({column:
     value}, no zeros) over the columns `cols` (ascending); returns the pivot

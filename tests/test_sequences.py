@@ -655,6 +655,19 @@ def test_rand_frac_reads_the_two_draws_of_the_fraction_it_replaces():
     assert rng.getstate() == ref.getstate()
 
 
+def test_rand_combination_is_the_map_of_a_combination_of_rand_fracs(pin_corpus):
+    # the integer sum must be the map of `combine` at the same coefficients
+    for name, ext in pin_corpus:
+        spaces = ((ext.z1_e, ext.e.basis), (ext.z1_g, ext.g.basis), (ext.module_end_space, ext.a_basis))
+        for pres, domain in spaces:
+            rng, ref = random.Random(11), random.Random(11)
+            for _ in range(4):
+                got = sequences._rand_combination(pres, rng, domain, ext.a_basis)
+                coeffs = tuple(sequences._rand_frac(ref) for _ in range(pres.dim))
+                assert got == map_from_coords(domain, ext.a_basis, pres.combine(coeffs)), name
+            assert rng.getstate() == ref.getstate(), name
+
+
 def test_ring_sequence_makes_few_d1_zero_tests_per_pair(corpus, monkeypatch):
     """Work guard: each sampled pair of thm1 asks d¹ at most 12 zero tests,
     counted as the difference between runs of 2 and 6 pairs."""
