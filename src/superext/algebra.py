@@ -19,7 +19,7 @@ from .linalg import (
     Mat,
     Row,
     Vec,
-    _scaled_pairs,
+    _scaled,
     _spread,
     bilinear,
     rat,
@@ -173,9 +173,9 @@ class LieSuperalgebra:
         the least common denominator E of all of them.  Built on the first
         call, so algebras that never meet `is_homomorphism` do not pay for it."""
         if self._int_sparse is None:
-            flat, den = _scaled_pairs([v for row in self._sparse for v in row])
-            n = self.dim
-            self._int_sparse = ([flat[i * n:(i + 1) * n] for i in range(n)], den)
+            flat, den = _scaled(x for row in self._sparse for v in row for _, x in v)
+            nums = iter(flat)
+            self._int_sparse = ([[[(k, next(nums)) for k, _ in v] for v in row] for row in self._sparse], den)
         return self._int_sparse
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:

@@ -552,8 +552,7 @@ class CochainComplex:
         """Span of the coboundaries of the even 1-cochains, the image of d¹:
         the columns of d¹ at the pivots of its reduced form, which `z1` reads
         too (`from_spanning` of all the columns keeps the same ones)."""
-        columns, pivots = self.d1.T.data, sorted(self.d1._echelon())
-        return SubspacePresentation._trusted(len(self.pos2), tuple(columns[c] for c in pivots))
+        return SubspacePresentation._trusted(self.d1.T._take(sorted(self.d1._echelon())))
 
     @cached_property
     def h1(self) -> CohomologyPresentation:

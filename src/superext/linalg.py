@@ -1,39 +1,36 @@
 """Exact linear algebra over the rationals: dense small maps, sparse operators.
 
-Everything is tolerance-free and reproducible bit for bit: values are
-`fractions.Fraction`s or integer numerators over a common denominator, and
-no floating point enters at any stage.  `Mat` holds the small maps on an
-algebra as integer rows `nums` over one positive denominator `den`, in
-lowest terms (`Mat._from_ints`), so `==` and `hash` compare the stored form;
-`data`, `column` and `apply` build Fractions on each read, every zero the
-shared `_ZERO`.  `SparseMat`, the nonzero (column, value) pairs of each row,
-is the form of the big operators (d¹, the Z² constraint rows, the five-term
-maps, a quotient's coordinate map) and of what elimination produces: a
-subspace or a quotient's complement keeps its vectors as the rows of one.
-Its products and `SparseMat._annihilates` work on the integer rows it keeps
-(`_scaled`: numerators over the least common denominator).
+Everything is tolerance-free and reproducible bit for bit, with no floating
+point at any stage.  Both matrix types store integer numerators over positive
+denominators in lowest terms, so `==` and `hash` compare the stored form.
+`Mat`, the small maps on an algebra, keeps rows `nums` over one `den`.
+`SparseMat`, the big operators (d¹, the Z² constraint rows, the five-term
+maps, a quotient's coordinate map) and what elimination produces (a subspace
+or a quotient's complement keeps its vectors as its rows), keeps each row's
+nonzero (column, numerator) pairs over the row's own denominator.  Fractions
+are built only where a caller reads values (`data`, `column`, `dense`,
+`apply`), every zero the shared `_ZERO`.
 
 Every elimination is one integer kernel, `_reduce_part`: fraction-free
 Gauss–Jordan with the pivot rule of elimination over Q (first row holding
 the column, columns in increasing order), each updated row divided by its
-content, and Fractions built only for the final pivot rows.  A `SparseMat`
-is reduced component by component of its column graph (columns joined when
-a row holds both); the reduced row echelon form is unique and no row holds
-two components, so every pivot, kernel basis, complement, rank and solution
-is the whole-matrix one.  `inverse` eliminates a `Mat`'s integer rows
-directly, with the identity carried.  `quotient_presentation` factors [B | Z]
-once: the pivots give the complement, and the factorization the quotient's
-coordinate map.  Public constructors check their input (the one of
-`SubspacePresentation` eliminates to prove its basis independent); the
-private trusted ones take what this library built and checked.
+content.  A `SparseMat` goes to it component by component of its column
+graph (columns joined when a row holds both), each row as its stored
+numerators, since scaling a row changes no reduced row.  The reduced row
+echelon form is unique and no row holds two components, so every pivot,
+kernel basis, complement, rank and solution is the whole-matrix one.
+`quotient_presentation` factors [B | Z] once for the complement and the
+coordinate map.  Public constructors check their input; the private trusted
+ones take what this library built and checked.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, is_not, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import MembershipError, ShapeError
@@ -43,6 +40,7 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+_second = itemgetter(1)
 
 
 def rat(value) -> Fraction:
@@ -72,19 +70,6 @@ def _scaled(values: Iterable) -> tuple[list[int], int]:
     if d == 1:
         return list(map(_numerator, values)), 1
     return [x.numerator * (d // x.denominator) for x in values], d
-
-
-def _nonzeros(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    """The (j, x) at the nonzero entries of a row whose zeros are all `_ZERO`."""
-    return list(compress(enumerate(row), map(is_not, row, repeat(_ZERO))))
-
-
-def _scaled_pairs(rows: Sequence[Sequence[tuple[int, Fraction]]]) -> tuple[list[list[tuple[int, int]]], int]:
-    """Rows of (j, x) pairs as (j, N_j) over one common denominator: `_scaled`
-    of all values at once."""
-    flat, d = _scaled(x for row in rows for _, x in row)
-    nums = iter(flat)
-    return [[(j, next(nums)) for j, _ in row] for row in rows], d
 
 
 def _row_add(r: Vec, s: Vec) -> Vec:
@@ -280,52 +265,78 @@ def _spread(pairs: Iterable[tuple[int, Fraction]], n: int) -> Vec:
 
 
 class SparseMat:
-    """Immutable sparse matrix of exact rationals: each row the tuple of its
-    nonzero (column, value) pairs in increasing column, and the width `cols`.
+    """Immutable sparse matrix of exact rationals: row i is its nonzero
+    (column, integer numerator) pairs in increasing column, `nums[i]`, over
+    one positive denominator `dens[i]`, in lowest terms (an empty row has
+    den 1), so `==` and `hash` compare the unique stored form.  The public
+    constructor trusts its (column, value) rows; `_from_ints` takes integer
+    rows.  The transpose, row getters, components, reduced rows and
+    factorization are kept on first use."""
 
-    The constructor trusts its rows; the product of two `SparseMat`s is a
-    `SparseMat`.  Its transpose, integer rows, components, reduced rows and
-    factorization are kept on first use.
-    """
+    __slots__ = ("nums", "dens", "rows", "cols", "_t", "_getters", "_parts", "_reduced", "_factored")
 
-    __slots__ = ("data", "rows", "cols", "_t", "_int_rows", "_parts", "_reduced", "_factored")
+    def __init__(self, data: Sequence[Row], cols: int):
+        # over the lcm of a row's lowest-terms values, no factor is left to cancel
+        self.dens = tuple([lcm(*{x.denominator for _, x in row}) if row else 1 for row in data])
+        self.nums = tuple([tuple([(j, x.numerator * (d // x.denominator)) for j, x in row]) if row else ()
+                           for row, d in zip(data, self.dens)])
+        self.rows, self.cols = len(data), cols
+        self._t = self._getters = self._parts = self._reduced = self._factored = None
 
-    def __init__(self, data: tuple[Row, ...], cols: int):
-        self.data, self.rows, self.cols = data, len(data), cols
-        self._t = self._int_rows = self._parts = self._reduced = self._factored = None
+    @classmethod
+    def _from_ints(cls, nums: Sequence[tuple], dens: Sequence[int], cols: int) -> "SparseMat":
+        """The rows nums[i] / dens[i], for (column, nonzero integer) pairs in
+        increasing column over nonzero integers, each brought to lowest terms
+        over a positive denominator."""
+        if dens.count(1) != len(dens):
+            nums, dens = list(nums), list(dens)
+            for i, d in enumerate(dens):
+                if d != 1 and (g := gcd(d, *map(_second, nums[i])) * (1 if d > 0 else -1)) != 1:
+                    nums[i], dens[i] = tuple((j, x // g) for j, x in nums[i]), d // g
+        m = object.__new__(cls)
+        m.nums, m.dens, m.rows, m.cols = tuple(nums), tuple(dens), len(nums), cols
+        m._t = m._getters = m._parts = m._reduced = m._factored = None
+        return m
 
     @classmethod
     def copies(cls, sources: Sequence[Optional[int]], cols: int) -> "SparseMat":
         """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
-        return cls(tuple(() if s is None else ((s, _ONE),) for s in sources), cols)
+        return cls._from_ints([() if s is None else ((s, 1),) for s in sources], [1] * len(sources), cols)
+
+    def _take(self, index: Sequence[int]) -> "SparseMat":
+        """The rows at these indices, in this order."""
+        return SparseMat._from_ints([self.nums[i] for i in index], [self.dens[i] for i in index], self.cols)
 
     @property
     def T(self) -> "SparseMat":
-        """The transpose: row j holds the (i, x) of column j, in increasing i."""
+        """The transpose: row j holds the (i, x) of column j, in increasing i,
+        each over the least common denominator of all rows, then in lowest terms."""
         if self._t is None:
-            out: list[list] = [[] for _ in range(self.cols)]
-            for i, row in enumerate(self.data):
+            den, out = lcm(*self.dens), [[] for _ in range(self.cols)]
+            for i, (row, d) in enumerate(zip(self.nums, self.dens)):
+                s = den // d
                 for j, x in row:
-                    out[j].append((i, x))
-            self._t = SparseMat(tuple(map(tuple, out)), self.rows)
+                    out[j].append((i, x * s))
+            self._t = SparseMat._from_ints(list(map(tuple, out)), [den] * self.cols, self.rows)
         return self._t
 
     def dense(self) -> tuple[Vec, ...]:
-        """The rows, dense, with every zero the shared `_ZERO`."""
-        return tuple(_spread(row, self.cols) for row in self.data)
+        """The rows as Fractions, dense, with every zero the shared `_ZERO`."""
+        return tuple(_spread(((j, Fraction(x, d)) for j, x in row), self.cols)
+                     for row, d in zip(self.nums, self.dens))
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.nums)
 
-    def _int_view(self) -> list[tuple[int, itemgetter, list[int], int]]:
+    def _row_getters(self) -> list[tuple[int, itemgetter, tuple[int, ...], int]]:
         """Each nonzero row i as (i, a getter of the entries of a vector at its
-        columns, its integer numerators, their denominator)."""
-        if self._int_rows is None:
-            self._int_rows = [(i, itemgetter(*(j for j, _ in row)) if len(row) > 1
-                               else itemgetter(slice(row[0][0], row[0][0] + 1)),
-                               *_scaled(x for _, x in row))
-                              for i, row in enumerate(self.data) if row]
-        return self._int_rows
+        columns, its numerators, its denominator): an index cache."""
+        if self._getters is None:
+            self._getters = [(i, itemgetter(*(j for j, _ in row)) if len(row) > 1
+                              else itemgetter(slice(row[0][0], row[0][0] + 1)),
+                              tuple(x for _, x in row), d)
+                             for i, (row, d) in enumerate(zip(self.nums, self.dens)) if row]
+        return self._getters
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         """A·v in integers: v over one denominator against the integer rows."""
@@ -333,7 +344,7 @@ class SparseMat:
             raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
         w, d = _scaled(v)
         out = [_ZERO] * self.rows
-        for i, pick, nums, e in self._int_view():
+        for i, pick, nums, e in self._row_getters():
             if t := sum(map(mul, nums, pick(w))):
                 out[i] = Fraction(t, d * e)
         return tuple(out)
@@ -344,30 +355,32 @@ class SparseMat:
         at the first row with a nonzero product."""
         if len(w) != self.cols:
             raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(w)}")
-        return not any(w) or not any(sum(map(mul, nums, pick(w))) for _, pick, nums, _ in self._int_view())
+        return not any(w) or not any(sum(map(mul, nums, pick(w))) for _, pick, nums, _ in self._row_getters())
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        """A·B: row i is the integer combination of B's rows at the columns of
-        A's row i, kept at its nonzero entries."""
+        """A·B in integers: row i combines B's rows at the columns of A's row i
+        over their least common denominator, kept at its nonzero entries."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        b_rows, den = _scaled_pairs(other.data)
-        out = []
-        for row in self.data:
-            cs, d = _scaled(x for _, x in row)
+        b_nums, b_dens = other.nums, other.dens
+        out, dens = [], []
+        for row, d in zip(self.nums, self.dens):
+            e = lcm(*(b_dens[j] for j, _ in row))
             acc: dict[int, int] = {}
-            for c, (j, _) in zip(cs, row):
-                for k, y in b_rows[j]:
+            for j, x in row:
+                c = x * (e // b_dens[j])
+                for k, y in b_nums[j]:
                     acc[k] = acc.get(k, 0) + c * y
-            d *= den
-            out.append(tuple(sorted((k, Fraction(t, d)) for k, t in acc.items() if t)))
-        return SparseMat(tuple(out), other.cols)
+            out.append(tuple(sorted((k, t) for k, t in acc.items() if t)))
+            dens.append(d * e)
+        return SparseMat._from_ints(out, dens, other.cols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseMat) and self.cols == other.cols and self.data == other.data
+        return (isinstance(other, SparseMat) and self.cols == other.cols and self.dens == other.dens
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.dens, self.nums))
 
     def _components(self) -> list[tuple[list[int], list[int]]]:
         """The connected components of the column graph, columns joined when
@@ -381,12 +394,12 @@ class SparseMat:
                     root[x] = x = root[root[x]]
                 return x
 
-            for row in self.data:
+            for row in self.nums:
                 for j, _ in row:
                     if (a := find(j)) != (b := find(row[0][0])):
                         root[a] = b
             parts: dict[int, tuple[list[int], set]] = {}
-            for i, row in enumerate(self.data):
+            for i, row in enumerate(self.nums):
                 if row:
                     rows, cols = parts.setdefault(find(row[0][0]), ([], set()))
                     rows.append(i)
@@ -394,24 +407,14 @@ class SparseMat:
             self._parts = [(rows, sorted(cols)) for rows, cols in parts.values()]
         return self._parts
 
-    def _int_parts(self, carry: bool) -> Iterable[tuple[list[dict[int, int]], list[int]]]:
-        """Each component's rows as integer dicts over its least common
-        denominator d, and its columns; with `carry`, row i is d·[S_i | e_i],
-        e_i at keys from cols on."""
-        for rows, cols in self._components():
-            d = lcm(*{x.denominator for i in rows for _, x in self.data[i]})
-            part = [{j: x.numerator * (d // x.denominator) for j, x in self.data[i]} for i in rows]
-            for i, row in zip(rows, part) if carry else ():
-                row[self.cols + i] = d
-            yield part, cols
-
-    def _echelon(self) -> dict[int, dict[int, Fraction]]:
-        """The reduced row echelon form, as {pivot column: its row}."""
+    def _echelon(self) -> dict[int, dict[int, int]]:
+        """The reduced row echelon form as {pivot column: an integer multiple
+        of its row, the factor its pivot entry}, from the stored numerators."""
         if self._reduced is None:
             self._reduced = {}
-            for part, cols in self._int_parts(False):
-                for c, row in zip(_reduce_part(part, cols), part):
-                    self._reduced[c] = {j: Fraction(x, row[c]) for j, x in row.items()}
+            for rows, cols in self._components():
+                part = [dict(self.nums[i]) for i in rows]
+                self._reduced.update(zip(_reduce_part(part, cols), part))
         return self._reduced
 
     def _factor(self) -> tuple[list[int], "SparseMat", "SparseMat"]:
@@ -419,21 +422,22 @@ class SparseMat:
         P holds E's rows at the pivots, in order, and A nonzero multiples of
         the others (a unit row for each empty row of S).  S·x = b is solvable
         iff A·b = 0, and then P·b at the pivots, 0 elsewhere, is its first
-        solution.  Each row carries its row of the identity block, times its
-        component's denominator."""
+        solution.  Row i carries e_i times its own denominator, so the kernel
+        gets a multiple of [S_i | e_i]; P's row is the carried part over the
+        pivot entry."""
         if self._factored is None:
             m = self.cols
-            found, rest = [], [((i, _ONE),) for i, row in enumerate(self.data) if not row]
-            for part, cols in self._int_parts(True):
+            found, rest = [], [((i, 1),) for i, row in enumerate(self.nums) if not row]
+            for rows, cols in self._components():
+                part = [dict(self.nums[i] + ((m + i, self.dens[i]),)) for i in rows]
                 pivots = _reduce_part(part, cols)
-                scales = [row[c] for c, row in zip(pivots, part)] + [1] * (len(part) - len(pivots))
-                tails = [tuple(sorted((j - m, Fraction(x, p)) for j, x in row.items() if j >= m))
-                         for row, p in zip(part, scales)]
-                found += zip(pivots, tails)
+                tails = [tuple(sorted((j - m, x) for j, x in row.items() if j >= m)) for row in part]
+                found += zip(pivots, tails, (row[c] for c, row in zip(pivots, part)))
                 rest += tails[len(pivots):]
             found.sort()
-            self._factored = ([c for c, _ in found], SparseMat(tuple(r for _, r in found), self.rows),
-                              SparseMat(tuple(rest), self.rows))
+            coords = SparseMat._from_ints([t for _, t, _ in found], [a for *_, a in found], self.rows)
+            annihilator = SparseMat._from_ints(rest, [1] * len(rest), self.rows)
+            self._factored = [c for c, *_ in found], coords, annihilator
         return self._factored
 
 
@@ -484,9 +488,8 @@ def _as_sparse(a) -> SparseMat:
     """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
     if isinstance(a, SparseMat):
         return a
-    den = a.den
-    return SparseMat(tuple(tuple((j, Fraction(x, den)) for j, x in enumerate(row) if x) for row in a.nums),
-                     a.cols)
+    return SparseMat._from_ints([tuple((j, x) for j, x in enumerate(row) if x) for row in a.nums],
+                                [a.den] * a.rows, a.cols)
 
 
 def rank(a) -> int:
@@ -520,22 +523,20 @@ def inverse(a: Mat) -> Optional[Mat]:
                                 for r, row in enumerate(rows)), den, n)
 
 
-def _pivots(vectors: tuple[Row, ...], n: int) -> list[int]:
-    """Pivot columns of the n x k matrix whose columns are these sparse vectors.
-
-    Column j is a pivot iff vectors[j] is not in the span of vectors[:j].
-    """
-    return sorted(SparseMat(vectors, n).T._echelon())
+def _stacked(a: SparseMat, b: SparseMat) -> SparseMat:
+    """The rows of a, then those of b."""
+    return SparseMat._from_ints(a.nums + b.nums, a.dens + b.dens, a.cols)
 
 
-def _sparse_vecs(vectors: Iterable[Sequence[Fraction]], n: int) -> tuple[Row, ...]:
-    """Vectors of length n given by a caller, coerced by `vec`, at their nonzero entries."""
-    out = []
+def _sparse_vecs(vectors: Iterable[Sequence[Fraction]], n: int) -> SparseMat:
+    """Vectors of length n given by a caller, coerced by `vec`, as the rows
+    of a `SparseMat`, which scales each once to integers."""
+    rows = []
     for v in map(vec, vectors):
         if len(v) != n:
             raise ShapeError(f"vector of length {len(v)} in ambient dimension {n}")
-        out.append(tuple(_nonzeros(v)))
-    return tuple(out)
+        rows.append(tuple((j, x) for j, x in enumerate(v) if x))
+    return SparseMat(rows, n)
 
 
 class SubspacePresentation:
@@ -546,23 +547,24 @@ class SubspacePresentation:
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[Fraction]]):
         vs = _sparse_vecs(basis, ambient_dim)
-        if len(_pivots(vs, ambient_dim)) < len(vs):
+        if len(vs.T._echelon()) < vs.rows:
             raise MembershipError("basis vectors are linearly dependent")
-        self.ambient_dim, self.vectors = ambient_dim, SparseMat(vs, ambient_dim)
+        self.ambient_dim, self.vectors = ambient_dim, vs
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, vectors: tuple[Row, ...]) -> "SubspacePresentation":
-        """A presentation on sparse vectors of length `ambient_dim`, independent
-        by construction, without the public constructor's checks."""
+    def _trusted(cls, vectors: SparseMat) -> "SubspacePresentation":
+        """A presentation on the rows of `vectors`, independent by
+        construction, without the public constructor's checks."""
         s = object.__new__(cls)
-        s.ambient_dim, s.vectors = ambient_dim, SparseMat(vectors, ambient_dim)
+        s.ambient_dim, s.vectors = vectors.cols, vectors
         return s
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "SubspacePresentation":
-        """Greedy independent sublist of `vectors`, in input order (the pivots)."""
+        """Greedy independent sublist of `vectors`, in input order: vectors[j]
+        is kept iff it is not in the span of vectors[:j] (a pivot column)."""
         vs = _sparse_vecs(vectors, ambient_dim)
-        return cls._trusted(ambient_dim, tuple(vs[j] for j in _pivots(vs, ambient_dim)))
+        return cls._trusted(vs._take(sorted(vs.T._echelon())))
 
     @property
     def basis(self) -> tuple[Vec, ...]:
@@ -573,13 +575,12 @@ class SubspacePresentation:
         return self.vectors.rows
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        vs = self.vectors.data + _sparse_vecs([v], self.ambient_dim)
-        return len(_pivots(vs, self.ambient_dim)) == self.dim
+        return len(_stacked(self.vectors, _sparse_vecs([v], self.ambient_dim)).T._echelon()) == self.dim
 
     def contains_subspace(self, other: "SubspacePresentation") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return len(_pivots(self.vectors.data + other.vectors.data, self.ambient_dim)) == self.dim
+        return len(_stacked(self.vectors, other.vectors).T._echelon()) == self.dim
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vec:
         """Linear combination of the basis with the given coefficients."""
@@ -607,16 +608,24 @@ def subspace_equal(u: SubspacePresentation, w: SubspacePresentation) -> bool:
 def kernel_basis(a) -> SubspacePresentation:
     """Basis of the null space of A, ordered by ascending free column; each
     vector is 1 at its own free column and 0 at the others, so independent.
-    A free column's vector reads only the pivot rows of its own component."""
+    A free column's vector reads only the pivot rows of its own component,
+    and is kept over the least common multiple of their pivot entries."""
     n, reduced = a.cols, _as_sparse(a)._echelon()
-    entries = {f: [(f, _ONE)] for f in range(n) if f not in reduced}
+    entries = {f: [] for f in range(n) if f not in reduced}
     for c, row in reduced.items():
+        p = row[c]
         for f, x in row.items():
             if f != c:
-                entries[f].append((c, -x))
-    return SubspacePresentation._trusted(n, tuple(tuple(sorted(e)) for e in entries.values()))
+                entries[f].append((c, x, p))
+    nums, dens = [], []
+    for f, e in entries.items():
+        d = lcm(*[p for _, _, p in e]) if e else 1
+        nums.append(tuple(sorted([(f, d), *[(c, -x * (d // p)) for c, x, p in e]])) if e else ((f, 1),))
+        dens.append(d)
+    return SubspacePresentation._trusted(SparseMat._from_ints(nums, dens, n))
 
 
+@dataclass(frozen=True, slots=True)
 class QuotientPresentation:
     """A quotient span(Z)/span(B) with a chosen complement basis.
 
@@ -625,17 +634,14 @@ class QuotientPresentation:
     reproducible.  It is kept as the rows of the `SparseMat` `vectors`;
     `complement` is their dense view.  `coordinate_map` is (P, A):
     P·v are the class coordinates of v in span Z, and A·v = 0 iff v is in
-    span Z.  `quotient_presentation` builds both with the complement.
+    span Z.  `quotient_presentation` builds both with the complement; the
+    coordinate map takes no part in `==` and `hash`.
     """
 
-    __slots__ = ("ambient", "sub", "vectors", "coordinate_map")
-
-    def __init__(self, ambient: SubspacePresentation, sub: SubspacePresentation, vectors: SparseMat,
-                 coordinate_map: tuple[SparseMat, SparseMat]):
-        self.ambient = ambient
-        self.sub = sub
-        self.vectors = vectors
-        self.coordinate_map = coordinate_map
+    ambient: SubspacePresentation
+    sub: SubspacePresentation
+    vectors: SparseMat
+    coordinate_map: tuple[SparseMat, SparseMat] = field(compare=False)
 
     @property
     def complement(self) -> tuple[Vec, ...]:
@@ -670,13 +676,6 @@ class QuotientPresentation:
             raise MembershipError("vector lies outside the ambient subspace")
         return coords.apply(v)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QuotientPresentation) and self.ambient == other.ambient
-                and self.sub == other.sub and self.vectors == other.vectors)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.sub, self.vectors))
-
     def __repr__(self) -> str:
         return f"QuotientPresentation(dim {self.dim})"
 
@@ -695,10 +694,8 @@ def quotient_presentation(z: SubspacePresentation, b: SubspacePresentation) -> Q
     """
     if z.ambient_dim != b.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    n = z.ambient_dim
-    pivots, coords, annihilator = SparseMat(b.vectors.data + z.vectors.data, n).T._factor()
+    pivots, coords, annihilator = _stacked(b.vectors, z.vectors).T._factor()
     if len(pivots) != z.dim:
         raise MembershipError("sub is not contained in the ambient space of the quotient")
-    complement = tuple(z.vectors.data[j - b.dim] for j in pivots[b.dim:])
-    return QuotientPresentation(z, b, SparseMat(complement, n),
-                                (SparseMat(coords.data[b.dim:], n), annihilator))
+    complement = z.vectors._take([j - b.dim for j in pivots[b.dim:]])
+    return QuotientPresentation(z, b, complement, (coords._take(range(b.dim, coords.rows)), annihilator))

@@ -123,11 +123,11 @@ def _rand_combination(pres: SubspacePresentation, rng: random.Random, domain: Su
     """The map at a random combination of the basis of `pres`, the coefficients
     `_rand_frac`'s, summed on integer rows over 6 times their denominator."""
     coeffs = [_rand_num6(rng) for _ in range(pres.dim)]
-    view = pres.vectors._int_view()
-    den, acc = lcm(*(e for *_, e in view)), [0] * pres.ambient_dim
-    for i, _, nums, e in view:
-        for (j, _), x in zip(pres.vectors.data[i], nums):
-            acc[j] += coeffs[i] * (den // e) * x
+    vs = pres.vectors
+    den, acc = lcm(*vs.dens), [0] * pres.ambient_dim
+    for c, row, e in zip(coeffs, vs.nums, vs.dens):
+        for j, x in row:
+            acc[j] += c * (den // e) * x
     return _map_from_nums(domain, codomain, acc, 6 * den)
 
 

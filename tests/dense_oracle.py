@@ -188,14 +188,15 @@ def inverse(a):
 
 
 def dense_rows(m):
-    """The rows of a `Mat`, or of a sparse operator spread over its width."""
+    """The rows of a `Mat`, or of a sparse operator spread over its width
+    from its stored (column, numerator) rows and their denominators."""
     if isinstance(m, Mat):
         return [list(r) for r in m.data]
     rows = []
-    for row in m.data:
+    for row, d in zip(m.nums, m.dens):
         dense = [Fraction(0)] * m.cols
         for j, x in row:
-            dense[j] = x
+            dense[j] = Fraction(x, d)
         rows.append(dense)
     return rows
 

@@ -447,10 +447,10 @@ def test_sparse_key_dedup_gives_the_rows_of_the_dense_key_dedup(name, side):
     cx = ext.cochains_g if side == "g" else ext.cochains_e
     got = cx.cocycle2_constraints
     assert got.cols == len(cx.pos2)
-    for row in got.data:  # nonzero values at strictly increasing columns, and some
+    for row in got.nums:  # nonzero numerators at strictly increasing columns, and some
         assert row and all(x != 0 for _, x in row)
         assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
-    assert len(set(got.data)) == got.rows
+    assert len(set(got.dense())) == got.rows
     reference = _definition_rows(cx, list(itertools.combinations_with_replacement(range(cx.g.dim), 3)))
     stacked = Mat(dense_rows(got) + dense_rows(reference), cols=got.cols)
     assert rank(got) == rank(reference) == rank(stacked)
@@ -850,7 +850,7 @@ def test_quotient_presentation_eliminates_b_and_z_once(build, monkeypatch):
     rng = random.Random(97)
     v = z2.combine(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(z2.dim)))
     expected = ext.h2_e.quotient.coordinates_of(v)
-    stacked = linalg.SparseMat(b2.vectors.data + z2.vectors.data, z2.ambient_dim).T
+    stacked = linalg._stacked(b2.vectors, z2.vectors).T
     eliminated = []
     reduce_part = linalg._reduce_part
 

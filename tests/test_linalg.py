@@ -702,17 +702,20 @@ def _is_multiple(got, want):
 
 def _check_kernel_against_the_oracle(s):
     """On each component of s, with and without the carried identity block:
-    the kernel's pivots are the Fraction elimination's, and each of its rows
-    is a nonzero multiple of the row there; `_echelon`, which divides the
-    pivot rows by their pivots, is the oracle's reduced form.  `_factor` then
-    has the oracle's pivots and P, A's rows are nonzero multiples of the
-    oracle's (so ker A is the same)."""
-    m, reduced = s.cols, {}
-    found, rest = [], [((i, Fraction(1)),) for i, row in enumerate(s.data) if not row]
+    the kernel's pivots are the Fraction elimination's on the dense rows of
+    s, and each of its rows is a nonzero multiple of the row there;
+    `_echelon`, whose rows divided by their pivot entries are the reduced
+    rows, is the oracle's reduced form.  `_factor` then has the oracle's
+    pivots and P, A's rows are nonzero multiples of the oracle's (so ker A
+    is the same)."""
+    m, reduced, dense = s.cols, {}, s.dense()
+    found, rest = [], [((i, Fraction(1)),) for i, row in enumerate(dense) if not any(row)]
     for carry in (False, True):
-        for (rows, cols), (part, part_cols) in zip(s._components(), s._int_parts(carry)):
-            assert part_cols == cols
-            want = [dict(s.data[i] + (((m + i, Fraction(1)),) if carry else ())) for i in rows]
+        for rows, cols in s._components():
+            assert cols == sorted({j for i in rows for j, x in enumerate(dense[i]) if x})
+            part = [dict(s.nums[i] + (((m + i, s.dens[i]),) if carry else ())) for i in rows]
+            want = [{j: x for j, x in enumerate(dense[i]) if x} | ({m + i: Fraction(1)} if carry else {})
+                    for i in rows]
             pivots = dense_oracle.reduce_part(want, cols)
             assert linalg._reduce_part(part, cols) == pivots, (s, cols)
             assert all(_is_multiple(g, w) for g, w in zip(part, want)), (s, cols)
@@ -722,12 +725,21 @@ def _check_kernel_against_the_oracle(s):
                 rest += tails[len(pivots):]
             else:
                 reduced.update(zip(pivots, want))
-    assert s._echelon() == reduced
+    assert {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in s._echelon().items()} == reduced
     found.sort()
     pivots, p, a = s._factor()
-    assert pivots == [c for c, _ in found] and p.data == tuple(r for _, r in found), s
-    assert len(a.data) == len(rest) and all(_is_multiple(dict(g), dict(w)) for g, w in zip(a.data, rest)), s
+    assert pivots == [c for c, _ in found] and p == SparseMat(tuple(r for _, r in found), s.rows), s
+    assert a.rows == len(rest) and all(_is_multiple(dict(g), dict(w)) for g, w in zip(a.nums, rest)), s
     assert dense_kernel_basis(a) == dense_kernel_basis(SparseMat(tuple(rest), s.rows)), s
+
+
+def _check_sparse_stored_form(m):
+    """Every row of m in lowest terms over a positive denominator, at
+    increasing columns, with no zero numerator."""
+    assert len(m.nums) == len(m.dens) == m.rows
+    for row, d in zip(m.nums, m.dens):
+        assert d > 0 and gcd(d, *(x for _, x in row)) == 1, (m, row, d)
+        assert all(x != 0 for _, x in row) and all(j < k for (j, _), (k, _) in zip(row, row[1:])), (m, row)
 
 
 # nonzero entries of either sign over small and 70-bit denominators; zero one
@@ -771,6 +783,14 @@ def test_integer_kernel_agrees_with_the_elimination_over_q(s):
     `dense_oracle.reduce_part`, and `rank`, `kernel_basis` and `inverse` of
     a `Mat` against the sparse ones and the oracle."""
     _check_kernel_against_the_oracle(s)
+    _, p, a = s._factor()
+    for m in (s, s.T, s @ s.T, p, a, kernel_basis(s).vectors):
+        _check_sparse_stored_form(m)
+    assert s.T.T == s and hash(s.T.T) == hash(s)
+    rows = dense_oracle.dense_rows(s)
+    assert s.dense() == tuple(map(tuple, rows))
+    columns = [[r[j] for r in rows] for j in range(s.cols)]
+    assert (s @ s.T).dense() == tuple(map(tuple, dense_oracle.product(rows, columns, s.rows)))
     dense = Mat(s.dense(), cols=s.cols)
     assert rank(dense) == len(s._echelon())
     assert kernel_basis(dense) == kernel_basis(s)
@@ -780,6 +800,11 @@ def test_integer_kernel_agrees_with_the_elimination_over_q(s):
     got = inverse(square)
     assert (got is None) == (expected is None)
     assert got is None or got.data == tuple(map(tuple, expected))
+
+
+def _uncached(m):
+    """A copy of the sparse operator m that has kept nothing yet."""
+    return SparseMat._from_ints(m.nums, m.dens, m.cols)
 
 
 def test_integer_kernel_agrees_with_the_elimination_over_q_on_the_pin_corpus(pin_corpus):
@@ -795,8 +820,7 @@ def test_integer_kernel_agrees_with_the_elimination_over_q_on_the_pin_corpus(pin
     for _, ext in pin_corpus:
         for cx in (ext.cochains_g, ext.cochains_e):
             z2, b2 = cx.z2, cx.b2
-            stacked = SparseMat(b2.vectors.data + z2.vectors.data, z2.ambient_dim).T
-            operators += [SparseMat(cx.d1.data, cx.d1.cols),
-                          SparseMat(cx.cocycle2_constraints.data, cx.cocycle2_constraints.cols), stacked]
+            stacked = linalg._stacked(b2.vectors, z2.vectors).T
+            operators += [_uncached(cx.d1), _uncached(cx.cocycle2_constraints), stacked]
     for s in operators:
         _check_kernel_against_the_oracle(s)

@@ -25,17 +25,9 @@ from conftest import heisenberg_extension, osp12_adjoint_extension, sl2_vn_exten
 
 
 def _dense(m):
-    """The rows of a matrix, dense: a `Mat`'s own rows, or the (column, value)
-    rows of a sparse operator spread over its width."""
-    if isinstance(m, Mat):
-        return m.data
-    rows = []
-    for row in m.data:
-        dense = [0] * m.cols
-        for j, x in row:
-            dense[j] = x
-        rows.append(dense)
-    return rows
+    """The rows of a matrix, dense: a `Mat`'s own rows, or a sparse
+    operator's rows spread over its width."""
+    return m.data if isinstance(m, Mat) else m.dense()
 
 
 def _digest(width, rows):

@@ -185,14 +185,14 @@ def _connecting_map_on_swapped_ideal(ext):
     """D(phi ∘ swap of z and c) = -phi(c): the same rank on End_g(a), but
     restrictions (phi(z) = 0) are no longer in the kernel."""
     d, column = ext.connecting_map, {p: i for i, p in enumerate(ext.pos_a)}
-    return SparseMat(tuple(d.T.data[column[n, 1 - m]] for n, m in ext.pos_a), d.rows).T
+    return d.T._take([column[n, 1 - m] for n, m in ext.pos_a]).T
 
 
 def _connecting_map_rotated(ext):
     """D with its H2(g, a) coordinates rotated: the same rank, but its image
     leaves the kernel of inflation."""
     d = ext.connecting_map
-    return SparseMat(d.data[1:] + d.data[:1], d.cols)
+    return d._take([*range(1, d.rows), 0])
 
 
 _THM1_NAMES = {  # the five-term checks that thm1 shares, by their names in thm1
