@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import (
@@ -51,8 +52,6 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
-    _row_add,
-    _row_sub,
     _scaled,
     _spread,
     bilinear,
@@ -96,8 +95,7 @@ def map_from_coords(domain: SuperBasis, codomain: SuperBasis,
     elements of one parity, and zeros elsewhere; only the coordinates pass `rat`."""
     if len(coords) != len(c1_positions(domain, codomain)):
         raise ShapeError("coordinate vector does not match the position list")
-    nums, den = _scaled(vec(coords))
-    return _map_from_nums(domain, codomain, nums, den)
+    return _map_from_nums(domain, codomain, *_scaled(vec(coords)))
 
 
 def _map_from_nums(domain: SuperBasis, codomain: SuperBasis, nums: Sequence[int],
@@ -137,30 +135,33 @@ _layout = lru_cache(maxsize=64)(_Layout)
 class Cochain2:
     """Even super-antisymmetric bilinear map g x g -> a.
 
-    Stored only as `coords`, one Fraction per slot of `c2_positions(source,
-    target)` (the upper pairs, at the target slots of the right parity),
-    every zero the shared `_ZERO`: super-antisymmetry and homogeneity fix
-    every other entry.  It is read through `eval`, `coords` and the terms
-    `_view()`, built on first read.  `from_upper` is the one
-    checked constructor: it takes the values at the upper pairs and checks
-    their homogeneity.  `cochain2_from_coords`, `+`, `-`, `scale`,
-    `precompose`, `postcompose` and `cup` build their coordinates through
-    `_trusted`: both properties hold at the layout's slots and survive those
-    operations.
+    Stored as `nums`, one integer per slot of `c2_positions(source, target)`
+    (the upper pairs, at the target slots of the right parity), over one
+    positive `den` in lowest terms, as `Mat` stores a map, so `==` and `hash`
+    compare the stored form; super-antisymmetry and homogeneity fix every
+    other entry.  It is read through `eval`, `coords` (Fractions built on
+    each read) and the terms `_view()`, built on first read.  `from_upper`
+    is the one checked constructor: it takes the values at the upper pairs
+    and checks their homogeneity.  `cochain2_from_coords`, `+`, `-`,
+    `scale`, `precompose`, `postcompose` and `cup` build no Fraction and go
+    through `_trusted`: both properties hold at the layout's slots and
+    survive those operations.
     """
 
-    __slots__ = ("source", "target", "coords", "_layout", "_sparse")
+    __slots__ = ("source", "target", "nums", "den", "_layout", "_sparse")
 
     @classmethod
     def _trusted(cls, source: SuperBasis, target: SuperBasis, layout: _Layout,
-                 coords: Vec) -> "Cochain2":
-        """A cochain on the coordinates of `layout`, zeros all `_ZERO`, of an
-        even super-antisymmetric map by construction (sums, multiples
-        and compositions of checked cochains, and any coordinates at the
+                 nums: Sequence[int], den: int) -> "Cochain2":
+        """The cochain nums / den (den > 0, brought to lowest terms) on the
+        slots of `layout`, even and super-antisymmetric by construction (sums,
+        multiples and compositions of checked cochains, and any values at the
         layout's own slots, which hold no even diagonal and only target slots
         of the right parity), without `from_upper`'s checks."""
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            nums, den = [x // g for x in nums], den // g
         c = object.__new__(cls)
-        c.source, c.target, c._layout, c.coords = source, target, layout, coords
+        c.source, c.target, c._layout, c.nums, c.den = source, target, layout, tuple(nums), den
         c._sparse = None
         return c
 
@@ -195,7 +196,13 @@ class Cochain2:
                     raise MembershipError(f"tensor entry ({source.names[i]}, {source.names[j]}, "
                                           f"{target.names[k]}) breaks homogeneity of degree 0")
             coords.extend(v[k] for k in layout.slots[w])
-        return cls._trusted(source, target, layout, tuple(coords))
+        return cls._trusted(source, target, layout, *_scaled(coords))
+
+    @property
+    def coords(self) -> Vec:
+        """The value at each slot of `c2_positions`, built on each read; every zero is `_ZERO`."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
 
     def _view(self) -> tuple:
         """The terms of the tensor (`algebra.Terms`), read off the coordinates
@@ -216,33 +223,38 @@ class Cochain2:
             raise ShapeError("vectors do not match the source dimension")
         return bilinear(self._view(), x, y, self.target.dim)
 
-    def _like(self, coords: Vec) -> "Cochain2":
-        return Cochain2._trusted(self.source, self.target, self._layout, coords)
+    def _like(self, nums: Sequence[int], den: int) -> "Cochain2":
+        return Cochain2._trusted(self.source, self.target, self._layout, nums, den)
+
+    def _combined(self, other: "Cochain2", sign: int) -> "Cochain2":
+        """self + sign·other, over the least common denominator."""
+        if self.source != other.source or self.target != other.target:
+            raise ShapeError("cochains are not of the same shape and degree")
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return self._like([x * p + y * q for x, y in zip(self.nums, other.nums)], den)
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
-        self._compatible(other)
-        return self._like(_row_add(self.coords, other.coords))
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Cochain2") -> "Cochain2":
-        self._compatible(other)
-        return self._like(_row_sub(self.coords, other.coords))
+        return self._combined(other, -1)
 
     def scale(self, c) -> "Cochain2":
-        cc = rat(c)
-        return self._like(tuple(x if x is _ZERO else (cc * x) or _ZERO for x in self.coords))
+        c = rat(c)
+        return self._like([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def precompose(self, psi: GradedLinearMap) -> "Cochain2":
         """beta ∘ (psi x psi) for an even endomorphism psi of the source.
 
-        Evaluated at the upper pairs only, from beta's nonzero coordinates and
-        psi's integer numerators, over one denominator: the result is even and
+        Evaluated at the upper pairs only, from beta's nonzero numerators and
+        psi's, over the product of the denominators: the result is even and
         super-antisymmetric, and the upper pairs fix it."""
         if psi.domain != self.source or psi.codomain != self.source:
             raise ShapeError("precompose needs an even endomorphism of the source")
-        parity, d, slots = self.source.parities, self.target.dim, self._layout.slots
+        parity, d, slots, values = self.source.parities, self.target.dim, self._layout.slots, self.nums
         # row a of psi: the (i, numerator of psi_ai), the b_i whose images have a b_a part
         rows = [[(i, x) for i, x in enumerate(r) if x] for r in psi.matrix.nums]
-        values, den = _scaled(self.coords)
         acc: dict[tuple[int, int], list[int]] = {}
         for a, b, start, w in self._layout.pairs:
             terms = [(k, c) for k, c in zip(slots[w], values[start:start + len(slots[w])]) if c]
@@ -258,17 +270,15 @@ class Cochain2:
                             xy = sign * x * y
                             for k, c in terms:
                                 v[k] += xy * c
-        den *= psi.matrix.den ** 2
-        coords: list[Fraction] = []
+        nums: list[int] = []
         for i, j, _, w in self._layout.pairs:
             ks, v = slots[w], acc.get((i, j))
-            coords.extend((_ZERO,) * len(ks) if v is None
-                          else (Fraction(v[k], den) if v[k] else _ZERO for k in ks))
-        return self._like(tuple(coords))
+            nums.extend((0,) * len(ks) if v is None else (v[k] for k in ks))
+        return self._like(nums, self.den * psi.matrix.den ** 2)
 
     def postcompose(self, f: GradedLinearMap) -> "Cochain2":
         """f ∘ beta pointwise, for a map f on the target: f once per upper
-        pair, on that pair's coordinates."""
+        pair, on that pair's numerators."""
         if f.domain != self.target:
             raise ShapeError("postcompose needs a map defined on the target")
         layout = _layout(self.source.parities, f.codomain.parities)
@@ -276,28 +286,22 @@ class Cochain2:
         # for values of parity w: each output slot's (index into slots[w], f numerator)
         reads = [[tuple((p, nums[r][k]) for p, k in enumerate(slots[w]) if nums[r][k])
                   for r in out[w]] for w in (0, 1)]
-        values, den = _scaled(self.coords)
-        den *= f.matrix.den
-        coords: list[Fraction] = []
+        values, result = self.nums, []
         for _, _, start, w in self._layout.pairs:
             v = values[start:start + len(slots[w])]
-            coords.extend((Fraction(t, den) if (t := sum(c * v[p] for p, c in read)) else _ZERO
-                           for read in reads[w]) if any(v) else (_ZERO,) * len(reads[w]))
-        return Cochain2._trusted(self.source, f.codomain, layout, tuple(coords))
+            result.extend((sum(c * v[p] for p, c in read) for read in reads[w]) if any(v)
+                          else (0,) * len(reads[w]))
+        return Cochain2._trusted(self.source, f.codomain, layout, result, self.den * f.matrix.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _compatible(self, other: "Cochain2") -> None:
-        if self.source != other.source or self.target != other.target:
-            raise ShapeError("cochains are not of the same shape and degree")
+        return not any(self.nums)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Cochain2) and self.source == other.source
-                and self.target == other.target and self.coords == other.coords)
+        return (isinstance(other, Cochain2) and self.source == other.source and self.target == other.target
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.coords))
+        return hash((self.source, self.target, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"Cochain2({self.source!r} -> {self.target!r})"
@@ -320,7 +324,7 @@ def cochain2_from_coords(source: SuperBasis, target: SuperBasis,
     layout = _layout(source.parities, target.parities)
     if len(coords) != len(layout.positions):
         raise ShapeError("coordinate vector does not match the position list")
-    return Cochain2._trusted(source, target, layout, vec(coords))
+    return Cochain2._trusted(source, target, layout, *_scaled(vec(coords)))
 
 
 def coboundary1(lam: GradedLinearMap, g: LieSuperalgebra, m: ModuleAction) -> Cochain2:
@@ -535,7 +539,9 @@ class CochainComplex:
 
     def is_cocycle2(self, beta: Cochain2) -> bool:
         """Whether beta is an even 2-cocycle: a product with the cached constraints."""
-        return self.cocycle2_constraints._annihilates(_scaled(self.coords2(beta))[0])
+        if beta.source != self.g.basis or beta.target != self.m.space:
+            raise ShapeError("cochain bases do not match the algebra and module")
+        return self.cocycle2_constraints._annihilates(beta.nums)
 
     @cached_property
     def z2(self) -> SubspacePresentation:

@@ -38,11 +38,12 @@ h it has just checked.
 
 Maps on e = s(g) ⊕ a are read by their blocks with `_block` (the
 restriction to a, the section offset λ: g -> a, the induced map ψ on g)
-and built from them with `_assemble`; the End(a) coordinate slots are the
-cached `AbelianExtension.pos_a`.  `classify_endomorphism` reads the
-columns of f's integer numerators; the definitional forms `inflate1`,
-`inflate2`, `restrict1` and `beta_with_section` keep their products with
-the projection, section and inclusion.
+and built from them with `_assemble`, the one formula of both solvers'
+witnesses; the End(a) coordinate slots are the cached
+`AbelianExtension.pos_a`.  `classify_endomorphism` reads the columns of f's
+integer numerators; the definitional forms `inflate1`, `inflate2`,
+`restrict1` and `beta_with_section` keep their products with the
+projection, section and inclusion.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .linalg import (
     SparseMat,
     SubspacePresentation,
     Vec,
-    _row_sub,
     _scaled,
     _spread,
     inverse,
@@ -176,6 +176,8 @@ class AbelianExtension:
 
     def a_coords(self, v: Sequence[Fraction]) -> Vec:
         """Ideal coordinates of an ambient vector whose complement part vanishes."""
+        if len(v) != self.dim_e:
+            raise ShapeError(f"vector of length {len(v)} in ambient dimension {self.dim_e}")
         if any(v[i] != 0 for i in self.complement_indices):
             raise MembershipError("vector does not lie in the ideal")
         return tuple(v[i] for i in self.ideal_indices)
@@ -298,10 +300,10 @@ class AbelianExtension:
         """phi -> coords2(-phi∘beta) from the `pos_a` coordinates of an even
         map on a to the 2-cochain coordinates of g."""
         pos2 = self.cochains_g.pos2
-        beta = dict(zip(pos2, self.beta.coords))
-        return SparseMat(tuple(
+        beta = dict(zip(pos2, self.beta.nums))
+        return SparseMat._from_ints([
             tuple((p, -x) for p, (n, m) in enumerate(self.pos_a) if n == k and (x := beta.get((i, j, m))))
-            for i, j, k in pos2), len(self.pos_a))
+            for i, j, k in pos2], [self.beta.den] * len(pos2), len(self.pos_a))
 
     @cached_property
     def connecting_map(self) -> SparseMat:
@@ -647,18 +649,19 @@ def extend_endomorphism(phi: GradedLinearMap, ext: AbelianExtension) -> Optional
     endomorphism of e, or None when impossible.
 
     Solves d(mu) = -phi∘beta for an even mu: g -> a (free variables 0) and
-    returns x -> x + f(x), for the derivation f equal to phi on the ideal and
-    to -mu on the section: the first solution of d¹ of e with f fixed to phi
-    on the ideal, whose complement columns are d¹ of g, as a is abelian.
-    The solver never consults the obstruction class.
+    assembles, as a lift is, the map with blocks id + phi, -mu and id, checked
+    to fix the quotient: x -> x + f(x) for the derivation f equal to phi on
+    the ideal and to -mu on the section, the first solution of d¹ of e with f
+    fixed to phi on the ideal, whose complement columns are d¹ of g, as a is
+    abelian.  The solver never consults the obstruction class.
     """
     _require(is_module_endomorphism(phi, ext), "not a module endomorphism of the ideal")
-    c = map_to_coords(phi)
-    mu = solve(ext.cochains_g.d1, ext.obstruction_cochains.apply(c))
+    mu = solve(ext.cochains_g.d1, ext.obstruction_cochains.apply(map_to_coords(phi)))
     if mu is None:
         return None
-    f = _row_sub(ext.restriction.T.apply(c), ext.inflation1.apply(mu))
-    out = from_derivation(ext.cochains_e.cochain1(f), ext)
+    out = _quotient_fixing_map(ext, _assemble(ext, Mat.identity(ext.dim_a) + phi.matrix,
+                                              ext.cochains_g.cochain1(mu).matrix.scale(-1),
+                                              Mat.identity(ext.dim_g)).matrix, "extension")
     _check(shifted_restriction(out, ext) == phi, "extension does not restrict to phi")
     return out
 

@@ -9,7 +9,7 @@ maps, a quotient's coordinate map) and what elimination produces (a subspace
 or a quotient's complement keeps its vectors as its rows), keeps each row's
 nonzero (column, numerator) pairs over the row's own denominator.  Fractions
 are built only where a caller reads values (`data`, `column`, `dense`,
-`apply`), every zero the shared `_ZERO`.
+`apply`, `Cochain2.coords`), every zero the shared `_ZERO`.
 
 Every elimination is one integer kernel, `_reduce_part`: fraction-free
 Gauss–Jordan with the pivot rule of elimination over Q (first row holding
@@ -70,16 +70,6 @@ def _scaled(values: Iterable) -> tuple[list[int], int]:
     if d == 1:
         return list(map(_numerator, values)), 1
     return [x.numerator * (d // x.denominator) for x in values], d
-
-
-def _row_add(r: Vec, s: Vec) -> Vec:
-    """r + s for rows whose zeros are all `_ZERO`; the sum has the same form."""
-    return tuple(a if b is _ZERO else b if a is _ZERO else (a + b) or _ZERO for a, b in zip(r, s))
-
-
-def _row_sub(r: Vec, s: Vec) -> Vec:
-    """r - s for rows whose zeros are all `_ZERO`; the difference has the same form."""
-    return tuple(a if b is _ZERO else (a - b) or _ZERO for a, b in zip(r, s))
 
 
 def vec(values: Iterable) -> Vec:
@@ -547,7 +537,7 @@ class SubspacePresentation:
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[Fraction]]):
         vs = _sparse_vecs(basis, ambient_dim)
-        if len(vs.T._echelon()) < vs.rows:
+        if len(vs._echelon()) < vs.rows:
             raise MembershipError("basis vectors are linearly dependent")
         self.ambient_dim, self.vectors = ambient_dim, vs
 
@@ -575,12 +565,12 @@ class SubspacePresentation:
         return self.vectors.rows
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return len(_stacked(self.vectors, _sparse_vecs([v], self.ambient_dim)).T._echelon()) == self.dim
+        return len(_stacked(self.vectors, _sparse_vecs([v], self.ambient_dim))._echelon()) == self.dim
 
     def contains_subspace(self, other: "SubspacePresentation") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return len(_stacked(self.vectors, other.vectors).T._echelon()) == self.dim
+        return len(_stacked(self.vectors, other.vectors)._echelon()) == self.dim
 
     def combine(self, coeffs: Sequence[Fraction]) -> Vec:
         """Linear combination of the basis with the given coefficients."""

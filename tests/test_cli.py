@@ -359,6 +359,32 @@ def test_verify_five_term(capsys, h3_files):
     assert "PASS" in err
 
 
+def test_the_readme_worked_example(capsys, tmp_path):
+    # the files of the README's grammar section and the outputs that its
+    # worked example quotes, for 0 -> <z> -> h3 -> Ab(2) -> 0
+    _write(tmp_path / "h3.json", {
+        "name": "h3",
+        "basis": [{"name": "x", "parity": 0}, {"name": "y", "parity": 0}, {"name": "z", "parity": 0}],
+        "brackets": [{"left": "x", "right": "y", "value": [{"basis": "z", "coeff": "1"}]}]})
+    ext = _write(tmp_path / "h3.ext.json", {"algebra": "h3.json", "ideal": ["z"]})
+    scale = _write(tmp_path / "scale.json", {
+        "domain": "g", "codomain": "g",
+        "entries": [{"from": "x", "to": "x", "coeff": "2"}, {"from": "y", "to": "y", "coeff": "1/2"}]})
+    diag = _write(tmp_path / "diag.json", {
+        "domain": "g", "codomain": "g",
+        "entries": [{"from": "x", "to": "x", "coeff": "2"}, {"from": "y", "to": "y", "coeff": "1"}]})
+    code, payload, _ = _run(capsys, ["cohomology", ext, "--degree", "2"])
+    assert code == 0 and payload["h2_dim"] == 1 and payload["extension_class"] == ["1"]
+    code, payload, _ = _run(capsys, ["lift", ext, scale])
+    assert code == 0 and payload["lifted"] is True
+    assert payload["witness"] == [["2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"]]
+    code, payload, _ = _run(capsys, ["lift", ext, diag])
+    assert code == 0 and payload["lifted"] is False and payload["obstruction"] == ["1"]
+    code, payload, err = _run(capsys, ["verify", ext, "--suite", "five-term"])
+    assert code == 0 and payload["passed"] is True
+    assert err.startswith("suite five-term: PASS")
+
+
 def test_verify_all_suites_on_heisenberg(capsys, h3_files):
     _, ext = h3_files
     for suite in ("five-term", "thm1", "cor1", "thm2", "thm3"):

@@ -596,9 +596,22 @@ def test_everything_extends_over_split_extensions(sd_ext):
         assert shifted_restriction(witness, sd_ext) == phi
 
 
+def _extend_through_the_five_term_maps(phi, ext):
+    """The extension of phi built on the 1-cochains of e: `from_derivation`
+    of restriction.T·c - inflation1·mu, for phi's coordinates c and the
+    solution mu of d(mu) = -phi∘beta, or None when there is none."""
+    c = map_to_coords(phi)
+    mu = solve(ext.cochains_g.d1, ext.obstruction_cochains.apply(c))
+    if mu is None:
+        return None
+    return from_derivation(ext.cochains_e.cochain1(
+        sub_vec(ext.restriction.T.apply(c), ext.inflation1.apply(mu))), ext)
+
+
 def test_extend_witnesses_are_the_stacked_e_side_solution(pin_corpus):
     """The solve on d¹ of g gives, on every pin case, the first solution of
-    the stacked system on e: for 0, the identity and each basis element of
+    the stacked system on e, and the map that the 1-cochains of e give
+    through the five-term maps: for 0, the identity and each basis element of
     End_g(a), and for seeded combinations of that basis; both extendable
     and obstructed elements occur."""
     from conftest import sl2_vn_extension, strictly_upper_extension
@@ -619,6 +632,7 @@ def test_extend_witnesses_are_the_stacked_e_side_solution(pin_corpus):
             assert (witness is None) == (want is None), (name, coords)
             if witness is not None:
                 assert ext.cochains_e.coords1(to_derivation(witness, ext)) == want, (name, coords)
+            assert witness == _extend_through_the_five_term_maps(phi, ext), (name, coords)
             seen.add(witness is None)
     assert seen == {True, False}
 
@@ -1180,6 +1194,8 @@ def test_algebra_extension_and_linalg_shape_checks_raise_their_own_class_and_mes
         (lambda: quotient_by_ideal(e, [3]), ShapeError, "ideal index 3 out of range"),
         (lambda: build_extension(e, [-1]), ShapeError, "ideal index -1 out of range"),
         (lambda: ext.a_coords((1, 0, 0)), MembershipError, "vector does not lie in the ideal"),
+        (lambda: ext.a_coords((0, 0, 5, 9, 9)), ShapeError, "vector of length 5 in ambient dimension 3"),
+        (lambda: ext.a_coords((0,)), ShapeError, "vector of length 1 in ambient dimension 3"),
         (lambda: classify_endomorphism(id_g, ext), ShapeError,
          "map is not an endomorphism of the ambient algebra"),
         (lambda: is_ideal_derivation(id_e, ext), ShapeError, "map is not of the shape e -> a"),

@@ -117,6 +117,22 @@ def test_dependent_basis_rejected():
         SubspacePresentation(2, [vec([1, 1]), vec([2, 2])])
 
 
+def test_subspace_rank_questions_read_no_transpose(monkeypatch):
+    # a work guard, not a timer: the basis check and both containment tests
+    # count the row rank of the stacked vectors, which is their column rank,
+    # so none of them builds a transpose
+    def refused(self):
+        raise AssertionError("SparseMat.T was read")
+
+    monkeypatch.setattr(SparseMat, "T", property(refused))
+    u = SubspacePresentation(3, [vec([1, 2, 0]), vec([0, 1, 1])])
+    assert u.contains(vec([1, 3, 1])) and not u.contains(unit_vec(3, 2))
+    assert u.contains_subspace(SubspacePresentation(3, [vec([2, 5, 1])]))
+    assert not u.contains_subspace(SubspacePresentation(3, [unit_vec(3, 0)]))
+    with pytest.raises(MembershipError):
+        SubspacePresentation(3, [vec([1, 2, 0]), vec([2, 4, 0])])
+
+
 def test_quotient_complement_is_greedy():
     z = SubspacePresentation(2, [unit_vec(2, 0), unit_vec(2, 1)])
     b = SubspacePresentation(2, [unit_vec(2, 0)])

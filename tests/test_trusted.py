@@ -17,6 +17,8 @@ never reach a trusted constructor.
 import ast
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 from pathlib import Path
 
 import dense_oracle
@@ -338,24 +340,44 @@ def test_trusted_kernels_and_spans_match_the_public_constructor():
 # -- library-built 2-cochains -------------------------------------------------
 
 
+def _cellwise(op, *grids):
+    """op applied entry by entry to dense cochain tensors of one shape."""
+    return [[[op(*xs) for xs in zip(*cells)] for cells in zip(*rows)] for rows in zip(*grids)]
+
+
+def _check_stored_form(c, grid):
+    """c is stored in lowest terms over a positive denominator, its
+    coordinates and its tensor are the reference tensor's values at
+    `c2_positions` and at every pair, each zero `_ZERO`, and `from_upper` of
+    the tensor's upper pairs and `cochain2_from_coords` of the coordinates
+    both give c, with c's hash."""
+    assert c.den > 0 and gcd(c.den, *c.nums) == 1
+    assert c.coords == tuple(grid[i][j][k] for i, j, k in c2_positions(c.source, c.target))
+    assert dense(c._view(), c.target.dim) == tuple(tuple(map(tuple, row)) for row in grid)
+    assert all(x is _ZERO for x in c.coords if x == 0)
+    upper = {(i, j): grid[i][j] for i, j in _upper_pairs(c.source.parities)}
+    for other in (Cochain2.from_upper(c.source, c.target, upper),
+                  cochain2_from_coords(c.source, c.target, c.coords)):
+        assert other == c and hash(other) == hash(c)
+
+
 def _check_derived_cochains(beta, psi, f, q):
     """β∘(ψ×ψ) and f∘β, evaluated at the upper pairs, have the coordinates and
     the tensor of the dense references evaluated at every pair.  Each cochain
     derived from beta (those two, their sums and differences with β, a
-    multiple and a cup) is what `from_upper` builds from its values at the
-    upper pairs, and keeps its zeros as `_ZERO`."""
+    multiple and a cup) has the stored form, the coordinates and the two
+    rebuilt forms of `_check_stored_form` against the dense reference."""
     pre, post = beta.precompose(psi), beta.postcompose(f)
-    for c, grid in ((pre, dense_oracle.precompose(beta, psi)), (post, dense_oracle.postcompose(beta, f))):
-        assert c.coords == tuple(grid[i][j][k] for i, j, k in c2_positions(c.source, c.target))
-        assert dense(c._view(), c.target.dim) == tuple(tuple(map(tuple, row)) for row in grid)
-    derived = [pre, post, pre.scale(q), post.scale(q), cup(beta, f)]
-    for c in (pre, post):
-        derived += [beta + c, beta - c, c - beta]
-    for c in derived:
-        grid = dense(c._view(), c.target.dim)
-        upper = {(i, j): grid[i][j] for i, j in _upper_pairs(c.source.parities)}
-        assert Cochain2.from_upper(c.source, c.target, upper) == c
-        assert all(x is _ZERO for x in c.coords if x == 0)
+    t = dense(beta._view(), beta.target.dim)
+    pre_grid, post_grid = dense_oracle.precompose(beta, psi), dense_oracle.postcompose(beta, f)
+    derived = [(beta, t), (pre, pre_grid), (post, post_grid), (cup(beta, f), post_grid),
+               (pre.scale(q), _cellwise(lambda x: q * x, pre_grid)),
+               (post.scale(q), _cellwise(lambda x: q * x, post_grid))]
+    for c, grid in ((pre, pre_grid), (post, post_grid)):
+        derived += [(beta + c, _cellwise(add, t, grid)), (beta - c, _cellwise(sub, t, grid)),
+                    (c - beta, _cellwise(sub, grid, t))]
+    for c, grid in derived:
+        _check_stored_form(c, grid)
 
 
 def test_derived_cochains_of_the_fixture_extensions_pass_the_public_checks(pin_corpus):
