@@ -41,6 +41,15 @@ def _swapped(terms: tuple, p: int, q: int) -> tuple:
     return terms if p & q else tuple((k, -c) for k, c in terms)
 
 
+def _int_terms(*tensors: Terms) -> tuple:
+    """(S_1, ..., S_n, E): the terms of each tensor with every value c written
+    as the integer c·E, over the least common denominator E of all of them."""
+    flat, den = _scaled(x for t in tensors for row in t for v in row for _, x in v)
+    nums = iter(flat)
+    return (*[[[[(k, next(nums)) for k, _ in v] if v else v for v in row] for row in t]
+              for t in tensors], den)
+
+
 def _nonzero_entries(tensor: Sequence[Sequence[Sequence]]) -> Terms:
     """The terms of a dense tensor: [i][j] lists the nonzero (k, c) of tensor[i][j]."""
     return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c != 0) for v in row)
@@ -169,13 +178,10 @@ class LieSuperalgebra:
         return self.basis.dim
 
     def _int_view(self) -> tuple[list[list[tuple]], int]:
-        """(S, E): the terms with each value c written as the integer c·E, over
-        the least common denominator E of all of them.  Built on the first
+        """(S, E): `_int_terms` of the structure tensor.  Built on the first
         call, so algebras that never meet `is_homomorphism` do not pay for it."""
         if self._int_sparse is None:
-            flat, den = _scaled(x for row in self._sparse for v in row for _, x in v)
-            nums = iter(flat)
-            self._int_sparse = ([[[(k, next(nums)) for k, _ in v] for v in row] for row in self._sparse], den)
+            self._int_sparse = _int_terms(self._sparse)
         return self._int_sparse
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
@@ -329,10 +335,10 @@ class ModuleAction:
         return hash((self.algebra, self.space, self._sparse))
 
 
-def _action_entries(m: ModuleAction) -> dict[tuple[int, int, int], Fraction]:
-    """The nonzero entries of the action tensor: (i, v, k) -> (b_i · v_v)_k."""
-    return {(i, v, k): c for i, row in enumerate(m._sparse) for v, terms in enumerate(row)
-            for k, c in terms}
+def _action_entries(m: ModuleAction) -> tuple[dict[tuple[int, int, int], int], int]:
+    """(A, E): the nonzero action entries (i, v, k) -> (b_i · v_v)_k·E, integers over one denominator E."""
+    act, den = _int_terms(m._sparse)
+    return {(i, v, k): c for i, row in enumerate(act) for v, terms in enumerate(row) for k, c in terms}, den
 
 
 def _sum_structure(g: LieSuperalgebra, m: ModuleAction, beta: Optional[Terms] = None) -> Terms:
@@ -494,13 +500,13 @@ def is_homomorphism(phi: GradedLinearMap, g: LieSuperalgebra, h: LieSuperalgebra
     nums, den = phi.matrix.nums, phi.matrix.den
     images = [[(r, row[i]) for r, row in enumerate(nums) if row[i]] for i in range(g.dim)]
     (cg, eg), (ch, eh) = g._int_view(), h._int_view()
-    scale = den * eh
+    scale, dim = den * eh, h.dim
     for i, j in _upper_pairs(g.basis.parities):
-        lhs = [0] * h.dim
+        lhs = [0] * dim
         for k, c in cg[i][j]:
             for r, x in images[k]:
                 lhs[r] += c * x
-        rhs = [0] * h.dim
+        rhs = [0] * dim
         for p, x in images[i]:
             row = ch[p]
             for q, y in images[j]:

@@ -37,6 +37,7 @@ from .algebra import (
     ModuleAction,
     SuperBasis,
     _action_entries,
+    _int_terms,
     _jacobi_residual,
     _sign,
     _sum_structure,
@@ -364,7 +365,8 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
                           pos2: list[tuple[int, int, int]]) -> SparseMat:
     """The linear part of beta -> twisted-Jacobi residual, in 2-cochain coordinates.
 
-    Read off the structure tensors over the sorted g×g×g triples i <= j <= k:
+    Read off the structure tensors, as integers over one common denominator
+    (`algebra._int_terms`), over the sorted g×g×g triples i <= j <= k:
     the module part of the super-Jacobi residual of g ⊕ M at (b_i, b_j, b_k)
     is the row
         sum_l c_ij^l beta(l,k) - c_jk^l beta(i,l) + (-1)^{|i||j|} c_ik^l beta(j,l)
@@ -387,39 +389,35 @@ def _cocycle2_constraints(g: LieSuperalgebra, m: ModuleAction,
         beta[i][j].append((n, x, False))
         if i != j:
             beta[j][i].append((n, x, not parity[i] * parity[j]))
-    c, act = g._sparse, m._sparse
+    c, act, den = _int_terms(g._sparse, m._sparse)
     negated = [[tuple((n, -a) for n, a in v) for v in row] for row in act]
     acts = [any(v) for v in act]
     rows: dict[tuple, None] = {}
-
-    def add(row: dict[int, Fraction], x: int, v: Fraction) -> None:
-        row[x] = row[x] + v if x in row else v
-
     for i in range(ng):
         for j in range(i, ng):
             odd_ij = parity[i] * parity[j] == 1
             for k in range(j, ng):
                 if not (c[i][j] or c[j][k] or c[i][k] or acts[i] or acts[j] or acts[k]):
                     continue
-                terms: list[dict[int, Fraction]] = [{} for _ in range(na)]
+                terms: list[dict[int, int]] = [{} for _ in range(na)]
                 brackets = ([(d, -d, beta[l][k]) for l, d in c[i][j]]
                             + [(-d, d, beta[i][l]) for l, d in c[j][k]]
                             + [(-d, d, beta[j][l]) if odd_ij else (d, -d, beta[j][l])
                                for l, d in c[i][k]])
                 for d, minus_d, form in brackets:
                     for n, x, neg in form:
-                        add(terms[n], x, minus_d if neg else d)
+                        terms[n][x] = terms[n].get(x, 0) + (minus_d if neg else d)
                 # the signs -(-1)^{(|i|+|j|)|k|}, -1 and (-1)^{|i||j|}, as "negative"
                 actions = (((parity[i] + parity[j]) * parity[k] % 2 == 0, k, beta[i][j]),
                            (True, i, beta[j][k]), (odd_ij, j, beta[i][k]))
                 for neg_d, y, form in actions:
                     for q, x, neg in form:
                         for n, a in (negated if neg_d != neg else act)[y][q]:
-                            add(terms[n], x, a)
+                            terms[n][x] = terms[n].get(x, 0) + a
                 for row in terms:
                     if key := tuple(sorted((x, v) for x, v in row.items() if v)):
                         rows.setdefault(key)
-    return SparseMat(tuple(rows), len(pos2))
+    return SparseMat(list(rows), [den] * len(rows), len(pos2))
 
 
 def is_cocycle2(beta: Cochain2, g: LieSuperalgebra, m: ModuleAction) -> bool:
@@ -482,15 +480,16 @@ class CochainComplex:
     def d1(self) -> SparseMat:
         """Matrix of d¹: column p holds the coboundary of the p-th unit 1-cochain.
 
-        Read off the structure tensors: for lam = e_n at b_i,
+        Read off the structure tensors, as integers over one common
+        denominator (`algebra._int_terms`): for lam = e_n at b_i,
         (d lam)(b_a, b_b) = [b = i] b_a·e_n - (-1)^{|a||b|} [a = i] b_b·e_n
         - [b_a, b_b]_i e_n, the formula of `coboundary1` on a unit cochain.
         """
         slot1 = {rc: p for p, rc in enumerate(self.pos1)}
         slot2 = {abk: r for r, abk in enumerate(self.pos2)}
-        act, bracket, parity = self.m._sparse, self.g._sparse, self.g.basis.parities
-        rows: list[dict[int, Fraction]] = [{} for _ in self.pos2]
-        dim = self.m.space.dim
+        bracket, act, den = _int_terms(self.g._sparse, self.m._sparse)
+        parity, dim = self.g.basis.parities, self.m.space.dim
+        rows: list[dict[int, int]] = [{} for _ in self.pos2]
         for a, b in dict.fromkeys((a, b) for a, b, _ in self.pos2):
             odd = parity[a] * parity[b] == 1  # the sign (-1)^{|a||b|} is -1
             terms = [(slot1.get((n, b)), k, v) for n in range(dim) for k, v in act[a][n]]
@@ -501,9 +500,9 @@ class CochainComplex:
             for p, k, v in terms:
                 if p is not None and (r := slot2.get((a, b, k))) is not None:
                     row = rows[r]
-                    row[p] = row[p] + v if p in row else v
-        return SparseMat(tuple(tuple(sorted((p, x) for p, x in row.items() if x)) for row in rows),
-                         len(self.pos1))
+                    row[p] = row.get(p, 0) + v
+        return SparseMat([tuple(sorted((p, x) for p, x in row.items() if x)) for row in rows],
+                         [den] * len(rows), len(self.pos1))
 
     def is_cocycle1(self, f: GradedLinearMap) -> bool:
         """Whether f is a derivation: a product of the cached d¹ with f's
@@ -521,9 +520,9 @@ class CochainComplex:
     def b1(self) -> SubspacePresentation:
         """Span of the inner derivations x -> x·v over even module elements v."""
         # the 1-cochain x -> x·v has entry (n, i) = (b_i·v)_n
-        act = _action_entries(self.m)
+        act, den = _action_entries(self.m)
         return SubspacePresentation.from_spanning(len(self.pos1), [
-            tuple(act.get((i, v, n), _ZERO) for n, i in self.pos1)
+            tuple(Fraction(act[i, v, n], den) if (i, v, n) in act else _ZERO for n, i in self.pos1)
             for v, p in enumerate(self.m.space.parities) if p == 0])
 
     @cached_property

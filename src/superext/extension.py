@@ -80,7 +80,6 @@ from .cohomology import (
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
     _ONE,
-    _ZERO,
     Mat,
     SparseMat,
     SubspacePresentation,
@@ -228,30 +227,30 @@ class AbelianExtension:
         """psi -> ρ∘psi - ρ on the `pos_g` coordinates of an even psi followed
         by a 1: row (i, m, k) is the k-th coordinate of psi(x_i)·a_m - x_i·a_m,
         which reads A[j][m][k] at slot (j, i) and -A[i][m][k] at the last
-        column, for the action tensor A."""
-        act, slot, n, g = _action_entries(self.action), _slots(self.pos_g), len(self.pos_g), range(self.dim_g)
-        return SparseMat(tuple(
-            tuple([(slot[j, i], act[j, m, k]) for j in g if (j, m, k) in act and (j, i) in slot]
-                  + ([(n, -act[i, m, k])] if (i, m, k) in act else []))
-            for i in g for m in range(self.dim_a) for k in range(self.dim_a)), n + 1)
+        column, for the action tensor A, in integers over its denominator."""
+        (act, den), slot, g = _action_entries(self.action), _slots(self.pos_g), range(self.dim_g)
+        rows = [tuple([(slot[j, i], act[j, m, k]) for j in g if (j, m, k) in act and (j, i) in slot]
+                      + ([(len(slot), -act[i, m, k])] if (i, m, k) in act else []))
+                for i in g for m in range(self.dim_a) for k in range(self.dim_a)]
+        return SparseMat(rows, [den] * len(rows), len(slot) + 1)
 
     @cached_property
     def module_end_constraints(self) -> SparseMat:
         """Residual matrix of End_g(a): column p holds the flattened
         `_module_end_residuals` of the p-th unit even map on a.  Read off the
-        action tensor A: for the unit map E_rc, row (i, m, n) of
-        phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
-        act, view, slot, da = _action_entries(self.action), self.action._sparse, _slots(self.pos_a), self.dim_a
+        integer action tensor A (`_action_entries`): for the unit map E_rc,
+        row (i, m, n) of phi(x_i·a_m) - x_i·phi(a_m) is [n = r] A[i][m][c] - [m = c] A[i][r][n]."""
+        (act, den), slot, da = _action_entries(self.action), _slots(self.pos_a), self.dim_a
         rows = []
         for i in range(self.dim_g):
             for m in range(da):
                 for n in range(da):
-                    row = {p: x for c, x in view[i][m] if (p := slot.get((n, c))) is not None}
+                    row = {slot[n, c]: x for c in range(da) if (x := act.get((i, m, c))) and (n, c) in slot}
                     for r in range(da):
                         if (i, r, n) in act and (p := slot.get((r, m))) is not None:
-                            row[p] = row.get(p, _ZERO) - act[i, r, n]
+                            row[p] = row.get(p, 0) - act[i, r, n]
                     rows.append(tuple(sorted((p, x) for p, x in row.items() if x)))
-        return SparseMat(tuple(rows), len(self.pos_a))
+        return SparseMat(rows, [den] * len(rows), len(self.pos_a))
 
     @cached_property
     def module_end_space(self) -> SubspacePresentation:
@@ -301,7 +300,7 @@ class AbelianExtension:
         map on a to the 2-cochain coordinates of g."""
         pos2 = self.cochains_g.pos2
         beta = dict(zip(pos2, self.beta.nums))
-        return SparseMat._from_ints([
+        return SparseMat([
             tuple((p, -x) for p, (n, m) in enumerate(self.pos_a) if n == k and (x := beta.get((i, j, m))))
             for i, j, k in pos2], [self.beta.den] * len(pos2), len(self.pos_a))
 

@@ -7,9 +7,10 @@ denominators in lowest terms, so `==` and `hash` compare the stored form.
 `SparseMat`, the big operators (d¹, the Z² constraint rows, the five-term
 maps, a quotient's coordinate map) and what elimination produces (a subspace
 or a quotient's complement keeps its vectors as its rows), keeps each row's
-nonzero (column, numerator) pairs over the row's own denominator.  Fractions
-are built only where a caller reads values (`data`, `column`, `dense`,
-`apply`, `Cochain2.coords`), every zero the shared `_ZERO`.
+nonzero (column, numerator) pairs over the row's own denominator; its one
+constructor takes integer rows, which every builder assembles in integers.
+Fractions are built only where a caller reads values (`data`, `column`,
+`dense`, `apply`, `Cochain2.coords`), every zero the shared `_ZERO`.
 
 Every elimination is one integer kernel, `_reduce_part`: fraction-free
 Gauss–Jordan with the pivot rule of elimination over Q (first row holding
@@ -258,23 +259,14 @@ class SparseMat:
     """Immutable sparse matrix of exact rationals: row i is its nonzero
     (column, integer numerator) pairs in increasing column, `nums[i]`, over
     one positive denominator `dens[i]`, in lowest terms (an empty row has
-    den 1), so `==` and `hash` compare the unique stored form.  The public
-    constructor trusts its (column, value) rows; `_from_ints` takes integer
-    rows.  The transpose, row getters, components, reduced rows and
+    den 1), so `==` and `hash` compare the unique stored form.  The one
+    constructor takes integer rows, each over its own denominator, and
+    trusts them.  The transpose, row getters, components, reduced rows and
     factorization are kept on first use."""
 
     __slots__ = ("nums", "dens", "rows", "cols", "_t", "_getters", "_parts", "_reduced", "_factored")
 
-    def __init__(self, data: Sequence[Row], cols: int):
-        # over the lcm of a row's lowest-terms values, no factor is left to cancel
-        self.dens = tuple([lcm(*{x.denominator for _, x in row}) if row else 1 for row in data])
-        self.nums = tuple([tuple([(j, x.numerator * (d // x.denominator)) for j, x in row]) if row else ()
-                           for row, d in zip(data, self.dens)])
-        self.rows, self.cols = len(data), cols
-        self._t = self._getters = self._parts = self._reduced = self._factored = None
-
-    @classmethod
-    def _from_ints(cls, nums: Sequence[tuple], dens: Sequence[int], cols: int) -> "SparseMat":
+    def __init__(self, nums: Sequence[tuple], dens: Sequence[int], cols: int):
         """The rows nums[i] / dens[i], for (column, nonzero integer) pairs in
         increasing column over nonzero integers, each brought to lowest terms
         over a positive denominator."""
@@ -283,19 +275,17 @@ class SparseMat:
             for i, d in enumerate(dens):
                 if d != 1 and (g := gcd(d, *map(_second, nums[i])) * (1 if d > 0 else -1)) != 1:
                     nums[i], dens[i] = tuple((j, x // g) for j, x in nums[i]), d // g
-        m = object.__new__(cls)
-        m.nums, m.dens, m.rows, m.cols = tuple(nums), tuple(dens), len(nums), cols
-        m._t = m._getters = m._parts = m._reduced = m._factored = None
-        return m
+        self.nums, self.dens, self.rows, self.cols = tuple(nums), tuple(dens), len(nums), cols
+        self._t = self._getters = self._parts = self._reduced = self._factored = None
 
     @classmethod
     def copies(cls, sources: Sequence[Optional[int]], cols: int) -> "SparseMat":
         """The 0/1 matrix whose row r copies coordinate sources[r] (None: a zero row)."""
-        return cls._from_ints([() if s is None else ((s, 1),) for s in sources], [1] * len(sources), cols)
+        return cls([() if s is None else ((s, 1),) for s in sources], [1] * len(sources), cols)
 
     def _take(self, index: Sequence[int]) -> "SparseMat":
         """The rows at these indices, in this order."""
-        return SparseMat._from_ints([self.nums[i] for i in index], [self.dens[i] for i in index], self.cols)
+        return SparseMat([self.nums[i] for i in index], [self.dens[i] for i in index], self.cols)
 
     @property
     def T(self) -> "SparseMat":
@@ -307,7 +297,7 @@ class SparseMat:
                 s = den // d
                 for j, x in row:
                     out[j].append((i, x * s))
-            self._t = SparseMat._from_ints(list(map(tuple, out)), [den] * self.cols, self.rows)
+            self._t = SparseMat(list(map(tuple, out)), [den] * self.cols, self.rows)
         return self._t
 
     def dense(self) -> tuple[Vec, ...]:
@@ -332,7 +322,10 @@ class SparseMat:
         """A·v in integers: v over one denominator against the integer rows."""
         if len(v) != self.cols:
             raise ShapeError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
-        w, d = _scaled(v)
+        return self._apply_nums(*_scaled(v))
+
+    def _apply_nums(self, w: Sequence[int], d: int) -> Vec:
+        """A·v as Fractions, for v = w / d given as integers w over d > 0."""
         out = [_ZERO] * self.rows
         for i, pick, nums, e in self._row_getters():
             if t := sum(map(mul, nums, pick(w))):
@@ -363,7 +356,7 @@ class SparseMat:
                     acc[k] = acc.get(k, 0) + c * y
             out.append(tuple(sorted((k, t) for k, t in acc.items() if t)))
             dens.append(d * e)
-        return SparseMat._from_ints(out, dens, other.cols)
+        return SparseMat(out, dens, other.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseMat) and self.cols == other.cols and self.dens == other.dens
@@ -425,8 +418,8 @@ class SparseMat:
                 found += zip(pivots, tails, (row[c] for c, row in zip(pivots, part)))
                 rest += tails[len(pivots):]
             found.sort()
-            coords = SparseMat._from_ints([t for _, t, _ in found], [a for *_, a in found], self.rows)
-            annihilator = SparseMat._from_ints(rest, [1] * len(rest), self.rows)
+            coords = SparseMat([t for _, t, _ in found], [a for *_, a in found], self.rows)
+            annihilator = SparseMat(rest, [1] * len(rest), self.rows)
             self._factored = [c for c, *_ in found], coords, annihilator
         return self._factored
 
@@ -478,8 +471,8 @@ def _as_sparse(a) -> SparseMat:
     """A `SparseMat` as it is; a `Mat` at its nonzero entries."""
     if isinstance(a, SparseMat):
         return a
-    return SparseMat._from_ints([tuple((j, x) for j, x in enumerate(row) if x) for row in a.nums],
-                                [a.den] * a.rows, a.cols)
+    return SparseMat([tuple((j, x) for j, x in enumerate(row) if x) for row in a.nums],
+                     [a.den] * a.rows, a.cols)
 
 
 def rank(a) -> int:
@@ -492,10 +485,10 @@ def solve(a, b: Sequence[Fraction]) -> Optional[Vec]:
     if len(b) != a.rows:
         raise ShapeError(f"matrix has {a.rows} rows, right-hand side has length {len(b)}")
     pivots, coords, annihilator = _as_sparse(a)._factor()
-    b = vec(b)
-    if not annihilator._annihilates(_scaled(b)[0]):
+    w, d = _scaled(vec(b))
+    if not annihilator._annihilates(w):
         return None
-    return _spread(zip(pivots, coords.apply(b)), a.cols)
+    return _spread(zip(pivots, coords._apply_nums(w, d)), a.cols)
 
 
 def inverse(a: Mat) -> Optional[Mat]:
@@ -515,18 +508,19 @@ def inverse(a: Mat) -> Optional[Mat]:
 
 def _stacked(a: SparseMat, b: SparseMat) -> SparseMat:
     """The rows of a, then those of b."""
-    return SparseMat._from_ints(a.nums + b.nums, a.dens + b.dens, a.cols)
+    return SparseMat(a.nums + b.nums, a.dens + b.dens, a.cols)
 
 
 def _sparse_vecs(vectors: Iterable[Sequence[Fraction]], n: int) -> SparseMat:
     """Vectors of length n given by a caller, coerced by `vec`, as the rows
-    of a `SparseMat`, which scales each once to integers."""
-    rows = []
+    of a `SparseMat`, each scaled once to integers (`_scaled`)."""
+    scaled = []
     for v in map(vec, vectors):
         if len(v) != n:
             raise ShapeError(f"vector of length {len(v)} in ambient dimension {n}")
-        rows.append(tuple((j, x) for j, x in enumerate(v) if x))
-    return SparseMat(rows, n)
+        scaled.append(_scaled(v))
+    return SparseMat([tuple((j, x) for j, x in enumerate(w) if x) for w, _ in scaled],
+                     [d for _, d in scaled], n)
 
 
 class SubspacePresentation:
@@ -612,7 +606,7 @@ def kernel_basis(a) -> SubspacePresentation:
         d = lcm(*[p for _, _, p in e]) if e else 1
         nums.append(tuple(sorted([(f, d), *[(c, -x * (d // p)) for c, x, p in e]])) if e else ((f, 1),))
         dens.append(d)
-    return SubspacePresentation._trusted(SparseMat._from_ints(nums, dens, n))
+    return SubspacePresentation._trusted(SparseMat(nums, dens, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -662,9 +656,10 @@ class QuotientPresentation:
             raise ShapeError(f"ambient dimension is {self.ambient.ambient_dim}, "
                              f"vectors have length {len(v)}")
         coords, annihilator = self.coordinate_map
-        if not annihilator._annihilates(_scaled(v)[0]):
+        w, d = _scaled(v)
+        if not annihilator._annihilates(w):
             raise MembershipError("vector lies outside the ambient subspace")
-        return coords.apply(v)
+        return coords._apply_nums(w, d)
 
     def __repr__(self) -> str:
         return f"QuotientPresentation(dim {self.dim})"

@@ -667,6 +667,16 @@ def _transported(g, rng):
     return GradedLinearMap(g.basis, g.basis, t), h
 
 
+def test_is_homomorphism_reads_each_dimension_once(monkeypatch):
+    # a work guard: the dimension of h is read once per call, not twice per
+    # upper pair
+    g = heisenberg3()
+    phi, reads, dim = GradedLinearMap.identity(g.basis), [], LieSuperalgebra.dim
+    monkeypatch.setattr(LieSuperalgebra, "dim", property(lambda self: reads.append(self) or dim.fget(self)))
+    assert is_homomorphism(phi, g, g)
+    assert reads == [g, g]
+
+
 def test_is_homomorphism_agrees_with_the_fraction_loop():
     rng = random.Random(151)
     cases = []

@@ -339,16 +339,21 @@ def test_inner_space_of_trivial_action_is_zero():
 
 def test_d1_columns_are_coboundaries_of_unit_cochains(corpus):
     # the ordered-triples corpus adds odd cases with a nonzero action
-    # (osp(1|2) ⋉ ad among them), on which the sign (-1)^{|a||b|} of d¹ matters
+    # (osp(1|2) ⋉ ad among them), on which the sign (-1)^{|a||b|} of d¹ matters;
+    # the odd modules in random bases have bracket and action constants over
+    # different denominators (2 and 3 at seed 1, 3 and 9 at seed 7), which d¹
+    # reads over their common one
     extra = [(name, build()) for name, build in sorted(_ORDERED_TRIPLES_CORPUS.items())]
-    for name, ext in corpus + extra:
-        for cx in (ext.cochains_g, ext.cochains_e):
-            n1 = len(cx.pos1)
-            assert (cx.d1.rows, cx.d1.cols) == (len(cx.pos2), n1), name
-            columns = cx.d1.T.dense()
-            for p in range(n1):
-                lam = cx.cochain1(unit_vec(n1, p))
-                assert columns[p] == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)
+    complexes = [(name, cx) for name, ext in corpus + extra for cx in (ext.cochains_g, ext.cochains_e)]
+    complexes += [(f"odd module {seed}", CochainComplex(m.algebra, m))
+                  for seed in range(10) for m in [_odd_module(seed)]]
+    for name, cx in complexes:
+        n1 = len(cx.pos1)
+        assert (cx.d1.rows, cx.d1.cols) == (len(cx.pos2), n1), name
+        columns = cx.d1.T.dense()
+        for p in range(n1):
+            lam = cx.cochain1(unit_vec(n1, p))
+            assert columns[p] == cx.coords2(coboundary1(lam, cx.g, cx.m)), (name, p)
 
 
 # -- the linearized 2-cocycle constraints --------------------------------------
@@ -652,7 +657,7 @@ def test_cochain_shape_checks_raise_their_own_class_and_message():
     n1, n2 = len(cx.pos1), len(cx.pos2)
     outside = [next(unit_vec(n, p) for p in range(n) if not space.contains(unit_vec(n, p)))
                for n, space in ((n1, cx.z1), (n2, cx.z2))]
-    column = [linalg.SparseMat(tuple(((0, x),) if x else () for x in v), 1) for v in outside]
+    column = [linalg._sparse_vecs([v], len(v)).T for v in outside]
     mismatch = "cochains are not of the same shape and degree"
     cases = [
         (lambda: Cochain2.from_upper(g.basis, a, {(1, 0): [1, 0]}), ShapeError,
@@ -886,6 +891,35 @@ def test_cold_five_term_builds_no_dense_matrix_wider_than_e(monkeypatch):
     ext = heisenberg_extension(20)
     assert verify_five_term(ext).passed
     assert shapes and max(max(s) for s in shapes) <= ext.dim_e == 41, max(shapes)
+
+
+def test_operator_assembly_builds_no_fraction(monkeypatch):
+    # a work guard: on cold complexes whose constants are fractions (the odd
+    # module of seed 3 has bracket and action denominators 3 and 6, and so
+    # has its semidirect product), d¹, the Z² constraints and the action
+    # operators are assembled in integers; the counter sees Fraction's
+    # constructor and, on the Pythons that have one, the private constructor
+    # its arithmetic builds results with
+    m = _odd_module(3)
+    cx, ext = CochainComplex(m.algebra, m), semidirect_product(m.algebra, m)[1]
+    cx_e = ext.cochains_e
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        from_coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, n, d: built.append((n, d)) or from_coprime(cls, n, d)))
+    operators = [cx.d1, cx.cocycle2_constraints, ext.cochains_g.d1, cx_e.d1, cx_e.cocycle2_constraints,
+                 ext.action_constraints, ext.module_end_constraints]
+    assert built == [], built[:5]
+    assert all(not op.is_zero() for op in operators)
+    assert any(d > 1 for op in operators for d in op.dens)
 
 
 def test_osp12_adjoint_semidirect_dims_are_pinned():

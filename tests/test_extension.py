@@ -1219,7 +1219,7 @@ def test_algebra_extension_and_linalg_shape_checks_raise_their_own_class_and_mes
         (lambda: inverse(Mat.zeros(2, 3)), ShapeError, "only square matrices can be inverted"),
         (lambda: SubspacePresentation(3, [(1, 0)]), ShapeError, "vector of length 2 in ambient dimension 3"),
         (lambda: space3.contains_subspace(plane), ShapeError, "ambient dimension mismatch"),
-        (lambda: quotient.coordinates(linalg.SparseMat(((),) * 3, 1)), ShapeError,
+        (lambda: quotient.coordinates(linalg.SparseMat(((),) * 3, (1,) * 3, 1)), ShapeError,
          "ambient dimension is 2, vectors have length 3"),
         (lambda: quotient.coordinates_of((1, 0, 0)), ShapeError,
          "ambient dimension is 2, vectors have length 3"),

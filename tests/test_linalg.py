@@ -169,6 +169,28 @@ def test_coordinates_of_outside_vector_raises():
         q.coordinates_of(vec([0, 1]))
 
 
+def test_solve_and_coordinates_of_scale_their_vector_once(monkeypatch):
+    # a work guard: on a warm operator each call scales its vector to
+    # integers once (`_scaled`) and hands the result to both the zero test
+    # and the product
+    a = SparseMat([((0, 1), (1, 6)), ((1, -2),), ((0, 1),)], [2, 5, 1], 2)
+    z = SubspacePresentation(3, [(1, 0, 0), (0, 1, Fraction(1, 3))])
+    q = quotient_presentation(z, SubspacePresentation(3, [(1, 0, 0)]))
+    cases = [(lambda: solve(a, (4, Fraction(-2, 5), 2)), (2, 1)), (lambda: solve(a, (1, 0, 0)), None),
+             (lambda: q.coordinates_of(vec((5, 3, 1))), (3,))]
+    for call, expected in cases:
+        assert call() == expected
+    calls, scaled = [], linalg._scaled
+    monkeypatch.setattr(linalg, "_scaled", lambda v: calls.append(v) or scaled(v))
+    for call, expected in cases:
+        calls.clear()
+        assert call() == expected and len(calls) == 1, calls
+    calls.clear()
+    with pytest.raises(MembershipError):
+        q.coordinates_of(vec((0, 1, 0)))
+    assert len(calls) == 1, calls
+
+
 def test_coordinate_map_keeps_the_class_coordinates_and_the_annihilated_space(pin_corpus):
     # elimination stops after the b + k pivots of [B | C]: P·v is still the C part
     # of the solution of [B | C]·x = v on span Z, and A has the kernel of the
@@ -744,9 +766,9 @@ def _check_kernel_against_the_oracle(s):
     assert {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in s._echelon().items()} == reduced
     found.sort()
     pivots, p, a = s._factor()
-    assert pivots == [c for c, _ in found] and p == SparseMat(tuple(r for _, r in found), s.rows), s
+    assert pivots == [c for c, _ in found] and p == _from_rows([r for _, r in found], s.rows), s
     assert a.rows == len(rest) and all(_is_multiple(dict(g), dict(w)) for g, w in zip(a.nums, rest)), s
-    assert dense_kernel_basis(a) == dense_kernel_basis(SparseMat(tuple(rest), s.rows)), s
+    assert dense_kernel_basis(a) == dense_kernel_basis(_from_rows(rest, s.rows)), s
 
 
 def _check_sparse_stored_form(m):
@@ -788,7 +810,7 @@ def _planted_sparse(draw):
     rows += [[] for _ in range(draw(st.integers(0, 2)))]
     rows = draw(st.permutations(rows))
     order = draw(st.permutations(range(ncols)))
-    return SparseMat(tuple(tuple(sorted((order[j], x) for j, x in r)) for r in rows), ncols)
+    return _from_rows([[(order[j], x) for j, x in r] for r in rows], ncols)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -818,9 +840,15 @@ def test_integer_kernel_agrees_with_the_elimination_over_q(s):
     assert got is None or got.data == tuple(map(tuple, expected))
 
 
+def _from_rows(rows, cols):
+    """The `SparseMat` with these (column, value) rows, each scaled once to
+    integers by `_sparse_vecs`."""
+    return linalg._sparse_vecs([linalg._spread(row, cols) for row in rows], cols)
+
+
 def _uncached(m):
     """A copy of the sparse operator m that has kept nothing yet."""
-    return SparseMat._from_ints(m.nums, m.dens, m.cols)
+    return SparseMat(m.nums, m.dens, m.cols)
 
 
 def test_integer_kernel_agrees_with_the_elimination_over_q_on_the_pin_corpus(pin_corpus):
@@ -829,9 +857,9 @@ def test_integer_kernel_agrees_with_the_elimination_over_q_on_the_pin_corpus(pin
     matrices with a negative pivot, 70-bit denominators and a dependent row."""
     big = Fraction(2 ** 70 + 1, 2 ** 69 + 3)
     operators = [
-        SparseMat((((0, Fraction(-3)), (2, big)), ((0, Fraction(5, 7)), (1, -big), (2, Fraction(1))),
-                   ((1, Fraction(2)), (2, Fraction(-1, 3))), ()), 4),
-        SparseMat((((1, -big),), ((0, Fraction(2)), (1, big)), ((0, Fraction(-4)), (1, -2 * big))), 2),
+        _from_rows((((0, Fraction(-3)), (2, big)), ((0, Fraction(5, 7)), (1, -big), (2, Fraction(1))),
+                    ((1, Fraction(2)), (2, Fraction(-1, 3))), ()), 4),
+        _from_rows((((1, -big),), ((0, Fraction(2)), (1, big)), ((0, Fraction(-4)), (1, -2 * big))), 2),
     ]
     for _, ext in pin_corpus:
         for cx in (ext.cochains_g, ext.cochains_e):
