@@ -24,8 +24,7 @@ and each map's classification, are kept in the map's private `_facts` slot
 (see `_kept`), so each runs once per map per extension, and the sequence
 suites ask through the public gated functions, whose gates then read the
 kept answers.  `induced_on_quotient` is the one gate for "a homomorphism
-fixing the ideal pointwise"; its ungated `_induced_on_quotient` serves only
-composites of maps that passed it.  In the same way `inflate1`, `inflate2`,
+fixing the ideal pointwise".  In the same way `inflate1`, `inflate2`,
 `restrict1` and `extend_obstruction` are the definitions of the five-term
 maps, which the extension caches as coordinate matrices; the extend and
 lift solvers both solve on d¹ of g.
@@ -79,12 +78,10 @@ from .cohomology import (
 )
 from .errors import MembershipError, NotAnIdealError, ShapeError
 from .linalg import (
-    _ONE,
     Mat,
     SparseMat,
     SubspacePresentation,
     Vec,
-    _scaled,
     _spread,
     inverse,
     kernel_basis,
@@ -468,11 +465,6 @@ def fixes_action(psi: GradedLinearMap, ext: AbelianExtension) -> bool:
             and is_homomorphism(psi, ext.g, ext.g))
 
 
-def _fixes_action_coords(coords: Vec, ext: AbelianExtension) -> bool:
-    """Whether the even map on g with these `pos_g` coordinates satisfies ρ∘psi = ρ."""
-    return ext.action_constraints._annihilates(_scaled(coords + (_ONE,))[0])
-
-
 # -- the derivation picture of quotient-fixing endomorphisms --------------
 
 
@@ -672,12 +664,6 @@ def induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> Graded
     """The endomorphism p ∘ gamma ∘ s of the quotient, for ideal-fixing gamma."""
     _require(classify_endomorphism(gamma, ext).fixes_ideal,
              "map must be a homomorphism fixing the ideal pointwise")
-    return _induced_on_quotient(gamma, ext)
-
-
-def _induced_on_quotient(gamma: GradedLinearMap, ext: AbelianExtension) -> GradedLinearMap:
-    """`induced_on_quotient` without its gate, for a composite of maps that
-    passed it: a composite of homomorphisms fixing the ideal pointwise is one."""
     psi = GradedLinearMap._trusted(ext.g.basis, ext.g.basis,
                                    _block(gamma, ext.complement_indices, ext.complement_indices))
     _check(fixes_action(psi, ext), "induced quotient map does not fix the action")

@@ -30,8 +30,6 @@ from .extension import (
     _assemble,
     _block,
     _check,
-    _fixes_action_coords,
-    _induced_on_quotient,
     _invertible,
     beta_with_section,
     classify_endomorphism,
@@ -163,9 +161,10 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
                          supplied: Optional[Iterable[GradedLinearMap]] = None) -> list[GradedLinearMap]:
     """Candidate elements of End^a(g): identity, user-supplied maps, random
     even maps filtered by the membership predicate (useful when g is
-    abelian), and pairwise composites.  A draw becomes a map only once its
-    coordinates pass the action condition; `fixes_action` then checks its
-    brackets and keeps the answer, which the lift gates read back."""
+    abelian), and pairwise composites.  A draw, `_rand_frac`'s coefficients
+    as integers over 6, becomes a map only once it passes the action
+    condition; `fixes_action` then checks its brackets and keeps the answer,
+    which the lift gates read back."""
     out = [GradedLinearMap.identity(ext.g.basis)]
     for psi in supplied or []:
         if not fixes_action(psi, ext):
@@ -175,10 +174,10 @@ def _action_endo_samples(ext: AbelianExtension, rng: random.Random, count: int,
     attempts = 0
     while len(out) < count and attempts < 40 * count:
         attempts += 1
-        coords = tuple(_rand_frac(rng) for _ in range(len(pos)))
-        if not _fixes_action_coords(coords, ext):
+        nums = [_rand_num6(rng) for _ in range(len(pos))]
+        if not ext.action_constraints._annihilates(nums + [6]):
             continue
-        psi = map_from_coords(ext.g.basis, ext.g.basis, coords)
+        psi = _map_from_nums(ext.g.basis, ext.g.basis, nums, 6)
         if fixes_action(psi, ext) and psi not in out:
             out.append(psi)
     for i in range(len(out)):
@@ -426,10 +425,14 @@ def verify_monoid_sequence(ext: AbelianExtension,
         gamma = from_derivation(inflate1(_quotient_derivation_sample(ext, rng), ext), ext)
         pool.append(gamma)
         sigmas.append(induced_on_quotient(gamma, ext))
-    mult_ok = True
+    # the complement block of a composite is sigma of it: the factors passed the
+    # gate, and a composite of action-fixing maps fixes the action
+    comp, mult_ok = ext.complement_indices, True
     for g1, s1 in zip(pool, sigmas):
         for g2, s2 in zip(pool, sigmas):
-            mult_ok &= _induced_on_quotient(g1.compose(g2), ext) == s1.compose(s2)
+            sigma = GradedLinearMap._trusted(ext.g.basis, ext.g.basis,
+                                             _block(g1.compose(g2), comp, comp))
+            mult_ok &= sigma == s1.compose(s2)
     rep.add("sigma_is_multiplicative", mult_ok, pool=len(pool))
 
     mu = ext.cochains_g.cochain1(

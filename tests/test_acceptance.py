@@ -28,11 +28,7 @@ from superext.extension import (
     restrict1,
     ring_add,
 )
-from superext.fixtures import (
-    central_direct_sum_extension,
-    identity_action_module,
-    odd_line_module,
-)
+from superext.fixtures import CENTRAL_DIRECT_SUM, IDENTITY_SEMIDIRECT, ODD_SEMIDIRECT, build
 from superext.linalg import Mat, vec
 from superext.sequences import (
     verify_automorphism_extension,
@@ -171,7 +167,7 @@ def test_criterion_5_monoid_stage(h3_ext, sd_ext, aff_ext):
             if check.name == "lift_decided_by_obstruction":
                 ok &= all(o["lifts"] for o in check.detail["outcomes"])
     # central split fixture: arbitrary even endomorphisms lift
-    ds = central_direct_sum_extension()
+    ds = build(CENTRAL_DIRECT_SUM)
     for entries in ((2, 3), (0, 1), (5, 5), (1, 0)):
         psi = _diag(ds.g.basis, *entries)
         ok &= fixes_action(psi, ds)
@@ -180,8 +176,8 @@ def test_criterion_5_monoid_stage(h3_ext, sd_ext, aff_ext):
 
 
 def test_criterion_6_semidirect_decompositions():
-    m_even = identity_action_module()
-    m_odd = odd_line_module()
+    m_even = build(IDENTITY_SEMIDIRECT).action
+    m_odd = build(ODD_SEMIDIRECT).action
     ok = verify_semidirect_automorphisms(m_even.algebra, m_even, seed=102).passed
     ok &= verify_semidirect_automorphisms(m_odd.algebra, m_odd, seed=103).passed
     _criterion(6, "automorphism groups of semidirect products decompose with explicit sections", ok)

@@ -25,12 +25,14 @@ from superext.algebra import (
 from superext.errors import MembershipError, NotAnIdealError, ShapeError
 from superext.extension import build_extension, from_derivation
 from superext.fixtures import (
+    HEISENBERG3,
+    IDENTITY_SEMIDIRECT,
+    ODD_HEISENBERG,
+    ODD_SEMIDIRECT,
+    SL2_V2,
     all_even_corpus,
-    heisenberg3,
-    identity_action_module,
-    odd_heisenberg,
-    odd_line_module,
-    odd_semidirect_extension,
+    build,
+    heisenberg,
     standard_corpus,
 )
 from superext.linalg import Mat, _spread, bilinear, inverse, is_zero_vec, scale_vec, unit_vec, vec
@@ -51,11 +53,11 @@ def test_superbasis_rejects_bad_parity():
 
 
 def test_heisenberg_validates():
-    assert validate_superalgebra(heisenberg3()) is None
+    assert validate_superalgebra(build(HEISENBERG3).e) is None
 
 
 def test_odd_heisenberg_validates():
-    assert validate_superalgebra(odd_heisenberg()) is None
+    assert validate_superalgebra(build(ODD_HEISENBERG).e) is None
 
 
 def test_broken_antisymmetry_is_reported_at_the_reversed_pair():
@@ -107,7 +109,7 @@ def test_from_brackets_accepts_consistent_orientations():
     g = LieSuperalgebra.from_brackets(
         basis, {("x", "y"): {"z": 1}, ("y", "x"): {"z": -1}}
     )
-    assert g == heisenberg3()
+    assert g == build(HEISENBERG3).e
 
 
 def test_odd_diagonal_bracket_is_legal():
@@ -118,13 +120,13 @@ def test_odd_diagonal_bracket_is_legal():
 
 
 def test_trivial_module_validates():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     m = ModuleAction.trivial(g, SuperBasis([("v", 0)]))
     assert validate_module(m) is None
 
 
 def test_identity_action_module_validates():
-    assert validate_module(identity_action_module()) is None
+    assert validate_module(build(IDENTITY_SEMIDIRECT).action) is None
 
 
 def test_nilpotent_action_validates():
@@ -135,7 +137,7 @@ def test_nilpotent_action_validates():
 
 
 def test_module_axiom_violation_detected():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     space = SuperBasis([("v", 0)])
     # z acts nontrivially although z = [x,y] acts through the bracket as 0
     m = ModuleAction(g, space, [[[0]], [[0]], [[1]]])
@@ -161,12 +163,12 @@ def test_graded_map_rejects_inhomogeneous_entries():
 
 
 def test_identity_is_a_homomorphism():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     assert is_homomorphism(GradedLinearMap.identity(g.basis), g, g)
 
 
 def test_central_shear_is_a_homomorphism():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     # x -> x + a z, y -> y + b z, z -> z
     f = GradedLinearMap.from_images(
         g.basis, g.basis,
@@ -176,7 +178,7 @@ def test_central_shear_is_a_homomorphism():
 
 
 def test_bad_scaling_is_not_a_homomorphism():
-    g = odd_heisenberg()
+    g = build(ODD_HEISENBERG).e
     f = GradedLinearMap.from_images(
         g.basis, g.basis,
         [vec([2, 0, 0]), vec([0, 3, 0]), vec([0, 0, 1])],
@@ -186,7 +188,7 @@ def test_bad_scaling_is_not_a_homomorphism():
 
 
 def test_homomorphisms_compose():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     rng = random.Random(5)
     for _ in range(10):
         a, b, c, d = (Fraction(rng.randint(-4, 4)) for _ in range(4))
@@ -199,7 +201,7 @@ def test_homomorphisms_compose():
 
 
 def test_semidirect_identity_action():
-    m = identity_action_module()
+    m = build(IDENTITY_SEMIDIRECT).action
     product, ext = semidirect_product(m.algebra, m)
     assert product.dim == 3
     t, v1, v2 = 0, 1, 2
@@ -219,7 +221,7 @@ def test_semidirect_trivial_action_is_abelian():
 
 
 def test_semidirect_odd_module():
-    m = odd_line_module()
+    m = build(ODD_SEMIDIRECT).action
     product, ext = semidirect_product(m.algebra, m)
     assert validate_superalgebra(product) is None
     assert dense(product._sparse, product.dim)[0][1] == unit_vec(2, 1)
@@ -234,7 +236,7 @@ def test_semidirect_rejects_name_collisions():
 
 
 def test_semidirect_rejects_invalid_module():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     space = SuperBasis([("v", 0)])
     m = ModuleAction(g, space, [[[0]], [[0]], [[1]]])
     with pytest.raises(MembershipError):
@@ -242,33 +244,33 @@ def test_semidirect_rejects_invalid_module():
 
 
 def test_quotient_heisenberg_by_center():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     q, proj = quotient_by_ideal(g, [2])
     assert q == LieSuperalgebra.abelian(SuperBasis([("x", 0), ("y", 0)]))
     assert proj.apply(vec([1, 2, 3])) == vec([1, 2])
 
 
 def test_quotient_odd_heisenberg_by_center():
-    g = odd_heisenberg()
+    g = build(ODD_HEISENBERG).e
     q, _ = quotient_by_ideal(g, [2])
     assert q.basis.parities == (0, 1)
     assert q == LieSuperalgebra.abelian(q.basis)
 
 
 def test_quotient_by_everything_is_zero_dimensional():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     q, _ = quotient_by_ideal(g, [0, 1, 2])
     assert q.dim == 0
 
 
 def test_quotient_rejects_non_ideal():
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     with pytest.raises(NotAnIdealError):
         quotient_by_ideal(g, [0])
 
 
 def test_quotients_revalidate():
-    for e, ideal in [(heisenberg3(), [2]), (odd_heisenberg(), [2])]:
+    for e, ideal in [(build(HEISENBERG3).e, [2]), (build(ODD_HEISENBERG).e, [2])]:
         q, _ = quotient_by_ideal(e, ideal)
         assert validate_superalgebra(q) is None
 
@@ -353,21 +355,6 @@ def _dense_validate_module(m):
     return None
 
 
-def _odd_h5():
-    basis = SuperBasis([("x1", 0), ("x2", 0), ("y1", 1), ("y2", 1), ("z", 1)])
-    e = LieSuperalgebra.from_brackets(basis, {("x1", "y1"): {"z": 1}, ("x2", "y2"): {"z": 1}})
-    return build_extension(e, [4])
-
-
-def _sl2_v2():
-    basis = SuperBasis([("e", 0), ("f", 0), ("h", 0), ("v1", 0), ("v2", 0)])
-    e = LieSuperalgebra.from_brackets(basis, {
-        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
-        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
-        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1}})
-    return build_extension(e, [3, 4])
-
-
 def _random_tensor(rng):
     """A structure tensor with random parities and sparse random entries; rarely Jacobi."""
     n = rng.randint(2, 5)
@@ -379,7 +366,7 @@ def _random_tensor(rng):
 
 def _kernel_extensions():
     exts = [ext for _, ext in standard_corpus() + all_even_corpus()]
-    return exts + [odd_semidirect_extension(), _odd_h5(), _sl2_v2()]
+    return exts + [build(ODD_SEMIDIRECT), build(heisenberg(2, odd=True)), build(SL2_V2)]
 
 
 def _kernel_corpus():
@@ -545,7 +532,8 @@ def test_validators_report_the_same_violation_as_the_dense_reference():
         assert str(got) == str(_dense_validate_superalgebra(g)), g._sparse
         rules.append(got.rule if got else None)
     valid = [g for g, rule in zip(algebras, rules) if rule is None]
-    valid += [heisenberg3(), odd_heisenberg(), _odd_h5().e, _sl2_v2().e, _sl2_v2().g]
+    valid += [build(s).e for s in (HEISENBERG3, ODD_HEISENBERG, heisenberg(2, odd=True), SL2_V2)]
+    valid.append(build(SL2_V2).g)
     for _ in range(300):
         g = rng.choice(valid if rng.random() < 0.9 else algebras)
         space = SuperBasis([(f"v{k}", rng.randint(0, 1)) for k in range(rng.randint(1, 3))])
@@ -625,8 +613,8 @@ def test_from_brackets_and_semidirect_product_match_the_dense_reference():
         outcomes.append(None)
     for outcome in ("self-bracket", "orientations", None):
         assert outcomes.count(outcome) >= 20, (outcome, outcomes.count(outcome))
-    algebras = [heisenberg3(), odd_heisenberg(), _odd_h5().e, _sl2_v2().e, _sl2_v2().g,
-                LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 1)]))]
+    algebras = [build(s).e for s in (HEISENBERG3, ODD_HEISENBERG, heisenberg(2, odd=True), SL2_V2)]
+    algebras += [build(SL2_V2).g, LieSuperalgebra.abelian(SuperBasis([("t", 0), ("u", 1)]))]
     modules = _random_modules(rng, algebras) + [
         ext.action for ext in _kernel_extensions() if ext.g.dim]
     for m in modules:
@@ -670,7 +658,7 @@ def _transported(g, rng):
 def test_is_homomorphism_reads_each_dimension_once(monkeypatch):
     # a work guard: the dimension of h is read once per call, not twice per
     # upper pair
-    g = heisenberg3()
+    g = build(HEISENBERG3).e
     phi, reads, dim = GradedLinearMap.identity(g.basis), [], LieSuperalgebra.dim
     monkeypatch.setattr(LieSuperalgebra, "dim", property(lambda self: reads.append(self) or dim.fget(self)))
     assert is_homomorphism(phi, g, g)

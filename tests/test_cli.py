@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superext
-from conftest import sl2_v2_extension, strictly_upper_extension
 from dense_oracle import dense
 from superext import cli
 from superext.algebra import LieSuperalgebra, ModuleAction
@@ -27,6 +26,7 @@ from superext.files import (
     parse_rat,
 )
 from superext.errors import ParseError
+from superext.fixtures import SL2_V2, build, strictly_upper
 
 
 H3 = {
@@ -430,7 +430,7 @@ def test_verify_checks_and_counts_supplied_module_automorphisms(capsys, tmp_path
     # on sl2 ⋉ V2, End_g(a) is the scalars: 3·id is an automorphism and is
     # sampled on top of the suite's own, diag(1, 2) is no module map and the
     # zero map is not invertible
-    _write(tmp_path / "sl2v2.json", dump_algebra(sl2_v2_extension().e, name="sl2v2"))
+    _write(tmp_path / "sl2v2.json", dump_algebra(build(SL2_V2).e, name="sl2v2"))
     ext = _write(tmp_path / "sl2v2.ext.json", {"algebra": "sl2v2.json", "ideal": ["v1", "v2"]})
     samples = _write(tmp_path / "samples.json", {"maps": [{
         "domain": "a", "codomain": "a",
@@ -488,7 +488,7 @@ def test_cold_cli_runs_build_no_dense_tensor(capsys, tmp_path):
     --degree 2` and a five-term `verify` on a Kostant file (n_6 over its
     centre) succeed, and the public constructors keep the terms of the dense
     tensors they are given."""
-    e = strictly_upper_extension(6).e
+    e = build(strictly_upper(6)).e
     _write(tmp_path / "n6.json", dump_algebra(e, name="n6"))
     ext = _write(tmp_path / "n6.ext.json", {"algebra": "n6.json", "ideal": ["E1_6"]})
     code, payload, err = _run(capsys, ["cohomology", ext, "--degree", "2"])

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from superext.algebra import (
     semidirect_product,
     validate_module,
 )
-from superext import cohomology, extension, fixtures, linalg
+from superext import cohomology, extension, linalg
 from superext.cohomology import (
     Cochain2,
     CochainComplex,
@@ -41,17 +42,23 @@ from superext.cohomology import (
 )
 from superext.errors import MembershipError, ShapeError, SuperextError
 from superext.extension import build_extension
-from superext.fixtures import heisenberg3_extension, odd_heisenberg_extension
+from superext.fixtures import (
+    AFFINE_SCALING,
+    CENTRAL_DIRECT_SUM,
+    HEISENBERG3,
+    IDENTITY_SEMIDIRECT,
+    ODD_HEISENBERG,
+    ODD_SEMIDIRECT,
+    SL2_V2,
+    build,
+    heisenberg,
+    osp12_adjoint,
+    sl2_vn,
+    strictly_upper,
+)
 from superext.linalg import Mat, inverse, kernel_basis, rank, solve, unit_vec, vec
 from superext.sequences import verify_five_term, verify_ring_sequence
 
-from conftest import (
-    heisenberg_extension,
-    osp12_adjoint_extension,
-    sl2_v2_extension,
-    sl2_vn_extension,
-    strictly_upper_extension,
-)
 from dense_oracle import dense, dense_rows, zero_vec
 from dense_oracle import kernel_basis as dense_kernel_basis
 
@@ -97,7 +104,7 @@ def test_derivation_space_of_abelian_pair_is_everything():
 
 
 def test_derivation_space_of_heisenberg_into_center():
-    ext = heisenberg3_extension()
+    ext = build(HEISENBERG3)
     # any derivation kills z = [x, y]
     space = derivation_space(ext.e, ext.adjoint)
     assert space.dim == 2
@@ -150,14 +157,14 @@ def test_h2_of_ab2_is_one_dimensional():
 
 
 def test_h2_of_ab11_contains_a_nonzero_extension_class():
-    ext = odd_heisenberg_extension()
+    ext = build(ODD_HEISENBERG)
     pres = ext.h2_g
     assert pres.dim >= 1
     assert not class_of(ext.beta, pres).is_zero
 
 
 def test_class_of_coboundary_is_zero():
-    ext = heisenberg3_extension()
+    ext = build(HEISENBERG3)
     lam = GradedLinearMap.from_images(
         ext.g.basis, ext.a_basis, [vec([2]), vec([5])])
     delta = coboundary1(lam, ext.g, ext.action)
@@ -165,7 +172,7 @@ def test_class_of_coboundary_is_zero():
 
 
 def test_class_of_heisenberg_cocycle_is_nonzero():
-    ext = heisenberg3_extension()
+    ext = build(HEISENBERG3)
     cls = class_of(ext.beta, ext.h2_g)
     assert not cls.is_zero
     assert class_of(ext.beta.scale(2), ext.h2_g).coords == tuple(2 * c for c in cls.coords)
@@ -173,7 +180,7 @@ def test_class_of_heisenberg_cocycle_is_nonzero():
 
 def test_cochain_scale_rejects_inexact_scalars():
     # like Mat.scale and GradedLinearMap.scale: a float would be rounded in binary
-    beta = heisenberg3_extension().beta
+    beta = build(HEISENBERG3).beta
     for bad in (0.1, 2.0, True):
         with pytest.raises(TypeError):
             beta.scale(bad)
@@ -271,13 +278,13 @@ def test_cochain2_constructor_errors_match_the_dense_reference():
 
 
 def test_cup_with_identity_is_identity():
-    ext = heisenberg3_extension()
+    ext = build(HEISENBERG3)
     f = GradedLinearMap.identity(ext.a_basis)
     assert cup(ext.beta, f) == ext.beta
 
 
 def test_cup_is_linear_in_the_endomorphism():
-    ext = heisenberg3_extension()
+    ext = build(HEISENBERG3)
     f = GradedLinearMap.identity(ext.a_basis).scale(2)
     assert cup(ext.beta, f) == ext.beta.scale(2)
 
@@ -373,17 +380,10 @@ def _odd_scaling_line_extension():
 
 
 _Z2_CORPUS = {
-    "heisenberg3": fixtures.heisenberg3_extension,
-    "odd_heisenberg": fixtures.odd_heisenberg_extension,
-    "identity_semidirect": fixtures.identity_semidirect_extension,
-    "affine_scaling": fixtures.affine_scaling_extension,
-    "central_direct_sum": fixtures.central_direct_sum_extension,
-    "odd_semidirect": fixtures.odd_semidirect_extension,
-    "h5": lambda: heisenberg_extension(2),
-    "h5_odd": lambda: heisenberg_extension(2, odd=True),
-    "h7": lambda: heisenberg_extension(3),
-    "h7_odd": lambda: heisenberg_extension(3, odd=True),
-    "sl2_v2": sl2_v2_extension,
+    **{s.name: partial(build, s) for s in (
+        HEISENBERG3, ODD_HEISENBERG, IDENTITY_SEMIDIRECT, AFFINE_SCALING, CENTRAL_DIRECT_SUM,
+        ODD_SEMIDIRECT, heisenberg(2), heisenberg(2, odd=True), heisenberg(3),
+        heisenberg(3, odd=True), SL2_V2)},
     "odd_scaling_line": _odd_scaling_line_extension,
 }
 
@@ -439,8 +439,8 @@ def test_an_odd_repeated_triple_alone_constrains_z2():
         ext.e.basis, ext.a_basis, {(0, 2): (Fraction(1),)})),)
 
 
-_DEDUP_CORPUS = {**_Z2_CORPUS, "n6": lambda: strictly_upper_extension(6),
-                 "sl2_v4": lambda: sl2_vn_extension(4)}
+_DEDUP_CORPUS = {**_Z2_CORPUS, "n6": lambda: build(strictly_upper(6)),
+                 "sl2_v4": lambda: build(sl2_vn(4))}
 
 
 @pytest.mark.parametrize("side", ["g", "e"])
@@ -461,9 +461,9 @@ def test_sparse_key_dedup_gives_the_rows_of_the_dense_key_dedup(name, side):
     assert rank(got) == rank(reference) == rank(stacked)
 
 
-_ORDERED_TRIPLES_CORPUS = {**_Z2_CORPUS, "osp12_adjoint": osp12_adjoint_extension,
-                           "n5": lambda: strictly_upper_extension(5),
-                           "sl2_v3": lambda: sl2_vn_extension(3)}
+_ORDERED_TRIPLES_CORPUS = {**_Z2_CORPUS, "osp12_adjoint": lambda: build(osp12_adjoint()),
+                           "n5": lambda: build(strictly_upper(5)),
+                           "sl2_v3": lambda: build(sl2_vn(3))}
 
 
 @pytest.mark.parametrize("side", ["g", "e"])
@@ -513,7 +513,7 @@ def _odd_module(seed):
     random even bases: odd elements act, and no coefficient is special."""
     rng = random.Random(seed)
     if seed % 3 == 2:
-        m = osp12_adjoint_extension().action
+        m = build(osp12_adjoint()).action
     elif seed % 3 == 1:
         g = _gl11_standard().algebra
         m = ModuleAction(g, g.basis, dense(g._sparse, g.dim))
@@ -651,7 +651,7 @@ def test_cochain_shape_checks_raise_their_own_class_and_message():
     # every shape check on the way into and through a 2-cochain, and on the
     # presentations that read one; over sl2 ⋉ V2 some 1- and 2-cochains of g
     # are not cocycles
-    ext = sl2_v2_extension()
+    ext = build(SL2_V2)
     g, m, a, cx, beta = ext.g, ext.action, ext.a_basis, ext.cochains_g, ext.beta
     on_e = Cochain2.zero(ext.e.basis, a)
     n1, n2 = len(cx.pos1), len(cx.pos2)
@@ -701,7 +701,7 @@ def test_building_and_verifying_h5_never_runs_the_full_residual(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cohomology, "_twisted_jacobi_residuals", counted)
-    ext = heisenberg_extension(2)
+    ext = build(heisenberg(2))
     assert verify_five_term(ext).passed
     assert calls == []
 
@@ -738,7 +738,7 @@ def test_warm_ring_sequence_checks_membership_with_cached_operators(name, monkey
 def test_heisenberg_h2_matches_the_closed_form(k):
     # Santharoubane (Proc. AMS 87, 1983): dim H²(h_{2k+1}) = C(2k,2) - 1 for
     # k >= 2 and 2 for k = 1; the quotient Ab(2k) has dim H² = C(2k,2)
-    ext = heisenberg_extension(k)
+    ext = build(heisenberg(k))
     pairs = math.comb(2 * k, 2)
     assert ext.h2_g.dim == pairs
     assert ext.h2_e.dim == (2 if k == 1 else pairs - 1)
@@ -751,7 +751,7 @@ def test_heisenberg_five_term_dims_match_the_closed_form(k):
     # End_g(a) = Q, restriction is zero, and D(id) = -[beta] spans H²(g)'s
     # image, which inflation kills (Santharoubane's H² dims as above)
     pairs = math.comb(2 * k, 2)
-    report = verify_five_term(heisenberg_extension(k))
+    report = verify_five_term(build(heisenberg(k)))
     assert report.passed
     assert report.dims == {
         "z1_g": 2 * k, "z1_e": 2 * k, "end_g_a": 1,
@@ -784,7 +784,7 @@ def test_odd_heisenberg_cohomology_matches_the_closed_form(k):
     h2_e = k² - 1.  At k = 1 nothing constrains β(x_1, z), Z²(e) has
     dimension 2 and h2_e = 1.
     """
-    ext = heisenberg_extension(k, odd=True)
+    ext = build(heisenberg(k, odd=True))
     assert ext.h1_g.dim == k
     assert ext.h2_g.dim == k * k
     assert ext.z1_e.dim == k
@@ -797,7 +797,7 @@ def test_strictly_upper_triangular_cohomology_matches_kostant(k):
     # Kostant (Ann. Math. 74, 1961): dim H^p(n_k) is the number of permutations
     # of length p in S_k, so dim H¹(n_k) = k - 1 and dim H²(n_k) = (k-2)(k+1)/2;
     # the centre <E_1k> is a trivial line, so these are z1_e and h2_e
-    ext = strictly_upper_extension(k)
+    ext = build(strictly_upper(k))
     assert ext.z1_e.dim == k - 1
     assert ext.h2_e.dim == (k - 2) * (k + 1) // 2
     assert verify_five_term(ext).passed
@@ -810,7 +810,7 @@ def test_sl2_semidirect_irreducible_cohomology_matches_the_closed_form(n):
     # the identity on V_n and zero on sl2.  By Hochschild-Serre and Whitehead,
     # H²(e, V_n) = Hom_sl2(Λ²V_n, V_n), which Clebsch-Gordan makes one-dimensional
     # iff n ≡ 2 (mod 4)
-    ext = sl2_vn_extension(n)
+    ext = build(sl2_vn(n))
     assert ext.h1_g.dim == 0 and ext.h2_g.dim == 0
     assert ext.z1_e.dim == n + 2
     assert ext.h2_e.dim == (1 if n % 4 == 2 else 0)
@@ -818,9 +818,9 @@ def test_sl2_semidirect_irreducible_cohomology_matches_the_closed_form(n):
 
 
 @pytest.mark.parametrize("build, components, widest", [
-    (lambda: sl2_vn_extension(8), 54, 28),
-    (lambda: strictly_upper_extension(8), 273, 6),
-    (lambda: heisenberg_extension(15), 465, 1),
+    (lambda: build(sl2_vn(8)), 54, 28),
+    (lambda: build(strictly_upper(8)), 273, 6),
+    (lambda: build(heisenberg(15)), 465, 1),
 ])
 def test_z2_elimination_works_component_by_component(build, components, widest, monkeypatch):
     # a work guard, not a timer: the widths of the components that the
@@ -842,9 +842,9 @@ def test_z2_elimination_works_component_by_component(build, components, widest, 
 
 
 @pytest.mark.parametrize("build", [
-    lambda: sl2_vn_extension(4),
-    lambda: heisenberg_extension(3),
-    fixtures.affine_scaling_extension,
+    lambda: build(sl2_vn(4)),
+    lambda: build(heisenberg(3)),
+    pytest.param(partial(build, AFFINE_SCALING), id="affine_scaling_extension"),
 ])
 def test_quotient_presentation_eliminates_b_and_z_once(build, monkeypatch):
     # a work guard, not a timer: presenting H²(e) = Z²/B² and reading a class
@@ -888,7 +888,7 @@ def test_cold_five_term_builds_no_dense_matrix_wider_than_e(monkeypatch):
 
     monkeypatch.setattr(Mat, "__init__", counted_init)
     monkeypatch.setattr(Mat, "_from_ints", classmethod(counted_from_ints))
-    ext = heisenberg_extension(20)
+    ext = build(heisenberg(20))
     assert verify_five_term(ext).passed
     assert shapes and max(max(s) for s in shapes) <= ext.dim_e == 41, max(shapes)
 
@@ -925,7 +925,7 @@ def test_operator_assembly_builds_no_fraction(monkeypatch):
 def test_osp12_adjoint_semidirect_dims_are_pinned():
     # a regression pin, not a closed form: all four values were measured, and
     # no e-side formula is derived here; it keeps an odd semidirect case covered
-    ext = osp12_adjoint_extension()
+    ext = build(osp12_adjoint())
     assert ext.h1_g.dim == 0 and ext.h2_g.dim == 0
     assert ext.h2_e.dim == 1
     assert ext.z1_e.dim == 4
@@ -954,7 +954,7 @@ def test_five_term_maps_are_products_with_cached_matrices(k, odd, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
     monkeypatch.setattr(Cochain2, "eval", counted("eval", Cochain2.eval))
-    ext = heisenberg_extension(k, odd=odd)
+    ext = build(heisenberg(k, odd=odd))
     ext.h2_g, ext.h2_e
     assert counts["coboundary1"] == 0
     cold = verify_five_term(ext)

@@ -50,10 +50,19 @@ from superext.extension import (
     shifted_restriction,
     to_derivation,
 )
-from superext.fixtures import affine_scaling_algebra, heisenberg3
+from superext.fixtures import (
+    AFFINE_SCALING,
+    CENTRAL_DIRECT_SUM,
+    HEISENBERG3,
+    ODD_SEMIDIRECT,
+    SL2_V2,
+    build,
+    heisenberg,
+    sl2_vn,
+    strictly_upper,
+)
 from superext.sequences import verify_five_term
 
-from conftest import heisenberg_extension, sl2_v2_extension
 import dense_oracle
 from dense_oracle import dense, zero_vec
 from superext.linalg import (
@@ -114,12 +123,12 @@ def test_split_extension_has_zero_cocycle(sd_ext):
 
 def test_non_ideal_rejected():
     with pytest.raises(NotAnIdealError):
-        build_extension(heisenberg3(), [0])
+        build_extension(build(HEISENBERG3).e, [0])
 
 
 def test_non_abelian_ideal_rejected():
     with pytest.raises(NotAnIdealError):
-        build_extension(affine_scaling_algebra(), [0, 1, 2])
+        build_extension(build(AFFINE_SCALING).e, [0, 1, 2])
 
 
 def test_invalid_ambient_algebra_rejected():
@@ -244,8 +253,8 @@ def _ring_corpus():
     g = LieSuperalgebra.abelian(SuperBasis([("t", 0)]))
     nilpotent = ModuleAction(g, SuperBasis([("v1", 0), ("v2", 0)]), [[[0, 0], [1, 0]]])
     return fixtures.standard_corpus() + [
-        ("central_direct_sum", fixtures.central_direct_sum_extension()),
-        ("odd_semidirect", fixtures.odd_semidirect_extension()),
+        ("central_direct_sum", build(CENTRAL_DIRECT_SUM)),
+        ("odd_semidirect", build(ODD_SEMIDIRECT)),
         ("nilpotent_semidirect", semidirect_product(g, nilpotent)[1]),
     ]
 
@@ -388,9 +397,9 @@ def _dense_ring_operations(f, g):
 
 def test_ring_operations_on_ideal_rows_match_the_dense_formulas():
     rng = random.Random(61)
-    corpus = _ring_corpus() + [("h5", heisenberg_extension(2)),
-                               ("h5_odd", heisenberg_extension(2, odd=True)),
-                               ("sl2_v2", sl2_v2_extension())]
+    corpus = _ring_corpus() + [("h5", build(heisenberg(2))),
+                               ("h5_odd", build(heisenberg(2, odd=True))),
+                               ("sl2_v2", build(SL2_V2))]
     for name, ext in corpus:
         maps = [GradedLinearMap.identity(ext.e.basis)]
         maps += [from_derivation(ext.cochains_e.cochain1(
@@ -412,7 +421,7 @@ def test_derivation_coordinates_are_kept_per_extension_object():
     # in h3, x -> x + y fixes the quotient by <y, z> but not the one by <z>; the
     # answer kept for one extension is not read for the other (the counts of
     # recomputation are in test_membership_answers_are_kept_per_extension_object)
-    e = heisenberg3()
+    e = build(HEISENBERG3).e
     centre, plane = build_extension(e, [2]), build_extension(e, [1, 2])
     tilt = GradedLinearMap.from_images(e.basis, e.basis, [vec([1, 1, 0]), vec([0, 1, 0]),
                                                           vec([0, 0, 1])])
@@ -545,8 +554,8 @@ def test_obstructions_and_lifts_build_no_cochain_through_the_public_constructor(
     # checked cocycle β on coordinates, so no obstruction or lift repeats the
     # checks of `from_upper`, the one public constructor; on Heisenberg g,
     # x1 -> 2 x1 scales the form β and does not lift
-    cases = [heisenberg_extension(3), heisenberg_extension(2, odd=True), sl2_v2_extension(),
-             fixtures.affine_scaling_extension()]
+    cases = [build(heisenberg(3)), build(heisenberg(2, odd=True)), build(SL2_V2),
+             build(AFFINE_SCALING)]
     constructed = []
     from_upper = Cochain2.from_upper
 
@@ -614,12 +623,10 @@ def test_extend_witnesses_are_the_stacked_e_side_solution(pin_corpus):
     through the five-term maps: for 0, the identity and each basis element of
     End_g(a), and for seeded combinations of that basis; both extendable
     and obstructed elements occur."""
-    from conftest import sl2_vn_extension, strictly_upper_extension
-
     rng = random.Random(29)
     seen = set()
-    for name, ext in pin_corpus + [("n4", strictly_upper_extension(4)),
-                                   ("sl2_v4", sl2_vn_extension(4))]:
+    for name, ext in pin_corpus + [("n4", build(strictly_upper(4))),
+                                   ("sl2_v4", build(sl2_vn(4)))]:
         space = ext.module_end_space
         elements = [zero_vec(len(ext.pos_a)), map_to_coords(GradedLinearMap.identity(ext.a_basis))]
         elements += list(space.basis)
@@ -640,8 +647,6 @@ def test_extend_witnesses_are_the_stacked_e_side_solution(pin_corpus):
 def test_cold_extend_factors_d1_of_the_quotient_only(monkeypatch):
     """A cold extend solves on d¹ of g: no matrix as wide as the 1-cochains
     of e is eliminated."""
-    from conftest import strictly_upper_extension
-
     factored = []
     for method in ("_factor", "_echelon"):
         original = getattr(SparseMat, method)
@@ -651,7 +656,7 @@ def test_cold_extend_factors_d1_of_the_quotient_only(monkeypatch):
             return original(self)
 
         monkeypatch.setattr(SparseMat, method, recording)
-    ext = strictly_upper_extension(5)
+    ext = build(strictly_upper(5))
     assert extend_endomorphism(GradedLinearMap.identity(ext.a_basis), ext) is None  # obstructed
     assert any(m is ext.cochains_g.d1 for m in factored)
     assert all(m.cols != len(ext.cochains_e.pos1) for m in factored), \
@@ -965,8 +970,8 @@ def test_connecting_map_multiplies_by_the_class_coordinate_map_once(monkeypatch)
         return product(self, other)
 
     monkeypatch.setattr(SparseMat, "__matmul__", counted)
-    for ext in (heisenberg_extension(2), heisenberg_extension(2, odd=True), sl2_v2_extension(),
-                fixtures.affine_scaling_extension()):
+    for ext in (build(heisenberg(2)), build(heisenberg(2, odd=True)), build(SL2_V2),
+                build(AFFINE_SCALING)):
         coords, annihilator = ext.h2_g.quotient.coordinate_map
         left.clear()
         assert verify_five_term(ext).passed and verify_five_term(ext).passed
@@ -975,7 +980,7 @@ def test_connecting_map_multiplies_by_the_class_coordinate_map_once(monkeypatch)
 
 def test_connecting_map_requires_the_images_of_end_g_a_to_be_cocycles():
     # beta replaced by a 2-cochain that is not a cocycle: -id∘beta is none either
-    ext = sl2_v2_extension()
+    ext = build(SL2_V2)
     ext.beta = Cochain2.from_upper(ext.g.basis, ext.a_basis, {(0, 1): (1, 0)})
     assert not ext.cochains_g.is_cocycle2(ext.beta)
     with pytest.raises(MembershipError, match="the 2-cochain is not a cocycle"):

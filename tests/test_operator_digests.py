@@ -16,12 +16,22 @@ import random
 
 import pytest
 
-from superext import fixtures
 from superext.extension import extend_obstruction, extend_obstruction_aut, lift_obstruction
+from superext.fixtures import (
+    AFFINE_SCALING,
+    CENTRAL_DIRECT_SUM,
+    HEISENBERG3,
+    IDENTITY_SEMIDIRECT,
+    ODD_HEISENBERG,
+    ODD_SEMIDIRECT,
+    build,
+    heisenberg,
+    osp12_adjoint,
+    sl2_vn,
+    strictly_upper,
+)
 from superext.linalg import Mat
 from superext.sequences import _action_endo_samples, _module_endo_samples, _rand_combination
-
-from conftest import heisenberg_extension, osp12_adjoint_extension, sl2_vn_extension, strictly_upper_extension
 
 
 def _dense(m):
@@ -60,17 +70,11 @@ def operator_digests(ext):
 
 
 CASES = {
-    "heisenberg3": fixtures.heisenberg3_extension,
-    "odd_heisenberg": fixtures.odd_heisenberg_extension,
-    "identity_semidirect": fixtures.identity_semidirect_extension,
-    "affine_scaling": fixtures.affine_scaling_extension,
-    "odd_semidirect": fixtures.odd_semidirect_extension,
-    "central_direct_sum": fixtures.central_direct_sum_extension,
-    **{f"h{2 * k + 1}": (lambda k=k: heisenberg_extension(k)) for k in range(1, 5)},
-    **{f"oh{2 * k + 1}": (lambda k=k: heisenberg_extension(k, odd=True)) for k in range(1, 5)},
-    **{f"n{k}": (lambda k=k: strictly_upper_extension(k)) for k in range(4, 7)},
-    **{f"sl2_v{n}": (lambda n=n: sl2_vn_extension(n)) for n in range(2, 5)},
-    "osp12_adjoint": osp12_adjoint_extension,
+    **{s.name: s for s in (HEISENBERG3, ODD_HEISENBERG, IDENTITY_SEMIDIRECT, AFFINE_SCALING,
+                           ODD_SEMIDIRECT, CENTRAL_DIRECT_SUM, osp12_adjoint(),
+                           *map(heisenberg, range(1, 5)), *map(strictly_upper, range(4, 7)))},
+    **{f"oh{2 * k + 1}": heisenberg(k, odd=True) for k in range(1, 5)},
+    **{f"sl2_v{n}": sl2_vn(n) for n in range(2, 5)},  # keyed as recorded; dim V_n = n + 1
 }
 
 # recorded on the dense engine, before the operators were stored sparsely
@@ -416,7 +420,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_operator_values_match_their_digests(name):
-    assert operator_digests(CASES[name]()) == DIGESTS[name]
+    assert operator_digests(build(CASES[name])) == DIGESTS[name]
 
 
 # recorded when each 2-cochain was a dense grid, before it was stored as its coordinates

@@ -1,12 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
 from hypothesis import given, settings
 
-from superext import fixtures, sequences
+from superext import sequences
 from superext.algebra import (
     GradedLinearMap, LieSuperalgebra, SuperBasis, is_homomorphism, semidirect_product,
 )
@@ -22,9 +23,15 @@ from superext.extension import (
     lift_obstruction,
 )
 from superext.fixtures import (
-    central_direct_sum_extension,
-    identity_action_module,
-    odd_line_module,
+    AFFINE_SCALING,
+    CENTRAL_DIRECT_SUM,
+    HEISENBERG3,
+    IDENTITY_SEMIDIRECT,
+    ODD_HEISENBERG,
+    ODD_SEMIDIRECT,
+    SL2_V2,
+    build,
+    heisenberg,
 )
 from superext.linalg import (
     Mat, SparseMat, SubspacePresentation, _as_sparse, kernel_basis, subspace_equal, unit_vec,
@@ -38,7 +45,6 @@ from superext.sequences import (
     verify_semidirect_automorphisms,
 )
 
-from conftest import sl2_v2_extension
 from dense_oracle import dense
 from test_trusted import _nilpotent_module
 
@@ -214,10 +220,10 @@ _MUTATIONS = [
     (_central_pair_extension, "restriction",
      lambda ext: _as_sparse(Mat.zeros(len(ext.pos_a), len(ext.cochains_e.pos1))),
      "kernel_of_restriction_is_image_of_inflation", False),
-    (fixtures.heisenberg3_extension, "connecting_map",
+    (partial(build, HEISENBERG3), "connecting_map",
      lambda ext: _as_sparse(Mat.zeros(ext.h2_g.dim, len(ext.pos_a))),
      "image_of_restriction_is_kernel_of_connecting_map", False),
-    (fixtures.heisenberg3_extension, "connecting_map",
+    (partial(build, HEISENBERG3), "connecting_map",
      lambda ext: _as_sparse(Mat.zeros(ext.h2_g.dim, len(ext.pos_a))),
      "image_of_connecting_map_is_kernel_of_inflation2", False),
 ]
@@ -232,7 +238,9 @@ def test_linear_stages_match_the_subspace_identities(pin_corpus):
         _assert_matches_subspace_path(ext, name)
 
 
-@pytest.mark.parametrize("build, attr, mutate, check, dims_agree", _MUTATIONS)
+# a spec's case keeps the id of the builder it replaced, `<name>_extension`
+@pytest.mark.parametrize("build, attr, mutate, check, dims_agree", _MUTATIONS,
+                         ids=lambda v: f"{v.args[0].name}_extension" if isinstance(v, partial) else None)
 def test_each_half_of_a_rank_identity_can_fail_its_check(build, attr, mutate, check, dims_agree):
     ext = build()
     assert verify_five_term(ext).passed
@@ -265,7 +273,7 @@ def test_ring_sequence_shifts_the_section_by_a_map_that_changes_the_cocycle(monk
     # the section-independence check compares the obstruction classes of two
     # cocycles; a derivation's coboundary is zero, so shifting the section by
     # one would compare beta with itself
-    ext = sl2_v2_extension()
+    ext = build(SL2_V2)
     assert ext.z1_g.dim > 0
     shifted = []
 
@@ -341,26 +349,26 @@ def test_monoid_sequence_rejects_bad_samples(sd_ext):
 def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
     """One obstruction and one lift per sampled psi, and one computation of
     `fixes_action` per psi: the gates of both read its kept answer.  sigma
-    once per kernel sample, per pool element and per composite, and once
-    more per lift in its self-check; one classification computed per kernel
-    sample and per pool element: a lift's second gate reads the one its
-    self-check kept, and no composite is classified (its factors passed the
-    gate)."""
+    once per kernel sample and per pool element, and once more per lift in
+    its self-check; one classification computed per kernel sample and per
+    pool element: a lift's second gate reads the one its self-check kept.
+    No composite is classified or reaches `fixes_action`: its factors passed
+    the gate, and its complement block is compared directly."""
     from superext import extension
-    from superext.fixtures import odd_heisenberg_extension
-
-    from conftest import heisenberg_extension
-
-    calls = dict.fromkeys(("lift_obstruction", "lift_endomorphism", "_induced_on_quotient"), 0)
+    calls = dict.fromkeys(("lift_obstruction", "lift_endomorphism", "induced_on_quotient"), 0)
     originals = {fn: getattr(extension, fn) for fn in calls}
     asked: list[GradedLinearMap] = []
+    induced: list[GradedLinearMap] = []
 
     def counting(fn):
         def wrapper(*args):
             calls[fn] += 1
             if fn == "lift_obstruction":
                 asked.append(args[0])
-            return originals[fn](*args)
+            out = originals[fn](*args)
+            if fn == "induced_on_quotient":
+                induced.append(out)
+            return out
         return wrapper
 
     # each memo's own computation, the undecorated predicate, behind its closure
@@ -371,19 +379,26 @@ def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
         cells[fn] = (next(c for c in getattr(extension, fn).__closure__
                           if c.cell_contents is decide), decide)
 
+    answers: list[bool] = []  # the computed answers of `fixes_action`, in order
+
     def computing(fn, decide):
         def compute(f, ext):
             computed[fn].append(f)
-            return decide(f, ext)
+            out = decide(f, ext)
+            if fn == "fixes_action":
+                answers.append(out)
+            return out
         return compute
 
     # a supplied symplectic scaling lifts, so the identity is not the only witness;
     # the counted run gets a new one, whose answers are not kept yet
-    for name, ext, scaling in (("h5", heisenberg_extension(2), (2, 2, Fraction(1, 2), Fraction(1, 2))),
-                               ("odd_heisenberg", odd_heisenberg_extension(), (2, Fraction(1, 2)))):
+    for name, ext, scaling in (("h5", build(heisenberg(2)), (2, 2, Fraction(1, 2), Fraction(1, 2))),
+                               ("odd_heisenberg", build(ODD_HEISENBERG), (2, Fraction(1, 2)))):
         verify_monoid_sequence(ext, psi_samples=[_diag(ext.g.basis, *scaling)], seed=0)  # warm
         calls.update(dict.fromkeys(calls, 0))
         asked.clear()
+        induced.clear()
+        answers.clear()
         for seen in computed.values():
             seen.clear()
         with monkeypatch.context() as m:
@@ -408,8 +423,11 @@ def test_warm_monoid_sequence_asks_each_lifting_question_once(monkeypatch):
         assert calls["lift_obstruction"] == calls["lift_endomorphism"] == psis == len(asked), \
             (name, calls)
         assert all(sum(m is psi for m in computed["fixes_action"]) == 1 for psi in asked), name
-        assert calls["_induced_on_quotient"] == pool * pool + pool + kernel_samples + lifted, \
+        assert calls["induced_on_quotient"] == pool + kernel_samples + lifted, \
             (name, calls, pool, lifted)
+        # every map found to fix the action is a sampled psi or a sigma the gate built
+        accepted = [f for f, ok in zip(computed["fixes_action"], answers) if ok]
+        assert all(any(f is m for m in asked + induced) for f in accepted), name
         assert len(computed["classify_endomorphism"]) == pool + kernel_samples, \
             (name, len(computed["classify_endomorphism"]), pool, lifted)
 
@@ -418,8 +436,6 @@ def test_cor1_and_thm2_decide_through_the_public_obstructions(monkeypatch):
     """The suites ask the gated library functions, as a caller would: cor1
     one `extend_obstruction_aut` per candidate, thm2 one `lift_obstruction`
     per sampled psi."""
-    from conftest import heisenberg_extension
-
     calls = dict.fromkeys(("extend_obstruction_aut", "lift_obstruction"), 0)
 
     def counting(fn, original):
@@ -431,8 +447,8 @@ def test_cor1_and_thm2_decide_through_the_public_obstructions(monkeypatch):
     for fn in calls:
         monkeypatch.setattr(sequences, fn, counting(fn, getattr(sequences, fn)))
     most = 0
-    for ext in (fixtures.identity_semidirect_extension(), fixtures.affine_scaling_extension(),
-                heisenberg_extension(2)):
+    for ext in (build(IDENTITY_SEMIDIRECT), build(AFFINE_SCALING),
+                build(heisenberg(2))):
         calls.update(dict.fromkeys(calls, 0))
         cor1 = verify_automorphism_extension(ext, seed=3)
         thm2 = verify_monoid_sequence(ext, seed=3)
@@ -466,7 +482,7 @@ def test_cor1_inverts_each_candidate_once(monkeypatch):
     monkeypatch.setattr(sequences, "extend_obstruction_aut", asked)
     for module in (sequences, extension):
         monkeypatch.setattr(module, "inverse", counting(module.inverse))
-    for ext in (fixtures.identity_semidirect_extension(), fixtures.affine_scaling_extension()):
+    for ext in (build(IDENTITY_SEMIDIRECT), build(AFFINE_SCALING)):
         candidates.clear()
         inverted.clear()
         report = verify_automorphism_extension(ext, seed=3)
@@ -475,9 +491,7 @@ def test_cor1_inverts_each_candidate_once(monkeypatch):
 
 
 def test_odd_heisenberg_lift_criterion_is_the_unit_determinant():
-    from superext.fixtures import odd_heisenberg_extension
-
-    ext = odd_heisenberg_extension()
+    ext = build(ODD_HEISENBERG)
     for b, c in [(2, Fraction(1, 2)), (1, 1), (-1, -1), (3, Fraction(1, 3))]:
         psi = _diag(ext.g.basis, b, c)
         assert fixes_action(psi, ext)
@@ -497,7 +511,7 @@ def test_central_extensions_accept_arbitrary_even_endomorphisms(h3_ext, ba1_ext)
 
 
 def test_central_split_extension_lifts_everything():
-    ext = central_direct_sum_extension()
+    ext = build(CENTRAL_DIRECT_SUM)
     for entries in [(1, 1), (2, 3), (0, 5), (7, 0)]:
         psi = _diag(ext.g.basis, *entries)
         assert fixes_action(psi, ext)
@@ -521,7 +535,7 @@ def test_vanishing_h2_extends_a_whole_basis_of_module_endomorphisms(sd_ext, aff_
 def test_block_lift_of_a_quotient_map_has_zero_section_offset():
     from superext.extension import section_offset
 
-    ext = central_direct_sum_extension()
+    ext = build(CENTRAL_DIRECT_SUM)
     psi = _diag(ext.g.basis, 2, 3)
     gamma = lift_endomorphism(psi, ext)
     assert gamma is not None
@@ -574,13 +588,13 @@ def test_block_maps_match_the_column_forms(pin_corpus):
 
 
 def test_semidirect_automorphisms_identity_module():
-    m = identity_action_module()
+    m = build(IDENTITY_SEMIDIRECT).action
     report = verify_semidirect_automorphisms(m.algebra, m, seed=6)
     assert report.passed, report.to_dict()
 
 
 def test_semidirect_automorphisms_odd_module():
-    m = odd_line_module()
+    m = build(ODD_SEMIDIRECT).action
     report = verify_semidirect_automorphisms(m.algebra, m, seed=7)
     assert report.passed, report.to_dict()
 

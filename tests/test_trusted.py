@@ -27,7 +27,6 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import heisenberg_extension
 from dense_oracle import dense
 from superext import cli, files, fixtures
 from superext.algebra import (
@@ -54,6 +53,7 @@ from superext.cohomology import (
 )
 from superext.errors import MembershipError, ShapeError
 from superext.extension import AbelianExtension, beta_with_section, build_extension, inflate2
+from superext.fixtures import IDENTITY_SEMIDIRECT, ODD_SEMIDIRECT, build, heisenberg
 from superext.linalg import _ZERO, Mat, SubspacePresentation, kernel_basis, vec
 from superext.sequences import (
     _action_endo_samples,
@@ -309,8 +309,8 @@ def test_library_cochains_come_from_their_upper_pairs():
     (`from_upper`) or its coordinates (`_trusted`), the only two ways in:
     extensions and semidirect products, coboundaries, inflation, shifted
     sections, the zero cochain and all five suites succeed on them."""
-    extensions = [ext for _, ext in fixtures.standard_corpus()] + [heisenberg_extension(2, odd=True)]
-    modules = [fixtures.identity_action_module(), fixtures.odd_line_module()]
+    extensions = [ext for _, ext in fixtures.standard_corpus()] + [build(heisenberg(2, odd=True))]
+    modules = [build(IDENTITY_SEMIDIRECT).action, build(ODD_SEMIDIRECT).action]
     extensions += [semidirect_product(m.algebra, m)[1] for m in modules]
     for ext in extensions:
         rebuilt = build_extension(ext.e, ext.ideal_indices)
